@@ -13,15 +13,21 @@ a secular function.  Two equivalent forms are provided:
   which equals the general secular function up to the nonvanishing
   prefactor -4 k (1 + w1^2) / D(k), so both share their zeros.
 
-Roots are located by scanning in steps of pi/(8 a) (well below the ~pi/a
-root spacing of these oscillatory functions) and bisecting each bracket.
-Grazing zeros where a band touches its neighbour (e.g. the free comb at
-theta = 0) produce no sign change; the scan detects the local extremum
-pointing at zero, refines it by golden-section search and counts the root
-twice.  Two caveats follow from that: tangential edges are located only to
-~1e-8 relative accuracy (bisection cannot help without a sign change), and
-gaps so narrow that |g| stays below ~1e-9 across them are reported as
-touching bands.
+Single-theta roots (dispersion, and the theta = 0 and theta = pi columns
+behind band_edges) are located by scanning in steps of pi/(8 a) (well below
+the ~pi/a root spacing of these oscillatory functions) and refining each
+bracket with Brent's method.  Grazing zeros where a band touches its
+neighbour (e.g. the free comb at theta = 0) produce no sign change; the scan
+detects the local extremum pointing at zero, refines it by golden-section
+search and counts the root twice.  Two caveats follow from that: tangential
+edges are located only to ~1e-8 relative accuracy (root refinement cannot
+help without a sign change), and gaps so narrow that |g| stays below ~1e-9
+across them are reported as touching bands.
+
+band_structure does not scan: inside a band the discriminant is monotone
+in k (the Kronig-Penney property), so k_n(theta) is monotone on [0, pi] and
+each sample is the one root between the previous column's root and the
+band's theta = pi edge.
 """
 
 from __future__ import annotations
@@ -31,10 +37,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import (
     InvalidLatticeSpacingError,
+    NoSignChangeError,
+    OutsideValidityDomainError,
     PerfectReflectionError,
     RootScanError,
 )
@@ -316,19 +322,56 @@ def dispersion(
     if n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
     theta = abs(float(theta))
-    if theta > math.pi:
+    if not theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     secular, aa = _resolve_source(source, theta, a)
     return _scan_roots(secular, aa, n_bands, cfg)
 
 
-def _touches_zero_mode(c: CombCouplings, theta: float) -> bool:
-    """Whether the k -> 0 limit of the secular function vanishes (the band
-    bottom degenerates to the excluded zero mode, e.g. the free comb at
-    theta = 0)."""
-    g0 = spectral_function(c, 0.0, theta)
+Edge = Tuple[float, float]  # (k, theta) with theta = 0 or theta = pi
+
+
+def _zero_mode_edges(c: CombCouplings) -> List[Edge]:
+    """Edge columns whose secular function vanishes in the k -> 0 limit.
+
+    There the band bottom degenerates to the excluded zero mode (e.g. the
+    free comb at theta = 0), which is restored as an edge at k = 0.  A
+    negative limit Omega cos(theta) + 1 + gamma a / 2 means a band reaches
+    imaginary k, which the real-k scan cannot follow.
+    """
     scale = 1.0 + abs(c.omega) + 0.5 * abs(c.gamma) * c.a
-    return abs(g0) <= 1e-12 * scale
+    edges = []
+    for theta in (0.0, math.pi):
+        g0 = spectral_function(c, 0.0, theta)
+        if abs(g0) <= 1e-12 * scale:
+            edges.append((0.0, theta))
+        elif g0 < 0.0:
+            raise OutsideValidityDomainError(
+                f"1 + gamma a/2 = {1.0 + 0.5 * c.gamma * c.a:.6g} < |Omega| = "
+                f"{abs(c.omega):.6g}: the lowest band reaches imaginary k"
+            )
+    return edges
+
+
+def _edges(
+    source: Source,
+    n_bands: int,
+    cfg: Optional[QuadratureConfig],
+    a: Optional[float],
+) -> List[Tuple[Edge, Edge]]:
+    """Lower and upper edge of the first n_bands bands, each with the theta
+    (0 or pi) whose root it is."""
+    cfg = cfg or QuadratureConfig()
+    if n_bands < 1:
+        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
+    head = _zero_mode_edges(source) if isinstance(source, CombCouplings) else []
+    need = n_bands + 1
+    merged = sorted(
+        head
+        + [(k, 0.0) for k in dispersion(source, 0.0, need, cfg, a)]
+        + [(k, math.pi) for k in dispersion(source, math.pi, need, cfg, a)]
+    )
+    return [(merged[2 * n], merged[2 * n + 1]) for n in range(n_bands)]
 
 
 def band_edges(
@@ -343,20 +386,43 @@ def band_edges(
     two sorted root lists and pairing consecutive entries yields the bands
     (flat bands give k_min = k_max, touching bands share an endpoint).  For
     coupling sources whose secular function vanishes in the k -> 0 limit at
-    theta = 0 the excluded zero mode is restored as the bottom edge of the
-    lowest band.
+    theta = 0 or theta = pi the excluded zero mode is restored as the bottom
+    edge of the lowest band; couplings with 1 + gamma a/2 < |Omega|, whose
+    lowest band reaches imaginary k, raise OutsideValidityDomainError.
     """
-    cfg = cfg or QuadratureConfig()
-    if n_bands < 1:
-        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    need = n_bands + 1
-    lo_roots = dispersion(source, 0.0, need, cfg, a)
-    hi_roots = dispersion(source, math.pi, need, cfg, a)
-    head = []
-    if isinstance(source, CombCouplings) and _touches_zero_mode(source, 0.0):
-        head = [0.0]
-    merged = sorted(head + lo_roots + hi_roots)
-    return [(merged[2 * n], merged[2 * n + 1]) for n in range(n_bands)]
+    return [(lo[0], hi[0]) for lo, hi in _edges(source, n_bands, cfg, a)]
+
+
+def _band_root(
+    source: Source,
+    theta: float,
+    near: float,
+    far: float,
+    edges: Tuple[float, float],
+    cfg: QuadratureConfig,
+    a: Optional[float],
+) -> float:
+    """The band's root at theta, known to lie between near and far.
+
+    near is the root at the previous theta column, accurate to root_tol, so
+    a step in theta that moves the root by less than that can leave the root
+    just outside [near, far]; the band's whole edge interval is then the
+    bracket.  A bracket already within root_tol needs no evaluation (flat
+    bands have near == far).
+    """
+    lo, hi = sorted((near, far))
+    if hi - lo <= cfg.root_tol * hi:
+        return near
+    secular, _ = _resolve_source(source, theta, a)
+    for lo, hi in ((lo, hi), edges):
+        try:
+            return refine_root(secular, lo, hi, cfg)
+        except NoSignChangeError:
+            pass
+    raise RootScanError(
+        f"secular function keeps its sign across the band [{edges[0]!r}, "
+        f"{edges[1]!r}] at theta = {theta!r}"
+    )
 
 
 def band_structure(
@@ -368,35 +434,44 @@ def band_structure(
 ) -> BandStructure:
     """Sample k_n(theta) on a uniform closed theta grid over [-pi, pi].
 
-    Columns where the secular function vanishes in the k -> 0 limit get the
-    zero mode restored as the lowest sample so bands stay continuous across
-    theta (the free comb's lowest band passes through k = 0 at theta = 0).
+    The grid is exactly mirror-symmetric (thetas[i] == -thetas[-1-i], with
+    theta = 0.0 in the middle for odd n_theta); only theta >= 0 is solved and
+    samples at -theta are copies.  The theta = 0 and theta = pi columns are
+    the band edges (including a restored k = 0 zero mode).
     """
     cfg = cfg or QuadratureConfig()
     if n_theta < 2:
         raise ValueError(f"n_theta must be >= 2, got {n_theta}")
-    thetas = np.linspace(-math.pi, math.pi, n_theta)
-    columns: List[List[float]] = []
-    for th in thetas:
-        if isinstance(source, CombCouplings) and _touches_zero_mode(source, th):
-            col = [0.0]
-            if n_bands > 1:
-                col += dispersion(source, th, n_bands - 1, cfg, a)
-        else:
-            col = dispersion(source, th, n_bands, cfg, a)
-        columns.append(col)
+    # the integer ratio is formed first, so the ends are exactly -pi and pi
+    # and the grid's mirror image is its exact negation
+    m = n_theta - 1
+    thetas = tuple(math.pi * ((2 * i - m) / m) for i in range(n_theta))
+    upper = thetas[n_theta // 2 :]
     aa = source.a if isinstance(source, CombCouplings) else a
-    edges = band_edges(source, n_bands, cfg, a)
     bands = []
-    for n in range(n_bands):
+    for n, ((k_min, theta_min), (k_max, _)) in enumerate(
+        _edges(source, n_bands, cfg, a)
+    ):
+        k_zero, k_pi = (k_min, k_max) if theta_min == 0.0 else (k_max, k_min)
+        ks = []
+        prev = k_zero
+        for theta in upper:
+            if theta == 0.0:
+                k = k_zero
+            elif theta == math.pi:
+                k = k_pi
+            else:
+                k = _band_root(source, theta, prev, k_pi, (k_min, k_max), cfg, a)
+            ks.append(k)
+            prev = k
         bands.append(
             Band(
                 index=n,
                 a=aa,
-                thetas=tuple(float(t) for t in thetas),
-                ks=tuple(col[n] for col in columns),
-                k_min=edges[n][0],
-                k_max=edges[n][1],
+                thetas=thetas,
+                ks=tuple(ks[::-1][: n_theta - len(ks)] + ks),
+                k_min=k_min,
+                k_max=k_max,
             )
         )
     return BandStructure(a=aa, bands=tuple(bands))

@@ -3,7 +3,7 @@
 Self-contained numerical kernels: a 7/15 Gauss-Kronrod pair with the
 classic QUADPACK-style error estimate, worst-interval-first adaptive
 bisection, semi-infinite integration via truncation plus an exponential
-tail bound, and derivative-free bisection for root refinement.
+tail bound, and derivative-free Brent iteration for root refinement.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -214,7 +214,18 @@ def refine_root(
     hi: float,
     cfg: Optional[QuadratureConfig] = None,
 ) -> float:
-    """Bisect a bracketed root down to relative width cfg.root_tol."""
+    """Brent's (1973) root of f in a sign-changing bracket [lo, hi].
+
+    Inverse quadratic or secant steps are taken while they shrink the
+    bracket fast enough, otherwise the step is a bisection.  Simple roots
+    converge superlinearly (a handful of evaluations); multiple roots, where
+    interpolation stalls, can take a few times bisection's count.  The search
+    stops when the bracket [b, c] around the root is narrower than
+    cfg.root_tol * max(|b|, |c|) and returns its end b with the smaller |f|,
+    so the root lies within that width of the result.  An endpoint where f
+    is exactly zero is returned as is; a bracket without a sign change
+    raises NoSignChangeError.
+    """
     cfg = cfg or QuadratureConfig()
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -228,16 +239,42 @@ def refine_root(
         raise NoSignChangeError(
             f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
         )
-    lo_neg = flo < 0
+    # b: best estimate; c: the other end of the bracket; a: previous b
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.root_tol * max(abs(lo), abs(hi)):
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * cfg.root_tol * max(abs(b), abs(c))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == lo_neg:
-            lo = mid
+        step = m
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, step = d, p / q
+            else:
+                e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            e = m
+        d = step
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb == 0.0:
+            return b
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+    return b

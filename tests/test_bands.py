@@ -14,6 +14,7 @@ from deltacomb import (
     BlochParams,
     CombCouplings,
     InvalidLatticeSpacingError,
+    OutsideValidityDomainError,
     PerfectReflectionError,
     QuadratureConfig,
     RootScanError,
@@ -27,7 +28,8 @@ from deltacomb import (
     spectral_function,
     spectral_function_general,
 )
-from deltacomb.bands import _scan_roots
+import deltacomb.bands
+from deltacomb.bands import _band_root, _scan_roots
 
 FREE = CombCouplings(w0=0.0, w1=0.0, a=1.0)
 MIXED = CombCouplings(w0=0.0, w1=1.0, a=1.0)  # Omega = gamma = 0
@@ -196,6 +198,8 @@ def test_dispersion_validation():
     with pytest.raises(ValueError):
         dispersion(FREE, 4.0, 1)  # |theta| > pi
     with pytest.raises(ValueError):
+        dispersion(FREE, math.nan, 1)
+    with pytest.raises(ValueError):
         dispersion(_free_amps, 0.0, 1)  # amplitude source needs a
 
 
@@ -280,8 +284,6 @@ def test_band_structure_kronig_penney_shape():
     for band in bs.bands:
         ks = np.asarray(band.ks)
         assert len(band.thetas) == 21 and len(ks) == 21
-        # even in theta, sample by sample
-        assert all(ks[i] == ks[len(ks) - 1 - i] for i in range(len(ks)))
         # monotone along 0 <= theta <= pi and continuous on this grid
         half = ks[10:]
         diffs = np.diff(half)
@@ -290,6 +292,90 @@ def test_band_structure_kronig_penney_shape():
         assert np.all(ks >= band.k_min - 1e-9)
         assert np.all(ks <= band.k_max + 1e-9)
         assert band.qs == band.thetas  # a = 1
+    # the grid and the samples are even in theta, exactly
+    for n_theta in (21, 100, 101):
+        for band in band_structure(KP, n_bands=2, n_theta=n_theta).bands:
+            th, ks = band.thetas, band.ks
+            assert th[0] == -math.pi and th[-1] == math.pi
+            assert all(th[i] == -th[-1 - i] for i in range(n_theta))
+            assert all(ks[i] == ks[-1 - i] for i in range(n_theta))
+            if n_theta % 2:
+                assert th[n_theta // 2] == 0.0
+
+
+def _assert_matches_dispersion(source, n_bands, n_theta, a=None):
+    """Every sample lies in its band and matches the per-column scan."""
+    tol = 2.0 * QuadratureConfig().root_tol
+    bs = band_structure(source, n_bands, n_theta, a=a)
+    thetas = bs.bands[0].thetas
+    for j, theta in enumerate(thetas):
+        column = [band.ks[j] for band in bs.bands]
+        for band, k in zip(bs.bands, column):
+            assert band.k_min <= k <= band.k_max
+        if abs(theta) in (0.0, math.pi):
+            # edge columns are the band edges themselves
+            assert all(k in (b.k_min, b.k_max) for b, k in zip(bs.bands, column))
+            continue
+        for k, ref in zip(column, dispersion(source, theta, n_bands, a=a)):
+            assert abs(k - ref) <= tol * max(1.0, ref)
+
+
+def test_band_structure_matches_per_column_dispersion():
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        c = CombCouplings.from_reduced(
+            omega=rng.uniform(-1.0, 0.95), gamma=rng.uniform(0.0, 8.0),
+            a=rng.uniform(0.3, 3.0),
+        )
+        _assert_matches_dispersion(c, 5, 31)
+    _assert_matches_dispersion(CombCouplings(w0=1e8, w1=0.0, a=1.0), 3, 31)
+    _assert_matches_dispersion(CombCouplings.from_reduced(0.0, 2.0, 1.3), 4, 31)
+    _assert_matches_dispersion(CombCouplings(w0=0.0, w1=0.0, a=1.7), 4, 31)
+    _assert_matches_dispersion(lambda k: delta_amplitudes(4.0, k), 3, 21, a=1.2)
+
+
+def test_band_structure_secular_calls_per_sample(monkeypatch):
+    calls = 0
+    inner = deltacomb.bands.spectral_function
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(deltacomb.bands, "spectral_function", counted)
+    band_structure(CombCouplings(w0=3.0, w1=0.4, a=1.0), 8, 401)
+    # at most 8 secular evaluations per output sample, band edges included
+    assert calls <= 8 * (8 * 401)
+
+
+def test_band_root_brackets():
+    cfg = QuadratureConfig()
+    k_min, k_max = KP_ROOTS_0[0], KP_ROOTS_PI[0]
+    root = _band_root(KP, 1.0, k_min, k_max, (k_min, k_max), cfg, None)
+    # a previous-column root just past this one: the band's edges take over
+    assert _band_root(KP, 1.0, root + 1e-13, k_max, (k_min, k_max), cfg, None) == root
+    # no sign change anywhere: [3.5, 4.5] lies in the gap above pi
+    with pytest.raises(RootScanError):
+        _band_root(KP, 1.0, 3.5, 4.5, (3.5, 4.5), cfg, None)
+
+
+def test_band_structure_rejects_bands_at_imaginary_k():
+    # w0 = -3: 1 + gamma a/2 = -0.5 < |Omega| = 1
+    attractive = CombCouplings(w0=-3.0, w1=0.0, a=1.0)
+    with pytest.raises(OutsideValidityDomainError):
+        band_edges(attractive, 3)
+    with pytest.raises(OutsideValidityDomainError):
+        band_structure(attractive, 3, 11)
+
+
+def test_band_structure_attractive_comb_with_real_bands():
+    # gamma < 0 but 1 + gamma a/2 = 0.95 >= |Omega| = 0.5: every band is real
+    c = CombCouplings.from_reduced(omega=0.5, gamma=-0.1, a=1.0)
+    _assert_matches_dispersion(c, 4, 31)
+    for band in band_structure(c, 4, 31).bands:
+        for theta, k in zip(band.thetas, band.ks):
+            assert abs(spectral_function(c, k, theta)) <= 1e-10
 
 
 def test_band_structure_free_comb_passes_through_zero():

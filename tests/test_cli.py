@@ -211,6 +211,9 @@ def test_domain_errors_exit_2(capsys):
     # non-positive lattice spacing
     code, _, _ = run_cli(capsys, "energy", "--w0", "5", "--a", "-1")
     assert code == EXIT_DOMAIN
+    # attractive comb whose lowest band reaches imaginary k
+    code, out, err = run_cli(capsys, "bands", "--w0", "-3", "--a", "1")
+    assert code == EXIT_DOMAIN and "imaginary k" in err and out == ""
     # bad scan grids
     code, _, _ = run_cli(
         capsys,
