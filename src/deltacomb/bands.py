@@ -62,6 +62,9 @@ __all__ = [
 AmplitudeProvider = Callable[[float], ScatteringAmplitudes]
 Source = Union[CombCouplings, AmplitudeProvider]
 
+# k a at which root scans start
+_SCAN_ORIGIN = 1e-9
+
 # theta = +q a here; the opposite labeling appears in the literature, but all
 # spectra are even in theta so the choice is observationally irrelevant.
 
@@ -226,7 +229,8 @@ def _scan_roots(
 ) -> List[float]:
     """First n_roots positive zeros of the secular function, in order.
 
-    The scan starts at k = 1e-9/a (k = 0 is excluded from the spectrum); an
+    The scan starts at k = _SCAN_ORIGIN/a (k = 0 is excluded from the
+    spectrum); an
     exact float zero at the scan origin is treated as the excluded k -> 0
     boundary, not as a band state.  Tangential zeros appear twice.
 
@@ -238,7 +242,7 @@ def _scan_roots(
     opposite signs mean a plain crossing that happened to land on the grid.
     """
     step = math.pi / (8.0 * a)
-    k = 1e-9 / a
+    k = _SCAN_ORIGIN / a
     f = secular(k)
     k_limit = k + (2.0 * math.pi / a) * (n_roots + 4)
     roots: List[float] = []
@@ -286,7 +290,7 @@ def _scan_roots(
     if len(roots) < n_roots:
         raise RootScanError(
             f"found {len(roots)} of {n_roots} requested roots while scanning "
-            f"[{1e-9 / a:.3e}, {k_limit:.6g}]"
+            f"[{_SCAN_ORIGIN / a:.3e}, {k_limit:.6g}]"
         )
     return roots[:n_roots]
 
@@ -331,28 +335,6 @@ def dispersion(
 Edge = Tuple[float, float]  # (k, theta) with theta = 0 or theta = pi
 
 
-def _zero_mode_edges(c: CombCouplings) -> List[Edge]:
-    """Edge columns whose secular function vanishes in the k -> 0 limit.
-
-    There the band bottom degenerates to the excluded zero mode (e.g. the
-    free comb at theta = 0), which is restored as an edge at k = 0.  A
-    negative limit Omega cos(theta) + 1 + gamma a / 2 means a band reaches
-    imaginary k, which the real-k scan cannot follow.
-    """
-    scale = 1.0 + abs(c.omega) + 0.5 * abs(c.gamma) * c.a
-    edges = []
-    for theta in (0.0, math.pi):
-        g0 = spectral_function(c, 0.0, theta)
-        if abs(g0) <= 1e-12 * scale:
-            edges.append((0.0, theta))
-        elif g0 < 0.0:
-            raise OutsideValidityDomainError(
-                f"1 + gamma a/2 = {1.0 + 0.5 * c.gamma * c.a:.6g} < |Omega| = "
-                f"{abs(c.omega):.6g}: the lowest band reaches imaginary k"
-            )
-    return edges
-
-
 def _edges(
     source: Source,
     n_bands: int,
@@ -360,17 +342,43 @@ def _edges(
     a: Optional[float],
 ) -> List[Tuple[Edge, Edge]]:
     """Lower and upper edge of the first n_bands bands, each with the theta
-    (0 or pi) whose root it is."""
+    (0 or pi) whose root it is.
+
+    The k -> 0 limit of each column is the secular function at the scan
+    origin, for either kind of source.  Where it vanishes to rounding, the
+    band bottom is the excluded zero mode: the scan drops an exact zero
+    there, and a rounding residue gives no root or a spurious one within the
+    first scan step, so that column's edge becomes k = 0 instead.  Opposite
+    signs in the two columns put k -> 0 inside a band, which then continues
+    to imaginary k.  For couplings the limit is Omega cos(theta) + 1 +
+    gamma a/2 and a negative value in either column already means
+    1 + gamma a/2 < |Omega|; the amplitude form has no fixed overall sign,
+    so only the opposite-sign case is detected there.
+    """
     cfg = cfg or QuadratureConfig()
     if n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    head = _zero_mode_edges(source) if isinstance(source, CombCouplings) else []
+    origin = []
+    for theta in (0.0, math.pi):
+        secular, aa = _resolve_source(source, theta, a)
+        origin.append(secular(_SCAN_ORIGIN / aa))
+    tol = 1e-12 * max(1.0, abs(origin[0]), abs(origin[1]))
+    if min(origin) < -tol and (
+        isinstance(source, CombCouplings) or max(origin) > tol
+    ):
+        raise OutsideValidityDomainError(
+            f"secular function at k -> 0 is {origin[0]:.6g} at theta = 0 and "
+            f"{origin[1]:.6g} at theta = pi: the lowest band reaches imaginary k"
+        )
     need = n_bands + 1
-    merged = sorted(
-        head
-        + [(k, 0.0) for k in dispersion(source, 0.0, need, cfg, a)]
-        + [(k, math.pi) for k in dispersion(source, math.pi, need, cfg, a)]
-    )
+    merged: List[Edge] = []
+    for theta, g0 in zip((0.0, math.pi), origin):
+        roots = dispersion(source, theta, need, cfg, a)
+        if abs(g0) <= tol:
+            first_step = math.pi / (8.0 * aa)
+            roots = [0.0] + [k for k in roots if k >= first_step]
+        merged += [(k, theta) for k in roots]
+    merged.sort()
     return [(merged[2 * n], merged[2 * n + 1]) for n in range(n_bands)]
 
 
@@ -384,11 +392,12 @@ def band_edges(
 
     Band edges are spectrum momenta at theta = 0 or theta = pi; merging the
     two sorted root lists and pairing consecutive entries yields the bands
-    (flat bands give k_min = k_max, touching bands share an endpoint).  For
-    coupling sources whose secular function vanishes in the k -> 0 limit at
-    theta = 0 or theta = pi the excluded zero mode is restored as the bottom
-    edge of the lowest band; couplings with 1 + gamma a/2 < |Omega|, whose
-    lowest band reaches imaginary k, raise OutsideValidityDomainError.
+    (flat bands give k_min = k_max, touching bands share an endpoint).  Where
+    the secular function vanishes in the k -> 0 limit at theta = 0 or
+    theta = pi, the excluded zero mode is restored as the bottom edge of the
+    lowest band.  Sources whose lowest band reaches imaginary k raise
+    OutsideValidityDomainError: couplings with 1 + gamma a/2 < |Omega|, and
+    any source whose k -> 0 limit lies strictly inside a band.
     """
     return [(lo[0], hi[0]) for lo, hi in _edges(source, n_bands, cfg, a)]
 
@@ -408,15 +417,17 @@ def _band_root(
     a step in theta that moves the root by less than that can leave the root
     just outside [near, far]; the band's whole edge interval is then the
     bracket.  A bracket already within root_tol needs no evaluation (flat
-    bands have near == far).
+    bands have near == far).  A k = 0 end (a restored zero mode) is moved to
+    the scan origin, since amplitude sources have t = 0 or a pole at k = 0.
     """
     lo, hi = sorted((near, far))
     if hi - lo <= cfg.root_tol * hi:
         return near
-    secular, _ = _resolve_source(source, theta, a)
+    secular, aa = _resolve_source(source, theta, a)
+    floor = _SCAN_ORIGIN / aa
     for lo, hi in ((lo, hi), edges):
         try:
-            return refine_root(secular, lo, hi, cfg)
+            return refine_root(secular, max(lo, floor), hi, cfg)
         except NoSignChangeError:
             pass
     raise RootScanError(

@@ -39,5 +39,5 @@ class NoSignChangeError(DeltaCombError):
 
 
 class RootScanError(DeltaCombError):
-    """A root scan did not find the requested number of roots; the message
-    reports the interval that was scanned."""
+    """A root scan did not find the requested number of roots, or a root
+    refinement did not converge; the message reports the interval searched."""

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .errors import NoSignChangeError, ToleranceNotMetError
+from .errors import NoSignChangeError, RootScanError, ToleranceNotMetError
 
 __all__ = [
     "QuadratureConfig",
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+# refine_root halves its bracket at least every fourth step, and a bracket
+# of doubles cannot be halved more than about 2100 times
+_MAX_BRENT_STEPS = 4 * 2100
 _UFLOW = sys.float_info.min
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half, descending) with
@@ -217,14 +220,17 @@ def refine_root(
     """Brent's (1973) root of f in a sign-changing bracket [lo, hi].
 
     Inverse quadratic or secant steps are taken while they shrink the
-    bracket fast enough, otherwise the step is a bisection.  Simple roots
-    converge superlinearly (a handful of evaluations); multiple roots, where
-    interpolation stalls, can take a few times bisection's count.  The search
-    stops when the bracket [b, c] around the root is narrower than
-    cfg.root_tol * max(|b|, |c|) and returns its end b with the smaller |f|,
-    so the root lies within that width of the result.  An endpoint where f
-    is exactly zero is returned as is; a bracket without a sign change
-    raises NoSignChangeError.
+    bracket fast enough, otherwise the step is a bisection.  A bracket that
+    has not halved in three steps forces a bisection, so the count is at
+    most four times bisection's: simple roots converge superlinearly (a
+    handful of evaluations), multiple roots, where interpolation stalls,
+    take up to that bound.  The search stops when the bracket [b, c] around
+    the root is narrower than cfg.root_tol * max(|b|, |c|) and returns its
+    end b with the smaller |f|, so the root lies within that width of the
+    result.  An endpoint where f is exactly zero is returned as is; a
+    bracket without a sign change raises NoSignChangeError.  Running out of
+    steps, which the forced bisections keep out of reach, raises
+    RootScanError rather than return an unconverged point.
     """
     cfg = cfg or QuadratureConfig()
     if not lo < hi:
@@ -243,15 +249,22 @@ def refine_root(
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
     d = e = b - a
-    for _ in range(200):
+    halved_at, stalled = abs(c - b), 0
+    for _ in range(_MAX_BRENT_STEPS):
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
         tol = 2.0 * _EPS * abs(b) + 0.5 * cfg.root_tol * max(abs(b), abs(c))
         m = 0.5 * (c - b)
         if abs(m) <= tol:
-            break
+            return b
+        if abs(c - b) <= 0.5 * halved_at:
+            halved_at, stalled = abs(c - b), 0
+        else:
+            stalled += 1
         step = m
-        if abs(e) >= tol and abs(fa) > abs(fb):
+        if stalled >= 3:
+            e = m
+        elif abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
                 p, q = 2.0 * m * s, 1.0 - s
@@ -277,4 +290,7 @@ def refine_root(
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
-    return b
+    raise RootScanError(
+        f"root refinement did not converge in [{lo}, {hi}] after "
+        f"{_MAX_BRENT_STEPS} steps"
+    )

@@ -332,6 +332,13 @@ def test_band_structure_matches_per_column_dispersion():
     _assert_matches_dispersion(CombCouplings.from_reduced(0.0, 2.0, 1.3), 4, 31)
     _assert_matches_dispersion(CombCouplings(w0=0.0, w1=0.0, a=1.7), 4, 31)
     _assert_matches_dispersion(lambda k: delta_amplitudes(4.0, k), 3, 21, a=1.2)
+    # the free comb as amplitudes: its zero mode is restored as for couplings
+    free_amps = lambda k: delta_amplitudes(0.0, k)  # noqa: E731
+    _assert_matches_dispersion(free_amps, 4, 31, a=1.0)
+    edges = band_edges(free_amps, 2, a=1.0)
+    assert edges[0][0] == 0.0
+    assert edges[0][1] == pytest.approx(math.pi, abs=1e-8)
+    assert edges[1][1] == pytest.approx(2.0 * math.pi, abs=1e-8)
 
 
 def test_band_structure_secular_calls_per_sample(monkeypatch):
@@ -367,6 +374,9 @@ def test_band_structure_rejects_bands_at_imaginary_k():
         band_edges(attractive, 3)
     with pytest.raises(OutsideValidityDomainError):
         band_structure(attractive, 3, 11)
+    # the same comb as amplitudes: k -> 0 lies inside its lowest band
+    with pytest.raises(OutsideValidityDomainError):
+        band_edges(lambda k: delta_amplitudes(-3.0, k), 3, a=1.0)
 
 
 def test_band_structure_attractive_comb_with_real_bands():
@@ -376,6 +386,20 @@ def test_band_structure_attractive_comb_with_real_bands():
     for band in band_structure(c, 4, 31).bands:
         for theta, k in zip(band.thetas, band.ks):
             assert abs(spectral_function(c, k, theta)) <= 1e-10
+
+
+def test_band_structure_at_the_attractive_boundary():
+    # 1 + gamma a/2 = 0.3 = |Omega|: at theta = pi the secular function
+    # vanishes as k -> 0 only to rounding, and the scan there reports a
+    # spurious root within its first step instead of the zero mode
+    c = CombCouplings.from_reduced(omega=0.3, gamma=-1.4, a=1.0)
+    at_pi = [k for k in dispersion(c, math.pi, 4) if k >= math.pi / 8.0]
+    merged = sorted(dispersion(c, 0.0, 4) + [0.0] + at_pi)
+    edges = band_edges(c, 3)
+    assert edges == [(merged[2 * n], merged[2 * n + 1]) for n in range(3)]
+    assert edges[0][0] == 0.0
+    _assert_matches_dispersion(c, 3, 31)
+    assert band_structure(c, 3, 31).bands[0].ks[0] == 0.0
 
 
 def test_band_structure_free_comb_passes_through_zero():

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from deltacomb import (
     NoSignChangeError,
     QuadratureConfig,
+    RootScanError,
     ToleranceNotMetError,
     integrate_finite,
     integrate_semi_infinite,
     refine_root,
 )
+from deltacomb import quadrature
 
 # (integrand, lo, hi, exact value).  The battery mixes single-panel-exact
 # integrands with ones that force subdivision (Runge spike, endpoint sqrt).
@@ -164,6 +166,28 @@ def test_refine_root_tightens_with_tolerance():
 def test_refine_root_exact_endpoint_hit():
     assert refine_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
     assert refine_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
+def test_refine_root_multiple_root_converges_within_bisection_bound():
+    # interpolation stalls at a fifth-order root; forced bisections keep the
+    # count within four times bisection's (about 44 halvings here)
+    for c in (0.3, 1.234567, 2.9):
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return (x - c) ** 5
+
+        root = refine_root(f, 0.0, 3.0)
+        assert abs(root - c) <= 1e-12 * c
+        assert calls <= 4 * 45 + 2
+
+
+def test_refine_root_raises_when_steps_run_out(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_BRENT_STEPS", 10)
+    with pytest.raises(RootScanError):
+        refine_root(lambda x: (x - 0.3) ** 5, 0.0, 3.0)
 
 
 def test_refine_root_requires_sign_change():
