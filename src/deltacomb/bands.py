@@ -230,9 +230,9 @@ def _scan_roots(
     """First n_roots positive zeros of the secular function, in order.
 
     The scan starts at k = _SCAN_ORIGIN/a (k = 0 is excluded from the
-    spectrum); an
-    exact float zero at the scan origin is treated as the excluded k -> 0
-    boundary, not as a band state.  Tangential zeros appear twice.
+    spectrum); an exact float zero at the scan origin is treated as the
+    excluded k -> 0 boundary, not as a band state.  Tangential zeros appear
+    twice.
 
     Exact zeros AT a sample are common, not exotic: samples sit at
     ka = 1e-9 + m pi/8, and cos(n pi +- 1e-9) rounds to +-1 exactly, so for
