@@ -20,24 +20,17 @@ from .errors import (
     ToleranceNotMetError,
     ValidityViolationError,
 )
-from .quadrature import (
-    QuadratureConfig,
-    integrate_finite,
-    integrate_semi_infinite,
-    refine_root,
-)
+from .quadrature import QuadratureConfig, integrate_finite, refine_root
 from .scattering import (
     CombCouplings,
     ScatteringAmplitudes,
     delta_amplitudes,
     delta_prime_amplitudes,
-    derive_couplings,
     s_matrix_det,
 )
 from .bands import (
     Band,
     BandStructure,
-    BlochParams,
     band_edges,
     band_rhs,
     band_structure,
@@ -47,10 +40,8 @@ from .bands import (
 )
 from .energy import (
     EnergyResult,
-    IntegrandABC,
     comb_energy,
     dirichlet_limit_integrand,
-    integrand_abc,
     mixed_limit_integrand,
     plate_average_closed,
     plate_energy,
@@ -74,17 +65,14 @@ __all__ = [
     "ValidityViolationError",
     "QuadratureConfig",
     "integrate_finite",
-    "integrate_semi_infinite",
     "refine_root",
     "CombCouplings",
     "ScatteringAmplitudes",
     "delta_amplitudes",
     "delta_prime_amplitudes",
-    "derive_couplings",
     "s_matrix_det",
     "Band",
     "BandStructure",
-    "BlochParams",
     "band_edges",
     "band_rhs",
     "band_structure",
@@ -92,10 +80,8 @@ __all__ = [
     "spectral_function",
     "spectral_function_general",
     "EnergyResult",
-    "IntegrandABC",
     "comb_energy",
     "dirichlet_limit_integrand",
-    "integrand_abc",
     "mixed_limit_integrand",
     "plate_average_closed",
     "plate_energy",

@@ -48,7 +48,6 @@ from .quadrature import QuadratureConfig, refine_root
 from .scattering import CombCouplings, ScatteringAmplitudes
 
 __all__ = [
-    "BlochParams",
     "Band",
     "BandStructure",
     "band_rhs",
@@ -67,24 +66,6 @@ _SCAN_ORIGIN = 1e-9
 
 # theta = +q a here; the opposite labeling appears in the literature, but all
 # spectra are even in theta so the choice is observationally irrelevant.
-
-
-@dataclass(frozen=True)
-class BlochParams:
-    """Bloch phase theta = q a with its quasi-momentum q in [-pi/a, pi/a]."""
-
-    theta: float
-    a: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidLatticeSpacingError(f"a must be positive, got {self.a}")
-        if not -math.pi <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [-pi, pi], got {self.theta}")
-
-    @property
-    def q(self) -> float:
-        return self.theta / self.a
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def _add_quad_args(p: argparse.ArgumentParser) -> None:
         "--truncation-k",
         type=float,
         default=None,
-        help="override the max(40/a, 40) momentum cutoff",
+        help="override the 40/a momentum cutoff",
     )
     g.add_argument("--root-tol", type=float, default=1e-12)
 
@@ -181,10 +181,12 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_plate(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
-    value = plate_energy(c, args.theta, cfg)
+    res = plate_energy(c, args.theta, cfg)
     params = _coupling_params(c)
     params["theta"] = args.theta
-    _emit(args, "plate", params, cfg, ("theta", "value"), [(args.theta, value)])
+    header = ("theta", "value", "abs_err", "truncation_k", "tail_bound")
+    row = (args.theta, res.value, res.abs_err, res.truncation_k, res.tail_bound)
+    _emit(args, "plate", params, cfg, header, [row])
     return EXIT_OK
 
 

@@ -4,55 +4,62 @@ After subtracting the free-line contribution and the single-potential
 (self-energy) term, the vacuum energy per cell collapses to one momentum
 integral
 
-    E = integral_0^oo dk I(k),
+    E = integral_0^oo dk I(k).
 
-where I(k) is the Bloch-phase average of the subtracted integrand
+In the reduced variables x = k a and g = gamma a the spacing drops out of
+the integrand, I(k) = f(k a; gamma a, Omega), so that
 
-    F(k, theta) = A(k) / (B(k) + C(k) cos theta) + a k - gamma/(gamma + 2k),
+    E(gamma, Omega, a) = (1/a) integral_0^oo dx f(x; gamma a, Omega),
 
-    A = -a k gamma cosh(ka) + (gamma - 2 a k^2) sinh(ka),
-    B = 2 k cosh(ka) + gamma sinh(ka),
-    C = 2 k Omega,
+which is where the -pi/(24 a) and pi/(48 a) laws come from.  f is the
+Bloch-phase average of the subtracted integrand
 
-carried out in closed form:
+    F(x, theta) = A / (B + C cos theta) + x - g/(g + 2x),
 
-    I(k) = (1/2 pi) [ A / sqrt(B^2 - C^2) + a k - gamma/(gamma + 2k) ].
+    A = -x g cosh x + (g - 2 x^2) sinh x,
+    B = 2 x cosh x + g sinh x,
+    C = 2 x Omega
 
-Everything here is expressed in the reduced couplings (gamma, Omega, a);
-only gamma >= 0 is supported (attractive combs bind states below k = 0 and
-need a separate treatment), and B^2 > C^2 then holds for every k > 0, a
+(a times the momentum-space A(k), B(k), C(k)), carried out in closed form:
+
+    f(x) = (1/2 pi) [ A / sqrt(B^2 - C^2) + x - g/(g + 2x) ].
+
+Only gamma >= 0 is supported (attractive combs bind states below k = 0 and
+need a separate treatment), and B^2 > C^2 then holds for every x > 0, a
 fact this module re-checks on each evaluation as a bug sentinel.
 
 Numerical strategy
 ------------------
-F and I are exponentially small differences of O(ak) quantities once
-ka >> 1, so a single formula cannot be evaluated accurately everywhere:
+F and f are exponentially small differences of O(x) quantities once
+x >> 1, so a single formula cannot be evaluated accurately everywhere:
 
-* ka <= 5: the written formulas, with the denominators regrouped into
-  sums of non-negative terms, e.g. B + C cos theta = 4k sinh^2(ka/2)
-  + gamma sinh(ka) + 2k (1 + Omega cos theta), and 1 + Omega cos theta
+* x <= 5: the written formulas, with the denominators regrouped into
+  sums of non-negative terms, e.g. B + C cos theta = 4x sinh^2(x/2)
+  + g sinh(x) + 2x (1 + Omega cos theta), and 1 + Omega cos theta
   itself expanded about the nearer of theta = 0, pi so nothing cancels.
 
-* ka > 5: rearranged forms in which the subtraction of the large terms
-  has been performed analytically.  With R = 2k + gamma, S = 2k - gamma,
-  P = gamma - a k R, Q = 2 a k^2 - a k gamma - gamma, eps = e^{-2ka}:
+* x > 5: rearranged forms in which the subtraction of the large terms
+  has been performed analytically.  With R = 2x + g, S = 2x - g,
+  P = g - x R, Q = 2 x^2 - x g - g, eps = e^{-2x}:
 
-      2 pi I = (Q eps - P phi) / (R sqrt(1 + x)),
-      x   = eps (2 R S + S^2 eps - 16 k^2 Omega^2) / R^2,
-      phi = sqrt(1 + x) - 1 = x / (1 + sqrt(1 + x)),
+      2 pi f = (Q eps - P phi) / (R sqrt(1 + y)),
+      y   = eps (2 R S + S^2 eps - 16 x^2 Omega^2) / R^2,
+      phi = sqrt(1 + y) - 1 = y / (1 + sqrt(1 + y)),
 
-  and analogously for F with T = 4 k Omega e^{-ka}:
+  and analogously for F with T = 4 x Omega e^{-x}:
 
-      F = [2k (a (4k^2 - gamma^2) - 2 gamma) eps - P T cos theta]
+      F = [2x (4x^2 - g^2 - 2g) eps - P T cos theta]
           / [R (R + S eps + T cos theta)].
 
   No positive exponential appears, so the forms stay finite (and
   machine-accurate, by comparison with high-precision evaluation) for
-  arbitrarily large ka.
+  arbitrarily large x.
 
-The semi-infinite energy integral is truncated at K = max(40/a, 40) --
-beyond which |I| < e^{-80}-ish -- and the discarded tail is reported as
-an explicit bound obtained from the integrand's own magnitude near K.
+Every energy integral (comb, plate and the closed-form limit curves) is
+computed once in x, at unit spacing, and divided by a.  It is truncated at
+X = 40, i.e. at K = 40/a in momentum, beyond which |f| < e^{-80}-ish, and
+the discarded tail is reported as an explicit bound obtained from the
+integrand's own magnitude near X.
 """
 
 from __future__ import annotations
@@ -67,9 +74,7 @@ from .quadrature import QuadratureConfig, integrate_finite
 from .scattering import CombCouplings
 
 __all__ = [
-    "IntegrandABC",
     "EnergyResult",
-    "integrand_abc",
     "theta_integrand",
     "spectral_integrand",
     "theta_integral_numeric",
@@ -88,11 +93,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 # crossover between the literal and the exponentially-rearranged forms;
-# both are good to ~1e-13 relative at ka = 5, so the seam is invisible
+# both are good to ~1e-13 relative at x = 5, so the seam is invisible
 _REARRANGED_ABOVE = 5.0
-
-# integrand_abc reports e^{-ka}-scaled A and B above this to avoid overflow
-_ABC_SCALED_ABOVE = 30.0
 
 # Validity bookkeeping: every integrand evaluation checks B^2 - C^2 > 0
 # (resp. B + C cos theta > 0) and counts the check.  A violation raises
@@ -141,22 +143,6 @@ def _require_supported(c: CombCouplings) -> None:
 
 
 @dataclass(frozen=True)
-class IntegrandABC:
-    """The three building blocks of the subtracted integrand at one k.
-
-    scale_log = 0.0 means A, B, C are the literal values; scale_log = ka
-    (used for ka > 30) means A and B carry a factor e^{-ka} to keep them
-    representable.  C is O(k) and is never scaled.  Ratios such as A/B are
-    scale-invariant; C/B must account for the factor e^{-scale_log} on B.
-    """
-
-    A: float
-    B: float
-    C: float
-    scale_log: float = 0.0
-
-
-@dataclass(frozen=True)
 class EnergyResult:
     """Energy value with its quadrature error and truncation-tail bound.
 
@@ -171,31 +157,6 @@ class EnergyResult:
     @property
     def total_error(self) -> float:
         return self.abs_err + self.tail_bound
-
-
-def integrand_abc(c: CombCouplings, k: float) -> IntegrandABC:
-    """A(k), B(k), C(k) for the couplings, e^{-ka}-scaled once ka > 30."""
-    if k < 0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    a, g = c.a, c.gamma
-    x = k * a
-    if x <= _ABC_SCALED_ABOVE:
-        ch, sh = math.cosh(x), math.sinh(x)
-        return IntegrandABC(
-            A=-a * k * g * ch + (g - 2.0 * a * k * k) * sh,
-            B=2.0 * k * ch + g * sh,
-            C=2.0 * k * c.omega,
-        )
-    eps = math.exp(-2.0 * x)
-    r, s = 2.0 * k + g, 2.0 * k - g
-    p = g - a * k * r
-    q = 2.0 * a * k * k - a * k * g - g
-    return IntegrandABC(
-        A=0.5 * (p + q * eps),
-        B=0.5 * (r + s * eps),
-        C=2.0 * k * c.omega,
-        scale_log=x,
-    )
 
 
 def _one_plus_omega_cos(omega: float, theta: float) -> float:
@@ -215,69 +176,68 @@ def _one_plus_omega_cos(omega: float, theta: float) -> float:
 def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     """Subtracted vacuum-energy integrand F(k, theta) at fixed Bloch phase.
 
+    Evaluated in x = k a and g = gamma a, in which it does not depend on a.
     k = 0 returns the series limit: -1 for gamma > 0, else 0 (in the
     marginal free-type case Omega cos theta = -1 with gamma = 0 the true
     k -> 0 limit is -2 on that measure-zero phase; the generic limit is
     kept, and no quadrature ever samples the endpoint).
     """
     _require_supported(c)
-    a, g, om = c.a, c.gamma, c.omega
     if k < 0:
         raise ValueError(f"momentum must be >= 0, got {k}")
+    x, g, om = k * c.a, c.gamma * c.a, c.omega
     if k == 0.0:
         return -1.0 if g > 0 else 0.0
-    x = k * a
     costh = math.cos(theta)
     if x <= _REARRANGED_ABOVE:
         sh = math.sinh(x)
         sh2 = math.sinh(0.5 * x)
-        A = -a * k * g * math.cosh(x) + (g - 2.0 * a * k * k) * sh
+        A = -x * g * math.cosh(x) + (g - 2.0 * x * x) * sh
         den = (
-            4.0 * k * sh2 * sh2
+            4.0 * x * sh2 * sh2
             + g * sh
-            + 2.0 * k * _one_plus_omega_cos(om, theta)
+            + 2.0 * x * _one_plus_omega_cos(om, theta)
         )
         _count_check(den, "B + C cos(theta)")
-        return A / den + a * k - g / (g + 2.0 * k)
+        return A / den + x - g / (g + 2.0 * x)
     eps = math.exp(-2.0 * x)
-    r, s = 2.0 * k + g, 2.0 * k - g
-    p = g - a * k * r
-    t_small = 4.0 * k * om * math.exp(-x)
-    num = 2.0 * k * (a * (4.0 * k * k - g * g) - 2.0 * g) * eps - p * t_small * costh
+    r, s = 2.0 * x + g, 2.0 * x - g
+    p = g - x * r
+    t_small = 4.0 * x * om * math.exp(-x)
+    num = 2.0 * x * (4.0 * x * x - g * g - 2.0 * g) * eps - p * t_small * costh
     den = r + s * eps + t_small * costh
-    _count_check(den, "e^{-ka}-scaled B + C cos(theta)")
+    _count_check(den, "e^{-x}-scaled B + C cos(theta)")
     return num / (r * den)
 
 
 def spectral_integrand(c: CombCouplings, k: float) -> float:
     """Bloch-phase-averaged integrand I(k) = (1/2pi)[A/sqrt(B^2-C^2) + ak
-    - gamma/(gamma+2k)], evaluated cancellation-free on both sides of the
-    ka = 5 crossover."""
+    - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a,
+    cancellation-free on both sides of the x = 5 crossover."""
     _require_supported(c)
-    a, g, om = c.a, c.gamma, c.omega
     if k < 0:
         raise ValueError(f"momentum must be >= 0, got {k}")
+    x, g, om = k * c.a, c.gamma * c.a, c.omega
     if k == 0.0:
         return -1.0 / _TWO_PI if g > 0 else 0.0
-    x = k * a
     if x <= _REARRANGED_ABOVE:
         sh = math.sinh(x)
         sh2 = math.sinh(0.5 * x)
         abs_om = abs(om)
-        A = -a * k * g * math.cosh(x) + (g - 2.0 * a * k * k) * sh
-        b_minus = 4.0 * k * sh2 * sh2 + g * sh + 2.0 * k * (1.0 - abs_om)
-        b_plus = 2.0 * k * math.cosh(x) + g * sh + 2.0 * k * abs_om
+        A = -x * g * math.cosh(x) + (g - 2.0 * x * x) * sh
+        b_minus = 4.0 * x * sh2 * sh2 + g * sh + 2.0 * x * (1.0 - abs_om)
+        b_plus = 2.0 * x * math.cosh(x) + g * sh + 2.0 * x * abs_om
         _count_check(b_minus * b_plus, "B^2 - C^2")
-        return (A / math.sqrt(b_minus * b_plus) + a * k - g / (g + 2.0 * k)) / _TWO_PI
+        return (A / math.sqrt(b_minus * b_plus) + x - g / (g + 2.0 * x)) / _TWO_PI
     eps = math.exp(-2.0 * x)
-    r, s = 2.0 * k + g, 2.0 * k - g
-    p = g - a * k * r
-    q = 2.0 * a * k * k - a * k * g - g
-    delta = eps * (2.0 * r * s + s * s * eps - 16.0 * k * k * om * om)
-    xx = delta / (r * r)
-    _count_check(1.0 + xx, "e^{-2ka}-scaled B^2 - C^2")
-    root = math.sqrt(1.0 + xx)
-    phi = xx / (1.0 + root)
+    r, s = 2.0 * x + g, 2.0 * x - g
+    p = g - x * r
+    q = 2.0 * x * x - x * g - g
+    delta = eps * (2.0 * r * s + s * s * eps - 16.0 * x * x * om * om)
+    y = delta / (r * r)
+    _count_check(1.0 + y, "e^{-2x}-scaled B^2 - C^2")
+    root = math.sqrt(1.0 + y)
+    phi = y / (1.0 + root)
     return (q * eps - p * phi) / (r * root) / _TWO_PI
 
 
@@ -298,58 +258,70 @@ def theta_integral_numeric(
     return value / norm, err / norm
 
 
-def _truncation(c_a: float, cfg: QuadratureConfig) -> float:
-    if cfg.truncation_k is not None:
-        return cfg.truncation_k
-    return max(40.0 / c_a, 40.0)
+def _graded_breakpoints(g: float, X: float) -> List[float]:
+    """Mesh seeds for integrating the subtracted integrand over [0, X] in x.
 
-
-def _graded_breakpoints(gamma: float, K: float) -> List[float]:
-    """Mesh seeds for integrating the subtracted integrand over [0, K].
-
-    The -gamma/(gamma+2k) subtraction varies on the scale k ~ gamma/2; for
-    small gamma that layer sits far below the first quadrature nodes of
-    [0, K] and the adaptive splitter can converge without ever sampling it
-    (it did: a w0 = 1e-6 comb lost the layer's entire -w0 ln w0 signal).
-    A geometric ladder from two decades below the layer up to the bulk
-    scale forces panels at every relevant magnitude.
+    The -g/(g+2x) subtraction varies on the scale x ~ g/2; for small g
+    that layer sits far below the first quadrature nodes of [0, X] and the
+    adaptive splitter can converge without ever sampling it (it did: a
+    w0 = 1e-6 comb lost the layer's entire -w0 ln w0 signal).  A geometric
+    ladder from two decades below the layer up to the bulk scale forces
+    panels at every relevant magnitude.
     """
     breaks = [0.0]
-    layer = 0.5 * gamma
-    if 0.0 < layer < 0.01 * K:
+    layer = 0.5 * g
+    if 0.0 < layer < 0.01 * X:
         b = 0.01 * layer
-        top = min(0.01 * K, 10.0)
+        top = min(0.01 * X, 10.0)
         while b < top:
             breaks.append(b)
             b *= 10.0
-    breaks.append(K)
+    breaks.append(X)
     return breaks
 
 
-def _integrate_graded(
-    f, gamma: float, K: float, cfg: QuadratureConfig
-) -> Tuple[float, float]:
-    breaks = _graded_breakpoints(gamma, K)
-    piece_cfg = replace(cfg, abs_tol=cfg.abs_tol / (len(breaks) - 1))
-    values = []
-    errors = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        v, e = integrate_finite(f, lo, hi, piece_cfg)
-        values.append(v)
-        errors.append(e)
-    return math.fsum(values), math.fsum(errors)
+def _tail_bound(f, X: float, rate: float) -> float:
+    """Bound on |int_X^oo f| for f decaying at least like e^{-rate x}.
 
-
-def _tail_bound(f, K: float, rate: float) -> float:
-    """Bound on |int_K^oo f| for f decaying at least like e^{-rate k}.
-
-    Fits the envelope constant from the integrand itself at K and at
-    0.95 K (the second sample guards against K landing near a zero of f)
-    and integrates it: M e^{-rate K} / rate with M = 2 |f| e^{+rate k}
+    Fits the envelope constant from the integrand itself at X and at
+    0.95 X (the second sample guards against X landing near a zero of f)
+    and integrates it: M e^{-rate X} / rate with M = 2 |f| e^{+rate x}
     folded in without ever forming the huge exponential.
     """
-    probe = max(abs(f(K)), abs(f(0.95 * K)) * math.exp(-0.05 * rate * K))
+    probe = max(abs(f(X)), abs(f(0.95 * X)) * math.exp(-0.05 * rate * X))
     return 2.0 * probe / rate
+
+
+def _energy_integral(
+    f, g: float, a: float, cfg: QuadratureConfig, rate: float
+) -> EnergyResult:
+    """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
+
+    Integrates over [0, X], X = 40 (truncation_k * a when configured), on
+    the graded ladder for g, and bounds the tail beyond X for f decaying
+    like e^{-rate x}.  Each piece gets abs_tol * a / (number of pieces),
+    so abs_tol holds in energy units, or, if larger, its share of what the
+    pieces below it left unspent of rel_tol times their sum: the layer
+    pieces carry the value, and a piece far above them, whose own value is
+    tiny, is then not held to a tolerance below f's rounding noise.
+    """
+    X = 40.0 if cfg.truncation_k is None else cfg.truncation_k * a
+    breaks = _graded_breakpoints(g, X)
+    n = len(breaks) - 1
+    values = []
+    errors = []
+    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+        unspent = cfg.rel_tol * abs(math.fsum(values)) - math.fsum(errors)
+        tol = max(cfg.abs_tol * a / n, unspent / (n - i))
+        v, e = integrate_finite(f, lo, hi, replace(cfg, abs_tol=tol))
+        values.append(v)
+        errors.append(e)
+    return EnergyResult(
+        value=math.fsum(values) / a,
+        abs_err=math.fsum(errors) / a,
+        truncation_k=X / a,
+        tail_bound=_tail_bound(f, X, rate) / a,
+    )
 
 
 def comb_energy(
@@ -357,22 +329,22 @@ def comb_energy(
 ) -> EnergyResult:
     """Vacuum energy per unit cell, E = int_0^oo dk I(k).
 
-    Integrates adaptively over [0, K] with K = max(40/a, 40) (or the
-    configured truncation) and reports the neglected tail as a separate
-    bound; I decays like a k e^{-2ka}, so e^{-1.5 a k} is a safe envelope.
+    Integrates f(x) = I(x/a) over [0, 40] in x = k a, i.e. up to K = 40/a
+    (or the configured truncation_k), and reports the neglected tail as a
+    separate bound.
     """
     cfg = cfg or QuadratureConfig()
     _require_supported(c)
-    K = _truncation(c.a, cfg)
-    f = lambda k: spectral_integrand(c, k)
-    value, err = _integrate_graded(f, c.gamma, K, cfg)
-    tail = _tail_bound(f, K, 1.5 * c.a)
-    return EnergyResult(value=value, abs_err=err, truncation_k=K, tail_bound=tail)
+    unit = CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+    # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
+    return _energy_integral(
+        lambda x: spectral_integrand(unit, x), unit.gamma, c.a, cfg, 1.5
+    )
 
 
 def plate_energy(
     c: CombCouplings, theta: float, cfg: Optional[QuadratureConfig] = None
-) -> float:
+) -> EnergyResult:
     """Vacuum energy (1/2pi) int_0^oo dk F(k, theta) at fixed Bloch phase.
 
     For the free comb this is the quasi-periodic two-plate energy with
@@ -383,13 +355,11 @@ def plate_energy(
     _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    K = _truncation(c.a, cfg)
-    f = lambda k: theta_integrand(c, k, theta) / _TWO_PI
-    value, _ = _integrate_graded(f, c.gamma, K, cfg)
-    # F itself decays only like k e^{-ka} (one factor of e^{-ka} per
-    # traversal instead of two once the phase factor survives), hence the
-    # softer envelope here; with aK >= 40 the tail is far below any use.
-    return value
+    unit = CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+    # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
+    return _energy_integral(
+        lambda x: theta_integrand(unit, x, theta) / _TWO_PI, unit.gamma, c.a, cfg, 0.75
+    )
 
 
 def plate_energy_closed(theta: float, a: float) -> float:

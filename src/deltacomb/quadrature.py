@@ -2,8 +2,9 @@
 
 Self-contained numerical kernels: a 7/15 Gauss-Kronrod pair with the
 classic QUADPACK-style error estimate, worst-interval-first adaptive
-bisection, semi-infinite integration via truncation plus an exponential
-tail bound, and derivative-free Brent iteration for root refinement.
+bisection on finite intervals, and derivative-free Brent iteration for root
+refinement.  The semi-infinite energy integrals (cutoff, graded mesh and
+tail bound) are assembled from integrate_finite in the energy module.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -24,7 +25,6 @@ from .errors import NoSignChangeError, RootScanError, ToleranceNotMetError
 __all__ = [
     "QuadratureConfig",
     "integrate_finite",
-    "integrate_semi_infinite",
     "refine_root",
 ]
 
@@ -69,8 +69,8 @@ _WG = (
 class QuadratureConfig:
     """Tolerances and limits shared by all integrals and root searches.
 
-    truncation_k is the upper cutoff for semi-infinite integrals; None means
-    "decide per problem" (energy integrals use max(40/a, 40)).
+    truncation_k is the momentum cutoff K of the energy integrals; None means
+    K = 40/a, i.e. 40 in the reduced momentum k a.
     """
 
     abs_tol: float = 1e-10
@@ -183,32 +183,6 @@ def integrate_finite(
             f"error estimate {err:.3e} above tolerance on [{lo}, {hi}]"
         )
     return value, err
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    lo: float,
-    cfg: Optional[QuadratureConfig] = None,
-    tail_envelope: Tuple[float, float] = (0.0, 1.0),
-) -> Tuple[float, float, float]:
-    """Integrate f on [lo, inf) assuming |f(k)| <= M * exp(-rate * k) at large k.
-
-    tail_envelope = (M, rate).  The integral is computed on [lo, K] with
-    K = cfg.truncation_k (default max(lo + 40, 40)); the neglected tail is
-    not added to the value but reported as tail_bound = M exp(-rate K)/rate.
-
-    Returns (value, abs_err, tail_bound).
-    """
-    cfg = cfg or QuadratureConfig()
-    M, rate = tail_envelope
-    if M < 0 or rate <= 0:
-        raise ValueError("tail envelope needs M >= 0 and rate > 0")
-    K = cfg.truncation_k if cfg.truncation_k is not None else max(lo + 40.0, 40.0)
-    if not K > lo:
-        raise ValueError(f"truncation {K} must exceed lower limit {lo}")
-    value, err = integrate_finite(f, lo, K, cfg)
-    tail_bound = M * math.exp(-rate * K) / rate
-    return value, err, tail_bound
 
 
 def refine_root(

@@ -33,12 +33,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import AmplitudePoleError, InvalidLatticeSpacingError
+from .errors import (
+    AmplitudePoleError,
+    InvalidLatticeSpacingError,
+    OutsideValidityDomainError,
+)
 
 __all__ = [
     "CombCouplings",
     "ScatteringAmplitudes",
-    "derive_couplings",
     "delta_amplitudes",
     "delta_prime_amplitudes",
     "s_matrix_det",
@@ -51,8 +54,9 @@ Momentum = Union[float, complex]
 class CombCouplings:
     """Couplings of the delta-delta' comb and the derived reduced parameters.
 
-    omega = (w1^2 - 1)/(w1^2 + 1) in [-1, 1) and gamma = w0/(1 + w1^2) are
-    the combination the band and energy formulas actually depend on.  The
+    omega = (w1^2 - 1)/(w1^2 + 1) in [-1, 1] and gamma = w0/(1 + w1^2) are
+    the combination the band and energy formulas actually depend on; for
+    |w1| > 1 they are formed from w1^-2, which cannot overflow.  The
     matching-condition parameters alpha = (1 + w1)/(1 - w1) and
     beta = w0/(1 - w1^2) are undefined at w1 = +-1 and stored as None there
     (that is a flag, not an error: omega = 0 is perfectly regular downstream).
@@ -67,13 +71,22 @@ class CombCouplings:
     beta: Optional[float] = field(init=False)
 
     def __post_init__(self):
-        if not self.a > 0:
+        if not 0 < self.a < math.inf:
             raise InvalidLatticeSpacingError(
-                f"lattice spacing must be positive, got a = {self.a}"
+                f"lattice spacing must be positive and finite, got a = {self.a}"
+            )
+        if not (math.isfinite(self.w0) and math.isfinite(self.w1)):
+            raise OutsideValidityDomainError(
+                f"couplings must be finite, got (w0, w1) = ({self.w0}, {self.w1})"
             )
         s = self.w1 * self.w1
-        object.__setattr__(self, "omega", (s - 1.0) / (s + 1.0))
-        object.__setattr__(self, "gamma", self.w0 / (1.0 + s))
+        if abs(self.w1) > 1.0:
+            inv = 1.0 / s
+            omega, gamma = (1.0 - inv) / (1.0 + inv), self.w0 * inv / (1.0 + inv)
+        else:
+            omega, gamma = (s - 1.0) / (s + 1.0), self.w0 / (1.0 + s)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "gamma", gamma)
         if self.w1 == 1.0 or self.w1 == -1.0:
             object.__setattr__(self, "alpha", None)
             object.__setattr__(self, "beta", None)
@@ -105,11 +118,6 @@ class ScatteringAmplitudes:
     rR: complex
     rL: complex
     k: complex
-
-
-def derive_couplings(w0: float, w1: float, a: float) -> CombCouplings:
-    """Reduced parameters (omega, gamma, alpha, beta) for given strengths."""
-    return CombCouplings(w0=w0, w1=w1, a=a)
 
 
 def delta_amplitudes(w0: float, k: Momentum) -> ScatteringAmplitudes:

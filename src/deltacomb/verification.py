@@ -17,6 +17,7 @@ import numpy as np
 
 from .bands import band_edges, dispersion
 from .energy import (
+    _energy_integral,
     comb_energy,
     dirichlet_limit_integrand,
     plate_average_closed,
@@ -28,7 +29,7 @@ from .energy import (
     validity_check_count,
     validity_violation_count,
 )
-from .quadrature import QuadratureConfig, integrate_semi_infinite
+from .quadrature import QuadratureConfig
 from .scattering import CombCouplings, delta_amplitudes, delta_prime_amplitudes, s_matrix_det
 
 __all__ = ["CheckResult", "run_all"]
@@ -67,12 +68,10 @@ def check_dirichlet_constant() -> CheckResult:
     """Dirichlet-limit integrand integrates to -pi/(24 a); huge w0 approaches it."""
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
-        value, _, _ = integrate_semi_infinite(
-            lambda k, a=a: dirichlet_limit_integrand(k, a),
-            0.0,
-            tail_envelope=(1.0, 1.5 * a),
+        res = _energy_integral(
+            lambda x: dirichlet_limit_integrand(x, 1.0), 0.0, a, QuadratureConfig(), 1.5
         )
-        worst = max(worst, abs(value - (-math.pi / (24.0 * a))))
+        worst = max(worst, abs(res.value - (-math.pi / (24.0 * a))))
     strong = comb_energy(CombCouplings(w0=1e6, w1=0.0, a=1.0)).value
     rel = abs(strong - (-math.pi / 24.0)) / (math.pi / 24.0)
     passed = worst <= 1e-8 and rel <= 1e-3
@@ -104,7 +103,7 @@ def check_plate_formula() -> CheckResult:
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     worst = 0.0
     for theta in (0.0, 0.5, 1.5, math.pi):
-        dev = abs(plate_energy(free, theta) - plate_energy_closed(theta, 1.0))
+        dev = abs(plate_energy(free, theta).value - plate_energy_closed(theta, 1.0))
         worst = max(worst, dev)
     return _result(
         4,

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from deltacomb import (
-    BlochParams,
     CombCouplings,
     InvalidLatticeSpacingError,
     OutsideValidityDomainError,
@@ -44,18 +43,6 @@ KP_ROOTS_PI = (math.pi, 4.761288969346805, 3.0 * math.pi)
 
 def _free_amps(k):
     return ScatteringAmplitudes(t=1.0, rR=0.0, rL=0.0, k=k)
-
-
-# ------------------------------------------------------------------- types
-
-
-def test_bloch_params():
-    bp = BlochParams(theta=math.pi / 2.0, a=2.0)
-    assert bp.q == math.pi / 4.0
-    with pytest.raises(ValueError):
-        BlochParams(theta=3.5, a=1.0)
-    with pytest.raises(InvalidLatticeSpacingError):
-        BlochParams(theta=0.0, a=0.0)
 
 
 # ---------------------------------------------------------------- band_rhs

@@ -91,8 +91,11 @@ def test_plate_free_comb(capsys):
     )
     assert code == EXIT_OK
     row = parse_csv(out)[0]
+    assert set(row) == {"theta", "value", "abs_err", "truncation_k", "tail_bound"}
     assert abs(float(row["value"]) + math.pi / 6.0) <= 1e-8
     assert float(row["theta"]) == 0.0
+    assert float(row["truncation_k"]) == 40.0
+    assert 0.0 < float(row["tail_bound"]) < 1e-14
 
 
 # ------------------------------------------------------------------ bands
@@ -208,9 +211,15 @@ def test_domain_errors_exit_2(capsys):
     # --w1 without --w0
     code, _, _ = run_cli(capsys, "energy", "--w1", "0.5", "--a", "1")
     assert code == EXIT_DOMAIN
-    # non-positive lattice spacing
+    # non-positive or non-finite lattice spacing
     code, _, _ = run_cli(capsys, "energy", "--w0", "5", "--a", "-1")
     assert code == EXIT_DOMAIN
+    for argv in (("energy",), ("plate", "--theta", "0")):
+        code, out, _ = run_cli(capsys, *argv, "--w0", "1", "--a", "inf")
+        assert code == EXIT_DOMAIN and out == ""
+    # non-finite coupling
+    code, out, err = run_cli(capsys, "energy", "--w0", "nan", "--a", "1")
+    assert code == EXIT_DOMAIN and "finite" in err and out == ""
     # attractive comb whose lowest band reaches imaginary k
     code, out, err = run_cli(capsys, "bands", "--w0", "-3", "--a", "1")
     assert code == EXIT_DOMAIN and "imaginary k" in err and out == ""
@@ -226,6 +235,15 @@ def test_domain_errors_exit_2(capsys):
         capsys, "ratio-w0", "--w0-min", "0.5", "--w0-max", "0.1"
     )
     assert code == EXIT_DOMAIN
+
+
+def test_huge_w1_gives_finite_energy(capsys):
+    # w1^2 overflows, but Omega = 1 and gamma = 0 are representable: E ~ 0
+    code, out, _ = run_cli(capsys, "energy", "--w0", "1", "--w1", "1e200", "--a", "1")
+    assert code == EXIT_OK
+    row = parse_csv(out)[0]
+    assert math.isfinite(float(row["value"]))
+    assert abs(float(row["value"])) <= float(row["abs_err"]) + 1e-14
 
 
 def test_numeric_failure_exits_3(capsys):

@@ -7,6 +7,7 @@ is deterministic, so agreement is to near machine precision.
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,7 @@ from deltacomb import (
     QuadratureConfig,
     comb_energy,
     dirichlet_limit_integrand,
-    integrand_abc,
     integrate_finite,
-    integrate_semi_infinite,
     mixed_limit_integrand,
     plate_average_closed,
     plate_energy,
@@ -30,7 +29,9 @@ from deltacomb import (
     theta_integral_numeric,
     theta_integrand,
 )
+import deltacomb.energy
 from deltacomb.energy import (
+    _energy_integral,
     reset_validity_counters,
     validity_check_count,
     validity_violation_count,
@@ -42,32 +43,48 @@ TWO_PI = 2.0 * math.pi
 # -------------------------------------------------------------- A, B, C
 
 
+def _literal_integrands(c, k, theta):
+    """F(k, theta) and I(k) from the literal momentum-space A, B, C, in
+    80-digit decimal arithmetic so the large-ka cancellation is exact."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a, k, g, om = (Decimal(v) for v in (c.a, k, c.gamma, c.omega))
+        e = (k * a).exp()
+        ch, sh = (e + 1 / e) / 2, (e - 1 / e) / 2
+        A = -a * k * g * ch + (g - 2 * a * k * k) * sh
+        B = 2 * k * ch + g * sh
+        C = 2 * k * om
+        sub = a * k - g / (g + 2 * k)
+        F = A / (B + C * Decimal(math.cos(theta))) + sub
+        I = (A / (B * B - C * C).sqrt() + sub) / Decimal(TWO_PI)
+        return float(F), float(I)
+
+
 def test_abc_frozen_point():
-    # k = a = gamma = 1: A = -cosh 1 - sinh 1 = -e, B = 2 cosh 1 + sinh 1
-    c = CombCouplings.from_reduced(omega=0.25, gamma=1.0, a=1.0)
-    abc = integrand_abc(c, 1.0)
-    assert abc.scale_log == 0.0
-    assert abc.A == pytest.approx(-math.e, abs=1e-14)
-    assert abc.B == pytest.approx(2.0 * math.cosh(1.0) + math.sinh(1.0), abs=1e-14)
-    assert abc.C == 2.0 * c.omega  # C = 2 k Omega
-
-
-def test_abc_vanishes_at_zero_momentum():
-    c = CombCouplings(w0=3.0, w1=0.5, a=2.0)
-    abc = integrand_abc(c, 0.0)
-    assert abc.A == 0.0 and abc.B == 0.0 and abc.C == 0.0
-    with pytest.raises(ValueError):
-        integrand_abc(c, -1.0)
+    # k = a = gamma = 1: A = -cosh 1 - sinh 1 = -e, B = 2 cosh 1 + sinh 1,
+    # C = 2 k Omega; the same point at a = 2 (k = 1/2, gamma = 1/2) has the
+    # same x = ka and g = gamma a, hence the same integrands
+    for a in (1.0, 2.0):
+        c = CombCouplings.from_reduced(omega=0.25, gamma=1.0 / a, a=a)
+        A, B, C = -math.e, 2.0 * math.cosh(1.0) + math.sinh(1.0), 2.0 * c.omega
+        sub = 1.0 - 1.0 / 3.0
+        closed = (A / math.sqrt(B * B - C * C) + sub) / TWO_PI
+        assert spectral_integrand(c, 1.0 / a) == pytest.approx(closed, abs=1e-14)
+        phased = A / (B + C * math.cos(0.7)) + sub
+        assert theta_integrand(c, 1.0 / a, 0.7) == pytest.approx(phased, abs=1e-14)
 
 
 def test_abc_positivity_in_band_regime():
-    # B > 0 and B^2 > C^2 for gamma >= 0, |Omega| < 1, k > 0
+    # B > 0 and B^2 > C^2 for gamma >= 0, |Omega| < 1, k > 0: each evaluation
+    # passes the integrands' positivity check, on both sides of ka = 5
+    reset_validity_counters()
     for gamma, omega in ((0.0, 0.5), (2.0, -0.9), (10.0, 0.0)):
         c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=1.0)
         for k in (0.01, 1.0, 5.0, 25.0):
-            abc = integrand_abc(c, k)
-            assert abc.B > 0.0
-            assert abc.B * abc.B > abc.C * abc.C
+            assert math.isfinite(spectral_integrand(c, k))
+            assert math.isfinite(theta_integrand(c, k, 2.0))
+    assert validity_check_count() == 24
+    assert validity_violation_count() == 0
 
 
 @pytest.mark.parametrize(
@@ -75,15 +92,11 @@ def test_abc_positivity_in_band_regime():
     [(1.0, 0.3, 1.0, 30.5), (7.0, -0.8, 2.0, 15.6), (0.0, 0.5, 1.0, 31.0)],
 )
 def test_abc_scaled_form_matches_direct(gamma, omega, a, k):
+    # the rearranged x > 5 forms against the literal A, B, C formulas
     c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a)
-    abc = integrand_abc(c, k)
-    x = k * a
-    assert abc.scale_log == x  # above the overflow-safety crossover
-    scale = math.exp(x)  # still representable at ka ~ 31
-    A_direct = -a * k * gamma * math.cosh(x) + (gamma - 2.0 * a * k * k) * math.sinh(x)
-    B_direct = 2.0 * k * math.cosh(x) + gamma * math.sinh(x)
-    assert abs(abc.A * scale - A_direct) <= 1e-14 * abs(A_direct)
-    assert abs(abc.B * scale - B_direct) <= 1e-14 * abs(B_direct)
+    F, I = _literal_integrands(c, k, 1.0)
+    assert abs(spectral_integrand(c, k) - I) <= 1e-13 * abs(I)
+    assert abs(theta_integrand(c, k, 1.0) - F) <= 1e-13 * abs(F)
 
 
 # ----------------------------------------------------------- integrands
@@ -219,6 +232,56 @@ def test_comb_energy_truncation_override():
     assert 1e-10 < missing <= res.tail_bound + full.tail_bound
 
 
+# comb_energy and plate_energy(theta = 1) of w0 = 2, w1 = 0.5, frozen from
+# the momentum-space integration over [0, max(40/a, 40)] that preceded the
+# unit-spacing one
+FROZEN_BY_SPACING = {
+    0.05: (0.5774871097910744, -0.8909773516350036),
+    2.0: (-0.04060249323067997, -0.05922576555834806),
+    20.0: (-0.0061634314585801995, -0.0065169029531654266),
+}
+
+
+@pytest.mark.parametrize("a", sorted(FROZEN_BY_SPACING))
+def test_energies_match_frozen_values_across_spacings(a):
+    comb_value, plate_value = FROZEN_BY_SPACING[a]
+    c = CombCouplings(w0=2.0, w1=0.5, a=a)
+    comb = comb_energy(c)
+    plate = plate_energy(c, 1.0)
+    assert abs(comb.value - comb_value) <= comb.abs_err
+    assert abs(plate.value - plate_value) <= plate.abs_err
+    for res in (comb, plate):
+        assert res.truncation_k == pytest.approx(40.0 / a, rel=1e-15)
+        assert 0.0 < res.tail_bound < 1e-14
+
+
+def test_abs_tol_holds_in_energy_units_at_small_spacing():
+    # the x integrals run at abs_tol * a; with abs_tol itself they would
+    # report errors up to abs_tol / a here
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-14)
+    for a in (0.01, 0.05):
+        c = CombCouplings(w0=2.0, w1=0.5, a=a)
+        mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=a)
+        for res in (comb_energy(c, cfg), comb_energy(mixed, cfg), plate_energy(c, 1.0, cfg)):
+            assert res.abs_err <= cfg.abs_tol
+
+
+def test_comb_energy_evaluations_do_not_grow_with_spacing(monkeypatch):
+    calls = []
+    counted = deltacomb.energy.spectral_integrand
+
+    def counting(c, k):
+        calls.append(k)
+        return counted(c, k)
+
+    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    comb_energy(CombCouplings(w0=2.0, w1=0.5, a=1.0))
+    at_unit = len(calls)
+    calls.clear()
+    comb_energy(CombCouplings(w0=2.0, w1=0.5, a=20.0))
+    assert 0 < len(calls) <= at_unit
+
+
 def test_comb_energy_rejects_attractive_comb():
     with pytest.raises(OutsideValidityDomainError):
         comb_energy(CombCouplings(w0=-0.5, w1=0.0, a=1.0))
@@ -230,7 +293,9 @@ def test_energy_equals_theta_average_of_plate_energy():
     c = CombCouplings.from_reduced(omega=0.5, gamma=2.0, a=1.0)
     comb = comb_energy(c).value
     relaxed = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
-    avg, _ = integrate_finite(lambda th: plate_energy(c, th, relaxed), 0.0, math.pi, relaxed)
+    avg, _ = integrate_finite(
+        lambda th: plate_energy(c, th, relaxed).value, 0.0, math.pi, relaxed
+    )
     assert abs(avg / math.pi - comb) <= 1e-8
 
 
@@ -250,7 +315,17 @@ def test_plate_energy_closed_form_values():
 def test_plate_energy_free_comb_matches_closed_form():
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     for theta in (0.0, 0.5, 1.5, math.pi):
-        assert abs(plate_energy(free, theta) - plate_energy_closed(theta, 1.0)) <= 1e-8
+        assert abs(plate_energy(free, theta).value - plate_energy_closed(theta, 1.0)) <= 1e-8
+
+
+def test_plate_energy_truncation_override():
+    # as for comb_energy: the reported tail bound covers what an early cut drops
+    c = CombCouplings(w0=5.0, w1=0.5, a=1.0)
+    res = plate_energy(c, 1.0, QuadratureConfig(truncation_k=8.0))
+    assert res.truncation_k == 8.0
+    full = plate_energy(c, 1.0)
+    missing = abs(res.value - full.value)
+    assert 1e-10 < missing <= res.tail_bound + full.tail_bound
 
 
 def test_plate_energy_is_even_and_validated():
@@ -272,11 +347,11 @@ def test_plate_average_closed_is_exactly_zero():
 
 def test_dirichlet_limit_integrand():
     assert dirichlet_limit_integrand(0.0, 1.0) == -1.0 / TWO_PI
+    assert dirichlet_limit_integrand(0.5, 2.0) == dirichlet_limit_integrand(1.0, 1.0)
+    f = lambda x: dirichlet_limit_integrand(x, 1.0)
     for a in (0.5, 1.0, 2.0):
-        value, err, _ = integrate_semi_infinite(
-            lambda k: dirichlet_limit_integrand(k, a), 0.0, tail_envelope=(1.0, 1.5 * a)
-        )
-        assert abs(value - (-math.pi / (24.0 * a))) <= max(1e-10, 10.0 * err)
+        res = _energy_integral(f, 0.0, a, QuadratureConfig(), 1.5)
+        assert abs(res.value - (-math.pi / (24.0 * a))) <= max(1e-10, 10.0 * res.abs_err)
     with pytest.raises(ValueError):
         dirichlet_limit_integrand(-1.0, 1.0)
 
@@ -284,11 +359,10 @@ def test_dirichlet_limit_integrand():
 def test_mixed_limit_integrand():
     assert mixed_limit_integrand(0.0, 1.0) == 0.0
     assert mixed_limit_integrand(1.0, 1.0) > 0.0
+    f = lambda x: mixed_limit_integrand(x, 1.0)
     for a in (0.5, 1.0, 2.0):
-        value, err, _ = integrate_semi_infinite(
-            lambda k: mixed_limit_integrand(k, a), 0.0, tail_envelope=(1.0, 1.5 * a)
-        )
-        assert abs(value - math.pi / (48.0 * a)) <= max(1e-10, 10.0 * err)
+        res = _energy_integral(f, 0.0, a, QuadratureConfig(), 1.5)
+        assert abs(res.value - math.pi / (48.0 * a)) <= max(1e-10, 10.0 * res.abs_err)
     with pytest.raises(ValueError):
         mixed_limit_integrand(1.0, 0.0)
 

@@ -12,10 +12,10 @@ from deltacomb import (
     RootScanError,
     ToleranceNotMetError,
     integrate_finite,
-    integrate_semi_infinite,
     refine_root,
 )
 from deltacomb import quadrature
+from deltacomb.energy import _energy_integral
 
 # (integrand, lo, hi, exact value).  The battery mixes single-panel-exact
 # integrands with ones that force subdivision (Runge spike, endpoint sqrt).
@@ -108,45 +108,37 @@ def test_config_validation():
         QuadratureConfig(truncation_k=-5.0)
 
 
+# Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus a
+# tail bound fitted at X, assembled once by the energy module.
+
+
 def test_semi_infinite_exponential():
-    value, err, tail = integrate_semi_infinite(
-        lambda k: math.exp(-k), 0.0, tail_envelope=(1.0, 1.0)
-    )
-    # truncated at the default K = 40, so the target is 1 - e^{-40}
-    assert abs(value - (1.0 - math.exp(-40.0))) <= max(10.0 * err, 1e-13)
-    assert tail == math.exp(-40.0)  # M e^{-rate K}/rate with M = rate = 1
-    assert abs(value + tail - 1.0) <= 1e-12
+    res = _energy_integral(lambda x: math.exp(-x), 0.0, 1.0, QuadratureConfig(), 0.75)
+    # truncated at the default X = 40, so the target is 1 - e^{-40}
+    assert res.truncation_k == 40.0
+    assert abs(res.value - (1.0 - math.exp(-40.0))) <= max(10.0 * res.abs_err, 1e-13)
+    assert math.exp(-40.0) <= res.tail_bound <= 10.0 * math.exp(-40.0)
+    assert abs(res.value + res.tail_bound - 1.0) <= 1e-12
 
 
 def test_semi_infinite_k_exp():
-    # k e^{-2k} <= e^{-1.5 k} for all k > 0, so (1, 1.5) is a valid envelope
-    value, err, tail = integrate_semi_infinite(
-        lambda k: k * math.exp(-2.0 * k), 0.0, tail_envelope=(1.0, 1.5)
+    res = _energy_integral(
+        lambda x: x * math.exp(-2.0 * x), 0.0, 1.0, QuadratureConfig(), 1.5
     )
-    assert abs(value - 0.25) <= max(10.0 * err, 1e-13)
+    assert abs(res.value - 0.25) <= max(10.0 * res.abs_err, 1e-13)
     true_tail = (0.5 * 40.0 + 0.25) * math.exp(-80.0)
-    assert tail >= true_tail
+    assert res.tail_bound >= true_tail
 
 
 def test_semi_infinite_truncation_override():
+    # truncation_k is a momentum: the x cutoff is truncation_k * a, and the
+    # result is (1/a) times the x integral
     cfg = QuadratureConfig(truncation_k=10.0)
-    value, _, tail = integrate_semi_infinite(
-        lambda k: math.exp(-k), 0.0, cfg, tail_envelope=(1.0, 1.0)
-    )
-    assert abs(value - (1.0 - math.exp(-10.0))) <= 1e-12
-    assert tail == math.exp(-10.0)
-
-
-def test_semi_infinite_validation():
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda k: 0.0, 0.0, tail_envelope=(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda k: 0.0, 0.0, tail_envelope=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        # cutoff below the lower limit
-        integrate_semi_infinite(
-            lambda k: 0.0, 50.0, QuadratureConfig(truncation_k=10.0)
-        )
+    for a in (1.0, 2.0):
+        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, cfg, 0.75)
+        assert res.truncation_k == 10.0
+        assert abs(res.value - (1.0 - math.exp(-10.0 * a)) / a) <= 1e-12
+        assert res.tail_bound >= math.exp(-10.0 * a) / a
 
 
 def test_refine_root_cosine():

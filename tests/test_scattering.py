@@ -16,9 +16,9 @@ from deltacomb import (
     AmplitudePoleError,
     CombCouplings,
     InvalidLatticeSpacingError,
+    OutsideValidityDomainError,
     delta_amplitudes,
     delta_prime_amplitudes,
-    derive_couplings,
     s_matrix_det,
 )
 
@@ -31,7 +31,7 @@ momenta = st.floats(1e-3, 50.0, allow_nan=False, allow_infinity=False)
 
 
 def test_derive_couplings_free():
-    c = derive_couplings(0.0, 0.0, 1.0)
+    c = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     assert c.omega == -1.0
     assert c.gamma == 0.0
     assert c.alpha == 1.0
@@ -39,16 +39,16 @@ def test_derive_couplings_free():
 
 
 def test_derive_couplings_w1_unity_flags_alpha_beta():
-    c = derive_couplings(2.0, 1.0, 1.0)
+    c = CombCouplings(w0=2.0, w1=1.0, a=1.0)
     assert c.omega == 0.0
     assert c.gamma == 1.0
     assert c.alpha is None and c.beta is None
-    c = derive_couplings(2.0, -1.0, 1.0)
+    c = CombCouplings(w0=2.0, w1=-1.0, a=1.0)
     assert c.alpha is None and c.beta is None
 
 
 def test_derive_couplings_generic():
-    c = derive_couplings(3.0, 2.0, 0.5)
+    c = CombCouplings(w0=3.0, w1=2.0, a=0.5)
     assert c.omega == pytest.approx(3.0 / 5.0, abs=1e-15)
     assert c.gamma == pytest.approx(3.0 / 5.0, abs=1e-15)
     assert c.alpha == pytest.approx(-3.0, abs=1e-15)
@@ -57,16 +57,36 @@ def test_derive_couplings_generic():
 
 def test_gamma_tracks_w0_sign():
     for w0 in (-2.0, -0.5, 0.5, 7.0):
-        c = derive_couplings(w0, 1.7, 1.0)
+        c = CombCouplings(w0=w0, w1=1.7, a=1.0)
         assert math.copysign(1.0, c.gamma) == math.copysign(1.0, w0)
-    assert derive_couplings(3.0, 0.0, 1.0).gamma == 3.0  # gamma = w0 at w1 = 0
+    assert CombCouplings(w0=3.0, w1=0.0, a=1.0).gamma == 3.0  # gamma = w0 at w1 = 0
 
 
 def test_lattice_spacing_must_be_positive():
     with pytest.raises(InvalidLatticeSpacingError):
-        derive_couplings(1.0, 0.0, 0.0)
+        CombCouplings(w0=1.0, w1=0.0, a=0.0)
     with pytest.raises(InvalidLatticeSpacingError):
         CombCouplings(w0=1.0, w1=0.0, a=-2.0)
+    for a in (math.inf, math.nan):
+        with pytest.raises(InvalidLatticeSpacingError):
+            CombCouplings(w0=1.0, w1=0.0, a=a)
+
+
+def test_couplings_must_be_finite():
+    for w0, w1 in ((math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf), (1.0, math.nan)):
+        with pytest.raises(OutsideValidityDomainError):
+            CombCouplings(w0=w0, w1=w1, a=1.0)
+
+
+def test_huge_w1_reduces_without_overflow():
+    # w1^2 overflows; the w1^-2 forms give the Omega = 1, gamma = 0 limit
+    c = CombCouplings(w0=1.0, w1=1e200, a=1.0)
+    assert c.omega == 1.0 and c.gamma == 0.0
+    # and agree with the direct forms where both are representable
+    for w1 in (1.5, -3.0, 1e3):
+        c = CombCouplings(w0=2.0, w1=w1, a=1.0)
+        assert c.omega == pytest.approx((w1 * w1 - 1.0) / (w1 * w1 + 1.0), rel=1e-15)
+        assert c.gamma == pytest.approx(2.0 / (1.0 + w1 * w1), rel=1e-15)
 
 
 def test_from_reduced_endpoints():
