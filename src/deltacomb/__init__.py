@@ -36,7 +36,6 @@ from .bands import (
     band_structure,
     dispersion,
     spectral_function,
-    spectral_function_general,
 )
 from .energy import (
     EnergyResult,
@@ -78,7 +77,6 @@ __all__ = [
     "band_structure",
     "dispersion",
     "spectral_function",
-    "spectral_function_general",
     "EnergyResult",
     "comb_energy",
     "dirichlet_limit_integrand",

@@ -3,14 +3,14 @@
 For Bloch phase theta = q a the comb spectrum is the zero set in k > 0 of
 a secular function.  Two equivalent forms are provided:
 
-* the general amplitude-based band equation, valid for any comb built by
-  repeating one scatterer:  cos(q a) = [e^{iak} det S + e^{-iak}] / (2 t);
+* the general amplitude-based band equation (band_rhs), valid for any comb
+  built by repeating one scatterer: cos(q a) = [e^{iak} det S + e^{-iak}]/(2t);
 
-* the closed form for the delta-delta' comb,
+* the closed form for the delta-delta' comb (spectral_function),
 
       g(k) = Omega cos(theta) + cos(k a) + (gamma / 2k) sin(k a),
 
-  which equals the general secular function up to the nonvanishing
+  which equals 2 t (cos(theta) - band_rhs) up to the nonvanishing
   prefactor -4 k (1 + w1^2) / D(k), so both share their zeros.
 
 Single-theta roots (dispersion, and the theta = 0 and theta = pi columns
@@ -52,7 +52,6 @@ __all__ = [
     "BandStructure",
     "band_rhs",
     "spectral_function",
-    "spectral_function_general",
     "dispersion",
     "band_edges",
     "band_structure",
@@ -136,23 +135,6 @@ def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
         + math.cos(k * c.a)
         + 0.5 * c.gamma * math.sin(k * c.a) / k
     )
-
-
-def spectral_function_general(
-    amps_at: AmplitudeProvider, k: float, a: float, theta: float
-) -> complex:
-    """General-comb secular function 2 t cos(theta) - e^{-ika} - e^{ika} det S.
-
-    Its zeros in k > 0 at fixed theta are the comb spectrum.  Normalization
-    differs from spectral_function by the prefactor -4 k (1 + w1^2)/D(k) in
-    the delta-delta' case; the zero sets coincide.
-    """
-    if not a > 0:
-        raise InvalidLatticeSpacingError(f"a must be positive, got {a}")
-    amps = amps_at(k)
-    det = amps.t * amps.t - amps.rR * amps.rL
-    phase = cmath.exp(1j * k * a)
-    return 2.0 * amps.t * math.cos(theta) - 1.0 / phase - phase * det
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:

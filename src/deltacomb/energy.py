@@ -227,8 +227,10 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
         A = -x * g * math.cosh(x) + (g - 2.0 * x * x) * sh
         b_minus = 4.0 * x * sh2 * sh2 + g * sh + 2.0 * x * (1.0 - abs_om)
         b_plus = 2.0 * x * math.cosh(x) + g * sh + 2.0 * x * abs_om
-        _count_check(b_minus * b_plus, "B^2 - C^2")
-        return (A / math.sqrt(b_minus * b_plus) + x - g / (g + 2.0 * x)) / _TWO_PI
+        # b_plus >= b_minus, and the product can underflow at tiny g
+        _count_check(b_minus, "B - |C|")
+        root = math.sqrt(b_minus) * math.sqrt(b_plus)
+        return (A / root + x - g / (g + 2.0 * x)) / _TWO_PI
     eps = math.exp(-2.0 * x)
     r, s = 2.0 * x + g, 2.0 * x - g
     p = g - x * r
@@ -259,7 +261,7 @@ def theta_integral_numeric(
 
 
 def _graded_breakpoints(g: float, X: float) -> List[float]:
-    """Mesh seeds for integrating the subtracted integrand over [0, X] in x.
+    """Interior breakpoints for the subtracted integrand on [0, X] in x.
 
     The -g/(g+2x) subtraction varies on the scale x ~ g/2; for small g
     that layer sits far below the first quadrature nodes of [0, X] and the
@@ -268,7 +270,7 @@ def _graded_breakpoints(g: float, X: float) -> List[float]:
     ladder from two decades below the layer up to the bulk scale forces
     panels at every relevant magnitude.
     """
-    breaks = [0.0]
+    breaks = []
     layer = 0.5 * g
     if 0.0 < layer < 0.01 * X:
         b = 0.01 * layer
@@ -276,7 +278,6 @@ def _graded_breakpoints(g: float, X: float) -> List[float]:
         while b < top:
             breaks.append(b)
             b *= 10.0
-    breaks.append(X)
     return breaks
 
 
@@ -297,28 +298,18 @@ def _energy_integral(
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
-    Integrates over [0, X], X = 40 (truncation_k * a when configured), on
-    the graded ladder for g, and bounds the tail beyond X for f decaying
-    like e^{-rate x}.  Each piece gets abs_tol * a / (number of pieces),
-    so abs_tol holds in energy units, or, if larger, its share of what the
-    pieces below it left unspent of rel_tol times their sum: the layer
-    pieces carry the value, and a piece far above them, whose own value is
-    tiny, is then not held to a tolerance below f's rounding noise.
+    Integrates over [0, X], X = 40 (truncation_k * a when configured), in one
+    adaptive run seeded with the graded ladder for g, at abs_tol * a so that
+    abs_tol holds in energy units, and bounds the tail beyond X for f
+    decaying like e^{-rate x}.
     """
     X = 40.0 if cfg.truncation_k is None else cfg.truncation_k * a
-    breaks = _graded_breakpoints(g, X)
-    n = len(breaks) - 1
-    values = []
-    errors = []
-    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-        unspent = cfg.rel_tol * abs(math.fsum(values)) - math.fsum(errors)
-        tol = max(cfg.abs_tol * a / n, unspent / (n - i))
-        v, e = integrate_finite(f, lo, hi, replace(cfg, abs_tol=tol))
-        values.append(v)
-        errors.append(e)
+    value, err = integrate_finite(
+        f, 0.0, X, replace(cfg, abs_tol=cfg.abs_tol * a), _graded_breakpoints(g, X)
+    )
     return EnergyResult(
-        value=math.fsum(values) / a,
-        abs_err=math.fsum(errors) / a,
+        value=value / a,
+        abs_err=err / a,
         truncation_k=X / a,
         tail_bound=_tail_bound(f, X, rate) / a,
     )

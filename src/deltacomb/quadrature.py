@@ -3,8 +3,10 @@
 Self-contained numerical kernels: a 7/15 Gauss-Kronrod pair with the
 classic QUADPACK-style error estimate, worst-interval-first adaptive
 bisection on finite intervals, and derivative-free Brent iteration for root
-refinement.  The semi-infinite energy integrals (cutoff, graded mesh and
-tail bound) are assembled from integrate_finite in the energy module.
+refinement.  Breakpoints seed one adaptive run with a panel per piece
+(QUADPACK's qagp), so one error budget covers them all.  The semi-infinite
+energy integrals (cutoff, graded breakpoints and tail bound) are assembled
+from one integrate_finite call in the energy module.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -18,7 +20,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import NoSignChangeError, RootScanError, ToleranceNotMetError
 
@@ -70,7 +72,8 @@ class QuadratureConfig:
     """Tolerances and limits shared by all integrals and root searches.
 
     truncation_k is the momentum cutoff K of the energy integrals; None means
-    K = 40/a, i.e. 40 in the reduced momentum k a.
+    K = 40/a, i.e. 40 in the reduced momentum k a.  max_subdivisions bounds
+    one integrate_finite call, so it applies to a whole energy, ladder and all.
     """
 
     abs_tol: float = 1e-10
@@ -134,22 +137,30 @@ def integrate_finite(
     lo: float,
     hi: float,
     cfg: Optional[QuadratureConfig] = None,
+    breaks: Sequence[float] = (),
 ) -> Tuple[float, float]:
     """Adaptive quadrature of f on [lo, hi].
+
+    breaks are interior points, strictly increasing inside (lo, hi); each
+    piece between them starts as one panel.  The worst panel anywhere is
+    split next, and the test below applies to the summed error.
 
     Returns (value, abs_err) with abs_err <= max(abs_tol, rel_tol * |value|),
     or raises ToleranceNotMetError after max_subdivisions splits.
     """
     cfg = cfg or QuadratureConfig()
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    edges = [lo, *breaks, hi]
+    if not all(p < q for p, q in zip(edges, edges[1:])):
+        raise ValueError(f"need lo < breaks < hi, strictly increasing, got {edges}")
 
-    value, err = _panel(f, lo, hi)
     # heap entries: (-err, insertion counter, lo, hi, value, err)
-    heap = [(-err, 0, lo, hi, value, err)]
-    total_value = value
-    total_err = err
-    counter = 1
+    heap = []
+    for counter, (plo, phi) in enumerate(zip(edges, edges[1:])):
+        value, err = _panel(f, plo, phi)
+        heapq.heappush(heap, (-err, counter, plo, phi, value, err))
+    total_value = math.fsum(item[4] for item in heap)
+    total_err = math.fsum(item[5] for item in heap)
+    counter = len(heap)
     splits = 0
 
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_value)):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import (
     AmplitudePoleError,
@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 Momentum = Union[float, complex]
+
+
+def _over_w1_squared(w1: float) -> Tuple[float, float, float]:
+    """(w1^2, 1, w1) / max(1, w1^2), formed so that w1^2 cannot overflow."""
+    if abs(w1) > 1.0:
+        return 1.0, 1.0 / (w1 * w1), 1.0 / w1
+    return w1 * w1, 1.0, w1
 
 
 @dataclass(frozen=True)
@@ -79,20 +86,15 @@ class CombCouplings:
             raise OutsideValidityDomainError(
                 f"couplings must be finite, got (w0, w1) = ({self.w0}, {self.w1})"
             )
-        s = self.w1 * self.w1
-        if abs(self.w1) > 1.0:
-            inv = 1.0 / s
-            omega, gamma = (1.0 - inv) / (1.0 + inv), self.w0 * inv / (1.0 + inv)
-        else:
-            omega, gamma = (s - 1.0) / (s + 1.0), self.w0 / (1.0 + s)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "gamma", gamma)
+        p, q, _ = _over_w1_squared(self.w1)
+        object.__setattr__(self, "omega", (p - q) / (p + q))
+        object.__setattr__(self, "gamma", self.w0 * q / (p + q))
         if self.w1 == 1.0 or self.w1 == -1.0:
             object.__setattr__(self, "alpha", None)
             object.__setattr__(self, "beta", None)
         else:
             object.__setattr__(self, "alpha", (1.0 + self.w1) / (1.0 - self.w1))
-            object.__setattr__(self, "beta", self.w0 / (1.0 - s))
+            object.__setattr__(self, "beta", self.w0 / (1.0 - self.w1 * self.w1))
 
     @classmethod
     def from_reduced(cls, omega: float, gamma: float, a: float) -> "CombCouplings":
@@ -137,15 +139,15 @@ def delta_amplitudes(w0: float, k: Momentum) -> ScatteringAmplitudes:
 def delta_prime_amplitudes(c: CombCouplings, k: Momentum) -> ScatteringAmplitudes:
     """Amplitudes of a single delta-delta' centre with couplings (w0, w1)."""
     k = complex(k)
-    s = c.w1 * c.w1
-    den = 2.0 * k * (s + 1.0) + 1j * c.w0
+    p, q, w1q = _over_w1_squared(c.w1)
+    den = 2.0 * k * (p + q) + 1j * c.w0 * q
     if den == 0:
         raise AmplitudePoleError(
             f"amplitude pole at k = {k} for couplings (w0, w1) = ({c.w0}, {c.w1})"
         )
-    t = -2.0 * k * (s - 1.0) / den
-    rR = (-4.0 * k * c.w1 - 1j * c.w0) / den
-    rL = (4.0 * k * c.w1 - 1j * c.w0) / den
+    t = -2.0 * k * (p - q) / den
+    rR = (-4.0 * k * w1q - 1j * c.w0 * q) / den
+    rL = (4.0 * k * w1q - 1j * c.w0 * q) / den
     return ScatteringAmplitudes(t=t, rR=rR, rL=rL, k=k)
 
 

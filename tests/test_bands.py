@@ -25,7 +25,6 @@ from deltacomb import (
     delta_prime_amplitudes,
     dispersion,
     spectral_function,
-    spectral_function_general,
 )
 import deltacomb.bands
 from deltacomb.bands import _band_root, _scan_roots
@@ -109,13 +108,6 @@ def test_spectral_function_limits_and_examples():
         spectral_function(FREE, -1.0, 0.0)
 
 
-def test_spectral_function_general_free():
-    for theta, k in ((0.0, 1.0), (1.2, 0.4), (math.pi, 3.3)):
-        f = spectral_function_general(_free_amps, k, 1.0, theta)
-        expected = 2.0 * (math.cos(theta) - math.cos(k))
-        assert abs(f - expected) <= 1e-12
-
-
 def test_general_secular_vanishes_at_closed_form_roots():
     # the two secular functions differ by a nonvanishing prefactor, so the
     # closed-form roots must annihilate the amplitude-based one
@@ -129,9 +121,11 @@ def test_general_secular_vanishes_at_closed_form_roots():
         theta = rng.uniform(0.0, math.pi)
         c = CombCouplings(w0=w0, w1=w1, a=a)
         for k in dispersion(c, theta, 2):
-            f = spectral_function_general(
-                lambda kk, c=c: delta_prime_amplitudes(c, kk), k, a, theta
-            )
+            # 2 t cos(theta) - e^{-ika} - e^{ika} det S, the amplitude-form
+            # secular function, written through band_rhs
+            amps = delta_prime_amplitudes(c, k)
+            f = (band_rhs(lambda kk, c=c: delta_prime_amplitudes(c, kk), k, a)
+                 - math.cos(theta)) * 2.0 * abs(amps.t)
             assert abs(f) <= 1e-10
 
 

@@ -6,6 +6,7 @@ is deterministic, so agreement is to near machine precision.
 """
 
 import math
+import random
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -264,6 +265,50 @@ def test_abs_tol_holds_in_energy_units_at_small_spacing():
         mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=a)
         for res in (comb_energy(c, cfg), comb_energy(mixed, cfg), plate_energy(c, 1.0, cfg)):
             assert res.abs_err <= cfg.abs_tol
+
+
+def test_abs_err_meets_the_tolerance_over_seeded_points(monkeypatch):
+    # one integrate_finite call per energy, whose stopping test covers the
+    # whole integral: abs_err <= max(abs_tol, rel_tol |E|) wherever it
+    # returns, also where ladder pieces of opposite sign nearly cancel
+    calls = []
+    counted = deltacomb.energy.integrate_finite
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(deltacomb.energy, "integrate_finite", counting)
+    cfg = QuadratureConfig()
+    rng = random.Random(5)
+    points = [(CombCouplings.from_reduced(omega=-0.275, gamma=1.74, a=0.226), None)]
+    for i in range(300):
+        a = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        omega = rng.uniform(-1.0, 0.999)
+        gamma = (0.0, rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-6.0, 0.0))[i % 3]
+        theta = rng.uniform(-math.pi, math.pi) if i % 5 == 0 else None
+        points.append((CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a), theta))
+    for c, theta in points:
+        calls.clear()
+        res = comb_energy(c) if theta is None else plate_energy(c, theta)
+        assert len(calls) == 1
+        assert res.abs_err <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)), (c, theta)
+
+
+def test_small_spacing_scales_exactly_at_equal_gamma_a():
+    # E(gamma, Omega, a) = f(gamma a, Omega) / a; at a = 1e-5 the x
+    # integral runs at abs_tol * a = 1e-15
+    small = comb_energy(CombCouplings(w0=1e-3, w1=0.0, a=1e-5))
+    unit = comb_energy(CombCouplings(w0=1e-8, w1=0.0, a=1.0))
+    assert abs(1e-5 * small.value - unit.value) <= 1e-5 * small.abs_err + unit.abs_err
+
+
+def test_tiny_gamma_matches_gamma_zero():
+    # B^2 - C^2 underflows to 0 at gamma = 1e-300; its factors do not
+    free = comb_energy(CombCouplings.from_reduced(omega=0.5, gamma=0.0, a=1.0))
+    for gamma in (1e-300, 1e-200):
+        res = comb_energy(CombCouplings.from_reduced(omega=0.5, gamma=gamma, a=1.0))
+        assert abs(res.value - free.value) <= res.abs_err + free.abs_err
 
 
 def test_comb_energy_evaluations_do_not_grow_with_spacing(monkeypatch):

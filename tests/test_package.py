@@ -7,7 +7,7 @@ import deltacomb
 # names that were public once and have been removed from every module
 REMOVED = {
     "scattering": ("derive_couplings",),
-    "bands": ("BlochParams",),
+    "bands": ("BlochParams", "spectral_function_general"),
     "quadrature": ("integrate_semi_infinite",),
     "energy": ("IntegrandABC", "integrand_abc"),
 }

@@ -89,6 +89,23 @@ def test_interval_must_be_ordered():
         integrate_finite(math.sin, 2.0, 1.0)
 
 
+def test_breaks_seed_one_panel_per_piece():
+    # |x - 0.3| is linear on each side of its kink, so with a break there
+    # the two seed panels are exact and no split is needed
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return abs(x - 0.3)
+
+    value, err = integrate_finite(f, 0.0, 1.0, breaks=(0.3,))
+    assert len(calls) == 2 * 15
+    assert abs(value - 0.29) <= 1e-15 and err <= 1e-10
+    for breaks in ((0.6, 0.3), (0.3, 0.3), (0.0,), (1.0,), (-0.5,), (1.5,), (math.nan,)):
+        with pytest.raises(ValueError):
+            integrate_finite(f, 0.0, 1.0, breaks=breaks)
+
+
 def test_tolerance_not_met_raises():
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
     with pytest.raises(ToleranceNotMetError):

@@ -153,6 +153,23 @@ def test_delta_prime_w1_unity_perfectly_reflecting():
     assert abs(abs(amps.rL) - 1.0) <= 1e-15  # unitarity with |t| = 0
 
 
+def test_delta_prime_huge_w1_is_finite_and_unitary():
+    # w1^2 overflows past |w1| ~ 1.3e154; the amplitudes are formed over w1^2
+    for w1 in (1e200, -1e200):
+        amps = delta_prime_amplitudes(CombCouplings(w0=1.0, w1=w1, a=1.0), 1.0)
+        assert amps.t == -1.0
+        assert abs(abs(amps.t) ** 2 + abs(amps.rR) ** 2 - 1.0) <= 1e-15
+        assert abs(s_matrix_det(amps) - 1.0) <= 1e-15
+    # and agree with the direct forms where w1^2 is representable
+    for w1 in (1.5, -3.0, 1e3):
+        amps = delta_prime_amplitudes(CombCouplings(w0=2.0, w1=w1, a=1.0), 0.7)
+        s = w1 * w1
+        den = 1.4 * (s + 1.0) + 2.0j
+        assert abs(amps.t - (-1.4 * (s - 1.0) / den)) <= 1e-15
+        assert abs(amps.rR - (-2.8 * w1 - 2.0j) / den) <= 1e-15
+        assert abs(amps.rL - (2.8 * w1 - 2.0j) / den) <= 1e-15
+
+
 def test_amplitudes_on_positive_imaginary_axis_are_real():
     # Wick-rotated momentum k = i kappa makes the delta amplitudes real
     amps = delta_amplitudes(2.0, 0.5j)
