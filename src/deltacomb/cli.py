@@ -6,7 +6,9 @@ built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 (one object with run metadata); floats are serialized with full round-trip
 precision.  Exit codes: 0 success, 2 domain/usage error, 3 numerical failure
 (tolerance not met, root scan failed, validity guard tripped), and 1 when
-`verify` finds a failing check.
+`verify` finds a failing check.  numpy is imported only inside the sweeps
+(for their grids) and by the verification suite, so the single evaluations
+start without it.
 """
 
 from __future__ import annotations
@@ -15,15 +17,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
 from .bands import band_structure
-from .energy import comb_energy, plate_energy, small_coupling_ratio
+from .energy import comb_energy, plate_energy, _w0_log_ratio
 from .errors import (
     AmplitudePoleError,
     InvalidLatticeSpacingError,
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .quadrature import QuadratureConfig
 from .scattering import CombCouplings
-from .verification import run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -214,6 +212,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_a(args: argparse.Namespace) -> int:
+    import numpy as np
+
     if not 0.0 < args.a_min < args.a_max:
         raise ValueError("need 0 < --a-min < --a-max")
     if args.count < 2:
@@ -242,6 +242,8 @@ def cmd_scan_a(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_couplings(args: argparse.Namespace) -> int:
+    import numpy as np
+
     if args.gamma_min < 0:
         raise ValueError("gamma grid must be >= 0")
     if not args.gamma_min < args.gamma_max:
@@ -284,6 +286,8 @@ def cmd_scan_couplings(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio_w0(args: argparse.Namespace) -> int:
+    import numpy as np
+
     if not 0.0 < args.w0_min < args.w0_max < 1.0:
         raise ValueError("need 0 < --w0-min < --w0-max < 1 (log ratio domain)")
     if args.count < 2:
@@ -293,7 +297,7 @@ def cmd_ratio_w0(args: argparse.Namespace) -> int:
     for w0 in np.geomspace(args.w0_min, args.w0_max, args.count):
         w0 = float(w0)
         res = comb_energy(CombCouplings(w0=w0, w1=0.0, a=args.a), cfg)
-        rows.append((w0, res.value, res.abs_err, res.value / (w0 * math.log(w0))))
+        rows.append((w0, res.value, res.abs_err, _w0_log_ratio(res.value, w0)))
     params = {
         "a": args.a,
         "w0_min": args.w0_min,
@@ -312,6 +316,8 @@ def cmd_ratio_w0(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_all
+
     results = run_all()
     for r in results:
         status = "PASS" if r.passed else "FAIL"

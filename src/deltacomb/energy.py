@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import OutsideValidityDomainError, ValidityViolationError
@@ -260,8 +259,11 @@ def theta_integral_numeric(
     return value / norm, err / norm
 
 
-def _graded_breakpoints(g: float, X: float) -> List[float]:
-    """Interior breakpoints for the subtracted integrand on [0, X] in x.
+def _graded_breakpoints(
+    g: float, X: float, budget: float, width: float
+) -> Tuple[List[float], float]:
+    """Interior breakpoints for the subtracted integrand on [0, X] in x, and
+    the layer mass that the first panel may miss.
 
     The -g/(g+2x) subtraction varies on the scale x ~ g/2; for small g
     that layer sits far below the first quadrature nodes of [0, X] and the
@@ -269,16 +271,34 @@ def _graded_breakpoints(g: float, X: float) -> List[float]:
     w0 = 1e-6 comb lost the layer's entire -w0 ln w0 signal).  A geometric
     ladder from two decades below the layer up to the bulk scale forces
     panels at every relevant magnitude.
+
+    The ladder has a floor: its lowest rungs are dropped while the mass
+    that the first panel [0, b] may step over stays under budget.  Two
+    layers can sit below b.  The subtraction's is bounded by
+    (g/pi) log1p(2b/g), four times its own integral over [0, b]; that also
+    covers the sqrt(g)-wide layer of the phase-averaged comb at
+    |Omega| = 1.  At a fixed phase, A / (B + C cos theta) ~ -2x^2/(x^2 + w^2)
+    for small x, a step from 0 to -2 across x ~ w = width, where
+    w^2 = g + 2 (1 + Omega cos theta); it is bounded by
+    (2w/pi) atan(b/w), twice the step's own deficit over [0, b], and the
+    comb passes width 0.  The bound is returned with the breakpoints, 0.0
+    when no rung was dropped, for the caller to add to the error it reports.
     """
-    breaks = []
+    breaks, mass = [], 0.0
     layer = 0.5 * g
     if 0.0 < layer < 0.01 * X:
         b = 0.01 * layer
         top = min(0.01 * X, 10.0)
         while b < top:
-            breaks.append(b)
+            m = (g / math.pi) * math.log1p(2.0 * b / g) + (
+                2.0 * width / math.pi
+            ) * math.atan2(b, width)
+            if breaks and m < budget:
+                breaks, mass = [b], m
+            else:
+                breaks.append(b)
             b *= 10.0
-    return breaks
+    return breaks, mass
 
 
 def _tail_bound(f, X: float, rate: float) -> float:
@@ -294,22 +314,33 @@ def _tail_bound(f, X: float, rate: float) -> float:
 
 
 def _energy_integral(
-    f, g: float, a: float, cfg: QuadratureConfig, rate: float
+    f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
     Integrates over [0, X], X = 40 (truncation_k * a when configured), in one
     adaptive run seeded with the graded ladder for g, at abs_tol * a so that
     abs_tol holds in energy units, and bounds the tail beyond X for f
-    decaying like e^{-rate x}.
+    decaying like e^{-rate x}; width is a fixed phase's step width (see
+    _graded_breakpoints), 0 for the comb and the limit curves.  Layer mass
+    left below a floored ladder (at most half of abs_tol * a) is added to
+    abs_err, and both tolerances of the run shrink by its share, so
+    abs_err <= max(abs_tol, rel_tol |E|) still holds.
     """
     X = 40.0 if cfg.truncation_k is None else cfg.truncation_k * a
+    tol = cfg.abs_tol * a
+    breaks, mass = _graded_breakpoints(g, X, 0.5 * tol, width)
+    share = 1.0 - mass / tol
     value, err = integrate_finite(
-        f, 0.0, X, replace(cfg, abs_tol=cfg.abs_tol * a), _graded_breakpoints(g, X)
+        f,
+        0.0,
+        X,
+        replace(cfg, abs_tol=tol * share, rel_tol=cfg.rel_tol * share),
+        breaks,
     )
     return EnergyResult(
         value=value / a,
-        abs_err=err / a,
+        abs_err=(err + mass) / a,
         truncation_k=X / a,
         tail_bound=_tail_bound(f, X, rate) / a,
     )
@@ -347,9 +378,15 @@ def plate_energy(
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     unit = CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+    width = math.sqrt(unit.gamma + 2.0 * _one_plus_omega_cos(unit.omega, theta))
     # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(
-        lambda x: theta_integrand(unit, x, theta) / _TWO_PI, unit.gamma, c.a, cfg, 0.75
+        lambda x: theta_integrand(unit, x, theta) / _TWO_PI,
+        unit.gamma,
+        c.a,
+        cfg,
+        0.75,
+        width,
     )
 
 
@@ -368,13 +405,12 @@ def plate_average_closed(a: float) -> float:
     """Phase average int_{-pi}^{pi} dtheta/(2 pi) of plate_energy_closed.
 
     Exactly zero: the average of (|theta| - theta^2/2pi - pi/3) picks up
-    pi/2 - pi/6 - pi/3, and the rational coefficient sum is carried out
-    exactly so the cancellation is not left to floating point.
+    pi/2 - pi/6 - pi/3, whose rational coefficients sum to exactly 0, so
+    the zero is returned as such rather than left to floating point.
     """
     if not a > 0:
         raise ValueError(f"a must be positive, got {a}")
-    coeff = Fraction(1, 2) - Fraction(1, 6) - Fraction(1, 3)
-    return float(coeff) * math.pi / (2.0 * a)
+    return 0.0
 
 
 def dirichlet_limit_integrand(k: float, a: float) -> float:
@@ -421,4 +457,9 @@ def small_coupling_ratio(
     if not 0.0 < w0 < 1.0:
         raise ValueError(f"w0 must lie in (0, 1) for the log ratio, got {w0}")
     c = CombCouplings(w0=w0, w1=0.0, a=a)
-    return comb_energy(c, cfg).value / (w0 * math.log(w0))
+    return _w0_log_ratio(comb_energy(c, cfg).value, w0)
+
+
+def _w0_log_ratio(energy: float, w0: float) -> float:
+    """energy / (w0 ln w0), the ratio small_coupling_ratio reports."""
+    return energy / (w0 * math.log(w0))

@@ -9,6 +9,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,33 @@ from deltacomb.cli import (
     EXIT_OK,
     main,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs `python -m deltacomb.cli argv...` and then reports on stderr's last
+# line whether numpy was imported along the way
+_COLD_RUN = """
+import runpy, sys
+sys.argv[0] = "deltacomb"
+try:
+    runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_cold(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    numpy_loaded = proc.stderr.splitlines()[-1]
+    return proc.returncode, proc.stdout, numpy_loaded == "True"
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +152,36 @@ def test_bands_rows(capsys):
     # samples stay inside the edges
     for r in rows:
         assert float(r["k_min"]) - 1e-9 <= float(r["k"]) <= float(r["k_max"]) + 1e-9
+
+
+# ------------------------------------------------------------- cold start
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--w0", "5", "--w1", "0.5", "--a", "2"),
+        ("plate", "--omega", "0", "--gamma", "0", "--a", "1", "--theta", "1"),
+        ("bands", "--w0", "10", "--a", "1", "--n-bands", "2", "--n-theta", "5"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_single_evaluations_start_without_numpy(capsys, argv, fmt):
+    code, out, numpy_loaded = run_cold(*argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert not numpy_loaded
+    # the fresh process prints what the in-process call prints
+    assert run_cli(capsys, *argv, "--format", fmt) == (EXIT_OK, out, "")
+
+
+def test_failing_single_evaluations_start_without_numpy():
+    code, out, numpy_loaded = run_cold("energy", "--omega", "0", "--gamma", "-1", "--a", "1")
+    assert (code, out, numpy_loaded) == (EXIT_DOMAIN, "", False)
+    code, out, numpy_loaded = run_cold(
+        "energy", "--w0", "5", "--a", "1", "--abs-tol", "1e-30", "--max-subdivisions", "2"
+    )
+    assert (code, out, numpy_loaded) == (EXIT_NUMERIC, "", False)
 
 
 # ------------------------------------------------------------------ scans

@@ -303,12 +303,45 @@ def test_small_spacing_scales_exactly_at_equal_gamma_a():
     assert abs(1e-5 * small.value - unit.value) <= 1e-5 * small.abs_err + unit.abs_err
 
 
-def test_tiny_gamma_matches_gamma_zero():
-    # B^2 - C^2 underflows to 0 at gamma = 1e-300; its factors do not
-    free = comb_energy(CombCouplings.from_reduced(omega=0.5, gamma=0.0, a=1.0))
-    for gamma in (1e-300, 1e-200):
-        res = comb_energy(CombCouplings.from_reduced(omega=0.5, gamma=gamma, a=1.0))
-        assert abs(res.value - free.value) <= res.abs_err + free.abs_err
+def test_tiny_gamma_matches_gamma_zero(monkeypatch):
+    # B^2 - C^2 underflows to 0 at gamma = 1e-300; its factors do not.  The
+    # ladder's floor leaves the layer of mass ~ gamma ln gamma to abs_err, so
+    # the cost stays near the gamma = 0 energy's (no panel per decade of
+    # 1/gamma, and no x small enough for B - |C| to underflow at |Omega| = 1)
+    calls = []
+    counted = deltacomb.energy.spectral_integrand
+
+    def counting(c, k):
+        calls.append(k)
+        return counted(c, k)
+
+    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    for omega in (0.5, -1.0):
+        calls.clear()
+        free = comb_energy(CombCouplings.from_reduced(omega=omega, gamma=0.0, a=1.0))
+        at_zero = len(calls)
+        for gamma in (1e-300, 1e-200):
+            calls.clear()
+            res = comb_energy(CombCouplings.from_reduced(omega=omega, gamma=gamma, a=1.0))
+            assert len(calls) <= 2 * at_zero
+            assert abs(res.value - free.value) <= res.abs_err + free.abs_err
+
+
+def test_plate_near_the_marginal_phase_keeps_its_step():
+    # At fixed theta the integrand steps from 0 to -2 across
+    # x ~ sqrt(g + 2(1 + Omega cos theta)), a layer of mass half that width
+    # that the ladder's floor must not drop (Omega = -1 here).  At theta = 0
+    # the default tolerance agrees with a tight one, which keeps low rungs
+    for w0 in (1e-14, 1e-16):
+        c = CombCouplings(w0=w0, w1=0.0, a=1.0)
+        loose = plate_energy(c, 0.0)
+        tight = plate_energy(c, 0.0, QuadratureConfig(abs_tol=1e-14))
+        assert abs(loose.value - tight.value) <= loose.abs_err + tight.abs_err
+    # gamma = 1e-30 moves the free plate by far less than abs_err
+    c = CombCouplings(w0=1e-30, w1=0.0, a=1.0)
+    for theta in (1e-8, 1e-7, 1e-6):
+        res = plate_energy(c, theta)
+        assert abs(res.value - plate_energy_closed(theta, 1.0)) <= res.abs_err
 
 
 def test_comb_energy_evaluations_do_not_grow_with_spacing(monkeypatch):
