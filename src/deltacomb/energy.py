@@ -60,6 +60,13 @@ computed once in x, at unit spacing, and divided by a.  It is truncated at
 X = 40, i.e. at K = 40/a in momentum, beyond which |f| < e^{-80}-ish, and
 the discarded tail is reported as an explicit bound obtained from the
 integrand's own magnitude near X.
+
+Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
+graded ladder of breakpoints below the small-x layers (see
+_graded_breakpoints) and, above the ladder, with the dyadic points X/2,
+X/4, ... down to 2.  Bisection from [0, X] reaches those points anyway, so
+seeding them keeps the panels bisection would reach and only skips the
+parent panels it would compute and throw away.
 """
 
 from __future__ import annotations
@@ -122,15 +129,15 @@ def reset_validity_counters() -> None:
     _violations = 0
 
 
-def _count_check(quantity: float, context: str) -> None:
-    global _checks_performed, _violations
-    _checks_performed += 1
-    if not quantity > 0.0:
-        _violations += 1
-        raise ValidityViolationError(
-            f"positivity violated: {context} = {quantity!r}; this cannot "
-            "happen for gamma >= 0 and |Omega| <= 1 and indicates a bug"
-        )
+def _violation(quantity: float, context: str) -> None:
+    """Count a failed positivity check and raise; the integrands count
+    every check inline."""
+    global _violations
+    _violations += 1
+    raise ValidityViolationError(
+        f"positivity violated: {context} = {quantity!r}; this cannot "
+        "happen for gamma >= 0 and |Omega| <= 1 and indicates a bug"
+    )
 
 
 def _require_supported(c: CombCouplings) -> None:
@@ -181,31 +188,33 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     k -> 0 limit is -2 on that measure-zero phase; the generic limit is
     kept, and no quadrature ever samples the endpoint).
     """
-    _require_supported(c)
+    global _checks_performed
+    if c.gamma < 0:
+        _require_supported(c)
     if k < 0:
         raise ValueError(f"momentum must be >= 0, got {k}")
     x, g, om = k * c.a, c.gamma * c.a, c.omega
     if k == 0.0:
         return -1.0 if g > 0 else 0.0
-    costh = math.cos(theta)
+    x2 = 2.0 * x
+    _checks_performed += 1
     if x <= _REARRANGED_ABOVE:
         sh = math.sinh(x)
         sh2 = math.sinh(0.5 * x)
-        A = -x * g * math.cosh(x) + (g - 2.0 * x * x) * sh
-        den = (
-            4.0 * x * sh2 * sh2
-            + g * sh
-            + 2.0 * x * _one_plus_omega_cos(om, theta)
-        )
-        _count_check(den, "B + C cos(theta)")
-        return A / den + x - g / (g + 2.0 * x)
-    eps = math.exp(-2.0 * x)
-    r, s = 2.0 * x + g, 2.0 * x - g
+        A = -x * g * math.cosh(x) + (g - x2 * x) * sh
+        den = 4.0 * x * sh2 * sh2 + g * sh + x2 * _one_plus_omega_cos(om, theta)
+        if not den > 0.0:
+            _violation(den, "B + C cos(theta)")
+        return A / den + x - g / (g + x2)
+    eps = math.exp(-x2)
+    r, s = x2 + g, x2 - g
     p = g - x * r
     t_small = 4.0 * x * om * math.exp(-x)
-    num = 2.0 * x * (4.0 * x * x - g * g - 2.0 * g) * eps - p * t_small * costh
+    costh = math.cos(theta)
+    num = x2 * (4.0 * x * x - g * g - 2.0 * g) * eps - p * t_small * costh
     den = r + s * eps + t_small * costh
-    _count_check(den, "e^{-x}-scaled B + C cos(theta)")
+    if not den > 0.0:
+        _violation(den, "e^{-x}-scaled B + C cos(theta)")
     return num / (r * den)
 
 
@@ -213,30 +222,38 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     """Bloch-phase-averaged integrand I(k) = (1/2pi)[A/sqrt(B^2-C^2) + ak
     - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a,
     cancellation-free on both sides of the x = 5 crossover."""
-    _require_supported(c)
+    global _checks_performed
+    if c.gamma < 0:
+        _require_supported(c)
     if k < 0:
         raise ValueError(f"momentum must be >= 0, got {k}")
     x, g, om = k * c.a, c.gamma * c.a, c.omega
     if k == 0.0:
         return -1.0 / _TWO_PI if g > 0 else 0.0
+    x2 = 2.0 * x
+    _checks_performed += 1
     if x <= _REARRANGED_ABOVE:
         sh = math.sinh(x)
+        ch = math.cosh(x)
+        gsh = g * sh
         sh2 = math.sinh(0.5 * x)
         abs_om = abs(om)
-        A = -x * g * math.cosh(x) + (g - 2.0 * x * x) * sh
-        b_minus = 4.0 * x * sh2 * sh2 + g * sh + 2.0 * x * (1.0 - abs_om)
-        b_plus = 2.0 * x * math.cosh(x) + g * sh + 2.0 * x * abs_om
+        A = -x * g * ch + (g - x2 * x) * sh
+        b_minus = 4.0 * x * sh2 * sh2 + gsh + x2 * (1.0 - abs_om)
+        b_plus = x2 * ch + gsh + x2 * abs_om
         # b_plus >= b_minus, and the product can underflow at tiny g
-        _count_check(b_minus, "B - |C|")
+        if not b_minus > 0.0:
+            _violation(b_minus, "B - |C|")
         root = math.sqrt(b_minus) * math.sqrt(b_plus)
-        return (A / root + x - g / (g + 2.0 * x)) / _TWO_PI
-    eps = math.exp(-2.0 * x)
-    r, s = 2.0 * x + g, 2.0 * x - g
+        return (A / root + x - g / (g + x2)) / _TWO_PI
+    eps = math.exp(-x2)
+    r, s = x2 + g, x2 - g
     p = g - x * r
-    q = 2.0 * x * x - x * g - g
+    q = x2 * x - x * g - g
     delta = eps * (2.0 * r * s + s * s * eps - 16.0 * x * x * om * om)
     y = delta / (r * r)
-    _count_check(1.0 + y, "e^{-2x}-scaled B^2 - C^2")
+    if not 1.0 + y > 0.0:
+        _violation(1.0 + y, "e^{-2x}-scaled B^2 - C^2")
     root = math.sqrt(1.0 + y)
     phi = y / (1.0 + root)
     return (q * eps - p * phi) / (r * root) / _TWO_PI
@@ -270,7 +287,8 @@ def _graded_breakpoints(
     adaptive splitter can converge without ever sampling it (it did: a
     w0 = 1e-6 comb lost the layer's entire -w0 ln w0 signal).  A geometric
     ladder from two decades below the layer up to the bulk scale forces
-    panels at every relevant magnitude.
+    panels at every relevant magnitude.  A plate at g = 0 has no such layer
+    but still has its phase step of width w (below), and grades on w.
 
     The ladder has a floor: its lowest rungs are dropped while the mass
     that the first panel [0, b] may step over stays under budget.  Two
@@ -281,18 +299,19 @@ def _graded_breakpoints(
     for small x, a step from 0 to -2 across x ~ w = width, where
     w^2 = g + 2 (1 + Omega cos theta); it is bounded by
     (2w/pi) atan(b/w), twice the step's own deficit over [0, b], and the
-    comb passes width 0.  The bound is returned with the breakpoints, 0.0
-    when no rung was dropped, for the caller to add to the error it reports.
+    comb passes width 0; at g = 0 the subtraction and its term vanish.  The
+    bound is returned with the breakpoints, 0.0 when no rung was dropped,
+    for the caller to add to the error it reports.
     """
     breaks, mass = [], 0.0
-    layer = 0.5 * g
+    layer = 0.5 * g if g > 0.0 else width
     if 0.0 < layer < 0.01 * X:
         b = 0.01 * layer
         top = min(0.01 * X, 10.0)
         while b < top:
-            m = (g / math.pi) * math.log1p(2.0 * b / g) + (
-                2.0 * width / math.pi
-            ) * math.atan2(b, width)
+            m = (2.0 * width / math.pi) * math.atan2(b, width)
+            if g > 0.0:
+                m += (g / math.pi) * math.log1p(2.0 * b / g)
             if breaks and m < budget:
                 breaks, mass = [b], m
             else:
@@ -319,7 +338,8 @@ def _energy_integral(
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
     Integrates over [0, X], X = 40 (truncation_k * a when configured), in one
-    adaptive run seeded with the graded ladder for g, at abs_tol * a so that
+    adaptive run seeded with the graded ladder for g and, above its top
+    rung, with the dyadic points X/2, X/4, ... >= 2, at abs_tol * a so that
     abs_tol holds in energy units, and bounds the tail beyond X for f
     decaying like e^{-rate x}; width is a fixed phase's step width (see
     _graded_breakpoints), 0 for the comb and the limit curves.  Layer mass
@@ -330,6 +350,16 @@ def _energy_integral(
     X = 40.0 if cfg.truncation_k is None else cfg.truncation_k * a
     tol = cfg.abs_tol * a
     breaks, mass = _graded_breakpoints(g, X, 0.5 * tol, width)
+    # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on
+    # its way down anyway, so seeding them skips only the parent panels it
+    # would compute and discard
+    top = breaks[-1] if breaks else 0.0
+    seed = 0.5 * X
+    dyadic = []
+    while seed >= 2.0 and seed > top:
+        dyadic.append(seed)
+        seed *= 0.5
+    breaks += reversed(dyadic)
     share = 1.0 - mass / tol
     value, err = integrate_finite(
         f,

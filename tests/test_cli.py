@@ -179,7 +179,8 @@ def test_failing_single_evaluations_start_without_numpy():
     code, out, numpy_loaded = run_cold("energy", "--omega", "0", "--gamma", "-1", "--a", "1")
     assert (code, out, numpy_loaded) == (EXIT_DOMAIN, "", False)
     code, out, numpy_loaded = run_cold(
-        "energy", "--w0", "5", "--a", "1", "--abs-tol", "1e-30", "--max-subdivisions", "2"
+        "energy", "--w0", "5", "--a", "1", "--abs-tol", "1e-30", "--rel-tol", "1e-14",
+        "--max-subdivisions", "2",
     )
     assert (code, out, numpy_loaded) == (EXIT_NUMERIC, "", False)
 
@@ -311,10 +312,18 @@ def test_numeric_failure_exits_3(capsys):
     code, _, err = run_cli(
         capsys,
         "energy", "--w0", "5", "--a", "1",
-        "--abs-tol", "1e-30", "--max-subdivisions", "2",
+        "--abs-tol", "1e-30", "--rel-tol", "1e-14", "--max-subdivisions", "2",
     )
     assert code == EXIT_NUMERIC
     assert "numerical failure" in err
+
+
+def test_long_truncation_seeds_above_the_ladder(capsys):
+    # at K = 1000 the ladder climbs to x = 5, above the lowest dyadic seed
+    # 1000/256; seeds at or below the top rung are left out
+    code, out, _ = run_cli(capsys, "energy", "--w0", "10", "--a", "1", "--truncation-k", "1000")
+    assert code == EXIT_OK
+    assert math.isfinite(float(parse_csv(out)[0]["value"]))
 
 
 def test_argparse_usage_errors(capsys):

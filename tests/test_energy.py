@@ -337,11 +337,31 @@ def test_plate_near_the_marginal_phase_keeps_its_step():
         loose = plate_energy(c, 0.0)
         tight = plate_energy(c, 0.0, QuadratureConfig(abs_tol=1e-14))
         assert abs(loose.value - tight.value) <= loose.abs_err + tight.abs_err
-    # gamma = 1e-30 moves the free plate by far less than abs_err
-    c = CombCouplings(w0=1e-30, w1=0.0, a=1.0)
-    for theta in (1e-8, 1e-7, 1e-6):
-        res = plate_energy(c, theta)
-        assert abs(res.value - plate_energy_closed(theta, 1.0)) <= res.abs_err
+    # gamma = 1e-30 moves the free plate by far less than abs_err; at
+    # gamma = 0 there is no gamma layer, and the ladder grades on the step
+    for w0, thetas in ((1e-30, (1e-8, 1e-7, 1e-6)), (0.0, (1e-9, 1.4e-6, 1e-5, 1e-3))):
+        c = CombCouplings(w0=w0, w1=0.0, a=1.0)
+        for theta in thetas:
+            res = plate_energy(c, theta)
+            assert abs(res.value - plate_energy_closed(theta, 1.0)) <= res.abs_err, (w0, theta)
+
+
+def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
+    # [0, 40] starts split at 2.5, 5, 10 and 20, where bisection would go
+    # anyway; the unseeded run of the same integrand agrees within the errors
+    calls = []
+    counted = deltacomb.energy.spectral_integrand
+
+    def counting(c, k):
+        calls.append(k)
+        return counted(c, k)
+
+    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    c = CombCouplings(w0=1.0, w1=0.3, a=1.0)
+    res = comb_energy(c)
+    assert len(calls) <= 140
+    value, err = integrate_finite(lambda x: counted(c, x), 0.0, 40.0, QuadratureConfig())
+    assert abs(res.value - value) <= res.abs_err + err
 
 
 def test_comb_energy_evaluations_do_not_grow_with_spacing(monkeypatch):
