@@ -8,26 +8,24 @@ a secular function.  Two equivalent forms are provided:
 
 * the closed form for the delta-delta' comb (spectral_function),
 
-      g(k) = Omega cos(theta) + cos(k a) + (gamma / 2k) sin(k a),
+      g(k) = Omega cos(theta) + h(k a),  h(x) = cos x + (gamma a / 2x) sin x,
 
   which equals 2 t (cos(theta) - band_rhs) up to the nonvanishing
   prefactor -4 k (1 + w1^2) / D(k), so both share their zeros.
 
-Single-theta roots (dispersion, and the theta = 0 and theta = pi columns
-behind band_edges) are located by scanning in steps of pi/(8 a) (well below
-the ~pi/a root spacing of these oscillatory functions) and refining each
-bracket with Brent's method.  Grazing zeros where a band touches its
-neighbour (e.g. the free comb at theta = 0) produce no sign change; the scan
-detects the local extremum pointing at zero, refines it by golden-section
-search and counts the root twice.  Two caveats follow from that: tangential
-edges are located only to ~1e-8 relative accuracy (root refinement cannot
-help without a sign change), and gaps so narrow that |g| stays below ~1e-9
-across them are reported as touching bands.
+h has the Kronig-Penney structure: h(n pi) = (-1)^n exactly and |h| >= 1
+outside band n's phase window.  So whenever 1 + gamma a/2 >= |Omega| (else
+the lowest band reaches imaginary k), band n's root at any theta is the one
+zero of g on [n pi/a, (n+1) pi/a], and g's end values are known exactly:
+Omega cos(theta) + (-1)^n at the lower end (1 + gamma a/2 + Omega cos(theta)
+for band 0), Omega cos(theta) - (-1)^n at the upper end.  dispersion solves
+each band with one Brent run from those values, so edges at multiples of
+pi/a (touching bands, pure-delta combs, k = 0) come out exact.
 
-band_structure does not scan: inside a band the discriminant is monotone
-in k (the Kronig-Penney property), so k_n(theta) is monotone on [0, pi] and
-each sample is the one root between the previous column's root and the
-band's theta = pi edge.
+band_structure solves only its theta = 0 and theta = pi columns that way:
+inside a band the discriminant is monotone in k, so k_n(theta) is monotone
+on [0, pi] and each interior sample is the one root between the previous
+column's root and the band's theta = pi edge.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from .errors import (
     InvalidLatticeSpacingError,
@@ -58,10 +56,11 @@ __all__ = [
 ]
 
 AmplitudeProvider = Callable[[float], ScatteringAmplitudes]
-Source = Union[CombCouplings, AmplitudeProvider]
 
-# k a at which root scans start
-_SCAN_ORIGIN = 1e-9
+# 1 + gamma a/2 + Omega cos(theta), the k -> 0 value of the secular function,
+# is formed in floating point; within this of zero it counts as zero, so
+# the attractive boundary 1 + gamma a/2 = |Omega| keeps its k = 0 edge
+_ZERO_TOL = 1e-12
 
 # theta = +q a here; the opposite labeling appears in the literature, but all
 # spectra are even in theta so the choice is observationally irrelevant.
@@ -137,153 +136,53 @@ def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
     )
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section minimizer; 80 fixed iterations, deterministic."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+def _root(c: CombCouplings, n: int, theta: float, cfg: QuadratureConfig) -> float:
+    """Band n's root at theta, the one zero on [n pi/a, (n+1) pi/a].
 
-
-def _probe_extremum(
-    secular: Callable[[float], float],
-    left: Tuple[float, float],
-    mid: Tuple[float, float],
-    right: Tuple[float, float],
-    cfg: QuadratureConfig,
-) -> List[float]:
-    """Classify a sign-preserving dip toward zero.
-
-    Returns two roots if the dip actually crosses zero (a pair of nearby
-    simple roots), a doubled root if it grazes zero tangentially, and
-    nothing if it is a genuine extremum away from zero.
+    The end values are exact, not evaluated.  An exact zero at an end is
+    band n's own edge when the band lies on that side of it: the upper end
+    for gamma >= 0, the lower end for gamma <= 0.  Any other end zero is the
+    neighbouring band's, and the secular function just inside has the sign
+    of h at that end.
     """
-    sgn = 1.0 if mid[1] > 0 else -1.0
-    x = _golden_min(lambda t: sgn * secular(t), left[0], right[0])
-    fx = secular(x)
-    if fx == 0.0:
-        return [x, x]
-    if (fx > 0) != (mid[1] > 0):
-        return [
-            refine_root(secular, left[0], x, cfg),
-            refine_root(secular, x, right[0], cfg),
-        ]
-    scale = max(1.0, abs(left[1]), abs(right[1]))
-    if abs(fx) <= 1e-9 * scale:
-        return [x, x]
-    return []
-
-
-def _scan_roots(
-    secular: Callable[[float], float],
-    a: float,
-    n_roots: int,
-    cfg: QuadratureConfig,
-) -> List[float]:
-    """First n_roots positive zeros of the secular function, in order.
-
-    The scan starts at k = _SCAN_ORIGIN/a (k = 0 is excluded from the
-    spectrum); an exact float zero at the scan origin is treated as the
-    excluded k -> 0 boundary, not as a band state.  Tangential zeros appear
-    twice.
-
-    Exact zeros AT a sample are common, not exotic: samples sit at
-    ka = 1e-9 + m pi/8, and cos(n pi +- 1e-9) rounds to +-1 exactly, so for
-    gamma = 0 every band-touching point coincides with a sample zero.  Such
-    a zero's multiplicity is settled by the neighbouring nonzero samples:
-    equal signs on both sides mean the curve grazed zero (double root),
-    opposite signs mean a plain crossing that happened to land on the grid.
-    """
-    step = math.pi / (8.0 * a)
-    k = _SCAN_ORIGIN / a
-    f = secular(k)
-    k_limit = k + (2.0 * math.pi / a) * (n_roots + 4)
-    roots: List[float] = []
-    last_sign = 0 if f == 0.0 else (1 if f > 0 else -1)
-    pending_zero: Optional[float] = None
-    pending_sign_before = 0
-    prev2: Optional[Tuple[float, float]] = None
-    prev = (k, f)
-    while len(roots) < n_roots and prev[0] < k_limit:
-        k = prev[0] + step
-        f = secular(k)
-        if f == 0.0:
-            if pending_zero is not None:
-                # consecutive sample zeros: no analytic secular function
-                # here does this; count the earlier one once and move on
-                roots.append(pending_zero)
-            pending_zero = k
-            pending_sign_before = last_sign
-            prev2 = None
-            prev = (k, f)
-            continue
-        sign = 1 if f > 0 else -1
-        if pending_zero is not None:
-            if pending_sign_before == sign and pending_sign_before != 0:
-                roots.extend((pending_zero, pending_zero))
-            else:
-                roots.append(pending_zero)
-            pending_zero = None
-        elif prev[1] != 0.0 and (prev[1] > 0) != (f > 0):
-            roots.append(refine_root(secular, prev[0], k, cfg))
-        elif (
-            prev2 is not None
-            and prev[1] != 0.0
-            and prev2[1] != 0.0
-            and abs(prev[1]) < abs(prev2[1])
-            and abs(prev[1]) < abs(f)
-            and (prev2[1] > 0) == (prev[1] > 0) == (f > 0)
-        ):
-            roots.extend(_probe_extremum(secular, prev2, prev, (k, f), cfg))
-        last_sign = sign
-        prev2 = prev
-        prev = (k, f)
-    if pending_zero is not None and len(roots) < n_roots:
-        roots.append(pending_zero)
-    if len(roots) < n_roots:
-        raise RootScanError(
-            f"found {len(roots)} of {n_roots} requested roots while scanning "
-            f"[{_SCAN_ORIGIN / a:.3e}, {k_limit:.6g}]"
-        )
-    return roots[:n_roots]
-
-
-def _resolve_source(
-    source: Source, theta: float, a: Optional[float]
-) -> Tuple[Callable[[float], float], float]:
-    """Secular function and lattice spacing for either kind of source."""
-    if isinstance(source, CombCouplings):
-        return (lambda k: spectral_function(source, k, theta)), source.a
-    if a is None:
-        raise ValueError("lattice spacing a is required for amplitude callables")
-    costh = math.cos(theta)
-    return (lambda k: band_rhs(source, k, a) - costh), a
+    g = c.gamma * c.a
+    oc = c.omega * math.cos(theta)
+    parity = 1.0 if n % 2 == 0 else -1.0  # h(n pi) = (-1)^n
+    h_lo = 1.0 + 0.5 * g if n == 0 else parity
+    f_lo, f_hi = oc + h_lo, oc - parity
+    if n == 0 and abs(f_lo) <= _ZERO_TOL:
+        f_lo = 0.0
+    lo, hi = n * math.pi / c.a, (n + 1) * math.pi / c.a
+    if f_hi == 0.0:
+        if g >= 0.0:
+            return hi
+        f_hi = -parity
+    if f_lo == 0.0:
+        if g <= 0.0:
+            return lo
+        f_lo = h_lo
+    ends = {lo: f_lo, hi: f_hi}
+    return refine_root(
+        lambda k: ends[k] if k in ends else spectral_function(c, k, theta),
+        lo,
+        hi,
+        cfg,
+    )
 
 
 def dispersion(
-    source: Source,
+    c: CombCouplings,
     theta: float,
     n_bands: int = 1,
     cfg: Optional[QuadratureConfig] = None,
-    a: Optional[float] = None,
 ) -> List[float]:
-    """First n_bands positive spectrum momenta k_n(theta), increasing.
+    """Momenta k_n(theta) of the first n_bands bands, band n's in
+    [n pi/a, (n+1) pi/a].
 
-    source is either CombCouplings (closed-form secular function) or a
-    callable k -> ScatteringAmplitudes (general comb; pass the spacing a).
-    theta enters through cos(theta) only, so the result is exactly even in
-    theta (|theta| is used internally).  Doubly degenerate momenta, where
-    neighbouring bands touch, appear twice.
+    Exactly even in theta (|theta| is used).  Touching bands both report the
+    shared momentum, and band 0 reports k = 0 where it reaches the zero mode.
+    Combs with 1 + gamma a/2 < |Omega|, whose lowest band reaches imaginary
+    k, raise OutsideValidityDomainError.
     """
     cfg = cfg or QuadratureConfig()
     if n_bands < 1:
@@ -291,88 +190,36 @@ def dispersion(
     theta = abs(float(theta))
     if not theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    secular, aa = _resolve_source(source, theta, a)
-    return _scan_roots(secular, aa, n_bands, cfg)
-
-
-Edge = Tuple[float, float]  # (k, theta) with theta = 0 or theta = pi
-
-
-def _edges(
-    source: Source,
-    n_bands: int,
-    cfg: Optional[QuadratureConfig],
-    a: Optional[float],
-) -> List[Tuple[Edge, Edge]]:
-    """Lower and upper edge of the first n_bands bands, each with the theta
-    (0 or pi) whose root it is.
-
-    The k -> 0 limit of each column is the secular function at the scan
-    origin, for either kind of source.  Where it vanishes to rounding, the
-    band bottom is the excluded zero mode: the scan drops an exact zero
-    there, and a rounding residue gives no root or a spurious one within the
-    first scan step, so that column's edge becomes k = 0 instead.  Opposite
-    signs in the two columns put k -> 0 inside a band, which then continues
-    to imaginary k.  For couplings the limit is Omega cos(theta) + 1 +
-    gamma a/2 and a negative value in either column already means
-    1 + gamma a/2 < |Omega|; the amplitude form has no fixed overall sign,
-    so only the opposite-sign case is detected there.
-    """
-    cfg = cfg or QuadratureConfig()
-    if n_bands < 1:
-        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    origin = []
-    for theta in (0.0, math.pi):
-        secular, aa = _resolve_source(source, theta, a)
-        origin.append(secular(_SCAN_ORIGIN / aa))
-    tol = 1e-12 * max(1.0, abs(origin[0]), abs(origin[1]))
-    if min(origin) < -tol and (
-        isinstance(source, CombCouplings) or max(origin) > tol
-    ):
+    if 1.0 + 0.5 * c.gamma * c.a < abs(c.omega) - _ZERO_TOL:
         raise OutsideValidityDomainError(
-            f"secular function at k -> 0 is {origin[0]:.6g} at theta = 0 and "
-            f"{origin[1]:.6g} at theta = pi: the lowest band reaches imaginary k"
+            f"1 + gamma a/2 < |Omega| at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, "
+            f"{c.a!r}): the lowest band reaches imaginary k"
         )
-    need = n_bands + 1
-    merged: List[Edge] = []
-    for theta, g0 in zip((0.0, math.pi), origin):
-        roots = dispersion(source, theta, need, cfg, a)
-        if abs(g0) <= tol:
-            first_step = math.pi / (8.0 * aa)
-            roots = [0.0] + [k for k in roots if k >= first_step]
-        merged += [(k, theta) for k in roots]
-    merged.sort()
-    return [(merged[2 * n], merged[2 * n + 1]) for n in range(n_bands)]
+    return [_root(c, n, theta, cfg) for n in range(n_bands)]
 
 
 def band_edges(
-    source: Source,
+    c: CombCouplings,
     n_bands: int,
     cfg: Optional[QuadratureConfig] = None,
-    a: Optional[float] = None,
 ) -> List[Tuple[float, float]]:
     """Edge intervals [k_min, k_max] of the first n_bands bands.
 
-    Band edges are spectrum momenta at theta = 0 or theta = pi; merging the
-    two sorted root lists and pairing consecutive entries yields the bands
-    (flat bands give k_min = k_max, touching bands share an endpoint).  Where
-    the secular function vanishes in the k -> 0 limit at theta = 0 or
-    theta = pi, the excluded zero mode is restored as the bottom edge of the
-    lowest band.  Sources whose lowest band reaches imaginary k raise
-    OutsideValidityDomainError: couplings with 1 + gamma a/2 < |Omega|, and
-    any source whose k -> 0 limit lies strictly inside a band.
+    The edges are a band's momenta at theta = 0 and theta = pi, the two
+    columns of a 2-point band_structure.  Flat bands give k_min = k_max,
+    touching bands share an endpoint exactly, and a band reaching the zero
+    mode starts at k_min = 0.
     """
-    return [(lo[0], hi[0]) for lo, hi in _edges(source, n_bands, cfg, a)]
+    return [(b.k_min, b.k_max) for b in band_structure(c, n_bands, 2, cfg).bands]
 
 
 def _band_root(
-    source: Source,
+    c: CombCouplings,
     theta: float,
     near: float,
     far: float,
     edges: Tuple[float, float],
     cfg: QuadratureConfig,
-    a: Optional[float],
 ) -> float:
     """The band's root at theta, known to lie between near and far.
 
@@ -380,17 +227,15 @@ def _band_root(
     a step in theta that moves the root by less than that can leave the root
     just outside [near, far]; the band's whole edge interval is then the
     bracket.  A bracket already within root_tol needs no evaluation (flat
-    bands have near == far).  A k = 0 end (a restored zero mode) is moved to
-    the scan origin, since amplitude sources have t = 0 or a pole at k = 0.
+    bands have near == far).
     """
     lo, hi = sorted((near, far))
     if hi - lo <= cfg.root_tol * hi:
         return near
-    secular, aa = _resolve_source(source, theta, a)
-    floor = _SCAN_ORIGIN / aa
+    secular = lambda k: spectral_function(c, k, theta)  # noqa: E731
     for lo, hi in ((lo, hi), edges):
         try:
-            return refine_root(secular, max(lo, floor), hi, cfg)
+            return refine_root(secular, lo, hi, cfg)
         except NoSignChangeError:
             pass
     raise RootScanError(
@@ -400,18 +245,17 @@ def _band_root(
 
 
 def band_structure(
-    source: Source,
+    c: CombCouplings,
     n_bands: int = 4,
     n_theta: int = 101,
     cfg: Optional[QuadratureConfig] = None,
-    a: Optional[float] = None,
 ) -> BandStructure:
     """Sample k_n(theta) on a uniform closed theta grid over [-pi, pi].
 
     The grid is exactly mirror-symmetric (thetas[i] == -thetas[-1-i], with
     theta = 0.0 in the middle for odd n_theta); only theta >= 0 is solved and
     samples at -theta are copies.  The theta = 0 and theta = pi columns are
-    the band edges (including a restored k = 0 zero mode).
+    the band edges (including k = 0 where a band reaches the zero mode).
     """
     cfg = cfg or QuadratureConfig()
     if n_theta < 2:
@@ -421,31 +265,24 @@ def band_structure(
     m = n_theta - 1
     thetas = tuple(math.pi * ((2 * i - m) / m) for i in range(n_theta))
     upper = thetas[n_theta // 2 :]
-    aa = source.a if isinstance(source, CombCouplings) else a
     bands = []
-    for n, ((k_min, theta_min), (k_max, _)) in enumerate(
-        _edges(source, n_bands, cfg, a)
+    for n, (k_zero, k_pi) in enumerate(
+        zip(dispersion(c, 0.0, n_bands, cfg), dispersion(c, math.pi, n_bands, cfg))
     ):
-        k_zero, k_pi = (k_min, k_max) if theta_min == 0.0 else (k_max, k_min)
-        ks = []
-        prev = k_zero
-        for theta in upper:
-            if theta == 0.0:
-                k = k_zero
-            elif theta == math.pi:
-                k = k_pi
-            else:
-                k = _band_root(source, theta, prev, k_pi, (k_min, k_max), cfg, a)
+        edges = (min(k_zero, k_pi), max(k_zero, k_pi))
+        ks, k = [], k_zero
+        for theta in upper[:-1]:  # upper[-1] is pi
+            k = k_zero if theta == 0.0 else _band_root(c, theta, k, k_pi, edges, cfg)
             ks.append(k)
-            prev = k
+        ks.append(k_pi)
         bands.append(
             Band(
                 index=n,
-                a=aa,
+                a=c.a,
                 thetas=thetas,
                 ks=tuple(ks[::-1][: n_theta - len(ks)] + ks),
-                k_min=k_min,
-                k_max=k_max,
+                k_min=edges[0],
+                k_max=edges[1],
             )
         )
-    return BandStructure(a=aa, bands=tuple(bands))
+    return BandStructure(a=c.a, bands=tuple(bands))

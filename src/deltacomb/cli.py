@@ -5,7 +5,7 @@ sweeps behind the standard plots (scan-a, scan-couplings, ratio-w0), and the
 built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 (one object with run metadata); floats are serialized with full round-trip
 precision.  Exit codes: 0 success, 2 domain/usage error, 3 numerical failure
-(tolerance not met, root scan failed, validity guard tripped), and 1 when
+(tolerance not met, root search failed, validity guard tripped), and 1 when
 `verify` finds a failing check.  numpy is imported only inside the sweeps
 (for their grids) and by the verification suite, so the single evaluations
 start without it.

@@ -148,6 +148,23 @@ def _require_supported(c: CombCouplings) -> None:
         )
 
 
+# the integrands' g^2 sinh^2 x and (2x + g)^2 terms overflow for some
+# x <= 5 from about g = 1e152 on; energies stop below that
+_MAX_GAMMA_A = 1e150
+
+
+def _unit_couplings(c: CombCouplings) -> CombCouplings:
+    """c at unit spacing, whose gamma is gamma a; errors name c's values."""
+    _require_supported(c)
+    if c.gamma * c.a > _MAX_GAMMA_A:
+        raise OutsideValidityDomainError(
+            f"gamma a exceeds {_MAX_GAMMA_A:g} at (w0, w1, a) = "
+            f"({c.w0!r}, {c.w1!r}, {c.a!r}): the energy integrands overflow "
+            "in double precision there"
+        )
+    return CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+
+
 @dataclass(frozen=True)
 class EnergyResult:
     """Energy value with its quadrature error and truncation-tail bound.
@@ -238,14 +255,19 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
         gsh = g * sh
         sh2 = math.sinh(0.5 * x)
         abs_om = abs(om)
-        A = -x * g * ch + (g - x2 * x) * sh
         b_minus = 4.0 * x * sh2 * sh2 + gsh + x2 * (1.0 - abs_om)
         b_plus = x2 * ch + gsh + x2 * abs_om
         # b_plus >= b_minus, and the product can underflow at tiny g
         if not b_minus > 0.0:
             _violation(b_minus, "B - |C|")
         root = math.sqrt(b_minus) * math.sqrt(b_plus)
-        return (A / root + x - g / (g + x2)) / _TWO_PI
+        # A/root + x = head/root with head = A + x root, and
+        # x root - 2x^2 sinh x = x D/(root + 2x sinh x) for
+        # D = root^2 - 4x^2 sinh^2 x, a sum of non-negative terms: unlike
+        # A/root + x, nothing cancels as g -> 0 at |Omega| = 1
+        d = 4.0 * x * x * (1.0 - om * om) + gsh * (2.0 * x2 * ch + gsh)
+        head = x * d / (root + x2 * sh) + g * (sh - x * ch)
+        return (head / root - g / (g + x2)) / _TWO_PI
     eps = math.exp(-x2)
     r, s = x2 + g, x2 - g
     p = g - x * r
@@ -386,8 +408,7 @@ def comb_energy(
     separate bound.
     """
     cfg = cfg or QuadratureConfig()
-    _require_supported(c)
-    unit = CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+    unit = _unit_couplings(c)
     # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
     return _energy_integral(
         lambda x: spectral_integrand(unit, x), unit.gamma, c.a, cfg, 1.5
@@ -404,10 +425,9 @@ def plate_energy(
     dtheta/(2 pi) recovers comb_energy.  Even in theta.
     """
     cfg = cfg or QuadratureConfig()
-    _require_supported(c)
+    unit = _unit_couplings(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    unit = CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
     width = math.sqrt(unit.gamma + 2.0 * _one_plus_omega_cos(unit.omega, theta))
     # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltacomb import (
     CombCouplings,
@@ -27,7 +29,7 @@ from deltacomb import (
     spectral_function,
 )
 import deltacomb.bands
-from deltacomb.bands import _band_root, _scan_roots
+from deltacomb.bands import _band_root
 
 FREE = CombCouplings(w0=0.0, w1=0.0, a=1.0)
 MIXED = CombCouplings(w0=0.0, w1=1.0, a=1.0)  # Omega = gamma = 0
@@ -163,16 +165,6 @@ def test_dispersion_strong_coupling_pins_to_multiples_of_pi():
         assert abs(k - n * math.pi) / (n * math.pi) <= 1e-6
 
 
-def test_dispersion_amplitude_source_matches_couplings():
-    c = CombCouplings(w0=10.0, w1=0.0, a=1.0)
-    via_amps = dispersion(
-        lambda k: delta_amplitudes(10.0, k), 0.3, n_bands=2, a=1.0
-    )
-    via_couplings = dispersion(c, 0.3, 2)
-    for x, y in zip(via_amps, via_couplings):
-        assert abs(x - y) <= 1e-8
-
-
 def test_dispersion_validation():
     with pytest.raises(ValueError):
         dispersion(FREE, 0.0, 0)
@@ -180,27 +172,6 @@ def test_dispersion_validation():
         dispersion(FREE, 4.0, 1)  # |theta| > pi
     with pytest.raises(ValueError):
         dispersion(FREE, math.nan, 1)
-    with pytest.raises(ValueError):
-        dispersion(_free_amps, 0.0, 1)  # amplitude source needs a
-
-
-def test_root_scan_reports_failure():
-    # a secular function with no zeros at all
-    cfg = QuadratureConfig()
-    with pytest.raises(RootScanError, match="0 of 2"):
-        _scan_roots(lambda k: 1.0 + 0.1 * math.sin(k), 1.0, 2, cfg)
-
-
-def test_scan_counts_tangential_roots_twice():
-    cfg = QuadratureConfig()
-    # perfect tangency: double root away from any grid point
-    roots = _scan_roots(lambda k: (k - 2.3) ** 2, 1.0, 2, cfg)
-    assert len(roots) == 2 and roots[0] == roots[1]
-    assert abs(roots[0] - 2.3) <= 1e-6
-    # barely-split pair: the dip dives below zero between grid points
-    roots = _scan_roots(lambda k: (k - 2.3) ** 2 - 1e-6, 1.0, 2, cfg)
-    assert abs(roots[0] - (2.3 - 1e-3)) <= 1e-9
-    assert abs(roots[1] - (2.3 + 1e-3)) <= 1e-9
 
 
 # ------------------------------------------------------------------- edges
@@ -223,6 +194,58 @@ def test_band_edges_free_comb_scales_with_spacing():
     for n, (lo, hi) in enumerate(edges):
         assert abs(lo - n * math.pi / a) <= 2e-9
         assert abs(hi - (n + 1) * math.pi / a) <= 2e-9
+
+
+@pytest.mark.parametrize("a", [1.0, 2.5])
+def test_band_edges_at_multiples_of_pi_are_exact(a):
+    # free comb: band 0 runs from the zero mode to pi/a, both ends exact
+    assert band_edges(CombCouplings(w0=0.0, w1=0.0, a=a), 1)[0] == (0.0, math.pi / a)
+    # Kronig-Penney: every band's upper edge is the bracket end (n + 1) pi/a
+    for n, (_, hi) in enumerate(band_edges(CombCouplings(w0=10.0, w1=0.0, a=a), 4)):
+        assert hi == (n + 1) * math.pi / a
+
+
+def test_band_edges_where_gamma_a_overflows():
+    # gamma a = 1e310 is not a double; every edge sits at (n + 1) pi/a
+    a = 1e10
+    tol = QuadratureConfig().root_tol
+    for n, (lo, hi) in enumerate(band_edges(CombCouplings(w0=1e300, w1=0.0, a=a), 3)):
+        target = (n + 1) * math.pi / a
+        assert abs(lo - target) <= tol * target
+        assert abs(hi - target) <= tol * target
+
+
+def test_band_edges_secular_calls(monkeypatch):
+    calls = 0
+    inner = deltacomb.bands.spectral_function
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(deltacomb.bands, "spectral_function", counted)
+    band_edges(CombCouplings(w0=3.0, w1=0.4, a=1.0), 8)
+    # 16 roots, each one Brent solve from exact bracket-end values
+    assert calls <= 160
+
+
+_DECADES = st.floats(-300.0, 300.0)
+_SIGNS = st.sampled_from((-1.0, 1.0))
+
+
+@given(s0=_SIGNS, e0=_DECADES, s1=_SIGNS, e1=_DECADES, ea=_DECADES)
+@settings(deadline=None, max_examples=200)
+def test_bands_lie_in_their_brackets_or_raise(s0, e0, s1, e1, ea):
+    c = CombCouplings(w0=s0 * 10.0**e0, w1=s1 * 10.0**e1, a=10.0**ea)
+    margin = 1.0 + 0.5 * c.gamma * c.a - abs(c.omega)
+    assume(not -1e-12 <= margin < 0.0)  # rounding slack at the boundary
+    if margin < 0.0:
+        with pytest.raises(OutsideValidityDomainError):
+            band_edges(c, 3)
+        return
+    for n, (lo, hi) in enumerate(band_edges(c, 3)):
+        assert n * math.pi / c.a <= lo <= hi <= (n + 1) * math.pi / c.a
 
 
 def test_band_edges_mixed_comb_flat_bands():
@@ -284,10 +307,10 @@ def test_band_structure_kronig_penney_shape():
                 assert th[n_theta // 2] == 0.0
 
 
-def _assert_matches_dispersion(source, n_bands, n_theta, a=None):
-    """Every sample lies in its band and matches the per-column scan."""
+def _assert_matches_dispersion(source, n_bands, n_theta):
+    """Every sample lies in its band and matches the per-column solve."""
     tol = 2.0 * QuadratureConfig().root_tol
-    bs = band_structure(source, n_bands, n_theta, a=a)
+    bs = band_structure(source, n_bands, n_theta)
     thetas = bs.bands[0].thetas
     for j, theta in enumerate(thetas):
         column = [band.ks[j] for band in bs.bands]
@@ -297,7 +320,7 @@ def _assert_matches_dispersion(source, n_bands, n_theta, a=None):
             # edge columns are the band edges themselves
             assert all(k in (b.k_min, b.k_max) for b, k in zip(bs.bands, column))
             continue
-        for k, ref in zip(column, dispersion(source, theta, n_bands, a=a)):
+        for k, ref in zip(column, dispersion(source, theta, n_bands)):
             assert abs(k - ref) <= tol * max(1.0, ref)
 
 
@@ -312,14 +335,6 @@ def test_band_structure_matches_per_column_dispersion():
     _assert_matches_dispersion(CombCouplings(w0=1e8, w1=0.0, a=1.0), 3, 31)
     _assert_matches_dispersion(CombCouplings.from_reduced(0.0, 2.0, 1.3), 4, 31)
     _assert_matches_dispersion(CombCouplings(w0=0.0, w1=0.0, a=1.7), 4, 31)
-    _assert_matches_dispersion(lambda k: delta_amplitudes(4.0, k), 3, 21, a=1.2)
-    # the free comb as amplitudes: its zero mode is restored as for couplings
-    free_amps = lambda k: delta_amplitudes(0.0, k)  # noqa: E731
-    _assert_matches_dispersion(free_amps, 4, 31, a=1.0)
-    edges = band_edges(free_amps, 2, a=1.0)
-    assert edges[0][0] == 0.0
-    assert edges[0][1] == pytest.approx(math.pi, abs=1e-8)
-    assert edges[1][1] == pytest.approx(2.0 * math.pi, abs=1e-8)
 
 
 def test_band_structure_secular_calls_per_sample(monkeypatch):
@@ -340,12 +355,12 @@ def test_band_structure_secular_calls_per_sample(monkeypatch):
 def test_band_root_brackets():
     cfg = QuadratureConfig()
     k_min, k_max = KP_ROOTS_0[0], KP_ROOTS_PI[0]
-    root = _band_root(KP, 1.0, k_min, k_max, (k_min, k_max), cfg, None)
+    root = _band_root(KP, 1.0, k_min, k_max, (k_min, k_max), cfg)
     # a previous-column root just past this one: the band's edges take over
-    assert _band_root(KP, 1.0, root + 1e-13, k_max, (k_min, k_max), cfg, None) == root
+    assert _band_root(KP, 1.0, root + 1e-13, k_max, (k_min, k_max), cfg) == root
     # no sign change anywhere: [3.5, 4.5] lies in the gap above pi
     with pytest.raises(RootScanError):
-        _band_root(KP, 1.0, 3.5, 4.5, (3.5, 4.5), cfg, None)
+        _band_root(KP, 1.0, 3.5, 4.5, (3.5, 4.5), cfg)
 
 
 def test_band_structure_rejects_bands_at_imaginary_k():
@@ -355,9 +370,6 @@ def test_band_structure_rejects_bands_at_imaginary_k():
         band_edges(attractive, 3)
     with pytest.raises(OutsideValidityDomainError):
         band_structure(attractive, 3, 11)
-    # the same comb as amplitudes: k -> 0 lies inside its lowest band
-    with pytest.raises(OutsideValidityDomainError):
-        band_edges(lambda k: delta_amplitudes(-3.0, k), 3, a=1.0)
 
 
 def test_band_structure_attractive_comb_with_real_bands():
@@ -371,8 +383,8 @@ def test_band_structure_attractive_comb_with_real_bands():
 
 def test_band_structure_at_the_attractive_boundary():
     # 1 + gamma a/2 = 0.3 = |Omega|: at theta = pi the secular function
-    # vanishes as k -> 0 only to rounding, and the scan there reports a
-    # spurious root within its first step instead of the zero mode
+    # vanishes as k -> 0 only to rounding, and must still give band 0 its
+    # zero-mode edge rather than a spurious root just above k = 0
     c = CombCouplings.from_reduced(omega=0.3, gamma=-1.4, a=1.0)
     at_pi = [k for k in dispersion(c, math.pi, 4) if k >= math.pi / 8.0]
     merged = sorted(dispersion(c, 0.0, 4) + [0.0] + at_pi)

@@ -299,6 +299,25 @@ def test_domain_errors_exit_2(capsys):
     assert code == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--w0", "1e300", "--a", "1e10"),
+        ("energy", "--omega", "0.3", "--gamma", "1e160", "--a", "1"),
+        ("plate", "--omega", "0.3", "--gamma", "1e160", "--a", "1", "--theta", "1"),
+        ("plate", "--omega", "0.3", "--gamma", "1e154", "--a", "1", "--theta", "1",
+         "--format", "json"),
+    ],
+)
+def test_huge_gamma_a_exits_2(capsys, argv):
+    # a typed error naming the caller's values, not a NaN row, an overflowed
+    # inf or the positivity sentinel
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert "gamma a exceeds" in err
+    assert "bug" not in err and "inf" not in err
+
+
 def test_huge_w1_gives_finite_energy(capsys):
     # w1^2 overflows, but Omega = 1 and gamma = 0 are representable: E ~ 0
     code, out, _ = run_cli(capsys, "energy", "--w0", "1", "--w1", "1e200", "--a", "1")

@@ -303,6 +303,33 @@ def test_small_spacing_scales_exactly_at_equal_gamma_a():
     assert abs(1e-5 * small.value - unit.value) <= 1e-5 * small.abs_err + unit.abs_err
 
 
+@pytest.mark.parametrize("w1", [0.0, 0.5])
+def test_small_spacing_at_unit_coupling_scales_exactly(w1):
+    # gamma a = 1e-8: at |Omega| = 1 the small-x integrand must not cancel
+    # A/root against x, whose noise made w0 = 1, a = 1e-8 miss its tolerance
+    small = comb_energy(CombCouplings(w0=1.0, w1=w1, a=1e-8))
+    unit = comb_energy(CombCouplings(w0=1e-8, w1=w1, a=1.0))
+    assert abs(1e-8 * small.value - unit.value) <= 1e-8 * small.abs_err + unit.abs_err
+
+
+def test_gamma_a_above_the_limit_is_a_domain_error():
+    for c in (
+        CombCouplings(w0=1e300, w1=0.0, a=1e10),  # gamma a overflows
+        CombCouplings.from_reduced(omega=0.3, gamma=1e154, a=1.0),
+    ):
+        with pytest.raises(OutsideValidityDomainError, match="gamma a exceeds"):
+            comb_energy(c)
+        with pytest.raises(OutsideValidityDomainError, match="gamma a exceeds"):
+            plate_energy(c, 1.0)
+
+
+def test_gamma_a_at_the_limit_stays_finite():
+    c = CombCouplings.from_reduced(omega=0.3, gamma=1e150, a=1.0)
+    for res in (comb_energy(c), plate_energy(c, 1.0)):
+        assert math.isfinite(res.value) and math.isfinite(res.abs_err)
+        assert abs(res.value + math.pi / 24.0) <= 1e-6
+
+
 def test_tiny_gamma_matches_gamma_zero(monkeypatch):
     # B^2 - C^2 underflows to 0 at gamma = 1e-300; its factors do not.  The
     # ladder's floor leaves the layer of mass ~ gamma ln gamma to abs_err, so
