@@ -182,7 +182,8 @@ def dispersion(
     Exactly even in theta (|theta| is used).  Touching bands both report the
     shared momentum, and band 0 reports k = 0 where it reaches the zero mode.
     Combs with 1 + gamma a/2 < |Omega|, whose lowest band reaches imaginary
-    k, raise OutsideValidityDomainError.
+    k, and spacings so small that n_bands pi/a overflows raise
+    OutsideValidityDomainError.
     """
     cfg = cfg or QuadratureConfig()
     if n_bands < 1:
@@ -194,6 +195,11 @@ def dispersion(
         raise OutsideValidityDomainError(
             f"1 + gamma a/2 < |Omega| at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, "
             f"{c.a!r}): the lowest band reaches imaginary k"
+        )
+    if n_bands * math.pi / c.a == math.inf:
+        raise OutsideValidityDomainError(
+            f"band {n_bands - 1}'s upper edge {n_bands} pi/a overflows at "
+            f"(w0, w1, a) = ({c.w0!r}, {c.w1!r}, {c.a!r})"
         )
     return [_root(c, n, theta, cfg) for n in range(n_bands)]
 

@@ -25,18 +25,22 @@ Bloch-phase average of the subtracted integrand
     f(x) = (1/2 pi) [ A / sqrt(B^2 - C^2) + x - g/(g + 2x) ].
 
 Only gamma >= 0 is supported (attractive combs bind states below k = 0 and
-need a separate treatment), and B^2 > C^2 then holds for every x > 0, a
-fact this module re-checks on each evaluation as a bug sentinel.
+need a separate treatment), and B^2 > C^2 then holds for every x > 0.  A
+denominator that is negative or NaN raises ValidityViolationError as a bug
+sentinel; nothing is counted or stored between calls.
 
 Numerical strategy
 ------------------
 F and f are exponentially small differences of O(x) quantities once
 x >> 1, so a single formula cannot be evaluated accurately everywhere:
 
-* x <= 5: the written formulas, with the denominators regrouped into
-  sums of non-negative terms, e.g. B + C cos theta = 4x sinh^2(x/2)
-  + g sinh(x) + 2x (1 + Omega cos theta), and 1 + Omega cos theta
-  itself expanded about the nearer of theta = 0, pi so nothing cancels.
+* x <= 5: the written formulas divided through by x (by x^2 for F), with
+  the denominators regrouped into sums of non-negative terms, e.g.
+  (B + C cos theta)/x = 4 sinh^2(x/2) + g sinh(x)/x + 2 (1 + Omega cos
+  theta), and 1 + Omega cos theta itself expanded about the nearer of
+  theta = 0, pi so nothing cancels.  A scaled denominator underflows to 0
+  only at the free corner g = 0, |Omega| = 1 (resp. 1 + Omega cos theta
+  = 0), whose exact values f = 0 and F = x - 2 are returned there.
 
 * x > 5: rearranged forms in which the subtraction of the large terms
   has been performed analytically.  With R = 2x + g, S = 2x - g,
@@ -91,9 +95,6 @@ __all__ = [
     "dirichlet_limit_integrand",
     "mixed_limit_integrand",
     "small_coupling_ratio",
-    "validity_check_count",
-    "validity_violation_count",
-    "reset_validity_counters",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -102,38 +103,10 @@ _TWO_PI = 2.0 * math.pi
 # both are good to ~1e-13 relative at x = 5, so the seam is invisible
 _REARRANGED_ABOVE = 5.0
 
-# Validity bookkeeping: every integrand evaluation checks B^2 - C^2 > 0
-# (resp. B + C cos theta > 0) and counts the check.  A violation raises
-# ValidityViolationError; for gamma >= 0, |Omega| <= 1 it is provably
-# unreachable, so the violation counter staying at zero is part of the
-# verification suite.  Plain module ints: evaluations are single-threaded
-# within one quadrature call and the counters are diagnostics, not state
-# the numerics depend on.
-_checks_performed = 0
-_violations = 0
-
-
-def validity_check_count() -> int:
-    """Number of integrand-level positivity checks performed so far."""
-    return _checks_performed
-
-
-def validity_violation_count() -> int:
-    """Number of failed positivity checks (each also raised)."""
-    return _violations
-
-
-def reset_validity_counters() -> None:
-    global _checks_performed, _violations
-    _checks_performed = 0
-    _violations = 0
-
 
 def _violation(quantity: float, context: str) -> None:
-    """Count a failed positivity check and raise; the integrands count
-    every check inline."""
-    global _violations
-    _violations += 1
+    """Raise the positivity sentinel for a denominator that is negative or
+    NaN, which supported input cannot produce."""
     raise ValidityViolationError(
         f"positivity violated: {context} = {quantity!r}; this cannot "
         "happen for gamma >= 0 and |Omega| <= 1 and indicates a bug"
@@ -157,12 +130,15 @@ def _unit_couplings(c: CombCouplings) -> CombCouplings:
     """c at unit spacing, whose gamma is gamma a; errors name c's values."""
     _require_supported(c)
     if c.gamma * c.a > _MAX_GAMMA_A:
-        raise OutsideValidityDomainError(
-            f"gamma a exceeds {_MAX_GAMMA_A:g} at (w0, w1, a) = "
-            f"({c.w0!r}, {c.w1!r}, {c.a!r}): the energy integrands overflow "
-            "in double precision there"
-        )
-    return CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+        limit = f"gamma a exceeds {_MAX_GAMMA_A:g}"
+    elif not math.isfinite(c.w0 * c.a):
+        limit = "w0 a overflows"
+    else:
+        return CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+    raise OutsideValidityDomainError(
+        f"{limit} at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, {c.a!r}): the energy "
+        "integrands leave the double-precision range there"
+    )
 
 
 @dataclass(frozen=True)
@@ -205,7 +181,6 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     k -> 0 limit is -2 on that measure-zero phase; the generic limit is
     kept, and no quadrature ever samples the endpoint).
     """
-    global _checks_performed
     if c.gamma < 0:
         _require_supported(c)
     if k < 0:
@@ -214,15 +189,18 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     if k == 0.0:
         return -1.0 if g > 0 else 0.0
     x2 = 2.0 * x
-    _checks_performed += 1
     if x <= _REARRANGED_ABOVE:
+        # A/x^2 over (B + C cos theta)/x^2, in which no term underflows
         sh = math.sinh(x)
         sh2 = math.sinh(0.5 * x)
-        A = -x * g * math.cosh(x) + (g - x2 * x) * sh
-        den = 4.0 * x * sh2 * sh2 + g * sh + x2 * _one_plus_omega_cos(om, theta)
+        shx = sh / x
+        num = g * (shx - math.cosh(x)) / x - 2.0 * sh
+        den = 4.0 * sh2 * (sh2 / x) + (g * shx + 2.0 * _one_plus_omega_cos(om, theta)) / x
         if not den > 0.0:
-            _violation(den, "B + C cos(theta)")
-        return A / den + x - g / (g + x2)
+            if den == 0.0:  # sinh(x/2) underflows, g = 0, 1 + Omega cos theta = 0
+                return x - 2.0
+            _violation(den, "(B + C cos(theta))/x^2")
+        return num / den + x - g / (g + x2)
     eps = math.exp(-x2)
     r, s = x2 + g, x2 - g
     p = g - x * r
@@ -239,7 +217,6 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     """Bloch-phase-averaged integrand I(k) = (1/2pi)[A/sqrt(B^2-C^2) + ak
     - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a,
     cancellation-free on both sides of the x = 5 crossover."""
-    global _checks_performed
     if c.gamma < 0:
         _require_supported(c)
     if k < 0:
@@ -248,26 +225,27 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     if k == 0.0:
         return -1.0 / _TWO_PI if g > 0 else 0.0
     x2 = 2.0 * x
-    _checks_performed += 1
     if x <= _REARRANGED_ABOVE:
+        # (B -+ |C|)/x; b_minus = 0 only where its x^2-sized term
+        # underflows at g = 0, |Omega| = 1, where I = 0 for every x
         sh = math.sinh(x)
         ch = math.cosh(x)
-        gsh = g * sh
+        gs = g * (sh / x)
         sh2 = math.sinh(0.5 * x)
         abs_om = abs(om)
-        b_minus = 4.0 * x * sh2 * sh2 + gsh + x2 * (1.0 - abs_om)
-        b_plus = x2 * ch + gsh + x2 * abs_om
-        # b_plus >= b_minus, and the product can underflow at tiny g
+        b_minus = 4.0 * sh2 * sh2 + gs + 2.0 * (1.0 - abs_om)
         if not b_minus > 0.0:
-            _violation(b_minus, "B - |C|")
-        root = math.sqrt(b_minus) * math.sqrt(b_plus)
-        # A/root + x = head/root with head = A + x root, and
-        # x root - 2x^2 sinh x = x D/(root + 2x sinh x) for
-        # D = root^2 - 4x^2 sinh^2 x, a sum of non-negative terms: unlike
-        # A/root + x, nothing cancels as g -> 0 at |Omega| = 1
-        d = 4.0 * x * x * (1.0 - om * om) + gsh * (2.0 * x2 * ch + gsh)
-        head = x * d / (root + x2 * sh) + g * (sh - x * ch)
-        return (head / root - g / (g + x2)) / _TWO_PI
+            if b_minus == 0.0:
+                return 0.0
+            _violation(b_minus, "(B - |C|)/x")
+        rho = math.sqrt(b_minus) * math.sqrt(2.0 * ch + gs + 2.0 * abs_om)
+        # A/root + x = head/root for head = A + x root = x D/(root + 2x sinh x)
+        # + g (sinh x - x cosh x), where D = root^2 - 4x^2 sinh^2 x is a sum of
+        # non-negative terms, so nothing cancels as g -> 0 at |Omega| = 1;
+        # rho = root/x and D/x^2 keep every term clear of underflow
+        d = 4.0 * (1.0 - om * om) + gs * (4.0 * ch + gs)  # D/x^2
+        head = d / rho * x / (rho + 2.0 * sh) + (gs - g * ch) / rho  # head/root
+        return (head - g / (g + x2)) / _TWO_PI
     eps = math.exp(-x2)
     r, s = x2 + g, x2 - g
     p = g - x * r
@@ -290,7 +268,6 @@ def theta_integral_numeric(
     integral; returns (value, abs_err).
     """
     cfg = cfg or QuadratureConfig()
-    _require_supported(c)
     value, err = integrate_finite(
         lambda th: theta_integrand(c, k, th), -math.pi, math.pi, cfg
     )

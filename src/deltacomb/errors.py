@@ -22,11 +22,10 @@ class OutsideValidityDomainError(DeltaCombError):
 
 
 class ValidityViolationError(DeltaCombError):
-    """B^2 - C^2 <= 0 was encountered at k > 0.
+    """An energy integrand's scaled denominator was negative or NaN at k > 0.
 
-    This inequality is guaranteed for gamma >= 0 and |Omega| <= 1, so hitting
-    this error means either unsupported input slipped through or there is a
-    bug in an integrand evaluation path.
+    gamma >= 0 and |Omega| <= 1 keep B - |C| and B + C cos(theta) positive,
+    so this means unsupported input slipped through or a bug.
     """
 
 

@@ -307,6 +307,8 @@ def test_domain_errors_exit_2(capsys):
         ("plate", "--omega", "0.3", "--gamma", "1e160", "--a", "1", "--theta", "1"),
         ("plate", "--omega", "0.3", "--gamma", "1e154", "--a", "1", "--theta", "1",
          "--format", "json"),
+        # gamma a = 1e110 is in range, but the unit-spacing w0 a is not
+        ("energy", "--w0", "1e300", "--w1", "1e100", "--a", "1e10"),
     ],
 )
 def test_huge_gamma_a_exits_2(capsys, argv):
@@ -314,8 +316,24 @@ def test_huge_gamma_a_exits_2(capsys, argv):
     # inf or the positivity sentinel
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_DOMAIN and out == ""
-    assert "gamma a exceeds" in err
+    assert ("w0 a overflows" if "--w1" in argv else "gamma a exceeds") in err
+    assert "(w0, w1, a) = (" in err
     assert "bug" not in err and "inf" not in err
+
+
+def test_tiny_pure_delta_at_tiny_tolerance_stays_off_the_sentinel(capsys):
+    # gamma a = 1e-300 with abs_tol 1e-300 keeps the ladder's low rungs, so
+    # the quadrature samples x ~ 1e-300 at |Omega| = 1
+    code, out, err = run_cli(
+        capsys, "plate", "--w0", "1e-300", "--a", "1", "--theta", "0", "--abs-tol", "1e-300"
+    )
+    assert code == EXIT_OK
+    row = parse_csv(out)[0]
+    assert abs(float(row["value"]) + math.pi / 6.0) <= float(row["abs_err"])
+    # the comb cannot meet that tolerance, and says so
+    code, out, err = run_cli(capsys, "energy", "--w0", "1e-300", "--a", "1", "--abs-tol", "1e-300")
+    assert code == EXIT_NUMERIC and out == ""
+    assert "above tolerance" in err and "positivity" not in err
 
 
 def test_huge_w1_gives_finite_energy(capsys):

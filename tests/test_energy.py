@@ -9,7 +9,9 @@ import math
 import random
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from deltacomb import (
     CombCouplings,
     OutsideValidityDomainError,
     QuadratureConfig,
+    ValidityViolationError,
     comb_energy,
     dirichlet_limit_integrand,
     integrate_finite,
@@ -31,12 +34,7 @@ from deltacomb import (
     theta_integrand,
 )
 import deltacomb.energy
-from deltacomb.energy import (
-    _energy_integral,
-    reset_validity_counters,
-    validity_check_count,
-    validity_violation_count,
-)
+from deltacomb.energy import _energy_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,16 +74,97 @@ def test_abc_frozen_point():
 
 
 def test_abc_positivity_in_band_regime():
-    # B > 0 and B^2 > C^2 for gamma >= 0, |Omega| < 1, k > 0: each evaluation
-    # passes the integrands' positivity check, on both sides of ka = 5
-    reset_validity_counters()
+    # B > 0 and B^2 > C^2 for gamma >= 0, |Omega| < 1, k > 0: each of the 24
+    # evaluations passes the integrands' positivity check (a failed one
+    # raises), on both sides of ka = 5
+    values = []
     for gamma, omega in ((0.0, 0.5), (2.0, -0.9), (10.0, 0.0)):
         c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=1.0)
         for k in (0.01, 1.0, 5.0, 25.0):
-            assert math.isfinite(spectral_integrand(c, k))
-            assert math.isfinite(theta_integrand(c, k, 2.0))
-    assert validity_check_count() == 24
-    assert validity_violation_count() == 0
+            values += [spectral_integrand(c, k), theta_integrand(c, k, 2.0)]
+    assert len(values) == 24
+    assert all(math.isfinite(v) for v in values)
+
+
+def test_positivity_sentinel_fires_beyond_the_supported_domain():
+    # |Omega| >> 1 makes B - |C| and B + C cos(theta) negative: the sentinel
+    # raises in the small-x forms (down to tiny x) and the rearranged ones
+    beyond = SimpleNamespace(gamma=0.5, a=1.0, omega=1e6)
+    for x in (1e-120, 1.0, 6.0):
+        with pytest.raises(ValidityViolationError, match="positivity violated"):
+            spectral_integrand(beyond, x)
+        with pytest.raises(ValidityViolationError, match="positivity violated"):
+            theta_integrand(beyond, x, math.pi)
+
+
+def test_free_corner_returns_exact_values_below_underflow():
+    # g = 0, |Omega| = 1: I = 0 for every x, and F = x - 2 where also
+    # 1 + Omega cos(theta) = 0, down to x whose square underflows
+    free = CombCouplings(w0=0.0, w1=0.0, a=1.0)  # Omega = -1
+    for x in (1e-160, 1e-170, 1e-300):
+        assert spectral_integrand(free, x) == 0.0
+        assert theta_integrand(free, x, 0.0) == -2.0
+    stiff = CombCouplings(w0=1.0, w1=1e200, a=1.0)  # Omega = 1, gamma = 0
+    assert spectral_integrand(stiff, 1e-170) == 0.0
+
+
+def _oracle(g, omega, x, thetas):
+    """I and F at each theta in 80-digit mpmath, from B -+ |C| and
+    B + C cos(theta) as sums of non-negative terms and with A/root + x
+    written as head/root (the identities the module documents); sinh x
+    - x cosh x is the series -(x^3/3) 0F1(; 5/2; x^2/4), so nothing cancels
+    at tiny x.  Returns I and the list of F."""
+    with mpmath.workdps(80):
+        g, om, x = mpmath.mpf(g), mpmath.mpf(omega), mpmath.mpf(x)
+        sh, ch, sh2 = mpmath.sinh(x), mpmath.cosh(x), mpmath.sinh(x / 2)
+        smc = -(x**3) / 3 * mpmath.hyp0f1(2.5, x * x / 4)
+        A = g * smc - 2 * x * x * sh
+        sub = x - g / (g + 2 * x)
+        b_minus = 4 * x * sh2**2 + g * sh + 2 * x * (1 - abs(om))
+        root = mpmath.sqrt(b_minus * (2 * x * ch + g * sh + 2 * x * abs(om)))
+        D = 4 * x * x * (1 - om * om) + g * sh * (4 * x * ch + g * sh)
+        head = x * D / (root + 2 * x * sh) + g * smc
+        I = (head / root - g / (g + 2 * x)) / (2 * mpmath.pi)
+        Fs = [
+            A / (4 * x * sh2**2 + g * sh + 2 * x * (1 + om * mpmath.cos(theta))) + sub
+            for theta in thetas
+        ]
+        return float(I), [float(F) for F in Fs]
+
+
+def test_integrands_against_mpmath_oracle():
+    # seeded over gamma a in {0} u [1e-300, 1e150], Omega in {-1, 1} u (-1, 1),
+    # x in [1e-300, 40] on both sides of x = 5, theta in {0, pi} u (-pi, pi),
+    # plus the free corner below underflow.  I and F have zeros (I vanishes
+    # identically for the free comb), so the error is measured against
+    # |value| plus the decay envelope, x e^{-2x} for I and x e^{-x} for F
+    rng = random.Random(12345)
+    points = [(0.0, -1.0, x) for x in (1e-170, 1e-160, 1e-155)]
+    for i in range(120):
+        g = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-300.0, 150.0)
+        omega = (-1.0, 1.0, rng.uniform(-1.0, 1.0))[i % 3]
+        points += [
+            (g, omega, 10.0 ** rng.uniform(-300.0, math.log10(40.0))),
+            (g, omega, rng.uniform(5.0, 40.0)),
+        ]
+    worst = {}
+    for g, omega, x in points:
+        # Omega = 1 only as w1 = 1e200, where gamma = 0 is forced
+        if omega == 1.0:
+            c = CombCouplings(w0=1.0, w1=1e200, a=1.0)
+        else:
+            c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
+        thetas = (0.0, math.pi, rng.uniform(-math.pi, math.pi))
+        I, Fs = _oracle(c.gamma, c.omega, x, thetas)
+        side = "x <= 5" if x <= 5.0 else "x > 5"
+        errors = [abs(spectral_integrand(c, x) - I) / (abs(I) + x * math.exp(-2.0 * x))]
+        errors += [
+            abs(theta_integrand(c, x, theta) - F) / (abs(F) + x * math.exp(-x))
+            for theta, F in zip(thetas, Fs)
+        ]
+        worst[side] = max(worst.get(side, 0.0), *errors)
+    assert set(worst) == {"x <= 5", "x > 5"}
+    assert max(worst.values()) <= 1e-13, worst
 
 
 @pytest.mark.parametrize(
@@ -174,14 +253,6 @@ def test_spectral_integrand_exponential_envelope():
     for i in range(29):
         k = 26.0 + 0.5 * i
         assert abs(spectral_integrand(c, k)) <= M * math.exp(-1.5 * k)
-
-
-def test_validity_counters_track_integrand_checks():
-    reset_validity_counters()
-    before = validity_check_count()
-    comb_energy(CombCouplings(w0=2.0, w1=0.3, a=1.0))
-    assert validity_check_count() > before
-    assert validity_violation_count() == 0
 
 
 # -------------------------------------------------------- energy integral

@@ -9,7 +9,13 @@ REMOVED = {
     "scattering": ("derive_couplings",),
     "bands": ("BlochParams", "spectral_function_general"),
     "quadrature": ("integrate_semi_infinite",),
-    "energy": ("IntegrandABC", "integrand_abc"),
+    "energy": (
+        "IntegrandABC",
+        "integrand_abc",
+        "validity_check_count",
+        "validity_violation_count",
+        "reset_validity_counters",
+    ),
 }
 
 
