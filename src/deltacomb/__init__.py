@@ -42,12 +42,9 @@ from .energy import (
     comb_energy,
     dirichlet_limit_integrand,
     mixed_limit_integrand,
-    plate_average_closed,
     plate_energy,
     plate_energy_closed,
-    small_coupling_ratio,
     spectral_integrand,
-    theta_integral_numeric,
     theta_integrand,
 )
 
@@ -81,11 +78,8 @@ __all__ = [
     "comb_energy",
     "dirichlet_limit_integrand",
     "mixed_limit_integrand",
-    "plate_average_closed",
     "plate_energy",
     "plate_energy_closed",
-    "small_coupling_ratio",
     "spectral_integrand",
-    "theta_integral_numeric",
     "theta_integrand",
 ]

@@ -43,7 +43,7 @@ from .errors import (
     RootScanError,
 )
 from .quadrature import QuadratureConfig, refine_root
-from .scattering import CombCouplings, ScatteringAmplitudes
+from .scattering import CombCouplings, ScatteringAmplitudes, s_matrix_det
 
 __all__ = [
     "Band",
@@ -71,15 +71,10 @@ class Band:
     """One band: momentum samples over a theta grid plus its edge interval."""
 
     index: int
-    a: float
     thetas: Tuple[float, ...]
     ks: Tuple[float, ...]
     k_min: float
     k_max: float
-
-    @property
-    def qs(self) -> Tuple[float, ...]:
-        return tuple(t / self.a for t in self.thetas)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ def band_rhs(amps_at: AmplitudeProvider, k: float, a: float) -> float:
             f"zero transmission at k = {k}; the comb spectrum collapses to "
             "the perfectly reflecting point spectrum"
         )
-    det = amps.t * amps.t - amps.rR * amps.rL
+    det = s_matrix_det(amps)
     phase = cmath.exp(1j * k * a)
     val = (phase * det + 1.0 / phase) / (2.0 * t)
     roundoff = 16.0 * math.ulp(1.0) * (abs(det) + 1.0) / (2.0 * abs(t))
@@ -284,7 +279,6 @@ def band_structure(
         bands.append(
             Band(
                 index=n,
-                a=c.a,
                 thetas=thetas,
                 ks=tuple(ks[::-1][: n_theta - len(ks)] + ks),
                 k_min=edges[0],

@@ -18,11 +18,11 @@ import csv
 import io
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bands import band_structure
-from .energy import comb_energy, plate_energy, _w0_log_ratio
+from .energy import EnergyResult, comb_energy, plate_energy, _w0_log_ratio
 from .errors import (
     AmplitudePoleError,
     InvalidLatticeSpacingError,
@@ -211,6 +211,23 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep(
+    args: argparse.Namespace,
+    command: str,
+    names: Sequence[str],
+    header: Sequence[str],
+    points: Iterable[Tuple[CombCouplings, Tuple]],
+    row: Callable[[Tuple, EnergyResult], Tuple],
+) -> int:
+    """Emit one row per (couplings, lead) point, the lead values followed by
+    row(lead, comb_energy(couplings)); the parameters are the args in names."""
+    cfg = _quad_config(args)
+    rows = [(*lead, *row(lead, comb_energy(c, cfg))) for c, lead in points]
+    params = {name: getattr(args, name) for name in names}
+    _emit(args, command, params, cfg, header, rows)
+    return EXIT_OK
+
+
 def cmd_scan_a(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -218,27 +235,23 @@ def cmd_scan_a(args: argparse.Namespace) -> int:
         raise ValueError("need 0 < --a-min < --a-max")
     if args.count < 2:
         raise ValueError("need --count >= 2")
-    cfg = _quad_config(args)
-    rows = []
-    for a in np.linspace(args.a_min, args.a_max, args.count):
-        c = _resolve_couplings(args, float(a))
-        res = comb_energy(c, cfg)
-        rows.append((float(a), res.value, res.abs_err, res.tail_bound))
-    params = {
-        "a_min": args.a_min,
-        "a_max": args.a_max,
-        "count": args.count,
-        **{k: v for k, v in vars(args).items() if k in ("w0", "w1", "omega", "gamma")},
-    }
-    _emit(
+    grid = map(float, np.linspace(args.a_min, args.a_max, args.count))
+    return _sweep(
         args,
         "scan-a",
-        params,
-        cfg,
+        ("a_min", "a_max", "count", "w0", "w1", "omega", "gamma"),
         ("a", "energy", "abs_err", "tail_bound"),
-        rows,
+        ((_resolve_couplings(args, a), (a,)) for a in grid),
+        lambda lead, res: (res.value, res.abs_err, res.tail_bound),
     )
-    return EXIT_OK
+
+
+def _energy_sign(lead: Tuple, res: EnergyResult) -> Tuple:
+    if abs(res.value) <= max(res.abs_err + res.tail_bound, 1e-14):
+        sign = 0
+    else:
+        sign = 1 if res.value > 0 else -1
+    return res.value, res.abs_err, sign
 
 
 def cmd_scan_couplings(args: argparse.Namespace) -> int:
@@ -252,37 +265,20 @@ def cmd_scan_couplings(args: argparse.Namespace) -> int:
         raise ValueError("need -1 <= --omega-min < --omega-max < 1")
     if args.gamma_count < 2 or args.omega_count < 2:
         raise ValueError("need --gamma-count >= 2 and --omega-count >= 2")
-    cfg = _quad_config(args)
-    rows = []
-    for gamma in np.linspace(args.gamma_min, args.gamma_max, args.gamma_count):
-        for omega in np.linspace(args.omega_min, args.omega_max, args.omega_count):
-            c = CombCouplings.from_reduced(
-                omega=float(omega), gamma=float(gamma), a=args.a
-            )
-            res = comb_energy(c, cfg)
-            if abs(res.value) <= max(res.abs_err + res.tail_bound, 1e-14):
-                sign = 0
-            else:
-                sign = 1 if res.value > 0 else -1
-            rows.append((float(gamma), float(omega), res.value, res.abs_err, sign))
-    params = {
-        "a": args.a,
-        "gamma_min": args.gamma_min,
-        "gamma_max": args.gamma_max,
-        "gamma_count": args.gamma_count,
-        "omega_min": args.omega_min,
-        "omega_max": args.omega_max,
-        "omega_count": args.omega_count,
-    }
-    _emit(
+    gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_count)
+    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_count)
+    return _sweep(
         args,
         "scan-couplings",
-        params,
-        cfg,
+        ("a", "gamma_min", "gamma_max", "gamma_count", "omega_min", "omega_max", "omega_count"),
         ("gamma", "omega", "energy", "abs_err", "sign"),
-        rows,
+        (
+            (CombCouplings.from_reduced(omega=omega, gamma=gamma, a=args.a), (gamma, omega))
+            for gamma in map(float, gammas)
+            for omega in map(float, omegas)
+        ),
+        _energy_sign,
     )
-    return EXIT_OK
 
 
 def cmd_ratio_w0(args: argparse.Namespace) -> int:
@@ -292,27 +288,15 @@ def cmd_ratio_w0(args: argparse.Namespace) -> int:
         raise ValueError("need 0 < --w0-min < --w0-max < 1 (log ratio domain)")
     if args.count < 2:
         raise ValueError("need --count >= 2")
-    cfg = _quad_config(args)
-    rows = []
-    for w0 in np.geomspace(args.w0_min, args.w0_max, args.count):
-        w0 = float(w0)
-        res = comb_energy(CombCouplings(w0=w0, w1=0.0, a=args.a), cfg)
-        rows.append((w0, res.value, res.abs_err, _w0_log_ratio(res.value, w0)))
-    params = {
-        "a": args.a,
-        "w0_min": args.w0_min,
-        "w0_max": args.w0_max,
-        "count": args.count,
-    }
-    _emit(
+    grid = map(float, np.geomspace(args.w0_min, args.w0_max, args.count))
+    return _sweep(
         args,
         "ratio-w0",
-        params,
-        cfg,
+        ("a", "w0_min", "w0_max", "count"),
         ("w0", "energy", "abs_err", "ratio"),
-        rows,
+        ((CombCouplings(w0=w0, w1=0.0, a=args.a), (w0,)) for w0 in grid),
+        lambda lead, res: (res.value, res.abs_err, _w0_log_ratio(res.value, lead[0])),
     )
-    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -87,14 +87,11 @@ __all__ = [
     "EnergyResult",
     "theta_integrand",
     "spectral_integrand",
-    "theta_integral_numeric",
     "comb_energy",
     "plate_energy",
     "plate_energy_closed",
-    "plate_average_closed",
     "dirichlet_limit_integrand",
     "mixed_limit_integrand",
-    "small_coupling_ratio",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -152,10 +149,6 @@ class EnergyResult:
     abs_err: float
     truncation_k: float
     tail_bound: float
-
-    @property
-    def total_error(self) -> float:
-        return self.abs_err + self.tail_bound
 
 
 def _one_plus_omega_cos(omega: float, theta: float) -> float:
@@ -259,7 +252,7 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     return (q * eps - p * phi) / (r * root) / _TWO_PI
 
 
-def theta_integral_numeric(
+def _theta_integral_numeric(
     c: CombCouplings, k: float, cfg: Optional[QuadratureConfig] = None
 ) -> Tuple[float, float]:
     """Direct Bloch-phase quadrature int_{-pi}^{pi} dtheta/(4 pi^2) F(k, theta).
@@ -428,18 +421,6 @@ def plate_energy_closed(theta: float, a: float) -> float:
     return (t - t * t / _TWO_PI - math.pi / 3.0) / (2.0 * a)
 
 
-def plate_average_closed(a: float) -> float:
-    """Phase average int_{-pi}^{pi} dtheta/(2 pi) of plate_energy_closed.
-
-    Exactly zero: the average of (|theta| - theta^2/2pi - pi/3) picks up
-    pi/2 - pi/6 - pi/3, whose rational coefficients sum to exactly 0, so
-    the zero is returned as such rather than left to floating point.
-    """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
-    return 0.0
-
-
 def dirichlet_limit_integrand(k: float, a: float) -> float:
     """Strong-coupling (gamma -> oo) limit of I(k): -ka e^{-ka} csch(ka)/(2 pi).
 
@@ -472,21 +453,7 @@ def mixed_limit_integrand(k: float, a: float) -> float:
     return (x / _TWO_PI) * 2.0 * eps / (1.0 + eps)
 
 
-def small_coupling_ratio(
-    w0: float, a: float, cfg: Optional[QuadratureConfig] = None
-) -> float:
-    """comb_energy(pure-delta comb) / (w0 ln w0) for 0 < w0 < 1.
-
-    The pure-delta comb (w1 = 0, i.e. Omega = -1, gamma = w0) has energy
-    ~ w0 ln(w0) as w0 -> 0 -- not analytic at the free point, so the ratio
-    tends to a finite constant instead of the energy having a power series.
-    """
-    if not 0.0 < w0 < 1.0:
-        raise ValueError(f"w0 must lie in (0, 1) for the log ratio, got {w0}")
-    c = CombCouplings(w0=w0, w1=0.0, a=a)
-    return _w0_log_ratio(comb_energy(c, cfg).value, w0)
-
-
 def _w0_log_ratio(energy: float, w0: float) -> float:
-    """energy / (w0 ln w0), the ratio small_coupling_ratio reports."""
+    """energy / (w0 ln w0): the pure-delta comb's energy goes like w0 ln(w0)
+    as w0 -> 0, not analytic at the free point, so the ratio tends to a constant."""
     return energy / (w0 * math.log(w0))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import (
     AmplitudePoleError,
@@ -63,10 +63,7 @@ class CombCouplings:
 
     omega = (w1^2 - 1)/(w1^2 + 1) in [-1, 1] and gamma = w0/(1 + w1^2) are
     the combination the band and energy formulas actually depend on; for
-    |w1| > 1 they are formed from w1^-2, which cannot overflow.  The
-    matching-condition parameters alpha = (1 + w1)/(1 - w1) and
-    beta = w0/(1 - w1^2) are undefined at w1 = +-1 and stored as None there
-    (that is a flag, not an error: omega = 0 is perfectly regular downstream).
+    |w1| > 1 they are formed from w1^-2, which cannot overflow.
     """
 
     w0: float
@@ -74,8 +71,6 @@ class CombCouplings:
     a: float
     omega: float = field(init=False)
     gamma: float = field(init=False)
-    alpha: Optional[float] = field(init=False)
-    beta: Optional[float] = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.a < math.inf:
@@ -89,12 +84,6 @@ class CombCouplings:
         p, q, _ = _over_w1_squared(self.w1)
         object.__setattr__(self, "omega", (p - q) / (p + q))
         object.__setattr__(self, "gamma", self.w0 * q / (p + q))
-        if self.w1 == 1.0 or self.w1 == -1.0:
-            object.__setattr__(self, "alpha", None)
-            object.__setattr__(self, "beta", None)
-        else:
-            object.__setattr__(self, "alpha", (1.0 + self.w1) / (1.0 - self.w1))
-            object.__setattr__(self, "beta", self.w0 / (1.0 - self.w1 * self.w1))
 
     @classmethod
     def from_reduced(cls, omega: float, gamma: float, a: float) -> "CombCouplings":

@@ -6,8 +6,11 @@ prints its [PASS]/[FAIL] line and asserts the outcome, so a red criterion is
 visible both in the -v listing and in the captured detail.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from deltacomb import verification
 from deltacomb.verification import run_all
 
 
@@ -61,3 +64,28 @@ def test_criterion_09_asymptotic_vanishing(results):
 
 def test_criterion_10_validity_guard(results):
     _gate(results, 10)
+
+
+# ------------------------------------- the checks fail on a shifted energy
+
+
+def test_check_03_fails_on_plate_energies_shifted_by_1e_8(monkeypatch):
+    plate_energy = verification.plate_energy
+
+    def shifted(c, theta, cfg=None):
+        res = plate_energy(c, theta, cfg)
+        return replace(res, value=res.value + 1e-8 / c.a)
+
+    monkeypatch.setattr(verification, "plate_energy", shifted)
+    assert not verification.check_free_comb_zero().passed
+
+
+def test_check_02_fails_on_a_comb_energy_shifted_by_1e_8(monkeypatch):
+    comb_energy = verification.comb_energy
+
+    def shifted(c, cfg=None):
+        res = comb_energy(c, cfg)
+        return replace(res, value=res.value + 1e-8)
+
+    monkeypatch.setattr(verification, "comb_energy", shifted)
+    assert not verification.check_dirichlet_constant().passed

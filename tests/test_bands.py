@@ -296,7 +296,6 @@ def test_band_structure_kronig_penney_shape():
         assert np.max(np.abs(np.diff(ks))) < 0.5
         assert np.all(ks >= band.k_min - 1e-9)
         assert np.all(ks <= band.k_max + 1e-9)
-        assert band.qs == band.thetas  # a = 1
     # the grid and the samples are even in theta, exactly
     for n_theta in (21, 100, 101):
         for band in band_structure(KP, n_bands=2, n_theta=n_theta).bands:

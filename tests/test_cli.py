@@ -241,6 +241,39 @@ def test_ratio_w0(capsys):
         assert float(r["ratio"]) == pytest.approx(e / (w0 * math.log(w0)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "sweep, point",
+    [
+        (
+            ("scan-a", "--w0", "5", "--w1", "0.5", "--a-min", "0.5", "--a-max", "4",
+             "--count", "3"),
+            lambda r: ("--w0", "5", "--w1", "0.5", "--a", r["a"]),
+        ),
+        (
+            ("scan-couplings", "--a", "1.5", "--gamma-min", "0", "--gamma-max", "2",
+             "--gamma-count", "2", "--omega-min", "-1", "--omega-max", "0.6",
+             "--omega-count", "3"),
+            lambda r: ("--omega", r["omega"], "--gamma", r["gamma"], "--a", "1.5"),
+        ),
+        (
+            ("ratio-w0", "--a", "2", "--w0-min", "1e-5", "--w0-max", "0.1", "--count", "3"),
+            lambda r: ("--w0", r["w0"], "--a", "2"),
+        ),
+    ],
+    ids=("scan-a", "scan-couplings", "ratio-w0"),
+)
+def test_sweep_rows_match_single_evaluations(capsys, sweep, point):
+    code, out, _ = run_cli(capsys, *sweep)
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert len(rows) in (3, 6)
+    for row in rows:
+        code, out, _ = run_cli(capsys, "energy", *point(row))
+        assert code == EXIT_OK
+        (single,) = parse_csv(out)
+        assert (row["energy"], row["abs_err"]) == (single["value"], single["abs_err"])
+
+
 # ------------------------------------------------------------ verification
 
 

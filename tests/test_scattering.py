@@ -34,25 +34,19 @@ def test_derive_couplings_free():
     c = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     assert c.omega == -1.0
     assert c.gamma == 0.0
-    assert c.alpha == 1.0
-    assert c.beta == 0.0
 
 
-def test_derive_couplings_w1_unity_flags_alpha_beta():
-    c = CombCouplings(w0=2.0, w1=1.0, a=1.0)
-    assert c.omega == 0.0
-    assert c.gamma == 1.0
-    assert c.alpha is None and c.beta is None
-    c = CombCouplings(w0=2.0, w1=-1.0, a=1.0)
-    assert c.alpha is None and c.beta is None
+def test_derive_couplings_w1_unity():
+    for w1 in (1.0, -1.0):
+        c = CombCouplings(w0=2.0, w1=w1, a=1.0)
+        assert c.omega == 0.0
+        assert c.gamma == 1.0
 
 
 def test_derive_couplings_generic():
     c = CombCouplings(w0=3.0, w1=2.0, a=0.5)
     assert c.omega == pytest.approx(3.0 / 5.0, abs=1e-15)
     assert c.gamma == pytest.approx(3.0 / 5.0, abs=1e-15)
-    assert c.alpha == pytest.approx(-3.0, abs=1e-15)
-    assert c.beta == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_gamma_tracks_w0_sign():
