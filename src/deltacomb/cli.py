@@ -6,9 +6,7 @@ built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 (one object with run metadata); floats are serialized with full round-trip
 precision.  Exit codes: 0 success, 2 domain/usage error, 3 numerical failure
 (tolerance not met, root search failed, validity guard tripped), and 1 when
-`verify` finds a failing check.  numpy is imported only inside the sweeps
-(for their grids) and by the verification suite, so the single evaluations
-start without it.
+`verify` finds a failing check.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -211,6 +210,16 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _grid(lo: float, hi: float, count: int, log: bool = False) -> List[float]:
+    """count points from lo to hi, evenly spaced in the value or, with log, in
+    its log10; both ends are exactly lo and hi."""
+    if log:
+        inner = _grid(math.log10(lo), math.log10(hi), count)[1:-1]
+        return [lo, *(10.0**y for y in inner), hi]
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count - 1)] + [hi]
+
+
 def _sweep(
     args: argparse.Namespace,
     command: str,
@@ -229,13 +238,11 @@ def _sweep(
 
 
 def cmd_scan_a(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    if not 0.0 < args.a_min < args.a_max:
-        raise ValueError("need 0 < --a-min < --a-max")
+    if not 0.0 < args.a_min < args.a_max < math.inf:
+        raise ValueError(f"need 0 < --a-min < --a-max < inf, got {args.a_min!r}, {args.a_max!r}")
     if args.count < 2:
         raise ValueError("need --count >= 2")
-    grid = map(float, np.linspace(args.a_min, args.a_max, args.count))
+    grid = _grid(args.a_min, args.a_max, args.count)
     return _sweep(
         args,
         "scan-a",
@@ -255,18 +262,15 @@ def _energy_sign(lead: Tuple, res: EnergyResult) -> Tuple:
 
 
 def cmd_scan_couplings(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    if args.gamma_min < 0:
-        raise ValueError("gamma grid must be >= 0")
-    if not args.gamma_min < args.gamma_max:
-        raise ValueError("need --gamma-min < --gamma-max")
-    if not -1.0 <= args.omega_min < args.omega_max < 1.0:
-        raise ValueError("need -1 <= --omega-min < --omega-max < 1")
+    g_lo, g_hi, o_lo, o_hi = args.gamma_min, args.gamma_max, args.omega_min, args.omega_max
+    if not 0.0 <= g_lo < g_hi < math.inf:
+        raise ValueError(f"need 0 <= --gamma-min < --gamma-max < inf, got {g_lo!r}, {g_hi!r}")
+    if not -1.0 <= o_lo < o_hi < 1.0:
+        raise ValueError(f"need -1 <= --omega-min < --omega-max < 1, got {o_lo!r}, {o_hi!r}")
     if args.gamma_count < 2 or args.omega_count < 2:
         raise ValueError("need --gamma-count >= 2 and --omega-count >= 2")
-    gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_count)
-    omegas = np.linspace(args.omega_min, args.omega_max, args.omega_count)
+    gammas = _grid(g_lo, g_hi, args.gamma_count)
+    omegas = _grid(o_lo, o_hi, args.omega_count)
     return _sweep(
         args,
         "scan-couplings",
@@ -274,21 +278,19 @@ def cmd_scan_couplings(args: argparse.Namespace) -> int:
         ("gamma", "omega", "energy", "abs_err", "sign"),
         (
             (CombCouplings.from_reduced(omega=omega, gamma=gamma, a=args.a), (gamma, omega))
-            for gamma in map(float, gammas)
-            for omega in map(float, omegas)
+            for gamma in gammas
+            for omega in omegas
         ),
         _energy_sign,
     )
 
 
 def cmd_ratio_w0(args: argparse.Namespace) -> int:
-    import numpy as np
-
     if not 0.0 < args.w0_min < args.w0_max < 1.0:
         raise ValueError("need 0 < --w0-min < --w0-max < 1 (log ratio domain)")
     if args.count < 2:
         raise ValueError("need --count >= 2")
-    grid = map(float, np.geomspace(args.w0_min, args.w0_max, args.count))
+    grid = _grid(args.w0_min, args.w0_max, args.count, log=True)
     return _sweep(
         args,
         "ratio-w0",

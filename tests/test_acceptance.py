@@ -89,3 +89,14 @@ def test_check_02_fails_on_a_comb_energy_shifted_by_1e_8(monkeypatch):
 
     monkeypatch.setattr(verification, "comb_energy", shifted)
     assert not verification.check_dirichlet_constant().passed
+
+
+def test_check_08_fails_on_comb_energies_shifted_by_1e_8(monkeypatch):
+    comb_energy = verification.comb_energy
+
+    def shifted(c, cfg=None):
+        res = comb_energy(c, cfg)
+        return replace(res, value=res.value + 1e-8)
+
+    monkeypatch.setattr(verification, "comb_energy", shifted)
+    assert not verification.check_non_analyticity().passed

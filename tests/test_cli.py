@@ -26,29 +26,33 @@ from deltacomb.cli import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs `python -m deltacomb.cli argv...` and then reports on stderr's last
-# line whether numpy was imported along the way
-_COLD_RUN = """
+# runs `python -m deltacomb.cli argv...`; with "blocked" as its first
+# argument, every `import numpy` in the run raises ImportError
+_FRESH_RUN = """
 import runpy, sys
+if sys.argv.pop(1) == "blocked":
+    sys.modules["numpy"] = None
 sys.argv[0] = "deltacomb"
-try:
-    runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-print("numpy" in sys.modules, file=sys.stderr)
-sys.exit(code)
+runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def run_cold(*argv):
+def run_fresh(mode, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_RUN, *argv],
+        [sys.executable, "-c", _FRESH_RUN, mode, *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    numpy_loaded = proc.stderr.splitlines()[-1]
-    return proc.returncode, proc.stdout, numpy_loaded == "True"
+    return proc.returncode, proc.stdout
+
+
+def run_without_numpy(*argv):
+    """Exit code and stdout of a fresh `deltacomb argv...` that cannot import
+    numpy, checked equal to those of a fresh run that can."""
+    blocked = run_fresh("blocked", *argv)
+    assert blocked == run_fresh("open", *argv)
+    return blocked
 
 
 def run_cli(capsys, *argv):
@@ -168,21 +172,37 @@ def test_bands_rows(capsys):
     ids=lambda v: v if isinstance(v, str) else v[0],
 )
 def test_single_evaluations_start_without_numpy(capsys, argv, fmt):
-    code, out, numpy_loaded = run_cold(*argv, "--format", fmt)
+    code, out = run_without_numpy(*argv, "--format", fmt)
     assert code == EXIT_OK
-    assert not numpy_loaded
     # the fresh process prints what the in-process call prints
     assert run_cli(capsys, *argv, "--format", fmt) == (EXIT_OK, out, "")
 
 
 def test_failing_single_evaluations_start_without_numpy():
-    code, out, numpy_loaded = run_cold("energy", "--omega", "0", "--gamma", "-1", "--a", "1")
-    assert (code, out, numpy_loaded) == (EXIT_DOMAIN, "", False)
-    code, out, numpy_loaded = run_cold(
+    code, out = run_without_numpy("energy", "--omega", "0", "--gamma", "-1", "--a", "1")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    code, out = run_without_numpy(
         "energy", "--w0", "5", "--a", "1", "--abs-tol", "1e-30", "--rel-tol", "1e-14",
         "--max-subdivisions", "2",
     )
-    assert (code, out, numpy_loaded) == (EXIT_NUMERIC, "", False)
+    assert (code, out) == (EXIT_NUMERIC, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan-a", "--w0", "5", "--w1", "0.5", "--a-min", "0.5", "--a-max", "4", "--count", "3"),
+        ("scan-couplings", "--a", "1.5", "--gamma-min", "0", "--gamma-max", "2",
+         "--gamma-count", "2", "--omega-min", "-1", "--omega-max", "0.6", "--omega-count", "3"),
+        ("ratio-w0", "--a", "2", "--w0-min", "1e-5", "--w0-max", "0.1", "--count", "3"),
+        ("verify",),
+    ],
+    ids=lambda v: v[0],
+)
+def test_sweeps_and_verify_run_without_numpy(capsys, argv):
+    code, out = run_without_numpy(*argv)
+    assert code == EXIT_OK
+    assert run_cli(capsys, *argv) == (EXIT_OK, out, "")
 
 
 # ------------------------------------------------------------------ scans
@@ -330,6 +350,29 @@ def test_domain_errors_exit_2(capsys):
         capsys, "ratio-w0", "--w0-min", "0.5", "--w0-max", "0.1"
     )
     assert code == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("scan-a", "--w0", "1", "--a-min", "1", "--a-max", "inf", "--count", "3"), "--a-max"),
+        (("scan-a", "--w0", "1", "--a-min=-inf", "--a-max", "1"), "--a-min"),
+        (("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "inf",
+          "--omega-min", "-1", "--omega-max", "0"), "--gamma-max"),
+        (("scan-couplings", "--a", "1", "--gamma-min=-inf", "--gamma-max", "1",
+          "--omega-min", "-1", "--omega-max", "0"), "--gamma-min"),
+        (("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "1",
+          "--omega-min=-inf", "--omega-max", "0"), "--omega-min"),
+        (("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "1",
+          "--omega-min", "-1", "--omega-max", "inf"), "--omega-max"),
+    ],
+    ids=("a-max", "a-min", "gamma-max", "gamma-min", "omega-min", "omega-max"),
+)
+def test_sweep_bounds_must_be_finite(capsys, argv, flag):
+    # rejected as given, not after a grid built from them has turned to nan
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert flag in err and "inf" in err.partition(", got ")[2] and "nan" not in err
 
 
 @pytest.mark.parametrize(
