@@ -227,9 +227,8 @@ def check_band_reduction() -> CheckResult:
 
 
 def check_non_analyticity() -> CheckResult:
-    """The pure-delta comb's weak-coupling law a E = (g/8pi)(ln g - 1) +
-    O(g^2 ln g), g = gamma a: a g ln g leading term, so E(g) is not analytic
-    at g = 0."""
+    """Pure-delta comb: a E = (g/8pi)(ln g - 1) + O(g^2 ln g) with g = gamma a,
+    whose g ln g term makes E non-analytic at g = 0."""
     worst = 0.0
     for g in (1e-5, 1e-4, 1e-3, 1e-2):
         res = comb_energy(CombCouplings(w0=g, w1=0.0, a=1.0))
