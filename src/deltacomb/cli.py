@@ -164,14 +164,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
     res = comb_energy(c, cfg)
-    _emit(
-        args,
-        "energy",
-        _coupling_params(c),
-        cfg,
-        ("value", "abs_err", "truncation_k", "tail_bound"),
-        [(res.value, res.abs_err, res.truncation_k, res.tail_bound)],
-    )
+    header = ("value", "abs_err", "truncation_k", "tail_bound")
+    row = (res.value, res.abs_err, res.truncation_k, res.tail_bound)
+    _emit(args, "energy", _coupling_params(c), cfg, header, [row])
     return EXIT_OK
 
 
@@ -191,22 +186,15 @@ def cmd_bands(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
     bs = band_structure(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
-    rows = []
-    for band in bs.bands:
-        for theta, k in zip(band.thetas, band.ks):
-            rows.append(
-                (band.index, theta, theta / bs.a, k, band.k_min, band.k_max)
-            )
+    rows = [
+        (band.index, theta, theta / bs.a, k, band.k_min, band.k_max)
+        for band in bs.bands
+        for theta, k in zip(band.thetas, band.ks)
+    ]
     params = _coupling_params(c)
     params.update({"n_bands": args.n_bands, "n_theta": args.n_theta})
-    _emit(
-        args,
-        "bands",
-        params,
-        cfg,
-        ("band", "theta", "q", "k", "k_min", "k_max"),
-        rows,
-    )
+    header = ("band", "theta", "q", "k", "k_min", "k_max")
+    _emit(args, "bands", params, cfg, header, rows)
     return EXIT_OK
 
 
@@ -313,80 +301,90 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _energy_args(p: argparse.ArgumentParser) -> None:
+    _add_coupling_args(p)
+    p.add_argument("--a", type=float, required=True, help="lattice spacing (> 0)")
+
+
+def _plate_args(p: argparse.ArgumentParser) -> None:
+    _add_coupling_args(p)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--theta", type=float, required=True, help="Bloch phase in [-pi, pi]")
+
+
+def _bands_args(p: argparse.ArgumentParser) -> None:
+    _add_coupling_args(p)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--n-bands", type=int, default=4)
+    p.add_argument("--n-theta", type=int, default=101)
+
+
+def _scan_a_args(p: argparse.ArgumentParser) -> None:
+    _add_coupling_args(p)
+    p.add_argument("--a-min", type=float, required=True)
+    p.add_argument("--a-max", type=float, required=True)
+    p.add_argument("--count", type=int, default=50)
+
+
+def _scan_couplings_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=float, required=True)
+    for name in ("gamma", "omega"):
+        p.add_argument(f"--{name}-min", type=float, required=True)
+        p.add_argument(f"--{name}-max", type=float, required=True)
+        p.add_argument(f"--{name}-count", type=int, default=30)
+
+
+def _ratio_w0_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--w0-min", type=float, default=1e-6)
+    p.add_argument("--w0-max", type=float, default=1e-1)
+    p.add_argument("--count", type=int, default=21)
+
+
+# name: (help, add_args, command); add_args None takes no options at all, else
+# the quadrature and output options follow the command's own
+_COMMANDS = {
+    "energy": ("vacuum energy per unit cell", _energy_args, cmd_energy),
+    "plate": ("fixed-Bloch-phase plate energy", _plate_args, cmd_plate),
+    "bands": ("band-structure samples and edges", _bands_args, cmd_bands),
+    "scan-a": ("energy versus lattice spacing", _scan_a_args, cmd_scan_a),
+    "scan-couplings": (
+        "energy over the (gamma, omega) plane at fixed a", _scan_couplings_args, cmd_scan_couplings
+    ),
+    "ratio-w0": (
+        "E/(w0 ln w0) on a log-spaced small-w0 grid (w1 = 0)", _ratio_w0_args, cmd_ratio_w0
+    ),
+    "verify": ("run the built-in verification suite", None, cmd_verify),
+}
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with only, of that one command alone;
+    its usage line still lists every command."""
     parser = argparse.ArgumentParser(
         prog="deltacomb",
         description="band structure and vacuum energy of the delta-delta' comb",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("energy", help="vacuum energy per unit cell")
-    _add_coupling_args(p)
-    p.add_argument("--a", type=float, required=True, help="lattice spacing (> 0)")
-    _add_quad_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("plate", help="fixed-Bloch-phase plate energy")
-    _add_coupling_args(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--theta", type=float, required=True, help="Bloch phase in [-pi, pi]")
-    _add_quad_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_plate)
-
-    p = sub.add_parser("bands", help="band-structure samples and edges")
-    _add_coupling_args(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--n-bands", type=int, default=4)
-    p.add_argument("--n-theta", type=int, default=101)
-    _add_quad_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_bands)
-
-    p = sub.add_parser("scan-a", help="energy versus lattice spacing")
-    _add_coupling_args(p)
-    p.add_argument("--a-min", type=float, required=True)
-    p.add_argument("--a-max", type=float, required=True)
-    p.add_argument("--count", type=int, default=50)
-    _add_quad_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_scan_a)
-
-    p = sub.add_parser(
-        "scan-couplings", help="energy over the (gamma, omega) plane at fixed a"
-    )
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--gamma-min", type=float, required=True)
-    p.add_argument("--gamma-max", type=float, required=True)
-    p.add_argument("--gamma-count", type=int, default=30)
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
-    p.add_argument("--omega-count", type=int, default=30)
-    _add_quad_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_scan_couplings)
-
-    p = sub.add_parser(
-        "ratio-w0", help="E/(w0 ln w0) on a log-spaced small-w0 grid (w1 = 0)"
-    )
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--w0-min", type=float, default=1e-6)
-    p.add_argument("--w0-max", type=float, default=1e-1)
-    p.add_argument("--count", type=int, default=21)
-    _add_quad_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_ratio_w0)
-
-    p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.set_defaults(func=cmd_verify)
-
+    # unset on the full parser, where a metavar would rename "argument command"
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else (only,):
+        help_, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        if add_args is not None:
+            add_args(p)
+            _add_quad_args(p)
+            _add_output_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first needs only its own subparser; -h, --version and a
+    # missing or unknown command go to the full parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

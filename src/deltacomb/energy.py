@@ -324,22 +324,35 @@ def _tail_bound(f, X: float, rate: float) -> float:
     return 2.0 * probe / rate
 
 
+# cap on the cutoff X = truncation_k a: the integrands are exactly 0 past
+# x ~ 745, where e^{-x} underflows, and their polynomial terms stay finite up
+# to x ~ 1e7 at the largest g, so a larger X only adds seeds over zeros
+_MAX_CUTOFF = 1e6
+
+
 def _energy_integral(
     f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
-    Integrates over [0, X], X = 40 (truncation_k * a when configured), in one
-    adaptive run seeded with the graded ladder for g and, above its top
-    rung, with the dyadic points X/2, X/4, ... >= 2, at abs_tol * a so that
-    abs_tol holds in energy units, and bounds the tail beyond X for f
-    decaying like e^{-rate x}; width is a fixed phase's step width (see
-    _graded_breakpoints), 0 for the comb and the limit curves.  Layer mass
-    left below a floored ladder (at most half of abs_tol * a) is added to
-    abs_err, and both tolerances of the run shrink by its share, so
-    abs_err <= max(abs_tol, rel_tol |E|) still holds.
+    Integrates over [0, X], X = 40 (truncation_k * a when configured, which
+    must lie in (0, _MAX_CUTOFF]), in one adaptive run seeded with the graded
+    ladder for g and, above its top rung, with the dyadic points X/2, X/4,
+    ... >= 2, at abs_tol * a so that abs_tol holds in energy units, and
+    bounds the tail beyond X for f decaying like e^{-rate x}; width is a
+    fixed phase's step width (see _graded_breakpoints), 0 for the comb and
+    the limit curves.  Layer mass left below a floored ladder (at most half
+    of abs_tol * a) is added to abs_err, and both tolerances of the run
+    shrink by its share, so abs_err <= max(abs_tol, rel_tol |E|) still holds.
     """
-    X = 40.0 if cfg.truncation_k is None else cfg.truncation_k * a
+    X = 40.0
+    if cfg.truncation_k is not None:
+        X = cfg.truncation_k * a
+        if not 0.0 < X <= _MAX_CUTOFF:
+            raise ValueError(
+                f"truncation_k a = {X!r} is outside (0, {_MAX_CUTOFF:g}] at "
+                f"truncation_k = {cfg.truncation_k!r}, a = {a!r}"
+            )
     tol = cfg.abs_tol * a
     breaks, mass = _graded_breakpoints(g, X, 0.5 * tol, width)
     # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on

@@ -72,7 +72,8 @@ class QuadratureConfig:
     """Tolerances and limits shared by all integrals and root searches.
 
     truncation_k is the momentum cutoff K of the energy integrals; None means
-    K = 40/a, i.e. 40 in the reduced momentum k a.  max_subdivisions bounds
+    K = 40/a, i.e. 40 in the reduced momentum k a, and an energy rejects a K
+    whose K a lies outside (0, 1e6].  max_subdivisions bounds
     one integrate_finite call, so it applies to a whole energy, ladder and all.
     """
 

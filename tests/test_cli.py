@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from deltacomb import __version__, cli
 from deltacomb.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERIC,
@@ -37,22 +38,24 @@ runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def run_fresh(mode, *argv):
+def run_fresh(mode, *argv, timeout=60):
+    """Exit code, stdout and stderr of a fresh `deltacomb argv...`; a run
+    that outlasts timeout seconds is killed and fails the test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_RUN, mode, *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_without_numpy(*argv):
     """Exit code and stdout of a fresh `deltacomb argv...` that cannot import
-    numpy, checked equal to those of a fresh run that can."""
+    numpy, checked equal (stderr too) to those of a fresh run that can."""
     blocked = run_fresh("blocked", *argv)
     assert blocked == run_fresh("open", *argv)
-    return blocked
+    return blocked[:2]
 
 
 def run_cli(capsys, *argv):
@@ -439,6 +442,42 @@ def test_long_truncation_seeds_above_the_ladder(capsys):
     assert math.isfinite(float(parse_csv(out)[0]["value"]))
 
 
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        # an infinite cutoff used to seed X/2, X/4, ... forever
+        (("energy", "--w0", "1", "--a", "1", "--truncation-k", "inf"), "inf"),
+        (("energy", "--w0", "1", "--a", "1e10", "--truncation-k", "1e300"), "1e+300"),
+        # the integrand's x^2 terms overflow: the positivity sentinel fired
+        (("energy", "--w0", "1", "--a", "1", "--truncation-k", "1e154"), "1e+154"),
+        # the plate integrand's x^3 term overflows: value, abs_err and
+        # tail_bound all printed nan with exit 0
+        (("plate", "--w0", "1", "--w1", "0.3", "--a", "1", "--theta", "0.5",
+          "--truncation-k", "1e103"), "1e+103"),
+        # K a underflows to 0: the quadrature got an empty interval
+        (("energy", "--w0", "1", "--a", "1e-200", "--truncation-k", "1e-200"), "1e-200"),
+    ],
+    ids=("inf", "overflow", "sentinel", "plate-nan", "underflow"),
+)
+def test_truncation_k_out_of_range_exits_2(argv, given):
+    # in a child with a timeout: the inf case never returned
+    code, out, err = run_fresh("open", *argv, timeout=10)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "truncation_k" in err and given in err
+    assert "nan" not in err and "bug" not in err
+
+
+def test_largest_truncation_k_gives_the_default_energy(capsys):
+    argv = ("energy", "--w0", "1", "--w1", "0.3", "--a", "2")
+    code, out, _ = run_cli(capsys, *argv, "--truncation-k", "5e5")
+    assert code == EXIT_OK
+    wide = parse_csv(out)[0]
+    default = parse_csv(run_cli(capsys, *argv)[1])[0]
+    assert float(wide["truncation_k"]) == 5e5
+    bound = float(wide["abs_err"]) + float(default["abs_err"]) + float(default["tail_bound"])
+    assert abs(float(wide["value"]) - float(default["value"])) <= bound
+
+
 def test_argparse_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -453,3 +492,84 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+# ----------------------------------------------------------------- parser
+
+ALL_COMMANDS = "{energy,plate,bands,scan-a,scan-couplings,ratio-w0,verify}"
+
+# argv after the command name that every command's parser accepts
+VALID_ARGS = {
+    "energy": ("--w0", "1", "--a", "1"),
+    "plate": ("--w0", "1", "--a", "1", "--theta", "0.5"),
+    "bands": ("--omega", "0", "--gamma", "1", "--a", "1", "--n-bands", "2"),
+    "scan-a": ("--w0", "1", "--a-min", "1", "--a-max", "2"),
+    "scan-couplings": ("--a", "1", "--gamma-min", "0", "--gamma-max", "1",
+                       "--omega-min", "-1", "--omega-max", "0"),
+    "ratio-w0": ("--count", "3", "--format", "json"),
+    "verify": (),
+}
+
+
+def parse_exit(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_every_command_has_parser_cases():
+    assert list(VALID_ARGS) == list(cli._COMMANDS)
+    assert ALL_COMMANDS == "{" + ",".join(cli._COMMANDS) + "}"
+
+
+@pytest.mark.parametrize("command", list(VALID_ARGS))
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command):
+    full = cli._build_parser().parse_args
+    help_ = parse_exit(capsys, main, (command, "-h"))
+    assert help_ == parse_exit(capsys, full, (command, "-h"))
+    assert help_[0] == 0 and help_[1].startswith(f"usage: deltacomb {command} ")
+    bad = (command, *VALID_ARGS[command], "--no-such-flag")
+    code, out, err = parse_exit(capsys, main, bad)
+    assert (code, out, err) == parse_exit(capsys, full, bad)
+    # the top-level usage line still lists every command, not just this one
+    assert (code, out) == (2, "") and ALL_COMMANDS in err
+    assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
+
+
+def test_top_level_parser_output(capsys):
+    code, out, err = parse_exit(capsys, main, ["-h"])
+    assert (code, err) == (0, "") and ALL_COMMANDS in out
+    for name, (help_, _, _) in cli._COMMANDS.items():
+        assert f"    {name}" in out and help_.split()[0] in out
+    assert parse_exit(capsys, main, ["--version"]) == (0, __version__ + "\n", "")
+    code, out, err = parse_exit(capsys, main, [])
+    assert (code, out) == (2, "") and ALL_COMMANDS in err
+    assert err.endswith("error: the following arguments are required: command\n")
+    code, out, err = parse_exit(capsys, main, ["no-such-command"])
+    assert (code, out) == (2, "") and ALL_COMMANDS in err
+    assert "error: argument command: invalid choice: 'no-such-command'" in err
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    built = []
+
+    def spy(name, add_args):
+        def add_args_spy(p):
+            built.append(name)
+            add_args(p)
+        return add_args_spy
+
+    spied = {
+        name: (help_, add_args and spy(name, add_args), func)
+        for name, (help_, add_args, func) in cli._COMMANDS.items()
+    }
+    monkeypatch.setattr(cli, "_COMMANDS", spied)
+    cli._build_parser()
+    assert built == [name for name in spied if name != "verify"]  # verify takes no options
+    for name in spied:
+        built.clear()
+        assert parse_exit(capsys, main, (name, "-h"))[0] == 0
+        assert built == ([] if name == "verify" else [name])
+
