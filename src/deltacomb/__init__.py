@@ -41,7 +41,6 @@ from .energy import (
     EnergyResult,
     comb_energy,
     dirichlet_limit_integrand,
-    mixed_limit_integrand,
     plate_energy,
     plate_energy_closed,
     spectral_integrand,
@@ -77,7 +76,6 @@ __all__ = [
     "EnergyResult",
     "comb_energy",
     "dirichlet_limit_integrand",
-    "mixed_limit_integrand",
     "plate_energy",
     "plate_energy_closed",
     "spectral_integrand",

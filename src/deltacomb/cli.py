@@ -12,8 +12,6 @@ precision.  Exit codes: 0 success, 2 domain/usage error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -147,12 +145,19 @@ def _emit(
             }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        text = buf.getvalue()
+        # cells are ints and floats, which CSV never quotes; each distinct
+        # nonzero float is formatted once (zeros skip the memo, which would
+        # give -0.0 the text of 0.0)
+        memo: dict = {}
+        lines = [",".join(header)]
+        lines += [
+            ",".join([
+                (memo.get(v) or memo.setdefault(v, repr(v))) if type(v) is float and v else repr(v)
+                for v in row
+            ])
+            for row in rows
+        ]
+        text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

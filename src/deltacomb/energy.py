@@ -91,7 +91,6 @@ __all__ = [
     "plate_energy",
     "plate_energy_closed",
     "dirichlet_limit_integrand",
-    "mixed_limit_integrand",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -119,22 +118,25 @@ def _require_supported(c: CombCouplings) -> None:
 
 
 # the integrands' g^2 sinh^2 x and (2x + g)^2 terms overflow for some
-# x <= 5 from about g = 1e152 on; energies stop below that
+# x <= 5 from about g = 1e152 on; energies stop below that.  The check lets
+# gamma a through up to 4 ulps above the limit: from_reduced's round trip
+# through w0 adds up to 3 ulps to a gamma given at the limit
 _MAX_GAMMA_A = 1e150
 
 
 def _unit_couplings(c: CombCouplings) -> CombCouplings:
     """c at unit spacing, whose gamma is gamma a; errors name c's values."""
     _require_supported(c)
-    if c.gamma * c.a > _MAX_GAMMA_A:
+    if c.gamma * c.a > _MAX_GAMMA_A + 4.0 * math.ulp(_MAX_GAMMA_A):
         limit = f"gamma a exceeds {_MAX_GAMMA_A:g}"
     elif not math.isfinite(c.w0 * c.a):
         limit = "w0 a overflows"
     else:
         return CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
     raise OutsideValidityDomainError(
-        f"{limit} at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, {c.a!r}): the energy "
-        "integrands leave the double-precision range there"
+        f"{limit} at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, {c.a!r}), gamma = "
+        f"{c.gamma!r}, omega = {c.omega!r}: the energy integrands leave the "
+        "double-precision range there"
     )
 
 
@@ -449,21 +451,6 @@ def dirichlet_limit_integrand(k: float, a: float) -> float:
         return -1.0 / _TWO_PI
     eps = math.exp(-2.0 * x)
     return -(x / _TWO_PI) * 2.0 * eps / -math.expm1(-2.0 * x)
-
-
-def mixed_limit_integrand(k: float, a: float) -> float:
-    """Omega = gamma = 0 limit of I(k): -ka (tanh(ka) - 1)/(2 pi) >= 0.
-
-    Integrates to +pi/(48 a).  Evaluated as ka e^{-2ka}-over-(1+e^{-2ka})
-    so the large-ka cancellation 1 - tanh is analytic, not numeric.
-    """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
-    if k < 0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    x = k * a
-    eps = math.exp(-2.0 * x)
-    return (x / _TWO_PI) * 2.0 * eps / (1.0 + eps)
 
 
 def _w0_log_ratio(energy: float, w0: float) -> float:

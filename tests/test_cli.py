@@ -14,6 +14,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import argparse
+import random
+
 import pytest
 
 from deltacomb import __version__, cli
@@ -38,16 +41,22 @@ runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def run_fresh(mode, *argv, timeout=60):
-    """Exit code, stdout and stderr of a fresh `deltacomb argv...`; a run
-    that outlasts timeout seconds is killed and fails the test."""
+def run_python(code, *argv, timeout=60):
+    """Exit code, stdout and stderr of a fresh `python -c code argv...` that
+    imports deltacomb from SRC; a run that outlasts timeout seconds is killed
+    and fails the test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_RUN, mode, *argv],
+        [sys.executable, "-c", code, *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_fresh(mode, *argv, timeout=60):
+    """Exit code, stdout and stderr of a fresh `deltacomb argv...`."""
+    return run_python(_FRESH_RUN, mode, *argv, timeout=timeout)
 
 
 def run_without_numpy(*argv):
@@ -118,6 +127,76 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     rows = parse_csv(path.read_text())
     assert float(rows[0]["value"]) < 0.0
+
+
+# ------------------------------------------------------------- CSV writer
+
+
+def csv_oracle(header, rows):
+    """The CSV text of the csv module, floats written with repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def test_csv_text_matches_the_csv_module(capsys):
+    nan = math.nan
+    specials = [0.0, -0.0, nan, float("nan"), math.inf, -math.inf, 5e-324, -5e-324, 1.7e308]
+    fixed = [
+        (0.0, -0.0, 0, -0.0, 0.0),
+        (1, 1.0, -1, -1.0, 1.0, 1),
+        (1.0, 1, 2.0, 2, nan, nan, float("nan")),
+    ]
+    rng = random.Random(20261018)
+    for trial in range(40):
+        # a few values, so rows repeat them, and an int next to its equal float
+        n = rng.randint(-3, 3)
+        pool = [rng.uniform(-10.0, 10.0) for _ in range(5)] + [n, float(n)]
+        pool.append(10.0 ** rng.randint(-320, 308))
+        width = rng.randint(1, 7)
+        header = tuple(f"c{i}" for i in range(width))
+        rows = [tuple(rng.choice(pool + specials) for _ in range(width)) for _ in range(30)]
+        if trial == 0:
+            rows = fixed + rows
+        args = argparse.Namespace(format="csv", output=None)
+        cli._emit(args, "test", {}, None, header, rows)
+        assert capsys.readouterr().out == csv_oracle(header, rows)
+
+
+def test_cli_does_not_import_csv():
+    code, out, err = run_python("import sys, deltacomb.cli; print('csv' in sys.modules)")
+    assert (code, out, err) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bands", "--w0", "3", "--w1", "0.4", "--a", "1.3", "--n-bands", "4", "--n-theta", "11"),
+        ("bands", "--omega", "0", "--gamma", "2", "--a", "2", "--n-bands", "4", "--n-theta", "11"),
+        ("bands", "--omega", "-1", "--gamma", "0", "--a", "3", "--n-bands", "4", "--n-theta", "11"),
+        ("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "1",
+         "--gamma-count", "3", "--omega-min", "-1", "--omega-max", "0.5",
+         "--omega-count", "3"),
+        ("energy", "--w0", "5", "--w1", "0.5", "--a", "2"),
+    ],
+    ids=("bands", "bands-flat", "bands-touching", "scan-couplings", "energy"),
+)
+def test_csv_cells_parse_back_to_the_json_rows(capsys, argv):
+    code, out_csv, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    json_rows = json.loads(out_json)["rows"]
+    csv_rows = parse_csv(out_csv)
+    assert len(csv_rows) == len(json_rows) > 0
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert list(csv_row) == list(json_row)
+        for name, cell in csv_row.items():
+            # hex compares bits, so -0.0 and 0.0 differ
+            assert float(cell).hex() == float(json_row[name]).hex(), (name, cell)
 
 
 # ------------------------------------------------------------------ plate
@@ -388,6 +467,7 @@ def test_sweep_bounds_must_be_finite(capsys, argv, flag):
          "--format", "json"),
         # gamma a = 1e110 is in range, but the unit-spacing w0 a is not
         ("energy", "--w0", "1e300", "--w1", "1e100", "--a", "1e10"),
+        ("energy", "--omega", "0.99", "--gamma", "1.001e150", "--a", "1"),
     ],
 )
 def test_huge_gamma_a_exits_2(capsys, argv):
@@ -396,8 +476,17 @@ def test_huge_gamma_a_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_DOMAIN and out == ""
     assert ("w0 a overflows" if "--w1" in argv else "gamma a exceeds") in err
-    assert "(w0, w1, a) = (" in err
+    assert "(w0, w1, a) = (" in err and ", gamma = " in err and ", omega = " in err
     assert "bug" not in err and "inf" not in err
+
+
+@pytest.mark.parametrize("omega", ["-1", "-0.5", "0.3", "0.99"])
+def test_gamma_at_the_limit_gives_a_finite_energy(capsys, omega):
+    # from_reduced's round trip through w0 may land gamma a a few ulps above 1e150
+    code, out, err = run_cli(capsys, "energy", "--omega", omega, "--gamma", "1e150", "--a", "1")
+    assert (code, err) == (EXIT_OK, "")
+    (row,) = parse_csv(out)
+    assert all(math.isfinite(float(cell)) for cell in row.values())
 
 
 def test_tiny_pure_delta_at_tiny_tolerance_stays_off_the_sentinel(capsys):

@@ -24,7 +24,6 @@ from deltacomb import (
     comb_energy,
     dirichlet_limit_integrand,
     integrate_finite,
-    mixed_limit_integrand,
     plate_energy,
     plate_energy_closed,
     spectral_integrand,
@@ -559,14 +558,3 @@ def test_dirichlet_limit_integrand():
         assert abs(res.value - (-math.pi / (24.0 * a))) <= max(1e-10, 10.0 * res.abs_err)
     with pytest.raises(ValueError):
         dirichlet_limit_integrand(-1.0, 1.0)
-
-
-def test_mixed_limit_integrand():
-    assert mixed_limit_integrand(0.0, 1.0) == 0.0
-    assert mixed_limit_integrand(1.0, 1.0) > 0.0
-    f = lambda x: mixed_limit_integrand(x, 1.0)
-    for a in (0.5, 1.0, 2.0):
-        res = _energy_integral(f, 0.0, a, QuadratureConfig(), 1.5)
-        assert abs(res.value - math.pi / (48.0 * a)) <= max(1e-10, 10.0 * res.abs_err)
-    with pytest.raises(ValueError):
-        mixed_limit_integrand(1.0, 0.0)
