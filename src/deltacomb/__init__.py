@@ -15,7 +15,6 @@ from .errors import (
     InvalidLatticeSpacingError,
     NoSignChangeError,
     OutsideValidityDomainError,
-    PerfectReflectionError,
     RootScanError,
     ToleranceNotMetError,
     ValidityViolationError,
@@ -32,7 +31,6 @@ from .bands import (
     Band,
     BandStructure,
     band_edges,
-    band_rhs,
     band_structure,
     dispersion,
     spectral_function,
@@ -40,7 +38,6 @@ from .bands import (
 from .energy import (
     EnergyResult,
     comb_energy,
-    dirichlet_limit_integrand,
     plate_energy,
     plate_energy_closed,
     spectral_integrand,
@@ -54,7 +51,6 @@ __all__ = [
     "InvalidLatticeSpacingError",
     "NoSignChangeError",
     "OutsideValidityDomainError",
-    "PerfectReflectionError",
     "RootScanError",
     "ToleranceNotMetError",
     "ValidityViolationError",
@@ -69,13 +65,11 @@ __all__ = [
     "Band",
     "BandStructure",
     "band_edges",
-    "band_rhs",
     "band_structure",
     "dispersion",
     "spectral_function",
     "EnergyResult",
     "comb_energy",
-    "dirichlet_limit_integrand",
     "plate_energy",
     "plate_energy_closed",
     "spectral_integrand",

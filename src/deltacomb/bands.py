@@ -1,17 +1,17 @@
 """Band structure of a periodic comb of identical point potentials.
 
 For Bloch phase theta = q a the comb spectrum is the zero set in k > 0 of
-a secular function.  Two equivalent forms are provided:
+the secular function of the delta-delta' comb (spectral_function),
 
-* the general amplitude-based band equation (band_rhs), valid for any comb
-  built by repeating one scatterer: cos(q a) = [e^{iak} det S + e^{-iak}]/(2t);
+    g(k) = Omega cos(theta) + h(k a),  h(x) = cos x + (gamma a / 2x) sin x,
 
-* the closed form for the delta-delta' comb (spectral_function),
+the band equation cos(q a) = [e^{iak} det S + e^{-iak}]/(2t) of one
+scatterer's amplitudes with its denominator cleared,
 
-      g(k) = Omega cos(theta) + h(k a),  h(x) = cos x + (gamma a / 2x) sin x,
+    g(k) = -D(k)/(4k (1 + w1^2)) [2t cos(theta) - e^{iak} det S - e^{-iak}]
 
-  which equals 2 t (cos(theta) - band_rhs) up to the nonvanishing
-  prefactor -4 k (1 + w1^2) / D(k), so both share their zeros.
+(D as in scattering, nonzero for k > 0), so it stays finite where t = 0
+(|w1| = 1, flat bands).
 
 h has the Kronig-Penney structure: h(n pi) = (-1)^n exactly and |h| >= 1
 outside band n's phase window.  So whenever 1 + gamma a/2 >= |Omega| (else
@@ -30,32 +30,22 @@ column's root and the band's theta = pi edge.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .errors import (
-    InvalidLatticeSpacingError,
-    NoSignChangeError,
-    OutsideValidityDomainError,
-    PerfectReflectionError,
-    RootScanError,
-)
+from .errors import NoSignChangeError, OutsideValidityDomainError, RootScanError
 from .quadrature import QuadratureConfig, refine_root
-from .scattering import CombCouplings, ScatteringAmplitudes, s_matrix_det
+from .scattering import CombCouplings, one_plus_omega_cos
 
 __all__ = [
     "Band",
     "BandStructure",
-    "band_rhs",
     "spectral_function",
     "dispersion",
     "band_edges",
     "band_structure",
 ]
-
-AmplitudeProvider = Callable[[float], ScatteringAmplitudes]
 
 # 1 + gamma a/2 + Omega cos(theta), the k -> 0 value of the secular function,
 # is formed in floating point; within this of zero it counts as zero, so
@@ -83,52 +73,23 @@ class BandStructure:
     bands: Tuple[Band, ...]
 
 
-def band_rhs(amps_at: AmplitudeProvider, k: float, a: float) -> float:
-    """RHS of the band equation cos(q a) = [e^{iak} det S + e^{-iak}] / (2 t).
-
-    Unitarity makes the expression real for real k; the imaginary residue is
-    discarded after a sanity check.  The check must allow for cancellation in
-    the numerator: as k -> 0 both terms approach opposite unimodular values
-    while |t| ~ k, so roundoff of order eps in the numerator is amplified to
-    roughly eps / |t| in the quotient.  Residues beyond that scale (or beyond
-    1e-10 of the real part when |t| is O(1)) flag a non-unitary source.
-    """
-    if not a > 0:
-        raise InvalidLatticeSpacingError(f"a must be positive, got {a}")
-    amps = amps_at(k)
-    t = amps.t
-    if t == 0:
-        raise PerfectReflectionError(
-            f"zero transmission at k = {k}; the comb spectrum collapses to "
-            "the perfectly reflecting point spectrum"
-        )
-    det = s_matrix_det(amps)
-    phase = cmath.exp(1j * k * a)
-    val = (phase * det + 1.0 / phase) / (2.0 * t)
-    roundoff = 16.0 * math.ulp(1.0) * (abs(det) + 1.0) / (2.0 * abs(t))
-    if abs(val.imag) > max(1e-10 * max(1.0, abs(val.real)), roundoff):
-        raise ValueError(
-            f"band-equation RHS has imaginary part {val.imag:.3e} at k = {k}; "
-            "amplitudes do not look unitary"
-        )
-    return val.real
-
-
 def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
     """Secular function g(k) = Omega cos(theta) + cos(ka) + (gamma/2k) sin(ka).
 
-    Defined for k >= 0; at k = 0 the removable singularity is replaced by its
-    limit Omega cos(theta) + 1 + gamma a / 2.
+    Evaluated as (1 + Omega cos theta) - 2 sin^2(ka/2) + (gamma/2) sin(ka)/k,
+    with 1 + Omega cos theta a sum of non-negative terms, so nothing cancels
+    at band 0's bottom, where all three terms are small.  Defined for k >= 0;
+    at k = 0 the removable singularity is replaced by its limit
+    1 + Omega cos(theta) + gamma a / 2.
     """
     if k < 0:
         raise ValueError(f"momentum must be >= 0, got {k}")
     if k == 0.0:
-        return c.omega * math.cos(theta) + 1.0 + 0.5 * c.gamma * c.a
-    return (
-        c.omega * math.cos(theta)
-        + math.cos(k * c.a)
-        + 0.5 * c.gamma * math.sin(k * c.a) / k
-    )
+        return one_plus_omega_cos(c.omega, theta) + 0.5 * c.gamma * c.a
+    x = k * c.a
+    half = math.sin(0.5 * x)
+    d = one_plus_omega_cos(c.omega, theta)
+    return d - 2.0 * half * half + 0.5 * c.gamma * (math.sin(x) / k)
 
 
 def _root(c: CombCouplings, n: int, theta: float, cfg: QuadratureConfig) -> float:

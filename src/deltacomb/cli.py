@@ -25,7 +25,6 @@ from .errors import (
     InvalidLatticeSpacingError,
     NoSignChangeError,
     OutsideValidityDomainError,
-    PerfectReflectionError,
     RootScanError,
     ToleranceNotMetError,
     ValidityViolationError,
@@ -42,7 +41,6 @@ _DOMAIN_ERRORS = (
     InvalidLatticeSpacingError,
     OutsideValidityDomainError,
     AmplitudePoleError,
-    PerfectReflectionError,
     ValueError,
 )
 _NUMERIC_ERRORS = (

@@ -59,11 +59,11 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
   machine-accurate, by comparison with high-precision evaluation) for
   arbitrarily large x.
 
-Every energy integral (comb, plate and the closed-form limit curves) is
-computed once in x, at unit spacing, and divided by a.  It is truncated at
-X = 40, i.e. at K = 40/a in momentum, beyond which |f| < e^{-80}-ish, and
-the discarded tail is reported as an explicit bound obtained from the
-integrand's own magnitude near X.
+Every energy integral (comb and plate) is computed once in x, at unit
+spacing, and divided by a.  It is truncated at X = 40, i.e. at K = 40/a
+in momentum, beyond which |f| < e^{-80}-ish, and the discarded tail is
+reported as an explicit bound obtained from the integrand's own magnitude
+near X.
 
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
 graded ladder of breakpoints below the small-x layers (see
@@ -81,7 +81,7 @@ from typing import List, Optional, Tuple
 
 from .errors import OutsideValidityDomainError, ValidityViolationError
 from .quadrature import QuadratureConfig, integrate_finite
-from .scattering import CombCouplings
+from .scattering import CombCouplings, one_plus_omega_cos
 
 __all__ = [
     "EnergyResult",
@@ -90,7 +90,6 @@ __all__ = [
     "comb_energy",
     "plate_energy",
     "plate_energy_closed",
-    "dirichlet_limit_integrand",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -153,20 +152,6 @@ class EnergyResult:
     tail_bound: float
 
 
-def _one_plus_omega_cos(omega: float, theta: float) -> float:
-    """1 + Omega cos(theta) as a sum of non-negative terms.
-
-    The naive form cancels when Omega cos(theta) -> -1 (Omega -> -1 at
-    theta = 0, or Omega -> +1 at theta = pi); expanding about the nearer
-    endpoint keeps every addend >= 0.
-    """
-    if omega <= 0.0:
-        half = math.sin(0.5 * theta)
-        return (1.0 + omega) - 2.0 * omega * half * half
-    half = math.cos(0.5 * theta)
-    return (1.0 - omega) + 2.0 * omega * half * half
-
-
 def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     """Subtracted vacuum-energy integrand F(k, theta) at fixed Bloch phase.
 
@@ -190,7 +175,7 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
         sh2 = math.sinh(0.5 * x)
         shx = sh / x
         num = g * (shx - math.cosh(x)) / x - 2.0 * sh
-        den = 4.0 * sh2 * (sh2 / x) + (g * shx + 2.0 * _one_plus_omega_cos(om, theta)) / x
+        den = 4.0 * sh2 * (sh2 / x) + (g * shx + 2.0 * one_plus_omega_cos(om, theta)) / x
         if not den > 0.0:
             if den == 0.0:  # sinh(x/2) underflows, g = 0, 1 + Omega cos theta = 0
                 return x - 2.0
@@ -340,12 +325,13 @@ def _energy_integral(
     Integrates over [0, X], X = 40 (truncation_k * a when configured, which
     must lie in (0, _MAX_CUTOFF]), in one adaptive run seeded with the graded
     ladder for g and, above its top rung, with the dyadic points X/2, X/4,
-    ... >= 2, at abs_tol * a so that abs_tol holds in energy units, and
-    bounds the tail beyond X for f decaying like e^{-rate x}; width is a
-    fixed phase's step width (see _graded_breakpoints), 0 for the comb and
-    the limit curves.  Layer mass left below a floored ladder (at most half
-    of abs_tol * a) is added to abs_err, and both tolerances of the run
-    shrink by its share, so abs_err <= max(abs_tol, rel_tol |E|) still holds.
+    ... >= 2, at abs_tol * a (which must not underflow to 0) so that
+    abs_tol holds in energy units, and bounds the tail beyond X for f
+    decaying like e^{-rate x}; width is a fixed phase's step width (see
+    _graded_breakpoints), 0 for the comb.  Layer mass left below a floored
+    ladder (at most half of abs_tol * a) is added to abs_err, and both
+    tolerances of the run shrink by its share, so
+    abs_err <= max(abs_tol, rel_tol |E|) still holds.
     """
     X = 40.0
     if cfg.truncation_k is not None:
@@ -356,6 +342,11 @@ def _energy_integral(
                 f"truncation_k = {cfg.truncation_k!r}, a = {a!r}"
             )
     tol = cfg.abs_tol * a
+    if not tol > 0.0:
+        raise ValueError(
+            f"abs_tol a = {tol!r} underflows at abs_tol = {cfg.abs_tol!r}, "
+            f"a = {a!r}"
+        )
     breaks, mass = _graded_breakpoints(g, X, 0.5 * tol, width)
     # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on
     # its way down anyway, so seeding them skips only the parent panels it
@@ -413,7 +404,7 @@ def plate_energy(
     unit = _unit_couplings(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    width = math.sqrt(unit.gamma + 2.0 * _one_plus_omega_cos(unit.omega, theta))
+    width = math.sqrt(unit.gamma + 2.0 * one_plus_omega_cos(unit.omega, theta))
     # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(
         lambda x: theta_integrand(unit, x, theta) / _TWO_PI,
@@ -434,23 +425,6 @@ def plate_energy_closed(theta: float, a: float) -> float:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     t = abs(theta)
     return (t - t * t / _TWO_PI - math.pi / 3.0) / (2.0 * a)
-
-
-def dirichlet_limit_integrand(k: float, a: float) -> float:
-    """Strong-coupling (gamma -> oo) limit of I(k): -ka e^{-ka} csch(ka)/(2 pi).
-
-    Integrates to -pi/(24 a), the two-Dirichlet-plate energy.  k = 0
-    returns the limit -1/(2 pi).
-    """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
-    if k < 0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    x = k * a
-    if x == 0.0:
-        return -1.0 / _TWO_PI
-    eps = math.exp(-2.0 * x)
-    return -(x / _TWO_PI) * 2.0 * eps / -math.expm1(-2.0 * x)
 
 
 def _w0_log_ratio(energy: float, w0: float) -> float:

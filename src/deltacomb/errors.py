@@ -13,10 +13,6 @@ class AmplitudePoleError(DeltaCombError):
     """Scattering-amplitude denominator vanished (bound-state momentum)."""
 
 
-class PerfectReflectionError(DeltaCombError):
-    """Transmission amplitude is zero, so the band-equation RHS is undefined."""
-
-
 class OutsideValidityDomainError(DeltaCombError):
     """Parameters lie outside the domain where the energy formulas hold."""
 

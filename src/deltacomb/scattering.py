@@ -57,6 +57,20 @@ def _over_w1_squared(w1: float) -> Tuple[float, float, float]:
     return w1 * w1, 1.0, w1
 
 
+def one_plus_omega_cos(omega: float, theta: float) -> float:
+    """1 + Omega cos(theta) as a sum of non-negative terms.
+
+    The naive form cancels when Omega cos(theta) -> -1 (Omega -> -1 at
+    theta = 0, or Omega -> +1 at theta = pi); expanding about the nearer
+    endpoint keeps every addend >= 0.
+    """
+    if omega <= 0.0:
+        half = math.sin(0.5 * theta)
+        return (1.0 + omega) - 2.0 * omega * half * half
+    half = math.cos(0.5 * theta)
+    return (1.0 - omega) + 2.0 * omega * half * half
+
+
 @dataclass(frozen=True)
 class CombCouplings:
     """Couplings of the delta-delta' comb and the derived reduced parameters.

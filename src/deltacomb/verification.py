@@ -16,10 +16,8 @@ from typing import List, Tuple
 
 from .bands import band_edges, dispersion
 from .energy import (
-    _energy_integral,
     _theta_integral_numeric,
     comb_energy,
-    dirichlet_limit_integrand,
     plate_energy,
     plate_energy_closed,
     spectral_integrand,
@@ -62,27 +60,26 @@ def check_mixed_bc_constant() -> CheckResult:
 
 
 def check_dirichlet_constant() -> CheckResult:
-    """Dirichlet-limit integrand integrates to -pi/(24 a); huge w0 lands on
-    the three-term strong-coupling law within the energy's error."""
+    """Strong coupling: comb energies at g = gamma a >= 1e4 land on
+    a E = -pi/24 + pi/(12 g) - (pi/6)(1 + Omega^2/2)/g^2 + O(g^-3), whose
+    g -> oo limit is the two-Dirichlet-plate energy -pi/(24 a)."""
     worst = 0.0
-    for a in (0.5, 1.0, 2.0):
-        res = _energy_integral(
-            lambda x: dirichlet_limit_integrand(x, 1.0), 0.0, a, QuadratureConfig(), 1.5
-        )
-        worst = max(worst, abs(res.value - (-math.pi / (24.0 * a))))
-    # strong coupling: a E = -pi/24 + pi/(12 g) - (pi/6)(1 + Omega^2/2)/g^2 + O(g^-3)
-    c = CombCouplings(w0=1e6, w1=0.0, a=1.0)
-    g = c.gamma * c.a
-    law = math.pi * (-1 / 24 + 1 / (12 * g) - (1 + c.omega**2 / 2) / (6 * g * g)) / c.a
-    strong = comb_energy(c)
-    dev, bound = abs(strong.value - law), strong.abs_err + strong.tail_bound
+    for g in (1e4, 1e6, 1e8):
+        for omega in (-1.0, 0.0, 0.3, 0.99):
+            for a in (0.5, 1.0, 2.0):
+                c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
+                res = comb_energy(c)
+                # the law at c's own couplings, after from_reduced's rounding
+                ga, om2 = c.gamma * a, c.omega**2
+                law = math.pi * (-1 / 24 + 1 / (12 * ga) - (1 + om2 / 2) / (6 * ga * ga)) / a
+                worst = max(worst, abs(res.value - law) / (res.abs_err + res.tail_bound))
     return _result(
         2,
         "Dirichlet constant -pi/(24a)",
-        worst <= 1e-8 and dev <= bound,
-        f"max closed-form deviation {worst:.3e} (tol 1e-8); w0=1e6 energy off "
-        "-pi/24 + pi/(12g) - (pi/6)(1 + Omega^2/2)/g^2 by "
-        f"{dev:.2e} (bound abs_err + tail_bound = {bound:.2e})",
+        worst <= 1.0,
+        "a E against -pi/24 + pi/(12g) - (pi/6)(1 + Omega^2/2)/g^2 at g = gamma a "
+        "in (1e4, 1e6, 1e8), Omega in (-1, 0, 0.3, 0.99), a in (0.5, 1, 2): "
+        f"worst deviation {worst:.3f} of its bound abs_err + tail_bound",
     )
 
 

@@ -5,8 +5,10 @@ scan-and-bisect oracle (1e-4 grid, 200 bisections); rational ones (n pi,
 (n + 1/2) pi) are exact statements about the secular functions.
 """
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,18 +16,16 @@ from hypothesis import strategies as st
 
 from deltacomb import (
     CombCouplings,
-    InvalidLatticeSpacingError,
     OutsideValidityDomainError,
-    PerfectReflectionError,
     QuadratureConfig,
     RootScanError,
     ScatteringAmplitudes,
     band_edges,
-    band_rhs,
     band_structure,
     delta_amplitudes,
     delta_prime_amplitudes,
     dispersion,
+    s_matrix_det,
     spectral_function,
 )
 import deltacomb.bands
@@ -46,12 +46,21 @@ def _free_amps(k):
     return ScatteringAmplitudes(t=1.0, rR=0.0, rL=0.0, k=k)
 
 
-# ---------------------------------------------------------------- band_rhs
+def _band_rhs(amps_at, k, a):
+    """The amplitude-route oracle: RHS of the band equation
+    cos(q a) = [e^{iak} det S + e^{-iak}] / (2 t), real for unitary
+    amplitudes at real k, so the imaginary part is dropped."""
+    amps = amps_at(k)
+    phase = cmath.exp(1j * k * a)
+    return ((phase * s_matrix_det(amps) + 1.0 / phase) / (2.0 * amps.t)).real
+
+
+# ------------------------------------------------- amplitude-route oracle
 
 
 def test_band_rhs_free_is_cosine():
     for k in (0.3, 1.0, 2.7, 9.1):
-        assert band_rhs(_free_amps, k, 1.5) == pytest.approx(
+        assert _band_rhs(_free_amps, k, 1.5) == pytest.approx(
             math.cos(1.5 * k), abs=1e-12
         )
 
@@ -60,38 +69,28 @@ def test_band_rhs_kronig_penney():
     w0 = 10.0
     for k in (0.5, 1.3, 4.0, 12.0):
         expected = math.cos(k) + (w0 / (2.0 * k)) * math.sin(k)
-        got = band_rhs(lambda kk: delta_amplitudes(w0, kk), k, 1.0)
+        got = _band_rhs(lambda kk: delta_amplitudes(w0, kk), k, 1.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_band_rhs_delta_prime_closed_form():
-    # for Omega != 0 the RHS equals -(cos ka + (gamma/2k) sin ka)/Omega
+    # for Omega != 0 the RHS equals -(cos ka + (gamma/2k) sin ka)/Omega, and
+    # spectral_function is Omega (cos theta - RHS)
     rng = np.random.default_rng(42)
     for _ in range(50):
         w0 = rng.uniform(0.0, 8.0)
         w1 = rng.uniform(1.1, 2.5) * rng.choice((-1.0, 1.0))
         a = rng.uniform(0.3, 3.0)
         k = rng.uniform(0.05, 20.0)
+        theta = rng.uniform(0.0, math.pi)
         c = CombCouplings(w0=w0, w1=w1, a=a)
-        rhs = band_rhs(lambda kk, c=c: delta_prime_amplitudes(c, kk), k, a)
+        rhs = _band_rhs(lambda kk, c=c: delta_prime_amplitudes(c, kk), k, a)
         closed = -(math.cos(k * a) + 0.5 * c.gamma * math.sin(k * a) / k) / c.omega
         assert abs(rhs - closed) <= 1e-10 * max(1.0, abs(closed))
-
-
-def test_band_rhs_perfect_reflection():
-    refl = CombCouplings(w0=2.0, w1=1.0, a=1.0)  # t = 0 identically
-    with pytest.raises(PerfectReflectionError):
-        band_rhs(lambda k: delta_prime_amplitudes(refl, k), 1.0, 1.0)
-
-
-def test_band_rhs_rejects_non_unitary_amplitudes():
-    def bogus(k):
-        return ScatteringAmplitudes(t=0.5, rR=0.3, rL=0.3, k=k)
-
-    with pytest.raises(ValueError):
-        band_rhs(bogus, 1.0, 1.0)
-    with pytest.raises(InvalidLatticeSpacingError):
-        band_rhs(_free_amps, 1.0, 0.0)
+        secular = c.omega * (math.cos(theta) - rhs)
+        assert abs(spectral_function(c, k, theta) - secular) <= 1e-10 * max(
+            1.0, abs(secular)
+        )
 
 
 # ------------------------------------------------------- secular functions
@@ -102,12 +101,50 @@ def test_spectral_function_limits_and_examples():
     # Omega = -1, gamma = 2: limit is -1 + 1 + gamma a/2 = 1
     c = CombCouplings.from_reduced(omega=-1.0, gamma=2.0, a=1.0)
     assert spectral_function(c, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    # mixed comb: g = cos(ka) for every theta
-    for theta in (0.0, 1.0, math.pi):
-        for k in (0.5, 2.0, 11.0):
-            assert spectral_function(MIXED, k, theta) == math.cos(k)
+    # mixed comb: g = cos(ka) for every theta, to rounding of the O(1) terms
+    # of 1 - 2 sin^2(ka/2) (k = 11 sits near a zero of cos, 95 ulps of cos k)
+    for k in (0.5, 2.0, 11.0):
+        value = spectral_function(MIXED, k, 0.0)
+        assert abs(value - math.cos(k)) <= 2.0 * math.ulp(1.0)
+        for theta in (1.0, math.pi):
+            assert spectral_function(MIXED, k, theta) == value
     with pytest.raises(ValueError):
         spectral_function(FREE, -1.0, 0.0)
+
+
+def _band_bottom_oracle(c, theta):
+    """Band 0's root of (1 + Omega cos theta) - 2 sin^2(ka/2) + (gamma/2)
+    sin(ka)/k in 100-digit mpmath, at c's and theta's exact float values
+    (1 - cos theta ~ 5e-61 at theta = 1e-30 still keeps 40 digits)."""
+    with mpmath.workdps(100):
+        om, gamma, a = mpmath.mpf(c.omega), mpmath.mpf(c.gamma), mpmath.mpf(c.a)
+        d = 1 + om * mpmath.cos(mpmath.mpf(theta))
+
+        def f(k):
+            return d - 2 * mpmath.sin(k * a / 2) ** 2 + gamma / 2 * mpmath.sin(k * a) / k
+
+        # small-k start from f ~ d + g/2 - (ka)^2 (1 + g/6)/2
+        g = gamma * a
+        k = mpmath.findroot(f, mpmath.sqrt(2 * (d + g / 2) / (1 + g / 6)) / a)
+        assert 0 < k < mpmath.pi / a
+        return float(k)
+
+
+def test_band_bottom_at_small_gamma_a_matches_mpmath():
+    # near the bottom of band 0 all three terms of the secular function are
+    # O((ka)^2); formed as Omega cos(theta) + cos(ka) + ..., the O(1) parts
+    # cancelled and cos(ka) rounded to 1 below ka ~ 1e-8, so the root missed
+    # root_tol from gamma a ~ 1e-8 down (105x too large at gamma a = 1e-20)
+    rng = np.random.default_rng(2718)
+    for i in range(60):
+        a = 10.0 ** rng.uniform(-2.0, 2.0)
+        g = 10.0 ** rng.uniform(-60.0, -2.0)
+        omega = -1.0 if i % 2 == 0 else -1.0 + 10.0 ** rng.uniform(-15.0, -2.0)
+        theta = 0.0 if i % 3 == 0 else 10.0 ** rng.uniform(-30.0, -2.0)
+        c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
+        expected = _band_bottom_oracle(c, theta)
+        got = dispersion(c, theta)[0]
+        assert abs(got - expected) <= 1e-12 * expected, (g, omega, theta, a)
 
 
 def test_general_secular_vanishes_at_closed_form_roots():
@@ -124,9 +161,9 @@ def test_general_secular_vanishes_at_closed_form_roots():
         c = CombCouplings(w0=w0, w1=w1, a=a)
         for k in dispersion(c, theta, 2):
             # 2 t cos(theta) - e^{-ika} - e^{ika} det S, the amplitude-form
-            # secular function, written through band_rhs
+            # secular function, written through the amplitude-route oracle
             amps = delta_prime_amplitudes(c, k)
-            f = (band_rhs(lambda kk, c=c: delta_prime_amplitudes(c, kk), k, a)
+            f = (_band_rhs(lambda kk, c=c: delta_prime_amplitudes(c, kk), k, a)
                  - math.cos(theta)) * 2.0 * abs(amps.t)
             assert abs(f) <= 1e-10
 

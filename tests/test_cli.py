@@ -523,6 +523,13 @@ def test_numeric_failure_exits_3(capsys):
     assert "numerical failure" in err
 
 
+def test_tiny_spacing_above_the_underflow_still_exits_3(capsys):
+    # abs_tol a = 1e-310 is subnormal but positive: a tolerance not met
+    code, _, err = run_cli(capsys, "energy", "--w0", "1", "--a", "1e-300")
+    assert code == EXIT_NUMERIC
+    assert "numerical failure" in err
+
+
 def test_long_truncation_seeds_above_the_ladder(capsys):
     # at K = 1000 the ladder climbs to x = 5, above the lowest dyadic seed
     # 1000/256; seeds at or below the top rung are left out
@@ -554,6 +561,24 @@ def test_truncation_k_out_of_range_exits_2(argv, given):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "truncation_k" in err and given in err
     assert "nan" not in err and "bug" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--w0", "1", "--a", "1e-320"),
+        ("plate", "--w0", "1", "--a", "1e-320", "--theta", "1"),
+        ("scan-a", "--w0", "1", "--a-min", "1e-320", "--a-max", "1e-319", "--count", "2"),
+    ],
+    ids=("energy", "plate", "scan-a"),
+)
+def test_abs_tol_a_underflow_exits_2(argv):
+    # abs_tol a underflowed to 0 and the layer-mass share divided by it:
+    # an uncaught ZeroDivisionError, exit 1
+    code, out, err = run_fresh("open", *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "abs_tol a = 0.0" in err and "abs_tol = 1e-10" in err and "a = 1e-320" in err
+    assert "Traceback" not in err
 
 
 def test_largest_truncation_k_gives_the_default_energy(capsys):

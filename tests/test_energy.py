@@ -22,7 +22,6 @@ from deltacomb import (
     QuadratureConfig,
     ValidityViolationError,
     comb_energy,
-    dirichlet_limit_integrand,
     integrate_finite,
     plate_energy,
     plate_energy_closed,
@@ -30,7 +29,7 @@ from deltacomb import (
     theta_integrand,
 )
 import deltacomb.energy
-from deltacomb.energy import _energy_integral, _theta_integral_numeric
+from deltacomb.energy import _theta_integral_numeric
 
 TWO_PI = 2.0 * math.pi
 
@@ -544,17 +543,3 @@ def test_plate_energy_is_even_and_validated():
         plate_energy(c, 3.5)
     with pytest.raises(OutsideValidityDomainError):
         plate_energy(CombCouplings(w0=-1.0, w1=0.0, a=1.0), 0.0)
-
-
-# ------------------------------------------------------------ limit curves
-
-
-def test_dirichlet_limit_integrand():
-    assert dirichlet_limit_integrand(0.0, 1.0) == -1.0 / TWO_PI
-    assert dirichlet_limit_integrand(0.5, 2.0) == dirichlet_limit_integrand(1.0, 1.0)
-    f = lambda x: dirichlet_limit_integrand(x, 1.0)
-    for a in (0.5, 1.0, 2.0):
-        res = _energy_integral(f, 0.0, a, QuadratureConfig(), 1.5)
-        assert abs(res.value - (-math.pi / (24.0 * a))) <= max(1e-10, 10.0 * res.abs_err)
-    with pytest.raises(ValueError):
-        dirichlet_limit_integrand(-1.0, 1.0)

@@ -1,6 +1,8 @@
 """The package's public import surface."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import deltacomb
 from deltacomb import Band, CombCouplings, EnergyResult
@@ -8,7 +10,12 @@ from deltacomb import Band, CombCouplings, EnergyResult
 # names that were public once and have been removed from every module
 REMOVED = {
     "scattering": ("derive_couplings",),
-    "bands": ("BlochParams", "spectral_function_general"),
+    "bands": (
+        "BlochParams",
+        "spectral_function_general",
+        "band_rhs",
+        "AmplitudeProvider",
+    ),
     "quadrature": ("integrate_semi_infinite",),
     "energy": (
         "IntegrandABC",
@@ -20,7 +27,9 @@ REMOVED = {
         "small_coupling_ratio",
         "theta_integral_numeric",
         "mixed_limit_integrand",
+        "dirichlet_limit_integrand",
     ),
+    "errors": ("PerfectReflectionError",),
 }
 
 # attributes that were removed from public classes
@@ -36,11 +45,11 @@ def test_public_names_resolve_and_removed_names_are_gone():
         assert getattr(deltacomb, name) is not None
     for module, names in REMOVED.items():
         mod = importlib.import_module(f"deltacomb.{module}")
-        for name in mod.__all__:
+        for name in getattr(mod, "__all__", ()):
             assert getattr(mod, name) is not None
         for name in names:
             assert name not in deltacomb.__all__ and not hasattr(deltacomb, name)
-            assert name not in mod.__all__ and not hasattr(mod, name)
+            assert name not in getattr(mod, "__all__", ()) and not hasattr(mod, name)
 
 
 def test_removed_attributes_are_gone():
@@ -53,4 +62,20 @@ def test_removed_attributes_are_gone():
 
 
 def test_public_surface_does_not_grow():
-    assert len(deltacomb.__all__) <= 32
+    assert len(deltacomb.__all__) <= 29
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export, so it is the one module left out
+    for path in sorted(Path(deltacomb.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
