@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # 1 + gamma a/2 + Omega cos(theta), the k -> 0 value of the secular function,
-# is formed in floating point; within this of zero it counts as zero, so
-# the attractive boundary 1 + gamma a/2 = |Omega| keeps its k = 0 edge
+# cancels for gamma a < 0; there it counts as zero within this, so the
+# attractive boundary 1 + gamma a/2 = |Omega| keeps its k = 0 edge
 _ZERO_TOL = 1e-12
 
 # theta = +q a here; the opposite labeling appears in the literature, but all
@@ -105,8 +105,10 @@ def _root(c: CombCouplings, n: int, theta: float, cfg: QuadratureConfig) -> floa
     oc = c.omega * math.cos(theta)
     parity = 1.0 if n % 2 == 0 else -1.0  # h(n pi) = (-1)^n
     h_lo = 1.0 + 0.5 * g if n == 0 else parity
-    f_lo, f_hi = oc + h_lo, oc - parity
-    if n == 0 and abs(f_lo) <= _ZERO_TOL:
+    # band 0's lower value sums non-negative terms for g >= 0: nothing cancels
+    f_lo = one_plus_omega_cos(c.omega, theta) + 0.5 * g if n == 0 else oc + parity
+    f_hi = oc - parity
+    if n == 0 and g < 0.0 and abs(f_lo) <= _ZERO_TOL:
         f_lo = 0.0
     lo, hi = n * math.pi / c.a, (n + 1) * math.pi / c.a
     if f_hi == 0.0:

@@ -159,15 +159,19 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     k = 0 returns the series limit: -1 for gamma > 0, else 0 (in the
     marginal free-type case Omega cos theta = -1 with gamma = 0 the true
     k -> 0 limit is -2 on that measure-zero phase; the generic limit is
-    kept, and no quadrature ever samples the endpoint).
+    kept, and no quadrature ever samples the endpoint).  k must be finite
+    and >= 0, and theta finite; anything else raises ValueError.
     """
-    if c.gamma < 0:
+    gamma, a = c.gamma, c.a
+    if gamma < 0:
         _require_supported(c)
-    if k < 0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    x, g, om = k * c.a, c.gamma * c.a, c.omega
-    if k == 0.0:
-        return -1.0 if g > 0 else 0.0
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if not 0.0 < k < math.inf:
+        if k == 0.0:
+            return -1.0 if gamma * a > 0 else 0.0
+        raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
+    x, g, om = k * a, gamma * a, c.omega
     x2 = 2.0 * x
     if x <= _REARRANGED_ABOVE:
         # A/x^2 over (B + C cos theta)/x^2, in which no term underflows
@@ -196,14 +200,16 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
 def spectral_integrand(c: CombCouplings, k: float) -> float:
     """Bloch-phase-averaged integrand I(k) = (1/2pi)[A/sqrt(B^2-C^2) + ak
     - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a,
-    cancellation-free on both sides of the x = 5 crossover."""
-    if c.gamma < 0:
+    cancellation-free on both sides of the x = 5 crossover, for finite k >= 0
+    (else ValueError; k = 0 gives the limit, -1/2pi for gamma > 0, else 0)."""
+    gamma, a = c.gamma, c.a
+    if gamma < 0:
         _require_supported(c)
-    if k < 0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    x, g, om = k * c.a, c.gamma * c.a, c.omega
-    if k == 0.0:
-        return -1.0 / _TWO_PI if g > 0 else 0.0
+    if not 0.0 < k < math.inf:
+        if k == 0.0:
+            return -1.0 / _TWO_PI if gamma * a > 0 else 0.0
+        raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
+    x, g, om = k * a, gamma * a, c.omega
     x2 = 2.0 * x
     if x <= _REARRANGED_ABOVE:
         # (B -+ |C|)/x; b_minus = 0 only where its x^2-sized term

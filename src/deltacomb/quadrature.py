@@ -10,9 +10,9 @@ from one integrate_finite call in the energy module.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
-error magnitude with an insertion counter as tie-breaker, and the final
-sums run over intervals sorted by position).
-"""
+error magnitude with an insertion counter as tie-breaker, the unrolled
+panel sums in one fixed order, and the final math.fsum sums are correctly
+rounded in any order)."""
 
 from __future__ import annotations
 
@@ -65,6 +65,10 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
+_RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
 
 
 @dataclass(frozen=True)
@@ -93,34 +97,43 @@ class QuadratureConfig:
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
-    """One 7/15 Gauss-Kronrod panel: (integral estimate, error estimate)."""
+    """One 7/15 Gauss-Kronrod panel: (integral estimate, error estimate).
+
+    Unrolled: each sum adds the centre term, then the node pairs j = 0..6 in
+    turn.  That order is fixed on purpose; any other changes the last bits.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
     fc = f(center)
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = abs(resk)
-    pairs = []
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        pairs.append((f1, f2))
-        fsum = f1 + f2
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * fsum
-        resk += _WGK[j] * fsum
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    d0, d1, d2, d3 = half * _X0, half * _X1, half * _X2, half * _X3
+    d4, d5, d6 = half * _X4, half * _X5, half * _X6
+    l0, r0 = f(center - d0), f(center + d0)
+    l1, r1 = f(center - d1), f(center + d1)
+    l2, r2 = f(center - d2), f(center + d2)
+    l3, r3 = f(center - d3), f(center + d3)
+    l4, r4 = f(center - d4), f(center + d4)
+    l5, r5 = f(center - d5), f(center + d5)
+    l6, r6 = f(center - d6), f(center + d6)
+
+    kc = _K7 * fc
+    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
+    resk = (kc + _K0 * (l0 + r0) + _K1 * s1 + _K2 * (l2 + r2) + _K3 * s3
+            + _K4 * (l4 + r4) + _K5 * s5 + _K6 * (l6 + r6))
+    resabs = (abs(kc) + _K0 * (abs(l0) + abs(r0)) + _K1 * (abs(l1) + abs(r1))
+              + _K2 * (abs(l2) + abs(r2)) + _K3 * (abs(l3) + abs(r3))
+              + _K4 * (abs(l4) + abs(r4)) + _K5 * (abs(l5) + abs(r5))
+              + _K6 * (abs(l6) + abs(r6)))
 
     # QUADPACK-style scaling of the raw |K15 - G7| difference: compare it to
     # the variation of f over the panel so that the estimate stays honest for
     # both smooth and rough integrands.
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        f1, f2 = pairs[j]
-        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    h = 0.5 * resk
+    resasc = (_K7 * abs(fc - h) + _K0 * (abs(l0 - h) + abs(r0 - h))
+              + _K1 * (abs(l1 - h) + abs(r1 - h)) + _K2 * (abs(l2 - h) + abs(r2 - h))
+              + _K3 * (abs(l3 - h) + abs(r3 - h)) + _K4 * (abs(l4 - h) + abs(r4 - h))
+              + _K5 * (abs(l5 - h) + abs(r5 - h)) + _K6 * (abs(l6 - h) + abs(r6 - h)))
 
     value = resk * half
     resabs *= abs(half)
@@ -128,7 +141,7 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, fl
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPS):
+    if resabs > _RESABS_FLOOR:
         err = max(_EPS * 50.0 * resabs, err)
     return value, err
 
@@ -186,10 +199,9 @@ def integrate_finite(
         counter += 2
         splits += 1
 
-    # re-sum in positional order: deterministic and well conditioned
-    intervals = sorted(heap, key=lambda item: item[2])
-    value = math.fsum(item[4] for item in intervals)
-    err = math.fsum(item[5] for item in intervals)
+    # fsum is correctly rounded, so the heap's order of terms cannot matter
+    value = math.fsum(item[4] for item in heap)
+    err = math.fsum(item[5] for item in heap)
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         raise ToleranceNotMetError(
             f"error estimate {err:.3e} above tolerance on [{lo}, {hi}]"

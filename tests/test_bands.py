@@ -177,6 +177,17 @@ def test_dispersion_free_comb():
         assert abs(got - expected) <= 1e-10
 
 
+def test_dispersion_free_comb_band_0_at_small_theta():
+    # band 0's lower-end value 1 + Omega cos(theta) = 2 sin^2(theta/2) is
+    # tiny here but not zero, so the root is k = theta/a, not the edge k = 0
+    for a in (0.5, 1.0, 2.0):
+        free = CombCouplings(w0=0.0, w1=0.0, a=a)
+        assert dispersion(free, 0.0)[0] == 0.0
+        for theta in (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            k = dispersion(free, theta)[0]
+            assert abs(k - theta / a) <= 1e-12 * theta / a
+
+
 def test_dispersion_is_exactly_even_in_theta():
     for theta in (0.4, 1.3, 2.9):
         assert dispersion(KP, theta, 3) == dispersion(KP, -theta, 3)

@@ -202,6 +202,23 @@ def test_integrand_rejects_negative_momentum_and_gamma():
         spectral_integrand(ok, -1.0)
 
 
+def test_integrands_reject_non_finite_arguments_by_value():
+    # a non-finite k or theta is a caller's error, not the bug sentinel
+    c = CombCouplings(w0=1.0, w1=0.3, a=1.0)
+    calls = [
+        (lambda: spectral_integrand(c, math.nan), "k = nan"),
+        (lambda: spectral_integrand(c, math.inf), "k = inf"),
+        (lambda: theta_integrand(c, math.nan, 0.5), "k = nan"),
+        (lambda: theta_integrand(c, math.inf, 0.5), "k = inf"),
+        (lambda: theta_integrand(c, 1.0, math.nan), "theta must be finite, got nan"),
+        (lambda: theta_integrand(c, 1.0, math.inf), "theta must be finite, got inf"),
+        (lambda: theta_integrand(c, 1.0, -math.inf), "theta must be finite, got -inf"),
+    ]
+    for call, named in calls:
+        with pytest.raises(ValueError, match=named):
+            call()
+
+
 def test_theta_integrand_parity_in_w1_is_exact():
     plus = CombCouplings(w0=3.0, w1=0.7, a=1.0)
     minus = CombCouplings(w0=3.0, w1=-0.7, a=1.0)

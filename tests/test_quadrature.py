@@ -1,6 +1,7 @@
 """Tests for the adaptive Gauss-Kronrod kernels and root refinement."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from deltacomb import (
     integrate_finite,
     refine_root,
 )
-from deltacomb import quadrature
+from deltacomb import CombCouplings, quadrature, spectral_integrand
 from deltacomb.energy import _energy_integral
 
 # (integrand, lo, hi, exact value).  The battery mixes single-panel-exact
@@ -58,6 +59,76 @@ def test_deterministic_bit_identical_repeat():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def _loop_panel(f, lo, hi):
+    """The 7/15 panel written as a loop over node pairs: the oracle that the
+    unrolled quadrature._panel must reproduce bit for bit."""
+    xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
+    eps, uflow = quadrature._EPS, quadrature._UFLOW
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+
+    fc = f(center)
+    resg = wg[3] * fc
+    resk = wgk[7] * fc
+    resabs = abs(resk)
+    pairs = []
+    for j in range(7):
+        dx = half * xgk[j]
+        f1 = f(center - dx)
+        f2 = f(center + dx)
+        pairs.append((f1, f2))
+        fsum = f1 + f2
+        if j % 2 == 1:
+            resg += wg[(j - 1) // 2] * fsum
+        resk += wgk[j] * fsum
+        resabs += wgk[j] * (abs(f1) + abs(f2))
+
+    reskh = 0.5 * resk
+    resasc = wgk[7] * abs(fc - reskh)
+    for j in range(7):
+        f1, f2 = pairs[j]
+        resasc += wgk[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+
+    value = resk * half
+    resabs *= abs(half)
+    resasc *= abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > uflow / (50.0 * eps):
+        err = max(eps * 50.0 * resabs, err)
+    return value, err
+
+
+def test_panel_matches_the_loop_oracle_bit_for_bit():
+    rng = random.Random(20181)
+    combs = [
+        CombCouplings(w0=1.0, w1=0.3, a=1.0),
+        CombCouplings(w0=1e-6, w1=0.0, a=1.0),
+        CombCouplings.from_reduced(omega=0.99, gamma=40.0, a=1.0),
+    ]
+    # at scales 1e-300 .. 1e-290 resabs falls on both sides of the floor
+    # 1e-308 / (50 eps) ~ 2e-294 above which err is raised to 50 eps resabs
+    floor = quadrature._UFLOW / (50.0 * quadrature._EPS)
+    tiny = [(lambda x, s=10.0 ** -rng.uniform(290.0, 300.0): s * math.cos(3.0 * x))
+            for _ in range(4)]
+    integrands = [(lambda x, c=c: spectral_integrand(c, x)) for c in combs] + [
+        lambda x: math.sin(7.0 * x - 3.0),
+        lambda x: 0.0,
+        lambda x: -2.5,  # resasc == 0
+    ]
+    sides = set()
+    for f in integrands + tiny:
+        for _ in range(200):
+            lo = rng.uniform(0.0, 40.0)
+            hi = lo + 10.0 ** rng.uniform(-9.0, 1.5)
+            assert quadrature._panel(f, lo, hi) == _loop_panel(f, lo, hi)
+            if f in tiny:
+                # the value of the panel of |f| is resabs
+                sides.add(_loop_panel(lambda x: abs(f(x)), lo, hi)[0] > floor)
+    assert sides == {True, False}
 
 
 @given(
