@@ -78,14 +78,14 @@ def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
 
     Evaluated as (1 + Omega cos theta) - 2 sin^2(ka/2) + (gamma/2) sin(ka)/k,
     with 1 + Omega cos theta a sum of non-negative terms, so nothing cancels
-    at band 0's bottom, where all three terms are small.  Defined for k >= 0;
-    at k = 0 the removable singularity is replaced by its limit
-    1 + Omega cos(theta) + gamma a / 2.
+    at band 0's bottom, where all three terms are small.  Defined for finite
+    k >= 0 (anything else raises ValueError); at k = 0 the removable
+    singularity is replaced by its limit 1 + Omega cos(theta) + gamma a / 2.
     """
-    if k < 0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    if k == 0.0:
-        return one_plus_omega_cos(c.omega, theta) + 0.5 * c.gamma * c.a
+    if not 0.0 < k < math.inf:
+        if k == 0.0:
+            return one_plus_omega_cos(c.omega, theta) + 0.5 * c.gamma * c.a
+        raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
     x = k * c.a
     half = math.sin(0.5 * x)
     d = one_plus_omega_cos(c.omega, theta)
@@ -193,7 +193,7 @@ def _band_root(
     bracket.  A bracket already within root_tol needs no evaluation (flat
     bands have near == far).
     """
-    lo, hi = sorted((near, far))
+    lo, hi = (near, far) if near <= far else (far, near)
     if hi - lo <= cfg.root_tol * hi:
         return near
     secular = lambda k: spectral_function(c, k, theta)  # noqa: E731

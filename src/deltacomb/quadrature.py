@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+_TWO_EPS = 2.0 * _EPS
 # refine_root halves its bracket at least every fourth step, and a bracket
 # of doubles cannot be halved more than about 2100 times
 _MAX_BRENT_STEPS = 4 * 2100
@@ -155,17 +156,20 @@ def integrate_finite(
 ) -> Tuple[float, float]:
     """Adaptive quadrature of f on [lo, hi].
 
-    breaks are interior points, strictly increasing inside (lo, hi); each
-    piece between them starts as one panel.  The worst panel anywhere is
-    split next, and the test below applies to the summed error.
+    lo and hi are finite and breaks are interior points, strictly increasing
+    inside (lo, hi), else ValueError; each piece between them starts as one
+    panel.  The worst panel anywhere is split next, and the test below
+    applies to the summed error.
 
     Returns (value, abs_err) with abs_err <= max(abs_tol, rel_tol * |value|),
-    or raises ToleranceNotMetError after max_subdivisions splits.
+    or raises ToleranceNotMetError after max_subdivisions splits or on a NaN
+    estimate.
     """
     cfg = cfg or QuadratureConfig()
     edges = [lo, *breaks, hi]
-    if not all(p < q for p, q in zip(edges, edges[1:])):
-        raise ValueError(f"need lo < breaks < hi, strictly increasing, got {edges}")
+    if not (-math.inf < lo and hi < math.inf
+            and all(p < q for p, q in zip(edges, edges[1:]))):
+        raise ValueError(f"need finite lo < breaks < hi, strictly increasing, got {edges}")
 
     # heap entries: (-err, insertion counter, lo, hi, value, err)
     heap = []
@@ -202,7 +206,7 @@ def integrate_finite(
     # fsum is correctly rounded, so the heap's order of terms cannot matter
     value = math.fsum(item[4] for item in heap)
     err = math.fsum(item[5] for item in heap)
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if not err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         raise ToleranceNotMetError(
             f"error estimate {err:.3e} above tolerance on [{lo}, {hi}]"
         )
@@ -226,43 +230,59 @@ def refine_root(
     the root is narrower than cfg.root_tol * max(|b|, |c|) and returns its
     end b with the smaller |f|, so the root lies within that width of the
     result.  An endpoint where f is exactly zero is returned as is; a
-    bracket without a sign change raises NoSignChangeError.  Running out of
-    steps, which the forced bisections keep out of reach, raises
-    RootScanError rather than return an unconverged point.
+    bracket without a sign change raises NoSignChangeError, and one with a
+    non-finite end ValueError.  A NaN value of f, at an end or inside, and
+    running out of steps, which the forced bisections keep out of reach,
+    raise RootScanError rather than return a point that is not a root.
     """
     cfg = cfg or QuadratureConfig()
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     flo = f(lo)
-    if flo == 0.0:
-        return lo
+    if not abs(flo) > 0.0:
+        if flo == 0.0:
+            return lo
+        raise RootScanError(f"f is NaN at x = {lo!r} in [{lo}, {hi}]")
     fhi = f(hi)
-    if fhi == 0.0:
-        return hi
+    if not abs(fhi) > 0.0:
+        if fhi == 0.0:
+            return hi
+        raise RootScanError(f"f is NaN at x = {hi!r} in [{lo}, {hi}]")
     if (flo > 0) == (fhi > 0):
         raise NoSignChangeError(
             f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
         )
+    # The loop's floating-point operations and their order are fixed on
+    # purpose: any change moves roots in their last bits.  Only interpreter
+    # work is hoisted or carried (2 eps, root_tol/2, c - b, |f| at a, b and c),
+    # and max() and abs(d) > tol are spelled as comparisons, which round nothing.
+    half_rtol = 0.5 * cfg.root_tol
     # b: best estimate; c: the other end of the bracket; a: previous b
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
+    afa = afc = abs(fa)
+    afb = abs(fb)
     d = e = b - a
     halved_at, stalled = abs(c - b), 0
     for _ in range(_MAX_BRENT_STEPS):
-        if abs(fc) < abs(fb):
+        if afc < afb:
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * cfg.root_tol * max(abs(b), abs(c))
-        m = 0.5 * (c - b)
+            afa, afb, afc = afb, afc, afb
+        ab, ac = abs(b), abs(c)
+        tol = _TWO_EPS * ab + half_rtol * (ac if ac > ab else ab)
+        cb = c - b
+        m = 0.5 * cb
         if abs(m) <= tol:
             return b
-        if abs(c - b) <= 0.5 * halved_at:
-            halved_at, stalled = abs(c - b), 0
+        width = abs(cb)
+        if width <= 0.5 * halved_at:
+            halved_at, stalled = width, 0
         else:
             stalled += 1
         step = m
         if stalled >= 3:
             e = m
-        elif abs(e) >= tol and abs(fa) > abs(fb):
+        elif abs(e) >= tol and afa > afb:
             s = fb / fa
             if a == c:
                 p, q = 2.0 * m * s, 1.0 - s
@@ -280,13 +300,16 @@ def refine_root(
         else:
             e = m
         d = step
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
+        a, fa, afa = b, fb, afb
+        b += d if d > tol or d < -tol else math.copysign(tol, m)
         fb = f(b)
-        if fb == 0.0:
-            return b
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
+        afb = abs(fb)
+        if not afb > 0.0:
+            if fb == 0.0:
+                return b
+            raise RootScanError(f"f is NaN at x = {b!r} in [{lo}, {hi}]")
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, afc = a, fa, afa
             d = e = b - a
     raise RootScanError(
         f"root refinement did not converge in [{lo}, {hi}] after "

@@ -112,6 +112,13 @@ def test_spectral_function_limits_and_examples():
         spectral_function(FREE, -1.0, 0.0)
 
 
+def test_spectral_function_rejects_non_finite_momentum_by_value():
+    c = CombCouplings(w0=1.0, w1=0.3, a=10.0)
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"got k = {k!r}"):
+            spectral_function(c, k, 0.5)
+
+
 def _band_bottom_oracle(c, theta):
     """Band 0's root of (1 + Omega cos theta) - 2 sin^2(ka/2) + (gamma/2)
     sin(ka)/k in 100-digit mpmath, at c's and theta's exact float values

@@ -15,7 +15,8 @@ from deltacomb import (
     integrate_finite,
     refine_root,
 )
-from deltacomb import CombCouplings, quadrature, spectral_integrand
+from deltacomb import CombCouplings, band_structure, quadrature, spectral_integrand
+import deltacomb.bands
 from deltacomb.energy import _energy_integral
 
 # (integrand, lo, hi, exact value).  The battery mixes single-panel-exact
@@ -154,10 +155,10 @@ def test_cubics_integrated_exactly(c0, c1, c2, c3):
 
 
 def test_interval_must_be_ordered():
-    with pytest.raises(ValueError):
-        integrate_finite(math.sin, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        integrate_finite(math.sin, 2.0, 1.0)
+    for lo, hi in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+                   (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            integrate_finite(lambda x: 1.0, lo, hi)
 
 
 def test_breaks_seed_one_panel_per_piece():
@@ -181,6 +182,10 @@ def test_tolerance_not_met_raises():
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
     with pytest.raises(ToleranceNotMetError):
         integrate_finite(lambda x: x ** -0.5, 0.0, 1.0, cfg)
+    # a NaN estimate meets no tolerance
+    for f in (lambda x: math.nan, lambda x: math.nan if x > 0.7 else x):
+        with pytest.raises(ToleranceNotMetError):
+            integrate_finite(f, 0.0, 1.0)
 
 
 def test_config_validation():
@@ -273,5 +278,135 @@ def test_refine_root_raises_when_steps_run_out(monkeypatch):
 def test_refine_root_requires_sign_change():
     with pytest.raises(NoSignChangeError):
         refine_root(math.cos, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        refine_root(math.cos, 2.0, 1.0)
+    # and a finite, ordered bracket
+    for lo, hi in ((2.0, 1.0), (0.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            refine_root(lambda x: x - 1.0, lo, hi)
+
+
+def test_refine_root_raises_on_nan_values_by_point():
+    def inner(x):  # NaN on (0.2, 0.9); the first secant step lands at 0.5
+        return math.nan if 0.2 < x < 0.9 else x - 0.5
+
+    with pytest.raises(RootScanError, match="x = 0.5 "):
+        refine_root(inner, 0.0, 1.0)
+    with pytest.raises(RootScanError, match="x = 0.0 "):
+        refine_root(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(RootScanError, match="x = 1.0 "):
+        refine_root(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
+
+
+def _loop_refine_root(f, lo, hi, cfg=None):
+    """Brent's loop as written before its interpreter work was trimmed: the
+    oracle that quadrature.refine_root must reproduce bit for bit."""
+    cfg = cfg or QuadratureConfig()
+    eps = quadrature._EPS
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise NoSignChangeError("same sign")
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    d = e = b - a
+    halved_at, stalled = abs(c - b), 0
+    for _ in range(quadrature._MAX_BRENT_STEPS):
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * eps * abs(b) + 0.5 * cfg.root_tol * max(abs(b), abs(c))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        if abs(c - b) <= 0.5 * halved_at:
+            halved_at, stalled = abs(c - b), 0
+        else:
+            stalled += 1
+        step = m
+        if stalled >= 3:
+            e = m
+        elif abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, step = d, p / q
+            else:
+                e = m
+        else:
+            e = m
+        d = step
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb == 0.0:
+            return b
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+    raise RootScanError("out of steps")
+
+
+def _band_brackets(monkeypatch, rng):
+    """(f, lo, hi, cfg) of every refine_root call that band_structure makes
+    on five combs, one touching and one flat, at three root_tol values."""
+    brackets = []
+
+    def recorded(f, lo, hi, cfg=None):
+        brackets.append((f, lo, hi, cfg))
+        return refine_root(f, lo, hi, cfg)
+
+    monkeypatch.setattr(deltacomb.bands, "refine_root", recorded)
+    combs = [CombCouplings(w0=0.0, w1=0.0, a=rng.uniform(0.5, 2.0)),  # touching
+             CombCouplings.from_reduced(omega=0.0, gamma=2.5, a=1.3)]  # flat
+    combs += [CombCouplings.from_reduced(omega=rng.uniform(-0.9, 0.9),
+                                         gamma=rng.uniform(0.1, 5.0),
+                                         a=rng.uniform(0.5, 3.0)) for _ in range(3)]
+    for c in combs:
+        for tol in (1e-4, 1e-12, 1e-15):
+            band_structure(c, 8, 101, QuadratureConfig(root_tol=tol))
+    monkeypatch.undo()
+    return brackets
+
+
+def test_refine_root_matches_the_loop_oracle_bit_for_bit(monkeypatch):
+    rng = random.Random(20182)
+    brackets = _band_brackets(monkeypatch, rng)
+    band_count = len(brackets)
+    for tol in (1e-4, 1e-12, 1e-15):
+        cfg = QuadratureConfig(root_tol=tol)
+        for _ in range(100):
+            lo = rng.uniform(-4.0, 4.0)
+            hi = lo + rng.uniform(1.0, 3.0)
+            f = rng.choice((math.cos, math.sin))
+            if (f(lo) > 0) != (f(hi) > 0):
+                brackets.append((f, lo, hi, cfg))
+            # negative brackets and brackets straddling 0
+            r = rng.uniform(-3.0, 1.0)
+            brackets.append((lambda x, r=r: x - r, -3.0 - rng.random(), 1.0 + rng.random(), cfg))
+            brackets.append((lambda x, r=r: (x - r) * (x + 5.0), r - rng.random(), r + rng.random(), cfg))
+        for _ in range(20):
+            # the fifth-order root stalls interpolation into forced bisections
+            lo, hi = rng.uniform(-1.0, 0.29), rng.uniform(0.31, 3.0)
+            brackets.append((lambda x: (x - 0.3) ** 5, lo, hi, cfg))
+            # exact zeros at either end
+            brackets.append((lambda x: x - 1.0, 1.0, 1.0 + rng.random(), cfg))
+            brackets.append((lambda x: x - 1.0, rng.random(), 1.0, cfg))
+    assert band_count >= 1000 and len(brackets) >= 2000
+    for f, lo, hi, cfg in brackets:
+        # the same root from the same sequence of evaluation points
+        runs = []
+        for solve in (_loop_refine_root, refine_root):
+            xs = []
+            root = solve(lambda x: xs.append(x) or f(x), lo, hi, cfg)
+            runs.append((root, xs))
+        assert runs[1] == runs[0]
