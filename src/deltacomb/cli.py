@@ -4,9 +4,9 @@ Subcommands cover single evaluations (energy, plate, bands), the parameter
 sweeps behind the standard plots (scan-a, scan-couplings, ratio-w0), and the
 built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 (one object with run metadata); floats are serialized with full round-trip
-precision.  Exit codes: 0 success, 2 domain/usage error, 3 numerical failure
-(tolerance not met, root search failed, validity guard tripped), and 1 when
-`verify` finds a failing check.
+precision.  Exit codes: 0 success, 1 when `verify` finds a failing check, 2
+for a usage error, a ValueError or an OutsideValidityDomainError, and 3 for
+any other DeltaCombError (a numerical failure).
 """
 
 from __future__ import annotations
@@ -15,20 +15,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bands import band_structure
-from .energy import EnergyResult, comb_energy, plate_energy, _w0_log_ratio
-from .errors import (
-    AmplitudePoleError,
-    InvalidLatticeSpacingError,
-    NoSignChangeError,
-    OutsideValidityDomainError,
-    RootScanError,
-    ToleranceNotMetError,
-    ValidityViolationError,
-)
+from .energy import EnergyResult, comb_energy, plate_energy
+from .errors import DeltaCombError, OutsideValidityDomainError
 from .quadrature import QuadratureConfig
 from .scattering import CombCouplings
 
@@ -37,18 +30,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
-_DOMAIN_ERRORS = (
-    InvalidLatticeSpacingError,
-    OutsideValidityDomainError,
-    AmplitudePoleError,
-    ValueError,
-)
-_NUMERIC_ERRORS = (
-    ToleranceNotMetError,
-    ValidityViolationError,
-    RootScanError,
-    NoSignChangeError,
-)
+_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyResult))
+_QUAD_FIELDS = fields(QuadratureConfig)
 
 
 def _add_coupling_args(p: argparse.ArgumentParser) -> None:
@@ -86,27 +69,20 @@ def _resolve_couplings(args: argparse.Namespace, a: float) -> CombCouplings:
 
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
+    """One option per QuadratureConfig field, --abs-tol for abs_tol, with the
+    field's default."""
     g = p.add_argument_group("quadrature")
-    g.add_argument("--abs-tol", type=float, default=1e-10)
-    g.add_argument("--rel-tol", type=float, default=1e-8)
-    g.add_argument("--max-subdivisions", type=int, default=2000)
-    g.add_argument(
-        "--truncation-k",
-        type=float,
-        default=None,
-        help="override the 40/a momentum cutoff",
-    )
-    g.add_argument("--root-tol", type=float, default=1e-12)
+    for f in _QUAD_FIELDS:
+        g.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=int if isinstance(f.default, int) else float,
+            default=f.default,
+            help="override the 40/a momentum cutoff" if f.name == "truncation_k" else None,
+        )
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        max_subdivisions=args.max_subdivisions,
-        truncation_k=args.truncation_k,
-        root_tol=args.root_tol,
-    )
+    return QuadratureConfig(**{f.name: getattr(args, f.name) for f in _QUAD_FIELDS})
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -134,13 +110,7 @@ def _emit(
             "rows": [dict(zip(header, row)) for row in rows],
         }
         if cfg is not None:
-            payload["tolerances"] = {
-                "abs_tol": cfg.abs_tol,
-                "rel_tol": cfg.rel_tol,
-                "max_subdivisions": cfg.max_subdivisions,
-                "truncation_k": cfg.truncation_k,
-                "root_tol": cfg.root_tol,
-            }
+            payload["tolerances"] = asdict(cfg)
         text = json.dumps(payload, indent=2) + "\n"
     else:
         # cells are ints and floats, which CSV never quotes; each distinct
@@ -167,9 +137,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
     res = comb_energy(c, cfg)
-    header = ("value", "abs_err", "truncation_k", "tail_bound")
-    row = (res.value, res.abs_err, res.truncation_k, res.tail_bound)
-    _emit(args, "energy", _coupling_params(c), cfg, header, [row])
+    _emit(args, "energy", _coupling_params(c), cfg, _ENERGY_FIELDS, [astuple(res)])
     return EXIT_OK
 
 
@@ -179,9 +147,8 @@ def cmd_plate(args: argparse.Namespace) -> int:
     res = plate_energy(c, args.theta, cfg)
     params = _coupling_params(c)
     params["theta"] = args.theta
-    header = ("theta", "value", "abs_err", "truncation_k", "tail_bound")
-    row = (args.theta, res.value, res.abs_err, res.truncation_k, res.tail_bound)
-    _emit(args, "plate", params, cfg, header, [row])
+    row = (args.theta, *astuple(res))
+    _emit(args, "plate", params, cfg, ("theta", *_ENERGY_FIELDS), [row])
     return EXIT_OK
 
 
@@ -276,6 +243,14 @@ def cmd_scan_couplings(args: argparse.Namespace) -> int:
     )
 
 
+def _w0_log_ratio(lead: Tuple, res: EnergyResult) -> Tuple:
+    """The energy and E/(w0 ln w0): the pure-delta comb's energy goes like
+    w0 ln(w0) as w0 -> 0, not analytic at the free point, so the ratio tends
+    to a constant."""
+    w0 = lead[0]
+    return res.value, res.abs_err, res.value / (w0 * math.log(w0))
+
+
 def cmd_ratio_w0(args: argparse.Namespace) -> int:
     if not 0.0 < args.w0_min < args.w0_max < 1.0:
         raise ValueError("need 0 < --w0-min < --w0-max < 1 (log ratio domain)")
@@ -288,7 +263,7 @@ def cmd_ratio_w0(args: argparse.Namespace) -> int:
         ("a", "w0_min", "w0_max", "count"),
         ("w0", "energy", "abs_err", "ratio"),
         ((CombCouplings(w0=w0, w1=0.0, a=args.a), (w0,)) for w0 in grid),
-        lambda lead, res: (res.value, res.abs_err, _w0_log_ratio(res.value, lead[0])),
+        _w0_log_ratio,
     )
 
 
@@ -391,12 +366,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _DOMAIN_ERRORS as exc:
+    except (OutsideValidityDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except DeltaCombError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -55,9 +55,11 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
       F = [2x (4x^2 - g^2 - 2g) eps - P T cos theta]
           / [R (R + S eps + T cos theta)].
 
-  No positive exponential appears, so the forms stay finite (and
-  machine-accurate, by comparison with high-precision evaluation) for
-  arbitrarily large x.
+  No positive exponential appears, so the forms stay machine-accurate (by
+  comparison with high-precision evaluation) for large x.  Every term
+  carries e^{-x} (e^{-2x} for f), so once that factor underflows (x ~ 745,
+  resp. 372) the value is 0.0 to double precision, and 0.0 is returned
+  also where the x^2-sized factors overflow (from x ~ 1e154) to inf * 0.
 
 Every energy integral (comb and plate) is computed once in x, at unit
 spacing, and divided by a.  It is truncated at X = 40, i.e. at K = 40/a
@@ -185,10 +187,13 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
                 return x - 2.0
             _violation(den, "(B + C cos(theta))/x^2")
         return num / den + x - g / (g + x2)
+    ex = math.exp(-x)
+    if ex == 0.0:  # every term carries e^{-x}
+        return 0.0
     eps = math.exp(-x2)
     r, s = x2 + g, x2 - g
     p = g - x * r
-    t_small = 4.0 * x * om * math.exp(-x)
+    t_small = 4.0 * x * om * ex
     costh = math.cos(theta)
     num = x2 * (4.0 * x * x - g * g - 2.0 * g) * eps - p * t_small * costh
     den = r + s * eps + t_small * costh
@@ -239,6 +244,8 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     delta = eps * (2.0 * r * s + s * s * eps - 16.0 * x * x * om * om)
     y = delta / (r * r)
     if not 1.0 + y > 0.0:
+        if eps == 0.0:  # 0 * inf from x^2-sized terms; every term carries e^{-2x}
+            return 0.0
         _violation(1.0 + y, "e^{-2x}-scaled B^2 - C^2")
     root = math.sqrt(1.0 + y)
     phi = y / (1.0 + root)
@@ -431,9 +438,3 @@ def plate_energy_closed(theta: float, a: float) -> float:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     t = abs(theta)
     return (t - t * t / _TWO_PI - math.pi / 3.0) / (2.0 * a)
-
-
-def _w0_log_ratio(energy: float, w0: float) -> float:
-    """energy / (w0 ln w0): the pure-delta comb's energy goes like w0 ln(w0)
-    as w0 -> 0, not analytic at the free point, so the ratio tends to a constant."""
-    return energy / (w0 * math.log(w0))

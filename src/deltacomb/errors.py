@@ -1,20 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+OutsideValidityDomainError and its subclasses reject input outside the
+supported domain; every other DeltaCombError is a numerical failure.
+"""
+
+__all__ = [
+    "DeltaCombError",
+    "OutsideValidityDomainError",
+    "InvalidLatticeSpacingError",
+    "AmplitudePoleError",
+    "ValidityViolationError",
+    "ToleranceNotMetError",
+    "NoSignChangeError",
+    "RootScanError",
+]
 
 
 class DeltaCombError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidLatticeSpacingError(DeltaCombError):
+class OutsideValidityDomainError(DeltaCombError):
+    """Parameters lie outside the domain where the energy formulas hold."""
+
+
+class InvalidLatticeSpacingError(OutsideValidityDomainError):
     """Lattice spacing must be strictly positive."""
 
 
-class AmplitudePoleError(DeltaCombError):
+class AmplitudePoleError(OutsideValidityDomainError):
     """Scattering-amplitude denominator vanished (bound-state momentum)."""
-
-
-class OutsideValidityDomainError(DeltaCombError):
-    """Parameters lie outside the domain where the energy formulas hold."""
 
 
 class ValidityViolationError(DeltaCombError):

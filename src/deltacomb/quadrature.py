@@ -219,7 +219,9 @@ def refine_root(
     hi: float,
     cfg: Optional[QuadratureConfig] = None,
 ) -> float:
-    """Brent's (1973) root of f in a sign-changing bracket [lo, hi].
+    """Brent's (1973) root of f in a sign-changing bracket [lo, hi], on which
+    f must be continuous: a sign change through a pole is returned like a
+    root (refine_root(math.tan, 1.0, 2.0) gives pi/2).
 
     Inverse quadratic or secant steps are taken while they shrink the
     bracket fast enough, otherwise the step is a bisection.  A bracket that

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import argparse
 import random
+from dataclasses import fields
 
 import pytest
 
-from deltacomb import __version__, cli
+from deltacomb import QuadratureConfig, __version__, cli, errors
 from deltacomb.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERIC,
@@ -523,6 +524,37 @@ def test_numeric_failure_exits_3(capsys):
     assert "numerical failure" in err
 
 
+# main's exit code and stderr prefix for every error class of the package
+# and for ValueError: the OutsideValidityDomainError family is a domain error
+EXIT_BY_ERROR = {
+    errors.DeltaCombError: (EXIT_NUMERIC, "numerical failure: "),
+    errors.OutsideValidityDomainError: (EXIT_DOMAIN, "error: "),
+    errors.InvalidLatticeSpacingError: (EXIT_DOMAIN, "error: "),
+    errors.AmplitudePoleError: (EXIT_DOMAIN, "error: "),
+    errors.ValidityViolationError: (EXIT_NUMERIC, "numerical failure: "),
+    errors.ToleranceNotMetError: (EXIT_NUMERIC, "numerical failure: "),
+    errors.NoSignChangeError: (EXIT_NUMERIC, "numerical failure: "),
+    errors.RootScanError: (EXIT_NUMERIC, "numerical failure: "),
+    ValueError: (EXIT_DOMAIN, "error: "),
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    assert {getattr(errors, name) for name in errors.__all__} == set(EXIT_BY_ERROR) - {ValueError}
+
+
+@pytest.mark.parametrize("exc_type", list(EXIT_BY_ERROR), ids=lambda t: t.__name__)
+def test_exit_codes_follow_the_error_hierarchy(capsys, monkeypatch, exc_type):
+    def fail(*args):
+        raise exc_type("raised by the library")
+
+    monkeypatch.setattr(cli, "comb_energy", fail)
+    code, prefix = EXIT_BY_ERROR[exc_type]
+    assert run_cli(capsys, "energy", "--w0", "1", "--a", "1") == (
+        code, "", prefix + "raised by the library\n"
+    )
+
+
 def test_tiny_spacing_above_the_underflow_still_exits_3(capsys):
     # abs_tol a = 1e-310 is subnormal but positive: a tolerance not met
     code, _, err = run_cli(capsys, "energy", "--w0", "1", "--a", "1e-300")
@@ -687,3 +719,19 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
         assert parse_exit(capsys, main, (name, "-h"))[0] == 0
         assert built == ([] if name == "verify" else [name])
 
+
+def test_quadrature_options_come_from_quadrature_config(capsys):
+    default = QuadratureConfig()
+    names = [f.name for f in fields(QuadratureConfig)]
+    for command, argv in VALID_ARGS.items():
+        if command != "verify":
+            args = cli._build_parser(command).parse_args([command, *argv])
+            assert [getattr(args, n) for n in names] == [getattr(default, n) for n in names]
+    cfg = QuadratureConfig(
+        abs_tol=1e-9, rel_tol=1e-7, max_subdivisions=3000, truncation_k=30.0, root_tol=1e-11
+    )
+    options = [arg for n in names for arg in (f"--{n.replace('_', '-')}", repr(getattr(cfg, n)))]
+    code, out, _ = run_cli(capsys, "energy", *VALID_ARGS["energy"], *options, "--format", "json")
+    assert code == EXIT_OK
+    record = [(n, v, type(v)) for n, v in json.loads(out)["tolerances"].items()]
+    assert record == [(n, getattr(cfg, n), type(getattr(cfg, n))) for n in names]

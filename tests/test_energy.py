@@ -103,6 +103,23 @@ def test_free_corner_returns_exact_values_below_underflow():
     assert spectral_integrand(stiff, 1e-170) == 0.0
 
 
+def test_integrands_are_zero_where_exp_minus_x_underflows():
+    # above x = 5 every term carries e^{-x}: finite at every x, and exactly 0
+    # once e^{-x} underflows, also where x^2 overflows or k a is inf
+    for c in (
+        CombCouplings(w0=1.0, w1=0.3, a=10.0),
+        CombCouplings(w0=0.0, w1=0.0, a=1.0),
+        CombCouplings.from_reduced(omega=0.99, gamma=1e150, a=1.0),
+    ):
+        xs = [5.0 * 10.0 ** (i * (300.0 - math.log10(5.0)) / 300.0) for i in range(301)]
+        for k in [x / c.a for x in xs] + [1e308]:
+            values = [spectral_integrand(c, k)]
+            values += [theta_integrand(c, k, th) for th in (0.0, 0.5, math.pi)]
+            assert all(math.isfinite(v) for v in values), (c, k, values)
+            if k * c.a > 746.0:
+                assert values == [0.0] * 4, (c, k, values)
+
+
 def _oracle(g, omega, x, thetas):
     """I and F at each theta in 80-digit mpmath, from B -+ |C| and
     B + C cos(theta) as sums of non-negative terms and with A/root + x

@@ -62,7 +62,12 @@ def test_removed_attributes_are_gone():
 
 
 def test_public_surface_does_not_grow():
-    assert len(deltacomb.__all__) <= 29
+    # the package re-exports each module's __all__ and nothing else
+    modules = ("errors", "quadrature", "scattering", "bands", "energy")
+    names = [n for m in modules for n in importlib.import_module(f"deltacomb.{m}").__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(deltacomb.__all__) == sorted(["__version__", *names])
+    assert len(deltacomb.__all__) == 29
 
 
 def test_modules_use_every_name_they_import():
