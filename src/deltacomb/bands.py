@@ -40,7 +40,6 @@ from .scattering import CombCouplings, one_plus_omega_cos
 
 __all__ = [
     "Band",
-    "BandStructure",
     "spectral_function",
     "dispersion",
     "band_edges",
@@ -65,12 +64,6 @@ class Band:
     ks: Tuple[float, ...]
     k_min: float
     k_max: float
-
-
-@dataclass(frozen=True)
-class BandStructure:
-    a: float
-    bands: Tuple[Band, ...]
 
 
 def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
@@ -174,7 +167,7 @@ def band_edges(
     touching bands share an endpoint exactly, and a band reaching the zero
     mode starts at k_min = 0.
     """
-    return [(b.k_min, b.k_max) for b in band_structure(c, n_bands, 2, cfg).bands]
+    return [(b.k_min, b.k_max) for b in band_structure(c, n_bands, 2, cfg)]
 
 
 def _band_root(
@@ -213,8 +206,9 @@ def band_structure(
     n_bands: int = 4,
     n_theta: int = 101,
     cfg: Optional[QuadratureConfig] = None,
-) -> BandStructure:
-    """Sample k_n(theta) on a uniform closed theta grid over [-pi, pi].
+) -> Tuple[Band, ...]:
+    """The first n_bands bands, each sampled on a uniform closed theta grid
+    over [-pi, pi].
 
     The grid is exactly mirror-symmetric (thetas[i] == -thetas[-1-i], with
     theta = 0.0 in the middle for odd n_theta); only theta >= 0 is solved and
@@ -248,4 +242,4 @@ def band_structure(
                 k_max=edges[1],
             )
         )
-    return BandStructure(a=c.a, bands=tuple(bands))
+    return tuple(bands)

@@ -155,10 +155,10 @@ def cmd_plate(args: argparse.Namespace) -> int:
 def cmd_bands(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
-    bs = band_structure(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
+    bands = band_structure(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
     rows = [
-        (band.index, theta, theta / bs.a, k, band.k_min, band.k_max)
-        for band in bs.bands
+        (band.index, theta, theta / c.a, k, band.k_min, band.k_max)
+        for band in bands
         for theta, k in zip(band.thetas, band.ks)
     ]
     params = _coupling_params(c)

@@ -25,7 +25,9 @@ Bloch-phase average of the subtracted integrand
     f(x) = (1/2 pi) [ A / sqrt(B^2 - C^2) + x - g/(g + 2x) ].
 
 Only gamma >= 0 is supported (attractive combs bind states below k = 0 and
-need a separate treatment), and B^2 > C^2 then holds for every x > 0.  A
+need a separate treatment), and B^2 > C^2 then holds for every x > 0.  So
+is only g <= 1e150, below which no term overflows at ordinary x; both
+integrands raise OutsideValidityDomainError outside these bounds.  A
 denominator that is negative or NaN raises ValidityViolationError as a bug
 sentinel; nothing is counted or stored between calls.
 
@@ -60,6 +62,8 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
   carries e^{-x} (e^{-2x} for f), so once that factor underflows (x ~ 745,
   resp. 372) the value is 0.0 to double precision, and 0.0 is returned
   also where the x^2-sized factors overflow (from x ~ 1e154) to inf * 0.
+  At the free corner f = 0 is returned on this side too, where the form
+  would leave rounding noise (7e-22 at x = 6).
 
 Every energy integral (comb and plate) is computed once in x, at unit
 spacing, and divided by a.  It is truncated at X = 40, i.e. at K = 40/a
@@ -91,7 +95,6 @@ __all__ = [
     "spectral_integrand",
     "comb_energy",
     "plate_energy",
-    "plate_energy_closed",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -110,35 +113,43 @@ def _violation(quantity: float, context: str) -> None:
     )
 
 
-def _require_supported(c: CombCouplings) -> None:
-    if c.gamma < 0:
-        raise OutsideValidityDomainError(
-            f"gamma = {c.gamma} < 0 (attractive comb): bound states appear "
-            "and the subtracted vacuum energy is not defined here"
-        )
-
-
 # the integrands' g^2 sinh^2 x and (2x + g)^2 terms overflow for some
-# x <= 5 from about g = 1e152 on; energies stop below that.  The check lets
-# gamma a through up to 4 ulps above the limit: from_reduced's round trip
-# through w0 adds up to 3 ulps to a gamma given at the limit
-_MAX_GAMMA_A = 1e150
+# x <= 5 from about g = 1e152 on; g = gamma a stops below that.  The limit
+# lets g through up to 4 ulps above 1e150: from_reduced's round trip
+# through w0 adds up to 3 ulps to a gamma given at 1e150
+_MAX_GAMMA_A = 1e150 + 4.0 * math.ulp(1e150)
 
 
-def _unit_couplings(c: CombCouplings) -> CombCouplings:
-    """c at unit spacing, whose gamma is gamma a; errors name c's values."""
-    _require_supported(c)
-    if c.gamma * c.a > _MAX_GAMMA_A + 4.0 * math.ulp(_MAX_GAMMA_A):
-        limit = f"gamma a exceeds {_MAX_GAMMA_A:g}"
-    elif not math.isfinite(c.w0 * c.a):
-        limit = "w0 a overflows"
-    else:
-        return CombCouplings(w0=c.w0 * c.a, w1=c.w1, a=1.0)
+def _out_of_range(c: CombCouplings, limit: str) -> None:
     raise OutsideValidityDomainError(
         f"{limit} at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, {c.a!r}), gamma = "
         f"{c.gamma!r}, omega = {c.omega!r}: the energy integrands leave the "
         "double-precision range there"
     )
+
+
+def _require_supported(c: CombCouplings, g: float) -> None:
+    """Raise OutsideValidityDomainError unless gamma >= 0 and g, the gamma a
+    that an integrand sees, is at most _MAX_GAMMA_A; errors name c's values."""
+    if c.gamma < 0:
+        raise OutsideValidityDomainError(
+            f"gamma = {c.gamma} < 0 (attractive comb): bound states appear "
+            "and the subtracted vacuum energy is not defined here"
+        )
+    if not g <= _MAX_GAMMA_A:
+        _out_of_range(c, f"gamma a exceeds {_MAX_GAMMA_A:g}")
+
+
+def _unit_couplings(c: CombCouplings) -> CombCouplings:
+    """c at unit spacing, whose gamma is the gamma a that its integrands see;
+    errors name c's values."""
+    w0a = c.w0 * c.a
+    if not math.isfinite(w0a):
+        _require_supported(c, c.gamma * c.a)
+        _out_of_range(c, "w0 a overflows")
+    unit = CombCouplings(w0=w0a, w1=c.w1, a=1.0)
+    _require_supported(c, unit.gamma)
+    return unit
 
 
 @dataclass(frozen=True)
@@ -164,16 +175,17 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     kept, and no quadrature ever samples the endpoint).  k must be finite
     and >= 0, and theta finite; anything else raises ValueError.
     """
-    gamma, a = c.gamma, c.a
-    if gamma < 0:
-        _require_supported(c)
+    a = c.a
+    g = c.gamma * a
+    if not 0.0 <= g <= _MAX_GAMMA_A:
+        _require_supported(c, g)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     if not 0.0 < k < math.inf:
         if k == 0.0:
-            return -1.0 if gamma * a > 0 else 0.0
+            return -1.0 if g > 0 else 0.0
         raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
-    x, g, om = k * a, gamma * a, c.omega
+    x, om = k * a, c.omega
     x2 = 2.0 * x
     if x <= _REARRANGED_ABOVE:
         # A/x^2 over (B + C cos theta)/x^2, in which no term underflows
@@ -207,14 +219,15 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a,
     cancellation-free on both sides of the x = 5 crossover, for finite k >= 0
     (else ValueError; k = 0 gives the limit, -1/2pi for gamma > 0, else 0)."""
-    gamma, a = c.gamma, c.a
-    if gamma < 0:
-        _require_supported(c)
+    a = c.a
+    g = c.gamma * a
+    if not 0.0 <= g <= _MAX_GAMMA_A:
+        _require_supported(c, g)
     if not 0.0 < k < math.inf:
         if k == 0.0:
-            return -1.0 / _TWO_PI if gamma * a > 0 else 0.0
+            return -1.0 / _TWO_PI if g > 0 else 0.0
         raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
-    x, g, om = k * a, gamma * a, c.omega
+    x, om = k * a, c.omega
     x2 = 2.0 * x
     if x <= _REARRANGED_ABOVE:
         # (B -+ |C|)/x; b_minus = 0 only where its x^2-sized term
@@ -237,6 +250,8 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
         d = 4.0 * (1.0 - om * om) + gs * (4.0 * ch + gs)  # D/x^2
         head = d / rho * x / (rho + 2.0 * sh) + (gs - g * ch) / rho  # head/root
         return (head - g / (g + x2)) / _TWO_PI
+    if g == 0.0 and abs(om) == 1.0:  # I = 0 here; the form below leaves noise
+        return 0.0
     eps = math.exp(-x2)
     r, s = x2 + g, x2 - g
     p = g - x * r
@@ -250,22 +265,6 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     root = math.sqrt(1.0 + y)
     phi = y / (1.0 + root)
     return (q * eps - p * phi) / (r * root) / _TWO_PI
-
-
-def _theta_integral_numeric(
-    c: CombCouplings, k: float, cfg: Optional[QuadratureConfig] = None
-) -> Tuple[float, float]:
-    """Direct Bloch-phase quadrature int_{-pi}^{pi} dtheta/(4 pi^2) F(k, theta).
-
-    Independent cross-check of spectral_integrand's closed-form theta
-    integral; returns (value, abs_err).
-    """
-    cfg = cfg or QuadratureConfig()
-    value, err = integrate_finite(
-        lambda th: theta_integrand(c, k, th), -math.pi, math.pi, cfg
-    )
-    norm = 4.0 * math.pi * math.pi
-    return value / norm, err / norm
 
 
 def _graded_breakpoints(
@@ -409,8 +408,8 @@ def plate_energy(
 ) -> EnergyResult:
     """Vacuum energy (1/2pi) int_0^oo dk F(k, theta) at fixed Bloch phase.
 
-    For the free comb this is the quasi-periodic two-plate energy with
-    closed form plate_energy_closed; averaging over theta with weight
+    For the free comb this is the quasi-periodic two-plate energy
+    (1/2a)(|theta| - theta^2/(2 pi) - pi/3); averaging over theta with weight
     dtheta/(2 pi) recovers comb_energy.  Even in theta.
     """
     cfg = cfg or QuadratureConfig()
@@ -428,13 +427,3 @@ def plate_energy(
         width,
     )
 
-
-def plate_energy_closed(theta: float, a: float) -> float:
-    """Closed form (1/2a)(|theta| - theta^2/(2 pi) - pi/3) of the free-comb
-    plate energy at quasi-periodic phase theta in [-pi, pi]."""
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
-    if not -math.pi <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    t = abs(theta)
-    return (t - t * t / _TWO_PI - math.pi / 3.0) / (2.0 * a)

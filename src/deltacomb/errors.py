@@ -1,14 +1,12 @@
 """Exception types shared across the package.
 
-OutsideValidityDomainError and its subclasses reject input outside the
-supported domain; every other DeltaCombError is a numerical failure.
+OutsideValidityDomainError rejects input outside the supported domain;
+every other DeltaCombError is a numerical failure.
 """
 
 __all__ = [
     "DeltaCombError",
     "OutsideValidityDomainError",
-    "InvalidLatticeSpacingError",
-    "AmplitudePoleError",
     "ValidityViolationError",
     "ToleranceNotMetError",
     "NoSignChangeError",
@@ -22,14 +20,6 @@ class DeltaCombError(Exception):
 
 class OutsideValidityDomainError(DeltaCombError):
     """Parameters lie outside the domain where the energy formulas hold."""
-
-
-class InvalidLatticeSpacingError(OutsideValidityDomainError):
-    """Lattice spacing must be strictly positive."""
-
-
-class AmplitudePoleError(OutsideValidityDomainError):
-    """Scattering-amplitude denominator vanished (bound-state momentum)."""
 
 
 class ValidityViolationError(DeltaCombError):

@@ -18,8 +18,8 @@ and the unimodular S-matrix determinant
 
 The pure-delta amplitudes are conventionally quoted as t = 2ik/(2ik - w0),
 r = w0/(2ik - w0); multiplying numerator and denominator by -i shows this
-is the same function as the w1 = 0 case above.  This module keeps both
-entry points and the reduction is tested numerically.
+is the same function as the w1 = 0 case above; verification keeps that
+form as a reference and checks the reduction numerically.
 
 Only real momenta (scattering states) and positive-imaginary momenta
 k = i kappa, kappa > 0 (the Wick-rotated axis used by the energy
@@ -33,16 +33,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
-from .errors import (
-    AmplitudePoleError,
-    InvalidLatticeSpacingError,
-    OutsideValidityDomainError,
-)
+from .errors import OutsideValidityDomainError
 
 __all__ = [
     "CombCouplings",
     "ScatteringAmplitudes",
-    "delta_amplitudes",
     "delta_prime_amplitudes",
     "s_matrix_det",
 ]
@@ -88,7 +83,7 @@ class CombCouplings:
 
     def __post_init__(self):
         if not 0 < self.a < math.inf:
-            raise InvalidLatticeSpacingError(
+            raise OutsideValidityDomainError(
                 f"lattice spacing must be positive and finite, got a = {self.a}"
             )
         if not (math.isfinite(self.w0) and math.isfinite(self.w1)):
@@ -125,27 +120,13 @@ class ScatteringAmplitudes:
     k: complex
 
 
-def delta_amplitudes(w0: float, k: Momentum) -> ScatteringAmplitudes:
-    """Amplitudes of a single Dirac delta: t = 2ik/(2ik - w0), left/right
-    reflection both w0/(2ik - w0)."""
-    k = complex(k)
-    den = 2j * k - w0
-    if den == 0:
-        raise AmplitudePoleError(
-            f"amplitude pole at k = {k} for delta strength w0 = {w0}"
-        )
-    t = 2j * k / den
-    r = w0 / den
-    return ScatteringAmplitudes(t=t, rR=r, rL=r, k=k)
-
-
 def delta_prime_amplitudes(c: CombCouplings, k: Momentum) -> ScatteringAmplitudes:
     """Amplitudes of a single delta-delta' centre with couplings (w0, w1)."""
     k = complex(k)
     p, q, w1q = _over_w1_squared(c.w1)
     den = 2.0 * k * (p + q) + 1j * c.w0 * q
     if den == 0:
-        raise AmplitudePoleError(
+        raise OutsideValidityDomainError(
             f"amplitude pole at k = {k} for couplings (w0, w1) = ({c.w0}, {c.w1})"
         )
     t = -2.0 * k * (p - q) / den

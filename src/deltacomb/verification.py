@@ -4,7 +4,8 @@ Each check exercises one pinned result — closed-form constants, oracle
 agreements, limiting behaviors — at an explicit tolerance and reports a
 CheckResult instead of raising, so the CLI can print a PASS/FAIL table
 and the test suite can assert on the same objects.  Randomized checks are
-seeded (seed 12345) and therefore reproducible run to run.
+seeded (seed 12345) and therefore reproducible run to run.  The independent
+references that checks 4 to 6 compare against are private to this module.
 """
 
 from __future__ import annotations
@@ -15,21 +16,50 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .bands import band_edges, dispersion
-from .energy import (
-    _theta_integral_numeric,
-    comb_energy,
-    plate_energy,
-    plate_energy_closed,
-    spectral_integrand,
-    theta_integrand,
-)
-from .errors import ValidityViolationError
+from .energy import comb_energy, plate_energy, spectral_integrand, theta_integrand
+from .errors import OutsideValidityDomainError, ValidityViolationError
 from .quadrature import QuadratureConfig, integrate_finite
-from .scattering import CombCouplings, delta_amplitudes, delta_prime_amplitudes, s_matrix_det
+from .scattering import CombCouplings, ScatteringAmplitudes, delta_prime_amplitudes, s_matrix_det
 
 __all__ = ["CheckResult", "run_all"]
 
 _SEED = 12345
+
+
+def _delta_amplitudes(w0: float, k: complex) -> ScatteringAmplitudes:
+    """Amplitudes of a single Dirac delta in their textbook form:
+    t = 2ik/(2ik - w0), left/right reflection both w0/(2ik - w0)."""
+    k = complex(k)
+    den = 2j * k - w0
+    if den == 0:
+        raise OutsideValidityDomainError(
+            f"amplitude pole at k = {k} for delta strength w0 = {w0}"
+        )
+    return ScatteringAmplitudes(t=2j * k / den, rR=w0 / den, rL=w0 / den, k=k)
+
+
+def _plate_energy_closed(theta: float, a: float) -> float:
+    """Closed form (1/2a)(|theta| - theta^2/(2 pi) - pi/3) of the free-comb
+    plate energy at quasi-periodic phase theta in [-pi, pi]."""
+    if not a > 0:
+        raise ValueError(f"a must be positive, got {a}")
+    if not -math.pi <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
+    t = abs(theta)
+    return (t - t * t / (2.0 * math.pi) - math.pi / 3.0) / (2.0 * a)
+
+
+def _theta_integral_numeric(
+    c: CombCouplings, k: float, cfg: QuadratureConfig
+) -> Tuple[float, float]:
+    """Direct Bloch-phase quadrature int_{-pi}^{pi} dtheta/(4 pi^2) F(k, theta),
+    the cross-check of spectral_integrand's closed-form theta integral;
+    returns (value, abs_err)."""
+    value, err = integrate_finite(
+        lambda th: theta_integrand(c, k, th), -math.pi, math.pi, cfg
+    )
+    norm = 4.0 * math.pi * math.pi
+    return value / norm, err / norm
 
 
 @dataclass(frozen=True)
@@ -127,7 +157,7 @@ def check_plate_formula() -> CheckResult:
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     worst = 0.0
     for theta in (0.0, 0.5, 1.5, math.pi):
-        dev = abs(plate_energy(free, theta).value - plate_energy_closed(theta, 1.0))
+        dev = abs(plate_energy(free, theta).value - _plate_energy_closed(theta, 1.0))
         worst = max(worst, dev)
     return _result(
         4,
@@ -179,7 +209,7 @@ def check_unitarity_suite() -> CheckResult:
         w0 = rng.uniform(-5.0, 5.0)
         k = (1.0 - rng.uniform(0.0, 1.0)) * 50.0
         prime = delta_prime_amplitudes(CombCouplings(w0=w0, w1=0.0, a=1.0), k)
-        plain = delta_amplitudes(w0, k)
+        plain = _delta_amplitudes(w0, k)
         worst_reduction = max(
             worst_reduction,
             abs(prime.t - plain.t),

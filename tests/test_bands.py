@@ -22,7 +22,6 @@ from deltacomb import (
     ScatteringAmplitudes,
     band_edges,
     band_structure,
-    delta_amplitudes,
     delta_prime_amplitudes,
     dispersion,
     s_matrix_det,
@@ -30,6 +29,7 @@ from deltacomb import (
 )
 import deltacomb.bands
 from deltacomb.bands import _band_root
+from deltacomb.verification import _delta_amplitudes
 
 FREE = CombCouplings(w0=0.0, w1=0.0, a=1.0)
 MIXED = CombCouplings(w0=0.0, w1=1.0, a=1.0)  # Omega = gamma = 0
@@ -69,7 +69,7 @@ def test_band_rhs_kronig_penney():
     w0 = 10.0
     for k in (0.5, 1.3, 4.0, 12.0):
         expected = math.cos(k) + (w0 / (2.0 * k)) * math.sin(k)
-        got = _band_rhs(lambda kk: delta_amplitudes(w0, kk), k, 1.0)
+        got = _band_rhs(lambda kk: _delta_amplitudes(w0, kk), k, 1.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -339,9 +339,9 @@ def test_band_edges_collapse_in_dirichlet_limit():
 
 
 def test_band_structure_kronig_penney_shape():
-    bs = band_structure(KP, n_bands=2, n_theta=21)
-    assert bs.a == 1.0 and len(bs.bands) == 2
-    for band in bs.bands:
+    bands = band_structure(KP, n_bands=2, n_theta=21)
+    assert type(bands) is tuple and len(bands) == 2
+    for band in bands:
         ks = np.asarray(band.ks)
         assert len(band.thetas) == 21 and len(ks) == 21
         # monotone along 0 <= theta <= pi and continuous on this grid
@@ -353,7 +353,7 @@ def test_band_structure_kronig_penney_shape():
         assert np.all(ks <= band.k_max + 1e-9)
     # the grid and the samples are even in theta, exactly
     for n_theta in (21, 100, 101):
-        for band in band_structure(KP, n_bands=2, n_theta=n_theta).bands:
+        for band in band_structure(KP, n_bands=2, n_theta=n_theta):
             th, ks = band.thetas, band.ks
             assert th[0] == -math.pi and th[-1] == math.pi
             assert all(th[i] == -th[-1 - i] for i in range(n_theta))
@@ -365,15 +365,14 @@ def test_band_structure_kronig_penney_shape():
 def _assert_matches_dispersion(source, n_bands, n_theta):
     """Every sample lies in its band and matches the per-column solve."""
     tol = 2.0 * QuadratureConfig().root_tol
-    bs = band_structure(source, n_bands, n_theta)
-    thetas = bs.bands[0].thetas
-    for j, theta in enumerate(thetas):
-        column = [band.ks[j] for band in bs.bands]
-        for band, k in zip(bs.bands, column):
+    bands = band_structure(source, n_bands, n_theta)
+    for j, theta in enumerate(bands[0].thetas):
+        column = [band.ks[j] for band in bands]
+        for band, k in zip(bands, column):
             assert band.k_min <= k <= band.k_max
         if abs(theta) in (0.0, math.pi):
             # edge columns are the band edges themselves
-            assert all(k in (b.k_min, b.k_max) for b, k in zip(bs.bands, column))
+            assert all(k in (b.k_min, b.k_max) for b, k in zip(bands, column))
             continue
         for k, ref in zip(column, dispersion(source, theta, n_bands)):
             assert abs(k - ref) <= tol * max(1.0, ref)
@@ -431,7 +430,7 @@ def test_band_structure_attractive_comb_with_real_bands():
     # gamma < 0 but 1 + gamma a/2 = 0.95 >= |Omega| = 0.5: every band is real
     c = CombCouplings.from_reduced(omega=0.5, gamma=-0.1, a=1.0)
     _assert_matches_dispersion(c, 4, 31)
-    for band in band_structure(c, 4, 31).bands:
+    for band in band_structure(c, 4, 31):
         for theta, k in zip(band.thetas, band.ks):
             assert abs(spectral_function(c, k, theta)) <= 1e-10
 
@@ -447,12 +446,11 @@ def test_band_structure_at_the_attractive_boundary():
     assert edges == [(merged[2 * n], merged[2 * n + 1]) for n in range(3)]
     assert edges[0][0] == 0.0
     _assert_matches_dispersion(c, 3, 31)
-    assert band_structure(c, 3, 31).bands[0].ks[0] == 0.0
+    assert band_structure(c, 3, 31)[0].ks[0] == 0.0
 
 
 def test_band_structure_free_comb_passes_through_zero():
-    bs = band_structure(FREE, n_bands=2, n_theta=9)
-    lowest = bs.bands[0]
+    lowest = band_structure(FREE, n_bands=2, n_theta=9)[0]
     assert lowest.thetas[4] == 0.0
     assert lowest.ks[4] == 0.0  # zero mode restored at theta = 0
     assert lowest.ks[0] == pytest.approx(math.pi, abs=1e-8)

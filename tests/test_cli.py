@@ -433,6 +433,17 @@ def test_domain_errors_exit_2(capsys):
         capsys, "ratio-w0", "--w0-min", "0.5", "--w0-max", "0.1"
     )
     assert code == EXIT_DOMAIN
+    # half a reduced parameterization, and grids of a single point
+    for argv, message in (
+        (("energy", "--omega", "0", "--a", "1"), "--omega and --gamma must be given together"),
+        (("scan-a", "--w0", "1", "--a-min", "1", "--a-max", "2", "--count", "1"),
+         "need --count >= 2"),
+        (("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "1",
+          "--gamma-count", "1", "--omega-min", "-0.5", "--omega-max", "0.5"),
+         "need --gamma-count >= 2 and --omega-count >= 2"),
+        (("ratio-w0", "--count", "1"), "need --count >= 2"),
+    ):
+        assert run_cli(capsys, *argv) == (EXIT_DOMAIN, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize(
@@ -514,6 +525,17 @@ def test_huge_w1_gives_finite_energy(capsys):
     assert abs(float(row["value"])) <= float(row["abs_err"]) + 1e-14
 
 
+@pytest.mark.parametrize("a", ["1e-12", "1e-11", "1e-10", "1e-3", "1"])
+@pytest.mark.parametrize("couplings", [("--w0", "0"), ("--w0", "1", "--w1", "1e200")])
+def test_free_corner_energy_is_exactly_zero(capsys, couplings, a):
+    # gamma = 0, |Omega| = 1: the integrand is 0 for every x, so the energy
+    # and its error are exact at every spacing, even where abs_tol a is tiny
+    code, out, err = run_cli(capsys, "energy", *couplings, "--a", a)
+    assert (code, err) == (EXIT_OK, "")
+    (row,) = parse_csv(out)
+    assert (row["value"], row["abs_err"], row["tail_bound"]) == ("0.0", "0.0", "0.0")
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run_cli(
         capsys,
@@ -529,8 +551,6 @@ def test_numeric_failure_exits_3(capsys):
 EXIT_BY_ERROR = {
     errors.DeltaCombError: (EXIT_NUMERIC, "numerical failure: "),
     errors.OutsideValidityDomainError: (EXIT_DOMAIN, "error: "),
-    errors.InvalidLatticeSpacingError: (EXIT_DOMAIN, "error: "),
-    errors.AmplitudePoleError: (EXIT_DOMAIN, "error: "),
     errors.ValidityViolationError: (EXIT_NUMERIC, "numerical failure: "),
     errors.ToleranceNotMetError: (EXIT_NUMERIC, "numerical failure: "),
     errors.NoSignChangeError: (EXIT_NUMERIC, "numerical failure: "),

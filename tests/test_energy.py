@@ -24,12 +24,12 @@ from deltacomb import (
     comb_energy,
     integrate_finite,
     plate_energy,
-    plate_energy_closed,
     spectral_integrand,
     theta_integrand,
 )
 import deltacomb.energy
-from deltacomb.energy import _theta_integral_numeric
+from deltacomb.verification import _plate_energy_closed
+from deltacomb.verification import _theta_integral_numeric
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,6 +101,10 @@ def test_free_corner_returns_exact_values_below_underflow():
         assert theta_integrand(free, x, 0.0) == -2.0
     stiff = CombCouplings(w0=1.0, w1=1e200, a=1.0)  # Omega = 1, gamma = 0
     assert spectral_integrand(stiff, 1e-170) == 0.0
+    # I = 0 also on both sides of x = 5, where the rearranged form would
+    # leave ~1e-21 of rounding noise
+    for x in [0.1 * i for i in range(1, 400)]:
+        assert spectral_integrand(free, x) == spectral_integrand(stiff, x) == 0.0, x
 
 
 def test_integrands_are_zero_where_exp_minus_x_underflows():
@@ -412,14 +416,45 @@ def test_small_spacing_at_unit_coupling_scales_exactly(w1):
 
 
 def test_gamma_a_above_the_limit_is_a_domain_error():
+    # the integrands share the energies' limit: a typed error, not inf, NaN
+    # or the positivity sentinel, at k = 0 and on either side of x = 5
     for c in (
         CombCouplings(w0=1e300, w1=0.0, a=1e10),  # gamma a overflows
         CombCouplings.from_reduced(omega=0.3, gamma=1e154, a=1.0),
+        CombCouplings.from_reduced(omega=0.5, gamma=1e200, a=1.0),
+        CombCouplings.from_reduced(omega=-1.0, gamma=1e150, a=1.1),
     ):
         with pytest.raises(OutsideValidityDomainError, match="gamma a exceeds"):
             comb_energy(c)
         with pytest.raises(OutsideValidityDomainError, match="gamma a exceeds"):
             plate_energy(c, 1.0)
+        for k in (0.0, 1.0, 6.0):
+            with pytest.raises(OutsideValidityDomainError, match="gamma a exceeds"):
+                spectral_integrand(c, k)
+            with pytest.raises(OutsideValidityDomainError, match="gamma a exceeds"):
+                theta_integrand(c, k, 0.5)
+
+
+def test_energies_gate_the_gamma_a_their_integrands_see():
+    # g = gamma a within a few ulps of the limit at spacings away from 1,
+    # where c.gamma * c.a and the unit-spacing gamma that the integrands see
+    # can fall on either side of it: an energy either stops at the gate,
+    # naming c's own values, or comes back finite
+    rng = random.Random(7)
+    limit = deltacomb.energy._MAX_GAMMA_A
+    gated = 0
+    for _ in range(40):
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        g = limit * (1.0 + rng.randint(-8, 4) * 2.0**-52)
+        c = CombCouplings.from_reduced(omega=rng.uniform(-1.0, 1.0), gamma=g / a, a=a)
+        try:
+            res = comb_energy(c)
+        except OutsideValidityDomainError as exc:
+            assert "gamma a exceeds" in str(exc) and f"{c.a!r}), gamma" in str(exc)
+            gated += 1
+        else:
+            assert math.isfinite(res.value) and math.isfinite(res.abs_err)
+    assert 0 < gated < 40
 
 
 def test_gamma_a_at_the_limit_stays_finite():
@@ -469,7 +504,7 @@ def test_plate_near_the_marginal_phase_keeps_its_step():
         c = CombCouplings(w0=w0, w1=0.0, a=1.0)
         for theta in thetas:
             res = plate_energy(c, theta)
-            assert abs(res.value - plate_energy_closed(theta, 1.0)) <= res.abs_err, (w0, theta)
+            assert abs(res.value - _plate_energy_closed(theta, 1.0)) <= res.abs_err, (w0, theta)
 
 
 def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
@@ -545,19 +580,19 @@ def test_energy_equals_theta_average_of_plate_energy():
 
 
 def test_plate_energy_closed_form_values():
-    assert plate_energy_closed(0.0, 1.0) == pytest.approx(-math.pi / 6.0, abs=1e-15)
-    assert plate_energy_closed(math.pi, 1.0) == pytest.approx(math.pi / 12.0, abs=1e-15)
-    assert plate_energy_closed(1.0, 2.0) == plate_energy_closed(-1.0, 2.0)
+    assert _plate_energy_closed(0.0, 1.0) == pytest.approx(-math.pi / 6.0, abs=1e-15)
+    assert _plate_energy_closed(math.pi, 1.0) == pytest.approx(math.pi / 12.0, abs=1e-15)
+    assert _plate_energy_closed(1.0, 2.0) == _plate_energy_closed(-1.0, 2.0)
     with pytest.raises(ValueError):
-        plate_energy_closed(4.0, 1.0)
+        _plate_energy_closed(4.0, 1.0)
     with pytest.raises(ValueError):
-        plate_energy_closed(0.0, -1.0)
+        _plate_energy_closed(0.0, -1.0)
 
 
 def test_plate_energy_free_comb_matches_closed_form():
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     for theta in (0.0, 0.5, 1.5, math.pi):
-        assert abs(plate_energy(free, theta).value - plate_energy_closed(theta, 1.0)) <= 1e-8
+        assert abs(plate_energy(free, theta).value - _plate_energy_closed(theta, 1.0)) <= 1e-8
 
 
 def test_plate_energy_truncation_override():

@@ -13,14 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltacomb import (
-    AmplitudePoleError,
     CombCouplings,
-    InvalidLatticeSpacingError,
     OutsideValidityDomainError,
-    delta_amplitudes,
     delta_prime_amplitudes,
     s_matrix_det,
 )
+from deltacomb.verification import _delta_amplitudes
 
 strengths_w0 = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 strengths_w1 = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -57,12 +55,12 @@ def test_gamma_tracks_w0_sign():
 
 
 def test_lattice_spacing_must_be_positive():
-    with pytest.raises(InvalidLatticeSpacingError):
+    with pytest.raises(OutsideValidityDomainError):
         CombCouplings(w0=1.0, w1=0.0, a=0.0)
-    with pytest.raises(InvalidLatticeSpacingError):
+    with pytest.raises(OutsideValidityDomainError):
         CombCouplings(w0=1.0, w1=0.0, a=-2.0)
     for a in (math.inf, math.nan):
-        with pytest.raises(InvalidLatticeSpacingError):
+        with pytest.raises(OutsideValidityDomainError):
             CombCouplings(w0=1.0, w1=0.0, a=a)
 
 
@@ -109,13 +107,13 @@ def test_from_reduced_roundtrip(omega, gamma, a):
 
 
 def test_delta_free():
-    amps = delta_amplitudes(0.0, 1.0)
+    amps = _delta_amplitudes(0.0, 1.0)
     assert amps.t == 1.0 and amps.rR == 0.0 and amps.rL == 0.0
 
 
 def test_delta_frozen_example():
     # t = 2i/(2i - 2) = (1 - i)/2, r = 2/(2i - 2) = -(1 + i)/2
-    amps = delta_amplitudes(2.0, 1.0)
+    amps = _delta_amplitudes(2.0, 1.0)
     assert abs(amps.t - (0.5 - 0.5j)) <= 1e-15
     assert abs(amps.rR - (-0.5 - 0.5j)) <= 1e-15
     assert amps.rR == amps.rL
@@ -123,7 +121,7 @@ def test_delta_frozen_example():
 
 
 def test_delta_strong_coupling_is_reflecting():
-    amps = delta_amplitudes(1e12, 1.0)
+    amps = _delta_amplitudes(1e12, 1.0)
     assert abs(amps.t) <= 1e-11
     assert abs(amps.rR + 1.0) <= 1e-11
 
@@ -132,7 +130,7 @@ def test_delta_prime_free_and_reduction_example():
     free = delta_prime_amplitudes(CombCouplings(w0=0.0, w1=0.0, a=1.0), 0.7)
     assert free.t == 1.0 and free.rR == 0.0 and free.rL == 0.0
     prime = delta_prime_amplitudes(CombCouplings(w0=1.0, w1=0.0, a=1.0), 1.0)
-    plain = delta_amplitudes(1.0, 1.0)
+    plain = _delta_amplitudes(1.0, 1.0)
     assert abs(prime.t - plain.t) <= 1e-15
     assert abs(prime.rR - plain.rR) <= 1e-15
     assert abs(prime.rL - plain.rL) <= 1e-15
@@ -166,16 +164,16 @@ def test_delta_prime_huge_w1_is_finite_and_unitary():
 
 def test_amplitudes_on_positive_imaginary_axis_are_real():
     # Wick-rotated momentum k = i kappa makes the delta amplitudes real
-    amps = delta_amplitudes(2.0, 0.5j)
+    amps = _delta_amplitudes(2.0, 0.5j)
     assert abs(amps.t.imag) == 0.0 and abs(amps.rR.imag) == 0.0
     assert amps.t == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_amplitude_poles_raise():
     # 2ik = w0 on the positive imaginary axis (bound-state momentum)
-    with pytest.raises(AmplitudePoleError):
-        delta_amplitudes(-2.0, 1.0j)
-    with pytest.raises(AmplitudePoleError):
+    with pytest.raises(OutsideValidityDomainError):
+        _delta_amplitudes(-2.0, 1.0j)
+    with pytest.raises(OutsideValidityDomainError):
         delta_prime_amplitudes(CombCouplings(w0=-4.0, w1=1.0, a=1.0), 1.0j)
 
 
@@ -188,7 +186,7 @@ def test_det_free_is_one():
 
 def test_det_frozen_example():
     # (2 - 2i)/(2 + 2i) = -i
-    det = s_matrix_det(delta_amplitudes(2.0, 1.0))
+    det = s_matrix_det(_delta_amplitudes(2.0, 1.0))
     assert abs(det - (-1j)) <= 1e-15
 
 
@@ -224,7 +222,7 @@ def test_det_matches_closed_form_and_is_unimodular(w0, w1, k):
 @settings(deadline=None)
 def test_delta_prime_reduces_to_delta(w0, k):
     prime = delta_prime_amplitudes(CombCouplings(w0=w0, w1=0.0, a=1.0), k)
-    plain = delta_amplitudes(w0, k)
+    plain = _delta_amplitudes(w0, k)
     assert abs(prime.t - plain.t) <= 1e-15
     assert abs(prime.rR - plain.rR) <= 1e-15
     assert abs(prime.rL - plain.rL) <= 1e-15
