@@ -31,9 +31,9 @@ column's root and the band's theta = pi edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ._record import Record
 from .errors import NoSignChangeError, OutsideValidityDomainError, RootScanError
 from .quadrature import QuadratureConfig, refine_root
 from .scattering import CombCouplings, one_plus_omega_cos
@@ -55,15 +55,14 @@ _ZERO_TOL = 1e-12
 # spectra are even in theta so the choice is observationally irrelevant.
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record):
     """One band: momentum samples over a theta grid plus its edge interval."""
 
-    index: int
-    thetas: Tuple[float, ...]
-    ks: Tuple[float, ...]
-    k_min: float
-    k_max: float
+    __slots__ = ("index", "thetas", "ks", "k_min", "k_max")
+
+    def __init__(self, index: int, thetas: Tuple[float, ...], ks: Tuple[float, ...],
+                 k_min: float, k_max: float):
+        self._set(index, thetas, ks, k_min, k_max)
 
 
 def spectral_function(c: CombCouplings, k: float, theta: float) -> float:

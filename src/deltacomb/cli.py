@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -30,8 +29,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
-_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyResult))
-_QUAD_FIELDS = fields(QuadratureConfig)
+_ENERGY_FIELDS = EnergyResult.__slots__
+_QUAD_DEFAULTS = QuadratureConfig()._asdict()
 
 
 def _add_coupling_args(p: argparse.ArgumentParser) -> None:
@@ -72,17 +71,17 @@ def _add_quad_args(p: argparse.ArgumentParser) -> None:
     """One option per QuadratureConfig field, --abs-tol for abs_tol, with the
     field's default."""
     g = p.add_argument_group("quadrature")
-    for f in _QUAD_FIELDS:
+    for name, default in _QUAD_DEFAULTS.items():
         g.add_argument(
-            "--" + f.name.replace("_", "-"),
-            type=int if isinstance(f.default, int) else float,
-            default=f.default,
-            help="override the 40/a momentum cutoff" if f.name == "truncation_k" else None,
+            "--" + name.replace("_", "-"),
+            type=int if isinstance(default, int) else float,
+            default=default,
+            help="override the 40/a momentum cutoff" if name == "truncation_k" else None,
         )
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(**{f.name: getattr(args, f.name) for f in _QUAD_FIELDS})
+    return QuadratureConfig(**{name: getattr(args, name) for name in _QUAD_DEFAULTS})
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -110,7 +109,7 @@ def _emit(
             "rows": [dict(zip(header, row)) for row in rows],
         }
         if cfg is not None:
-            payload["tolerances"] = asdict(cfg)
+            payload["tolerances"] = cfg._asdict()
         text = json.dumps(payload, indent=2) + "\n"
     else:
         # cells are ints and floats, which CSV never quotes; each distinct
@@ -137,7 +136,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
     res = comb_energy(c, cfg)
-    _emit(args, "energy", _coupling_params(c), cfg, _ENERGY_FIELDS, [astuple(res)])
+    _emit(args, "energy", _coupling_params(c), cfg, _ENERGY_FIELDS, [res._astuple()])
     return EXIT_OK
 
 
@@ -147,7 +146,7 @@ def cmd_plate(args: argparse.Namespace) -> int:
     res = plate_energy(c, args.theta, cfg)
     params = _coupling_params(c)
     params["theta"] = args.theta
-    row = (args.theta, *astuple(res))
+    row = (args.theta, *res._astuple())
     _emit(args, "plate", params, cfg, ("theta", *_ENERGY_FIELDS), [row])
     return EXIT_OK
 

@@ -82,9 +82,9 @@ parent panels it would compute and throw away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from ._record import Record
 from .errors import OutsideValidityDomainError, ValidityViolationError
 from .quadrature import QuadratureConfig, integrate_finite
 from .scattering import CombCouplings, one_plus_omega_cos
@@ -152,17 +152,16 @@ def _unit_couplings(c: CombCouplings) -> CombCouplings:
     return unit
 
 
-@dataclass(frozen=True)
-class EnergyResult:
+class EnergyResult(Record):
     """Energy value with its quadrature error and truncation-tail bound.
 
     value excludes the (bounded) tail beyond truncation_k.
     """
 
-    value: float
-    abs_err: float
-    truncation_k: float
-    tail_bound: float
+    __slots__ = ("value", "abs_err", "truncation_k", "tail_bound")
+
+    def __init__(self, value: float, abs_err: float, truncation_k: float, tail_bound: float):
+        self._set(value, abs_err, truncation_k, tail_bound)
 
 
 def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
@@ -375,7 +374,7 @@ def _energy_integral(
         f,
         0.0,
         X,
-        replace(cfg, abs_tol=tol * share, rel_tol=cfg.rel_tol * share),
+        cfg._replace(abs_tol=tol * share, rel_tol=cfg.rel_tol * share),
         breaks,
     )
     return EnergyResult(

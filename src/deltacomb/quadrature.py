@@ -19,9 +19,9 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import NoSignChangeError, RootScanError, ToleranceNotMetError
 
 __all__ = [
@@ -72,8 +72,7 @@ _G0, _G1, _G2, _G3 = _WG
 _RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(Record):
     """Tolerances and limits shared by all integrals and root searches.
 
     truncation_k is the momentum cutoff K of the energy integrals; None means
@@ -82,19 +81,17 @@ class QuadratureConfig:
     one integrate_finite call, so it applies to a whole energy, ladder and all.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-    truncation_k: Optional[float] = None
-    root_tol: float = 1e-12
+    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k", "root_tol")
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.root_tol > 0):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000,
+                 truncation_k: Optional[float] = None, root_tol: float = 1e-12):
+        if not (abs_tol > 0 and rel_tol > 0 and root_tol > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.truncation_k is not None and not self.truncation_k > 0:
+        if truncation_k is not None and not truncation_k > 0:
             raise ValueError("truncation_k must be positive when given")
+        self._set(abs_tol, rel_tol, max_subdivisions, truncation_k, root_tol)
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:

@@ -30,9 +30,9 @@ complex k away from the amplitude pole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Tuple, Union
 
+from ._record import Record
 from .errors import OutsideValidityDomainError
 
 __all__ = [
@@ -66,8 +66,7 @@ def one_plus_omega_cos(omega: float, theta: float) -> float:
     return (1.0 - omega) + 2.0 * omega * half * half
 
 
-@dataclass(frozen=True)
-class CombCouplings:
+class CombCouplings(Record):
     """Couplings of the delta-delta' comb and the derived reduced parameters.
 
     omega = (w1^2 - 1)/(w1^2 + 1) in [-1, 1] and gamma = w0/(1 + w1^2) are
@@ -75,24 +74,19 @@ class CombCouplings:
     |w1| > 1 they are formed from w1^-2, which cannot overflow.
     """
 
-    w0: float
-    w1: float
-    a: float
-    omega: float = field(init=False)
-    gamma: float = field(init=False)
+    __slots__ = ("w0", "w1", "a", "omega", "gamma")
 
-    def __post_init__(self):
-        if not 0 < self.a < math.inf:
+    def __init__(self, w0: float, w1: float, a: float):
+        if not 0 < a < math.inf:
             raise OutsideValidityDomainError(
-                f"lattice spacing must be positive and finite, got a = {self.a}"
+                f"lattice spacing must be positive and finite, got a = {a}"
             )
-        if not (math.isfinite(self.w0) and math.isfinite(self.w1)):
+        if not (math.isfinite(w0) and math.isfinite(w1)):
             raise OutsideValidityDomainError(
-                f"couplings must be finite, got (w0, w1) = ({self.w0}, {self.w1})"
+                f"couplings must be finite, got (w0, w1) = ({w0}, {w1})"
             )
-        p, q, _ = _over_w1_squared(self.w1)
-        object.__setattr__(self, "omega", (p - q) / (p + q))
-        object.__setattr__(self, "gamma", self.w0 * q / (p + q))
+        p, q, _ = _over_w1_squared(w1)
+        self._set(w0, w1, a, (p - q) / (p + q), w0 * q / (p + q))
 
     @classmethod
     def from_reduced(cls, omega: float, gamma: float, a: float) -> "CombCouplings":
@@ -110,14 +104,13 @@ class CombCouplings:
         return cls(w0=w0, w1=w1, a=a)
 
 
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
+class ScatteringAmplitudes(Record):
     """Transmission and reflection amplitudes of one centre at momentum k."""
 
-    t: complex
-    rR: complex
-    rL: complex
-    k: complex
+    __slots__ = ("t", "rR", "rL", "k")
+
+    def __init__(self, t: complex, rR: complex, rL: complex, k: complex):
+        self._set(t, rR, rL, k)
 
 
 def delta_prime_amplitudes(c: CombCouplings, k: Momentum) -> ScatteringAmplitudes:

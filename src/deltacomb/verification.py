@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from ._record import Record
 from .bands import band_edges, dispersion
 from .energy import comb_energy, plate_energy, spectral_integrand, theta_integrand
 from .errors import OutsideValidityDomainError, ValidityViolationError
@@ -62,12 +62,11 @@ def _theta_integral_numeric(
     return value / norm, err / norm
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("number", "name", "passed", "detail")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str):
+        self._set(number, name, passed, detail)
 
 
 def _result(number: int, name: str, passed: bool, detail: str) -> CheckResult:

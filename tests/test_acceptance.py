@@ -6,8 +6,6 @@ prints its [PASS]/[FAIL] line and asserts the outcome, so a red criterion is
 visible both in the -v listing and in the captured detail.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from deltacomb import verification
@@ -74,7 +72,7 @@ def test_check_03_fails_on_plate_energies_shifted_by_1e_8(monkeypatch):
 
     def shifted(c, theta, cfg=None):
         res = plate_energy(c, theta, cfg)
-        return replace(res, value=res.value + 1e-8 / c.a)
+        return res._replace(value=res.value + 1e-8 / c.a)
 
     monkeypatch.setattr(verification, "plate_energy", shifted)
     assert not verification.check_free_comb_zero().passed
@@ -85,7 +83,7 @@ def test_check_02_fails_on_a_comb_energy_shifted_by_1e_8(monkeypatch):
 
     def shifted(c, cfg=None):
         res = comb_energy(c, cfg)
-        return replace(res, value=res.value + 1e-8)
+        return res._replace(value=res.value + 1e-8)
 
     monkeypatch.setattr(verification, "comb_energy", shifted)
     assert not verification.check_dirichlet_constant().passed
@@ -96,7 +94,7 @@ def test_check_08_fails_on_comb_energies_shifted_by_1e_8(monkeypatch):
 
     def shifted(c, cfg=None):
         res = comb_energy(c, cfg)
-        return replace(res, value=res.value + 1e-8)
+        return res._replace(value=res.value + 1e-8)
 
     monkeypatch.setattr(verification, "comb_energy", shifted)
     assert not verification.check_non_analyticity().passed

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import argparse
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -32,11 +31,12 @@ from deltacomb.cli import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `python -m deltacomb.cli argv...`; with "blocked" as its first
-# argument, every `import numpy` in the run raises ImportError
+# argument, every `import numpy` and `import dataclasses` in the run raises
+# ImportError
 _FRESH_RUN = """
 import runpy, sys
 if sys.argv.pop(1) == "blocked":
-    sys.modules["numpy"] = None
+    sys.modules["numpy"] = sys.modules["dataclasses"] = None
 sys.argv[0] = "deltacomb"
 runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
 """
@@ -61,8 +61,9 @@ def run_fresh(mode, *argv, timeout=60):
 
 
 def run_without_numpy(*argv):
-    """Exit code and stdout of a fresh `deltacomb argv...` that cannot import
-    numpy, checked equal (stderr too) to those of a fresh run that can."""
+    """Exit code and stdout of a fresh `deltacomb argv...` that can import
+    neither numpy nor dataclasses, checked equal (stderr too) to those of a
+    fresh run that can."""
     blocked = run_fresh("blocked", *argv)
     assert blocked == run_fresh("open", *argv)
     return blocked[:2]
@@ -170,6 +171,16 @@ def test_csv_text_matches_the_csv_module(capsys):
 def test_cli_does_not_import_csv():
     code, out, err = run_python("import sys, deltacomb.cli; print('csv' in sys.modules)")
     assert (code, out, err) == (0, "False\n", "")
+
+
+def test_cli_does_not_import_dataclasses_or_inspect():
+    code, out, err = run_python(
+        "import sys\n"
+        "before = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "import deltacomb.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))"
+    )
+    assert (code, out, err) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize(
@@ -742,7 +753,7 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
 
 def test_quadrature_options_come_from_quadrature_config(capsys):
     default = QuadratureConfig()
-    names = [f.name for f in fields(QuadratureConfig)]
+    names = list(QuadratureConfig.__slots__)
     for command, argv in VALID_ARGS.items():
         if command != "verify":
             args = cli._build_parser(command).parse_args([command, *argv])

@@ -7,7 +7,6 @@ is deterministic, so agreement is to near machine precision.
 
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 

@@ -1,11 +1,22 @@
 """The package's public import surface."""
 
 import ast
+import copy
 import importlib
+import pickle
 from pathlib import Path
 
+import pytest
+
 import deltacomb
-from deltacomb import Band, CombCouplings, EnergyResult
+from deltacomb import (
+    Band,
+    CombCouplings,
+    EnergyResult,
+    QuadratureConfig,
+    ScatteringAmplitudes,
+)
+from deltacomb.verification import CheckResult
 
 # names that were public once and have been removed from every module
 REMOVED = {
@@ -86,3 +97,94 @@ def test_modules_use_every_name_they_import():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+# one record of each type, and one of the same type that differs in one field
+RECORDS = [
+    (QuadratureConfig(), QuadratureConfig(rel_tol=1e-7)),
+    (CombCouplings(w0=1.0, w1=0.5, a=2.0), CombCouplings(w0=1.0, w1=0.5, a=3.0)),
+    (
+        ScatteringAmplitudes(t=0.6j, rR=0.8, rL=-0.8, k=1 + 0j),
+        ScatteringAmplitudes(t=0.6j, rR=0.8, rL=0.8, k=1 + 0j),
+    ),
+    (
+        Band(index=0, thetas=(0.0, 1.0), ks=(0.5, 0.75), k_min=0.5, k_max=1.0),
+        Band(index=0, thetas=(0.0, 1.0), ks=(0.5, 0.8), k_min=0.5, k_max=1.0),
+    ),
+    (
+        EnergyResult(value=-0.1, abs_err=1e-12, truncation_k=40.0, tail_bound=1e-15),
+        EnergyResult(value=-0.2, abs_err=1e-12, truncation_k=40.0, tail_bound=1e-15),
+    ),
+    (CheckResult(1, "check", True, "ok"), CheckResult(1, "check", False, "ok")),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, other", RECORDS, ids=RECORD_IDS)
+def test_records_cannot_be_changed(record, other):
+    before = repr(record)
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("record, other", RECORDS, ids=RECORD_IDS)
+def test_records_compare_and_hash_by_type_and_values(record, other):
+    twin = record._replace()
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert record != other and not record == other
+    values = record._astuple()
+    assert values == tuple(record._asdict().values())
+    assert record != values and values != record and record != list(values)
+    # a record of another type never equals this one, even with its values
+    partners = [type(r) for r, _ in RECORDS if len(type(r).__slots__) == len(values)]
+    assert len(partners) == 3
+    for partner in partners:
+        same_values = partner.__new__(partner)
+        same_values.__setstate__(values)
+        assert same_values._astuple() == values
+        assert (same_values == record) == (partner is type(record))
+
+
+@pytest.mark.parametrize("record, other", RECORDS, ids=RECORD_IDS)
+def test_records_survive_copy_and_pickle(record, other):
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is type(record) and twin == record
+        assert hash(twin) == hash(record) and repr(twin) == repr(record)
+
+
+def test_record_repr_matches_the_dataclass_text():
+    assert repr(QuadratureConfig()) == (
+        "QuadratureConfig(abs_tol=1e-10, rel_tol=1e-08, max_subdivisions=2000, "
+        "truncation_k=None, root_tol=1e-12)"
+    )
+    assert repr(CombCouplings(w0=1.0, w1=0.5, a=2.0)) == (
+        "CombCouplings(w0=1.0, w1=0.5, a=2.0, omega=-0.6, gamma=0.8)"
+    )
+
+
+def test_replace_redoes_checks_and_derived_fields():
+    cfg = QuadratureConfig()
+    assert cfg._replace(abs_tol=1e-9) == QuadratureConfig(abs_tol=1e-9)
+    with pytest.raises(ValueError):
+        cfg._replace(abs_tol=0.0)
+    c = CombCouplings(w0=1.0, w1=0.5, a=2.0)
+    stronger = c._replace(w0=3.0)
+    assert stronger == CombCouplings(w0=3.0, w1=0.5, a=2.0)
+    assert (stronger.omega, stronger.gamma) == (-0.6, 2.4)
+    assert c._replace(w1=2.0).omega == 0.6
+    # derived fields are never taken as given, so they cannot go stale
+    with pytest.raises(TypeError):
+        c._replace(gamma=5.0)
+    with pytest.raises(deltacomb.OutsideValidityDomainError):
+        c._replace(a=0.0)
