@@ -9,14 +9,24 @@ from typing import Any, Dict, Tuple
 
 
 class Record:
-    """Fields are the class's __slots__, set once by _set from an __init__ with
-    the real signature.  A record cannot change, compares and hashes by type
-    and values (never equal to a tuple), and prints as a dataclass does."""
+    """Fields are _fields, the nearest non-empty __slots__ of the class and
+    its bases, set once by _set from an __init__ with the real signature.  A
+    record cannot change, compares and hashes by type and values (never equal
+    to a tuple), and prints as a dataclass does."""
 
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for klass in cls.__mro__:
+            slots = vars(klass).get("__slots__")
+            if slots:
+                cls._fields = tuple(slots)
+                break
 
     def _set(self, *values: Any) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: Any = None) -> None:
@@ -24,14 +34,14 @@ class Record:
     __delattr__ = __setattr__
 
     def _astuple(self) -> Tuple[Any, ...]:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
     __getstate__ = _astuple  # what copy and pickle keep, at every protocol
 
     def __setstate__(self, state: Tuple[Any, ...]) -> None:
         self._set(*state)
 
     def _asdict(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._fields}
 
     def _replace(self, **changes: Any) -> "Record":
         """This record with changes, rebuilt by __init__: checked and re-derived."""
@@ -49,5 +59,5 @@ class Record:
         return hash((self.__class__, self._astuple()))
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"

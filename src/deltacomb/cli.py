@@ -29,7 +29,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
-_ENERGY_FIELDS = EnergyResult.__slots__
+_ENERGY_FIELDS = EnergyResult._fields
 _QUAD_DEFAULTS = QuadratureConfig()._asdict()
 
 

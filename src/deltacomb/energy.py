@@ -46,30 +46,31 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
 
 * x > 5: rearranged forms in which the subtraction of the large terms
   has been performed analytically.  With R = 2x + g, S = 2x - g,
-  P = g - x R, Q = 2 x^2 - x g - g, eps = e^{-2x}:
+  delta = (1 - Omega)(1 + Omega) and eps = e^{-2x}, U = R + S eps is
+  2 e^{-x} B and V = sqrt(U^2 - 16 x^2 Omega^2 eps) is 2 e^{-x} sqrt(B^2 - C^2),
+  so with D = U + V - 2R
 
-      2 pi f = (Q eps - P phi) / (R sqrt(1 + y)),
-      y   = eps (2 R S + S^2 eps - 16 x^2 Omega^2) / R^2,
-      phi = sqrt(1 + y) - 1 = y / (1 + sqrt(1 + y)),
+      D    = eps (16 x^2 delta - 4 g^2) / (R - S eps + V),
+      2 pi f = [(x R - g) D - 2 g^2 eps] / (R V),
 
-  and analogously for F with T = 4 x Omega e^{-x}:
+  and analogously for F with P = g - x R and T = 4 x Omega e^{-x}:
 
       F = [2x (4x^2 - g^2 - 2g) eps - P T cos theta]
           / [R (R + S eps + T cos theta)].
 
   No positive exponential appears, so the forms stay machine-accurate (by
-  comparison with high-precision evaluation) for large x.  Every term
-  carries e^{-x} (e^{-2x} for f), so once that factor underflows (x ~ 745,
-  resp. 372) the value is 0.0 to double precision, and 0.0 is returned
-  also where the x^2-sized factors overflow (from x ~ 1e154) to inf * 0.
-  At the free corner f = 0 is returned on this side too, where the form
-  would leave rounding noise (7e-22 at x = 6).
+  comparison with high-precision evaluation) for large x.  Every term of f
+  carries g^2, delta or D, so f keeps its relative accuracy near the free
+  corner, where it is O(g^2) or O(delta), and is exactly 0 there.  Every
+  term carries e^{-x} (e^{-2x} for f), so once that factor underflows
+  (x ~ 745, resp. 372) 0.0 is returned, the value to double precision;
+  below that no product overflows up to g = 1e150.
 
-Every energy integral (comb and plate) is computed once in x, at unit
-spacing, and divided by a.  It is truncated at X = 40, i.e. at K = 40/a
-in momentum, beyond which |f| < e^{-80}-ish, and the discarded tail is
-reported as an explicit bound obtained from the integrand's own magnitude
-near X.
+Every energy integral (comb and plate) is (1/a) int_0^X dx I(x/a) (resp.
+F(x/a, theta)/2pi) at the caller's couplings, truncated at X = 40, i.e. at
+K = 40/a in momentum, beyond which |f| < e^{-80}-ish; a spacing so small
+that K overflows is a domain error.  The discarded tail is reported as an
+explicit bound obtained from the integrand's own magnitude near X.
 
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
 graded ladder of breakpoints below the small-x layers (see
@@ -120,36 +121,22 @@ def _violation(quantity: float, context: str) -> None:
 _MAX_GAMMA_A = 1e150 + 4.0 * math.ulp(1e150)
 
 
-def _out_of_range(c: CombCouplings, limit: str) -> None:
-    raise OutsideValidityDomainError(
-        f"{limit} at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, {c.a!r}), gamma = "
-        f"{c.gamma!r}, omega = {c.omega!r}: the energy integrands leave the "
-        "double-precision range there"
-    )
-
-
-def _require_supported(c: CombCouplings, g: float) -> None:
-    """Raise OutsideValidityDomainError unless gamma >= 0 and g, the gamma a
-    that an integrand sees, is at most _MAX_GAMMA_A; errors name c's values."""
+def _require_supported(c: CombCouplings) -> float:
+    """g = gamma a; raises OutsideValidityDomainError unless gamma >= 0 and g
+    is at most _MAX_GAMMA_A, naming c's values."""
+    g = c.gamma * c.a
     if c.gamma < 0:
         raise OutsideValidityDomainError(
             f"gamma = {c.gamma} < 0 (attractive comb): bound states appear "
             "and the subtracted vacuum energy is not defined here"
         )
     if not g <= _MAX_GAMMA_A:
-        _out_of_range(c, f"gamma a exceeds {_MAX_GAMMA_A:g}")
-
-
-def _unit_couplings(c: CombCouplings) -> CombCouplings:
-    """c at unit spacing, whose gamma is the gamma a that its integrands see;
-    errors name c's values."""
-    w0a = c.w0 * c.a
-    if not math.isfinite(w0a):
-        _require_supported(c, c.gamma * c.a)
-        _out_of_range(c, "w0 a overflows")
-    unit = CombCouplings(w0=w0a, w1=c.w1, a=1.0)
-    _require_supported(c, unit.gamma)
-    return unit
+        raise OutsideValidityDomainError(
+            f"gamma a exceeds {_MAX_GAMMA_A:g} at (w0, w1, a) = ({c.w0!r}, "
+            f"{c.w1!r}, {c.a!r}), gamma = {c.gamma!r}, omega = {c.omega!r}: "
+            "the energy integrands leave the double-precision range there"
+        )
+    return g
 
 
 class EnergyResult(Record):
@@ -177,7 +164,7 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     a = c.a
     g = c.gamma * a
     if not 0.0 <= g <= _MAX_GAMMA_A:
-        _require_supported(c, g)
+        _require_supported(c)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     if not 0.0 < k < math.inf:
@@ -221,7 +208,7 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     a = c.a
     g = c.gamma * a
     if not 0.0 <= g <= _MAX_GAMMA_A:
-        _require_supported(c, g)
+        _require_supported(c)
     if not 0.0 < k < math.inf:
         if k == 0.0:
             return -1.0 / _TWO_PI if g > 0 else 0.0
@@ -249,21 +236,21 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
         d = 4.0 * (1.0 - om * om) + gs * (4.0 * ch + gs)  # D/x^2
         head = d / rho * x / (rho + 2.0 * sh) + (gs - g * ch) / rho  # head/root
         return (head - g / (g + x2)) / _TWO_PI
-    if g == 0.0 and abs(om) == 1.0:  # I = 0 here; the form below leaves noise
-        return 0.0
     eps = math.exp(-x2)
-    r, s = x2 + g, x2 - g
-    p = g - x * r
-    q = x2 * x - x * g - g
-    delta = eps * (2.0 * r * s + s * s * eps - 16.0 * x * x * om * om)
-    y = delta / (r * r)
-    if not 1.0 + y > 0.0:
-        if eps == 0.0:  # 0 * inf from x^2-sized terms; every term carries e^{-2x}
-            return 0.0
-        _violation(1.0 + y, "e^{-2x}-scaled B^2 - C^2")
-    root = math.sqrt(1.0 + y)
-    phi = y / (1.0 + root)
-    return (q * eps - p * phi) / (r * root) / _TWO_PI
+    if eps == 0.0:  # every term carries e^{-2x}
+        return 0.0
+    r = x2 + g
+    se = (x2 - g) * eps
+    u = r + se
+    xxe = 16.0 * x * x * eps
+    v2 = u * u - xxe * om * om
+    if not v2 > 0.0:
+        _violation(v2, "e^{-2x}-scaled B^2 - C^2")
+    v = math.sqrt(v2)
+    gge = g * g * eps
+    # D = U + V - 2R, formed from its own delta and g^2 terms
+    d = (xxe * ((1.0 - om) * (1.0 + om)) - 4.0 * gge) / (r - se + v)
+    return ((x * r - g) * d - 2.0 * gge) / (r * v) / _TWO_PI
 
 
 def _graded_breakpoints(
@@ -296,7 +283,7 @@ def _graded_breakpoints(
     breaks, mass = [], 0.0
     layer = 0.5 * g if g > 0.0 else width
     if 0.0 < layer < 0.01 * X:
-        b = 0.01 * layer
+        b = max(0.01 * layer, math.ulp(0.0))  # a rung of 0 would never climb
         top = min(0.01 * X, 10.0)
         while b < top:
             m = (2.0 * width / math.pi) * math.atan2(b, width)
@@ -337,9 +324,10 @@ def _energy_integral(
     must lie in (0, _MAX_CUTOFF]), in one adaptive run seeded with the graded
     ladder for g and, above its top rung, with the dyadic points X/2, X/4,
     ... >= 2, at abs_tol * a (which must not underflow to 0) so that
-    abs_tol holds in energy units, and bounds the tail beyond X for f
-    decaying like e^{-rate x}; width is a fixed phase's step width (see
-    _graded_breakpoints), 0 for the comb.  Layer mass left below a floored
+    abs_tol holds in energy units, with K = X/a finite (else a domain error
+    naming a), and bounds the tail beyond X for f decaying like e^{-rate x};
+    width is a fixed phase's step width (see _graded_breakpoints), 0 for the
+    comb.  Layer mass left below a floored
     ladder (at most half of abs_tol * a) is added to abs_err, and both
     tolerances of the run shrink by its share, so
     abs_err <= max(abs_tol, rel_tol |E|) still holds.
@@ -358,6 +346,9 @@ def _energy_integral(
             f"abs_tol a = {tol!r} underflows at abs_tol = {cfg.abs_tol!r}, "
             f"a = {a!r}"
         )
+    K = X / a
+    if K == math.inf:
+        raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
     breaks, mass = _graded_breakpoints(g, X, 0.5 * tol, width)
     # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on
     # its way down anyway, so seeding them skips only the parent panels it
@@ -380,7 +371,7 @@ def _energy_integral(
     return EnergyResult(
         value=value / a,
         abs_err=(err + mass) / a,
-        truncation_k=X / a,
+        truncation_k=K,
         tail_bound=_tail_bound(f, X, rate) / a,
     )
 
@@ -395,11 +386,9 @@ def comb_energy(
     separate bound.
     """
     cfg = cfg or QuadratureConfig()
-    unit = _unit_couplings(c)
+    a, g = c.a, _require_supported(c)
     # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
-    return _energy_integral(
-        lambda x: spectral_integrand(unit, x), unit.gamma, c.a, cfg, 1.5
-    )
+    return _energy_integral(lambda x: spectral_integrand(c, x / a), g, a, cfg, 1.5)
 
 
 def plate_energy(
@@ -412,17 +401,12 @@ def plate_energy(
     dtheta/(2 pi) recovers comb_energy.  Even in theta.
     """
     cfg = cfg or QuadratureConfig()
-    unit = _unit_couplings(c)
+    a, g = c.a, _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    width = math.sqrt(unit.gamma + 2.0 * one_plus_omega_cos(unit.omega, theta))
+    width = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
     # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(
-        lambda x: theta_integrand(unit, x, theta) / _TWO_PI,
-        unit.gamma,
-        c.a,
-        cfg,
-        0.75,
-        width,
+        lambda x: theta_integrand(c, x / a, theta) / _TWO_PI, g, a, cfg, 0.75, width
     )
 

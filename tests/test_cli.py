@@ -69,6 +69,14 @@ def run_without_numpy(*argv):
     return blocked[:2]
 
 
+def assert_pure_delta_law(row, g, a):
+    """The energy row of a pure-delta comb at g = gamma a meets check 8's law
+    a E = (g/8pi)(ln g - 1) within abs_err + tail_bound + 0.01 g^2 |ln g| / a."""
+    law = g * (math.log(g) - 1.0) / (8.0 * math.pi) / a
+    bound = float(row["abs_err"]) + float(row["tail_bound"]) + 0.01 * g * g * abs(math.log(g)) / a
+    assert abs(float(row["value"]) - law) <= bound, (row, law)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -488,7 +496,9 @@ def test_sweep_bounds_must_be_finite(capsys, argv, flag):
         ("plate", "--omega", "0.3", "--gamma", "1e160", "--a", "1", "--theta", "1"),
         ("plate", "--omega", "0.3", "--gamma", "1e154", "--a", "1", "--theta", "1",
          "--format", "json"),
-        # gamma a = 1e110 is in range, but the unit-spacing w0 a is not
+        # w0 a = 1e310 overflows but gamma a = 1e110 is in range: not exit 2
+        # ("w0 a overflows") as when the energy was taken at unit spacing, but
+        # check 2's strong law
         ("energy", "--w0", "1e300", "--w1", "1e100", "--a", "1e10"),
         ("energy", "--omega", "0.99", "--gamma", "1.001e150", "--a", "1"),
     ],
@@ -497,8 +507,15 @@ def test_huge_gamma_a_exits_2(capsys, argv):
     # a typed error naming the caller's values, not a NaN row, an overflowed
     # inf or the positivity sentinel
     code, out, err = run_cli(capsys, *argv)
+    if "--w1" in argv:
+        assert (code, err) == (EXIT_OK, "")
+        (row,) = parse_csv(out)
+        g, a = 1e110, 1e10  # Omega = 1
+        law = math.pi * (-1 / 24 + 1 / (12 * g) - 1 / (4 * g * g)) / a
+        assert abs(float(row["value"]) - law) <= float(row["abs_err"]) + float(row["tail_bound"])
+        return
     assert code == EXIT_DOMAIN and out == ""
-    assert ("w0 a overflows" if "--w1" in argv else "gamma a exceeds") in err
+    assert "gamma a exceeds" in err
     assert "(w0, w1, a) = (" in err and ", gamma = " in err and ", omega = " in err
     assert "bug" not in err and "inf" not in err
 
@@ -521,10 +538,11 @@ def test_tiny_pure_delta_at_tiny_tolerance_stays_off_the_sentinel(capsys):
     assert code == EXIT_OK
     row = parse_csv(out)[0]
     assert abs(float(row["value"]) + math.pi / 6.0) <= float(row["abs_err"])
-    # the comb cannot meet that tolerance, and says so
+    # the comb meets that tolerance (it used to exit 3 on the rounding noise
+    # of the x > 5 form) and lands on check 8's law
     code, out, err = run_cli(capsys, "energy", "--w0", "1e-300", "--a", "1", "--abs-tol", "1e-300")
-    assert code == EXIT_NUMERIC and out == ""
-    assert "above tolerance" in err and "positivity" not in err
+    assert (code, err) == (EXIT_OK, "")
+    assert_pure_delta_law(parse_csv(out)[0], 1e-300, 1.0)
 
 
 def test_huge_w1_gives_finite_energy(capsys):
@@ -587,10 +605,21 @@ def test_exit_codes_follow_the_error_hierarchy(capsys, monkeypatch, exc_type):
 
 
 def test_tiny_spacing_above_the_underflow_still_exits_3(capsys):
-    # abs_tol a = 1e-310 is subnormal but positive: a tolerance not met
-    code, _, err = run_cli(capsys, "energy", "--w0", "1", "--a", "1e-300")
-    assert code == EXIT_NUMERIC
-    assert "numerical failure" in err
+    # abs_tol a = 1e-310 is subnormal but positive: once a tolerance not met
+    # (exit 3), now a finite energy on check 8's law at g = 1e-300
+    code, out, err = run_cli(capsys, "energy", "--w0", "1", "--a", "1e-300")
+    assert (code, err) == (EXIT_OK, "")
+    assert_pure_delta_law(parse_csv(out)[0], 1e-300, 1e-300)
+
+
+@pytest.mark.parametrize("command", [("energy",), ("plate", "--theta", "1")])
+@pytest.mark.parametrize("a", ["1e-308", "1e-310"])
+def test_cutoff_overflow_at_tiny_spacing_exits_2(capsys, command, a):
+    # K = 40/a overflows: a domain error naming a, not an inf row (or an
+    # integrand error naming k = inf)
+    code, out, err = run_cli(capsys, command[0], "--w0", "1", "--w1", "0.3", "--a", a, *command[1:])
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert f"a = {float(a)!r}" in err and "inf" not in err
 
 
 def test_long_truncation_seeds_above_the_ladder(capsys):
@@ -624,6 +653,18 @@ def test_truncation_k_out_of_range_exits_2(argv, given):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "truncation_k" in err and given in err
     assert "nan" not in err and "bug" not in err
+
+
+@pytest.mark.parametrize("command", [("energy",), ("plate", "--theta", "1")])
+def test_subnormal_gamma_a_returns(command):
+    # in a child with a timeout: at g = 1e-322 the ladder's first rung
+    # 0.01 g/2 underflowed to 0 and never climbed, so the run never returned
+    code, out, err = run_fresh("open", command[0], "--w0", "1e-322", "--a", "1", *command[1:], timeout=10)
+    assert (code, err) == (EXIT_OK, "")
+    (row,) = parse_csv(out)
+    assert all(math.isfinite(float(cell)) for cell in row.values())
+    if command == ("energy",):
+        assert_pure_delta_law(row, 1e-322, 1.0)
 
 
 @pytest.mark.parametrize(

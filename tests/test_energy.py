@@ -7,6 +7,7 @@ is deterministic, so agreement is to near machine precision.
 
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -100,8 +101,8 @@ def test_free_corner_returns_exact_values_below_underflow():
         assert theta_integrand(free, x, 0.0) == -2.0
     stiff = CombCouplings(w0=1.0, w1=1e200, a=1.0)  # Omega = 1, gamma = 0
     assert spectral_integrand(stiff, 1e-170) == 0.0
-    # I = 0 also on both sides of x = 5, where the rearranged form would
-    # leave ~1e-21 of rounding noise
+    # I = 0 also on both sides of x = 5: every term of the x > 5 form
+    # carries g^2, delta or D, and all three vanish here
     for x in [0.1 * i for i in range(1, 400)]:
         assert spectral_integrand(free, x) == spectral_integrand(stiff, x) == 0.0, x
 
@@ -123,13 +124,13 @@ def test_integrands_are_zero_where_exp_minus_x_underflows():
                 assert values == [0.0] * 4, (c, k, values)
 
 
-def _oracle(g, omega, x, thetas):
-    """I and F at each theta in 80-digit mpmath, from B -+ |C| and
+def _oracle(g, omega, x, thetas, dps=80):
+    """I and F at each theta in dps-digit mpmath, from B -+ |C| and
     B + C cos(theta) as sums of non-negative terms and with A/root + x
     written as head/root (the identities the module documents); sinh x
     - x cosh x is the series -(x^3/3) 0F1(; 5/2; x^2/4), so nothing cancels
     at tiny x.  Returns I and the list of F."""
-    with mpmath.workdps(80):
+    with mpmath.workdps(dps):
         g, om, x = mpmath.mpf(g), mpmath.mpf(omega), mpmath.mpf(x)
         sh, ch, sh2 = mpmath.sinh(x), mpmath.cosh(x), mpmath.sinh(x / 2)
         smc = -(x**3) / 3 * mpmath.hyp0f1(2.5, x * x / 4)
@@ -180,6 +181,44 @@ def test_integrands_against_mpmath_oracle():
         worst[side] = max(worst.get(side, 0.0), *errors)
     assert set(worst) == {"x <= 5", "x > 5"}
     assert max(worst.values()) <= 1e-13, worst
+
+
+def test_far_form_against_mpmath_oracle_near_the_free_corner():
+    # above x = 5, I is O(g^2) or O(delta), delta = 1 - Omega^2, far below the
+    # 2 x^2 e^{-2x}-sized terms of A and B: every term of the form carries g^2,
+    # delta or D, so it is judged relative to |I| alone (down to the smallest
+    # normal float, where I underflows), against the oracle at
+    # 40 + 2x/ln 10 + 2 log10(1/g) + log10(1/delta) digits, and is exactly 0 at
+    # g = delta = 0.  Omega = -1, Omega within 1e-15..1e-2 of -1, and Omega -> 1
+    # through a large w1
+    rng = random.Random(23)
+    worst, exact = 0.0, 0
+    for i in range(48):
+        g = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-300.0, -2.0)
+        kind = i % 3
+        if kind == 0:
+            c = CombCouplings.from_reduced(omega=-1.0, gamma=g, a=1.0)
+        elif kind == 1:
+            omega = -1.0 + 10.0 ** rng.uniform(-15.0, -2.0)
+            c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
+        else:
+            w1 = 10.0 ** rng.uniform(1.0, 7.0)
+            c = CombCouplings(w0=g * (1.0 + w1 * w1), w1=w1, a=1.0)
+        x = 40.0 - rng.uniform(0.0, 35.0)
+        g, omega = c.gamma, c.omega
+        delta = (1.0 - omega) * (1.0 + omega)
+        value = spectral_integrand(c, x)
+        if g == 0.0 and delta == 0.0:
+            assert value == 0.0, (c, x)
+            exact += 1
+            continue
+        digits = 40.0 + 2.0 * x / math.log(10.0)
+        digits += (2.0 * math.log10(1.0 / g) if g > 0.0 else 0.0)
+        digits += (math.log10(1.0 / delta) if delta > 0.0 else 0.0)
+        I, _ = _oracle(g, omega, x, (), dps=int(digits))
+        worst = max(worst, abs(value - I) / max(abs(I), sys.float_info.min))
+    assert exact == 4
+    assert worst <= 1e-13, worst
 
 
 @pytest.mark.parametrize(
@@ -434,11 +473,41 @@ def test_gamma_a_above_the_limit_is_a_domain_error():
                 theta_integrand(c, k, 0.5)
 
 
+def test_energies_at_extreme_magnitudes_are_finite_or_gated():
+    # w0, |w1| and a log-uniform over 10^{+-300}: each energy returns finite
+    # fields or stops at the gamma a > 1e150 gate, and the pure-delta combs at
+    # g = gamma a <= 1e-3 meet check 8's law a E = (g/8pi)(ln g - 1) within
+    # abs_err + tail_bound + 0.01 g^2 |ln g| / a.  (a E is not bit-exact at
+    # equal g: the integrands see x/a times a.)
+    rng = random.Random(2023)
+    gated = near_free = 0
+    for i in range(400):
+        w0 = 10.0 ** rng.uniform(-300.0, 300.0)
+        w1 = 0.0 if i % 2 == 0 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+        a = 10.0 ** rng.uniform(-300.0, 300.0)
+        theta = rng.uniform(-math.pi, math.pi)
+        c = CombCouplings(w0=w0, w1=w1, a=a)
+        try:
+            comb, plate = comb_energy(c), plate_energy(c, theta)
+        except OutsideValidityDomainError as exc:
+            assert "gamma a exceeds" in str(exc), c
+            gated += 1
+            continue
+        for res in (comb, plate):
+            assert all(math.isfinite(v) for v in res._astuple()), (c, theta, res)
+        g = c.gamma * a
+        if w1 == 0.0 and 0.0 < g <= 1e-3:
+            near_free += 1
+            law = g * (math.log(g) - 1.0) / (8.0 * math.pi) / a
+            bound = comb.abs_err + comb.tail_bound + 0.01 * g * g * abs(math.log(g)) / a
+            assert abs(comb.value - law) <= bound, (c, comb, law)
+    assert gated > 0 and near_free > 50, (gated, near_free)
+
+
 def test_energies_gate_the_gamma_a_their_integrands_see():
-    # g = gamma a within a few ulps of the limit at spacings away from 1,
-    # where c.gamma * c.a and the unit-spacing gamma that the integrands see
-    # can fall on either side of it: an energy either stops at the gate,
-    # naming c's own values, or comes back finite
+    # g = gamma a within a few ulps of the limit at spacings away from 1: an
+    # energy either stops at the gate, naming c's own values, or comes back
+    # finite
     rng = random.Random(7)
     limit = deltacomb.energy._MAX_GAMMA_A
     gated = 0

@@ -163,6 +163,22 @@ def test_records_survive_copy_and_pickle(record, other):
         assert hash(twin) == hash(record) and repr(twin) == repr(record)
 
 
+def test_record_subclasses_keep_their_base_fields():
+    # a subclass that declares no slots of its own, or no new ones, reads its
+    # fields from the nearest base that lists them
+    fields = ("value", "abs_err", "truncation_k", "tail_bound")
+    for namespace in ({"__slots__": ()}, {}):
+        sub = type("Sub", (EnergyResult,), namespace)
+        record = sub(1.0, 2.0, 3.0, 4.0)
+        assert record.value == 1.0 and record.tail_bound == 4.0
+        assert record._astuple() == (1.0, 2.0, 3.0, 4.0)
+        assert tuple(record._asdict()) == fields
+        assert repr(record) == "Sub(value=1.0, abs_err=2.0, truncation_k=3.0, tail_bound=4.0)"
+        assert record != sub(1.0, 2.0, 3.0, 5.0) and record == sub(1.0, 2.0, 3.0, 4.0)
+        assert record != EnergyResult(1.0, 2.0, 3.0, 4.0)
+        assert copy.deepcopy(record) == record
+
+
 def test_record_repr_matches_the_dataclass_text():
     assert repr(QuadratureConfig()) == (
         "QuadratureConfig(abs_tol=1e-10, rel_tol=1e-08, max_subdivisions=2000, "
