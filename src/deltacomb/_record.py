@@ -5,17 +5,20 @@ tokenize (8 ms of a cold `deltacomb energy` on Python 3.11) and whose classes
 cost about 1 ms each to build; a namedtuple's fields read slower than slots.
 """
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 
 class Record:
     """Fields are _fields, the nearest non-empty __slots__ of the class and
-    its bases, set once by _set from an __init__ with the real signature.  A
+    its bases, set once by _set from an __init__ with the real signature
+    through _setters, the __set__ of each slot's descriptor, taken from the
+    class that declares the slots (a subclass with __slots__ = () has none).  A
     record cannot change, compares and hashes by type and values (never equal
     to a tuple), and prints as a dataclass does."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _setters: Tuple[Callable[[Any, Any], None], ...] = ()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -23,11 +26,12 @@ class Record:
             slots = vars(klass).get("__slots__")
             if slots:
                 cls._fields = tuple(slots)
+                cls._setters = tuple([vars(klass)[name].__set__ for name in slots])
                 break
 
     def _set(self, *values: Any) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name: str, value: Any = None) -> None:
         raise AttributeError(f"cannot set or delete field {name!r} of a record")

@@ -25,7 +25,14 @@ pi/a (touching bands, pure-delta combs, k = 0) come out exact.
 band_structure solves only its theta = 0 and theta = pi columns that way:
 inside a band the discriminant is monotone in k, so k_n(theta) is monotone
 on [0, pi] and each interior sample is the one root between the previous
-column's root and the band's theta = pi edge.
+column's root and the band's theta = pi edge.  h does not depend on theta, so
+1 + Omega cos(theta) is formed once per column and each interior sample is
+solved by Newton's method on spectral_function's form with its analytic
+slope, started from the linear extrapolation of the previous two columns.  A
+sample is accepted only once one probe root_tol k away shows a sign change,
+which is refine_root's guarantee; a zero or non-finite slope, a step out of
+the bracket or no such certificate within _NEWTON_STEPS steps falls back to
+Brent on the bracket.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ __all__ = [
 # cancels for gamma a < 0; there it counts as zero within this, so the
 # attractive boundary 1 + gamma a/2 = |Omega| keeps its k = 0 edge
 _ZERO_TOL = 1e-12
+
+# Newton steps per interior sample of band_structure before Brent takes over
+_NEWTON_STEPS = 12
 
 # theta = +q a here; the opposite labeling appears in the literature, but all
 # spectra are even in theta so the choice is observationally irrelevant.
@@ -200,6 +210,53 @@ def _band_root(
     )
 
 
+def _secular_and_slope(g2: float, a: float, d: float, k: float) -> Tuple[float, float]:
+    """spectral_function at k > 0, d - 2 sin^2(x/2) + g2 sin(x)/k with x = k a,
+    d = 1 + Omega cos(theta) and g2 = gamma/2, and its slope in k.
+
+    2 sin^2(x/2) = 1 - cos x is formed as sin^2 x/(1 + cos x) where cos x > 0,
+    so neither form cancels and sin x, cos x serve both values.
+    """
+    x = k * a
+    s, co = math.sin(x), math.cos(x)
+    drop = s * s / (1.0 + co) if co > 0.0 else 1.0 - co
+    return d - drop + g2 * (s / k), g2 * ((x * co - s) / k / k) - a * s
+
+
+def _newton_root(
+    g2: float, a: float, d: float, near: float, far: float, guess: float, tol: float
+) -> Optional[float]:
+    """The root between near and far by Newton's method, or None.
+
+    It starts at guess if that lies strictly inside the bracket, else at the
+    midpoint, and every iterate stays strictly inside, so k > 0.  A Newton
+    step shorter than tol k is accepted once the secular function changes
+    sign between k and a probe tol k away in the direction of the step: the
+    root and k + step then lie in that interval, within tol k of each other.
+    A zero or non-finite slope, a step out of the bracket, a probe outside it
+    and no sign change within _NEWTON_STEPS steps give None.
+    """
+    lo, hi = (near, far) if near <= far else (far, near)
+    k = guess if lo < guess < hi else 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        if not lo < k < hi:
+            return None
+        f, slope = _secular_and_slope(g2, a, d, k)
+        if not 0.0 < abs(slope) < math.inf:
+            return None
+        if f == 0.0:
+            return k
+        step = -f / slope
+        if abs(step) < tol * k:
+            probe = k + math.copysign(tol * k, step)
+            if lo < probe < hi:
+                fp = _secular_and_slope(g2, a, d, probe)[0]
+                if fp < 0.0 if f > 0.0 else fp > 0.0:
+                    return k + step
+        k += step
+    return None
+
+
 def band_structure(
     c: CombCouplings,
     n_bands: int = 4,
@@ -212,7 +269,10 @@ def band_structure(
     The grid is exactly mirror-symmetric (thetas[i] == -thetas[-1-i], with
     theta = 0.0 in the middle for odd n_theta); only theta >= 0 is solved and
     samples at -theta are copies.  The theta = 0 and theta = pi columns are
-    the band edges (including k = 0 where a band reaches the zero mode).
+    the band edges (including k = 0 where a band reaches the zero mode),
+    solved by dispersion.  Each interior sample is a Newton root certified by
+    a sign change within root_tol k (_newton_root) or, where that fails,
+    _band_root's Brent solve; either lies within root_tol k of the root.
     """
     cfg = cfg or QuadratureConfig()
     if n_theta < 2:
@@ -222,14 +282,22 @@ def band_structure(
     m = n_theta - 1
     thetas = tuple(math.pi * ((2 * i - m) / m) for i in range(n_theta))
     upper = thetas[n_theta // 2 :]
+    # the interior theta > 0 columns (upper[0] is 0 for odd n_theta, upper[-1]
+    # is pi), each with its 1 + Omega cos(theta), shared by every band
+    columns = [(t, one_plus_omega_cos(c.omega, t)) for t in upper[n_theta % 2 : -1]]
+    g2, tol = 0.5 * c.gamma, cfg.root_tol
     bands = []
     for n, (k_zero, k_pi) in enumerate(
         zip(dispersion(c, 0.0, n_bands, cfg), dispersion(c, math.pi, n_bands, cfg))
     ):
         edges = (min(k_zero, k_pi), max(k_zero, k_pi))
-        ks, k = [], k_zero
-        for theta in upper[:-1]:  # upper[-1] is pi
-            k = k_zero if theta == 0.0 else _band_root(c, theta, k, k_pi, edges, cfg)
+        ks = [k_zero] * (n_theta % 2)
+        k_prev = k = k_zero
+        for theta, d in columns:
+            root = _newton_root(g2, c.a, d, k, k_pi, 2.0 * k - k_prev, tol)
+            if root is None:
+                root = _band_root(c, theta, k, k_pi, edges, cfg)
+            k_prev, k = k, root
             ks.append(k)
         ks.append(k_pi)
         bands.append(

@@ -28,7 +28,7 @@ from deltacomb import (
     spectral_function,
 )
 import deltacomb.bands
-from deltacomb.bands import _band_root
+from deltacomb.bands import _band_root, _secular_and_slope
 from deltacomb.verification import _delta_amplitudes
 
 FREE = CombCouplings(w0=0.0, w1=0.0, a=1.0)
@@ -404,6 +404,68 @@ def test_band_structure_secular_calls_per_sample(monkeypatch):
     band_structure(CombCouplings(w0=3.0, w1=0.4, a=1.0), 8, 401)
     # at most 8 secular evaluations per output sample, band edges included
     assert calls <= 8 * (8 * 401)
+
+
+def test_band_structure_newton_evaluations_per_interior_sample(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _secular_and_slope(*args)
+
+    monkeypatch.setattr(deltacomb.bands, "_secular_and_slope", counted)
+    band_structure(CombCouplings(w0=3.0, w1=0.4, a=1.0), 8, 401)
+    # 199 interior theta > 0 columns per band, certificate probes included
+    assert 0 < calls <= 5 * (8 * 199)
+
+
+def _brent_band_structure(c, n_bands, n_theta):
+    """The theta >= 0 half of each band with every interior sample solved by
+    _band_root from the previous column's root: band_structure's fallback
+    alone."""
+    cfg = QuadratureConfig()
+    m = n_theta - 1
+    upper = [math.pi * ((2 * i - m) / m) for i in range(n_theta)][n_theta // 2 :]
+    halves = []
+    for k_zero, k_pi in zip(dispersion(c, 0.0, n_bands), dispersion(c, math.pi, n_bands)):
+        edges = (min(k_zero, k_pi), max(k_zero, k_pi))
+        ks, k = [], k_zero
+        for theta in upper[:-1]:
+            k = k_zero if theta == 0.0 else _band_root(c, theta, k, k_pi, edges, cfg)
+            ks.append(k)
+        halves.append(tuple(ks + [k_pi]))
+    return halves
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda *args: (_secular_and_slope(*args)[0], 0.0),
+        lambda *args: (_secular_and_slope(*args)[0], math.nan),
+        lambda *args: (math.nan, math.nan),
+    ],
+    ids=("zero-slope", "nan-slope", "nan-value"),
+)
+@pytest.mark.parametrize("c", [CombCouplings(w0=3.0, w1=0.4, a=1.0), FREE, KP])
+def test_band_structure_falls_back_to_brent_exactly(monkeypatch, c, kernel):
+    monkeypatch.setattr(deltacomb.bands, "_secular_and_slope", kernel)
+    for n_theta in (21, 40):
+        got = [band.ks[n_theta // 2 :] for band in band_structure(c, 4, n_theta)]
+        assert got == _brent_band_structure(c, 4, n_theta)
+
+
+@given(s0=_SIGNS, e0=_DECADES, s1=_SIGNS, e1=_DECADES, ea=st.floats(-323.0, 300.0))
+@settings(deadline=None, max_examples=200)
+def test_band_structure_matches_dispersion_or_raises(s0, e0, s1, e1, ea):
+    c = CombCouplings(w0=s0 * 10.0**e0, w1=s1 * 10.0**e1, a=10.0**ea)
+    margin = 1.0 + 0.5 * c.gamma * c.a - abs(c.omega)
+    assume(not -1e-12 <= margin < 0.0)  # rounding slack at the boundary
+    if margin < 0.0 or 3.0 * math.pi / c.a == math.inf:
+        with pytest.raises(OutsideValidityDomainError):
+            band_structure(c, 3, 9)
+        return
+    _assert_matches_dispersion(c, 3, 9)
 
 
 def test_band_root_brackets():

@@ -496,10 +496,9 @@ def test_sweep_bounds_must_be_finite(capsys, argv, flag):
         ("plate", "--omega", "0.3", "--gamma", "1e160", "--a", "1", "--theta", "1"),
         ("plate", "--omega", "0.3", "--gamma", "1e154", "--a", "1", "--theta", "1",
          "--format", "json"),
-        # w0 a = 1e310 overflows but gamma a = 1e110 is in range: not exit 2
-        # ("w0 a overflows") as when the energy was taken at unit spacing, but
-        # check 2's strong law
-        ("energy", "--w0", "1e300", "--w1", "1e100", "--a", "1e10"),
+        # the same w0 and a as the strong-law test below, but w1 = 1e70 puts
+        # gamma a = 1e170 out of range
+        ("energy", "--w0", "1e300", "--w1", "1e70", "--a", "1e10"),
         ("energy", "--omega", "0.99", "--gamma", "1.001e150", "--a", "1"),
     ],
 )
@@ -507,17 +506,22 @@ def test_huge_gamma_a_exits_2(capsys, argv):
     # a typed error naming the caller's values, not a NaN row, an overflowed
     # inf or the positivity sentinel
     code, out, err = run_cli(capsys, *argv)
-    if "--w1" in argv:
-        assert (code, err) == (EXIT_OK, "")
-        (row,) = parse_csv(out)
-        g, a = 1e110, 1e10  # Omega = 1
-        law = math.pi * (-1 / 24 + 1 / (12 * g) - 1 / (4 * g * g)) / a
-        assert abs(float(row["value"]) - law) <= float(row["abs_err"]) + float(row["tail_bound"])
-        return
     assert code == EXIT_DOMAIN and out == ""
     assert "gamma a exceeds" in err
     assert "(w0, w1, a) = (" in err and ", gamma = " in err and ", omega = " in err
     assert "bug" not in err and "inf" not in err
+
+
+def test_huge_w0_a_with_gamma_a_in_range_meets_the_strong_law(capsys):
+    # w0 a = 1e310 overflows but gamma a = 1e110 is in range: not exit 2
+    # ("w0 a overflows") as when the energy was taken at unit spacing, but
+    # check 2's strong law
+    code, out, err = run_cli(capsys, "energy", "--w0", "1e300", "--w1", "1e100", "--a", "1e10")
+    assert (code, err) == (EXIT_OK, "")
+    (row,) = parse_csv(out)
+    g, a = 1e110, 1e10  # Omega = 1
+    law = math.pi * (-1 / 24 + 1 / (12 * g) - 1 / (4 * g * g)) / a
+    assert abs(float(row["value"]) - law) <= float(row["abs_err"]) + float(row["tail_bound"])
 
 
 @pytest.mark.parametrize("omega", ["-1", "-0.5", "0.3", "0.99"])
@@ -604,7 +608,7 @@ def test_exit_codes_follow_the_error_hierarchy(capsys, monkeypatch, exc_type):
     )
 
 
-def test_tiny_spacing_above_the_underflow_still_exits_3(capsys):
+def test_tiny_spacing_meets_the_pure_delta_law(capsys):
     # abs_tol a = 1e-310 is subnormal but positive: once a tolerance not met
     # (exit 3), now a finite energy on check 8's law at g = 1e-300
     code, out, err = run_cli(capsys, "energy", "--w0", "1", "--a", "1e-300")

@@ -15,7 +15,7 @@ from deltacomb import (
     integrate_finite,
     refine_root,
 )
-from deltacomb import CombCouplings, band_structure, quadrature, spectral_integrand
+from deltacomb import CombCouplings, dispersion, quadrature, spectral_integrand
 import deltacomb.bands
 from deltacomb.energy import _energy_integral
 
@@ -357,8 +357,9 @@ def _loop_refine_root(f, lo, hi, cfg=None):
 
 
 def _band_brackets(monkeypatch, rng):
-    """(f, lo, hi, cfg) of every refine_root call that band_structure makes
-    on five combs, one touching and one flat, at three root_tol values."""
+    """(f, lo, hi, cfg) of every refine_root call that dispersion makes for
+    eight bands on an 11-point theta grid over [0, pi], on five combs, one
+    touching and one flat, at three root_tol values."""
     brackets = []
 
     def recorded(f, lo, hi, cfg=None):
@@ -373,7 +374,8 @@ def _band_brackets(monkeypatch, rng):
                                          a=rng.uniform(0.5, 3.0)) for _ in range(3)]
     for c in combs:
         for tol in (1e-4, 1e-12, 1e-15):
-            band_structure(c, 8, 101, QuadratureConfig(root_tol=tol))
+            for i in range(11):
+                dispersion(c, math.pi * i / 10, 8, QuadratureConfig(root_tol=tol))
     monkeypatch.undo()
     return brackets
 
