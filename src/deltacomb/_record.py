@@ -5,7 +5,7 @@ tokenize (8 ms of a cold `deltacomb energy` on Python 3.11) and whose classes
 cost about 1 ms each to build; a namedtuple's fields read slower than slots.
 """
 
-from typing import Any, Callable, Dict, Tuple
+from collections.abc import Callable
 
 
 class Record:
@@ -17,10 +17,10 @@ class Record:
     to a tuple), and prints as a dataclass does."""
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-    _setters: Tuple[Callable[[Any, Any], None], ...] = ()
+    _fields: tuple[str, ...] = ()
+    _setters: tuple[Callable[[object, object], None], ...] = ()
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
+    def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         for klass in cls.__mro__:
             slots = vars(klass).get("__slots__")
@@ -29,25 +29,25 @@ class Record:
                 cls._setters = tuple([vars(klass)[name].__set__ for name in slots])
                 break
 
-    def _set(self, *values: Any) -> None:
+    def _set(self, *values: object) -> None:
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
-    def __setattr__(self, name: str, value: Any = None) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot set or delete field {name!r} of a record")
     __delattr__ = __setattr__
 
-    def _astuple(self) -> Tuple[Any, ...]:
+    def _astuple(self) -> tuple[object, ...]:
         return tuple([getattr(self, name) for name in self._fields])
     __getstate__ = _astuple  # what copy and pickle keep, at every protocol
 
-    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+    def __setstate__(self, state: tuple[object, ...]) -> None:
         self._set(*state)
 
-    def _asdict(self) -> Dict[str, Any]:
+    def _asdict(self) -> dict[str, object]:
         return {name: getattr(self, name) for name in self._fields}
 
-    def _replace(self, **changes: Any) -> "Record":
+    def _replace(self, **changes: object) -> "Record":
         """This record with changes, rebuilt by __init__: checked and re-derived."""
         init = type(self).__init__.__code__
         for name in init.co_varnames[1 : init.co_argcount]:

@@ -38,7 +38,6 @@ Brent on the bracket.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
 
 from ._record import Record
 from .errors import NoSignChangeError, OutsideValidityDomainError, RootScanError
@@ -70,7 +69,7 @@ class Band(Record):
 
     __slots__ = ("index", "thetas", "ks", "k_min", "k_max")
 
-    def __init__(self, index: int, thetas: Tuple[float, ...], ks: Tuple[float, ...],
+    def __init__(self, index: int, thetas: tuple[float, ...], ks: tuple[float, ...],
                  k_min: float, k_max: float):
         self._set(index, thetas, ks, k_min, k_max)
 
@@ -134,8 +133,8 @@ def dispersion(
     c: CombCouplings,
     theta: float,
     n_bands: int = 1,
-    cfg: Optional[QuadratureConfig] = None,
-) -> List[float]:
+    cfg: QuadratureConfig | None = None,
+) -> list[float]:
     """Momenta k_n(theta) of the first n_bands bands, band n's in
     [n pi/a, (n+1) pi/a].
 
@@ -167,8 +166,8 @@ def dispersion(
 def band_edges(
     c: CombCouplings,
     n_bands: int,
-    cfg: Optional[QuadratureConfig] = None,
-) -> List[Tuple[float, float]]:
+    cfg: QuadratureConfig | None = None,
+) -> list[tuple[float, float]]:
     """Edge intervals [k_min, k_max] of the first n_bands bands.
 
     The edges are a band's momenta at theta = 0 and theta = pi, the two
@@ -184,7 +183,7 @@ def _band_root(
     theta: float,
     near: float,
     far: float,
-    edges: Tuple[float, float],
+    edges: tuple[float, float],
     cfg: QuadratureConfig,
 ) -> float:
     """The band's root at theta, known to lie between near and far.
@@ -210,7 +209,7 @@ def _band_root(
     )
 
 
-def _secular_and_slope(g2: float, a: float, d: float, k: float) -> Tuple[float, float]:
+def _secular_and_slope(g2: float, a: float, d: float, k: float) -> tuple[float, float]:
     """spectral_function at k > 0, d - 2 sin^2(x/2) + g2 sin(x)/k with x = k a,
     d = 1 + Omega cos(theta) and g2 = gamma/2, and its slope in k.
 
@@ -225,7 +224,7 @@ def _secular_and_slope(g2: float, a: float, d: float, k: float) -> Tuple[float, 
 
 def _newton_root(
     g2: float, a: float, d: float, near: float, far: float, guess: float, tol: float
-) -> Optional[float]:
+) -> float | None:
     """The root between near and far by Newton's method, or None.
 
     It starts at guess if that lies strictly inside the bracket, else at the
@@ -261,8 +260,8 @@ def band_structure(
     c: CombCouplings,
     n_bands: int = 4,
     n_theta: int = 101,
-    cfg: Optional[QuadratureConfig] = None,
-) -> Tuple[Band, ...]:
+    cfg: QuadratureConfig | None = None,
+) -> tuple[Band, ...]:
     """The first n_bands bands, each sampled on a uniform closed theta grid
     over [-pi, pi].
 

@@ -7,19 +7,21 @@ built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 precision.  Exit codes: 0 success, 1 when `verify` finds a failing check, 2
 for a usage error, a ValueError or an OutsideValidityDomainError, and 3 for
 any other DeltaCombError (a numerical failure).
+
+A run imports only what its command uses: the energy module for the energy
+commands, the bands module for `bands`, the verification module for `verify`,
+and json only for --format json.  A run whose options or CombCouplings are
+rejected imports neither library module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Iterable, Sequence
 
 from . import __version__
-from .bands import band_structure
-from .energy import EnergyResult, comb_energy, plate_energy
 from .errors import DeltaCombError, OutsideValidityDomainError
 from .quadrature import QuadratureConfig
 from .scattering import CombCouplings
@@ -29,8 +31,33 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
 
-_ENERGY_FIELDS = EnergyResult._fields
 _QUAD_DEFAULTS = QuadratureConfig()._asdict()
+
+# the library names that only some commands use, and their modules
+_LAZY = {
+    "comb_energy": "energy",
+    "plate_energy": "energy",
+    "EnergyResult": "energy",
+    "band_structure": "bands",
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import a _LAZY name's module on first use and bind the name as a module
+    global (PEP 562), where a monkeypatch or a tracer may rebind it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
+    return value
+
+
+def _lib(name: str) -> Callable:
+    """The module global name as bound now, imported on first use: commands
+    call the library through it, since a bare global read skips __getattr__."""
+    names = globals()
+    return names[name] if name in names else __getattr__(name)
 
 
 def _add_coupling_args(p: argparse.ArgumentParser) -> None:
@@ -97,11 +124,13 @@ def _emit(
     args: argparse.Namespace,
     command: str,
     parameters: dict,
-    cfg: Optional[QuadratureConfig],
+    cfg: QuadratureConfig | None,
     header: Sequence[str],
-    rows: List[Tuple],
+    rows: list[tuple],
 ) -> None:
     if args.format == "json":
+        import json
+
         payload = {
             "command": command,
             "version": __version__,
@@ -135,26 +164,26 @@ def _emit(
 def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
-    res = comb_energy(c, cfg)
-    _emit(args, "energy", _coupling_params(c), cfg, _ENERGY_FIELDS, [res._astuple()])
+    res = _lib("comb_energy")(c, cfg)
+    _emit(args, "energy", _coupling_params(c), cfg, res._fields, [res._astuple()])
     return EXIT_OK
 
 
 def cmd_plate(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
-    res = plate_energy(c, args.theta, cfg)
+    res = _lib("plate_energy")(c, args.theta, cfg)
     params = _coupling_params(c)
     params["theta"] = args.theta
     row = (args.theta, *res._astuple())
-    _emit(args, "plate", params, cfg, ("theta", *_ENERGY_FIELDS), [row])
+    _emit(args, "plate", params, cfg, ("theta", *res._fields), [row])
     return EXIT_OK
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
-    bands = band_structure(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
+    bands = _lib("band_structure")(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
     rows = [
         (band.index, theta, theta / c.a, k, band.k_min, band.k_max)
         for band in bands
@@ -167,7 +196,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid(lo: float, hi: float, count: int, log: bool = False) -> List[float]:
+def _grid(lo: float, hi: float, count: int, log: bool = False) -> list[float]:
     """count points from lo to hi, evenly spaced in the value or, with log, in
     its log10; both ends are exactly lo and hi."""
     if log:
@@ -182,12 +211,13 @@ def _sweep(
     command: str,
     names: Sequence[str],
     header: Sequence[str],
-    points: Iterable[Tuple[CombCouplings, Tuple]],
-    row: Callable[[Tuple, EnergyResult], Tuple],
+    points: Iterable[tuple[CombCouplings, tuple]],
+    row: Callable[[tuple, EnergyResult], tuple],
 ) -> int:
     """Emit one row per (couplings, lead) point, the lead values followed by
     row(lead, comb_energy(couplings)); the parameters are the args in names."""
     cfg = _quad_config(args)
+    comb_energy = _lib("comb_energy")
     rows = [(*lead, *row(lead, comb_energy(c, cfg))) for c, lead in points]
     params = {name: getattr(args, name) for name in names}
     _emit(args, command, params, cfg, header, rows)
@@ -210,7 +240,7 @@ def cmd_scan_a(args: argparse.Namespace) -> int:
     )
 
 
-def _energy_sign(lead: Tuple, res: EnergyResult) -> Tuple:
+def _energy_sign(lead: tuple, res: EnergyResult) -> tuple:
     if abs(res.value) <= max(res.abs_err + res.tail_bound, 1e-14):
         sign = 0
     else:
@@ -242,7 +272,7 @@ def cmd_scan_couplings(args: argparse.Namespace) -> int:
     )
 
 
-def _w0_log_ratio(lead: Tuple, res: EnergyResult) -> Tuple:
+def _w0_log_ratio(lead: tuple, res: EnergyResult) -> tuple:
     """The energy and E/(w0 ln w0): the pure-delta comb's energy goes like
     w0 ln(w0) as w0 -> 0, not analytic at the free point, so the ratio tends
     to a constant."""
@@ -335,7 +365,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or with only, of that one command alone;
     its usage line still lists every command."""
     parser = argparse.ArgumentParser(
@@ -357,7 +387,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command named first needs only its own subparser; -h, --version and a
     # missing or unknown command go to the full parser

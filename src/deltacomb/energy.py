@@ -83,7 +83,6 @@ parent panels it would compute and throw away.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
 
 from ._record import Record
 from .errors import OutsideValidityDomainError, ValidityViolationError
@@ -255,7 +254,7 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
 
 def _graded_breakpoints(
     g: float, X: float, budget: float, width: float
-) -> Tuple[List[float], float]:
+) -> tuple[list[float], float]:
     """Interior breakpoints for the subtracted integrand on [0, X] in x, and
     the layer mass that the first panel may miss.
 
@@ -377,7 +376,7 @@ def _energy_integral(
 
 
 def comb_energy(
-    c: CombCouplings, cfg: Optional[QuadratureConfig] = None
+    c: CombCouplings, cfg: QuadratureConfig | None = None
 ) -> EnergyResult:
     """Vacuum energy per unit cell, E = int_0^oo dk I(k).
 
@@ -392,7 +391,7 @@ def comb_energy(
 
 
 def plate_energy(
-    c: CombCouplings, theta: float, cfg: Optional[QuadratureConfig] = None
+    c: CombCouplings, theta: float, cfg: QuadratureConfig | None = None
 ) -> EnergyResult:
     """Vacuum energy (1/2pi) int_0^oo dk F(k, theta) at fixed Bloch phase.
 

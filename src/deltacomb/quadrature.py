@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Callable, Optional, Sequence, Tuple
+from collections.abc import Callable, Sequence
 
 from ._record import Record
 from .errors import NoSignChangeError, RootScanError, ToleranceNotMetError
@@ -84,7 +84,7 @@ class QuadratureConfig(Record):
     __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k", "root_tol")
 
     def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000,
-                 truncation_k: Optional[float] = None, root_tol: float = 1e-12):
+                 truncation_k: float | None = None, root_tol: float = 1e-12):
         if not (abs_tol > 0 and rel_tol > 0 and root_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if max_subdivisions < 1:
@@ -94,7 +94,7 @@ class QuadratureConfig(Record):
         self._set(abs_tol, rel_tol, max_subdivisions, truncation_k, root_tol)
 
 
-def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
+def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One 7/15 Gauss-Kronrod panel: (integral estimate, error estimate).
 
     Unrolled: each sum adds the centre term, then the node pairs j = 0..6 in
@@ -148,9 +148,9 @@ def integrate_finite(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: Optional[QuadratureConfig] = None,
+    cfg: QuadratureConfig | None = None,
     breaks: Sequence[float] = (),
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Adaptive quadrature of f on [lo, hi].
 
     lo and hi are finite and breaks are interior points, strictly increasing
@@ -214,7 +214,7 @@ def refine_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: Optional[QuadratureConfig] = None,
+    cfg: QuadratureConfig | None = None,
 ) -> float:
     """Brent's (1973) root of f in a sign-changing bracket [lo, hi], on which
     f must be continuous: a sign change through a pole is returned like a

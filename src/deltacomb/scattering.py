@@ -30,7 +30,6 @@ complex k away from the amplitude pole.
 from __future__ import annotations
 
 import math
-from typing import Tuple, Union
 
 from ._record import Record
 from .errors import OutsideValidityDomainError
@@ -42,10 +41,10 @@ __all__ = [
     "s_matrix_det",
 ]
 
-Momentum = Union[float, complex]
+Momentum = float | complex
 
 
-def _over_w1_squared(w1: float) -> Tuple[float, float, float]:
+def _over_w1_squared(w1: float) -> tuple[float, float, float]:
     """(w1^2, 1, w1) / max(1, w1^2), formed so that w1^2 cannot overflow."""
     if abs(w1) > 1.0:
         return 1.0, 1.0 / (w1 * w1), 1.0 / w1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Tuple
 
 from ._record import Record
 from .bands import band_edges, dispersion
@@ -51,7 +50,7 @@ def _plate_energy_closed(theta: float, a: float) -> float:
 
 def _theta_integral_numeric(
     c: CombCouplings, k: float, cfg: QuadratureConfig
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Direct Bloch-phase quadrature int_{-pi}^{pi} dtheta/(4 pi^2) F(k, theta),
     the cross-check of spectral_integrand's closed-form theta integral;
     returns (value, abs_err)."""
@@ -112,7 +111,7 @@ def check_dirichlet_constant() -> CheckResult:
     )
 
 
-def _dual_cell_misfit(c: CombCouplings) -> Tuple[float, float]:
+def _dual_cell_misfit(c: CombCouplings) -> tuple[float, float]:
     """|(1/pi) int_0^pi dtheta plate_energy(c, theta) - comb_energy(c)| and
     the sum of errors it must stay within: the outer quadrature's abs_err/pi,
     the worst plate's abs_err + tail_bound and the comb's."""
@@ -323,7 +322,7 @@ def check_validity_guard() -> CheckResult:
     )
 
 
-def run_all() -> List[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run the ten checks in order and return their results."""
     return [
         check_mixed_bc_constant(),

@@ -7,7 +7,10 @@ failing any library test, so these tests run the tracer itself.
 """
 
 import importlib.util
+import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import pytest
 
 from deltacomb import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 PROBES = {
     "energy.evals.generic",
@@ -93,3 +97,41 @@ def test_count_probes_report_every_probe(tracing):
 
 def test_integrand_timing_is_finite(tracing):
     assert math.isfinite(tracing.integrand_ns())
+
+
+# a process that has imported deltacomb.cli alone traces one energy and one
+# bands op: the tracer's install() itself must load the energy and bands
+# modules, through cli's names, before it rebinds their leaves
+_FRESH_TRACE = """
+import contextlib, importlib.util, io, json, sys
+import deltacomb.cli as cli
+loaded = [m for m in ("deltacomb.energy", "deltacomb.bands") if m in sys.modules]
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [tracer.call("cli.main", cli.main, argv) for argv in (
+            ["energy", "--w0", "1", "--w1", "0.3", "--a", "1"],
+            ["bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5"],
+        )]
+finally:
+    tracer.uninstall()
+inc = tracer.inclusive_leaf_calls()
+roots = [s.id for s in tracer.spans if s.parent is None]
+print(json.dumps({"loaded": loaded, "codes": codes, "leaves": [inc[r] for r in roots]}))
+"""
+
+
+def test_tracer_loads_the_modules_a_fresh_cli_process_has_not():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_TRACE, str(TRACING)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seen = json.loads(proc.stdout)
+    assert seen["loaded"] == [] and seen["codes"] == [cli.EXIT_OK, cli.EXIT_OK]
+    energy, bands = seen["leaves"]
+    assert energy["spectral_integrand"] > 0 and bands["spectral_function"] > 0

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import argparse
+import ast
 import random
 
 import pytest
@@ -42,14 +43,14 @@ runpy.run_module("deltacomb.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def run_python(code, *argv, timeout=60):
-    """Exit code, stdout and stderr of a fresh `python -c code argv...` that
-    imports deltacomb from SRC; a run that outlasts timeout seconds is killed
-    and fails the test."""
+def run_python(code, *argv, timeout=60, flags=()):
+    """Exit code, stdout and stderr of a fresh `python flags... -c code
+    argv...` that imports deltacomb from SRC; a run that outlasts timeout
+    seconds is killed and fails the test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -58,6 +59,20 @@ def run_python(code, *argv, timeout=60):
 def run_fresh(mode, *argv, timeout=60):
     """Exit code, stdout and stderr of a fresh `deltacomb argv...`."""
     return run_python(_FRESH_RUN, mode, *argv, timeout=timeout)
+
+
+def run_loaded(*argv):
+    """Exit code, stdout, stderr and which of deltacomb.energy,
+    deltacomb.bands and json a fresh `deltacomb argv...` loaded."""
+    watch = "('deltacomb.energy', 'deltacomb.bands', 'json')"
+    code, out, err = run_python(
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print(sorted(set({watch}) & set(sys.modules)), file=sys.stderr))\n"
+        + _FRESH_RUN,
+        "open", *argv,
+    )
+    *err, loaded = err.splitlines(keepends=True)
+    return code, out, "".join(err), set(ast.literal_eval(loaded))
 
 
 def run_without_numpy(*argv):
@@ -288,6 +303,87 @@ def test_failing_single_evaluations_start_without_numpy():
         "--max-subdivisions", "2",
     )
     assert (code, out) == (EXIT_NUMERIC, "")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("energy", "--w0", "5", "--w1", "0.5", "--a", "2"), {"deltacomb.energy"}),
+        (("energy", "--w0", "5", "--a", "2", "--format", "json"), {"deltacomb.energy", "json"}),
+        (("plate", "--w0", "1", "--a", "1", "--theta", "1"), {"deltacomb.energy"}),
+        (("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5"), {"deltacomb.bands"}),
+        (("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5", "--format", "json"),
+         {"deltacomb.bands", "json"}),
+        (("scan-a", "--w0", "5", "--a-min", "1", "--a-max", "2", "--count", "2"), {"deltacomb.energy"}),
+    ],
+    ids=("energy", "energy-json", "plate", "bands", "bands-json", "scan-a"),
+)
+def test_a_command_loads_only_its_own_modules(capsys, argv, loaded):
+    code, out, err, seen = run_loaded(*argv)
+    assert seen == loaded
+    # and prints what the in-process call prints
+    assert (code, out, err) == run_cli(capsys, *argv) == (EXIT_OK, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--w0", "1", "--a", "0"),
+        ("energy", "--w0", "inf", "--a", "1", "--format", "json"),
+        ("bands", "--omega", "1", "--gamma", "0", "--a", "1"),
+        ("plate", "--w1", "1", "--a", "1", "--theta", "0"),
+    ],
+    ids=("a-zero", "w0-inf", "omega-one", "w1-alone"),
+)
+def test_a_coupling_error_loads_no_library_module(capsys, argv):
+    # the couplings are resolved before the command's module is imported
+    code, out, err, seen = run_loaded(*argv)
+    assert (code, out, seen) == (EXIT_DOMAIN, "", set())
+    assert err.startswith("error: ") and (code, out, err) == run_cli(capsys, *argv)
+
+
+def test_an_attractive_comb_exits_2_from_the_energy_module():
+    # gamma < 0 is the energy module's own domain rule (bands allow it)
+    code, out, err, seen = run_loaded("energy", "--w0", "-1", "--a", "1")
+    assert (code, out, seen) == (EXIT_DOMAIN, "", {"deltacomb.energy"})
+    assert "attractive comb" in err
+
+
+def test_importing_the_package_loads_no_submodule():
+    code, out, err = run_python(
+        "import sys\n"
+        "import deltacomb\n"
+        "print(sorted(m for m in sys.modules if m.startswith('deltacomb')))\n"
+        "import deltacomb.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('deltacomb')))"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "['deltacomb']",
+        "['deltacomb', 'deltacomb._record', 'deltacomb.cli', 'deltacomb.errors', "
+        "'deltacomb.quadrature', 'deltacomb.scattering']",
+    ]
+
+
+def test_star_import_binds_exactly_all():
+    code, out, err = run_python(
+        "import deltacomb\n"
+        "names = {}\n"
+        "exec('from deltacomb import *', names)\n"
+        "names.pop('__builtins__')\n"
+        "print(sorted(names) == sorted(deltacomb.__all__), len(deltacomb.__all__))\n"
+        "print(set(deltacomb.__all__) <= set(dir(deltacomb)))\n"
+        "print(deltacomb.energy.comb_energy is deltacomb.comb_energy)"
+    )
+    assert (code, out, err) == (0, "True 24\nTrue\nTrue\n", "")
+
+
+def test_cli_imports_no_typing_without_site():
+    # -S leaves out site, whose .pth files may import typing themselves
+    code, out, err = run_python(
+        "import sys, deltacomb.cli; print('typing' in sys.modules)", flags=("-S",)
+    )
+    assert (code, out, err) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize(
