@@ -9,19 +9,21 @@ limiting cases used to cross-check everything.
 Each module's __all__ is its public surface; the package re-exports them all.
 `import deltacomb` loads no submodule: the first read of a public name, of
 __all__ or of dir() imports the five library modules (PEP 562), and reading a
-module's own name (deltacomb.energy) imports just that module.  So a CLI run,
-which imports deltacomb.cli, loads only what its command uses.
+submodule's own name (deltacomb.energy, or `from deltacomb import cli`)
+imports just that module.  So a CLI run, which imports deltacomb.cli, loads
+only what its command uses.
 """
 
 __version__ = "0.1.0"
 
 _MODULES = ("errors", "quadrature", "scattering", "bands", "energy")
+_SUBMODULES = (*_MODULES, "cli", "sweeps", "verification")
 
 
 def __getattr__(name: str) -> object:
     from importlib import import_module
 
-    if name in _MODULES:
+    if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
     names = globals()
     if "__all__" not in names and (name == "__all__" or not name.startswith("_")):

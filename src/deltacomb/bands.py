@@ -19,8 +19,9 @@ the lowest band reaches imaginary k), band n's root at any theta is the one
 zero of g on [n pi/a, (n+1) pi/a], and g's end values are known exactly:
 Omega cos(theta) + (-1)^n at the lower end (1 + gamma a/2 + Omega cos(theta)
 for band 0), Omega cos(theta) - (-1)^n at the upper end.  dispersion solves
-each band with one Brent run from those values, so edges at multiples of
-pi/a (touching bands, pure-delta combs, k = 0) come out exact.
+each band with one Brent run from those values (refine_root, defined here
+with its only caller, so that energy runs never compile it), so edges at
+multiples of pi/a (touching bands, pure-delta combs, k = 0) come out exact.
 
 band_structure solves only its theta = 0 and theta = pi columns that way:
 inside a band the discriminant is monotone in k, so k_n(theta) is monotone
@@ -38,10 +39,12 @@ Brent on the bracket.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 
 from ._record import Record
 from .errors import NoSignChangeError, OutsideValidityDomainError, RootScanError
-from .quadrature import QuadratureConfig, refine_root
+from .quadrature import QuadratureConfig
 from .scattering import CombCouplings, one_plus_omega_cos
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "dispersion",
     "band_edges",
     "band_structure",
+    "refine_root",
 ]
 
 # 1 + gamma a/2 + Omega cos(theta), the k -> 0 value of the secular function,
@@ -59,6 +63,12 @@ _ZERO_TOL = 1e-12
 
 # Newton steps per interior sample of band_structure before Brent takes over
 _NEWTON_STEPS = 12
+
+_EPS = sys.float_info.epsilon
+_TWO_EPS = 2.0 * _EPS
+# refine_root halves its bracket at least every fourth step, and a bracket
+# of doubles cannot be halved more than about 2100 times
+_MAX_BRENT_STEPS = 4 * 2100
 
 # theta = +q a here; the opposite labeling appears in the literature, but all
 # spectra are even in theta so the choice is observationally irrelevant.
@@ -91,6 +101,112 @@ def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
     half = math.sin(0.5 * x)
     d = one_plus_omega_cos(c.omega, theta)
     return d - 2.0 * half * half + 0.5 * c.gamma * (math.sin(x) / k)
+
+
+def refine_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    cfg: QuadratureConfig | None = None,
+) -> float:
+    """Brent's (1973) root of f in a sign-changing bracket [lo, hi], on which
+    f must be continuous: a sign change through a pole is returned like a
+    root (refine_root(math.tan, 1.0, 2.0) gives pi/2).
+
+    Inverse quadratic or secant steps are taken while they shrink the
+    bracket fast enough, otherwise the step is a bisection.  A bracket that
+    has not halved in three steps forces a bisection, so the count is at
+    most four times bisection's: simple roots converge superlinearly (a
+    handful of evaluations), multiple roots, where interpolation stalls,
+    take up to that bound.  The search stops when the bracket [b, c] around
+    the root is narrower than cfg.root_tol * max(|b|, |c|) and returns its
+    end b with the smaller |f|, so the root lies within that width of the
+    result.  An endpoint where f is exactly zero is returned as is; a
+    bracket without a sign change raises NoSignChangeError, and one with a
+    non-finite end ValueError.  A NaN value of f, at an end or inside, and
+    running out of steps, which the forced bisections keep out of reach,
+    raise RootScanError rather than return a point that is not a root.
+    """
+    cfg = cfg or QuadratureConfig()
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    flo = f(lo)
+    if not abs(flo) > 0.0:
+        if flo == 0.0:
+            return lo
+        raise RootScanError(f"f is NaN at x = {lo!r} in [{lo}, {hi}]")
+    fhi = f(hi)
+    if not abs(fhi) > 0.0:
+        if fhi == 0.0:
+            return hi
+        raise RootScanError(f"f is NaN at x = {hi!r} in [{lo}, {hi}]")
+    if (flo > 0) == (fhi > 0):
+        raise NoSignChangeError(
+            f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
+        )
+    # The loop's floating-point operations and their order are fixed on
+    # purpose: any change moves roots in their last bits.  Only interpreter
+    # work is hoisted or carried (2 eps, root_tol/2, c - b, |f| at a, b and c),
+    # and max() and abs(d) > tol are spelled as comparisons, which round nothing.
+    half_rtol = 0.5 * cfg.root_tol
+    # b: best estimate; c: the other end of the bracket; a: previous b
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    afa = afc = abs(fa)
+    afb = abs(fb)
+    d = e = b - a
+    halved_at, stalled = abs(c - b), 0
+    for _ in range(_MAX_BRENT_STEPS):
+        if afc < afb:
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+            afa, afb, afc = afb, afc, afb
+        ab, ac = abs(b), abs(c)
+        tol = _TWO_EPS * ab + half_rtol * (ac if ac > ab else ab)
+        cb = c - b
+        m = 0.5 * cb
+        if abs(m) <= tol:
+            return b
+        width = abs(cb)
+        if width <= 0.5 * halved_at:
+            halved_at, stalled = width, 0
+        else:
+            stalled += 1
+        step = m
+        if stalled >= 3:
+            e = m
+        elif abs(e) >= tol and afa > afb:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, step = d, p / q
+            else:
+                e = m
+        else:
+            e = m
+        d = step
+        a, fa, afa = b, fb, afb
+        b += d if d > tol or d < -tol else math.copysign(tol, m)
+        fb = f(b)
+        afb = abs(fb)
+        if not afb > 0.0:
+            if fb == 0.0:
+                return b
+            raise RootScanError(f"f is NaN at x = {b!r} in [{lo}, {hi}]")
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, afc = a, fa, afa
+            d = e = b - a
+    raise RootScanError(
+        f"root refinement did not converge in [{lo}, {hi}] after "
+        f"{_MAX_BRENT_STEPS} steps"
+    )
 
 
 def _root(c: CombCouplings, n: int, theta: float, cfg: QuadratureConfig) -> float:

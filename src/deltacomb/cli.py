@@ -10,16 +10,17 @@ any other DeltaCombError (a numerical failure).
 
 A run imports only what its command uses: the energy module for the energy
 commands, the bands module for `bands`, the verification module for `verify`,
-and json only for --format json.  A run whose options or CombCouplings are
-rejected imports neither library module.
+and json only for --format json.  The sweeps module, which holds the three
+sweep commands and their options, loads only for those commands and for the
+full parser (-h, or no or an unknown command).  A run whose options or
+CombCouplings are rejected imports neither library module.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import __version__
 from .errors import DeltaCombError, OutsideValidityDomainError
@@ -37,7 +38,6 @@ _QUAD_DEFAULTS = QuadratureConfig()._asdict()
 _LAZY = {
     "comb_energy": "energy",
     "plate_energy": "energy",
-    "EnergyResult": "energy",
     "band_structure": "bands",
 }
 
@@ -196,106 +196,6 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid(lo: float, hi: float, count: int, log: bool = False) -> list[float]:
-    """count points from lo to hi, evenly spaced in the value or, with log, in
-    its log10; both ends are exactly lo and hi."""
-    if log:
-        inner = _grid(math.log10(lo), math.log10(hi), count)[1:-1]
-        return [lo, *(10.0**y for y in inner), hi]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count - 1)] + [hi]
-
-
-def _sweep(
-    args: argparse.Namespace,
-    command: str,
-    names: Sequence[str],
-    header: Sequence[str],
-    points: Iterable[tuple[CombCouplings, tuple]],
-    row: Callable[[tuple, EnergyResult], tuple],
-) -> int:
-    """Emit one row per (couplings, lead) point, the lead values followed by
-    row(lead, comb_energy(couplings)); the parameters are the args in names."""
-    cfg = _quad_config(args)
-    comb_energy = _lib("comb_energy")
-    rows = [(*lead, *row(lead, comb_energy(c, cfg))) for c, lead in points]
-    params = {name: getattr(args, name) for name in names}
-    _emit(args, command, params, cfg, header, rows)
-    return EXIT_OK
-
-
-def cmd_scan_a(args: argparse.Namespace) -> int:
-    if not 0.0 < args.a_min < args.a_max < math.inf:
-        raise ValueError(f"need 0 < --a-min < --a-max < inf, got {args.a_min!r}, {args.a_max!r}")
-    if args.count < 2:
-        raise ValueError("need --count >= 2")
-    grid = _grid(args.a_min, args.a_max, args.count)
-    return _sweep(
-        args,
-        "scan-a",
-        ("a_min", "a_max", "count", "w0", "w1", "omega", "gamma"),
-        ("a", "energy", "abs_err", "tail_bound"),
-        ((_resolve_couplings(args, a), (a,)) for a in grid),
-        lambda lead, res: (res.value, res.abs_err, res.tail_bound),
-    )
-
-
-def _energy_sign(lead: tuple, res: EnergyResult) -> tuple:
-    if abs(res.value) <= max(res.abs_err + res.tail_bound, 1e-14):
-        sign = 0
-    else:
-        sign = 1 if res.value > 0 else -1
-    return res.value, res.abs_err, sign
-
-
-def cmd_scan_couplings(args: argparse.Namespace) -> int:
-    g_lo, g_hi, o_lo, o_hi = args.gamma_min, args.gamma_max, args.omega_min, args.omega_max
-    if not 0.0 <= g_lo < g_hi < math.inf:
-        raise ValueError(f"need 0 <= --gamma-min < --gamma-max < inf, got {g_lo!r}, {g_hi!r}")
-    if not -1.0 <= o_lo < o_hi < 1.0:
-        raise ValueError(f"need -1 <= --omega-min < --omega-max < 1, got {o_lo!r}, {o_hi!r}")
-    if args.gamma_count < 2 or args.omega_count < 2:
-        raise ValueError("need --gamma-count >= 2 and --omega-count >= 2")
-    gammas = _grid(g_lo, g_hi, args.gamma_count)
-    omegas = _grid(o_lo, o_hi, args.omega_count)
-    return _sweep(
-        args,
-        "scan-couplings",
-        ("a", "gamma_min", "gamma_max", "gamma_count", "omega_min", "omega_max", "omega_count"),
-        ("gamma", "omega", "energy", "abs_err", "sign"),
-        (
-            (CombCouplings.from_reduced(omega=omega, gamma=gamma, a=args.a), (gamma, omega))
-            for gamma in gammas
-            for omega in omegas
-        ),
-        _energy_sign,
-    )
-
-
-def _w0_log_ratio(lead: tuple, res: EnergyResult) -> tuple:
-    """The energy and E/(w0 ln w0): the pure-delta comb's energy goes like
-    w0 ln(w0) as w0 -> 0, not analytic at the free point, so the ratio tends
-    to a constant."""
-    w0 = lead[0]
-    return res.value, res.abs_err, res.value / (w0 * math.log(w0))
-
-
-def cmd_ratio_w0(args: argparse.Namespace) -> int:
-    if not 0.0 < args.w0_min < args.w0_max < 1.0:
-        raise ValueError("need 0 < --w0-min < --w0-max < 1 (log ratio domain)")
-    if args.count < 2:
-        raise ValueError("need --count >= 2")
-    grid = _grid(args.w0_min, args.w0_max, args.count, log=True)
-    return _sweep(
-        args,
-        "ratio-w0",
-        ("a", "w0_min", "w0_max", "count"),
-        ("w0", "energy", "abs_err", "ratio"),
-        ((CombCouplings(w0=w0, w1=0.0, a=args.a), (w0,)) for w0 in grid),
-        _w0_log_ratio,
-    )
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import run_all
 
@@ -326,26 +226,16 @@ def _bands_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-theta", type=int, default=101)
 
 
-def _scan_a_args(p: argparse.ArgumentParser) -> None:
-    _add_coupling_args(p)
-    p.add_argument("--a-min", type=float, required=True)
-    p.add_argument("--a-max", type=float, required=True)
-    p.add_argument("--count", type=int, default=50)
-
-
-def _scan_couplings_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, required=True)
-    for name in ("gamma", "omega"):
-        p.add_argument(f"--{name}-min", type=float, required=True)
-        p.add_argument(f"--{name}-max", type=float, required=True)
-        p.add_argument(f"--{name}-count", type=int, default=30)
-
-
-def _ratio_w0_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--w0-min", type=float, default=1e-6)
-    p.add_argument("--w0-max", type=float, default=1e-1)
-    p.add_argument("--count", type=int, default=21)
+def _from_sweeps(name: str) -> tuple[Callable, Callable]:
+    """The add_args and the command of sweep name, which import the sweeps
+    module on first call and hand it this module: its names are the ones the
+    sweeps call, and under `python -m` it is __main__, not a second cli."""
+    def lazy(attr: str) -> Callable:
+        def call(arg: object) -> object:
+            from . import sweeps
+            return getattr(sweeps, attr)(sys.modules[__name__], arg)
+        return call
+    return lazy(f"_{name}_args"), lazy(f"cmd_{name}")
 
 
 # name: (help, add_args, command); add_args None takes no options at all, else
@@ -354,13 +244,11 @@ _COMMANDS = {
     "energy": ("vacuum energy per unit cell", _energy_args, cmd_energy),
     "plate": ("fixed-Bloch-phase plate energy", _plate_args, cmd_plate),
     "bands": ("band-structure samples and edges", _bands_args, cmd_bands),
-    "scan-a": ("energy versus lattice spacing", _scan_a_args, cmd_scan_a),
+    "scan-a": ("energy versus lattice spacing", *_from_sweeps("scan_a")),
     "scan-couplings": (
-        "energy over the (gamma, omega) plane at fixed a", _scan_couplings_args, cmd_scan_couplings
+        "energy over the (gamma, omega) plane at fixed a", *_from_sweeps("scan_couplings")
     ),
-    "ratio-w0": (
-        "E/(w0 ln w0) on a log-spaced small-w0 grid (w1 = 0)", _ratio_w0_args, cmd_ratio_w0
-    ),
+    "ratio-w0": ("E/(w0 ln w0) on a log-spaced small-w0 grid (w1 = 0)", *_from_sweeps("ratio_w0")),
     "verify": ("run the built-in verification suite", None, cmd_verify),
 }
 

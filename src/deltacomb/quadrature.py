@@ -1,12 +1,12 @@
-"""Adaptive Gauss-Kronrod quadrature and bracketed root refinement.
+"""Adaptive Gauss-Kronrod quadrature, and the tolerances of all numerics.
 
 Self-contained numerical kernels: a 7/15 Gauss-Kronrod pair with the
-classic QUADPACK-style error estimate, worst-interval-first adaptive
-bisection on finite intervals, and derivative-free Brent iteration for root
-refinement.  Breakpoints seed one adaptive run with a panel per piece
-(QUADPACK's qagp), so one error budget covers them all.  The semi-infinite
-energy integrals (cutoff, graded breakpoints and tail bound) are assembled
-from one integrate_finite call in the energy module.
+classic QUADPACK-style error estimate and worst-interval-first adaptive
+bisection on finite intervals.  Breakpoints seed one adaptive run with a
+panel per piece (QUADPACK's qagp), so one error budget covers them all.  The
+semi-infinite energy integrals (cutoff, graded breakpoints and tail bound)
+are assembled from one integrate_finite call in the energy module.  Root
+refinement (Brent) lives in the bands module, its only caller.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -22,19 +22,14 @@ import sys
 from collections.abc import Callable, Sequence
 
 from ._record import Record
-from .errors import NoSignChangeError, RootScanError, ToleranceNotMetError
+from .errors import ToleranceNotMetError
 
 __all__ = [
     "QuadratureConfig",
     "integrate_finite",
-    "refine_root",
 ]
 
 _EPS = sys.float_info.epsilon
-_TWO_EPS = 2.0 * _EPS
-# refine_root halves its bracket at least every fourth step, and a bracket
-# of doubles cannot be halved more than about 2100 times
-_MAX_BRENT_STEPS = 4 * 2100
 _UFLOW = sys.float_info.min
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half, descending) with
@@ -208,109 +203,3 @@ def integrate_finite(
             f"error estimate {err:.3e} above tolerance on [{lo}, {hi}]"
         )
     return value, err
-
-
-def refine_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Brent's (1973) root of f in a sign-changing bracket [lo, hi], on which
-    f must be continuous: a sign change through a pole is returned like a
-    root (refine_root(math.tan, 1.0, 2.0) gives pi/2).
-
-    Inverse quadratic or secant steps are taken while they shrink the
-    bracket fast enough, otherwise the step is a bisection.  A bracket that
-    has not halved in three steps forces a bisection, so the count is at
-    most four times bisection's: simple roots converge superlinearly (a
-    handful of evaluations), multiple roots, where interpolation stalls,
-    take up to that bound.  The search stops when the bracket [b, c] around
-    the root is narrower than cfg.root_tol * max(|b|, |c|) and returns its
-    end b with the smaller |f|, so the root lies within that width of the
-    result.  An endpoint where f is exactly zero is returned as is; a
-    bracket without a sign change raises NoSignChangeError, and one with a
-    non-finite end ValueError.  A NaN value of f, at an end or inside, and
-    running out of steps, which the forced bisections keep out of reach,
-    raise RootScanError rather than return a point that is not a root.
-    """
-    cfg = cfg or QuadratureConfig()
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    if not abs(flo) > 0.0:
-        if flo == 0.0:
-            return lo
-        raise RootScanError(f"f is NaN at x = {lo!r} in [{lo}, {hi}]")
-    fhi = f(hi)
-    if not abs(fhi) > 0.0:
-        if fhi == 0.0:
-            return hi
-        raise RootScanError(f"f is NaN at x = {hi!r} in [{lo}, {hi}]")
-    if (flo > 0) == (fhi > 0):
-        raise NoSignChangeError(
-            f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
-        )
-    # The loop's floating-point operations and their order are fixed on
-    # purpose: any change moves roots in their last bits.  Only interpreter
-    # work is hoisted or carried (2 eps, root_tol/2, c - b, |f| at a, b and c),
-    # and max() and abs(d) > tol are spelled as comparisons, which round nothing.
-    half_rtol = 0.5 * cfg.root_tol
-    # b: best estimate; c: the other end of the bracket; a: previous b
-    a, fa, b, fb = lo, flo, hi, fhi
-    c, fc = a, fa
-    afa = afc = abs(fa)
-    afb = abs(fb)
-    d = e = b - a
-    halved_at, stalled = abs(c - b), 0
-    for _ in range(_MAX_BRENT_STEPS):
-        if afc < afb:
-            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-            afa, afb, afc = afb, afc, afb
-        ab, ac = abs(b), abs(c)
-        tol = _TWO_EPS * ab + half_rtol * (ac if ac > ab else ab)
-        cb = c - b
-        m = 0.5 * cb
-        if abs(m) <= tol:
-            return b
-        width = abs(cb)
-        if width <= 0.5 * halved_at:
-            halved_at, stalled = width, 0
-        else:
-            stalled += 1
-        step = m
-        if stalled >= 3:
-            e = m
-        elif abs(e) >= tol and afa > afb:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
-                e, step = d, p / q
-            else:
-                e = m
-        else:
-            e = m
-        d = step
-        a, fa, afa = b, fb, afb
-        b += d if d > tol or d < -tol else math.copysign(tol, m)
-        fb = f(b)
-        afb = abs(fb)
-        if not afb > 0.0:
-            if fb == 0.0:
-                return b
-            raise RootScanError(f"f is NaN at x = {b!r} in [{lo}, {hi}]")
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc, afc = a, fa, afa
-            d = e = b - a
-    raise RootScanError(
-        f"root refinement did not converge in [{lo}, {hi}] after "
-        f"{_MAX_BRENT_STEPS} steps"
-    )

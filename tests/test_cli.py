@@ -63,8 +63,10 @@ def run_fresh(mode, *argv, timeout=60):
 
 def run_loaded(*argv):
     """Exit code, stdout, stderr and which of deltacomb.energy,
-    deltacomb.bands and json a fresh `deltacomb argv...` loaded."""
-    watch = "('deltacomb.energy', 'deltacomb.bands', 'json')"
+    deltacomb.bands, deltacomb.sweeps and json a fresh `deltacomb argv...`
+    loaded, and deltacomb.cli if it imported a second copy of the cli it runs
+    as __main__."""
+    watch = "('deltacomb.cli', 'deltacomb.energy', 'deltacomb.bands', 'deltacomb.sweeps', 'json')"
     code, out, err = run_python(
         "import atexit, sys\n"
         f"atexit.register(lambda: print(sorted(set({watch}) & set(sys.modules)), file=sys.stderr))\n"
@@ -314,9 +316,15 @@ def test_failing_single_evaluations_start_without_numpy():
         (("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5"), {"deltacomb.bands"}),
         (("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5", "--format", "json"),
          {"deltacomb.bands", "json"}),
-        (("scan-a", "--w0", "5", "--a-min", "1", "--a-max", "2", "--count", "2"), {"deltacomb.energy"}),
+        (("scan-a", "--w0", "5", "--a-min", "1", "--a-max", "2", "--count", "2"),
+         {"deltacomb.energy", "deltacomb.sweeps"}),
+        (("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "1", "--gamma-count", "2",
+          "--omega-min", "-1", "--omega-max", "0", "--omega-count", "2"),
+         {"deltacomb.energy", "deltacomb.sweeps"}),
+        (("ratio-w0", "--count", "2"), {"deltacomb.energy", "deltacomb.sweeps"}),
     ],
-    ids=("energy", "energy-json", "plate", "bands", "bands-json", "scan-a"),
+    ids=("energy", "energy-json", "plate", "bands", "bands-json", "scan-a", "scan-couplings",
+         "ratio-w0"),
 )
 def test_a_command_loads_only_its_own_modules(capsys, argv, loaded):
     code, out, err, seen = run_loaded(*argv)
@@ -363,6 +371,30 @@ def test_importing_the_package_loads_no_submodule():
         "['deltacomb', 'deltacomb._record', 'deltacomb.cli', 'deltacomb.errors', "
         "'deltacomb.quadrature', 'deltacomb.scattering']",
     ]
+
+
+def test_from_deltacomb_import_cli_loads_no_library_module():
+    code, out, err = run_python(
+        "import sys\n"
+        "from deltacomb import cli\n"
+        "print(sorted({'deltacomb.energy', 'deltacomb.bands'} & set(sys.modules)))"
+    )
+    assert (code, out, err) == (0, "[]\n", "")
+
+
+def test_from_deltacomb_import_any_submodule_leaves_the_surface_unloaded():
+    # a `from deltacomb import m` asks the package for m before importing it
+    names = sorted(p.stem for p in (SRC / "deltacomb").glob("*.py") if p.stem != "__init__")
+    code, out, err = run_python(
+        "import sys\n"
+        "import deltacomb\n"
+        "for name in sys.argv[1:]:\n"
+        "    exec(f'from deltacomb import {name}')\n"
+        "    print(name, '__all__' in vars(deltacomb))",
+        *names,
+    )
+    assert (code, err) == (0, "") and len(names) >= 9
+    assert out.splitlines() == [f"{name} False" for name in names]
 
 
 def test_star_import_binds_exactly_all():

@@ -270,7 +270,7 @@ def test_refine_root_multiple_root_converges_within_bisection_bound():
 
 
 def test_refine_root_raises_when_steps_run_out(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_BRENT_STEPS", 10)
+    monkeypatch.setattr(deltacomb.bands, "_MAX_BRENT_STEPS", 10)
     with pytest.raises(RootScanError):
         refine_root(lambda x: (x - 0.3) ** 5, 0.0, 3.0)
 
@@ -298,9 +298,9 @@ def test_refine_root_raises_on_nan_values_by_point():
 
 def _loop_refine_root(f, lo, hi, cfg=None):
     """Brent's loop as written before its interpreter work was trimmed: the
-    oracle that quadrature.refine_root must reproduce bit for bit."""
+    oracle that bands.refine_root must reproduce bit for bit."""
     cfg = cfg or QuadratureConfig()
-    eps = quadrature._EPS
+    eps = deltacomb.bands._EPS
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -313,7 +313,7 @@ def _loop_refine_root(f, lo, hi, cfg=None):
     c, fc = a, fa
     d = e = b - a
     halved_at, stalled = abs(c - b), 0
-    for _ in range(quadrature._MAX_BRENT_STEPS):
+    for _ in range(deltacomb.bands._MAX_BRENT_STEPS):
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
         tol = 2.0 * eps * abs(b) + 0.5 * cfg.root_tol * max(abs(b), abs(c))
