@@ -381,6 +381,7 @@ def band_structure(
     """The first n_bands bands, each sampled on a uniform closed theta grid
     over [-pi, pi].
 
+    Every Band of one call holds the same thetas tuple (the same object).
     The grid is exactly mirror-symmetric (thetas[i] == -thetas[-1-i], with
     theta = 0.0 in the middle for odd n_theta); only theta >= 0 is solved and
     samples at -theta are copies.  The theta = 0 and theta = pi columns are

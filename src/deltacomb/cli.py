@@ -5,8 +5,9 @@ sweeps behind the standard plots (scan-a, scan-couplings, ratio-w0), and the
 built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 (one object with run metadata); floats are serialized with full round-trip
 precision.  Exit codes: 0 success, 1 when `verify` finds a failing check, 2
-for a usage error, a ValueError or an OutsideValidityDomainError, and 3 for
-any other DeltaCombError (a numerical failure).
+for a usage error, a ValueError (an --output path that cannot be written
+among them) or an OutsideValidityDomainError, and 3 for any other
+DeltaCombError (a numerical failure).
 
 A run imports only what its command uses: the energy module for the energy
 commands, the bands module for `bands`, the verification module for `verify`,
@@ -141,24 +142,22 @@ def _emit(
             payload["tolerances"] = cfg._asdict()
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        # cells are ints and floats, which CSV never quotes; each distinct
-        # nonzero float is formatted once (zeros skip the memo, which would
-        # give -0.0 the text of 0.0)
-        memo: dict = {}
+        # cells are ints and floats, which CSV never quotes
         lines = [",".join(header)]
-        lines += [
-            ",".join([
-                (memo.get(v) or memo.setdefault(v, repr(v))) if type(v) is float and v else repr(v)
-                for v in row
-            ])
-            for row in rows
-        ]
+        lines += [",".join(map(repr, row)) for row in rows]
         text = "\n".join(lines) + "\n"
-    if args.output:
+    _write(args, text)
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from None
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
@@ -184,6 +183,19 @@ def cmd_bands(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
     bands = _lib("band_structure")(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
+    header = ("band", "theta", "q", "k", "k_min", "k_max")
+    if args.format == "csv":
+        # every band holds the same thetas, so each column's "theta,q," text,
+        # each band's index and edges and each distinct nonzero k (the -theta
+        # samples repeat theirs) are formatted once
+        cols = [f"{theta!r},{theta / c.a!r}," for theta in bands[0].thetas]
+        lines = [",".join(header)]
+        for band in bands:
+            head, tail = f"{band.index},", f",{band.k_min!r},{band.k_max!r}"
+            text = {k: repr(k) for k in set(band.ks) if k}
+            lines += [f"{head}{t}{text.get(k) or repr(k)}{tail}" for t, k in zip(cols, band.ks)]
+        _write(args, "\n".join(lines) + "\n")
+        return EXIT_OK
     rows = [
         (band.index, theta, theta / c.a, k, band.k_min, band.k_max)
         for band in bands
@@ -191,7 +203,6 @@ def cmd_bands(args: argparse.Namespace) -> int:
     ]
     params = _coupling_params(c)
     params.update({"n_bands": args.n_bands, "n_theta": args.n_theta})
-    header = ("band", "theta", "q", "k", "k_min", "k_max")
     _emit(args, "bands", params, cfg, header, rows)
     return EXIT_OK
 

@@ -362,6 +362,14 @@ def test_band_structure_kronig_penney_shape():
                 assert th[n_theta // 2] == 0.0
 
 
+@pytest.mark.parametrize("c", [KP, FREE, MIXED, CombCouplings(w0=3.0, w1=-1.5, a=0.3)])
+@pytest.mark.parametrize("n_theta", [2, 3, 21])
+def test_band_structure_bands_share_one_thetas_tuple(c, n_theta):
+    # the CSV writer formats the theta columns once, from the first band
+    bands = band_structure(c, n_bands=3, n_theta=n_theta)
+    assert all(b.thetas is bands[0].thetas for b in bands)
+
+
 def _assert_matches_dispersion(source, n_bands, n_theta):
     """Every sample lies in its band and matches the per-column solve."""
     tol = 2.0 * QuadratureConfig().root_tol

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from deltacomb import QuadratureConfig, __version__, cli, errors
+from deltacomb import QuadratureConfig, __version__, band_structure, cli, errors
 from deltacomb.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERIC,
@@ -191,6 +191,67 @@ def test_csv_text_matches_the_csv_module(capsys):
         args = argparse.Namespace(format="csv", output=None)
         cli._emit(args, "test", {}, None, header, rows)
         assert capsys.readouterr().out == csv_oracle(header, rows)
+
+
+def _bands_cases():
+    """Seeded bands argvs: generic couplings (some with |w1| > 1), flat
+    (Omega = 0) and touching free combs (k = 0.0 at the zero mode), a in
+    [1e-2, 10], every listed n_theta and both n_bands."""
+    rng = random.Random(20261019)
+    kinds = ("generic", "big-w1", "flat", "touching")
+    for i, (kind, n_theta) in enumerate(
+        (kind, n_theta) for kind in kinds for n_theta in (2, 3, 4, 21, 101)
+    ):
+        if kind == "generic":
+            couplings = ("--w0", repr(rng.uniform(0.0, 6.0)), "--w1", repr(rng.uniform(-0.9, 0.9)))
+        elif kind == "big-w1":
+            w1 = rng.choice((-1.0, 1.0)) * rng.uniform(1.05, 4.0)
+            couplings = ("--w0", repr(rng.uniform(0.0, 6.0)), "--w1", repr(w1))
+        elif kind == "flat":
+            couplings = ("--omega", "0", "--gamma", repr(rng.uniform(0.0, 5.0)))
+        else:
+            couplings = ("--omega", "-1", "--gamma", "0")
+        a = 10.0 ** rng.uniform(-2.0, 1.0)
+        n_bands = "18"[i % 2]
+        argv = ("bands", *couplings, "--a", repr(a), "--n-bands", n_bands, "--n-theta", str(n_theta))
+        yield pytest.param(argv, id=f"{kind}-{n_bands}x{n_theta}")
+
+
+@pytest.mark.parametrize("argv", list(_bands_cases()))
+def test_bands_csv_matches_the_csv_module(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    args = cli._build_parser("bands").parse_args(argv)
+    c = cli._resolve_couplings(args, args.a)
+    bands = band_structure(c, n_bands=args.n_bands, n_theta=args.n_theta)
+    rows = [
+        (band.index, theta, theta / c.a, k, band.k_min, band.k_max)
+        for band in bands
+        for theta, k in zip(band.thetas, band.ks)
+    ]
+    expected = csv_oracle(("band", "theta", "q", "k", "k_min", "k_max"), rows)
+    # as lists of lines, which pytest reports by the first differing line
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+    path = tmp_path / "bands.csv"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (EXIT_OK, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("energy", "--w0", "1", "--a", "1"),
+        ("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5"),
+    ],
+    ids=lambda v: v[0],
+)
+def test_unwritable_output_exits_2(tmp_path, argv, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run_fresh("open", *argv, "--output", str(path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_cli_does_not_import_csv():
