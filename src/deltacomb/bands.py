@@ -28,12 +28,13 @@ inside a band the discriminant is monotone in k, so k_n(theta) is monotone
 on [0, pi] and each interior sample is the one root between the previous
 column's root and the band's theta = pi edge.  h does not depend on theta, so
 1 + Omega cos(theta) is formed once per column and each interior sample is
-solved by Newton's method on spectral_function's form with its analytic
-slope, started from the linear extrapolation of the previous two columns.  A
+solved by Newton's method with the analytic slope of _secular_and_slope, the
+one form of the secular function that spectral_function evaluates too,
+started from the linear extrapolation of the previous two columns.  A
 sample is accepted only once one probe root_tol k away shows a sign change,
 which is refine_root's guarantee; a zero or non-finite slope, a step out of
 the bracket or no such certificate within _NEWTON_STEPS steps falls back to
-Brent on the bracket.
+dispersion's Brent solve at that theta.
 """
 
 from __future__ import annotations
@@ -87,20 +88,31 @@ class Band(Record):
 def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
     """Secular function g(k) = Omega cos(theta) + cos(ka) + (gamma/2k) sin(ka).
 
-    Evaluated as (1 + Omega cos theta) - 2 sin^2(ka/2) + (gamma/2) sin(ka)/k,
-    with 1 + Omega cos theta a sum of non-negative terms, so nothing cancels
-    at band 0's bottom, where all three terms are small.  Defined for finite
-    k >= 0 (anything else raises ValueError); at k = 0 the removable
-    singularity is replaced by its limit 1 + Omega cos(theta) + gamma a / 2.
+    Evaluated by _secular_and_slope as (1 + Omega cos theta) -
+    2 sin^2(ka/2) + (gamma/2) sin(ka)/k, with 1 + Omega cos theta a sum of
+    non-negative terms, so nothing cancels at band 0's bottom, where all
+    three terms are small.  Defined for finite k >= 0 (anything else raises
+    ValueError); at k = 0 the removable singularity is replaced by its limit
+    1 + Omega cos(theta) + gamma a / 2.
     """
     if not 0.0 < k < math.inf:
         if k == 0.0:
             return one_plus_omega_cos(c.omega, theta) + 0.5 * c.gamma * c.a
         raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
-    x = k * c.a
-    half = math.sin(0.5 * x)
-    d = one_plus_omega_cos(c.omega, theta)
-    return d - 2.0 * half * half + 0.5 * c.gamma * (math.sin(x) / k)
+    return _secular_and_slope(0.5 * c.gamma, c.a, one_plus_omega_cos(c.omega, theta), k)[0]
+
+
+def _secular_and_slope(g2: float, a: float, d: float, k: float) -> tuple[float, float]:
+    """The secular function at k > 0, d - 2 sin^2(x/2) + g2 sin(x)/k with
+    x = k a, d = 1 + Omega cos(theta) and g2 = gamma/2, and its slope in k.
+
+    2 sin^2(x/2) = 1 - cos x is formed as sin^2 x/(1 + cos x) where cos x > 0,
+    so neither form cancels and sin x, cos x serve both values.
+    """
+    x = k * a
+    s, co = math.sin(x), math.cos(x)
+    drop = s * s / (1.0 + co) if co > 0.0 else 1.0 - co
+    return d - drop + g2 * (s / k), g2 * ((x * co - s) / k / k) - a * s
 
 
 def refine_root(
@@ -294,64 +306,24 @@ def band_edges(
     return [(b.k_min, b.k_max) for b in band_structure(c, n_bands, 2, cfg)]
 
 
-def _band_root(
-    c: CombCouplings,
-    theta: float,
-    near: float,
-    far: float,
-    edges: tuple[float, float],
-    cfg: QuadratureConfig,
-) -> float:
-    """The band's root at theta, known to lie between near and far.
-
-    near is the root at the previous theta column, accurate to root_tol, so
-    a step in theta that moves the root by less than that can leave the root
-    just outside [near, far]; the band's whole edge interval is then the
-    bracket.  A bracket already within root_tol needs no evaluation (flat
-    bands have near == far).
-    """
-    lo, hi = (near, far) if near <= far else (far, near)
-    if hi - lo <= cfg.root_tol * hi:
-        return near
-    secular = lambda k: spectral_function(c, k, theta)  # noqa: E731
-    for lo, hi in ((lo, hi), edges):
-        try:
-            return refine_root(secular, lo, hi, cfg)
-        except NoSignChangeError:
-            pass
-    raise RootScanError(
-        f"secular function keeps its sign across the band [{edges[0]!r}, "
-        f"{edges[1]!r}] at theta = {theta!r}"
-    )
-
-
-def _secular_and_slope(g2: float, a: float, d: float, k: float) -> tuple[float, float]:
-    """spectral_function at k > 0, d - 2 sin^2(x/2) + g2 sin(x)/k with x = k a,
-    d = 1 + Omega cos(theta) and g2 = gamma/2, and its slope in k.
-
-    2 sin^2(x/2) = 1 - cos x is formed as sin^2 x/(1 + cos x) where cos x > 0,
-    so neither form cancels and sin x, cos x serve both values.
-    """
-    x = k * a
-    s, co = math.sin(x), math.cos(x)
-    drop = s * s / (1.0 + co) if co > 0.0 else 1.0 - co
-    return d - drop + g2 * (s / k), g2 * ((x * co - s) / k / k) - a * s
-
-
 def _newton_root(
     g2: float, a: float, d: float, near: float, far: float, guess: float, tol: float
 ) -> float | None:
     """The root between near and far by Newton's method, or None.
 
-    It starts at guess if that lies strictly inside the bracket, else at the
-    midpoint, and every iterate stays strictly inside, so k > 0.  A Newton
-    step shorter than tol k is accepted once the secular function changes
-    sign between k and a probe tol k away in the direction of the step: the
-    root and k + step then lie in that interval, within tol k of each other.
+    A bracket no wider than tol hi needs no evaluation and gives near (flat
+    bands have near == far).  Otherwise it starts at guess if that lies
+    strictly inside the bracket, else at the midpoint, and every iterate
+    stays strictly inside, so k > 0.  A Newton step shorter than tol k is
+    accepted once the secular function changes sign between k and a probe
+    tol k away in the direction of the step: the root and k + step then lie
+    in that interval, within tol k of each other.
     A zero or non-finite slope, a step out of the bracket, a probe outside it
     and no sign change within _NEWTON_STEPS steps give None.
     """
     lo, hi = (near, far) if near <= far else (far, near)
+    if hi - lo <= tol * hi:
+        return near
     k = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         if not lo < k < hi:
@@ -388,7 +360,8 @@ def band_structure(
     the band edges (including k = 0 where a band reaches the zero mode),
     solved by dispersion.  Each interior sample is a Newton root certified by
     a sign change within root_tol k (_newton_root) or, where that fails,
-    _band_root's Brent solve; either lies within root_tol k of the root.
+    dispersion's own Brent solve at that theta, bit for bit; either lies
+    within root_tol k of the root.
     """
     cfg = cfg or QuadratureConfig()
     if n_theta < 2:
@@ -406,13 +379,12 @@ def band_structure(
     for n, (k_zero, k_pi) in enumerate(
         zip(dispersion(c, 0.0, n_bands, cfg), dispersion(c, math.pi, n_bands, cfg))
     ):
-        edges = (min(k_zero, k_pi), max(k_zero, k_pi))
         ks = [k_zero] * (n_theta % 2)
         k_prev = k = k_zero
         for theta, d in columns:
             root = _newton_root(g2, c.a, d, k, k_pi, 2.0 * k - k_prev, tol)
             if root is None:
-                root = _band_root(c, theta, k, k_pi, edges, cfg)
+                root = _root(c, n, theta, cfg)
             k_prev, k = k, root
             ks.append(k)
         ks.append(k_pi)
@@ -421,8 +393,8 @@ def band_structure(
                 index=n,
                 thetas=thetas,
                 ks=tuple(ks[::-1][: n_theta - len(ks)] + ks),
-                k_min=edges[0],
-                k_max=edges[1],
+                k_min=min(k_zero, k_pi),
+                k_max=max(k_zero, k_pi),
             )
         )
     return tuple(bands)

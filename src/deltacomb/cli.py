@@ -6,7 +6,8 @@ built-in verification suite (verify).  Output is CSV (header + rows) or JSON
 (one object with run metadata); floats are serialized with full round-trip
 precision.  Exit codes: 0 success, 1 when `verify` finds a failing check, 2
 for a usage error, a ValueError (an --output path that cannot be written
-among them) or an OutsideValidityDomainError, and 3 for any other
+among them, caught before the command runs when it names a directory or its
+parent is not one) or an OutsideValidityDomainError, and 3 for any other
 DeltaCombError (a numerical failure).
 
 A run imports only what its command uses: the energy module for the energy
@@ -160,6 +161,17 @@ def _write(args: argparse.Namespace, text: str) -> None:
         raise ValueError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from None
 
 
+def _check_output(args: argparse.Namespace) -> None:
+    """Raise _write's error before any work where --output is a directory or
+    its parent is not one: there open fails as it would after the work, and
+    creates or truncates nothing."""
+    import os
+
+    path = args.output
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
+        _write(args, "")
+
+
 def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
@@ -293,6 +305,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_output(args)
         return args.func(args)
     except (OutsideValidityDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,5 +39,5 @@ class NoSignChangeError(DeltaCombError):
 
 
 class RootScanError(DeltaCombError):
-    """A root refinement did not converge, or a band's bracket held no sign
-    change; the message reports the interval searched."""
+    """A root refinement met a NaN or did not converge; the message reports
+    the interval searched."""

@@ -18,7 +18,6 @@ from deltacomb import (
     CombCouplings,
     OutsideValidityDomainError,
     QuadratureConfig,
-    RootScanError,
     ScatteringAmplitudes,
     band_edges,
     band_structure,
@@ -28,7 +27,7 @@ from deltacomb import (
     spectral_function,
 )
 import deltacomb.bands
-from deltacomb.bands import _band_root, _secular_and_slope
+from deltacomb.bands import _secular_and_slope
 from deltacomb.verification import _delta_amplitudes
 
 FREE = CombCouplings(w0=0.0, w1=0.0, a=1.0)
@@ -415,35 +414,64 @@ def test_band_structure_secular_calls_per_sample(monkeypatch):
 
 
 def test_band_structure_newton_evaluations_per_interior_sample(monkeypatch):
-    calls = 0
+    kernel = brent = 0
+
+    def counted_kernel(*args):
+        nonlocal kernel
+        kernel += 1
+        return _secular_and_slope(*args)
+
+    def counted_brent(*args):
+        nonlocal brent
+        brent += 1
+        return spectral_function(*args)
+
+    monkeypatch.setattr(deltacomb.bands, "_secular_and_slope", counted_kernel)
+    monkeypatch.setattr(deltacomb.bands, "spectral_function", counted_brent)
+    band_structure(CombCouplings(w0=3.0, w1=0.4, a=1.0), 8, 401)
+    # Brent's evaluations go through the same kernel; the rest are Newton's,
+    # 199 interior theta > 0 columns per band, certificate probes included
+    assert 0 < kernel - brent <= 5 * (8 * 199)
+
+
+def test_flat_bands_cost_no_evaluations(monkeypatch):
+    kernel = 0
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        nonlocal kernel
+        kernel += 1
         return _secular_and_slope(*args)
 
     monkeypatch.setattr(deltacomb.bands, "_secular_and_slope", counted)
-    band_structure(CombCouplings(w0=3.0, w1=0.4, a=1.0), 8, 401)
-    # 199 interior theta > 0 columns per band, certificate probes included
-    assert 0 < calls <= 5 * (8 * 199)
+    inner = deltacomb.bands.spectral_function
+    brent = []
+    monkeypatch.setattr(
+        deltacomb.bands, "spectral_function", lambda *args: brent.append(args) or inner(*args)
+    )
+    c = CombCouplings.from_reduced(omega=0.0, gamma=2.0, a=1.3)
+    bands = band_structure(c, 8, 101)
+    assert all(len(set(band.ks)) == 1 for band in bands)
+    # every kernel call is one of the edge columns' Brent evaluations
+    assert brent and kernel == len(brent)
+    assert {theta for _, _, theta in brent} == {0.0, math.pi}
 
 
-def _brent_band_structure(c, n_bands, n_theta):
-    """The theta >= 0 half of each band with every interior sample solved by
-    _band_root from the previous column's root: band_structure's fallback
-    alone."""
-    cfg = QuadratureConfig()
+def _column_dispersion(c, n_bands, n_theta):
+    """The theta >= 0 half of each band, each sample from dispersion."""
     m = n_theta - 1
     upper = [math.pi * ((2 * i - m) / m) for i in range(n_theta)][n_theta // 2 :]
-    halves = []
-    for k_zero, k_pi in zip(dispersion(c, 0.0, n_bands), dispersion(c, math.pi, n_bands)):
-        edges = (min(k_zero, k_pi), max(k_zero, k_pi))
-        ks, k = [], k_zero
-        for theta in upper[:-1]:
-            k = k_zero if theta == 0.0 else _band_root(c, theta, k, k_pi, edges, cfg)
-            ks.append(k)
-        halves.append(tuple(ks + [k_pi]))
-    return halves
+    return [tuple(ks) for ks in zip(*(dispersion(c, theta, n_bands) for theta in upper))]
+
+
+_BAND_COMBS = [CombCouplings(w0=3.0, w1=0.4, a=1.0), FREE, KP]
+
+
+@pytest.mark.parametrize("c", _BAND_COMBS)
+def test_band_structure_without_newton_is_column_dispersion(monkeypatch, c):
+    monkeypatch.setattr(deltacomb.bands, "_newton_root", lambda *args: None)
+    for n_theta in (21, 40):
+        got = [band.ks[n_theta // 2 :] for band in band_structure(c, 4, n_theta)]
+        assert got == _column_dispersion(c, 4, n_theta)
 
 
 @pytest.mark.parametrize(
@@ -451,16 +479,15 @@ def _brent_band_structure(c, n_bands, n_theta):
     [
         lambda *args: (_secular_and_slope(*args)[0], 0.0),
         lambda *args: (_secular_and_slope(*args)[0], math.nan),
-        lambda *args: (math.nan, math.nan),
     ],
-    ids=("zero-slope", "nan-slope", "nan-value"),
+    ids=("zero-slope", "nan-slope"),
 )
-@pytest.mark.parametrize("c", [CombCouplings(w0=3.0, w1=0.4, a=1.0), FREE, KP])
+@pytest.mark.parametrize("c", _BAND_COMBS)
 def test_band_structure_falls_back_to_brent_exactly(monkeypatch, c, kernel):
     monkeypatch.setattr(deltacomb.bands, "_secular_and_slope", kernel)
     for n_theta in (21, 40):
         got = [band.ks[n_theta // 2 :] for band in band_structure(c, 4, n_theta)]
-        assert got == _brent_band_structure(c, 4, n_theta)
+        assert got == _column_dispersion(c, 4, n_theta)
 
 
 @given(s0=_SIGNS, e0=_DECADES, s1=_SIGNS, e1=_DECADES, ea=st.floats(-323.0, 300.0))
@@ -474,17 +501,6 @@ def test_band_structure_matches_dispersion_or_raises(s0, e0, s1, e1, ea):
             band_structure(c, 3, 9)
         return
     _assert_matches_dispersion(c, 3, 9)
-
-
-def test_band_root_brackets():
-    cfg = QuadratureConfig()
-    k_min, k_max = KP_ROOTS_0[0], KP_ROOTS_PI[0]
-    root = _band_root(KP, 1.0, k_min, k_max, (k_min, k_max), cfg)
-    # a previous-column root just past this one: the band's edges take over
-    assert _band_root(KP, 1.0, root + 1e-13, k_max, (k_min, k_max), cfg) == root
-    # no sign change anywhere: [3.5, 4.5] lies in the gap above pi
-    with pytest.raises(RootScanError):
-        _band_root(KP, 1.0, 3.5, 4.5, (3.5, 4.5), cfg)
 
 
 def test_band_structure_rejects_bands_at_imaginary_k():

@@ -254,6 +254,40 @@ def test_unwritable_output_exits_2(tmp_path, argv, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("energy", "--w0", "1", "--a", "1"), "comb_energy"),
+        (("bands", "--w0", "3", "--a", "1", "--n-bands", "8", "--n-theta", "20001"),
+         "band_structure"),
+    ],
+    ids=("energy", "bands"),
+)
+def test_unwritable_output_is_rejected_before_the_work(monkeypatch, capsys, tmp_path, argv,
+                                                       name, where):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{name} ran although --output cannot be written")
+
+    monkeypatch.setattr(cli, name, unreachable, raising=False)
+    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert err == f"error: cannot write --output {str(path)!r}: {reason}\n"
+
+
+def test_a_failed_run_leaves_an_existing_output_file_alone(capsys, tmp_path):
+    # the early check does not open the file, which would truncate it
+    path = tmp_path / "x.csv"
+    path.write_text("old\n")
+    code, out, err = run_cli(capsys, "energy", "--w0", "-1", "--a", "1", "--output", str(path))
+    assert (code, out, path.read_text()) == (EXIT_DOMAIN, "", "old\n")
+    assert run_cli(capsys, "energy", "--w0", "1", "--a", "1", "--output", str(path)) == (
+        EXIT_OK, "", "")
+    assert run_cli(capsys, "energy", "--w0", "1", "--a", "1") == (EXIT_OK, path.read_text(), "")
+
+
 def test_cli_does_not_import_csv():
     code, out, err = run_python("import sys, deltacomb.cli; print('csv' in sys.modules)")
     assert (code, out, err) == (0, "False\n", "")
