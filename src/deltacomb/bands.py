@@ -19,9 +19,10 @@ the lowest band reaches imaginary k), band n's root at any theta is the one
 zero of g on [n pi/a, (n+1) pi/a], and g's end values are known exactly:
 Omega cos(theta) + (-1)^n at the lower end (1 + gamma a/2 + Omega cos(theta)
 for band 0), Omega cos(theta) - (-1)^n at the upper end.  dispersion solves
-each band with one Brent run from those values (refine_root, defined here
-with its only caller, so that energy runs never compile it), so edges at
-multiples of pi/a (touching bands, pure-delta combs, k = 0) come out exact.
+each band with one Brent run from those values (refine_root, which takes
+them as given and never evaluates an end; it is internal to this module,
+outside __all__), so edges at multiples of pi/a (touching bands, pure-delta
+combs, k = 0) come out exact.
 
 band_structure solves only its theta = 0 and theta = pi columns that way:
 inside a band the discriminant is monotone in k, so k_n(theta) is monotone
@@ -44,7 +45,7 @@ import sys
 from collections.abc import Callable
 
 from ._record import Record
-from .errors import NoSignChangeError, OutsideValidityDomainError, RootScanError
+from .errors import OutsideValidityDomainError, RootScanError
 from .quadrature import QuadratureConfig
 from .scattering import CombCouplings, one_plus_omega_cos
 
@@ -54,7 +55,6 @@ __all__ = [
     "dispersion",
     "band_edges",
     "band_structure",
-    "refine_root",
 ]
 
 # 1 + gamma a/2 + Omega cos(theta), the k -> 0 value of the secular function,
@@ -119,11 +119,13 @@ def refine_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: QuadratureConfig | None = None,
+    flo: float,
+    fhi: float,
+    root_tol: float,
 ) -> float:
-    """Brent's (1973) root of f in a sign-changing bracket [lo, hi], on which
-    f must be continuous: a sign change through a pole is returned like a
-    root (refine_root(math.tan, 1.0, 2.0) gives pi/2).
+    """Brent's (1973) root of f in [lo, hi], finite with lo < hi, from the
+    end values flo = f(lo) and fhi = f(hi), which must be nonzero and of
+    opposite sign; none of this is checked, and f is never evaluated at an end.
 
     Inverse quadratic or secant steps are taken while they shrink the
     bracket fast enough, otherwise the step is a bisection.  A bracket that
@@ -131,36 +133,17 @@ def refine_root(
     most four times bisection's: simple roots converge superlinearly (a
     handful of evaluations), multiple roots, where interpolation stalls,
     take up to that bound.  The search stops when the bracket [b, c] around
-    the root is narrower than cfg.root_tol * max(|b|, |c|) and returns its
-    end b with the smaller |f|, so the root lies within that width of the
-    result.  An endpoint where f is exactly zero is returned as is; a
-    bracket without a sign change raises NoSignChangeError, and one with a
-    non-finite end ValueError.  A NaN value of f, at an end or inside, and
-    running out of steps, which the forced bisections keep out of reach,
-    raise RootScanError rather than return a point that is not a root.
+    the root is narrower than root_tol * max(|b|, |c|) and returns its end b
+    with the smaller |f|, so a sign change of f lies within that width of
+    the result.  A NaN value of f and running out of steps, which the forced
+    bisections keep out of reach, raise RootScanError rather than return a
+    point that is not a root.
     """
-    cfg = cfg or QuadratureConfig()
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    if not abs(flo) > 0.0:
-        if flo == 0.0:
-            return lo
-        raise RootScanError(f"f is NaN at x = {lo!r} in [{lo}, {hi}]")
-    fhi = f(hi)
-    if not abs(fhi) > 0.0:
-        if fhi == 0.0:
-            return hi
-        raise RootScanError(f"f is NaN at x = {hi!r} in [{lo}, {hi}]")
-    if (flo > 0) == (fhi > 0):
-        raise NoSignChangeError(
-            f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
-        )
     # The loop's floating-point operations and their order are fixed on
     # purpose: any change moves roots in their last bits.  Only interpreter
     # work is hoisted or carried (2 eps, root_tol/2, c - b, |f| at a, b and c),
     # and max() and abs(d) > tol are spelled as comparisons, which round nothing.
-    half_rtol = 0.5 * cfg.root_tol
+    half_rtol = 0.5 * root_tol
     # b: best estimate; c: the other end of the bracket; a: previous b
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
@@ -224,7 +207,9 @@ def refine_root(
 def _root(c: CombCouplings, n: int, theta: float, cfg: QuadratureConfig) -> float:
     """Band n's root at theta, the one zero on [n pi/a, (n+1) pi/a].
 
-    The end values are exact, not evaluated.  An exact zero at an end is
+    The end values are exact, not evaluated, and an end that is not a root
+    gets a nonzero value of the sign the secular function has just inside,
+    as refine_root requires.  An exact zero at an end is
     band n's own edge when the band lies on that side of it: the upper end
     for gamma >= 0, the lower end for gamma <= 0.  Any other end zero is the
     neighbouring band's, and the secular function just inside has the sign
@@ -248,13 +233,7 @@ def _root(c: CombCouplings, n: int, theta: float, cfg: QuadratureConfig) -> floa
         if g <= 0.0:
             return lo
         f_lo = h_lo
-    ends = {lo: f_lo, hi: f_hi}
-    return refine_root(
-        lambda k: ends[k] if k in ends else spectral_function(c, k, theta),
-        lo,
-        hi,
-        cfg,
-    )
+    return refine_root(lambda k: spectral_function(c, k, theta), lo, hi, f_lo, f_hi, cfg.root_tol)
 
 
 def dispersion(

@@ -126,7 +126,7 @@ def _emit(
     args: argparse.Namespace,
     command: str,
     parameters: dict,
-    cfg: QuadratureConfig | None,
+    cfg: QuadratureConfig,
     header: Sequence[str],
     rows: list[tuple],
 ) -> None:
@@ -138,9 +138,8 @@ def _emit(
             "version": __version__,
             "parameters": parameters,
             "rows": [dict(zip(header, row)) for row in rows],
+            "tolerances": cfg._asdict(),
         }
-        if cfg is not None:
-            payload["tolerances"] = cfg._asdict()
         text = json.dumps(payload, indent=2) + "\n"
     else:
         # cells are ints and floats, which CSV never quotes

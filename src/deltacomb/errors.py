@@ -9,7 +9,6 @@ __all__ = [
     "OutsideValidityDomainError",
     "ValidityViolationError",
     "ToleranceNotMetError",
-    "NoSignChangeError",
     "RootScanError",
 ]
 
@@ -32,10 +31,6 @@ class ValidityViolationError(DeltaCombError):
 
 class ToleranceNotMetError(DeltaCombError):
     """Adaptive quadrature exhausted its subdivisions before reaching tolerance."""
-
-
-class NoSignChangeError(DeltaCombError):
-    """Root refinement was called on a bracket without a sign change."""
 
 
 class RootScanError(DeltaCombError):

@@ -5,8 +5,10 @@ classic QUADPACK-style error estimate and worst-interval-first adaptive
 bisection on finite intervals.  Breakpoints seed one adaptive run with a
 panel per piece (QUADPACK's qagp), so one error budget covers them all.  The
 semi-infinite energy integrals (cutoff, graded breakpoints and tail bound)
-are assembled from one integrate_finite call in the energy module.  Root
-refinement (Brent) lives in the bands module, its only caller.
+are assembled from one integrate_finite call in the energy module.
+integrate_finite is a tool of the energy and verification modules, not
+public surface: __all__ holds QuadratureConfig alone.  Root refinement
+(Brent) lives in the bands module, its only caller.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -26,7 +28,6 @@ from .errors import ToleranceNotMetError
 
 __all__ = [
     "QuadratureConfig",
-    "integrate_finite",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -74,14 +75,18 @@ class QuadratureConfig(Record):
     K = 40/a, i.e. 40 in the reduced momentum k a, and an energy rejects a K
     whose K a lies outside (0, 1e6].  max_subdivisions bounds
     one integrate_finite call, so it applies to a whole energy, ladder and all.
+    root_tol, the relative accuracy of a band momentum, lies in (0, 1): an
+    error of 1 k or more says nothing about k (0 and 2 k both meet it).
     """
 
     __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k", "root_tol")
 
     def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000,
                  truncation_k: float | None = None, root_tol: float = 1e-12):
-        if not (abs_tol > 0 and rel_tol > 0 and root_tol > 0):
+        if not (abs_tol > 0 and rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
+        if not 0 < root_tol < 1:
+            raise ValueError(f"root_tol must lie in (0, 1), got {root_tol!r}")
         if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if truncation_k is not None and not truncation_k > 0:

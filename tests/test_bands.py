@@ -7,6 +7,7 @@ scan-and-bisect oracle (1e-4 grid, 200 bisections); rational ones (n pi,
 
 import cmath
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -501,6 +502,51 @@ def test_band_structure_matches_dispersion_or_raises(s0, e0, s1, e1, ea):
             band_structure(c, 3, 9)
         return
     _assert_matches_dispersion(c, 3, 9)
+
+
+def _precondition_combs(rng):
+    """Seeded combs at the edges of refine_root's precondition: the free comb
+    (touching bands), Omega = 0 (flat bands), Omega = -1, the attractive
+    boundary 1 + gamma a/2 = |Omega| and both, and gamma a log-uniform in
+    10^[-300, 300] of either sign where the bands are real."""
+    combs = [CombCouplings(w0=0.0, w1=0.0, a=rng.uniform(0.5, 2.0))]
+    for _ in range(12):
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        omega = rng.uniform(-1.0, 0.99)
+        combs += [
+            CombCouplings.from_reduced(omega=0.0, gamma=rng.uniform(0.1, 5.0) / a, a=a),
+            CombCouplings.from_reduced(omega=-1.0, gamma=10.0 ** rng.uniform(-3.0, 3.0) / a, a=a),
+            CombCouplings.from_reduced(omega=omega, gamma=2.0 * (abs(omega) - 1.0) / a, a=a),
+            # both at once, within the boundary's 1e-12 slack
+            CombCouplings.from_reduced(omega=-1.0, gamma=-rng.uniform(0.0, 2e-12) / a, a=a),
+        ]
+        for _ in range(3):
+            ga = 10.0 ** rng.uniform(-300.0, 300.0)
+            sign = -1.0 if ga < 2.0 * (1.0 - abs(omega)) and rng.random() < 0.5 else 1.0
+            combs.append(CombCouplings.from_reduced(omega=omega, gamma=sign * ga / a, a=a))
+    return combs
+
+
+def test_refine_root_is_called_within_its_precondition(monkeypatch):
+    # refine_root trusts its caller: a finite bracket lo < hi whose end
+    # values are nonzero and of opposite sign
+    inner = deltacomb.bands.refine_root
+    calls = []
+
+    def checked(f, lo, hi, flo, fhi, root_tol):
+        calls.append((lo, hi, flo, fhi))
+        assert -math.inf < lo < hi < math.inf
+        assert abs(flo) > 0.0 and abs(fhi) > 0.0 and (flo > 0.0) != (fhi > 0.0)
+        return inner(f, lo, hi, flo, fhi, root_tol)
+
+    monkeypatch.setattr(deltacomb.bands, "refine_root", checked)
+    rng = random.Random(2018)
+    for c in _precondition_combs(rng):
+        for cfg in (QuadratureConfig(), QuadratureConfig(root_tol=1e-6)):
+            band_structure(c, 6, 21, cfg)
+            for _ in range(4):
+                dispersion(c, rng.uniform(-math.pi, math.pi), 6, cfg)
+    assert len(calls) >= 1000
 
 
 def test_band_structure_rejects_bands_at_imaginary_k():

@@ -189,7 +189,7 @@ def test_csv_text_matches_the_csv_module(capsys):
         if trial == 0:
             rows = fixed + rows
         args = argparse.Namespace(format="csv", output=None)
-        cli._emit(args, "test", {}, None, header, rows)
+        cli._emit(args, "test", {}, QuadratureConfig(), header, rows)
         assert capsys.readouterr().out == csv_oracle(header, rows)
 
 
@@ -502,7 +502,7 @@ def test_star_import_binds_exactly_all():
         "print(set(deltacomb.__all__) <= set(dir(deltacomb)))\n"
         "print(deltacomb.energy.comb_energy is deltacomb.comb_energy)"
     )
-    assert (code, out, err) == (0, "True 24\nTrue\nTrue\n", "")
+    assert (code, out, err) == (0, "True 21\nTrue\nTrue\n", "")
 
 
 def test_cli_imports_no_typing_without_site():
@@ -809,7 +809,6 @@ EXIT_BY_ERROR = {
     errors.OutsideValidityDomainError: (EXIT_DOMAIN, "error: "),
     errors.ValidityViolationError: (EXIT_NUMERIC, "numerical failure: "),
     errors.ToleranceNotMetError: (EXIT_NUMERIC, "numerical failure: "),
-    errors.NoSignChangeError: (EXIT_NUMERIC, "numerical failure: "),
     errors.RootScanError: (EXIT_NUMERIC, "numerical failure: "),
     ValueError: (EXIT_DOMAIN, "error: "),
 }
@@ -880,6 +879,17 @@ def test_truncation_k_out_of_range_exits_2(argv, given):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "truncation_k" in err and given in err
     assert "nan" not in err and "bug" not in err
+
+
+@pytest.mark.parametrize("root_tol", ["1", "inf"])
+def test_root_tol_of_one_or_more_exits_2(capsys, root_tol):
+    # Brent returned a bracket end before its first step and every Newton
+    # bracket counted as flat: band 0's k_min read 0.0 (a false zero mode,
+    # the true edge is 1.5427) and band 1's pi (3.8795), with exit 0
+    argv = ("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "3")
+    code, out, err = run_cli(capsys, *argv, "--root-tol", root_tol)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error: ") and "root_tol" in err
 
 
 @pytest.mark.parametrize("command", [("energy",), ("plate", "--theta", "1")])

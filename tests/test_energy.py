@@ -22,12 +22,12 @@ from deltacomb import (
     QuadratureConfig,
     ValidityViolationError,
     comb_energy,
-    integrate_finite,
     plate_energy,
     spectral_integrand,
     theta_integrand,
 )
 import deltacomb.energy
+from deltacomb.quadrature import integrate_finite
 from deltacomb.verification import _plate_energy_closed
 from deltacomb.verification import _theta_integral_numeric
 

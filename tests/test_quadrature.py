@@ -7,17 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltacomb import (
-    NoSignChangeError,
-    QuadratureConfig,
-    RootScanError,
-    ToleranceNotMetError,
-    integrate_finite,
-    refine_root,
-)
 from deltacomb import CombCouplings, dispersion, quadrature, spectral_integrand
 import deltacomb.bands
+from deltacomb.bands import refine_root
 from deltacomb.energy import _energy_integral
+from deltacomb.errors import RootScanError, ToleranceNotMetError
+from deltacomb.quadrature import QuadratureConfig, integrate_finite
 
 # (integrand, lo, hi, exact value).  The battery mixes single-panel-exact
 # integrands with ones that force subdivision (Runge spike, endpoint sqrt).
@@ -193,8 +188,11 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1e-8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(root_tol=0.0)
+    # a root_tol of 1 or more accepts any momentum in [0, 2k]
+    for root_tol in (0.0, -1e-12, 1.0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="root_tol"):
+            QuadratureConfig(root_tol=root_tol)
+    assert QuadratureConfig(root_tol=0.5).root_tol == 0.5
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
@@ -234,23 +232,23 @@ def test_semi_infinite_truncation_override():
         assert res.tail_bound >= math.exp(-10.0 * a) / a
 
 
+def _brent(f, lo, hi, root_tol=1e-12):
+    """refine_root on a bracket whose end values are f's own."""
+    return refine_root(f, lo, hi, f(lo), f(hi), root_tol)
+
+
 def test_refine_root_cosine():
-    root = refine_root(math.cos, 1.0, 2.0)
+    root = _brent(math.cos, 1.0, 2.0)
     assert abs(root - math.pi / 2.0) <= 1e-11
-    root = refine_root(math.sin, 3.0, 3.5)
+    root = _brent(math.sin, 3.0, 3.5)
     assert abs(root - math.pi) <= 1e-11
 
 
 def test_refine_root_tightens_with_tolerance():
-    loose = refine_root(math.cos, 1.0, 2.0, QuadratureConfig(root_tol=1e-4))
+    loose = _brent(math.cos, 1.0, 2.0, 1e-4)
     assert abs(loose - math.pi / 2.0) <= 1e-3
-    tight = refine_root(math.cos, 1.0, 2.0, QuadratureConfig(root_tol=1e-14))
+    tight = _brent(math.cos, 1.0, 2.0, 1e-14)
     assert abs(tight - math.pi / 2.0) <= 1e-13
-
-
-def test_refine_root_exact_endpoint_hit():
-    assert refine_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
-    assert refine_root(lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
 
 def test_refine_root_multiple_root_converges_within_bisection_bound():
@@ -264,24 +262,15 @@ def test_refine_root_multiple_root_converges_within_bisection_bound():
             calls += 1
             return (x - c) ** 5
 
-        root = refine_root(f, 0.0, 3.0)
+        root = refine_root(f, 0.0, 3.0, (0.0 - c) ** 5, (3.0 - c) ** 5, 1e-12)
         assert abs(root - c) <= 1e-12 * c
-        assert calls <= 4 * 45 + 2
+        assert calls <= 4 * 45
 
 
 def test_refine_root_raises_when_steps_run_out(monkeypatch):
     monkeypatch.setattr(deltacomb.bands, "_MAX_BRENT_STEPS", 10)
     with pytest.raises(RootScanError):
-        refine_root(lambda x: (x - 0.3) ** 5, 0.0, 3.0)
-
-
-def test_refine_root_requires_sign_change():
-    with pytest.raises(NoSignChangeError):
-        refine_root(math.cos, 0.1, 1.0)
-    # and a finite, ordered bracket
-    for lo, hi in ((2.0, 1.0), (0.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (0.0, math.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            refine_root(lambda x: x - 1.0, lo, hi)
+        _brent(lambda x: (x - 0.3) ** 5, 0.0, 3.0)
 
 
 def test_refine_root_raises_on_nan_values_by_point():
@@ -289,26 +278,13 @@ def test_refine_root_raises_on_nan_values_by_point():
         return math.nan if 0.2 < x < 0.9 else x - 0.5
 
     with pytest.raises(RootScanError, match="x = 0.5 "):
-        refine_root(inner, 0.0, 1.0)
-    with pytest.raises(RootScanError, match="x = 0.0 "):
-        refine_root(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
-    with pytest.raises(RootScanError, match="x = 1.0 "):
-        refine_root(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
+        _brent(inner, 0.0, 1.0)
 
 
-def _loop_refine_root(f, lo, hi, cfg=None):
+def _loop_refine_root(f, lo, hi, flo, fhi, root_tol):
     """Brent's loop as written before its interpreter work was trimmed: the
     oracle that bands.refine_root must reproduce bit for bit."""
-    cfg = cfg or QuadratureConfig()
     eps = deltacomb.bands._EPS
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NoSignChangeError("same sign")
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
     d = e = b - a
@@ -316,7 +292,7 @@ def _loop_refine_root(f, lo, hi, cfg=None):
     for _ in range(deltacomb.bands._MAX_BRENT_STEPS):
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        tol = 2.0 * eps * abs(b) + 0.5 * cfg.root_tol * max(abs(b), abs(c))
+        tol = 2.0 * eps * abs(b) + 0.5 * root_tol * max(abs(b), abs(c))
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             return b
@@ -357,14 +333,14 @@ def _loop_refine_root(f, lo, hi, cfg=None):
 
 
 def _band_brackets(monkeypatch, rng):
-    """(f, lo, hi, cfg) of every refine_root call that dispersion makes for
-    eight bands on an 11-point theta grid over [0, pi], on five combs, one
-    touching and one flat, at three root_tol values."""
+    """(f, lo, hi, flo, fhi, root_tol) of every refine_root call that
+    dispersion makes for eight bands on an 11-point theta grid over [0, pi],
+    on five combs, one touching and one flat, at three root_tol values."""
     brackets = []
 
-    def recorded(f, lo, hi, cfg=None):
-        brackets.append((f, lo, hi, cfg))
-        return refine_root(f, lo, hi, cfg)
+    def recorded(*args):
+        brackets.append(args)
+        return refine_root(*args)
 
     monkeypatch.setattr(deltacomb.bands, "refine_root", recorded)
     combs = [CombCouplings(w0=0.0, w1=0.0, a=rng.uniform(0.5, 2.0)),  # touching
@@ -385,30 +361,31 @@ def test_refine_root_matches_the_loop_oracle_bit_for_bit(monkeypatch):
     brackets = _band_brackets(monkeypatch, rng)
     band_count = len(brackets)
     for tol in (1e-4, 1e-12, 1e-15):
-        cfg = QuadratureConfig(root_tol=tol)
+
+        def add(f, lo, hi):
+            brackets.append((f, lo, hi, f(lo), f(hi), tol))
+
         for _ in range(100):
             lo = rng.uniform(-4.0, 4.0)
             hi = lo + rng.uniform(1.0, 3.0)
             f = rng.choice((math.cos, math.sin))
             if (f(lo) > 0) != (f(hi) > 0):
-                brackets.append((f, lo, hi, cfg))
+                add(f, lo, hi)
             # negative brackets and brackets straddling 0
             r = rng.uniform(-3.0, 1.0)
-            brackets.append((lambda x, r=r: x - r, -3.0 - rng.random(), 1.0 + rng.random(), cfg))
-            brackets.append((lambda x, r=r: (x - r) * (x + 5.0), r - rng.random(), r + rng.random(), cfg))
+            add(lambda x, r=r: x - r, -3.0 - rng.random(), 1.0 + rng.random())
+            add(lambda x, r=r: (x - r) * (x + 5.0), r - rng.random(), r + rng.random())
         for _ in range(20):
             # the fifth-order root stalls interpolation into forced bisections
-            lo, hi = rng.uniform(-1.0, 0.29), rng.uniform(0.31, 3.0)
-            brackets.append((lambda x: (x - 0.3) ** 5, lo, hi, cfg))
-            # exact zeros at either end
-            brackets.append((lambda x: x - 1.0, 1.0, 1.0 + rng.random(), cfg))
-            brackets.append((lambda x: x - 1.0, rng.random(), 1.0, cfg))
+            add(lambda x: (x - 0.3) ** 5, rng.uniform(-1.0, 0.29), rng.uniform(0.31, 3.0))
     assert band_count >= 1000 and len(brackets) >= 2000
-    for f, lo, hi, cfg in brackets:
+    for f, lo, hi, flo, fhi, tol in brackets:
         # the same root from the same sequence of evaluation points
         runs = []
         for solve in (_loop_refine_root, refine_root):
             xs = []
-            root = solve(lambda x: xs.append(x) or f(x), lo, hi, cfg)
+            root = solve(lambda x: xs.append(x) or f(x), lo, hi, flo, fhi, tol)
             runs.append((root, xs))
         assert runs[1] == runs[0]
+        # the end values come from the caller: no end is evaluated
+        assert lo not in runs[1][1] and hi not in runs[1][1]
