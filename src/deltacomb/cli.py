@@ -2,12 +2,15 @@
 
 Subcommands cover single evaluations (energy, plate, bands), the parameter
 sweeps behind the standard plots (scan-a, scan-couplings, ratio-w0), and the
-built-in verification suite (verify).  Output is CSV (header + rows) or JSON
-(one object with run metadata); floats are serialized with full round-trip
-precision.  Exit codes: 0 success, 1 when `verify` finds a failing check, 2
-for a usage error, a ValueError (an --output path that cannot be written
-among them, caught before the command runs when it names a directory or its
-parent is not one) or an OutsideValidityDomainError, and 3 for any other
+built-in verification suite (verify).  Each command takes the tolerance
+options it reads: one per QuadratureConfig field for the energy commands,
+--root-tol for bands.  Output is CSV (header + rows) or JSON (one object with
+run metadata and those tolerances); floats are serialized with full
+round-trip precision.  Exit codes: 0 success, 1 when `verify` finds a
+failing check, 2 for a usage error (an option the command does not take
+among them), a ValueError (an --output path that cannot be written among
+them, caught before the command runs when it names a directory or its parent
+is not one) or an OutsideValidityDomainError, and 3 for any other
 DeltaCombError (a numerical failure).
 
 A run imports only what its command uses: the energy module for the energy
@@ -126,7 +129,7 @@ def _emit(
     args: argparse.Namespace,
     command: str,
     parameters: dict,
-    cfg: QuadratureConfig,
+    tolerances: dict,
     header: Sequence[str],
     rows: list[tuple],
 ) -> None:
@@ -138,7 +141,7 @@ def _emit(
             "version": __version__,
             "parameters": parameters,
             "rows": [dict(zip(header, row)) for row in rows],
-            "tolerances": cfg._asdict(),
+            "tolerances": tolerances,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -175,7 +178,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     cfg = _quad_config(args)
     res = _lib("comb_energy")(c, cfg)
-    _emit(args, "energy", _coupling_params(c), cfg, res._fields, [res._astuple()])
+    _emit(args, "energy", _coupling_params(c), cfg._asdict(), res._fields, [res._astuple()])
     return EXIT_OK
 
 
@@ -186,14 +189,13 @@ def cmd_plate(args: argparse.Namespace) -> int:
     params = _coupling_params(c)
     params["theta"] = args.theta
     row = (args.theta, *res._astuple())
-    _emit(args, "plate", params, cfg, ("theta", *res._fields), [row])
+    _emit(args, "plate", params, cfg._asdict(), ("theta", *res._fields), [row])
     return EXIT_OK
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
-    cfg = _quad_config(args)
-    bands = _lib("band_structure")(c, n_bands=args.n_bands, n_theta=args.n_theta, cfg=cfg)
+    bands = _lib("band_structure")(c, args.n_bands, args.n_theta, args.root_tol)
     header = ("band", "theta", "q", "k", "k_min", "k_max")
     if args.format == "csv":
         # every band holds the same thetas, so each column's "theta,q," text,
@@ -214,7 +216,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     ]
     params = _coupling_params(c)
     params.update({"n_bands": args.n_bands, "n_theta": args.n_theta})
-    _emit(args, "bands", params, cfg, header, rows)
+    _emit(args, "bands", params, {"root_tol": args.root_tol}, header, rows)
     return EXIT_OK
 
 
@@ -233,12 +235,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _energy_args(p: argparse.ArgumentParser) -> None:
     _add_coupling_args(p)
     p.add_argument("--a", type=float, required=True, help="lattice spacing (> 0)")
+    _add_quad_args(p)
 
 
 def _plate_args(p: argparse.ArgumentParser) -> None:
     _add_coupling_args(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--theta", type=float, required=True, help="Bloch phase in [-pi, pi]")
+    _add_quad_args(p)
 
 
 def _bands_args(p: argparse.ArgumentParser) -> None:
@@ -246,6 +250,7 @@ def _bands_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--n-bands", type=int, default=4)
     p.add_argument("--n-theta", type=int, default=101)
+    p.add_argument("--root-tol", type=float, default=1e-12, help="relative error of each k")
 
 
 def _from_sweeps(name: str) -> tuple[Callable, Callable]:
@@ -261,7 +266,7 @@ def _from_sweeps(name: str) -> tuple[Callable, Callable]:
 
 
 # name: (help, add_args, command); add_args None takes no options at all, else
-# the quadrature and output options follow the command's own
+# the output options follow the command's own, tolerances included
 _COMMANDS = {
     "energy": ("vacuum energy per unit cell", _energy_args, cmd_energy),
     "plate": ("fixed-Bloch-phase plate energy", _plate_args, cmd_plate),
@@ -291,7 +296,6 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         if add_args is not None:
             add_args(p)
-            _add_quad_args(p)
             _add_output_args(p)
         p.set_defaults(func=func)
     return parser

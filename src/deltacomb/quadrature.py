@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature, and the tolerances of all numerics.
+"""Adaptive Gauss-Kronrod quadrature, and the tolerances of the energy integrals.
 
 Self-contained numerical kernels: a 7/15 Gauss-Kronrod pair with the
 classic QUADPACK-style error estimate and worst-interval-first adaptive
@@ -8,7 +8,7 @@ semi-infinite energy integrals (cutoff, graded breakpoints and tail bound)
 are assembled from one integrate_finite call in the energy module.
 integrate_finite is a tool of the energy and verification modules, not
 public surface: __all__ holds QuadratureConfig alone.  Root refinement
-(Brent) lives in the bands module, its only caller.
+(Brent) and its root_tol live in the bands module, its only caller.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -69,29 +69,25 @@ _RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
 
 
 class QuadratureConfig(Record):
-    """Tolerances and limits shared by all integrals and root searches.
+    """Tolerances and limits of the energy integrals (band roots take a root_tol).
 
     truncation_k is the momentum cutoff K of the energy integrals; None means
     K = 40/a, i.e. 40 in the reduced momentum k a, and an energy rejects a K
     whose K a lies outside (0, 1e6].  max_subdivisions bounds
     one integrate_finite call, so it applies to a whole energy, ladder and all.
-    root_tol, the relative accuracy of a band momentum, lies in (0, 1): an
-    error of 1 k or more says nothing about k (0 and 2 k both meet it).
     """
 
-    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k", "root_tol")
+    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k")
 
     def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000,
-                 truncation_k: float | None = None, root_tol: float = 1e-12):
+                 truncation_k: float | None = None):
         if not (abs_tol > 0 and rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
-        if not 0 < root_tol < 1:
-            raise ValueError(f"root_tol must lie in (0, 1), got {root_tol!r}")
         if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if truncation_k is not None and not truncation_k > 0:
             raise ValueError("truncation_k must be positive when given")
-        self._set(abs_tol, rel_tol, max_subdivisions, truncation_k, root_tol)
+        self._set(abs_tol, rel_tol, max_subdivisions, truncation_k)
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

@@ -100,6 +100,10 @@ class CombCouplings(Record):
             raise ValueError(f"omega must lie in [-1, 1), got {omega}")
         w1 = math.sqrt((1.0 + omega) / (1.0 - omega))
         w0 = 2.0 * gamma / (1.0 - omega)
+        if not math.isfinite(w0):
+            raise OutsideValidityDomainError(
+                f"2 gamma/(1 - omega) must be finite, got (omega, gamma) = ({omega}, {gamma})"
+            )
         return cls(w0=w0, w1=w1, a=a)
 
 

@@ -36,7 +36,7 @@ def _sweep(
     comb_energy = cli._lib("comb_energy")
     rows = [(*lead, *row(lead, comb_energy(c, cfg))) for c, lead in points]
     params = {name: getattr(args, name) for name in names}
-    cli._emit(args, command, params, cfg, header, rows)
+    cli._emit(args, command, params, cfg._asdict(), header, rows)
     return cli.EXIT_OK
 
 
@@ -117,6 +117,7 @@ def _scan_a_args(cli: ModuleType, p: argparse.ArgumentParser) -> None:
     p.add_argument("--a-min", type=float, required=True)
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--count", type=int, default=50)
+    cli._add_quad_args(p)
 
 
 def _scan_couplings_args(cli: ModuleType, p: argparse.ArgumentParser) -> None:
@@ -125,6 +126,7 @@ def _scan_couplings_args(cli: ModuleType, p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}-min", type=float, required=True)
         p.add_argument(f"--{name}-max", type=float, required=True)
         p.add_argument(f"--{name}-count", type=int, default=30)
+    cli._add_quad_args(p)
 
 
 def _ratio_w0_args(cli: ModuleType, p: argparse.ArgumentParser) -> None:
@@ -132,3 +134,4 @@ def _ratio_w0_args(cli: ModuleType, p: argparse.ArgumentParser) -> None:
     p.add_argument("--w0-min", type=float, default=1e-6)
     p.add_argument("--w0-max", type=float, default=1e-1)
     p.add_argument("--count", type=int, default=21)
+    cli._add_quad_args(p)

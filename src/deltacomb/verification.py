@@ -14,7 +14,7 @@ import math
 import random
 
 from ._record import Record
-from .bands import band_edges, dispersion
+from .bands import band_structure, dispersion
 from .energy import comb_energy, plate_energy, spectral_integrand, theta_integrand
 from .errors import OutsideValidityDomainError, ValidityViolationError
 from .quadrature import QuadratureConfig, integrate_finite
@@ -236,10 +236,10 @@ def check_band_reduction() -> CheckResult:
             worst = max(worst, resid)
     pinning = 0.0
     strong = CombCouplings(w0=1e8, w1=0.0, a=1.0)
-    for n, (k_lo, k_hi) in enumerate(band_edges(strong, 3), start=1):
+    for n, band in enumerate(band_structure(strong, 3, 2), start=1):
         target = n * math.pi
         pinning = max(
-            pinning, abs(k_lo - target) / target, abs(k_hi - target) / target
+            pinning, abs(band.k_min - target) / target, abs(band.k_max - target) / target
         )
     passed = worst <= 1e-10 and pinning <= 1e-3
     return _result(

@@ -6,6 +6,7 @@ scan-and-bisect oracle (1e-4 grid, 200 bisections); rational ones (n pi,
 """
 
 import cmath
+import inspect
 import math
 import random
 
@@ -18,9 +19,7 @@ from hypothesis import strategies as st
 from deltacomb import (
     CombCouplings,
     OutsideValidityDomainError,
-    QuadratureConfig,
     ScatteringAmplitudes,
-    band_edges,
     band_structure,
     delta_prime_amplitudes,
     dispersion,
@@ -28,12 +27,13 @@ from deltacomb import (
     spectral_function,
 )
 import deltacomb.bands
-from deltacomb.bands import _secular_and_slope
+from deltacomb.bands import _secular_and_slope, band_edges
 from deltacomb.verification import _delta_amplitudes
 
 FREE = CombCouplings(w0=0.0, w1=0.0, a=1.0)
 MIXED = CombCouplings(w0=0.0, w1=1.0, a=1.0)  # Omega = gamma = 0
 KP = CombCouplings(w0=10.0, w1=0.0, a=1.0)
+ROOT_TOL = inspect.signature(dispersion).parameters["root_tol"].default
 
 # Kronig-Penney w0 = 10, a = 1: first three roots at theta = 0 and theta = pi.
 # k = 2 pi (theta = 0) and k = pi, 3 pi (theta = pi) are exact; the others are
@@ -263,7 +263,7 @@ def test_band_edges_at_multiples_of_pi_are_exact(a):
 def test_band_edges_where_gamma_a_overflows():
     # gamma a = 1e310 is not a double; every edge sits at (n + 1) pi/a
     a = 1e10
-    tol = QuadratureConfig().root_tol
+    tol = ROOT_TOL
     for n, (lo, hi) in enumerate(band_edges(CombCouplings(w0=1e300, w1=0.0, a=a), 3)):
         target = (n + 1) * math.pi / a
         assert abs(lo - target) <= tol * target
@@ -372,7 +372,7 @@ def test_band_structure_bands_share_one_thetas_tuple(c, n_theta):
 
 def _assert_matches_dispersion(source, n_bands, n_theta):
     """Every sample lies in its band and matches the per-column solve."""
-    tol = 2.0 * QuadratureConfig().root_tol
+    tol = 2.0 * ROOT_TOL
     bands = band_structure(source, n_bands, n_theta)
     for j, theta in enumerate(bands[0].thetas):
         column = [band.ks[j] for band in bands]
@@ -542,10 +542,10 @@ def test_refine_root_is_called_within_its_precondition(monkeypatch):
     monkeypatch.setattr(deltacomb.bands, "refine_root", checked)
     rng = random.Random(2018)
     for c in _precondition_combs(rng):
-        for cfg in (QuadratureConfig(), QuadratureConfig(root_tol=1e-6)):
-            band_structure(c, 6, 21, cfg)
+        for root_tol in (ROOT_TOL, 1e-6):
+            band_structure(c, 6, 21, root_tol)
             for _ in range(4):
-                dispersion(c, rng.uniform(-math.pi, math.pi), 6, cfg)
+                dispersion(c, rng.uniform(-math.pi, math.pi), 6, root_tol)
     assert len(calls) >= 1000
 
 
@@ -586,6 +586,15 @@ def test_band_structure_free_comb_passes_through_zero():
     assert lowest.thetas[4] == 0.0
     assert lowest.ks[4] == 0.0  # zero mode restored at theta = 0
     assert lowest.ks[0] == pytest.approx(math.pi, abs=1e-8)
+
+
+@pytest.mark.parametrize("band_function", [dispersion, band_structure, band_edges])
+def test_root_tol_validation(band_function):
+    # a root_tol of 1 or more accepts any momentum in [0, 2k]
+    for root_tol in (0.0, -1e-12, 1.0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="root_tol"):
+            band_function(KP, 2, root_tol=root_tol)
+    assert band_function(KP, 2, root_tol=0.5)
 
 
 def test_band_structure_validation():

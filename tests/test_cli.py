@@ -16,11 +16,13 @@ from pathlib import Path
 
 import argparse
 import ast
+import inspect
 import random
 
 import pytest
 
 from deltacomb import QuadratureConfig, __version__, band_structure, cli, errors
+from deltacomb.bands import band_edges, dispersion
 from deltacomb.cli import (
     EXIT_DOMAIN,
     EXIT_NUMERIC,
@@ -189,7 +191,7 @@ def test_csv_text_matches_the_csv_module(capsys):
         if trial == 0:
             rows = fixed + rows
         args = argparse.Namespace(format="csv", output=None)
-        cli._emit(args, "test", {}, QuadratureConfig(), header, rows)
+        cli._emit(args, "test", {}, {}, header, rows)
         assert capsys.readouterr().out == csv_oracle(header, rows)
 
 
@@ -435,14 +437,23 @@ def test_a_command_loads_only_its_own_modules(capsys, argv, loaded):
         ("energy", "--w0", "inf", "--a", "1", "--format", "json"),
         ("bands", "--omega", "1", "--gamma", "0", "--a", "1"),
         ("plate", "--w1", "1", "--a", "1", "--theta", "0"),
+        ("bands", "--omega", "0.5", "--gamma", "1e308", "--a", "4"),
     ],
-    ids=("a-zero", "w0-inf", "omega-one", "w1-alone"),
+    ids=("a-zero", "w0-inf", "omega-one", "w1-alone", "w0-overflow"),
 )
 def test_a_coupling_error_loads_no_library_module(capsys, argv):
     # the couplings are resolved before the command's module is imported
     code, out, err, seen = run_loaded(*argv)
     assert (code, out, seen) == (EXIT_DOMAIN, "", set())
     assert err.startswith("error: ") and (code, out, err) == run_cli(capsys, *argv)
+
+
+def test_an_overflowing_reduced_coupling_is_named_as_given(capsys):
+    # w0 = 2 gamma/(1 - omega) = 4e308 overflows; the error once named
+    # (w0, w1) = (inf, 1.73...), a w0 the run was never given
+    code, out, err = run_cli(capsys, "bands", "--omega", "0.5", "--gamma", "1e308", "--a", "4")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error: ") and "gamma" in err and "inf" not in err
 
 
 def test_an_attractive_comb_exits_2_from_the_energy_module():
@@ -502,7 +513,7 @@ def test_star_import_binds_exactly_all():
         "print(set(deltacomb.__all__) <= set(dir(deltacomb)))\n"
         "print(deltacomb.energy.comb_energy is deltacomb.comb_energy)"
     )
-    assert (code, out, err) == (0, "True 21\nTrue\nTrue\n", "")
+    assert (code, out, err) == (0, "True 20\nTrue\nTrue\n", "")
 
 
 def test_cli_imports_no_typing_without_site():
@@ -1029,18 +1040,50 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
         assert built == ([] if name == "verify" else [name])
 
 
-def test_quadrature_options_come_from_quadrature_config(capsys):
-    default = QuadratureConfig()
-    names = list(QuadratureConfig.__slots__)
-    for command, argv in VALID_ARGS.items():
-        if command != "verify":
-            args = cli._build_parser(command).parse_args([command, *argv])
-            assert [getattr(args, n) for n in names] == [getattr(default, n) for n in names]
-    cfg = QuadratureConfig(
-        abs_tol=1e-9, rel_tol=1e-7, max_subdivisions=3000, truncation_k=30.0, root_tol=1e-11
-    )
-    options = [arg for n in names for arg in (f"--{n.replace('_', '-')}", repr(getattr(cfg, n)))]
-    code, out, _ = run_cli(capsys, "energy", *VALID_ARGS["energy"], *options, "--format", "json")
+# the tolerance options each command reads, in the order of its JSON tolerances
+QUAD_OPTIONS = QuadratureConfig.__slots__
+TOLERANCES = {
+    "energy": QUAD_OPTIONS,
+    "plate": QUAD_OPTIONS,
+    "bands": ("root_tol",),
+    "scan-a": QUAD_OPTIONS,
+    "scan-couplings": QUAD_OPTIONS,
+    "ratio-w0": QUAD_OPTIONS,
+    "verify": (),
+}
+# values other than the defaults, and a grid small enough for a sweep to be quick
+NON_DEFAULT = {"abs_tol": 1e-9, "rel_tol": 1e-7, "max_subdivisions": 3000, "truncation_k": 30.0,
+               "root_tol": 1e-11}
+SMALL_GRID = {"scan-a": ("--count", "2"), "scan-couplings": ("--gamma-count", "2", "--omega-count", "2")}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", list(VALID_ARGS))
+def test_each_command_takes_the_tolerances_it_reads(capsys, command):
+    names = TOLERANCES[command]
+    assert list(TOLERANCES) == list(VALID_ARGS)
+    args = cli._build_parser(command).parse_args([command, *VALID_ARGS[command]])
+    assert set(NON_DEFAULT) & set(vars(args)) == set(names)
+    # bands states the band functions' root_tol default without importing them
+    root_tols = {
+        inspect.signature(f).parameters["root_tol"].default
+        for f in (dispersion, band_structure, band_edges)
+    }
+    assert len(root_tols) == 1
+    defaults = {**QuadratureConfig()._asdict(), "root_tol": root_tols.pop()}
+    assert {n: getattr(args, n) for n in names} == {n: defaults[n] for n in names}
+    # an option the command does not read is a usage error, not ignored
+    for name in set(NON_DEFAULT) - set(names):
+        code, out, err = parse_exit(capsys, main, (command, *VALID_ARGS[command], _flag(name), "1e-6"))
+        assert (code, out) == (2, "") and f"unrecognized arguments: {_flag(name)}" in err
+    if command == "verify":
+        return
+    options = [arg for n in names for arg in (_flag(n), repr(NON_DEFAULT[n]))]
+    argv = (command, *VALID_ARGS[command], *SMALL_GRID.get(command, ()), *options, "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     record = [(n, v, type(v)) for n, v in json.loads(out)["tolerances"].items()]
-    assert record == [(n, getattr(cfg, n), type(getattr(cfg, n))) for n in names]
+    assert record == [(n, NON_DEFAULT[n], type(NON_DEFAULT[n])) for n in names]

@@ -188,11 +188,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1e-8)
-    # a root_tol of 1 or more accepts any momentum in [0, 2k]
-    for root_tol in (0.0, -1e-12, 1.0, 1.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="root_tol"):
-            QuadratureConfig(root_tol=root_tol)
-    assert QuadratureConfig(root_tol=0.5).root_tol == 0.5
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
@@ -351,7 +346,7 @@ def _band_brackets(monkeypatch, rng):
     for c in combs:
         for tol in (1e-4, 1e-12, 1e-15):
             for i in range(11):
-                dispersion(c, math.pi * i / 10, 8, QuadratureConfig(root_tol=tol))
+                dispersion(c, math.pi * i / 10, 8, root_tol=tol)
     monkeypatch.undo()
     return brackets
 
