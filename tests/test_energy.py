@@ -436,6 +436,46 @@ def test_abs_err_meets_the_tolerance_over_seeded_points(monkeypatch):
         assert res.abs_err <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)), (c, theta)
 
 
+def _log_form_energy(g, omega, a, dps=30):
+    """E = (1/2 pi a) int_0^oo [ln(alpha + sqrt(alpha^2 - Omega^2)) - x
+    - ln(1 + g/2x)] dx with alpha = cosh x + (g/2x) sinh x, in dps-digit
+    mpmath.  Integrating by parts (x h' = -2 pi f, and x h -> 0 at both ends)
+    turns this into the energy integral of f, so it checks the whole energy
+    without sharing f's formulas.  It stops at x = 40, past which |h| is
+    below e^{-70}; the breakpoints sit at the layers g/2 and sqrt(g + 2 delta)
+    and at every decade between them and 1."""
+    with mpmath.workdps(dps):
+        g, om = mpmath.mpf(g), mpmath.mpf(omega)
+
+        def h(x):
+            alpha = mpmath.cosh(x) + g / (2 * x) * mpmath.sinh(x)
+            log_term = mpmath.log(alpha + mpmath.sqrt(alpha * alpha - om * om))
+            return log_term - x - mpmath.log1p(g / (2 * x))
+
+        width = mpmath.sqrt(g + 2 * (1 - om) * (1 + om))
+        layers = [s for s in (g / 2, width) if 0 < s < 1]
+        low = min(layers, default=mpmath.mpf(1))
+        decades = [mpmath.mpf(10) ** k for k in range(int(mpmath.floor(mpmath.log10(low))), 0)]
+        points = sorted({mpmath.mpf(0), *layers, *decades, 1, 2.5, 5, 10, 20, 40})
+        return float(mpmath.quad(h, points) / (2 * mpmath.pi * a))
+
+
+def test_comb_energy_against_the_log_form_oracle():
+    # the whole energy, not just its integrand, against an independent
+    # 30-digit integral over seeded combs and the thin-layer corners
+    rng = random.Random(31)
+    points = [(1.0, 0.3, 1.0), (50.0, 0.0, 1.0), (1e-4, -1.0, 1.0), (1e-6, -1.0, 1.0),
+              (0.05, -0.99, 1.3)]
+    for _ in range(3):
+        points.append((10.0 ** rng.uniform(-3.0, 1.5), rng.uniform(-1.0, 0.99),
+                       10.0 ** rng.uniform(-1.0, 1.0)))
+    for g, omega, a in points:
+        c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
+        res = comb_energy(c)
+        oracle = _log_form_energy(c.gamma * c.a, c.omega, c.a)
+        assert abs(res.value - oracle) <= res.abs_err + res.tail_bound, (g, omega, a, res, oracle)
+
+
 def test_small_spacing_scales_exactly_at_equal_gamma_a():
     # E(gamma, Omega, a) = f(gamma a, Omega) / a; at a = 1e-5 the x
     # integral runs at abs_tol * a = 1e-15
