@@ -72,12 +72,22 @@ K = 40/a in momentum, beyond which |f| < e^{-80}-ish; a spacing so small
 that K overflows is a domain error.  The discarded tail is reported as an
 explicit bound obtained from the integrand's own magnitude near X.
 
+Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
+which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
+the pure-delta comb's (g/8pi)(ln g - 1).  Its integral is elementary, so
+below a break x0 (2.5 at X = 40) the quadrature integrates the integrand
+with that term added back, and the term's integral over [0, x0],
+-(g/4pi) ln(1 + 2 x0/g), is added exactly.  What is left has one thin
+layer at most, sqrt(g + 2 delta) wide for f and sqrt(g + 2 (1 + Omega cos
+theta)) wide for F, present only near the free corner or the marginal
+phase.
+
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
-graded ladder of breakpoints below the small-x layers (see
-_graded_breakpoints) and, above the ladder, with the dyadic points X/2,
-X/4, ... down to 2.  Bisection from [0, X] reaches those points anyway, so
-seeding them keeps the panels bisection would reach and only skips the
-parent panels it would compute and throw away.
+graded ladder of breakpoints below that layer (see _graded_breakpoints)
+and, above the ladder, with the dyadic points X/2, X/4, ... down to 2.
+Bisection from [0, X] reaches those points anyway, so seeding them keeps
+the panels bisection would reach and only skips the parent panels it
+would compute and throw away.
 """
 
 from __future__ import annotations
@@ -253,47 +263,76 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
 
 
 def _graded_breakpoints(
-    g: float, X: float, budget: float, width: float
+    width: float, X: float, budget: float, mass
 ) -> tuple[list[float], float]:
-    """Interior breakpoints for the subtracted integrand on [0, X] in x, and
-    the layer mass that the first panel may miss.
+    """Interior breakpoints for a layer of the given width at x = 0 on [0, X],
+    and the layer mass that the first panel may miss.
 
-    The -g/(g+2x) subtraction varies on the scale x ~ g/2; for small g
-    that layer sits far below the first quadrature nodes of [0, X] and the
-    adaptive splitter can converge without ever sampling it (it did: a
-    w0 = 1e-6 comb lost the layer's entire -w0 ln w0 signal).  A geometric
-    ladder from two decades below the layer up to the bulk scale forces
-    panels at every relevant magnitude.  A plate at g = 0 has no such layer
-    but still has its phase step of width w (below), and grades on w.
+    A layer far below the first quadrature nodes of [0, X] can be stepped
+    over by the adaptive splitter, which then converges without ever
+    sampling it (a w0 = 1e-6 comb once lost its entire -w0 ln w0 signal
+    that way).  A geometric ladder from two decades below the layer up to
+    the bulk scale forces panels at every relevant magnitude.
 
-    The ladder has a floor: its lowest rungs are dropped while the mass
-    that the first panel [0, b] may step over stays under budget.  Two
-    layers can sit below b.  The subtraction's is bounded by
-    (g/pi) log1p(2b/g), four times its own integral over [0, b]; that also
-    covers the sqrt(g)-wide layer of the phase-averaged comb at
-    |Omega| = 1.  At a fixed phase, A / (B + C cos theta) ~ -2x^2/(x^2 + w^2)
-    for small x, a step from 0 to -2 across x ~ w = width, where
-    w^2 = g + 2 (1 + Omega cos theta); it is bounded by
-    (2w/pi) atan(b/w), twice the step's own deficit over [0, b], and the
-    comb passes width 0; at g = 0 the subtraction and its term vanish.  The
+    The ladder has a floor: its lowest rungs are dropped while mass(b), a
+    bound on what the first panel [0, b] may miss, stays under budget.  The
     bound is returned with the breakpoints, 0.0 when no rung was dropped,
     for the caller to add to the error it reports.
     """
-    breaks, mass = [], 0.0
-    layer = 0.5 * g if g > 0.0 else width
-    if 0.0 < layer < 0.01 * X:
-        b = max(0.01 * layer, math.ulp(0.0))  # a rung of 0 would never climb
+    breaks, dropped = [], 0.0
+    if 0.0 < width < 0.01 * X:
+        b = 0.01 * width
         top = min(0.01 * X, 10.0)
         while b < top:
-            m = (2.0 * width / math.pi) * math.atan2(b, width)
-            if g > 0.0:
-                m += (g / math.pi) * math.log1p(2.0 * b / g)
+            m = mass(b)
             if breaks and m < budget:
-                breaks, mass = [b], m
+                breaks, dropped = [b], m
             else:
                 breaks.append(b)
             b *= 10.0
-    return breaks, mass
+    return breaks, dropped
+
+
+def _xlog1p(k: float, bb: float) -> float:
+    """k ln(1 + bb/k), 0.0 at k = 0; bb/k may overflow, the logs may not."""
+    if not k > 0.0:
+        return 0.0
+    if bb < k:
+        return k * math.log1p(bb / k)
+    return k * (math.log(k + bb) - math.log(k))
+
+
+# |Q - I| <= Q(phi) + I(phi) <= 6.2 I(phi) for the 15-point Kronrod estimate Q
+# on [0, b] of the bound phi below; 8 leaves room for the rounding of a
+# subnormal g
+_PANEL_MISS = 8.0 / _TWO_PI
+
+
+def _comb_layer_mass(g: float, omega: float):
+    """Bound on what one panel [0, b] may miss of the comb's f_s = f +
+    (1/2pi) g/(g + 2x), as a function of b.
+
+    From the small-x form, 2 pi f_s = x D/(root (root + 2x sinh x)) - g (x
+    cosh x - sinh x)/root.  With (B - |C|)/x >= x^2 + g s + u, s = sinh(x)/x,
+    u = 2 (1 - |Omega|), and (B + |C|)/x >= 2 cosh x + g s + 2 |Omega|, the
+    first term is at most 2x G/(x^2 + G) + x u/(x^2 + u), G = g sinh(b)/b on
+    [0, b], and the second at most g x cosh(b)/(3 sqrt 2).  Call that phi: it
+    is ~ x below the layer and ~ G/x above it, the g/(4 pi x) tail of the
+    pure-delta comb.  Each x K/(x^2 + K) term is at most min(x, K/x), whose
+    panel estimate is at most min(b^2/2, 7.03 K), at most 5.2 times its
+    integral (K/2) ln(1 + b^2/K); so Q + I of the panel is at most 6.2 I(phi)
+    with I(phi) = [G ln(1 + b^2/G) + (u/2) ln(1 + b^2/u) + g b^2 cosh(b)/(6
+    sqrt 2)]/2pi.
+    """
+    u = 2.0 * (1.0 - abs(omega))
+
+    def mass(b: float) -> float:
+        bb = b * b
+        G = g * (math.sinh(b) / b)
+        neg = g * bb * math.cosh(b) / (6.0 * math.sqrt(2.0))
+        return _PANEL_MISS * (_xlog1p(G, bb) + 0.5 * _xlog1p(u, bb) + neg)
+
+    return mass
 
 
 def _tail_bound(f, X: float, rate: float) -> float:
@@ -315,21 +354,38 @@ _MAX_CUTOFF = 1e6
 
 
 def _energy_integral(
-    f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0
+    f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0, mass=None,
+    layered=None,
 ) -> EnergyResult:
-    """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
+    """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a,
+    where f carries the subtracted term -(1/2pi) g/(g + 2x) unless g = 0.
 
     Integrates over [0, X], X = 40 (truncation_k * a when configured, which
-    must lie in (0, _MAX_CUTOFF]), in one adaptive run seeded with the graded
-    ladder for g and, above its top rung, with the dyadic points X/2, X/4,
-    ... >= 2, at abs_tol * a (which must not underflow to 0) so that
-    abs_tol holds in energy units, with K = X/a finite (else a domain error
-    naming a), and bounds the tail beyond X for f decaying like e^{-rate x};
-    width is a fixed phase's step width (see _graded_breakpoints), 0 for the
-    comb.  Layer mass left below a floored
-    ladder (at most half of abs_tol * a) is added to abs_err, and both
-    tolerances of the run shrink by its share, so
-    abs_err <= max(abs_tol, rel_tol |E|) still holds.
+    must lie in (0, _MAX_CUTOFF]), in one adaptive run seeded with the dyadic
+    points X/2, X/4, ... >= 2, at abs_tol * a (which must not underflow to
+    0) so that abs_tol holds in energy units, with K = X/a finite (else a
+    domain error naming a), and bounds the tail beyond X for f decaying like
+    e^{-rate x}.
+
+    For g > 0, layered(x0) is f with that term added back below x0, which
+    is the lowest dyadic seed (X without one): the run integrates f_s = f +
+    (1/2pi) g/(g + 2x) there and adds the term's integral -(g/4pi) ln(1 + 2
+    x0/g) exactly, as a constant inside the run's tolerance test.
+
+    f_s has no g/2-wide layer.  What layer it has is width wide (0 for
+    none), and a ladder below the dyadic seeds grades on it (see
+    _graded_breakpoints), with mass(b) bounding what a panel [0, b] may
+    miss.  The floor drops only rungs whose mass is under eps abs_tol a: a
+    layer that the tolerance alone would let the floor drop can carry half
+    of a small energy (the comb's g ln g at Omega = -1), and below eps
+    abs_tol a its loss is rounding next to any energy of abs_tol or more.
+    The dropped mass is added to abs_err, and both tolerances of the run
+    shrink by its share, so abs_err <= max(abs_tol, rel_tol |E|) still
+    holds.  For a subnormal g it also covers the rounding of the run, whose
+    values are then subnormal too: at its top rung, b >= 0.04 at X = 40,
+    the comb's mass is at least (8/2pi) g ln(b^2/g) > 890 g, against a few
+    2^-1074 per evaluation and panel, and the floor applies there unless
+    abs_tol a < 1e-289.
     """
     X = 40.0
     if cfg.truncation_k is not None:
@@ -348,7 +404,7 @@ def _energy_integral(
     K = X / a
     if K == math.inf:
         raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
-    breaks, mass = _graded_breakpoints(g, X, 0.5 * tol, width)
+    breaks, dropped = _graded_breakpoints(width, X, math.ulp(1.0) * tol, mass)
     # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on
     # its way down anyway, so seeding them skips only the parent panels it
     # would compute and discard
@@ -359,17 +415,27 @@ def _energy_integral(
         dyadic.append(seed)
         seed *= 0.5
     breaks += reversed(dyadic)
-    share = 1.0 - mass / tol
+    integrand, shift = f, 0.0
+    if g > 0.0:
+        x0 = dyadic[-1] if dyadic else X
+        integrand = layered(x0)
+        # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
+        # difference of logs rounds to 0 for g above ~1e16; g times the
+        # quotient keeps the bits of a subnormal g
+        L = math.log1p(2.0 * x0 / g) if g >= 1.0 else math.log(g + 2.0 * x0) - math.log(g)
+        shift = -g * (L / (2.0 * _TWO_PI))
+    share = 1.0 - dropped / tol
     value, err = integrate_finite(
-        f,
+        integrand,
         0.0,
         X,
         cfg._replace(abs_tol=tol * share, rel_tol=cfg.rel_tol * share),
         breaks,
+        shift=shift,
     )
     return EnergyResult(
         value=value / a,
-        abs_err=(err + mass) / a,
+        abs_err=(err + dropped) / a,
         truncation_k=K,
         tail_bound=_tail_bound(f, X, rate) / a,
     )
@@ -382,12 +448,24 @@ def comb_energy(
 
     Integrates f(x) = I(x/a) over [0, 40] in x = k a, i.e. up to K = 40/a
     (or the configured truncation_k), and reports the neglected tail as a
-    separate bound.
+    separate bound.  Below x0 = 2.5 what remains of f after its subtracted
+    term (see _energy_integral) has one layer, sqrt(g + 2 delta) wide with
+    delta = 1 - Omega^2; at Omega = -1 it holds half of a small g's
+    (g/8pi) ln g.
     """
     cfg = cfg or QuadratureConfig()
     a, g = c.a, _require_supported(c)
+    om = c.omega
+    width = math.sqrt(g + 2.0 * ((1.0 - om) * (1.0 + om)))
+
+    def layered(x0: float):
+        return lambda x: (spectral_integrand(c, x / a)
+                          + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0))
+
     # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
-    return _energy_integral(lambda x: spectral_integrand(c, x / a), g, a, cfg, 1.5)
+    return _energy_integral(
+        layered(0.0), g, a, cfg, 1.5, width, _comb_layer_mass(g, om), layered
+    )
 
 
 def plate_energy(
@@ -398,14 +476,24 @@ def plate_energy(
     For the free comb this is the quasi-periodic two-plate energy
     (1/2a)(|theta| - theta^2/(2 pi) - pi/3); averaging over theta with weight
     dtheta/(2 pi) recovers comb_energy.  Even in theta.
+
+    Beside its subtracted term, F has A / (B + C cos theta) ~ -2x^2/(x^2 +
+    w^2) for small x, w^2 = g + 2 (1 + Omega cos theta): a step from 0 to -2
+    that a panel [0, b] misses by at most (2w/pi) atan(b/w), twice the
+    step's own deficit.
     """
     cfg = cfg or QuadratureConfig()
     a, g = c.a, _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     width = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
+
+    def layered(x0: float):
+        return lambda x: (theta_integrand(c, x / a, theta)
+                          + (g / (g + 2.0 * x) if x < x0 else 0.0)) / _TWO_PI
+
     # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(
-        lambda x: theta_integrand(c, x / a, theta) / _TWO_PI, g, a, cfg, 0.75, width
+        layered(0.0), g, a, cfg, 0.75, width,
+        lambda b: (2.0 * width / math.pi) * math.atan2(b, width), layered,
     )
-

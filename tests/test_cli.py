@@ -803,6 +803,27 @@ def test_free_corner_energy_is_exactly_zero(capsys, couplings, a):
     assert (row["value"], row["abs_err"], row["tail_bound"]) == ("0.0", "0.0", "0.0")
 
 
+def test_a_tolerance_under_the_rounding_floor_exits_3_before_splitting(capsys, monkeypatch):
+    # the estimate stalls at the panels' 50 eps resabs: the run once took its
+    # 2,000 splits (over 60,000 evaluations) before it exited 3
+    import deltacomb.energy
+
+    calls = []
+    counted = deltacomb.energy.spectral_integrand
+
+    def counting(c, k):
+        calls.append(k)
+        return counted(c, k)
+
+    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    code, out, err = run_cli(
+        capsys, "energy", "--w0", "1", "--a", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-14"
+    )
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("numerical failure: rounding floor ") and "above the tolerance" in err
+    assert len(calls) <= 200
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run_cli(
         capsys,

@@ -27,7 +27,7 @@ from deltacomb import (
     theta_integrand,
 )
 import deltacomb.energy
-from deltacomb.quadrature import integrate_finite
+from deltacomb.quadrature import _panel, integrate_finite
 from deltacomb.verification import _plate_energy_closed
 from deltacomb.verification import _theta_integral_numeric
 
@@ -542,6 +542,52 @@ def test_energies_at_extreme_magnitudes_are_finite_or_gated():
             bound = comb.abs_err + comb.tail_bound + 0.01 * g * g * abs(math.log(g)) / a
             assert abs(comb.value - law) <= bound, (c, comb, law)
     assert gated > 0 and near_free > 50, (gated, near_free)
+
+
+@pytest.mark.parametrize("g", [1e-20, 1e-16, 1e-12])
+def test_pure_delta_comb_lands_on_the_small_coupling_law(g):
+    # the g/(g + 2x) layer is integrated in closed form and the ladder grades
+    # the sqrt(g)-wide layer left in f_s, which holds half of the g ln g
+    # signal; the floor once dropped both into abs_err (-3.6e-18 +- 8.1e-12
+    # at g = 1e-12)
+    res = comb_energy(CombCouplings(w0=g, w1=0.0, a=1.0))
+    law = g * (math.log(g) - 1.0) / (8.0 * math.pi)
+    assert abs(res.value - law) <= 0.01 * abs(law), (res, law)
+    assert res.abs_err < abs(law)
+
+
+@pytest.mark.parametrize("g", [1e-100, 1e-200])
+def test_a_dropped_layer_costs_abs_err_its_mass_not_its_width(g):
+    # far below the tolerance the floor drops the sqrt(g) layer, and what it
+    # adds to abs_err is a few times the layer's g ln(1/g), not its sqrt(g)
+    res = comb_energy(CombCouplings(w0=g, w1=0.0, a=1.0))
+    law = g * (math.log(g) - 1.0) / (8.0 * math.pi)
+    assert abs(res.value - law) <= res.abs_err <= 2.0 * g * math.log(1.0 / g)
+
+
+def test_comb_layer_mass_bounds_what_a_first_panel_misses():
+    # one Kronrod panel [0, b] of f_s = f + (1/2pi) g/(g + 2x) misses at most
+    # mass(b) against a tight graded integral, on both sides of the layer,
+    # seeded over g and Omega at, near and away from -1
+    rng = random.Random(41)
+    for i in range(30):
+        g = 10.0 ** rng.uniform(-30.0, -0.5)
+        omega = (-1.0, -1.0 + 10.0 ** rng.uniform(-12.0, -2.0), rng.uniform(-1.0, 1.0))[i % 3]
+        c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
+        g, omega = c.gamma, c.omega
+
+        def f_s(x):
+            return spectral_integrand(c, x) + g / (g + 2.0 * x) / TWO_PI
+
+        mass = deltacomb.energy._comb_layer_mass(g, omega)
+        width = math.sqrt(g + 2.0 * (1.0 - omega) * (1.0 + omega))
+        for b in (0.1 * width, width, 10.0 * width, 0.1, 0.4):
+            estimate = _panel(f_s, 0.0, b)[0]
+            breaks = [1e-4 * min(width, b) * 3.0**k for k in range(40)]
+            breaks = [p for p in breaks if p < b]
+            tight = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-11)
+            value, err = integrate_finite(f_s, 0.0, b, tight, breaks)
+            assert abs(estimate - value) <= mass(b) - err, (g, omega, b)
 
 
 def test_energies_gate_the_gamma_a_their_integrands_see():

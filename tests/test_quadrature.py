@@ -93,9 +93,11 @@ def _loop_panel(f, lo, hi):
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 0.0
     if resabs > uflow / (50.0 * eps):
-        err = max(eps * 50.0 * resabs, err)
-    return value, err
+        floor = eps * 50.0 * resabs
+        err = max(floor, err)
+    return value, err, floor
 
 
 def test_panel_matches_the_loop_oracle_bit_for_bit():
@@ -192,6 +194,36 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadratureConfig(truncation_k=-5.0)
+
+
+def test_a_rounding_floor_above_the_tolerance_stops_before_splitting():
+    # 50 eps resabs of cos on [0, 10] is ~7e-14, far above rel_tol |sin 10|
+    # at 1e-16, and splitting cannot lower it: the run stops after its first
+    # panel instead of after max_subdivisions splits, and names the floor
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16)
+    with pytest.raises(ToleranceNotMetError, match=r"rounding floor \S+ .* after 0 subdivisions"):
+        integrate_finite(f, 0.0, 10.0, cfg)
+    assert len(calls) == 15
+
+
+def test_shift_enters_the_value_and_the_tolerance_test():
+    # a closed-form part of the result is added exactly and judged with it:
+    # 1 + 1e6 at rel_tol 1e-8 allows errors near 1e-2, far above the 1e-8 the
+    # integral alone would need
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-8)
+    value, err = integrate_finite(lambda x: 2.0 * x, 0.0, 1.0, cfg, shift=1e6)
+    assert value == 1e6 + 1.0
+    spiky = lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-6)
+    plain = integrate_finite(spiky, 0.0, 1.0, cfg)
+    shifted = integrate_finite(spiky, 0.0, 1.0, cfg, shift=1e6)
+    assert abs(shifted[0] - 1e6 - plain[0]) <= shifted[1] + plain[1]
+    assert plain[1] <= 1e-8 * abs(plain[0]) < shifted[1] <= 1e-8 * abs(shifted[0])
 
 
 # Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus a
