@@ -67,16 +67,17 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
   below that no product overflows up to g = 1e150.
 
 Every energy integral (comb and plate) is (1/a) int_0^X dx I(x/a) (resp.
-F(x/a, theta)/2pi) at the caller's couplings, truncated at X = 40, i.e. at
-K = 40/a in momentum, beyond which |f| < e^{-80}-ish; a spacing so small
-that K overflows is a domain error.  The discarded tail is reported as an
-explicit bound obtained from the integrand's own magnitude near X.
+F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a: X = 20
+for the comb's f ~ x e^{-2x} unless abs_tol a/100 is under its tail there,
+else 40, as for the plate's F ~ x e^{-x}; a K that overflows is a domain
+error.  The discarded tail is reported as an explicit bound obtained from
+the integrand's own magnitude near X.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
 the pure-delta comb's (g/8pi)(ln g - 1).  Its integral is elementary, so
-below a break x0 (2.5 at X = 40) the quadrature integrates the integrand
-with that term added back, and the term's integral over [0, x0],
+below a break x0 (2.5 at X = 20 and 40) the quadrature integrates the
+integrand with that term added back, and the term's integral over [0, x0],
 -(g/4pi) ln(1 + 2 x0/g), is added exactly.  What is left has one thin
 layer at most, sqrt(g + 2 delta) wide for f and sqrt(g + 2 (1 + Omega cos
 theta)) wide for F, present only near the free corner or the marginal
@@ -355,17 +356,19 @@ _MAX_CUTOFF = 1e6
 
 def _energy_integral(
     f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0, mass=None,
-    layered=None,
+    layered=None, cutoffs: tuple[float, ...] = (40.0,),
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a,
     where f carries the subtracted term -(1/2pi) g/(g + 2x) unless g = 0.
 
-    Integrates over [0, X], X = 40 (truncation_k * a when configured, which
-    must lie in (0, _MAX_CUTOFF]), in one adaptive run seeded with the dyadic
-    points X/2, X/4, ... >= 2, at abs_tol * a (which must not underflow to
-    0) so that abs_tol holds in energy units, with K = X/a finite (else a
-    domain error naming a), and bounds the tail beyond X for f decaying like
-    e^{-rate x}.
+    Integrates over [0, X] in one adaptive run seeded with the dyadic points
+    X/2, X/4, ... >= 2, at abs_tol * a (which must not underflow to 0) so
+    that abs_tol holds in energy units, and bounds the tail beyond X for f
+    decaying like e^{-rate x}.  X is the first of the cutoffs whose tail
+    bound is at most abs_tol a/100, else the last one, or truncation_k * a
+    when configured, which must lie in (0, _MAX_CUTOFF]; K = X/a must be
+    finite (else a domain error naming a).  The tail computed for that test
+    is the one reported, so a kept first cutoff costs no evaluation.
 
     For g > 0, layered(x0) is f with that term added back below x0, which
     is the lowest dyadic seed (X without one): the run integrates f_s = f +
@@ -387,24 +390,30 @@ def _energy_integral(
     2^-1074 per evaluation and panel, and the floor applies there unless
     abs_tol a < 1e-289.
     """
-    X = 40.0
+    span = cutoffs[-1]
     if cfg.truncation_k is not None:
-        X = cfg.truncation_k * a
-        if not 0.0 < X <= _MAX_CUTOFF:
+        span = cfg.truncation_k * a
+        if not 0.0 < span <= _MAX_CUTOFF:
             raise ValueError(
-                f"truncation_k a = {X!r} is outside (0, {_MAX_CUTOFF:g}] at "
+                f"truncation_k a = {span!r} is outside (0, {_MAX_CUTOFF:g}] at "
                 f"truncation_k = {cfg.truncation_k!r}, a = {a!r}"
             )
+        cutoffs = (span,)
     tol = cfg.abs_tol * a
     if not tol > 0.0:
         raise ValueError(
             f"abs_tol a = {tol!r} underflows at abs_tol = {cfg.abs_tol!r}, "
             f"a = {a!r}"
         )
-    K = X / a
-    if K == math.inf:
-        raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
-    breaks, dropped = _graded_breakpoints(width, X, math.ulp(1.0) * tol, mass)
+    for X in cutoffs:
+        K = X / a
+        if K == math.inf:
+            raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
+        tail = _tail_bound(f, X, rate)
+        if tail <= 0.01 * tol:
+            break
+    # the ladder grades on the longest cutoff, wherever the run stops
+    breaks, dropped = _graded_breakpoints(width, span, math.ulp(1.0) * tol, mass)
     # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on
     # its way down anyway, so seeding them skips only the parent panels it
     # would compute and discard
@@ -437,7 +446,7 @@ def _energy_integral(
         value=value / a,
         abs_err=(err + dropped) / a,
         truncation_k=K,
-        tail_bound=_tail_bound(f, X, rate) / a,
+        tail_bound=tail / a,
     )
 
 
@@ -446,7 +455,8 @@ def comb_energy(
 ) -> EnergyResult:
     """Vacuum energy per unit cell, E = int_0^oo dk I(k).
 
-    Integrates f(x) = I(x/a) over [0, 40] in x = k a, i.e. up to K = 40/a
+    Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a,
+    with X = 20, or 40 where abs_tol a/100 is under the tail bound at 20
     (or the configured truncation_k), and reports the neglected tail as a
     separate bound.  Below x0 = 2.5 what remains of f after its subtracted
     term (see _energy_integral) has one layer, sqrt(g + 2 delta) wide with
@@ -464,7 +474,7 @@ def comb_energy(
 
     # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
     return _energy_integral(
-        layered(0.0), g, a, cfg, 1.5, width, _comb_layer_mass(g, om), layered
+        layered(0.0), g, a, cfg, 1.5, width, _comb_layer_mass(g, om), layered, (20.0, 40.0)
     )
 
 

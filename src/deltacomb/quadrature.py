@@ -66,15 +66,27 @@ _X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
 _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
 _RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
+# Below _RESABS_FLOOR a panel's values may be subnormal, where rounding is
+# absolute in u = 2^-1074: a sum or difference there is exact, and a product
+# or quotient that lands there is off by at most u/2.  The energies' f_s
+# takes at most 4 such roundings that reach its value unscaled (2u), and 3
+# that it divides by about x: u/2 over 2 pi x for the comb's g sinh(x)/x,
+# about 0.14 u/x in all (0.12 u/x measured), under u/2 over a ladder decade.
+# The 8 weighted products of resk add at most 4u, 2u per unit width once
+# scaled by half, and value = resk half rounds once more, u/2 at any width.
+# So a panel of nonzero values on [lo, hi] carries at most u (4 (hi - lo) + 1).
+_SUBNORMAL = math.ulp(0.0)
 
 
 class QuadratureConfig(Record):
     """Tolerances and limits of the energy integrals (band roots take a root_tol).
 
     truncation_k is the momentum cutoff K of the energy integrals; None means
-    K = 40/a, i.e. 40 in the reduced momentum k a, and an energy rejects a K
-    whose K a lies outside (0, 1e6].  max_subdivisions bounds
-    one integrate_finite call, so it applies to a whole energy, ladder and all.
+    K = 20/a for the comb, i.e. 20 in the reduced momentum k a, or 40/a where
+    its tail bound at 20 is above abs_tol/100, and 40/a for the plate.  An
+    energy rejects a K whose K a lies outside (0, 1e6].  max_subdivisions
+    bounds one integrate_finite call, so it applies to a whole energy, ladder
+    and all.
     """
 
     __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k")
@@ -92,9 +104,9 @@ class QuadratureConfig(Record):
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
     """One 7/15 Gauss-Kronrod panel: (integral estimate, error estimate,
-    rounding floor), where the floor 50 eps resabs is the least the error
-    estimate can be (0.0 where it would underflow, resabs at most
-    _RESABS_FLOOR).
+    rounding floor), where the floor is the least the error estimate can be:
+    50 eps resabs, or u (4 (hi - lo) + 1) where that would underflow (resabs
+    at most _RESABS_FLOOR, see _SUBNORMAL), and 0.0 where every value is 0.
 
     Unrolled: each sum adds the centre term, then the node pairs j = 0..6 in
     turn.  That order is fixed on purpose; any other changes the last bits.
@@ -133,14 +145,17 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
               + _K5 * (abs(l5 - h) + abs(r5 - h)) + _K6 * (abs(l6 - h) + abs(r6 - h)))
 
     value = resk * half
-    resabs *= abs(half)
     resasc *= abs(half)
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 0.0
-    if resabs > _RESABS_FLOOR:
-        floor = _EPS * 50.0 * resabs
+    if resabs > 0.0:  # tested unscaled: scaling can round a nonzero panel to 0
+        resabs *= abs(half)
+        if resabs > _RESABS_FLOOR:
+            floor = _EPS * 50.0 * resabs
+        else:
+            floor = _SUBNORMAL * (4.0 * (hi - lo) + 1.0)
         err = max(floor, err)
     return value, err, floor
 

@@ -120,7 +120,8 @@ def test_energy_csv(capsys):
     assert len(rows) == 1
     assert set(rows[0]) == {"value", "abs_err", "truncation_k", "tail_bound"}
     assert abs(float(rows[0]["value"]) - math.pi / 48.0) <= 1e-8
-    assert float(rows[0]["truncation_k"]) == 40.0
+    # the comb's tail past k a = 20 is far below abs_tol/100
+    assert float(rows[0]["truncation_k"]) == 20.0
 
 
 def test_energy_json_matches_csv_bit_for_bit(capsys):
@@ -878,6 +879,14 @@ def test_cutoff_overflow_at_tiny_spacing_exits_2(capsys, command, a):
     code, out, err = run_cli(capsys, command[0], "--w0", "1", "--w1", "0.3", "--a", a, *command[1:])
     assert (code, out) == (EXIT_DOMAIN, "")
     assert f"a = {float(a)!r}" in err and "inf" not in err
+
+
+def test_cutoff_fallback_that_overflows_exits_2(capsys):
+    # K = 20/a is finite, but abs_tol a/100 is below the comb's tail bound at
+    # 20, so the cutoff falls back to 40, and 40/a overflows: exit 2 naming a
+    code, out, err = run_cli(capsys, "energy", "--w0", "1", "--w1", "0.3", "--a", "1.5e-307")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "40/a overflows" in err and "a = 1.5e-307" in err and "inf" not in err
 
 
 def test_long_truncation_seeds_above_the_ladder(capsys):

@@ -20,6 +20,7 @@ from deltacomb import (
     CombCouplings,
     OutsideValidityDomainError,
     QuadratureConfig,
+    ToleranceNotMetError,
     ValidityViolationError,
     comb_energy,
     plate_energy,
@@ -348,8 +349,8 @@ def test_comb_energy_frozen_values():
     assert res2.value == pytest.approx(-0.052612302882812, abs=1e-12)
     # error bookkeeping
     assert res1.abs_err < 5e-9
-    assert 0.0 < res1.tail_bound < 1e-20
-    assert res1.truncation_k == 40.0
+    assert 0.0 < res1.tail_bound <= QuadratureConfig().abs_tol / 100.0
+    assert res1.truncation_k == 20.0
 
 
 def test_comb_energy_strong_coupling_approaches_dirichlet():
@@ -392,9 +393,118 @@ def test_energies_match_frozen_values_across_spacings(a):
     plate = plate_energy(c, 1.0)
     assert abs(comb.value - comb_value) <= comb.abs_err
     assert abs(plate.value - plate_value) <= plate.abs_err
-    for res in (comb, plate):
-        assert res.truncation_k == pytest.approx(40.0 / a, rel=1e-15)
+    # the comb stops at k a = 20, the plate, whose F decays only like x e^{-x}, at 40
+    for res, cutoff in ((comb, 20.0), (plate, 40.0)):
+        assert res.truncation_k == pytest.approx(cutoff / a, rel=1e-15)
         assert 0.0 < res.tail_bound < 1e-14
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call to the energy module's integrand
+    called name, which the energies evaluate through the module attribute."""
+    calls = []
+    counted = getattr(deltacomb.energy, name)
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(deltacomb.energy, name, counting)
+    return calls
+
+
+def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
+    # f decays like x e^{-2x}: at the default tolerances the tail past x = 20
+    # is under abs_tol/100 over the seeded domain, it costs no evaluation
+    # beyond its 2 probes, and stopping there moves the energy by less than
+    # the errors of the two runs.  The run is the one to 40 without its
+    # [20, 40] panel: the ladder grades on 40 wherever the run stops
+    calls = _count_calls(monkeypatch, "spectral_integrand")
+    abs_tol = QuadratureConfig().abs_tol
+    rng = random.Random(33)
+    for i in range(200):
+        g = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-12.0, 6.0)
+        near = 10.0 ** rng.uniform(-12.0, -1.0)
+        omega = (-1.0, -1.0 + near, 1.0 - near, rng.uniform(-1.0, 1.0))[i % 4]
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
+        calls.clear()
+        res = comb_energy(c)
+        evaluations = len(calls)
+        assert evaluations % 15 == 2, (c, evaluations)  # 15 a panel, 2 tail probes
+        assert res.truncation_k == 20.0 / a, (c, res)
+        assert res.tail_bound <= abs_tol / 100.0, (c, res)
+        calls.clear()
+        full = comb_energy(c, QuadratureConfig(truncation_k=40.0 / a))
+        assert evaluations == len(calls) - 15, (c, evaluations, len(calls))
+        assert abs(res.value - full.value) <= res.abs_err + res.tail_bound + full.abs_err, (c, res, full)
+
+
+def test_comb_cutoff_falls_back_to_40_below_its_tail(monkeypatch):
+    # at abs_tol = 1e-15 the tail past x = 20 (a few 1e-17) is above
+    # abs_tol a/100, so the run stops at 40, for 2 more probes
+    calls = _count_calls(monkeypatch, "spectral_integrand")
+    for c in (CombCouplings(w0=1.0, w1=0.3, a=1.0), CombCouplings(w0=5.0, w1=0.5, a=2.0)):
+        calls.clear()
+        res = comb_energy(c, QuadratureConfig(abs_tol=1e-15))
+        assert len(calls) % 15 == 4, (c, len(calls))
+        assert res.truncation_k * c.a == 40.0
+        assert res.tail_bound <= 1e-15 / 100.0
+
+
+def test_plate_cutoff_stays_at_40(monkeypatch):
+    # F decays only like x e^{-x}: the plate keeps X = 40, and its run is
+    # the one a configured truncation_k = 40/a makes, evaluation for
+    # evaluation
+    calls = _count_calls(monkeypatch, "theta_integrand")
+    rng = random.Random(34)
+    for _ in range(6):
+        a = 2.0 ** rng.randint(-6, 6)
+        omega, gamma = rng.uniform(-1.0, 0.99), 10.0 ** rng.uniform(-6.0, 2.0)
+        c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a)
+        theta = rng.uniform(-math.pi, math.pi)
+        calls.clear()
+        res = plate_energy(c, theta)
+        default_calls = len(calls)
+        calls.clear()
+        configured = plate_energy(c, theta, QuadratureConfig(truncation_k=40.0 / a))
+        assert res.truncation_k == 40.0 / a
+        assert default_calls == len(calls) and default_calls % 15 == 2, (c, theta)
+        assert res == configured
+
+
+def test_comb_cutoff_that_falls_back_past_the_double_range_is_a_domain_error():
+    # 20/a is finite, but the tail bound asks for 40, and 40/a overflows
+    a = 1.5e-307
+    assert 20.0 / a < math.inf == 40.0 / a
+    with pytest.raises(OutsideValidityDomainError, match=f"40/a overflows at a = {a!r}"):
+        comb_energy(CombCouplings(w0=1.0, w1=0.3, a=a))
+
+
+def test_subnormal_energies_report_their_rounding():
+    # a E of a few hundred U = 2^-1074: each panel of the ladder (about 160
+    # rungs) rounds its value to that grid, and abs_err once read 0.0 for an
+    # a E 9% off the law; the panels now carry that rounding as a floor, so
+    # the energy either meets the law within its bounds or exits 3.  At
+    # g = 2 U a ladder panel's resabs rounds to 0, though its values do not
+    U = math.ulp(0.0)
+    rng = random.Random(35)
+    points = [(7.4e-323, 4.7e-194, 3.2e-322), (2.0 * U, 1.6e-160, 5.4e-320)]
+    for _ in range(40):
+        points.append((round(10.0 ** rng.uniform(0.0, 6.0)) * U, 10.0 ** rng.uniform(-290.0, -100.0),
+                       10.0 ** rng.uniform(-322.0, -295.0)))
+    met = 0
+    for g, a, tol in points:
+        c = CombCouplings(w0=g / a, w1=0.0, a=a)
+        g = c.w0 * a
+        try:
+            res = comb_energy(c, QuadratureConfig(abs_tol=tol / a))
+        except ToleranceNotMetError:
+            continue
+        law = g * (math.log(g) - 1.0) / (8.0 * math.pi)
+        assert abs(a * res.value - law) <= a * (res.abs_err + res.tail_bound), (g, a, tol, res)
+        met += 1
+    assert met > 20, met
 
 
 def test_abs_tol_holds_in_energy_units_at_small_spacing():
@@ -662,8 +772,9 @@ def test_plate_near_the_marginal_phase_keeps_its_step():
 
 
 def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
-    # [0, 40] starts split at 2.5, 5, 10 and 20, where bisection would go
-    # anyway; the unseeded run of the same integrand agrees within the errors
+    # [0, 20] starts split at 2.5, 5 and 10, where bisection would go
+    # anyway; the unseeded run of the same integrand on [0, 40] agrees within
+    # the errors
     calls = []
     counted = deltacomb.energy.spectral_integrand
 

@@ -88,14 +88,17 @@ def _loop_panel(f, lo, hi):
         resasc += wgk[j] * (abs(f1 - reskh) + abs(f2 - reskh))
 
     value = resk * half
-    resabs *= abs(half)
     resasc *= abs(half)
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 0.0
-    if resabs > uflow / (50.0 * eps):
-        floor = eps * 50.0 * resabs
+    if resabs > 0.0:
+        resabs *= abs(half)
+        if resabs > uflow / (50.0 * eps):
+            floor = eps * 50.0 * resabs
+        else:
+            floor = math.ulp(0.0) * (4.0 * (hi - lo) + 1.0)
         err = max(floor, err)
     return value, err, floor
 
