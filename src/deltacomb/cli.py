@@ -104,12 +104,7 @@ def _add_quad_args(p: argparse.ArgumentParser) -> None:
     field's default."""
     g = p.add_argument_group("quadrature")
     for name, default in _QUAD_DEFAULTS.items():
-        g.add_argument(
-            "--" + name.replace("_", "-"),
-            type=int if isinstance(default, int) else float,
-            default=default,
-            help="override the 40/a momentum cutoff" if name == "truncation_k" else None,
-        )
+        g.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:

@@ -67,25 +67,26 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
   below that no product overflows up to g = 1e150.
 
 Every energy integral (comb and plate) is (1/a) int_0^X dx I(x/a) (resp.
-F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a: X = 20
-for the comb's f ~ x e^{-2x} unless abs_tol a/100 is under its tail there,
-else 40, as for the plate's F ~ x e^{-x}; a K that overflows is a domain
-error.  The discarded tail is reported as an explicit bound obtained from
-the integrand's own magnitude near X.
+F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a.  The
+cutoff is a numerical detail that this module picks from the tolerance
+alone, with no option to set it: X = 20 for the comb's f ~ x e^{-2x}
+unless abs_tol a/100 is under its tail there, else 40, as for the plate's
+F ~ x e^{-x}; a K that overflows is a domain error.  The discarded tail is
+reported as an explicit bound obtained from the integrand's own magnitude
+near X.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
 the pure-delta comb's (g/8pi)(ln g - 1).  Its integral is elementary, so
-below a break x0 (2.5 at X = 20 and 40) the quadrature integrates the
-integrand with that term added back, and the term's integral over [0, x0],
--(g/4pi) ln(1 + 2 x0/g), is added exactly.  What is left has one thin
-layer at most, sqrt(g + 2 delta) wide for f and sqrt(g + 2 (1 + Omega cos
-theta)) wide for F, present only near the free corner or the marginal
-phase.
+below the break x0 = 2.5 the quadrature integrates the integrand with that
+term added back, and the term's integral over [0, x0], -(g/4pi) ln(1 + 2
+x0/g), is added exactly.  What is left has one thin layer at most, sqrt(g
++ 2 delta) wide for f and sqrt(g + 2 (1 + Omega cos theta)) wide for F,
+present only near the free corner or the marginal phase.
 
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
 graded ladder of breakpoints below that layer (see _graded_breakpoints)
-and, above the ladder, with the dyadic points X/2, X/4, ... down to 2.
+and, above the ladder, with the dyadic points x0, 2 x0, ... below X.
 Bisection from [0, X] reaches those points anyway, so seeding them keeps
 the panels bisection would reach and only skips the parent panels it
 would compute and throw away.
@@ -263,17 +264,16 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     return ((x * r - g) * d - 2.0 * gge) / (r * v) / _TWO_PI
 
 
-def _graded_breakpoints(
-    width: float, X: float, budget: float, mass
-) -> tuple[list[float], float]:
-    """Interior breakpoints for a layer of the given width at x = 0 on [0, X],
-    and the layer mass that the first panel may miss.
+def _graded_breakpoints(width: float, budget: float, mass) -> tuple[list[float], float]:
+    """Interior breakpoints for a layer of the given width at x = 0, and the
+    layer mass that the first panel may miss.
 
     A layer far below the first quadrature nodes of [0, X] can be stepped
     over by the adaptive splitter, which then converges without ever
     sampling it (a w0 = 1e-6 comb once lost its entire -w0 ln w0 signal
     that way).  A geometric ladder from two decades below the layer up to
-    the bulk scale forces panels at every relevant magnitude.
+    the bulk scale, 0.4 (a hundredth of the longest cutoff, 40), forces
+    panels at every relevant magnitude; a layer 0.4 or wider gets none.
 
     The ladder has a floor: its lowest rungs are dropped while mass(b), a
     bound on what the first panel [0, b] may miss, stays under budget.  The
@@ -281,10 +281,9 @@ def _graded_breakpoints(
     for the caller to add to the error it reports.
     """
     breaks, dropped = [], 0.0
-    if 0.0 < width < 0.01 * X:
+    if 0.0 < width < 0.4:
         b = 0.01 * width
-        top = min(0.01 * X, 10.0)
-        while b < top:
+        while b < 0.4:
             m = mass(b)
             if breaks and m < budget:
                 breaks, dropped = [b], m
@@ -348,32 +347,33 @@ def _tail_bound(f, X: float, rate: float) -> float:
     return 2.0 * probe / rate
 
 
-# cap on the cutoff X = truncation_k a: the integrands are exactly 0 past
-# x ~ 745, where e^{-x} underflows, and their polynomial terms stay finite up
-# to x ~ 1e7 at the largest g, so a larger X only adds seeds over zeros
-_MAX_CUTOFF = 1e6
+# below x0 the energies add their subtracted term back (see the module
+# docstring); every cutoff lies above it, so it is the lowest dyadic seed
+_LAYER_BREAK = 2.5
+# the comb's cutoffs in x = k a, tried in order against its tail bound
+_COMB_CUTOFFS = (20.0, 40.0)
 
 
 def _energy_integral(
     f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0, mass=None,
-    layered=None, cutoffs: tuple[float, ...] = (40.0,),
+    cutoffs: tuple[float, ...] = (40.0,),
 ) -> EnergyResult:
-    """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a,
-    where f carries the subtracted term -(1/2pi) g/(g + 2x) unless g = 0.
+    """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
     Integrates over [0, X] in one adaptive run seeded with the dyadic points
-    X/2, X/4, ... >= 2, at abs_tol * a (which must not underflow to 0) so
-    that abs_tol holds in energy units, and bounds the tail beyond X for f
-    decaying like e^{-rate x}.  X is the first of the cutoffs whose tail
-    bound is at most abs_tol a/100, else the last one, or truncation_k * a
-    when configured, which must lie in (0, _MAX_CUTOFF]; K = X/a must be
-    finite (else a domain error naming a).  The tail computed for that test
-    is the one reported, so a kept first cutoff costs no evaluation.
+    x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol * a (which must not
+    underflow to 0) so that abs_tol holds in energy units, and bounds the
+    tail beyond X for f decaying like e^{-rate x}.  X is the first of the
+    cutoffs whose tail bound is at most abs_tol a/100, else the last one;
+    K = X/a must be finite (else a domain error naming a).  The tail
+    computed for that test is the one reported, so a kept first cutoff
+    costs no evaluation.
 
-    For g > 0, layered(x0) is f with that term added back below x0, which
-    is the lowest dyadic seed (X without one): the run integrates f_s = f +
-    (1/2pi) g/(g + 2x) there and adds the term's integral -(g/4pi) ln(1 + 2
-    x0/g) exactly, as a constant inside the run's tolerance test.
+    Above x0, f carries the subtracted term -(1/2pi) g/(g + 2x); below it,
+    for g > 0, f is f_s = f + (1/2pi) g/(g + 2x), and the run adds the
+    term's integral there, -(g/4pi) ln(1 + 2 x0/g), exactly, as a constant
+    inside its tolerance test.  Every cutoff lies above x0, so the tail
+    probes at X and 0.95 X see f itself.
 
     f_s has no g/2-wide layer.  What layer it has is width wide (0 for
     none), and a ladder below the dyadic seeds grades on it (see
@@ -385,20 +385,13 @@ def _energy_integral(
     The dropped mass is added to abs_err, and both tolerances of the run
     shrink by its share, so abs_err <= max(abs_tol, rel_tol |E|) still
     holds.  For a subnormal g it also covers the rounding of the run, whose
-    values are then subnormal too: at its top rung, b >= 0.04 at X = 40,
-    the comb's mass is at least (8/2pi) g ln(b^2/g) > 890 g, against a few
-    2^-1074 per evaluation and panel, and the floor applies there unless
-    abs_tol a < 1e-289.
+    values are then subnormal too: at its top rung, b >= 0.04, the comb's
+    mass is at least (8/2pi) g ln(b^2/g) > 890 g, against a few 2^-1074 per
+    evaluation and panel, and the floor applies there unless abs_tol a <
+    1e-289.
     """
-    span = cutoffs[-1]
-    if cfg.truncation_k is not None:
-        span = cfg.truncation_k * a
-        if not 0.0 < span <= _MAX_CUTOFF:
-            raise ValueError(
-                f"truncation_k a = {span!r} is outside (0, {_MAX_CUTOFF:g}] at "
-                f"truncation_k = {cfg.truncation_k!r}, a = {a!r}"
-            )
-        cutoffs = (span,)
+    x0 = _LAYER_BREAK
+    assert x0 < min(cutoffs), cutoffs
     tol = cfg.abs_tol * a
     if not tol > 0.0:
         raise ValueError(
@@ -412,22 +405,16 @@ def _energy_integral(
         tail = _tail_bound(f, X, rate)
         if tail <= 0.01 * tol:
             break
-    # the ladder grades on the longest cutoff, wherever the run stops
-    breaks, dropped = _graded_breakpoints(width, span, math.ulp(1.0) * tol, mass)
-    # X/2, X/4, ... down to 2: bisection of [0, X] reaches these points on
-    # its way down anyway, so seeding them skips only the parent panels it
-    # would compute and discard
-    top = breaks[-1] if breaks else 0.0
-    seed = 0.5 * X
-    dyadic = []
-    while seed >= 2.0 and seed > top:
-        dyadic.append(seed)
-        seed *= 0.5
-    breaks += reversed(dyadic)
-    integrand, shift = f, 0.0
+    breaks, dropped = _graded_breakpoints(width, math.ulp(1.0) * tol, mass)
+    # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
+    # way down anyway, so seeding them skips only the parent panels it would
+    # compute and discard
+    seed = x0
+    while seed < X:
+        breaks.append(seed)
+        seed *= 2.0
+    shift = 0.0
     if g > 0.0:
-        x0 = dyadic[-1] if dyadic else X
-        integrand = layered(x0)
         # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
         # difference of logs rounds to 0 for g above ~1e16; g times the
         # quotient keeps the bits of a subnormal g
@@ -435,7 +422,7 @@ def _energy_integral(
         shift = -g * (L / (2.0 * _TWO_PI))
     share = 1.0 - dropped / tol
     value, err = integrate_finite(
-        integrand,
+        f,
         0.0,
         X,
         cfg._replace(abs_tol=tol * share, rel_tol=cfg.rel_tol * share),
@@ -457,7 +444,7 @@ def comb_energy(
 
     Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a,
     with X = 20, or 40 where abs_tol a/100 is under the tail bound at 20
-    (or the configured truncation_k), and reports the neglected tail as a
+    (the cutoffs _COMB_CUTOFFS), and reports the neglected tail as a
     separate bound.  Below x0 = 2.5 what remains of f after its subtracted
     term (see _energy_integral) has one layer, sqrt(g + 2 delta) wide with
     delta = 1 - Omega^2; at Omega = -1 it holds half of a small g's
@@ -467,14 +454,11 @@ def comb_energy(
     a, g = c.a, _require_supported(c)
     om = c.omega
     width = math.sqrt(g + 2.0 * ((1.0 - om) * (1.0 + om)))
-
-    def layered(x0: float):
-        return lambda x: (spectral_integrand(c, x / a)
-                          + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0))
-
+    x0 = _LAYER_BREAK  # a closure cell: the lambda is evaluated per node
     # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
     return _energy_integral(
-        layered(0.0), g, a, cfg, 1.5, width, _comb_layer_mass(g, om), layered, (20.0, 40.0)
+        lambda x: spectral_integrand(c, x / a) + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0),
+        g, a, cfg, 1.5, width, _comb_layer_mass(g, om), _COMB_CUTOFFS,
     )
 
 
@@ -497,13 +481,10 @@ def plate_energy(
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     width = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
-
-    def layered(x0: float):
-        return lambda x: (theta_integrand(c, x / a, theta)
-                          + (g / (g + 2.0 * x) if x < x0 else 0.0)) / _TWO_PI
-
+    x0 = _LAYER_BREAK
     # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(
-        layered(0.0), g, a, cfg, 0.75, width,
-        lambda b: (2.0 * width / math.pi) * math.atan2(b, width), layered,
+        lambda x: (theta_integrand(c, x / a, theta)
+                   + (g / (g + 2.0 * x) if x < x0 else 0.0)) / _TWO_PI,
+        g, a, cfg, 0.75, width, lambda b: (2.0 * width / math.pi) * math.atan2(b, width),
     )

@@ -81,25 +81,21 @@ _SUBNORMAL = math.ulp(0.0)
 class QuadratureConfig(Record):
     """Tolerances and limits of the energy integrals (band roots take a root_tol).
 
-    truncation_k is the momentum cutoff K of the energy integrals; None means
-    K = 20/a for the comb, i.e. 20 in the reduced momentum k a, or 40/a where
-    its tail bound at 20 is above abs_tol/100, and 40/a for the plate.  An
-    energy rejects a K whose K a lies outside (0, 1e6].  max_subdivisions
-    bounds one integrate_finite call, so it applies to a whole energy, ladder
-    and all.
+    The energies pick their momentum cutoff from abs_tol themselves (see the
+    energy module): K = 20/a for the comb, i.e. 20 in the reduced momentum
+    k a, or 40/a where its tail bound at 20 is above abs_tol/100, and 40/a
+    for the plate.  max_subdivisions bounds one integrate_finite call, so it
+    applies to a whole energy, ladder and all.
     """
 
-    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions", "truncation_k")
+    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions")
 
-    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000,
-                 truncation_k: float | None = None):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000):
         if not (abs_tol > 0 and rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if truncation_k is not None and not truncation_k > 0:
-            raise ValueError("truncation_k must be positive when given")
-        self._set(abs_tol, rel_tol, max_subdivisions, truncation_k)
+        self._set(abs_tol, rel_tol, max_subdivisions)
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:

@@ -889,39 +889,6 @@ def test_cutoff_fallback_that_overflows_exits_2(capsys):
     assert "40/a overflows" in err and "a = 1.5e-307" in err and "inf" not in err
 
 
-def test_long_truncation_seeds_above_the_ladder(capsys):
-    # at K = 1000 the ladder climbs to x = 5, above the lowest dyadic seed
-    # 1000/256; seeds at or below the top rung are left out
-    code, out, _ = run_cli(capsys, "energy", "--w0", "10", "--a", "1", "--truncation-k", "1000")
-    assert code == EXIT_OK
-    assert math.isfinite(float(parse_csv(out)[0]["value"]))
-
-
-@pytest.mark.parametrize(
-    "argv, given",
-    [
-        # an infinite cutoff used to seed X/2, X/4, ... forever
-        (("energy", "--w0", "1", "--a", "1", "--truncation-k", "inf"), "inf"),
-        (("energy", "--w0", "1", "--a", "1e10", "--truncation-k", "1e300"), "1e+300"),
-        # the integrand's x^2 terms overflow: the positivity sentinel fired
-        (("energy", "--w0", "1", "--a", "1", "--truncation-k", "1e154"), "1e+154"),
-        # the plate integrand's x^3 term overflows: value, abs_err and
-        # tail_bound all printed nan with exit 0
-        (("plate", "--w0", "1", "--w1", "0.3", "--a", "1", "--theta", "0.5",
-          "--truncation-k", "1e103"), "1e+103"),
-        # K a underflows to 0: the quadrature got an empty interval
-        (("energy", "--w0", "1", "--a", "1e-200", "--truncation-k", "1e-200"), "1e-200"),
-    ],
-    ids=("inf", "overflow", "sentinel", "plate-nan", "underflow"),
-)
-def test_truncation_k_out_of_range_exits_2(argv, given):
-    # in a child with a timeout: the inf case never returned
-    code, out, err = run_fresh("open", *argv, timeout=10)
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert "truncation_k" in err and given in err
-    assert "nan" not in err and "bug" not in err
-
-
 @pytest.mark.parametrize("root_tol", ["1", "inf"])
 def test_root_tol_of_one_or_more_exits_2(capsys, root_tol):
     # Brent returned a bracket end before its first step and every Newton
@@ -961,17 +928,6 @@ def test_abs_tol_a_underflow_exits_2(argv):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "abs_tol a = 0.0" in err and "abs_tol = 1e-10" in err and "a = 1e-320" in err
     assert "Traceback" not in err
-
-
-def test_largest_truncation_k_gives_the_default_energy(capsys):
-    argv = ("energy", "--w0", "1", "--w1", "0.3", "--a", "2")
-    code, out, _ = run_cli(capsys, *argv, "--truncation-k", "5e5")
-    assert code == EXIT_OK
-    wide = parse_csv(out)[0]
-    default = parse_csv(run_cli(capsys, *argv)[1])[0]
-    assert float(wide["truncation_k"]) == 5e5
-    bound = float(wide["abs_err"]) + float(default["abs_err"]) + float(default["tail_bound"])
-    assert abs(float(wide["value"]) - float(default["value"])) <= bound
 
 
 def test_argparse_usage_errors(capsys):
@@ -1081,7 +1037,8 @@ TOLERANCES = {
     "ratio-w0": QUAD_OPTIONS,
     "verify": (),
 }
-# values other than the defaults, and a grid small enough for a sweep to be quick
+# values other than the defaults, and a grid small enough for a sweep to be
+# quick; no command reads truncation_k: the energies pick their own cutoff
 NON_DEFAULT = {"abs_tol": 1e-9, "rel_tol": 1e-7, "max_subdivisions": 3000, "truncation_k": 30.0,
                "root_tol": 1e-11}
 SMALL_GRID = {"scan-a": ("--count", "2"), "scan-couplings": ("--gamma-count", "2", "--omega-count", "2")}

@@ -364,15 +364,71 @@ def test_comb_energy_is_deterministic():
     assert comb_energy(c) == comb_energy(c)
 
 
-def test_comb_energy_truncation_override():
-    # cut early enough that the discarded tail dwarfs quadrature noise,
-    # then check the reported bound actually covers it
-    cfg = QuadratureConfig(truncation_k=8.0)
-    res = comb_energy(CombCouplings(w0=5.0, w1=0.5, a=1.0), cfg)
-    assert res.truncation_k == 8.0
-    full = comb_energy(CombCouplings(w0=5.0, w1=0.5, a=1.0))
-    missing = abs(res.value - full.value)
-    assert 1e-10 < missing <= res.tail_bound + full.tail_bound
+def _tail_beyond(f, X, bound):
+    """int_X^oo f on the doubling panels [X, 2X], [2X, 4X], ... up to past
+    x = 745, where both integrands are exactly 0 (e^{-x} underflows), to
+    rel_tol 1e-10 or a millionth of bound."""
+    cfg = QuadratureConfig(abs_tol=max(1e-6 * bound, 1e-300), rel_tol=1e-10)
+    total, lo = 0.0, X
+    while lo <= 745.0:
+        total += integrate_finite(f, lo, 2.0 * lo, cfg)[0]
+        lo *= 2.0
+    return total
+
+
+def _tail_samples(seed, n):
+    """Seeded combs over the supported range, g = 0 or 10^U(-12, 150), with
+    Omega at -1, near 1 or uniform and a Bloch phase at 0, pi or uniform."""
+    rng = random.Random(seed)
+    for i in range(n):
+        g = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-12.0, 150.0)
+        omega = (-1.0, 1.0 - 10.0 ** rng.uniform(-12.0, -1.0), rng.uniform(-1.0, 1.0))[i % 3]
+        theta = (0.0, math.pi, rng.uniform(-math.pi, math.pi))[i // 3 % 3]
+        a = 2.0 ** rng.randint(-6, 6)
+        yield CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a), theta
+
+
+def _comb_vanishing_at(x, omega):
+    """The comb at a = 1 whose f changes sign at x, by bisection in g: f > 0
+    for g below about 2 x sqrt(1 - Omega^2), and < 0 above."""
+    lo, hi = 0.0, 2.0 * x
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if spectral_integrand(CombCouplings.from_reduced(omega=omega, gamma=mid, a=1.0), x) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return CombCouplings.from_reduced(omega=omega, gamma=lo, a=1.0)
+
+
+def test_comb_tail_bound_covers_the_dropped_tail(monkeypatch):
+    # the reported tail_bound covers int_K^oo I(k) dk at both cutoffs the
+    # comb stops at (worst |tail|/tail_bound 0.67, at g = 35 for X = 20, in a
+    # denser scan).  At X = 4 it does not: there g = 5.2, Omega = -0.63 loses
+    # 1.5 times its tail bound and error.  Combs whose f vanishes at X need
+    # the probe at 0.95 X
+    for cutoff in (20.0, 40.0):
+        monkeypatch.setattr(deltacomb.energy, "_COMB_CUTOFFS", (cutoff,))
+        zeros = [_comb_vanishing_at(cutoff, omega) for omega in (-0.9, 0.0, 0.37, 0.9)]
+        for c in zeros + [c for c, _ in _tail_samples(int(cutoff), 150)]:
+            a = c.a
+            res = comb_energy(c)
+            assert res.truncation_k == cutoff / a
+            tail = _tail_beyond(lambda x: spectral_integrand(c, x / a), cutoff, res.tail_bound * a) / a
+            assert abs(tail) <= res.tail_bound, (c, tail, res)
+
+
+def test_plate_tail_bound_covers_the_dropped_tail():
+    # as for the comb, at the plate's one cutoff, X = 40 (worst 0.27 in a
+    # denser scan; at X = 8, g = 8000, Omega = -0.3, theta = 2.6 loses 1.3
+    # times its tail bound and error)
+    for c, theta in _tail_samples(34, 150):
+        a = c.a
+        res = plate_energy(c, theta)
+        assert res.truncation_k == 40.0 / a
+        f = lambda x: theta_integrand(c, x / a, theta) / (2.0 * math.pi)
+        tail = _tail_beyond(f, 40.0, res.tail_bound * a) / a
+        assert abs(tail) <= res.tail_bound, (c, theta, tail, res)
 
 
 # comb_energy and plate_energy(theta = 1) of w0 = 2, w1 = 0.5, frozen from
@@ -435,7 +491,10 @@ def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
         assert res.truncation_k == 20.0 / a, (c, res)
         assert res.tail_bound <= abs_tol / 100.0, (c, res)
         calls.clear()
-        full = comb_energy(c, QuadratureConfig(truncation_k=40.0 / a))
+        with monkeypatch.context() as patch:
+            patch.setattr(deltacomb.energy, "_COMB_CUTOFFS", (40.0,))
+            full = comb_energy(c)
+        assert full.truncation_k == 40.0 / a
         assert evaluations == len(calls) - 15, (c, evaluations, len(calls))
         assert abs(res.value - full.value) <= res.abs_err + res.tail_bound + full.abs_err, (c, res, full)
 
@@ -453,9 +512,8 @@ def test_comb_cutoff_falls_back_to_40_below_its_tail(monkeypatch):
 
 
 def test_plate_cutoff_stays_at_40(monkeypatch):
-    # F decays only like x e^{-x}: the plate keeps X = 40, and its run is
-    # the one a configured truncation_k = 40/a makes, evaluation for
-    # evaluation
+    # F decays only like x e^{-x}: the plate keeps X = 40, for 15
+    # evaluations a panel and 2 tail probes
     calls = _count_calls(monkeypatch, "theta_integrand")
     rng = random.Random(34)
     for _ in range(6):
@@ -465,12 +523,8 @@ def test_plate_cutoff_stays_at_40(monkeypatch):
         theta = rng.uniform(-math.pi, math.pi)
         calls.clear()
         res = plate_energy(c, theta)
-        default_calls = len(calls)
-        calls.clear()
-        configured = plate_energy(c, theta, QuadratureConfig(truncation_k=40.0 / a))
         assert res.truncation_k == 40.0 / a
-        assert default_calls == len(calls) and default_calls % 15 == 2, (c, theta)
-        assert res == configured
+        assert len(calls) % 15 == 2, (c, theta)
 
 
 def test_comb_cutoff_that_falls_back_past_the_double_range_is_a_domain_error():
@@ -858,16 +912,6 @@ def test_plate_energy_free_comb_matches_closed_form():
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)
     for theta in (0.0, 0.5, 1.5, math.pi):
         assert abs(plate_energy(free, theta).value - _plate_energy_closed(theta, 1.0)) <= 1e-8
-
-
-def test_plate_energy_truncation_override():
-    # as for comb_energy: the reported tail bound covers what an early cut drops
-    c = CombCouplings(w0=5.0, w1=0.5, a=1.0)
-    res = plate_energy(c, 1.0, QuadratureConfig(truncation_k=8.0))
-    assert res.truncation_k == 8.0
-    full = plate_energy(c, 1.0)
-    missing = abs(res.value - full.value)
-    assert 1e-10 < missing <= res.tail_bound + full.tail_bound
 
 
 def test_plate_energy_is_even_and_validated():

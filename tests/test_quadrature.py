@@ -195,8 +195,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-8)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_k=-5.0)
 
 
 def test_a_rounding_floor_above_the_tolerance_stops_before_splitting():
@@ -252,14 +250,13 @@ def test_semi_infinite_k_exp():
 
 
 def test_semi_infinite_truncation_override():
-    # truncation_k is a momentum: the x cutoff is truncation_k * a, and the
-    # result is (1/a) times the x integral
-    cfg = QuadratureConfig(truncation_k=10.0)
+    # the cutoffs are in x = k a: a cutoff X stops the run at K = X/a, and
+    # the result is (1/a) times the x integral
     for a in (1.0, 2.0):
-        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, cfg, 0.75)
-        assert res.truncation_k == 10.0
-        assert abs(res.value - (1.0 - math.exp(-10.0 * a)) / a) <= 1e-12
-        assert res.tail_bound >= math.exp(-10.0 * a) / a
+        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, QuadratureConfig(), 0.75, cutoffs=(10.0,))
+        assert res.truncation_k == 10.0 / a
+        assert abs(res.value - (1.0 - math.exp(-10.0)) / a) <= 1e-12
+        assert res.tail_bound >= math.exp(-10.0) / a
 
 
 def _brent(f, lo, hi, root_tol=1e-12):
