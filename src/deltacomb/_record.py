@@ -47,13 +47,6 @@ class Record:
     def _asdict(self) -> dict[str, object]:
         return {name: getattr(self, name) for name in self._fields}
 
-    def _replace(self, **changes: object) -> "Record":
-        """This record with changes, rebuilt by __init__: checked and re-derived."""
-        init = type(self).__init__.__code__
-        for name in init.co_varnames[1 : init.co_argcount]:
-            changes.setdefault(name, getattr(self, name))
-        return type(self)(**changes)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -328,7 +328,10 @@ def band_structure(
     solved by dispersion.  Each interior sample is a Newton root certified by
     a sign change within root_tol k (_newton_root) or, where that fails,
     dispersion's own Brent solve at that theta, bit for bit; either lies
-    within root_tol k of the root.  Flat bands give k_min = k_max, touching
+    within root_tol k of the root.  A band narrower than that can put such a
+    root outside its edges, which are solved to root_tol too; it is then
+    moved to the nearer edge, still within root_tol k of the root, so every
+    sample lies in [k_min, k_max].  Flat bands give k_min = k_max, touching
     bands share an edge exactly, and a band reaching the zero mode starts at
     k_min = 0.
     """
@@ -347,6 +350,7 @@ def band_structure(
     for n, (k_zero, k_pi) in enumerate(
         zip(dispersion(c, 0.0, n_bands, root_tol), dispersion(c, math.pi, n_bands, root_tol))
     ):
+        k_min, k_max = min(k_zero, k_pi), max(k_zero, k_pi)
         ks = [k_zero] * (n_theta % 2)
         k_prev = k = k_zero
         for theta, d in columns:
@@ -356,13 +360,15 @@ def band_structure(
             k_prev, k = k, root
             ks.append(k)
         ks.append(k_pi)
+        if min(ks) < k_min or max(ks) > k_max:
+            ks = [min(max(k, k_min), k_max) for k in ks]
         bands.append(
             Band(
                 index=n,
                 thetas=thetas,
                 ks=tuple(ks[::-1][: n_theta - len(ks)] + ks),
-                k_min=min(k_zero, k_pi),
-                k_max=max(k_zero, k_pi),
+                k_min=k_min,
+                k_max=k_max,
             )
         )
     return tuple(bands)

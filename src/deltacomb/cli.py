@@ -3,8 +3,8 @@
 Subcommands cover single evaluations (energy, plate, bands), the parameter
 sweeps behind the standard plots (scan-a, scan-couplings, ratio-w0), and the
 built-in verification suite (verify).  Each command takes the tolerance
-options it reads: one per QuadratureConfig field for the energy commands,
---root-tol for bands.  Output is CSV (header + rows) or JSON (one object with
+options it reads: --abs-tol and --rel-tol for the energy commands, --root-tol
+for bands.  Output is CSV (header + rows) or JSON (one object with
 run metadata and those tolerances); floats are serialized with full
 round-trip precision.  Exit codes: 0 success, 1 when `verify` finds a
 failing check, 2 for a usage error (an option the command does not take
@@ -13,12 +13,13 @@ them, caught before the command runs when it names a directory or its parent
 is not one) or an OutsideValidityDomainError, and 3 for any other
 DeltaCombError (a numerical failure).
 
-A run imports only what its command uses: the energy module for the energy
-commands, the bands module for `bands`, the verification module for `verify`,
-and json only for --format json.  The sweeps module, which holds the three
-sweep commands and their options, loads only for those commands and for the
-full parser (-h, or no or an unknown command).  A run whose options or
-CombCouplings are rejected imports neither library module.
+A run imports only what its command uses: the energy module (and the
+quadrature module with it) for the energy commands, the bands module for
+`bands`, the verification module for `verify`, and json only for --format
+json.  The sweeps module, which holds the three sweep commands and their
+options, loads only for those commands and for the full parser (-h, or no or
+an unknown command).  A run whose options or CombCouplings are rejected
+imports none of energy, quadrature and bands.
 """
 
 from __future__ import annotations
@@ -29,15 +30,12 @@ from collections.abc import Callable, Sequence
 
 from . import __version__
 from .errors import DeltaCombError, OutsideValidityDomainError
-from .quadrature import QuadratureConfig
 from .scattering import CombCouplings
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
-
-_QUAD_DEFAULTS = QuadratureConfig()._asdict()
 
 # the library names that only some commands use, and their modules
 _LAZY = {
@@ -100,15 +98,10 @@ def _resolve_couplings(args: argparse.Namespace, a: float) -> CombCouplings:
 
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
-    """One option per QuadratureConfig field, --abs-tol for abs_tol, with the
-    field's default."""
+    """--abs-tol and --rel-tol, with the energies' defaults."""
     g = p.add_argument_group("quadrature")
-    for name, default in _QUAD_DEFAULTS.items():
-        g.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(**{name: getattr(args, name) for name in _QUAD_DEFAULTS})
+    g.add_argument("--abs-tol", type=float, default=1e-10)
+    g.add_argument("--rel-tol", type=float, default=1e-8)
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -171,20 +164,20 @@ def _check_output(args: argparse.Namespace) -> None:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
-    cfg = _quad_config(args)
-    res = _lib("comb_energy")(c, cfg)
-    _emit(args, "energy", _coupling_params(c), cfg._asdict(), res._fields, [res._astuple()])
+    res = _lib("comb_energy")(c, args.abs_tol, args.rel_tol)
+    tolerances = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol}
+    _emit(args, "energy", _coupling_params(c), tolerances, res._fields, [res._astuple()])
     return EXIT_OK
 
 
 def cmd_plate(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
-    cfg = _quad_config(args)
-    res = _lib("plate_energy")(c, args.theta, cfg)
+    res = _lib("plate_energy")(c, args.theta, args.abs_tol, args.rel_tol)
     params = _coupling_params(c)
     params["theta"] = args.theta
     row = (args.theta, *res._astuple())
-    _emit(args, "plate", params, cfg._asdict(), ("theta", *res._fields), [row])
+    tolerances = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol}
+    _emit(args, "plate", params, tolerances, ("theta", *res._fields), [row])
     return EXIT_OK
 
 

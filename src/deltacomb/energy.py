@@ -67,13 +67,14 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
   below that no product overflows up to g = 1e150.
 
 Every energy integral (comb and plate) is (1/a) int_0^X dx I(x/a) (resp.
-F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a.  The
-cutoff is a numerical detail that this module picks from the tolerance
-alone, with no option to set it: X = 20 for the comb's f ~ x e^{-2x}
-unless abs_tol a/100 is under its tail there, else 40, as for the plate's
-F ~ x e^{-x}; a K that overflows is a domain error.  The discarded tail is
-reported as an explicit bound obtained from the integrand's own magnitude
-near X.
+F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a.  Its
+only controls are two floats, abs_tol and rel_tol: the reported abs_err
+is at most max(abs_tol, rel_tol |E|).  The cutoff is a numerical detail
+that this module picks from abs_tol alone, with no option to set it:
+X = 20 for the comb's f ~ x e^{-2x} unless abs_tol a/100 is under its tail
+there, else 40, as for the plate's F ~ x e^{-x}; a K that overflows is a
+domain error.  The discarded tail is reported as an explicit bound
+obtained from the integrand's own magnitude near X.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
@@ -98,7 +99,7 @@ import math
 
 from ._record import Record
 from .errors import OutsideValidityDomainError, ValidityViolationError
-from .quadrature import QuadratureConfig, integrate_finite
+from .quadrature import integrate_finite
 from .scattering import CombCouplings, one_plus_omega_cos
 
 __all__ = [
@@ -355,14 +356,15 @@ _COMB_CUTOFFS = (20.0, 40.0)
 
 
 def _energy_integral(
-    f, g: float, a: float, cfg: QuadratureConfig, rate: float, width: float = 0.0, mass=None,
-    cutoffs: tuple[float, ...] = (40.0,),
+    f, g: float, a: float, abs_tol: float, rel_tol: float, rate: float, width: float = 0.0,
+    mass=None, cutoffs: tuple[float, ...] = (40.0,),
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
     Integrates over [0, X] in one adaptive run seeded with the dyadic points
-    x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol * a (which must not
-    underflow to 0) so that abs_tol holds in energy units, and bounds the
+    x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol * a (both
+    tolerances must be positive, and abs_tol * a must not underflow to 0,
+    else ValueError) so that abs_tol holds in energy units, and bounds the
     tail beyond X for f decaying like e^{-rate x}.  X is the first of the
     cutoffs whose tail bound is at most abs_tol a/100, else the last one;
     K = X/a must be finite (else a domain error naming a).  The tail
@@ -392,12 +394,11 @@ def _energy_integral(
     """
     x0 = _LAYER_BREAK
     assert x0 < min(cutoffs), cutoffs
-    tol = cfg.abs_tol * a
+    if not (abs_tol > 0 and rel_tol > 0):
+        raise ValueError("tolerances must be strictly positive")
+    tol = abs_tol * a
     if not tol > 0.0:
-        raise ValueError(
-            f"abs_tol a = {tol!r} underflows at abs_tol = {cfg.abs_tol!r}, "
-            f"a = {a!r}"
-        )
+        raise ValueError(f"abs_tol a = {tol!r} underflows at abs_tol = {abs_tol!r}, a = {a!r}")
     for X in cutoffs:
         K = X / a
         if K == math.inf:
@@ -421,14 +422,7 @@ def _energy_integral(
         L = math.log1p(2.0 * x0 / g) if g >= 1.0 else math.log(g + 2.0 * x0) - math.log(g)
         shift = -g * (L / (2.0 * _TWO_PI))
     share = 1.0 - dropped / tol
-    value, err = integrate_finite(
-        f,
-        0.0,
-        X,
-        cfg._replace(abs_tol=tol * share, rel_tol=cfg.rel_tol * share),
-        breaks,
-        shift=shift,
-    )
+    value, err = integrate_finite(f, 0.0, X, tol * share, rel_tol * share, breaks, shift=shift)
     return EnergyResult(
         value=value / a,
         abs_err=(err + dropped) / a,
@@ -437,10 +431,9 @@ def _energy_integral(
     )
 
 
-def comb_energy(
-    c: CombCouplings, cfg: QuadratureConfig | None = None
-) -> EnergyResult:
-    """Vacuum energy per unit cell, E = int_0^oo dk I(k).
+def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> EnergyResult:
+    """Vacuum energy per unit cell, E = int_0^oo dk I(k), with abs_err at
+    most max(abs_tol, rel_tol |E|).
 
     Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a,
     with X = 20, or 40 where abs_tol a/100 is under the tail bound at 20
@@ -450,7 +443,6 @@ def comb_energy(
     delta = 1 - Omega^2; at Omega = -1 it holds half of a small g's
     (g/8pi) ln g.
     """
-    cfg = cfg or QuadratureConfig()
     a, g = c.a, _require_supported(c)
     om = c.omega
     width = math.sqrt(g + 2.0 * ((1.0 - om) * (1.0 + om)))
@@ -458,12 +450,12 @@ def comb_energy(
     # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
     return _energy_integral(
         lambda x: spectral_integrand(c, x / a) + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0),
-        g, a, cfg, 1.5, width, _comb_layer_mass(g, om), _COMB_CUTOFFS,
+        g, a, abs_tol, rel_tol, 1.5, width, _comb_layer_mass(g, om), _COMB_CUTOFFS,
     )
 
 
 def plate_energy(
-    c: CombCouplings, theta: float, cfg: QuadratureConfig | None = None
+    c: CombCouplings, theta: float, abs_tol: float = 1e-10, rel_tol: float = 1e-8
 ) -> EnergyResult:
     """Vacuum energy (1/2pi) int_0^oo dk F(k, theta) at fixed Bloch phase.
 
@@ -476,7 +468,6 @@ def plate_energy(
     that a panel [0, b] misses by at most (2w/pi) atan(b/w), twice the
     step's own deficit.
     """
-    cfg = cfg or QuadratureConfig()
     a, g = c.a, _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
@@ -486,5 +477,6 @@ def plate_energy(
     return _energy_integral(
         lambda x: (theta_integrand(c, x / a, theta)
                    + (g / (g + 2.0 * x) if x < x0 else 0.0)) / _TWO_PI,
-        g, a, cfg, 0.75, width, lambda b: (2.0 * width / math.pi) * math.atan2(b, width),
+        g, a, abs_tol, rel_tol, 0.75, width,
+        lambda b: (2.0 * width / math.pi) * math.atan2(b, width),
     )

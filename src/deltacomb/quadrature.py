@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature, and the tolerances of the energy integrals.
+"""Adaptive Gauss-Kronrod quadrature on finite intervals.
 
 Self-contained numerical kernels: a 7/15 Gauss-Kronrod pair with the
 classic QUADPACK-style error estimate and worst-interval-first adaptive
@@ -7,8 +7,8 @@ panel per piece (QUADPACK's qagp), so one error budget covers them all.  The
 semi-infinite energy integrals (cutoff, graded breakpoints and tail bound)
 are assembled from one integrate_finite call in the energy module.
 integrate_finite is a tool of the energy and verification modules, not
-public surface: __all__ holds QuadratureConfig alone.  Root refinement
-(Brent) and its root_tol live in the bands module, its only caller.
+public surface: __all__ is empty.  Root refinement (Brent) and its root_tol
+live in the bands module, its only caller.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results (intervals are split at midpoints, the work queue is ordered by
@@ -23,12 +23,9 @@ import math
 import sys
 from collections.abc import Callable, Sequence
 
-from ._record import Record
 from .errors import ToleranceNotMetError
 
-__all__ = [
-    "QuadratureConfig",
-]
+__all__ = []
 
 _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -78,24 +75,9 @@ _RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
 _SUBNORMAL = math.ulp(0.0)
 
 
-class QuadratureConfig(Record):
-    """Tolerances and limits of the energy integrals (band roots take a root_tol).
-
-    The energies pick their momentum cutoff from abs_tol themselves (see the
-    energy module): K = 20/a for the comb, i.e. 20 in the reduced momentum
-    k a, or 40/a where its tail bound at 20 is above abs_tol/100, and 40/a
-    for the plate.  max_subdivisions bounds one integrate_finite call, so it
-    applies to a whole energy, ladder and all.
-    """
-
-    __slots__ = ("abs_tol", "rel_tol", "max_subdivisions")
-
-    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 2000):
-        if not (abs_tol > 0 and rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        self._set(abs_tol, rel_tol, max_subdivisions)
+# the splits one integrate_finite call may take; an energy is one call, so
+# this bounds a whole energy, ladder and all
+_MAX_SUBDIVISIONS = 2000
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
@@ -160,7 +142,8 @@ def integrate_finite(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: QuadratureConfig | None = None,
+    abs_tol: float,
+    rel_tol: float,
     breaks: Sequence[float] = (),
     *,
     shift: float = 0.0,
@@ -175,13 +158,12 @@ def integrate_finite(
     applies to the whole result.
 
     Returns (value, abs_err) with abs_err <= max(abs_tol, rel_tol * |value|),
-    or raises ToleranceNotMetError after max_subdivisions splits, on a NaN
+    or raises ToleranceNotMetError after _MAX_SUBDIVISIONS splits, on a NaN
     estimate, or as soon as the panels' summed rounding floors (see _panel)
     exceed the tolerance.  Splitting cannot lower that floor: the resabs of
     a panel's pieces sum to its own, up to how well a coarse resabs
     estimates the integral of |f| (within 2% on seeded combs).
     """
-    cfg = cfg or QuadratureConfig()
     edges = [lo, *breaks, hi]
     if not (-math.inf < lo and hi < math.inf
             and all(p < q for p, q in zip(edges, edges[1:]))):
@@ -198,13 +180,13 @@ def integrate_finite(
     counter = len(heap)
     splits = 0
 
-    while total_err > (tol := max(cfg.abs_tol, cfg.rel_tol * abs(total_value))):
+    while total_err > (tol := max(abs_tol, rel_tol * abs(total_value))):
         if total_floor > tol:
             raise ToleranceNotMetError(
                 f"rounding floor {total_floor:.3e} of the error estimate is above "
                 f"the tolerance {tol:.3e} after {splits} subdivisions on [{lo}, {hi}]"
             )
-        if splits >= cfg.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise ToleranceNotMetError(
                 f"error estimate {total_err:.3e} above tolerance after "
                 f"{splits} subdivisions on [{lo}, {hi}]"
@@ -229,7 +211,7 @@ def integrate_finite(
     # fsum is correctly rounded, so the heap's order of terms cannot matter
     value = math.fsum([shift, *(item[4] for item in heap)])
     err = math.fsum(item[5] for item in heap)
-    if not err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if not err <= max(abs_tol, rel_tol * abs(value)):
         raise ToleranceNotMetError(
             f"error estimate {err:.3e} above tolerance on [{lo}, {hi}]"
         )

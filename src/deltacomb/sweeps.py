@@ -32,11 +32,11 @@ def _sweep(
 ) -> int:
     """Emit one row per (couplings, lead) point, the lead values followed by
     row(lead, comb_energy(couplings)); the parameters are the args in names."""
-    cfg = cli._quad_config(args)
+    abs_tol, rel_tol = args.abs_tol, args.rel_tol
     comb_energy = cli._lib("comb_energy")
-    rows = [(*lead, *row(lead, comb_energy(c, cfg))) for c, lead in points]
+    rows = [(*lead, *row(lead, comb_energy(c, abs_tol, rel_tol))) for c, lead in points]
     params = {name: getattr(args, name) for name in names}
-    cli._emit(args, command, params, cfg._asdict(), header, rows)
+    cli._emit(args, command, params, {"abs_tol": abs_tol, "rel_tol": rel_tol}, header, rows)
     return cli.EXIT_OK
 
 
@@ -57,7 +57,7 @@ def cmd_scan_a(cli: ModuleType, args: argparse.Namespace) -> int:
 
 
 def _energy_sign(lead: tuple, res: EnergyResult) -> tuple:
-    if abs(res.value) <= max(res.abs_err + res.tail_bound, 1e-14):
+    if abs(res.value) <= res.abs_err + res.tail_bound:
         sign = 0
     else:
         sign = 1 if res.value > 0 else -1

@@ -17,7 +17,7 @@ from ._record import Record
 from .bands import band_structure, dispersion
 from .energy import comb_energy, plate_energy, spectral_integrand, theta_integrand
 from .errors import OutsideValidityDomainError, ValidityViolationError
-from .quadrature import QuadratureConfig, integrate_finite
+from .quadrature import integrate_finite
 from .scattering import CombCouplings, ScatteringAmplitudes, delta_prime_amplitudes, s_matrix_det
 
 __all__ = ["CheckResult", "run_all"]
@@ -48,14 +48,12 @@ def _plate_energy_closed(theta: float, a: float) -> float:
     return (t - t * t / (2.0 * math.pi) - math.pi / 3.0) / (2.0 * a)
 
 
-def _theta_integral_numeric(
-    c: CombCouplings, k: float, cfg: QuadratureConfig
-) -> tuple[float, float]:
-    """Direct Bloch-phase quadrature int_{-pi}^{pi} dtheta/(4 pi^2) F(k, theta),
-    the cross-check of spectral_integrand's closed-form theta integral;
-    returns (value, abs_err)."""
+def _theta_integral_numeric(c: CombCouplings, k: float) -> tuple[float, float]:
+    """Direct Bloch-phase quadrature int_{-pi}^{pi} dtheta/(4 pi^2) F(k, theta)
+    at abs_tol 1e-12, the cross-check of spectral_integrand's closed-form
+    theta integral; returns (value, abs_err)."""
     value, err = integrate_finite(
-        lambda th: theta_integrand(c, k, th), -math.pi, math.pi, cfg
+        lambda th: theta_integrand(c, k, th), -math.pi, math.pi, 1e-12, 1e-8
     )
     norm = 4.0 * math.pi * math.pi
     return value / norm, err / norm
@@ -121,7 +119,7 @@ def _dual_cell_misfit(c: CombCouplings) -> tuple[float, float]:
         plates.append(plate_energy(c, theta))
         return plates[-1].value
 
-    value, err = integrate_finite(plate, 0.0, math.pi, QuadratureConfig())
+    value, err = integrate_finite(plate, 0.0, math.pi, 1e-10, 1e-8)
     comb = comb_energy(c)
     bound = err / math.pi + max(p.abs_err + p.tail_bound for p in plates)
     return abs(value / math.pi - comb.value), bound + comb.abs_err + comb.tail_bound
@@ -168,7 +166,6 @@ def check_plate_formula() -> CheckResult:
 def check_theta_integral_oracle() -> CheckResult:
     """Closed-form Bloch average agrees with direct theta quadrature."""
     rng = random.Random(_SEED)
-    tight = QuadratureConfig(abs_tol=1e-12)
     worst = 0.0
     for _ in range(100):
         gamma = rng.uniform(0.0, 10.0)
@@ -177,7 +174,7 @@ def check_theta_integral_oracle() -> CheckResult:
         k = (1.0 - rng.uniform(0.0, 1.0)) * 40.0 / a  # in (0, 40/a]
         c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a)
         closed = spectral_integrand(c, k)
-        numeric, _ = _theta_integral_numeric(c, k, tight)
+        numeric, _ = _theta_integral_numeric(c, k)
         worst = max(worst, abs(closed - numeric))
     return _result(
         5,

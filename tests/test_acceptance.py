@@ -8,7 +8,7 @@ visible both in the -v listing and in the captured detail.
 
 import pytest
 
-from deltacomb import verification
+from deltacomb import EnergyResult, verification
 from deltacomb.verification import run_all
 
 
@@ -70,9 +70,9 @@ def test_criterion_10_validity_guard(results):
 def test_check_03_fails_on_plate_energies_shifted_by_1e_8(monkeypatch):
     plate_energy = verification.plate_energy
 
-    def shifted(c, theta, cfg=None):
-        res = plate_energy(c, theta, cfg)
-        return res._replace(value=res.value + 1e-8 / c.a)
+    def shifted(c, theta, *tols):
+        res = plate_energy(c, theta, *tols)
+        return EnergyResult(res.value + 1e-8 / c.a, res.abs_err, res.truncation_k, res.tail_bound)
 
     monkeypatch.setattr(verification, "plate_energy", shifted)
     assert not verification.check_free_comb_zero().passed
@@ -81,9 +81,9 @@ def test_check_03_fails_on_plate_energies_shifted_by_1e_8(monkeypatch):
 def test_check_02_fails_on_a_comb_energy_shifted_by_1e_8(monkeypatch):
     comb_energy = verification.comb_energy
 
-    def shifted(c, cfg=None):
-        res = comb_energy(c, cfg)
-        return res._replace(value=res.value + 1e-8)
+    def shifted(c, *tols):
+        res = comb_energy(c, *tols)
+        return EnergyResult(res.value + 1e-8, res.abs_err, res.truncation_k, res.tail_bound)
 
     monkeypatch.setattr(verification, "comb_energy", shifted)
     assert not verification.check_dirichlet_constant().passed
@@ -92,9 +92,9 @@ def test_check_02_fails_on_a_comb_energy_shifted_by_1e_8(monkeypatch):
 def test_check_08_fails_on_comb_energies_shifted_by_1e_8(monkeypatch):
     comb_energy = verification.comb_energy
 
-    def shifted(c, cfg=None):
-        res = comb_energy(c, cfg)
-        return res._replace(value=res.value + 1e-8)
+    def shifted(c, *tols):
+        res = comb_energy(c, *tols)
+        return EnergyResult(res.value + 1e-8, res.abs_err, res.truncation_k, res.tail_bound)
 
     monkeypatch.setattr(verification, "comb_energy", shifted)
     assert not verification.check_non_analyticity().passed

@@ -13,7 +13,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deltacomb import (
@@ -492,6 +492,9 @@ def test_band_structure_falls_back_to_brent_exactly(monkeypatch, c, kernel):
 
 
 @given(s0=_SIGNS, e0=_DECADES, s1=_SIGNS, e1=_DECADES, ea=st.floats(-323.0, 300.0))
+# a band 3e-11 wide at k = 5 pi, under root_tol k: its Brent samples once
+# fell outside its edges
+@example(s0=-1.0, e0=-10.0, s1=-1.0, e1=7.3595033119105e-13, ea=-1.0)
 @settings(deadline=None, max_examples=200)
 def test_band_structure_matches_dispersion_or_raises(s0, e0, s1, e1, ea):
     c = CombCouplings(w0=s0 * 10.0**e0, w1=s1 * 10.0**e1, a=10.0**ea)

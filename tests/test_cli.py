@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from deltacomb import QuadratureConfig, __version__, band_structure, cli, errors
+from deltacomb import __version__, band_structure, cli, comb_energy, errors, plate_energy
 from deltacomb.bands import band_edges, dispersion
 from deltacomb.cli import (
     EXIT_DOMAIN,
@@ -65,10 +65,11 @@ def run_fresh(mode, *argv, timeout=60):
 
 def run_loaded(*argv):
     """Exit code, stdout, stderr and which of deltacomb.energy,
-    deltacomb.bands, deltacomb.sweeps and json a fresh `deltacomb argv...`
-    loaded, and deltacomb.cli if it imported a second copy of the cli it runs
-    as __main__."""
-    watch = "('deltacomb.cli', 'deltacomb.energy', 'deltacomb.bands', 'deltacomb.sweeps', 'json')"
+    deltacomb.quadrature, deltacomb.bands, deltacomb.sweeps and json a fresh
+    `deltacomb argv...` loaded, and deltacomb.cli if it imported a second copy
+    of the cli it runs as __main__."""
+    watch = ("('deltacomb.cli', 'deltacomb.energy', 'deltacomb.quadrature', 'deltacomb.bands', "
+             "'deltacomb.sweeps', 'json')")
     code, out, err = run_python(
         "import atexit, sys\n"
         f"atexit.register(lambda: print(sorted(set({watch}) & set(sys.modules)), file=sys.stderr))\n"
@@ -77,6 +78,10 @@ def run_loaded(*argv):
     )
     *err, loaded = err.splitlines(keepends=True)
     return code, out, "".join(err), set(ast.literal_eval(loaded))
+
+
+# the modules an energy command loads, and a bands command does not
+ENERGY = {"deltacomb.energy", "deltacomb.quadrature"}
 
 
 def run_without_numpy(*argv):
@@ -399,8 +404,7 @@ def test_failing_single_evaluations_start_without_numpy():
     code, out = run_without_numpy("energy", "--omega", "0", "--gamma", "-1", "--a", "1")
     assert (code, out) == (EXIT_DOMAIN, "")
     code, out = run_without_numpy(
-        "energy", "--w0", "5", "--a", "1", "--abs-tol", "1e-30", "--rel-tol", "1e-14",
-        "--max-subdivisions", "2",
+        "energy", "--w0", "1", "--a", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-14"
     )
     assert (code, out) == (EXIT_NUMERIC, "")
 
@@ -408,18 +412,18 @@ def test_failing_single_evaluations_start_without_numpy():
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (("energy", "--w0", "5", "--w1", "0.5", "--a", "2"), {"deltacomb.energy"}),
-        (("energy", "--w0", "5", "--a", "2", "--format", "json"), {"deltacomb.energy", "json"}),
-        (("plate", "--w0", "1", "--a", "1", "--theta", "1"), {"deltacomb.energy"}),
+        (("energy", "--w0", "5", "--w1", "0.5", "--a", "2"), ENERGY),
+        (("energy", "--w0", "5", "--a", "2", "--format", "json"), {*ENERGY, "json"}),
+        (("plate", "--w0", "1", "--a", "1", "--theta", "1"), ENERGY),
         (("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5"), {"deltacomb.bands"}),
         (("bands", "--w0", "3", "--a", "1", "--n-bands", "2", "--n-theta", "5", "--format", "json"),
          {"deltacomb.bands", "json"}),
         (("scan-a", "--w0", "5", "--a-min", "1", "--a-max", "2", "--count", "2"),
-         {"deltacomb.energy", "deltacomb.sweeps"}),
+         {*ENERGY, "deltacomb.sweeps"}),
         (("scan-couplings", "--a", "1", "--gamma-min", "0", "--gamma-max", "1", "--gamma-count", "2",
           "--omega-min", "-1", "--omega-max", "0", "--omega-count", "2"),
-         {"deltacomb.energy", "deltacomb.sweeps"}),
-        (("ratio-w0", "--count", "2"), {"deltacomb.energy", "deltacomb.sweeps"}),
+         {*ENERGY, "deltacomb.sweeps"}),
+        (("ratio-w0", "--count", "2"), {*ENERGY, "deltacomb.sweeps"}),
     ],
     ids=("energy", "energy-json", "plate", "bands", "bands-json", "scan-a", "scan-couplings",
          "ratio-w0"),
@@ -460,7 +464,7 @@ def test_an_overflowing_reduced_coupling_is_named_as_given(capsys):
 def test_an_attractive_comb_exits_2_from_the_energy_module():
     # gamma < 0 is the energy module's own domain rule (bands allow it)
     code, out, err, seen = run_loaded("energy", "--w0", "-1", "--a", "1")
-    assert (code, out, seen) == (EXIT_DOMAIN, "", {"deltacomb.energy"})
+    assert (code, out, seen) == (EXIT_DOMAIN, "", ENERGY)
     assert "attractive comb" in err
 
 
@@ -476,7 +480,7 @@ def test_importing_the_package_loads_no_submodule():
     assert out.splitlines() == [
         "['deltacomb']",
         "['deltacomb', 'deltacomb._record', 'deltacomb.cli', 'deltacomb.errors', "
-        "'deltacomb.quadrature', 'deltacomb.scattering']",
+        "'deltacomb.scattering']",
     ]
 
 
@@ -514,7 +518,7 @@ def test_star_import_binds_exactly_all():
         "print(set(deltacomb.__all__) <= set(dir(deltacomb)))\n"
         "print(deltacomb.energy.comb_energy is deltacomb.comb_energy)"
     )
-    assert (code, out, err) == (0, "True 20\nTrue\nTrue\n", "")
+    assert (code, out, err) == (0, "True 19\nTrue\nTrue\n", "")
 
 
 def test_cli_imports_no_typing_without_site():
@@ -579,6 +583,24 @@ def test_scan_couplings_grid_and_signs(capsys):
     assert by[(0.0, 0.0)]["sign"] == "1"  # mixed comb, E = pi/48 > 0
     assert by[(1.0, -1.0)]["sign"] == "-1"  # pure delta comb
     assert by[(1.0, 0.0)]["sign"] == "-1"
+
+
+def test_scan_couplings_signs_follow_the_error_bound_at_large_spacings(capsys):
+    # at a = 1e15 every nonzero energy is near 1e-16 and its bound near 1e-22:
+    # a sign of 0 for |E| under a fixed 1e-14 once hid all three of them
+    code, out, _ = run_cli(
+        capsys,
+        "scan-couplings", "--a", "1e15",
+        "--gamma-min", "0", "--gamma-max", "1e-14", "--gamma-count", "2",
+        "--omega-min", "-1", "--omega-max", "0", "--omega-count", "2",
+    )
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert [r["sign"] for r in rows] == ["0", "1", "-1", "-1"]
+    assert (rows[0]["energy"], rows[0]["abs_err"]) == ("0.0", "0.0")  # free comb
+    assert float(rows[1]["energy"]) == pytest.approx(math.pi / 48e15, rel=1e-8)  # mixed comb
+    for row in rows[1:]:
+        assert abs(float(row["energy"])) > 1e5 * float(row["abs_err"])
 
 
 def test_ratio_w0(capsys):
@@ -827,9 +849,7 @@ def test_a_tolerance_under_the_rounding_floor_exits_3_before_splitting(capsys, m
 
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run_cli(
-        capsys,
-        "energy", "--w0", "5", "--a", "1",
-        "--abs-tol", "1e-30", "--rel-tol", "1e-14", "--max-subdivisions", "2",
+        capsys, "energy", "--w0", "1", "--a", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-14"
     )
     assert code == EXIT_NUMERIC
     assert "numerical failure" in err
@@ -1027,7 +1047,7 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
 
 
 # the tolerance options each command reads, in the order of its JSON tolerances
-QUAD_OPTIONS = QuadratureConfig.__slots__
+QUAD_OPTIONS = ("abs_tol", "rel_tol")
 TOLERANCES = {
     "energy": QUAD_OPTIONS,
     "plate": QUAD_OPTIONS,
@@ -1038,7 +1058,8 @@ TOLERANCES = {
     "verify": (),
 }
 # values other than the defaults, and a grid small enough for a sweep to be
-# quick; no command reads truncation_k: the energies pick their own cutoff
+# quick; no command reads truncation_k or max_subdivisions: the energies pick
+# their own cutoff, and the quadrature's split budget is a constant
 NON_DEFAULT = {"abs_tol": 1e-9, "rel_tol": 1e-7, "max_subdivisions": 3000, "truncation_k": 30.0,
                "root_tol": 1e-11}
 SMALL_GRID = {"scan-a": ("--count", "2"), "scan-couplings": ("--gamma-count", "2", "--omega-count", "2")}
@@ -1054,13 +1075,13 @@ def test_each_command_takes_the_tolerances_it_reads(capsys, command):
     assert list(TOLERANCES) == list(VALID_ARGS)
     args = cli._build_parser(command).parse_args([command, *VALID_ARGS[command]])
     assert set(NON_DEFAULT) & set(vars(args)) == set(names)
-    # bands states the band functions' root_tol default without importing them
-    root_tols = {
-        inspect.signature(f).parameters["root_tol"].default
-        for f in (dispersion, band_structure, band_edges)
-    }
-    assert len(root_tols) == 1
-    defaults = {**QuadratureConfig()._asdict(), "root_tol": root_tols.pop()}
+    # each command states its library functions' tolerance defaults without
+    # importing them
+    defaults = {}
+    for name, functions in (("abs_tol", (comb_energy, plate_energy)),
+                            ("rel_tol", (comb_energy, plate_energy)),
+                            ("root_tol", (dispersion, band_structure, band_edges))):
+        (defaults[name],) = {inspect.signature(f).parameters[name].default for f in functions}
     assert {n: getattr(args, n) for n in names} == {n: defaults[n] for n in names}
     # an option the command does not read is a usage error, not ignored
     for name in set(NON_DEFAULT) - set(names):

@@ -5,6 +5,7 @@ Bloch-phase quadrature oracle and the closed-form limits; the quadrature
 is deterministic, so agreement is to near machine precision.
 """
 
+import inspect
 import math
 import random
 import sys
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from deltacomb import (
     CombCouplings,
     OutsideValidityDomainError,
-    QuadratureConfig,
     ToleranceNotMetError,
     ValidityViolationError,
     comb_energy,
@@ -31,6 +31,11 @@ import deltacomb.energy
 from deltacomb.quadrature import _panel, integrate_finite
 from deltacomb.verification import _plate_energy_closed
 from deltacomb.verification import _theta_integral_numeric
+
+# the energies' default tolerances
+ABS_TOL, REL_TOL = (
+    inspect.signature(comb_energy).parameters[name].default for name in ("abs_tol", "rel_tol")
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,7 +310,6 @@ def test_theta_integrand_omega_reflection(omega, gamma, k, theta):
 
 
 def test_spectral_integrand_against_direct_theta_quadrature():
-    tight = QuadratureConfig(abs_tol=1e-12)
     for gamma, omega, a, k in (
         (3.0, 0.4, 1.0, 2.0),
         (0.5, -0.9, 2.0, 0.3),
@@ -313,7 +317,7 @@ def test_spectral_integrand_against_direct_theta_quadrature():
     ):
         c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a)
         closed = spectral_integrand(c, k)
-        numeric, err = _theta_integral_numeric(c, k, tight)
+        numeric, err = _theta_integral_numeric(c, k)
         assert abs(closed - numeric) <= max(1e-12, 10.0 * err)
 
 
@@ -349,7 +353,7 @@ def test_comb_energy_frozen_values():
     assert res2.value == pytest.approx(-0.052612302882812, abs=1e-12)
     # error bookkeeping
     assert res1.abs_err < 5e-9
-    assert 0.0 < res1.tail_bound <= QuadratureConfig().abs_tol / 100.0
+    assert 0.0 < res1.tail_bound <= ABS_TOL / 100.0
     assert res1.truncation_k == 20.0
 
 
@@ -368,10 +372,10 @@ def _tail_beyond(f, X, bound):
     """int_X^oo f on the doubling panels [X, 2X], [2X, 4X], ... up to past
     x = 745, where both integrands are exactly 0 (e^{-x} underflows), to
     rel_tol 1e-10 or a millionth of bound."""
-    cfg = QuadratureConfig(abs_tol=max(1e-6 * bound, 1e-300), rel_tol=1e-10)
+    abs_tol = max(1e-6 * bound, 1e-300)
     total, lo = 0.0, X
     while lo <= 745.0:
-        total += integrate_finite(f, lo, 2.0 * lo, cfg)[0]
+        total += integrate_finite(f, lo, 2.0 * lo, abs_tol, 1e-10)[0]
         lo *= 2.0
     return total
 
@@ -476,7 +480,6 @@ def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
     # the errors of the two runs.  The run is the one to 40 without its
     # [20, 40] panel: the ladder grades on 40 wherever the run stops
     calls = _count_calls(monkeypatch, "spectral_integrand")
-    abs_tol = QuadratureConfig().abs_tol
     rng = random.Random(33)
     for i in range(200):
         g = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-12.0, 6.0)
@@ -489,7 +492,7 @@ def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
         evaluations = len(calls)
         assert evaluations % 15 == 2, (c, evaluations)  # 15 a panel, 2 tail probes
         assert res.truncation_k == 20.0 / a, (c, res)
-        assert res.tail_bound <= abs_tol / 100.0, (c, res)
+        assert res.tail_bound <= ABS_TOL / 100.0, (c, res)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(deltacomb.energy, "_COMB_CUTOFFS", (40.0,))
@@ -505,7 +508,7 @@ def test_comb_cutoff_falls_back_to_40_below_its_tail(monkeypatch):
     calls = _count_calls(monkeypatch, "spectral_integrand")
     for c in (CombCouplings(w0=1.0, w1=0.3, a=1.0), CombCouplings(w0=5.0, w1=0.5, a=2.0)):
         calls.clear()
-        res = comb_energy(c, QuadratureConfig(abs_tol=1e-15))
+        res = comb_energy(c, abs_tol=1e-15)
         assert len(calls) % 15 == 4, (c, len(calls))
         assert res.truncation_k * c.a == 40.0
         assert res.tail_bound <= 1e-15 / 100.0
@@ -552,7 +555,7 @@ def test_subnormal_energies_report_their_rounding():
         c = CombCouplings(w0=g / a, w1=0.0, a=a)
         g = c.w0 * a
         try:
-            res = comb_energy(c, QuadratureConfig(abs_tol=tol / a))
+            res = comb_energy(c, abs_tol=tol / a)
         except ToleranceNotMetError:
             continue
         law = g * (math.log(g) - 1.0) / (8.0 * math.pi)
@@ -564,12 +567,12 @@ def test_subnormal_energies_report_their_rounding():
 def test_abs_tol_holds_in_energy_units_at_small_spacing():
     # the x integrals run at abs_tol * a; with abs_tol itself they would
     # report errors up to abs_tol / a here
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-14)
+    tols = (1e-10, 1e-14)
     for a in (0.01, 0.05):
         c = CombCouplings(w0=2.0, w1=0.5, a=a)
         mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=a)
-        for res in (comb_energy(c, cfg), comb_energy(mixed, cfg), plate_energy(c, 1.0, cfg)):
-            assert res.abs_err <= cfg.abs_tol
+        for res in (comb_energy(c, *tols), comb_energy(mixed, *tols), plate_energy(c, 1.0, *tols)):
+            assert res.abs_err <= 1e-10
 
 
 def test_abs_err_meets_the_tolerance_over_seeded_points(monkeypatch):
@@ -584,7 +587,6 @@ def test_abs_err_meets_the_tolerance_over_seeded_points(monkeypatch):
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(deltacomb.energy, "integrate_finite", counting)
-    cfg = QuadratureConfig()
     rng = random.Random(5)
     points = [(CombCouplings.from_reduced(omega=-0.275, gamma=1.74, a=0.226), None)]
     for i in range(300):
@@ -597,7 +599,7 @@ def test_abs_err_meets_the_tolerance_over_seeded_points(monkeypatch):
         calls.clear()
         res = comb_energy(c) if theta is None else plate_energy(c, theta)
         assert len(calls) == 1
-        assert res.abs_err <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)), (c, theta)
+        assert res.abs_err <= max(ABS_TOL, REL_TOL * abs(res.value)), (c, theta)
 
 
 def _log_form_energy(g, omega, a, dps=30):
@@ -749,8 +751,7 @@ def test_comb_layer_mass_bounds_what_a_first_panel_misses():
             estimate = _panel(f_s, 0.0, b)[0]
             breaks = [1e-4 * min(width, b) * 3.0**k for k in range(40)]
             breaks = [p for p in breaks if p < b]
-            tight = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-11)
-            value, err = integrate_finite(f_s, 0.0, b, tight, breaks)
+            value, err = integrate_finite(f_s, 0.0, b, 1e-300, 1e-11, breaks)
             assert abs(estimate - value) <= mass(b) - err, (g, omega, b)
 
 
@@ -814,7 +815,7 @@ def test_plate_near_the_marginal_phase_keeps_its_step():
     for w0 in (1e-14, 1e-16):
         c = CombCouplings(w0=w0, w1=0.0, a=1.0)
         loose = plate_energy(c, 0.0)
-        tight = plate_energy(c, 0.0, QuadratureConfig(abs_tol=1e-14))
+        tight = plate_energy(c, 0.0, abs_tol=1e-14)
         assert abs(loose.value - tight.value) <= loose.abs_err + tight.abs_err
     # gamma = 1e-30 moves the free plate by far less than abs_err; at
     # gamma = 0 there is no gamma layer, and the ladder grades on the step
@@ -840,7 +841,7 @@ def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
     c = CombCouplings(w0=1.0, w1=0.3, a=1.0)
     res = comb_energy(c)
     assert 0 < len(calls) <= 140
-    value, err = integrate_finite(lambda x: counted(c, x), 0.0, 40.0, QuadratureConfig())
+    value, err = integrate_finite(lambda x: counted(c, x), 0.0, 40.0, ABS_TOL, REL_TOL)
     assert abs(res.value - value) <= res.abs_err + err
 
 
@@ -888,9 +889,9 @@ def test_energy_equals_theta_average_of_plate_energy():
     # per-cell energy; the plate integrand is even in theta
     c = CombCouplings.from_reduced(omega=0.5, gamma=2.0, a=1.0)
     comb = comb_energy(c).value
-    relaxed = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
+    relaxed = (1e-8, 1e-7)
     avg, _ = integrate_finite(
-        lambda th: plate_energy(c, th, relaxed).value, 0.0, math.pi, relaxed
+        lambda th: plate_energy(c, th, *relaxed).value, 0.0, math.pi, *relaxed
     )
     assert abs(avg / math.pi - comb) <= 1e-8
 

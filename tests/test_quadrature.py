@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltacomb import CombCouplings, dispersion, quadrature, spectral_integrand
+from deltacomb import (
+    CombCouplings, comb_energy, dispersion, plate_energy, quadrature, spectral_integrand,
+)
 import deltacomb.bands
 from deltacomb.bands import refine_root
 from deltacomb.energy import _energy_integral
 from deltacomb.errors import RootScanError, ToleranceNotMetError
-from deltacomb.quadrature import QuadratureConfig, integrate_finite
+from deltacomb.cli import EXIT_DOMAIN, EXIT_NUMERIC, main
+from deltacomb.quadrature import integrate_finite
+
+# the energies' default abs_tol and rel_tol
+TOLS = (1e-10, 1e-8)
 
 # (integrand, lo, hi, exact value).  The battery mixes single-panel-exact
 # integrands with ones that force subdivision (Runge spike, endpoint sqrt).
@@ -35,7 +41,7 @@ CLOSED_FORMS = [
 
 @pytest.mark.parametrize("f,lo,hi,exact", CLOSED_FORMS)
 def test_closed_form_battery(f, lo, hi, exact):
-    value, err = integrate_finite(f, lo, hi)
+    value, err = integrate_finite(f, lo, hi, *TOLS)
     # the reported estimate must bound the true error (honesty), and the
     # default tolerances must actually be met
     assert abs(value - exact) <= max(10.0 * err, 1e-13)
@@ -43,15 +49,14 @@ def test_closed_form_battery(f, lo, hi, exact):
 
 
 def test_respects_requested_tolerance():
-    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-    value, err = integrate_finite(lambda x: math.sqrt(x), 0.0, 1.0, cfg)
-    assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    value, err = integrate_finite(lambda x: math.sqrt(x), 0.0, 1.0, 1e-13, 1e-13)
+    assert err <= max(1e-13, 1e-13 * abs(value))
     assert abs(value - 2.0 / 3.0) <= 1e-12
 
 
 def test_deterministic_bit_identical_repeat():
     runs = [
-        integrate_finite(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)
+        integrate_finite(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, *TOLS)
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -150,7 +155,7 @@ def test_cubics_integrated_exactly(c0, c1, c2, c3):
         return x * (c0 + x * (c1 / 2 + x * (c2 / 3 + x * c3 / 4)))
 
     exact = antider(hi) - antider(lo)
-    value, _ = integrate_finite(f, lo, hi)
+    value, _ = integrate_finite(f, lo, hi, *TOLS)
     assert abs(value - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
@@ -158,7 +163,7 @@ def test_interval_must_be_ordered():
     for lo, hi in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0),
                    (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError):
-            integrate_finite(lambda x: 1.0, lo, hi)
+            integrate_finite(lambda x: 1.0, lo, hi, *TOLS)
 
 
 def test_breaks_seed_one_panel_per_piece():
@@ -170,46 +175,62 @@ def test_breaks_seed_one_panel_per_piece():
         calls.append(x)
         return abs(x - 0.3)
 
-    value, err = integrate_finite(f, 0.0, 1.0, breaks=(0.3,))
+    value, err = integrate_finite(f, 0.0, 1.0, *TOLS, breaks=(0.3,))
     assert len(calls) == 2 * 15
     assert abs(value - 0.29) <= 1e-15 and err <= 1e-10
     for breaks in ((0.6, 0.3), (0.3, 0.3), (0.0,), (1.0,), (-0.5,), (1.5,), (math.nan,)):
         with pytest.raises(ValueError):
-            integrate_finite(f, 0.0, 1.0, breaks=breaks)
+            integrate_finite(f, 0.0, 1.0, *TOLS, breaks=breaks)
 
 
-def test_tolerance_not_met_raises():
-    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
-    with pytest.raises(ToleranceNotMetError):
-        integrate_finite(lambda x: x ** -0.5, 0.0, 1.0, cfg)
+def test_tolerance_not_met_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 8)
+    with pytest.raises(ToleranceNotMetError, match="after 8 subdivisions"):
+        integrate_finite(lambda x: x ** -0.5, 0.0, 1.0, 1e-13, 1e-13)
     # a NaN estimate meets no tolerance
     for f in (lambda x: math.nan, lambda x: math.nan if x > 0.7 else x):
         with pytest.raises(ToleranceNotMetError):
-            integrate_finite(f, 0.0, 1.0)
+            integrate_finite(f, 0.0, 1.0, *TOLS)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=-1e-8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
+def test_the_split_budget_bounds_a_whole_energy(capsys, monkeypatch):
+    # one integrate_finite call covers an energy, ladder and all; the
+    # pure-delta comb at g = 1e-6 needs more than 3 splits of it
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+    assert main(["energy", "--w0", "1e-6", "--a", "1"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: ")
+    assert "above tolerance after 3 subdivisions" in err
+
+
+def test_config_validation(capsys):
+    # the energies' tolerances are two floats, checked before any evaluation
+    c = CombCouplings(w0=1.0, w1=0.3, a=1.0)
+    for bad in (0.0, -1.0, math.nan):
+        for tols in ({"abs_tol": bad}, {"rel_tol": bad}):
+            with pytest.raises(ValueError, match="^tolerances must be strictly positive$"):
+                comb_energy(c, **tols)
+            with pytest.raises(ValueError, match="^tolerances must be strictly positive$"):
+                plate_energy(c, 1.0, **tols)
+    # before the underflow test of abs_tol a, which would misname a negative one
+    with pytest.raises(ValueError, match="^tolerances must be strictly positive$"):
+        comb_energy(CombCouplings(w0=1.0, w1=0.0, a=1e-300), abs_tol=-1.0)
+    assert main(["energy", "--w0", "1", "--a", "1", "--rel-tol", "nan"]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: tolerances must be strictly positive\n")
 
 
 def test_a_rounding_floor_above_the_tolerance_stops_before_splitting():
     # 50 eps resabs of cos on [0, 10] is ~7e-14, far above rel_tol |sin 10|
     # at 1e-16, and splitting cannot lower it: the run stops after its first
-    # panel instead of after max_subdivisions splits, and names the floor
+    # panel instead of after _MAX_SUBDIVISIONS splits, and names the floor
     calls = []
 
     def f(x):
         calls.append(x)
         return math.cos(x)
 
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16)
     with pytest.raises(ToleranceNotMetError, match=r"rounding floor \S+ .* after 0 subdivisions"):
-        integrate_finite(f, 0.0, 10.0, cfg)
+        integrate_finite(f, 0.0, 10.0, 1e-300, 1e-16)
     assert len(calls) == 15
 
 
@@ -217,12 +238,12 @@ def test_shift_enters_the_value_and_the_tolerance_test():
     # a closed-form part of the result is added exactly and judged with it:
     # 1 + 1e6 at rel_tol 1e-8 allows errors near 1e-2, far above the 1e-8 the
     # integral alone would need
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-8)
-    value, err = integrate_finite(lambda x: 2.0 * x, 0.0, 1.0, cfg, shift=1e6)
+    tols = (1e-300, 1e-8)
+    value, err = integrate_finite(lambda x: 2.0 * x, 0.0, 1.0, *tols, shift=1e6)
     assert value == 1e6 + 1.0
     spiky = lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-6)
-    plain = integrate_finite(spiky, 0.0, 1.0, cfg)
-    shifted = integrate_finite(spiky, 0.0, 1.0, cfg, shift=1e6)
+    plain = integrate_finite(spiky, 0.0, 1.0, *tols)
+    shifted = integrate_finite(spiky, 0.0, 1.0, *tols, shift=1e6)
     assert abs(shifted[0] - 1e6 - plain[0]) <= shifted[1] + plain[1]
     assert plain[1] <= 1e-8 * abs(plain[0]) < shifted[1] <= 1e-8 * abs(shifted[0])
 
@@ -232,7 +253,7 @@ def test_shift_enters_the_value_and_the_tolerance_test():
 
 
 def test_semi_infinite_exponential():
-    res = _energy_integral(lambda x: math.exp(-x), 0.0, 1.0, QuadratureConfig(), 0.75)
+    res = _energy_integral(lambda x: math.exp(-x), 0.0, 1.0, *TOLS, 0.75)
     # truncated at the default X = 40, so the target is 1 - e^{-40}
     assert res.truncation_k == 40.0
     assert abs(res.value - (1.0 - math.exp(-40.0))) <= max(10.0 * res.abs_err, 1e-13)
@@ -242,7 +263,7 @@ def test_semi_infinite_exponential():
 
 def test_semi_infinite_k_exp():
     res = _energy_integral(
-        lambda x: x * math.exp(-2.0 * x), 0.0, 1.0, QuadratureConfig(), 1.5
+        lambda x: x * math.exp(-2.0 * x), 0.0, 1.0, *TOLS, 1.5
     )
     assert abs(res.value - 0.25) <= max(10.0 * res.abs_err, 1e-13)
     true_tail = (0.5 * 40.0 + 0.25) * math.exp(-80.0)
@@ -253,7 +274,7 @@ def test_semi_infinite_truncation_override():
     # the cutoffs are in x = k a: a cutoff X stops the run at K = X/a, and
     # the result is (1/a) times the x integral
     for a in (1.0, 2.0):
-        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, QuadratureConfig(), 0.75, cutoffs=(10.0,))
+        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, *TOLS, 0.75, cutoffs=(10.0,))
         assert res.truncation_k == 10.0 / a
         assert abs(res.value - (1.0 - math.exp(-10.0)) / a) <= 1e-12
         assert res.tail_bound >= math.exp(-10.0) / a
