@@ -70,11 +70,11 @@ Every energy integral (comb and plate) is (1/a) int_0^X dx I(x/a) (resp.
 F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a.  Its
 only controls are two floats, abs_tol and rel_tol: the reported abs_err
 is at most max(abs_tol, rel_tol |E|).  The cutoff is a numerical detail
-that this module picks from abs_tol alone, with no option to set it:
-X = 20 for the comb's f ~ x e^{-2x} unless abs_tol a/100 is under its tail
-there, else 40, as for the plate's F ~ x e^{-x}; a K that overflows is a
-domain error.  The discarded tail is reported as an explicit bound
-obtained from the integrand's own magnitude near X.
+that this module picks from abs_tol alone, with no option to set it: X =
+20 unless abs_tol a/100 is under the tail bound there, else 40; a K that
+overflows is a domain error.  The tail bound is the integral over [X, oo)
+of a closed-form majorant of |f| (resp. |F|/2pi) read off the x > 5 forms
+(see comb_energy and plate_energy), so it is set before any evaluation.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
@@ -336,46 +336,35 @@ def _comb_layer_mass(g: float, omega: float):
     return mass
 
 
-def _tail_bound(f, X: float, rate: float) -> float:
-    """Bound on |int_X^oo f| for f decaying at least like e^{-rate x}.
-
-    Fits the envelope constant from the integrand itself at X and at
-    0.95 X (the second sample guards against X landing near a zero of f)
-    and integrates it: M e^{-rate X} / rate with M = 2 |f| e^{+rate x}
-    folded in without ever forming the huge exponential.
-    """
-    probe = max(abs(f(X)), abs(f(0.95 * X)) * math.exp(-0.05 * rate * X))
-    return 2.0 * probe / rate
-
-
 # below x0 the energies add their subtracted term back (see the module
 # docstring); every cutoff lies above it, so it is the lowest dyadic seed
 _LAYER_BREAK = 2.5
-# the comb's cutoffs in x = k a, tried in order against its tail bound
-_COMB_CUTOFFS = (20.0, 40.0)
+# the cutoffs in x = k a, tried in order against the tail bound
+_CUTOFFS = (20.0, 40.0)
+# covers the majorants' dropped 1 + O(e^{-x}) factors (under 1e-8 at x >= 20)
+# and the rounding of the bound itself
+_TAIL_MARGIN = 1.01
 
 
 def _energy_integral(
-    f, g: float, a: float, abs_tol: float, rel_tol: float, rate: float, width: float = 0.0,
-    mass=None, cutoffs: tuple[float, ...] = (40.0,),
+    f, g: float, a: float, abs_tol: float, rel_tol: float, tail, width: float = 0.0, mass=None,
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
     Integrates over [0, X] in one adaptive run seeded with the dyadic points
     x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol * a (both
     tolerances must be positive, and abs_tol * a must not underflow to 0,
-    else ValueError) so that abs_tol holds in energy units, and bounds the
-    tail beyond X for f decaying like e^{-rate x}.  X is the first of the
-    cutoffs whose tail bound is at most abs_tol a/100, else the last one;
-    K = X/a must be finite (else a domain error naming a).  The tail
-    computed for that test is the one reported, so a kept first cutoff
-    costs no evaluation.
+    else ValueError) so that abs_tol holds in energy units.  tail(X) is a
+    closed-form bound on int_X^oo |f| for X >= 20, up to a factor 1 +
+    O(e^{-X}); the bound reported is _TAIL_MARGIN tail(X).  X is the first of
+    _CUTOFFS whose bound is at most abs_tol a/100, else the last one; K =
+    X/a must be finite (else a domain error naming a).  No cutoff costs an
+    evaluation.
 
     Above x0, f carries the subtracted term -(1/2pi) g/(g + 2x); below it,
     for g > 0, f is f_s = f + (1/2pi) g/(g + 2x), and the run adds the
     term's integral there, -(g/4pi) ln(1 + 2 x0/g), exactly, as a constant
-    inside its tolerance test.  Every cutoff lies above x0, so the tail
-    probes at X and 0.95 X see f itself.
+    inside its tolerance test.
 
     f_s has no g/2-wide layer.  What layer it has is width wide (0 for
     none), and a ladder below the dyadic seeds grades on it (see
@@ -393,18 +382,17 @@ def _energy_integral(
     1e-289.
     """
     x0 = _LAYER_BREAK
-    assert x0 < min(cutoffs), cutoffs
     if not (abs_tol > 0 and rel_tol > 0):
         raise ValueError("tolerances must be strictly positive")
     tol = abs_tol * a
     if not tol > 0.0:
         raise ValueError(f"abs_tol a = {tol!r} underflows at abs_tol = {abs_tol!r}, a = {a!r}")
-    for X in cutoffs:
+    for X in _CUTOFFS:
         K = X / a
         if K == math.inf:
             raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
-        tail = _tail_bound(f, X, rate)
-        if tail <= 0.01 * tol:
+        bound = _TAIL_MARGIN * tail(X)
+        if bound <= 0.01 * tol:
             break
     breaks, dropped = _graded_breakpoints(width, math.ulp(1.0) * tol, mass)
     # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
@@ -427,7 +415,7 @@ def _energy_integral(
         value=value / a,
         abs_err=(err + dropped) / a,
         truncation_k=K,
-        tail_bound=tail / a,
+        tail_bound=bound / a,
     )
 
 
@@ -435,22 +423,27 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     """Vacuum energy per unit cell, E = int_0^oo dk I(k), with abs_err at
     most max(abs_tol, rel_tol |E|).
 
-    Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a,
-    with X = 20, or 40 where abs_tol a/100 is under the tail bound at 20
-    (the cutoffs _COMB_CUTOFFS), and reports the neglected tail as a
-    separate bound.  Below x0 = 2.5 what remains of f after its subtracted
+    Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a
+    (X as in _energy_integral), and reports the neglected tail as a separate
+    bound.  In the x > 5 form, V >= R (1 - 3 eps), R - S eps + V >= 2R (1 -
+    2 eps), 0 < x R - g <= x R and R >= max(2x, g), so |2 pi f| <= eps [2x
+    delta + 2 (x + 1) m^2] (1 + O(eps)) with m = min(1, g/2x) falling in x:
+    over [X, oo) that is e^{-2X} [delta (X + 1/2) + m(X)^2 (X + 3/2)], 0 at
+    the free corner.  Below x0 = 2.5 what remains of f after its subtracted
     term (see _energy_integral) has one layer, sqrt(g + 2 delta) wide with
     delta = 1 - Omega^2; at Omega = -1 it holds half of a small g's
     (g/8pi) ln g.
     """
     a, g = c.a, _require_supported(c)
     om = c.omega
-    width = math.sqrt(g + 2.0 * ((1.0 - om) * (1.0 + om)))
+    delta = (1.0 - om) * (1.0 + om)
     x0 = _LAYER_BREAK  # a closure cell: the lambda is evaluated per node
-    # f decays like x e^{-2x}, so e^{-1.5 x} is a safe envelope
     return _energy_integral(
         lambda x: spectral_integrand(c, x / a) + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0),
-        g, a, abs_tol, rel_tol, 1.5, width, _comb_layer_mass(g, om), _COMB_CUTOFFS,
+        g, a, abs_tol, rel_tol,
+        lambda X: (delta * (X + 0.5) + min(1.0, g / (2.0 * X)) ** 2 * (X + 1.5))
+                  * math.exp(-2.0 * X) / _TWO_PI,
+        math.sqrt(g + 2.0 * delta), _comb_layer_mass(g, om),
     )
 
 
@@ -466,17 +459,24 @@ def plate_energy(
     Beside its subtracted term, F has A / (B + C cos theta) ~ -2x^2/(x^2 +
     w^2) for small x, w^2 = g + 2 (1 + Omega cos theta): a step from 0 to -2
     that a panel [0, b] misses by at most (2w/pi) atan(b/w), twice the
-    step's own deficit.
+    step's own deficit.  In the x > 5 form, |4x^2 - g^2 - 2g| <= R^2, |P| <=
+    x R and the denominator is at least R^2 (1 - 3 e^{-x}), so for x >= X,
+    |F| <= [2x eps + 4x^2 |Omega cos theta| e^{-x}/(2X + g)] (1 + O(e^{-x})):
+    over [X, oo) that is e^{-2X} (X + 1/2) + 4 |Omega cos theta| e^{-X} (X^2
+    + 2X + 2)/(2X + g), which falls like the comb's e^{-2X} at Omega cos
+    theta = 0.
     """
     a, g = c.a, _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     width = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
+    phase = abs(c.omega * math.cos(theta))
     x0 = _LAYER_BREAK
-    # F decays only like x e^{-x} (the phase term keeps one e^{-x}): softer rate
     return _energy_integral(
         lambda x: (theta_integrand(c, x / a, theta)
                    + (g / (g + 2.0 * x) if x < x0 else 0.0)) / _TWO_PI,
-        g, a, abs_tol, rel_tol, 0.75, width,
-        lambda b: (2.0 * width / math.pi) * math.atan2(b, width),
+        g, a, abs_tol, rel_tol,
+        lambda X: ((X + 0.5) * math.exp(-2.0 * X) + 4.0 * phase * math.exp(-X)
+                   * (X * X + 2.0 * X + 2.0) / (2.0 * X + g)) / _TWO_PI,
+        width, lambda b: (2.0 * width / math.pi) * math.atan2(b, width),
     )

@@ -355,6 +355,18 @@ def test_plate_free_comb(capsys):
     assert 0.0 < float(row["tail_bound"]) < 1e-14
 
 
+@pytest.mark.parametrize("couplings", [("--gamma", "1"), ("--gamma", "0"), ("--gamma", "1e6")])
+def test_plate_cutoff_is_20_where_its_phase_term_vanishes(capsys, couplings):
+    # at Omega cos theta = 0, F decays like the comb's x e^{-2x}, so the plate
+    # stops at k a = 20 as the comb does; the free plate above keeps 40
+    code, out, _ = run_cli(capsys, "plate", "--omega", "0", *couplings, "--a", "1", "--theta", "1",
+                           "--format", "json")
+    assert code == EXIT_OK
+    (row,) = json.loads(out)["rows"]
+    assert row["truncation_k"] == 20.0
+    assert 0.0 < row["tail_bound"] <= 1e-10 / 100.0
+
+
 # ------------------------------------------------------------------ bands
 
 

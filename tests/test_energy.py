@@ -407,12 +407,10 @@ def _comb_vanishing_at(x, omega):
 
 def test_comb_tail_bound_covers_the_dropped_tail(monkeypatch):
     # the reported tail_bound covers int_K^oo I(k) dk at both cutoffs the
-    # comb stops at (worst |tail|/tail_bound 0.67, at g = 35 for X = 20, in a
-    # denser scan).  At X = 4 it does not: there g = 5.2, Omega = -0.63 loses
-    # 1.5 times its tail bound and error.  Combs whose f vanishes at X need
-    # the probe at 0.95 X
+    # comb stops at.  It is a majorant of |f| integrated in closed form, so
+    # combs whose f changes sign at X cannot slip under it
     for cutoff in (20.0, 40.0):
-        monkeypatch.setattr(deltacomb.energy, "_COMB_CUTOFFS", (cutoff,))
+        monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (cutoff,))
         zeros = [_comb_vanishing_at(cutoff, omega) for omega in (-0.9, 0.0, 0.37, 0.9)]
         for c in zeros + [c for c, _ in _tail_samples(int(cutoff), 150)]:
             a = c.a
@@ -422,17 +420,39 @@ def test_comb_tail_bound_covers_the_dropped_tail(monkeypatch):
             assert abs(tail) <= res.tail_bound, (c, tail, res)
 
 
-def test_plate_tail_bound_covers_the_dropped_tail():
-    # as for the comb, at the plate's one cutoff, X = 40 (worst 0.27 in a
-    # denser scan; at X = 8, g = 8000, Omega = -0.3, theta = 2.6 loses 1.3
-    # times its tail bound and error)
-    for c, theta in _tail_samples(34, 150):
-        a = c.a
-        res = plate_energy(c, theta)
-        assert res.truncation_k == 40.0 / a
-        f = lambda x: theta_integrand(c, x / a, theta) / (2.0 * math.pi)
-        tail = _tail_beyond(f, 40.0, res.tail_bound * a) / a
-        assert abs(tail) <= res.tail_bound, (c, theta, tail, res)
+def test_plate_tail_bound_covers_the_dropped_tail(monkeypatch):
+    # as for the comb, at both cutoffs, with the comb's sign-changing combs
+    # at a Bloch phase of each kind among the samples
+    for cutoff, seed in ((20.0, 14), (40.0, 34)):
+        monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (cutoff,))
+        zeros = [(_comb_vanishing_at(cutoff, omega), theta)
+                 for omega in (-0.9, 0.0, 0.37, 0.9) for theta in (0.0, 2.0, math.pi)]
+        for c, theta in zeros + list(_tail_samples(seed, 150)):
+            a = c.a
+            res = plate_energy(c, theta)
+            assert res.truncation_k == cutoff / a
+            f = lambda x: theta_integrand(c, x / a, theta) / TWO_PI
+            tail = _tail_beyond(f, cutoff, res.tail_bound * a) / a
+            assert abs(tail) <= res.tail_bound, (c, theta, tail, res)
+
+
+def test_tail_bounds_stay_within_a_small_factor_of_the_tail(monkeypatch):
+    # where the majorants are exact the bound exceeds the tail by its margin
+    # alone: the mixed comb, g = 0 and Omega = 0, has 2 pi f = 2x eps/(1 +
+    # eps), and each of its plates has F = 2 pi f.  At g = 1e8, Omega = -1,
+    # 2 pi f ~ -2x eps against a majorant 2 (x + 1) eps, a factor (X +
+    # 3/2)/(X + 1/2) on the integrals
+    mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=1.0)
+    strong = CombCouplings.from_reduced(omega=-1.0, gamma=1e8, a=1.0)
+    for cutoff in (20.0, 40.0):
+        monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (cutoff,))
+        cases = [(comb_energy(c), lambda x, c=c: spectral_integrand(c, x), factor)
+                 for c, factor in ((mixed, 1.02), (strong, 1.1))]
+        cases += [(plate_energy(mixed, theta), lambda x, t=theta: theta_integrand(mixed, x, t) / TWO_PI, 1.02)
+                  for theta in (0.0, 1.0, math.pi)]
+        for res, f, factor in cases:
+            tail = abs(_tail_beyond(f, cutoff, res.tail_bound))
+            assert tail <= res.tail_bound <= factor * tail, (cutoff, res, tail)
 
 
 # comb_energy and plate_energy(theta = 1) of w0 = 2, w1 = 0.5, frozen from
@@ -453,7 +473,7 @@ def test_energies_match_frozen_values_across_spacings(a):
     plate = plate_energy(c, 1.0)
     assert abs(comb.value - comb_value) <= comb.abs_err
     assert abs(plate.value - plate_value) <= plate.abs_err
-    # the comb stops at k a = 20, the plate, whose F decays only like x e^{-x}, at 40
+    # the comb stops at k a = 20, the plate, whose F decays like x e^{-x} at this phase, at 40
     for res, cutoff in ((comb, 20.0), (plate, 40.0)):
         assert res.truncation_k == pytest.approx(cutoff / a, rel=1e-15)
         assert 0.0 < res.tail_bound < 1e-14
@@ -475,10 +495,10 @@ def _count_calls(monkeypatch, name):
 
 def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
     # f decays like x e^{-2x}: at the default tolerances the tail past x = 20
-    # is under abs_tol/100 over the seeded domain, it costs no evaluation
-    # beyond its 2 probes, and stopping there moves the energy by less than
-    # the errors of the two runs.  The run is the one to 40 without its
-    # [20, 40] panel: the ladder grades on 40 wherever the run stops
+    # is under abs_tol/100 over the seeded domain, its bound costs no
+    # evaluation, and stopping there moves the energy by less than the
+    # errors of the two runs.  The run is the one to 40 without its [20, 40]
+    # panel: the ladder grades on 40 wherever the run stops
     calls = _count_calls(monkeypatch, "spectral_integrand")
     rng = random.Random(33)
     for i in range(200):
@@ -490,12 +510,12 @@ def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
         calls.clear()
         res = comb_energy(c)
         evaluations = len(calls)
-        assert evaluations % 15 == 2, (c, evaluations)  # 15 a panel, 2 tail probes
+        assert evaluations % 15 == 0, (c, evaluations)  # 15 a panel
         assert res.truncation_k == 20.0 / a, (c, res)
         assert res.tail_bound <= ABS_TOL / 100.0, (c, res)
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(deltacomb.energy, "_COMB_CUTOFFS", (40.0,))
+            patch.setattr(deltacomb.energy, "_CUTOFFS", (40.0,))
             full = comb_energy(c)
         assert full.truncation_k == 40.0 / a
         assert evaluations == len(calls) - 15, (c, evaluations, len(calls))
@@ -503,20 +523,21 @@ def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
 
 
 def test_comb_cutoff_falls_back_to_40_below_its_tail(monkeypatch):
-    # at abs_tol = 1e-15 the tail past x = 20 (a few 1e-17) is above
-    # abs_tol a/100, so the run stops at 40, for 2 more probes
+    # at abs_tol = 1e-16 the tail bound at x = 20 (a few 1e-18) is above
+    # abs_tol a/100, so the run stops at 40, still 15 evaluations a panel
     calls = _count_calls(monkeypatch, "spectral_integrand")
     for c in (CombCouplings(w0=1.0, w1=0.3, a=1.0), CombCouplings(w0=5.0, w1=0.5, a=2.0)):
         calls.clear()
-        res = comb_energy(c, abs_tol=1e-15)
-        assert len(calls) % 15 == 4, (c, len(calls))
+        res = comb_energy(c, abs_tol=1e-16)
+        assert len(calls) % 15 == 0, (c, len(calls))
         assert res.truncation_k * c.a == 40.0
-        assert res.tail_bound <= 1e-15 / 100.0
+        assert res.tail_bound <= 1e-16 / 100.0
 
 
-def test_plate_cutoff_stays_at_40(monkeypatch):
-    # F decays only like x e^{-x}: the plate keeps X = 40, for 15
-    # evaluations a panel and 2 tail probes
+def test_plate_cutoff_falls_back_to_40_above_its_tail(monkeypatch):
+    # F decays like x e^{-x} where Omega cos theta != 0: the plate stops at
+    # 40, for 15 evaluations a panel, wherever its tail bound at 20 is above
+    # abs_tol/100
     calls = _count_calls(monkeypatch, "theta_integrand")
     rng = random.Random(34)
     for _ in range(6):
@@ -527,7 +548,10 @@ def test_plate_cutoff_stays_at_40(monkeypatch):
         calls.clear()
         res = plate_energy(c, theta)
         assert res.truncation_k == 40.0 / a
-        assert len(calls) % 15 == 2, (c, theta)
+        assert len(calls) % 15 == 0, (c, theta)
+        with monkeypatch.context() as patch:
+            patch.setattr(deltacomb.energy, "_CUTOFFS", (20.0,))
+            assert plate_energy(c, theta).tail_bound > ABS_TOL / 100.0, (c, theta)
 
 
 def test_comb_cutoff_that_falls_back_past_the_double_range_is_a_domain_error():

@@ -11,6 +11,7 @@ from deltacomb import (
     CombCouplings, comb_energy, dispersion, plate_energy, quadrature, spectral_integrand,
 )
 import deltacomb.bands
+import deltacomb.energy
 from deltacomb.bands import refine_root
 from deltacomb.energy import _energy_integral
 from deltacomb.errors import RootScanError, ToleranceNotMetError
@@ -249,32 +250,34 @@ def test_shift_enters_the_value_and_the_tolerance_test():
 
 
 # Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus a
-# tail bound fitted at X, assembled once by the energy module.
+# closed-form tail bound, assembled once by the energy module.
 
 
 def test_semi_infinite_exponential():
-    res = _energy_integral(lambda x: math.exp(-x), 0.0, 1.0, *TOLS, 0.75)
-    # truncated at the default X = 40, so the target is 1 - e^{-40}
+    res = _energy_integral(lambda x: math.exp(-x), 0.0, 1.0, *TOLS, lambda X: math.exp(-X))
+    # the tail at 20 is above abs_tol/100, so the target is 1 - e^{-40}
     assert res.truncation_k == 40.0
     assert abs(res.value - (1.0 - math.exp(-40.0))) <= max(10.0 * res.abs_err, 1e-13)
-    assert math.exp(-40.0) <= res.tail_bound <= 10.0 * math.exp(-40.0)
+    assert res.tail_bound == deltacomb.energy._TAIL_MARGIN * math.exp(-40.0)
     assert abs(res.value + res.tail_bound - 1.0) <= 1e-12
 
 
 def test_semi_infinite_k_exp():
     res = _energy_integral(
-        lambda x: x * math.exp(-2.0 * x), 0.0, 1.0, *TOLS, 1.5
+        lambda x: x * math.exp(-x), 0.0, 1.0, *TOLS, lambda X: (X + 1.0) * math.exp(-X)
     )
-    assert abs(res.value - 0.25) <= max(10.0 * res.abs_err, 1e-13)
-    true_tail = (0.5 * 40.0 + 0.25) * math.exp(-80.0)
-    assert res.tail_bound >= true_tail
+    assert res.truncation_k == 40.0
+    assert abs(res.value - 1.0) <= max(10.0 * res.abs_err, 1e-13)
+    true_tail = 41.0 * math.exp(-40.0)
+    assert true_tail <= res.tail_bound <= 1.01 * true_tail
 
 
-def test_semi_infinite_truncation_override():
+def test_semi_infinite_truncation_override(monkeypatch):
     # the cutoffs are in x = k a: a cutoff X stops the run at K = X/a, and
     # the result is (1/a) times the x integral
+    monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (10.0,))
     for a in (1.0, 2.0):
-        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, *TOLS, 0.75, cutoffs=(10.0,))
+        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, *TOLS, lambda X: math.exp(-X))
         assert res.truncation_k == 10.0 / a
         assert abs(res.value - (1.0 - math.exp(-10.0)) / a) <= 1e-12
         assert res.tail_bound >= math.exp(-10.0) / a
