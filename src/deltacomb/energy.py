@@ -85,6 +85,17 @@ x0/g), is added exactly.  What is left has one thin layer at most, sqrt(g
 + 2 delta) wide for f and sqrt(g + 2 (1 + Omega cos theta)) wide for F,
 present only near the free corner or the marginal phase.
 
+The comb's layer is the paper's non-analytic part, and it too has a closed
+form.  With s = g + delta and r = sqrt(x^2 + s), what is left of 2 pi f
+below x0 is phi(x; s) = x - x^2/r = x s/(r (r + x)) up to O(s x) (see
+_comb_layer_mass), and
+
+    int_0^x0 phi dx = (s/2) [asinh(x0/sqrt s) - x0/(x0 + sqrt(x0^2 + s))],
+
+which carries the energy's -(s ln s)/8pi.  Where the layer is thin, s <
+0.16, the comb integrates f - phi/2pi below x0 (with the g/(g + 2x) term
+added back) and adds this integral/2pi exactly too.
+
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
 graded ladder of breakpoints below that layer (see _graded_breakpoints)
 and, above the ladder, with the dyadic points x0, 2 x0, ... below X.
@@ -111,6 +122,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_EPS = math.ulp(1.0)
+_ULP0 = math.ulp(0.0)
 
 # crossover between the literal and the exponentially-rearranged forms;
 # both are good to ~1e-13 relative at x = 5, so the seam is invisible
@@ -245,7 +258,7 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
         # + g (sinh x - x cosh x), where D = root^2 - 4x^2 sinh^2 x is a sum of
         # non-negative terms, so nothing cancels as g -> 0 at |Omega| = 1;
         # rho = root/x and D/x^2 keep every term clear of underflow
-        d = 4.0 * (1.0 - om * om) + gs * (4.0 * ch + gs)  # D/x^2
+        d = 4.0 * ((1.0 - om) * (1.0 + om)) + gs * (4.0 * ch + gs)  # D/x^2
         head = d / rho * x / (rho + 2.0 * sh) + (gs - g * ch) / rho  # head/root
         return (head - g / (g + x2)) / _TWO_PI
     eps = math.exp(-x2)
@@ -294,46 +307,28 @@ def _graded_breakpoints(width: float, budget: float, mass) -> tuple[list[float],
     return breaks, dropped
 
 
-def _xlog1p(k: float, bb: float) -> float:
-    """k ln(1 + bb/k), 0.0 at k = 0; bb/k may overflow, the logs may not."""
-    if not k > 0.0:
-        return 0.0
-    if bb < k:
-        return k * math.log1p(bb / k)
-    return k * (math.log(k + bb) - math.log(k))
+def _comb_layer_mass(s: float):
+    """Bound on what one panel [0, b], b < 0.4, may miss of the comb's
+    remainder f_s - phi/2pi at s = g + delta < 0.16 (see comb_energy), as a
+    function of b: s b^2/2pi.
 
-
-# |Q - I| <= Q(phi) + I(phi) <= 6.2 I(phi) for the 15-point Kronrod estimate Q
-# on [0, b] of the bound phi below; 8 leaves room for the rounding of a
-# subnormal g
-_PANEL_MISS = 8.0 / _TWO_PI
-
-
-def _comb_layer_mass(g: float, omega: float):
-    """Bound on what one panel [0, b] may miss of the comb's f_s = f +
-    (1/2pi) g/(g + 2x), as a function of b.
-
-    From the small-x form, 2 pi f_s = x D/(root (root + 2x sinh x)) - g (x
-    cosh x - sinh x)/root.  With (B - |C|)/x >= x^2 + g s + u, s = sinh(x)/x,
-    u = 2 (1 - |Omega|), and (B + |C|)/x >= 2 cosh x + g s + 2 |Omega|, the
-    first term is at most 2x G/(x^2 + G) + x u/(x^2 + u), G = g sinh(b)/b on
-    [0, b], and the second at most g x cosh(b)/(3 sqrt 2).  Call that phi: it
-    is ~ x below the layer and ~ G/x above it, the g/(4 pi x) tail of the
-    pure-delta comb.  Each x K/(x^2 + K) term is at most min(x, K/x), whose
-    panel estimate is at most min(b^2/2, 7.03 K), at most 5.2 times its
-    integral (K/2) ln(1 + b^2/K); so Q + I of the panel is at most 6.2 I(phi)
-    with I(phi) = [G ln(1 + b^2/G) + (u/2) ln(1 + b^2/u) + g b^2 cosh(b)/(6
-    sqrt 2)]/2pi.
+    With sigma = sinh(x)/x, eta = (sinh(x/2)/(x/2))^2, v = 1 - |Omega| (so
+    delta = v (2 - v)) and r = sqrt(x^2 + s), the small-x form reads 2 pi f_s
+    = x d/(rho (rho + 2 sinh x)) - g (cosh x - sigma)/rho, where d = D/x^2 =
+    4s + 4g (sigma cosh x - 1) + g^2 sigma^2 and rho^2 = b_- b_+ with b_- =
+    (B - |C|)/x = r^2 + x^2 (eta - 1) + g (sigma - 1) + v^2 and b_+ = (B +
+    |C|)/x = 4 + 2 (cosh x - 1) + g sigma - 2v.  The ladder runs only where
+    g + 2 delta < 0.16, so v < 0.041, v <= 0.52 s and v^2 <= 0.27 s^2.
+    For x <= 0.4: d/4s - 1 is in [0, 0.69 x^2 + 0.27 g], b_-/r^2 - 1 in [0,
+    0.17 x^2 + 0.27 s], b_+/4 - 1 in [-0.26 s, 0.26 (x^2 + s)] and sigma in
+    [1, 1.027].  With rho = 2 r p, the first term is phi (d/4s)(r + x)/(p (r
+    p + x sigma)) = phi (1 + e), |e| <= 0.75 (x^2 + s), and the second lies
+    in [0, 0.18 g x].  As phi (x^2 + s) <= x s, |2 pi f_s - phi| <= 0.93 s x
+    (the seeded supremum is s x/6).  A Kronrod panel integrates x exactly
+    with positive weights, so its estimate Q and the integral I each have
+    |.| <= 0.93 s b^2/(2 * 2pi), and |Q - I| <= s b^2/2pi.
     """
-    u = 2.0 * (1.0 - abs(omega))
-
-    def mass(b: float) -> float:
-        bb = b * b
-        G = g * (math.sinh(b) / b)
-        neg = g * bb * math.cosh(b) / (6.0 * math.sqrt(2.0))
-        return _PANEL_MISS * (_xlog1p(G, bb) + 0.5 * _xlog1p(u, bb) + neg)
-
-    return mass
+    return lambda b: s * (b * b) / _TWO_PI
 
 
 # below x0 the energies add their subtracted term back (see the module
@@ -348,6 +343,7 @@ _TAIL_MARGIN = 1.01
 
 def _energy_integral(
     f, g: float, a: float, abs_tol: float, rel_tol: float, tail, width: float = 0.0, mass=None,
+    layer: float = 0.0,
 ) -> EnergyResult:
     """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
 
@@ -362,24 +358,24 @@ def _energy_integral(
     evaluation.
 
     Above x0, f carries the subtracted term -(1/2pi) g/(g + 2x); below it,
-    for g > 0, f is f_s = f + (1/2pi) g/(g + 2x), and the run adds the
-    term's integral there, -(g/4pi) ln(1 + 2 x0/g), exactly, as a constant
-    inside its tolerance test.
+    for g > 0, f has that term added back, and the run adds the term's
+    integral there, -(g/4pi) ln(1 + 2 x0/g), exactly, as a constant inside
+    its tolerance test.  layer is the integral over [0, x0] of anything else
+    that f subtracts below x0 (the comb's phi/2pi), added the same way.
+    abs_err covers the rounding of both constants: 8 eps of each (a few
+    roundings of the logs, quotients and products), or 2 ulps of 0.0 where
+    the products and their sum land among the subnormals.
 
-    f_s has no g/2-wide layer.  What layer it has is width wide (0 for
-    none), and a ladder below the dyadic seeds grades on it (see
-    _graded_breakpoints), with mass(b) bounding what a panel [0, b] may
-    miss.  The floor drops only rungs whose mass is under eps abs_tol a: a
-    layer that the tolerance alone would let the floor drop can carry half
-    of a small energy (the comb's g ln g at Omega = -1), and below eps
+    What layer f has left below x0 is width wide (0 for none), and a ladder
+    below the dyadic seeds grades on it (see _graded_breakpoints), with
+    mass(b) bounding what a panel [0, b] may miss.  The floor drops only
+    rungs whose mass is under eps abs_tol a, or under 2^-1074 where that
+    underflows, the rounding that each panel of nonzero values carries
+    anyway (see quadrature._SUBNORMAL).  A layer that the tolerance alone
+    would let the floor drop can carry much of a small energy, and below eps
     abs_tol a its loss is rounding next to any energy of abs_tol or more.
-    The dropped mass is added to abs_err, and both tolerances of the run
-    shrink by its share, so abs_err <= max(abs_tol, rel_tol |E|) still
-    holds.  For a subnormal g it also covers the rounding of the run, whose
-    values are then subnormal too: at its top rung, b >= 0.04, the comb's
-    mass is at least (8/2pi) g ln(b^2/g) > 890 g, against a few 2^-1074 per
-    evaluation and panel, and the floor applies there unless abs_tol a <
-    1e-289.
+    The dropped mass is added to abs_err, in the run's tolerance test, so
+    abs_err <= max(abs_tol, rel_tol |E|) still holds.
     """
     x0 = _LAYER_BREAK
     if not (abs_tol > 0 and rel_tol > 0):
@@ -394,7 +390,7 @@ def _energy_integral(
         bound = _TAIL_MARGIN * tail(X)
         if bound <= 0.01 * tol:
             break
-    breaks, dropped = _graded_breakpoints(width, math.ulp(1.0) * tol, mass)
+    breaks, dropped = _graded_breakpoints(width, max(_EPS * tol, _ULP0), mass)
     # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
     # way down anyway, so seeding them skips only the parent panels it would
     # compute and discard
@@ -402,21 +398,24 @@ def _energy_integral(
     while seed < X:
         breaks.append(seed)
         seed *= 2.0
-    shift = 0.0
+    sub = 0.0
     if g > 0.0:
         # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
         # difference of logs rounds to 0 for g above ~1e16; g times the
         # quotient keeps the bits of a subnormal g
         L = math.log1p(2.0 * x0 / g) if g >= 1.0 else math.log(g + 2.0 * x0) - math.log(g)
-        shift = -g * (L / (2.0 * _TWO_PI))
-    share = 1.0 - dropped / tol
-    value, err = integrate_finite(f, 0.0, X, tol * share, rel_tol * share, breaks, shift=shift)
-    return EnergyResult(
-        value=value / a,
-        abs_err=(err + dropped) / a,
-        truncation_k=K,
-        tail_bound=bound / a,
+        sub = -g * (L / (2.0 * _TWO_PI))
+    rounding = 0.0
+    if sub or layer:
+        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)), 2.0 * _ULP0)
+    value, err = integrate_finite(
+        f, 0.0, X, tol, rel_tol, breaks, shift=sub + layer, shift_err=dropped + rounding,
     )
+    return EnergyResult(value=value / a, abs_err=err / a, truncation_k=K, tail_bound=bound / a)
+
+
+# a comb layer sqrt(s) wide under the ladder's bulk scale, 0.4, is thin
+_THIN_LAYER = 0.16
 
 
 def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> EnergyResult:
@@ -429,21 +428,46 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     2 eps), 0 < x R - g <= x R and R >= max(2x, g), so |2 pi f| <= eps [2x
     delta + 2 (x + 1) m^2] (1 + O(eps)) with m = min(1, g/2x) falling in x:
     over [X, oo) that is e^{-2X} [delta (X + 1/2) + m(X)^2 (X + 3/2)], 0 at
-    the free corner.  Below x0 = 2.5 what remains of f after its subtracted
-    term (see _energy_integral) has one layer, sqrt(g + 2 delta) wide with
-    delta = 1 - Omega^2; at Omega = -1 it holds half of a small g's
-    (g/8pi) ln g.
+    the free corner.
+
+    Below x0 = 2.5 what remains of f after its subtracted term (see
+    _energy_integral), f_s, has one layer, the paper's non-analytic part:
+    with s = g + delta, delta = 1 - Omega^2 and r = sqrt(x^2 + s), 2 pi f_s
+    ~ phi = x - x^2/r = x s/(r (r + x)) for small x, g and delta (D/x^2 ->
+    4s, root -> 2x r in the small-x form).  Where that layer is thin, 0 < s
+    < 0.16, the run integrates f_s - phi/2pi, whose layer holds O(s^2 ln s),
+    and adds int_0^x0 phi/2pi = (s/2)[asinh(x0/sqrt s) - x0/(x0 + sqrt(x0^2
+    + s))]/2pi, which carries the -(s ln s)/8pi of the energy.  A thicker
+    comb integrates f_s itself.  The ladder grades on sqrt(g + 2 delta).
     """
     a, g = c.a, _require_supported(c)
     om = c.omega
     delta = (1.0 - om) * (1.0 + om)
-    x0 = _LAYER_BREAK  # a closure cell: the lambda is evaluated per node
+    s = g + delta
+    x0 = _LAYER_BREAK  # a closure cell: f is evaluated per node
+    layer = 0.0
+    if 0.0 < s < _THIN_LAYER:
+        def f(x: float) -> float:
+            if x < x0:
+                # phi/2pi = x s/(r (r + x) 2pi) with s alone over a normal
+                # denominator: where g or s is subnormal, each term rounds
+                # once, by at most 2^-1075 (see quadrature._SUBNORMAL)
+                r = math.sqrt(x * x + s)
+                return (spectral_integrand(c, x / a) + g / ((g + 2.0 * x) * _TWO_PI)
+                        - s / (r * (r / x + 1.0) * _TWO_PI))
+            return spectral_integrand(c, x / a)
+
+        bracket = math.asinh(x0 / math.sqrt(s)) - x0 / (x0 + math.sqrt(x0 * x0 + s))
+        layer = s * (bracket / (2.0 * _TWO_PI))  # (s/2) bracket/2pi
+    else:
+        def f(x: float) -> float:
+            return spectral_integrand(c, x / a) + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0)
+
     return _energy_integral(
-        lambda x: spectral_integrand(c, x / a) + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0),
-        g, a, abs_tol, rel_tol,
+        f, g, a, abs_tol, rel_tol,
         lambda X: (delta * (X + 0.5) + min(1.0, g / (2.0 * X)) ** 2 * (X + 1.5))
                   * math.exp(-2.0 * X) / _TWO_PI,
-        math.sqrt(g + 2.0 * delta), _comb_layer_mass(g, om),
+        math.sqrt(g + 2.0 * delta), _comb_layer_mass(s), layer,
     )
 
 

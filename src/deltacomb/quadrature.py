@@ -66,9 +66,10 @@ _RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
 # Below _RESABS_FLOOR a panel's values may be subnormal, where rounding is
 # absolute in u = 2^-1074: a sum or difference there is exact, and a product
 # or quotient that lands there is off by at most u/2.  The energies' f_s
-# takes at most 4 such roundings that reach its value unscaled (2u), and 3
-# that it divides by about x: u/2 over 2 pi x for the comb's g sinh(x)/x,
-# about 0.14 u/x in all (0.12 u/x measured), under u/2 over a ladder decade.
+# (less the comb's phi/2pi) takes at most 4 such roundings that reach its
+# value unscaled (2u), and 3 that it divides by about x: u/2 over 2 pi x for
+# the comb's g sinh(x)/x, about 0.14 u/x in all (0.12 u/x measured), under
+# u/2 over a ladder decade.
 # The 8 weighted products of resk add at most 4u, 2u per unit width once
 # scaled by half, and value = resk half rounds once more, u/2 at any width.
 # So a panel of nonzero values on [lo, hi] carries at most u (4 (hi - lo) + 1).
@@ -147,6 +148,7 @@ def integrate_finite(
     breaks: Sequence[float] = (),
     *,
     shift: float = 0.0,
+    shift_err: float = 0.0,
 ) -> tuple[float, float]:
     """Adaptive quadrature of f on [lo, hi], plus the constant shift.
 
@@ -155,7 +157,9 @@ def integrate_finite(
     panel.  The worst panel anywhere is split next, and the test below
     applies to the summed error.  shift is a part of the result known in
     closed form: it is added to the value, so that the relative tolerance
-    applies to the whole result.
+    applies to the whole result.  shift_err bounds how far shift may be
+    from what it stands for; it is part of abs_err, and of the rounding
+    floor, since no split can lower it.
 
     Returns (value, abs_err) with abs_err <= max(abs_tol, rel_tol * |value|),
     or raises ToleranceNotMetError after _MAX_SUBDIVISIONS splits, on a NaN
@@ -175,8 +179,8 @@ def integrate_finite(
         value, err, floor = _panel(f, plo, phi)
         heapq.heappush(heap, (-err, counter, plo, phi, value, err, floor))
     total_value = math.fsum([shift, *(item[4] for item in heap)])
-    total_err = math.fsum(item[5] for item in heap)
-    total_floor = math.fsum(item[6] for item in heap)
+    total_err = math.fsum([shift_err, *(item[5] for item in heap)])
+    total_floor = math.fsum([shift_err, *(item[6] for item in heap)])
     counter = len(heap)
     splits = 0
 
@@ -210,7 +214,7 @@ def integrate_finite(
 
     # fsum is correctly rounded, so the heap's order of terms cannot matter
     value = math.fsum([shift, *(item[4] for item in heap)])
-    err = math.fsum(item[5] for item in heap)
+    err = math.fsum([shift_err, *(item[5] for item in heap)])
     if not err <= max(abs_tol, rel_tol * abs(value)):
         raise ToleranceNotMetError(
             f"error estimate {err:.3e} above tolerance on [{lo}, {hi}]"

@@ -227,6 +227,22 @@ def test_far_form_against_mpmath_oracle_near_the_free_corner():
     assert worst <= 1e-13, worst
 
 
+def test_near_form_against_mpmath_oracle_close_to_omega_minus_1():
+    # at 1 + Omega ~ 1e-8 the x <= 5 form's D/x^2 takes its 4 delta from
+    # (1 - Omega)(1 + Omega): 1 - Omega^2 cancelled there, 3.7e-9 relative
+    # off on [1e-3, 4.9], which put a tight comb energy 1e4 times its
+    # abs_err off the log-form oracle
+    rng = random.Random(8)
+    worst = 0.0
+    for i in range(40):
+        omega = -1.0 + 10.0 ** rng.uniform(-8.5, -7.5)
+        c = CombCouplings.from_reduced(omega=omega, gamma=(0.0, 1e-7)[i % 2], a=1.0)
+        x = 10.0 ** rng.uniform(-3.0, math.log10(4.9))
+        I, _ = _oracle(c.gamma, c.omega, x, ())
+        worst = max(worst, abs(spectral_integrand(c, x) - I) / abs(I))
+    assert worst <= 1e-12, worst
+
+
 @pytest.mark.parametrize(
     "gamma,omega,a,k",
     [(1.0, 0.3, 1.0, 30.5), (7.0, -0.8, 2.0, 15.6), (0.0, 0.5, 1.0, 31.0)],
@@ -666,6 +682,69 @@ def test_comb_energy_against_the_log_form_oracle():
         assert abs(res.value - oracle) <= res.abs_err + res.tail_bound, (g, omega, a, res, oracle)
 
 
+def test_comb_energy_with_mid_size_layers_against_the_log_form_oracle():
+    # s = g + delta from 1e-10 to 0.3 with g/s in {0, 1/2, 1} (Omega at and
+    # near -1), at tolerances tight enough to see a layer of O(s^2 ln s):
+    # the remainder f_s - phi/2pi under the ladder, on both sides of the
+    # thin-layer limit s = 0.16.  The first pinned comb misses by 67 times
+    # abs_err + tail_bound with 1 - Omega^2 in the integrand's D/x^2, the
+    # second by 1.27 times without the ladder
+    rng = random.Random(3)
+    points = [(9.39e-8, -0.99999999246, 0.833), (0.0, -0.99999998420, 0.387)]
+    for i in range(12):
+        s = 10.0 ** rng.uniform(-10.0, math.log10(0.3))
+        g = (0.0, 0.5, 1.0)[i % 3] * s
+        points.append((g, -math.sqrt(1.0 - (s - g)), 10.0 ** rng.uniform(-1.0, 1.0)))
+    for g, omega, a in points:
+        c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
+        res = comb_energy(c, 1e-20, 1e-12)
+        oracle = _log_form_energy(c.gamma * c.a, c.omega, c.a)
+        assert abs(res.value - oracle) <= res.abs_err + res.tail_bound, (g, omega, a, res, oracle)
+
+
+def test_near_free_comb_lands_on_its_pinned_oracle():
+    # deltacomb energy --omega -0.9999999925 --gamma 1e-7 --a 1 --abs-tol
+    # 1e-22 --rel-tol 1e-13 against the 40-digit log-form oracle; it once
+    # printed -5.85336374803e-08 with an abs_err of 3.6e-21
+    c = CombCouplings.from_reduced(omega=-0.9999999925, gamma=1e-7, a=1.0)
+    res = comb_energy(c, 1e-22, 1e-13)
+    assert abs(res.value + 5.85336374433018e-08) <= res.abs_err + res.tail_bound, res
+
+
+def test_subnormal_layers_cost_few_evaluations(monkeypatch):
+    # at abs_tol a below ~2e-308 the floor's budget eps abs_tol a underflows;
+    # a budget of 2^-1074 lets it drop the ladder of a subnormal g, whose
+    # layer mass s b^2/2pi is under that, where it once walked ~163 rungs
+    # (2,505 evaluations) before it exited 3.  Each energy either exits 3
+    # or meets the law within its bounds, in under 200 evaluations
+    calls = []
+    counted = deltacomb.energy.spectral_integrand
+
+    def counting(c, k):
+        calls.append(k)
+        return counted(c, k)
+
+    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    U = math.ulp(0.0)
+    rng = random.Random(36)
+    points = [(7.4e-323, 4.7e-194, 3.2e-322)]
+    for _ in range(10):
+        points.append((round(10.0 ** rng.uniform(0.0, 6.0)) * U, 10.0 ** rng.uniform(-290.0, -100.0),
+                       10.0 ** rng.uniform(-322.0, -308.0)))
+    for g, a, tol in points:
+        c = CombCouplings(w0=g / a, w1=0.0, a=a)
+        g = c.w0 * a
+        calls.clear()
+        try:
+            res = comb_energy(c, abs_tol=tol / a)
+        except ToleranceNotMetError:
+            pass
+        else:
+            law = g * (math.log(g) - 1.0) / (8.0 * math.pi)
+            assert abs(a * res.value - law) <= a * (res.abs_err + res.tail_bound), (g, a, tol, res)
+        assert len(calls) < 200, (g, a, tol, len(calls))
+
+
 def test_small_spacing_scales_exactly_at_equal_gamma_a():
     # E(gamma, Omega, a) = f(gamma a, Omega) / a; at a = 1e-5 the x
     # integral runs at abs_tol * a = 1e-15
@@ -755,28 +834,60 @@ def test_a_dropped_layer_costs_abs_err_its_mass_not_its_width(g):
     assert abs(res.value - law) <= res.abs_err <= 2.0 * g * math.log(1.0 / g)
 
 
-def test_comb_layer_mass_bounds_what_a_first_panel_misses():
-    # one Kronrod panel [0, b] of f_s = f + (1/2pi) g/(g + 2x) misses at most
-    # mass(b) against a tight graded integral, on both sides of the layer,
-    # seeded over g and Omega at, near and away from -1
-    rng = random.Random(41)
-    for i in range(30):
-        g = 10.0 ** rng.uniform(-30.0, -0.5)
-        omega = (-1.0, -1.0 + 10.0 ** rng.uniform(-12.0, -2.0), rng.uniform(-1.0, 1.0))[i % 3]
+def _ladder_comb(rng, i, lowest):
+    """A seeded comb on which the ladder runs (g + 2 delta < 0.16), with s =
+    g + delta from 10^lowest up, g/s in {0, 1/2, 1} or uniform and Omega on
+    either side; returns it with its s."""
+    while True:
+        s = 10.0 ** rng.uniform(lowest, math.log10(0.16))
+        g = (0.0, 0.5, 1.0, rng.random())[i % 4] * s
+        omega = math.sqrt(1.0 - (s - g))
+        if i % 3 or omega == 1.0:
+            omega = -omega
         c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
-        g, omega = c.gamma, c.omega
+        delta = (1.0 - c.omega) * (1.0 + c.omega)
+        if 0.0 < c.gamma + delta and c.gamma + 2.0 * delta < 0.16:
+            return c, c.gamma + delta
 
-        def f_s(x):
-            return spectral_integrand(c, x) + g / (g + 2.0 * x) / TWO_PI
 
-        mass = deltacomb.energy._comb_layer_mass(g, omega)
-        width = math.sqrt(g + 2.0 * (1.0 - omega) * (1.0 + omega))
-        for b in (0.1 * width, width, 10.0 * width, 0.1, 0.4):
-            estimate = _panel(f_s, 0.0, b)[0]
-            breaks = [1e-4 * min(width, b) * 3.0**k for k in range(40)]
-            breaks = [p for p in breaks if p < b]
-            value, err = integrate_finite(f_s, 0.0, b, 1e-300, 1e-11, breaks)
-            assert abs(estimate - value) <= mass(b) - err, (g, omega, b)
+def test_comb_layer_mass_bounds_what_a_first_panel_misses():
+    # the remainder 2 pi f_s - phi, f_s = f + (1/2pi) g/(g + 2x), is at most
+    # 0.93 s x on [0, 0.4] (the bound _comb_layer_mass derives), against a
+    # 100-digit A/root + x; and one Kronrod panel [0, b] of the integrand the
+    # comb integrates misses at most mass(b) against a graded integral
+    # within a thousandth of it, where its rounding (~1e-13 phi) is under
+    # the bound
+    rng = random.Random(41)
+    worst = 0.0
+    for i in range(40):
+        c, s = _ladder_comb(rng, i, -30.0)
+        for x in (10.0 ** rng.uniform(-12.0, math.log10(0.4)), rng.uniform(0.0, 0.4)):
+            with mpmath.workdps(100):
+                g, om, xm = (mpmath.mpf(v) for v in (c.gamma, c.omega, x))
+                sh, ch = mpmath.sinh(xm), mpmath.cosh(xm)
+                A = -xm * g * ch + (g - 2 * xm * xm) * sh
+                root = mpmath.sqrt((2 * xm * ch + g * sh) ** 2 - (2 * xm * om) ** 2)
+                r = mpmath.sqrt(xm * xm + g + (1 - om) * (1 + om))
+                rest = A / root + xm - xm * (r * r - xm * xm) / (r * (r + xm))
+                worst = max(worst, float(abs(rest) / (mpmath.mpf(s) * xm)))
+    assert 0.1 < worst <= 0.93, worst
+    for i in range(30):
+        c, s = _ladder_comb(rng, i, -8.0)
+        g = c.gamma
+
+        def rest(x):
+            r = math.sqrt(x * x + s)
+            return (spectral_integrand(c, x) + g / ((g + 2.0 * x) * TWO_PI)
+                    - s / (r * (r / x + 1.0) * TWO_PI))
+
+        mass = deltacomb.energy._comb_layer_mass(s)
+        for b in (0.1 * math.sqrt(s), math.sqrt(s), 10.0 * math.sqrt(s), 0.1, 0.399):
+            if b >= 0.4:
+                continue
+            estimate = _panel(rest, 0.0, b)[0]
+            breaks = [1e-4 * b * 3.0**k for k in range(9)]
+            value, err = integrate_finite(rest, 0.0, b, 1e-3 * mass(b), 1e-300, breaks)
+            assert abs(estimate - value) <= mass(b) - err, (c, b)
 
 
 def test_energies_gate_the_gamma_a_their_integrands_see():
@@ -809,9 +920,11 @@ def test_gamma_a_at_the_limit_stays_finite():
 
 def test_tiny_gamma_matches_gamma_zero(monkeypatch):
     # B^2 - C^2 underflows to 0 at gamma = 1e-300; its factors do not.  The
-    # ladder's floor leaves the layer of mass ~ gamma ln gamma to abs_err, so
-    # the cost stays near the gamma = 0 energy's (no panel per decade of
-    # 1/gamma, and no x small enough for B - |C| to underflow at |Omega| = 1)
+    # ladder's floor drops the layer, whose g ln g is in closed form, so the
+    # cost stays near the gamma = 0 energy's (no panel per decade of
+    # 1/gamma, and no x small enough for B - |C| to underflow at |Omega| = 1),
+    # and at Omega = -1 the energy moves off the free one by the law (g/8pi)
+    # (ln g - 1), up to O(g^2 ln g)
     calls = []
     counted = deltacomb.energy.spectral_integrand
 
@@ -828,7 +941,8 @@ def test_tiny_gamma_matches_gamma_zero(monkeypatch):
             calls.clear()
             res = comb_energy(CombCouplings.from_reduced(omega=omega, gamma=gamma, a=1.0))
             assert len(calls) <= 2 * at_zero
-            assert abs(res.value - free.value) <= res.abs_err + free.abs_err
+            law = gamma * (math.log(gamma) - 1.0) / (8.0 * math.pi) if omega == -1.0 else 0.0
+            assert abs(res.value - free.value - law) <= res.abs_err + free.abs_err
 
 
 def test_plate_near_the_marginal_phase_keeps_its_step():

@@ -196,9 +196,10 @@ def test_tolerance_not_met_raises(monkeypatch):
 
 def test_the_split_budget_bounds_a_whole_energy(capsys, monkeypatch):
     # one integrate_finite call covers an energy, ladder and all; the
-    # pure-delta comb at g = 1e-6 needs more than 3 splits of it
+    # pure-delta plate at g = 1e-6 and its marginal phase theta = 0 needs 5
+    # splits of it
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
-    assert main(["energy", "--w0", "1e-6", "--a", "1"]) == EXIT_NUMERIC
+    assert main(["plate", "--w0", "1e-6", "--a", "1", "--theta", "0"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure: ")
     assert "above tolerance after 3 subdivisions" in err
@@ -247,6 +248,12 @@ def test_shift_enters_the_value_and_the_tolerance_test():
     shifted = integrate_finite(spiky, 0.0, 1.0, *tols, shift=1e6)
     assert abs(shifted[0] - 1e6 - plain[0]) <= shifted[1] + plain[1]
     assert plain[1] <= 1e-8 * abs(plain[0]) < shifted[1] <= 1e-8 * abs(shifted[0])
+    # the shift's own error is part of abs_err and of the rounding floor: a
+    # run whose shift_err alone exceeds the tolerance stops before splitting
+    value, err = integrate_finite(lambda x: 2.0 * x, 0.0, 1.0, *tols, shift=1e6, shift_err=1e-3)
+    assert value == 1e6 + 1.0 and 1e-3 <= err <= 1e-8 * value
+    with pytest.raises(ToleranceNotMetError, match="rounding floor 2.000e-02 .* after 0 subdivisions"):
+        integrate_finite(spiky, 0.0, 1.0, *tols, shift=1e6, shift_err=2e-2)
 
 
 # Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus a
