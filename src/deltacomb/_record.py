@@ -5,33 +5,26 @@ tokenize (8 ms of a cold `deltacomb energy` on Python 3.11) and whose classes
 cost about 1 ms each to build; a namedtuple's fields read slower than slots.
 """
 
-from collections.abc import Callable
-
 
 class Record:
     """Fields are _fields, the nearest non-empty __slots__ of the class and
-    its bases, set once by _set from an __init__ with the real signature
-    through _setters, the __set__ of each slot's descriptor, taken from the
-    class that declares the slots (a subclass with __slots__ = () has none).  A
-    record cannot change, compares and hashes by type and values (never equal
-    to a tuple), and prints as a dataclass does."""
+    its bases (a subclass that declares none keeps its base's), set once by
+    _set from an __init__ with the real signature.  A record cannot change,
+    compares and hashes by type and values (never equal to a tuple), and
+    prints as a dataclass does."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _setters: tuple[Callable[[object, object], None], ...] = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        for klass in cls.__mro__:
-            slots = vars(klass).get("__slots__")
-            if slots:
-                cls._fields = tuple(slots)
-                cls._setters = tuple([vars(klass)[name].__set__ for name in slots])
-                break
+        slots = vars(cls).get("__slots__")
+        if slots:
+            cls._fields = tuple(slots)
 
     def _set(self, *values: object) -> None:
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot set or delete field {name!r} of a record")
@@ -43,9 +36,6 @@ class Record:
 
     def __setstate__(self, state: tuple[object, ...]) -> None:
         self._set(*state)
-
-    def _asdict(self) -> dict[str, object]:
-        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -117,7 +117,6 @@ def _emit(
     args: argparse.Namespace,
     command: str,
     parameters: dict,
-    tolerances: dict,
     header: Sequence[str],
     rows: list[tuple],
 ) -> None:
@@ -129,7 +128,11 @@ def _emit(
             "version": __version__,
             "parameters": parameters,
             "rows": [dict(zip(header, row)) for row in rows],
-            "tolerances": tolerances,
+            "tolerances": {
+                name: getattr(args, name)
+                for name in ("abs_tol", "rel_tol", "root_tol")
+                if hasattr(args, name)
+            },
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -165,8 +168,7 @@ def _check_output(args: argparse.Namespace) -> None:
 def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     res = _lib("comb_energy")(c, args.abs_tol, args.rel_tol)
-    tolerances = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol}
-    _emit(args, "energy", _coupling_params(c), tolerances, res._fields, [res._astuple()])
+    _emit(args, "energy", _coupling_params(c), res._fields, [res._astuple()])
     return EXIT_OK
 
 
@@ -176,8 +178,7 @@ def cmd_plate(args: argparse.Namespace) -> int:
     params = _coupling_params(c)
     params["theta"] = args.theta
     row = (args.theta, *res._astuple())
-    tolerances = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol}
-    _emit(args, "plate", params, tolerances, ("theta", *res._fields), [row])
+    _emit(args, "plate", params, ("theta", *res._fields), [row])
     return EXIT_OK
 
 
@@ -204,7 +205,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     ]
     params = _coupling_params(c)
     params.update({"n_bands": args.n_bands, "n_theta": args.n_theta})
-    _emit(args, "bands", params, {"root_tol": args.root_tol}, header, rows)
+    _emit(args, "bands", params, header, rows)
     return EXIT_OK
 
 

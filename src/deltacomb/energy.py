@@ -36,15 +36,19 @@ Numerical strategy
 F and f are exponentially small differences of O(x) quantities once
 x >> 1, so a single formula cannot be evaluated accurately everywhere:
 
-* x <= 5: the written formulas divided through by x (by x^2 for F), with
+* x <= 1/2: the written formulas divided through by x (by x^2 for F), with
   the denominators regrouped into sums of non-negative terms, e.g.
   (B + C cos theta)/x = 4 sinh^2(x/2) + g sinh(x)/x + 2 (1 + Omega cos
   theta), and 1 + Omega cos theta itself expanded about the nearer of
   theta = 0, pi so nothing cancels.  A scaled denominator underflows to 0
   only at the free corner g = 0, |Omega| = 1 (resp. 1 + Omega cos theta
   = 0), whose exact values f = 0 and F = x - 2 are returned there.
+  The numerator of f still cancels at Omega = -1 for small g, the more
+  so the larger x is (f comes out 2e-3 relative off at g = 3e-14, x =
+  0.28, and with the wrong sign at g = 5.2e-12, x = 4.75), so this form
+  stops at x = 1/2.
 
-* x > 5: rearranged forms in which the subtraction of the large terms
+* x > 1/2: rearranged forms in which the subtraction of the large terms
   has been performed analytically.  With R = 2x + g, S = 2x - g,
   delta = (1 - Omega)(1 + Omega) and eps = e^{-2x}, U = R + S eps is
   2 e^{-x} B and V = sqrt(U^2 - 16 x^2 Omega^2 eps) is 2 e^{-x} sqrt(B^2 - C^2),
@@ -59,8 +63,9 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
           / [R (R + S eps + T cos theta)].
 
   No positive exponential appears, so the forms stay machine-accurate (by
-  comparison with high-precision evaluation) for large x.  Every term of f
-  carries g^2, delta or D, so f keeps its relative accuracy near the free
+  comparison with high-precision evaluation) from x = 1/2 up; below it the
+  1 - eps in R - S eps = 2x (1 - eps) + g (1 + eps) cancels.  Every term
+  of f carries g^2, delta or D, so f keeps its relative accuracy near the free
   corner, where it is O(g^2) or O(delta), and is exactly 0 there.  Every
   term carries e^{-x} (e^{-2x} for f), so once that factor underflows
   (x ~ 745, resp. 372) 0.0 is returned, the value to double precision;
@@ -73,7 +78,7 @@ is at most max(abs_tol, rel_tol |E|).  The cutoff is a numerical detail
 that this module picks from abs_tol alone, with no option to set it: X =
 20 unless abs_tol a/100 is under the tail bound there, else 40; a K that
 overflows is a domain error.  The tail bound is the integral over [X, oo)
-of a closed-form majorant of |f| (resp. |F|/2pi) read off the x > 5 forms
+of a closed-form majorant of |f| (resp. |F|/2pi) read off the rearranged forms
 (see comb_energy and plate_energy), so it is set before any evaluation.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
@@ -110,7 +115,7 @@ import math
 
 from ._record import Record
 from .errors import OutsideValidityDomainError, ValidityViolationError
-from .quadrature import integrate_finite
+from .quadrature import _EPS, _SUBNORMAL, integrate_finite
 from .scattering import CombCouplings, one_plus_omega_cos
 
 __all__ = [
@@ -122,12 +127,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_EPS = math.ulp(1.0)
-_ULP0 = math.ulp(0.0)
 
-# crossover between the literal and the exponentially-rearranged forms;
-# both are good to ~1e-13 relative at x = 5, so the seam is invisible
-_REARRANGED_ABOVE = 5.0
+# crossover between the literal and the exponentially-rearranged forms; the
+# module docstring says why it sits at 1/2
+_REARRANGED_ABOVE = 0.5
 
 
 def _violation(quantity: float, context: str) -> None:
@@ -139,10 +142,12 @@ def _violation(quantity: float, context: str) -> None:
     )
 
 
-# the integrands' g^2 sinh^2 x and (2x + g)^2 terms overflow for some
-# x <= 5 from about g = 1e152 on; g = gamma a stops below that.  The limit
-# lets g through up to 4 ulps above 1e150: from_reduced's round trip
-# through w0 adds up to 3 ulps to a gamma given at 1e150
+# in the x > 1/2 forms, F's 2x (4x^2 - g^2 - 2g) overflows before it meets
+# its e^{-2x} from about g = 3.5e152 on (at x near 745, where e^{-x} is still
+# nonzero), and f's 4 g^2 e^{-2x} from about g = 1.1e154 on; g = gamma a
+# stops below both.  The limit lets g through up to 4 ulps above 1e150:
+# from_reduced's round trip through w0 adds up to 3 ulps to a gamma given
+# at 1e150
 _MAX_GAMMA_A = 1e150 + 4.0 * math.ulp(1e150)
 
 
@@ -227,8 +232,8 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
 
 def spectral_integrand(c: CombCouplings, k: float) -> float:
     """Bloch-phase-averaged integrand I(k) = (1/2pi)[A/sqrt(B^2-C^2) + ak
-    - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a,
-    cancellation-free on both sides of the x = 5 crossover, for finite k >= 0
+    - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a by the
+    literal form up to x = 1/2 and the rearranged one above, for finite k >= 0
     (else ValueError; k = 0 gives the limit, -1/2pi for gamma > 0, else 0)."""
     a = c.a
     g = c.gamma * a
@@ -390,7 +395,7 @@ def _energy_integral(
         bound = _TAIL_MARGIN * tail(X)
         if bound <= 0.01 * tol:
             break
-    breaks, dropped = _graded_breakpoints(width, max(_EPS * tol, _ULP0), mass)
+    breaks, dropped = _graded_breakpoints(width, max(_EPS * tol, _SUBNORMAL), mass)
     # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
     # way down anyway, so seeding them skips only the parent panels it would
     # compute and discard
@@ -407,7 +412,7 @@ def _energy_integral(
         sub = -g * (L / (2.0 * _TWO_PI))
     rounding = 0.0
     if sub or layer:
-        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)), 2.0 * _ULP0)
+        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)), 2.0 * _SUBNORMAL)
     value, err = integrate_finite(
         f, 0.0, X, tol, rel_tol, breaks, shift=sub + layer, shift_err=dropped + rounding,
     )
@@ -424,11 +429,11 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
 
     Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a
     (X as in _energy_integral), and reports the neglected tail as a separate
-    bound.  In the x > 5 form, V >= R (1 - 3 eps), R - S eps + V >= 2R (1 -
-    2 eps), 0 < x R - g <= x R and R >= max(2x, g), so |2 pi f| <= eps [2x
-    delta + 2 (x + 1) m^2] (1 + O(eps)) with m = min(1, g/2x) falling in x:
-    over [X, oo) that is e^{-2X} [delta (X + 1/2) + m(X)^2 (X + 3/2)], 0 at
-    the free corner.
+    bound.  In the rearranged form, V >= R (1 - 3 eps), R - S eps + V >= 2R
+    (1 - 2 eps), 0 < x R - g <= x R and R >= max(2x, g), so |2 pi f| <= eps
+    [2x delta + 2 (x + 1) m^2] (1 + O(eps)) with m = min(1, g/2x) falling in
+    x: over [X, oo) that is e^{-2X} [delta (X + 1/2) + m(X)^2 (X + 3/2)], 0
+    at the free corner.
 
     Below x0 = 2.5 what remains of f after its subtracted term (see
     _energy_integral), f_s, has one layer, the paper's non-analytic part:
@@ -483,8 +488,8 @@ def plate_energy(
     Beside its subtracted term, F has A / (B + C cos theta) ~ -2x^2/(x^2 +
     w^2) for small x, w^2 = g + 2 (1 + Omega cos theta): a step from 0 to -2
     that a panel [0, b] misses by at most (2w/pi) atan(b/w), twice the
-    step's own deficit.  In the x > 5 form, |4x^2 - g^2 - 2g| <= R^2, |P| <=
-    x R and the denominator is at least R^2 (1 - 3 e^{-x}), so for x >= X,
+    step's own deficit.  In the rearranged form, |4x^2 - g^2 - 2g| <= R^2,
+    |P| <= x R and the denominator is at least R^2 (1 - 3 e^{-x}), so for x >= X,
     |F| <= [2x eps + 4x^2 |Omega cos theta| e^{-x}/(2X + g)] (1 + O(e^{-x})):
     over [X, oo) that is e^{-2X} (X + 1/2) + 4 |Omega cos theta| e^{-X} (X^2
     + 2X + 2)/(2X + g), which falls like the comb's e^{-2X} at Omega cos

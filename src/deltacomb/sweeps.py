@@ -35,8 +35,7 @@ def _sweep(
     abs_tol, rel_tol = args.abs_tol, args.rel_tol
     comb_energy = cli._lib("comb_energy")
     rows = [(*lead, *row(lead, comb_energy(c, abs_tol, rel_tol))) for c, lead in points]
-    params = {name: getattr(args, name) for name in names}
-    cli._emit(args, command, params, {"abs_tol": abs_tol, "rel_tol": rel_tol}, header, rows)
+    cli._emit(args, command, {name: getattr(args, name) for name in names}, header, rows)
     return cli.EXIT_OK
 
 

@@ -63,11 +63,7 @@ class CheckResult(Record):
     __slots__ = ("number", "name", "passed", "detail")
 
     def __init__(self, number: int, name: str, passed: bool, detail: str):
-        self._set(number, name, passed, detail)
-
-
-def _result(number: int, name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(number=number, name=name, passed=bool(passed), detail=detail)
+        self._set(number, name, bool(passed), detail)
 
 
 def check_mixed_bc_constant() -> CheckResult:
@@ -77,7 +73,7 @@ def check_mixed_bc_constant() -> CheckResult:
         c = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=a)
         dev = abs(comb_energy(c).value - math.pi / (48.0 * a))
         worst = max(worst, dev)
-    return _result(
+    return CheckResult(
         1,
         "mixed-BC constant pi/(48a)",
         worst <= 1e-8,
@@ -99,7 +95,7 @@ def check_dirichlet_constant() -> CheckResult:
                 ga, om2 = c.gamma * a, c.omega**2
                 law = math.pi * (-1 / 24 + 1 / (12 * ga) - (1 + om2 / 2) / (6 * ga * ga)) / a
                 worst = max(worst, abs(res.value - law) / (res.abs_err + res.tail_bound))
-    return _result(
+    return CheckResult(
         2,
         "Dirichlet constant -pi/(24a)",
         worst <= 1.0,
@@ -138,7 +134,7 @@ def check_free_comb_zero() -> CheckResult:
             CombCouplings.from_reduced(omega=0.9, gamma=0.2, a=0.5),
         )
     ]
-    return _result(
+    return CheckResult(
         3,
         "free-comb zero energy",
         abs(e) < 1e-10 and all(dev <= bound for dev, bound in misfits),
@@ -155,7 +151,7 @@ def check_plate_formula() -> CheckResult:
     for theta in (0.0, 0.5, 1.5, math.pi):
         dev = abs(plate_energy(free, theta).value - _plate_energy_closed(theta, 1.0))
         worst = max(worst, dev)
-    return _result(
+    return CheckResult(
         4,
         "quasi-periodic plate formula",
         worst <= 1e-6,
@@ -176,7 +172,7 @@ def check_theta_integral_oracle() -> CheckResult:
         closed = spectral_integrand(c, k)
         numeric, _ = _theta_integral_numeric(c, k)
         worst = max(worst, abs(closed - numeric))
-    return _result(
+    return CheckResult(
         5,
         "theta-integral oracle",
         worst <= 1e-10,
@@ -212,7 +208,7 @@ def check_unitarity_suite() -> CheckResult:
             abs(prime.rL - plain.rL),
         )
     passed = worst_unitarity <= 1e-12 and worst_det <= 1e-12 and worst_reduction <= 1e-15
-    return _result(
+    return CheckResult(
         6,
         "unitarity suite",
         passed,
@@ -239,7 +235,7 @@ def check_band_reduction() -> CheckResult:
             pinning, abs(band.k_min - target) / target, abs(band.k_max - target) / target
         )
     passed = worst <= 1e-10 and pinning <= 1e-3
-    return _result(
+    return CheckResult(
         7,
         "band reduction",
         passed,
@@ -257,7 +253,7 @@ def check_non_analyticity() -> CheckResult:
         law = g * (math.log(g) - 1.0) / (8.0 * math.pi)
         bound = 0.01 * g * g * abs(math.log(g)) + res.abs_err + res.tail_bound
         worst = max(worst, abs(res.value - law) / bound)
-    return _result(
+    return CheckResult(
         8,
         "small-coupling non-analyticity",
         worst <= 1.0,
@@ -279,7 +275,7 @@ def check_asymptotic_vanishing() -> CheckResult:
     # it is still ~6e-3 in magnitude; a fixed sub-1e-6 threshold there is
     # unreachable and convergence onto the law is the meaningful statement
     passed = decreasing and 0.9 < ratio < 1.0 and values[-1] < 7e-3
-    return _result(
+    return CheckResult(
         9,
         "asymptotic vanishing",
         passed,
@@ -302,14 +298,14 @@ def check_validity_guard() -> CheckResult:
             else:
                 c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
             thetas = (0.0, math.pi, rng.uniform(-math.pi, math.pi))
-            # one x anywhere in [1e-300, 40], one on the far side of x = 5
+            # one x anywhere in [1e-300, 40], one in [5, 40]
             for x in (10.0 ** rng.uniform(-300.0, math.log10(40.0)), rng.uniform(5.0, 40.0)):
                 values.append(spectral_integrand(c, x))
                 values += [theta_integrand(c, x, theta) for theta in thetas]
     except ValidityViolationError as exc:
-        return _result(10, "validity guard", False, f"after {len(values)} evaluations: {exc}")
+        return CheckResult(10, "validity guard", False, f"after {len(values)} evaluations: {exc}")
     nonfinite = sum(not math.isfinite(v) for v in values)
-    return _result(
+    return CheckResult(
         10,
         "validity guard",
         nonfinite == 0,

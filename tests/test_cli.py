@@ -197,7 +197,7 @@ def test_csv_text_matches_the_csv_module(capsys):
         if trial == 0:
             rows = fixed + rows
         args = argparse.Namespace(format="csv", output=None)
-        cli._emit(args, "test", {}, {}, header, rows)
+        cli._emit(args, "test", {}, header, rows)
         assert capsys.readouterr().out == csv_oracle(header, rows)
 
 

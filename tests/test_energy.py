@@ -102,20 +102,21 @@ def test_free_corner_returns_exact_values_below_underflow():
     # g = 0, |Omega| = 1: I = 0 for every x, and F = x - 2 where also
     # 1 + Omega cos(theta) = 0, down to x whose square underflows
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)  # Omega = -1
-    for x in (1e-160, 1e-170, 1e-300):
+    # at x = 2^-1074 sinh(x/2) rounds to 0 and F's scaled denominator is 0
+    for x in (1e-160, 1e-170, 1e-300, math.ulp(0.0)):
         assert spectral_integrand(free, x) == 0.0
         assert theta_integrand(free, x, 0.0) == -2.0
     stiff = CombCouplings(w0=1.0, w1=1e200, a=1.0)  # Omega = 1, gamma = 0
     assert spectral_integrand(stiff, 1e-170) == 0.0
-    # I = 0 also on both sides of x = 5: every term of the x > 5 form
+    # I = 0 also on both sides of the seam: every term of the rearranged form
     # carries g^2, delta or D, and all three vanish here
     for x in [0.1 * i for i in range(1, 400)]:
         assert spectral_integrand(free, x) == spectral_integrand(stiff, x) == 0.0, x
 
 
 def test_integrands_are_zero_where_exp_minus_x_underflows():
-    # above x = 5 every term carries e^{-x}: finite at every x, and exactly 0
-    # once e^{-x} underflows, also where x^2 overflows or k a is inf
+    # in the rearranged form every term carries e^{-x}: finite at every x, and
+    # exactly 0 once e^{-x} underflows, also where x^2 overflows or k a is inf
     for c in (
         CombCouplings(w0=1.0, w1=0.3, a=10.0),
         CombCouplings(w0=0.0, w1=0.0, a=1.0),
@@ -156,7 +157,7 @@ def _oracle(g, omega, x, thetas, dps=80):
 
 def test_integrands_against_mpmath_oracle():
     # seeded over gamma a in {0} u [1e-300, 1e150], Omega in {-1, 1} u (-1, 1),
-    # x in [1e-300, 40] on both sides of x = 5, theta in {0, pi} u (-pi, pi),
+    # x in [1e-300, 40] on both sides of the seam, theta in {0, pi} u (-pi, pi),
     # plus the free corner below underflow.  I and F have zeros (I vanishes
     # identically for the free comb), so the error is measured against
     # |value| plus the decay envelope, x e^{-2x} for I and x e^{-x} for F
@@ -178,22 +179,22 @@ def test_integrands_against_mpmath_oracle():
             c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
         thetas = (0.0, math.pi, rng.uniform(-math.pi, math.pi))
         I, Fs = _oracle(c.gamma, c.omega, x, thetas)
-        side = "x <= 5" if x <= 5.0 else "x > 5"
+        side = "literal" if x <= deltacomb.energy._REARRANGED_ABOVE else "rearranged"
         errors = [abs(spectral_integrand(c, x) - I) / (abs(I) + x * math.exp(-2.0 * x))]
         errors += [
             abs(theta_integrand(c, x, theta) - F) / (abs(F) + x * math.exp(-x))
             for theta, F in zip(thetas, Fs)
         ]
         worst[side] = max(worst.get(side, 0.0), *errors)
-    assert set(worst) == {"x <= 5", "x > 5"}
+    assert set(worst) == {"literal", "rearranged"}
     assert max(worst.values()) <= 1e-13, worst
 
 
 def test_far_form_against_mpmath_oracle_near_the_free_corner():
-    # above x = 5, I is O(g^2) or O(delta), delta = 1 - Omega^2, far below the
-    # 2 x^2 e^{-2x}-sized terms of A and B: every term of the form carries g^2,
-    # delta or D, so it is judged relative to |I| alone (down to the smallest
-    # normal float, where I underflows), against the oracle at
+    # in the rearranged form, I is O(g^2) or O(delta), delta = 1 - Omega^2, far
+    # below the 2 x^2 e^{-2x}-sized terms of A and B: every term of the form
+    # carries g^2, delta or D, so it is judged relative to |I| alone (down to
+    # the smallest normal float, where I underflows), against the oracle at
     # 40 + 2x/ln 10 + 2 log10(1/g) + log10(1/delta) digits, and is exactly 0 at
     # g = delta = 0.  Omega = -1, Omega within 1e-15..1e-2 of -1, and Omega -> 1
     # through a large w1
@@ -228,7 +229,7 @@ def test_far_form_against_mpmath_oracle_near_the_free_corner():
 
 
 def test_near_form_against_mpmath_oracle_close_to_omega_minus_1():
-    # at 1 + Omega ~ 1e-8 the x <= 5 form's D/x^2 takes its 4 delta from
+    # at 1 + Omega ~ 1e-8 the literal form's D/x^2 takes its 4 delta from
     # (1 - Omega)(1 + Omega): 1 - Omega^2 cancelled there, 3.7e-9 relative
     # off on [1e-3, 4.9], which put a tight comb energy 1e4 times its
     # abs_err off the log-form oracle
@@ -241,6 +242,32 @@ def test_near_form_against_mpmath_oracle_close_to_omega_minus_1():
         I, _ = _oracle(c.gamma, c.omega, x, ())
         worst = max(worst, abs(spectral_integrand(c, x) - I) / abs(I))
     assert worst <= 1e-12, worst
+
+
+def test_rearranged_forms_against_mpmath_oracle_near_omega_minus_1():
+    # at Omega = -1 and small g the literal f cancels between its two terms
+    # for x of order 1: it had the wrong sign at the first pinned point (the
+    # oracle is the same at 200 digits) and was 2.4e-5 and 8.2e-5 relative off
+    # at the other two.  On [1/2, 5], Omega at and near -1 and theta near 0,
+    # both integrands hold 1e-13 of |value| (I is exactly 0 at the free corner)
+    rng = random.Random(38)
+    combs = [
+        (CombCouplings(w0=5.243050564839845e-12, w1=0.0, a=1.0), 4.746609935979363),
+        (CombCouplings.from_reduced(omega=-1.0, gamma=1e-10, a=1.0), 2.0),
+        (CombCouplings.from_reduced(omega=-1.0, gamma=4.1e-9, a=1.0), 3.0),
+    ]
+    for i in range(60):
+        g = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-14.0, -2.0)
+        omega = -1.0 if i % 2 == 0 else -1.0 + 10.0 ** rng.uniform(-15.0, -2.0)
+        c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
+        combs.append((c, rng.uniform(0.5, 5.0)))
+    for c, x in combs:
+        thetas = (0.0, 10.0 ** rng.uniform(-8.0, -1.0), rng.uniform(-math.pi, math.pi))
+        I, Fs = _oracle(c.gamma, c.omega, x, thetas)
+        pairs = [(spectral_integrand(c, x), I)]
+        pairs += [(theta_integrand(c, x, theta), F) for theta, F in zip(thetas, Fs)]
+        for value, exact in pairs:
+            assert abs(value - exact) <= 1e-13 * abs(exact), (c, x, value, exact)
 
 
 @pytest.mark.parametrize(
