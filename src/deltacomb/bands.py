@@ -28,7 +28,7 @@ band_structure solves only its theta = 0 and theta = pi columns that way:
 inside a band the discriminant is monotone in k, so k_n(theta) is monotone
 on [0, pi] and each interior sample is the one root between the previous
 column's root and the band's theta = pi edge.  h does not depend on theta, so
-1 + Omega cos(theta) is formed once per column and each interior sample is
+1 +- Omega cos(theta) are formed once per column and each interior sample is
 solved by Newton's method with the analytic slope of _secular_and_slope, the
 one form of the secular function that spectral_function evaluates too,
 started from the linear extrapolation of the previous two columns.  A
@@ -61,6 +61,12 @@ __all__ = [
 # attractive boundary 1 + gamma a/2 = |Omega| keeps its k = 0 edge
 _ZERO_TOL = 1e-12
 
+# an end value |Omega cos(theta) + h(n pi)| below this, at n pi >= pi, puts
+# the root within about sqrt(2 _END_ZERO) = ulp(pi)/2 of n pi, so the end is
+# the rounded root; at theta = pi and |Omega| = 1 that value is 2 cos^2(pi/2)
+# = 7.5e-33, as pi is not a double
+_END_ZERO = math.ulp(math.pi) ** 2 / 8.0
+
 # Newton steps per interior sample of band_structure before Brent takes over
 _NEWTON_STEPS = 12
 
@@ -87,31 +93,35 @@ class Band(Record):
 def spectral_function(c: CombCouplings, k: float, theta: float) -> float:
     """Secular function g(k) = Omega cos(theta) + cos(ka) + (gamma/2k) sin(ka).
 
-    Evaluated by _secular_and_slope as (1 + Omega cos theta) -
-    2 sin^2(ka/2) + (gamma/2) sin(ka)/k, with 1 + Omega cos theta a sum of
-    non-negative terms, so nothing cancels at band 0's bottom, where all
-    three terms are small.  Defined for finite k >= 0 (anything else raises
-    ValueError); at k = 0 the removable singularity is replaced by its limit
-    1 + Omega cos(theta) + gamma a / 2.
+    Evaluated by _secular_and_slope from 1 + Omega cos theta and
+    1 - Omega cos theta, each a sum of non-negative terms, so nothing cancels
+    at a band edge, where Omega cos theta + cos(ka) is small: not at band 0's
+    bottom, nor where Omega cos theta -> 1.  Defined for finite k >= 0
+    (anything else raises ValueError); at k = 0 the removable singularity is
+    replaced by its limit 1 + Omega cos(theta) + gamma a / 2.
     """
     if not 0.0 < k < math.inf:
         if k == 0.0:
             return one_plus_omega_cos(c.omega, theta) + 0.5 * c.gamma * c.a
         raise ValueError(f"momentum must be finite and >= 0, got k = {k!r}")
-    return _secular_and_slope(0.5 * c.gamma, c.a, one_plus_omega_cos(c.omega, theta), k)[0]
+    d, e = one_plus_omega_cos(c.omega, theta), one_plus_omega_cos(-c.omega, theta)
+    return _secular_and_slope(0.5 * c.gamma, c.a, d, e, k)[0]
 
 
-def _secular_and_slope(g2: float, a: float, d: float, k: float) -> tuple[float, float]:
-    """The secular function at k > 0, d - 2 sin^2(x/2) + g2 sin(x)/k with
-    x = k a, d = 1 + Omega cos(theta) and g2 = gamma/2, and its slope in k.
+def _secular_and_slope(g2: float, a: float, d: float, e: float, k: float) -> tuple[float, float]:
+    """The secular function at k > 0, Omega cos(theta) + cos x + g2 sin(x)/k
+    with x = k a and g2 = gamma/2, and its slope in k, from d = 1 + Omega
+    cos(theta) and e = 1 - Omega cos(theta).
 
-    2 sin^2(x/2) = 1 - cos x is formed as sin^2 x/(1 + cos x) where cos x > 0,
-    so neither form cancels and sin x, cos x serve both values.
+    Where cos x > 0 it is d - (1 - cos x), else (1 + cos x) - e, with
+    1 -+ cos x = sin^2 x/(1 +- cos x): near a band edge both terms of a pair
+    may be small, and each is formed without cancellation.  sin x and cos x
+    serve both values.
     """
     x = k * a
     s, co = math.sin(x), math.cos(x)
-    drop = s * s / (1.0 + co) if co > 0.0 else 1.0 - co
-    return d - drop + g2 * (s / k), g2 * ((x * co - s) / k / k) - a * s
+    f = d - s * s / (1.0 + co) if co > 0.0 else s * s / (1.0 - co) - e
+    return f + g2 * (s / k), g2 * ((x * co - s) / k / k) - a * s
 
 
 def refine_root(
@@ -208,23 +218,26 @@ def _root(c: CombCouplings, n: int, theta: float, root_tol: float) -> float:
 
     The end values are exact, not evaluated, and an end that is not a root
     gets a nonzero value of the sign the secular function has just inside,
-    as refine_root requires.  An exact zero at an end is
-    band n's own edge when the band lies on that side of it: the upper end
-    for gamma >= 0, the lower end for gamma <= 0.  Any other end zero is the
-    neighbouring band's, and the secular function just inside has the sign
-    of h at that end.
+    as refine_root requires.  An end value that is zero, or below _END_ZERO
+    at k a = n pi > 0, is band n's own edge when the band lies on that side
+    of it: the upper end for gamma >= 0, the lower end for gamma <= 0.  Any
+    other such end is the neighbouring band's, and the secular function just
+    inside has the sign of h at that end.
     """
     g = c.gamma * c.a
-    oc = c.omega * math.cos(theta)
+    d, e = one_plus_omega_cos(c.omega, theta), one_plus_omega_cos(-c.omega, theta)
     parity = 1.0 if n % 2 == 0 else -1.0  # h(n pi) = (-1)^n
     h_lo = 1.0 + 0.5 * g if n == 0 else parity
-    # band 0's lower value sums non-negative terms for g >= 0: nothing cancels
-    f_lo = one_plus_omega_cos(c.omega, theta) + 0.5 * g if n == 0 else oc + parity
-    f_hi = oc - parity
-    if n == 0 and g < 0.0 and abs(f_lo) <= _ZERO_TOL:
+    # Omega cos(theta) + h at the ends, that is d or -e
+    f_lo, f_hi = (d, -e) if parity > 0.0 else (-e, d)
+    if n == 0:
+        f_lo += 0.5 * g
+        if g < 0.0 and abs(f_lo) <= _ZERO_TOL:
+            f_lo = 0.0
+    elif abs(f_lo) < _END_ZERO:
         f_lo = 0.0
     lo, hi = n * math.pi / c.a, (n + 1) * math.pi / c.a
-    if f_hi == 0.0:
+    if abs(f_hi) < _END_ZERO:
         if g >= 0.0:
             return hi
         f_hi = -parity
@@ -277,7 +290,7 @@ def band_edges(
 
 
 def _newton_root(
-    g2: float, a: float, d: float, near: float, far: float, guess: float, tol: float
+    g2: float, a: float, d: float, e: float, near: float, far: float, guess: float, tol: float
 ) -> float | None:
     """The root between near and far by Newton's method, or None.
 
@@ -298,7 +311,7 @@ def _newton_root(
     for _ in range(_NEWTON_STEPS):
         if not lo < k < hi:
             return None
-        f, slope = _secular_and_slope(g2, a, d, k)
+        f, slope = _secular_and_slope(g2, a, d, e, k)
         if not 0.0 < abs(slope) < math.inf:
             return None
         if f == 0.0:
@@ -307,7 +320,7 @@ def _newton_root(
         if abs(step) < tol * k:
             probe = k + math.copysign(tol * k, step)
             if lo < probe < hi:
-                fp = _secular_and_slope(g2, a, d, probe)[0]
+                fp = _secular_and_slope(g2, a, d, e, probe)[0]
                 if fp < 0.0 if f > 0.0 else fp > 0.0:
                     return k + step
         k += step
@@ -343,8 +356,11 @@ def band_structure(
     thetas = tuple(math.pi * ((2 * i - m) / m) for i in range(n_theta))
     upper = thetas[n_theta // 2 :]
     # the interior theta > 0 columns (upper[0] is 0 for odd n_theta, upper[-1]
-    # is pi), each with its 1 + Omega cos(theta), shared by every band
-    columns = [(t, one_plus_omega_cos(c.omega, t)) for t in upper[n_theta % 2 : -1]]
+    # is pi), each with its 1 +- Omega cos(theta), shared by every band
+    columns = [
+        (t, one_plus_omega_cos(c.omega, t), one_plus_omega_cos(-c.omega, t))
+        for t in upper[n_theta % 2 : -1]
+    ]
     g2 = 0.5 * c.gamma
     bands = []
     for n, (k_zero, k_pi) in enumerate(
@@ -353,8 +369,8 @@ def band_structure(
         k_min, k_max = min(k_zero, k_pi), max(k_zero, k_pi)
         ks = [k_zero] * (n_theta % 2)
         k_prev = k = k_zero
-        for theta, d in columns:
-            root = _newton_root(g2, c.a, d, k, k_pi, 2.0 * k - k_prev, root_tol)
+        for theta, d, e in columns:
+            root = _newton_root(g2, c.a, d, e, k, k_pi, 2.0 * k - k_prev, root_tol)
             if root is None:
                 root = _root(c, n, theta, root_tol)
             k_prev, k = k, root

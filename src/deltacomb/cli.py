@@ -114,17 +114,13 @@ def _coupling_params(c: CombCouplings) -> dict:
 
 
 def _emit(
-    args: argparse.Namespace,
-    command: str,
-    parameters: dict,
-    header: Sequence[str],
-    rows: list[tuple],
+    args: argparse.Namespace, parameters: dict, header: Sequence[str], rows: list[tuple]
 ) -> None:
     if args.format == "json":
         import json
 
         payload = {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "parameters": parameters,
             "rows": [dict(zip(header, row)) for row in rows],
@@ -168,7 +164,7 @@ def _check_output(args: argparse.Namespace) -> None:
 def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
     res = _lib("comb_energy")(c, args.abs_tol, args.rel_tol)
-    _emit(args, "energy", _coupling_params(c), res._fields, [res._astuple()])
+    _emit(args, _coupling_params(c), res._fields, [res._astuple()])
     return EXIT_OK
 
 
@@ -178,7 +174,7 @@ def cmd_plate(args: argparse.Namespace) -> int:
     params = _coupling_params(c)
     params["theta"] = args.theta
     row = (args.theta, *res._astuple())
-    _emit(args, "plate", params, ("theta", *res._fields), [row])
+    _emit(args, params, ("theta", *res._fields), [row])
     return EXIT_OK
 
 
@@ -205,7 +201,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     ]
     params = _coupling_params(c)
     params.update({"n_bands": args.n_bands, "n_theta": args.n_theta})
-    _emit(args, "bands", params, header, rows)
+    _emit(args, params, header, rows)
     return EXIT_OK
 
 

@@ -145,10 +145,8 @@ def _violation(quantity: float, context: str) -> None:
 # in the x > 1/2 forms, F's 2x (4x^2 - g^2 - 2g) overflows before it meets
 # its e^{-2x} from about g = 3.5e152 on (at x near 745, where e^{-x} is still
 # nonzero), and f's 4 g^2 e^{-2x} from about g = 1.1e154 on; g = gamma a
-# stops below both.  The limit lets g through up to 4 ulps above 1e150:
-# from_reduced's round trip through w0 adds up to 3 ulps to a gamma given
-# at 1e150
-_MAX_GAMMA_A = 1e150 + 4.0 * math.ulp(1e150)
+# stops below both
+_MAX_GAMMA_A = 1e150
 
 
 def _require_supported(c: CombCouplings) -> float:

@@ -76,6 +76,10 @@ class CombCouplings(Record):
     __slots__ = ("w0", "w1", "a", "omega", "gamma")
 
     def __init__(self, w0: float, w1: float, a: float):
+        p, q, _ = _over_w1_squared(w1)
+        self._checked_set(w0, w1, a, (p - q) / (p + q), w0 * q / (p + q))
+
+    def _checked_set(self, w0: float, w1: float, a: float, omega: float, gamma: float) -> None:
         if not 0 < a < math.inf:
             raise OutsideValidityDomainError(
                 f"lattice spacing must be positive and finite, got a = {a}"
@@ -84,27 +88,27 @@ class CombCouplings(Record):
             raise OutsideValidityDomainError(
                 f"couplings must be finite, got (w0, w1) = ({w0}, {w1})"
             )
-        p, q, _ = _over_w1_squared(w1)
-        self._set(w0, w1, a, (p - q) / (p + q), w0 * q / (p + q))
+        self._set(w0, w1, a, omega, gamma)
 
     @classmethod
     def from_reduced(cls, omega: float, gamma: float, a: float) -> "CombCouplings":
-        """Build couplings from (omega, gamma, a).
+        """Build couplings from (omega, gamma, a), which it keeps exactly.
 
-        Inverts the reduction: w1 = sqrt((1 + omega)/(1 - omega)) (the
-        representative with w1 >= 0; spectra and energies depend on w1 only
-        through w1^2) and w0 = 2 gamma / (1 - omega).  Requires
-        -1 <= omega < 1; omega = 1 corresponds to w1 = +-infinity.
+        Derives w1 = sqrt((1 + omega)/(1 - omega)) (the representative with
+        w1 >= 0; spectra and energies depend on w1 only through w1^2) and
+        w0 = 2 gamma / (1 - omega).  Requires -1 <= omega < 1; omega = 1
+        corresponds to w1 = +-infinity.
         """
         if not -1.0 <= omega < 1.0:
             raise ValueError(f"omega must lie in [-1, 1), got {omega}")
-        w1 = math.sqrt((1.0 + omega) / (1.0 - omega))
         w0 = 2.0 * gamma / (1.0 - omega)
         if not math.isfinite(w0):
             raise OutsideValidityDomainError(
                 f"2 gamma/(1 - omega) must be finite, got (omega, gamma) = ({omega}, {gamma})"
             )
-        return cls(w0=w0, w1=w1, a=a)
+        c = cls.__new__(cls)
+        c._checked_set(w0, math.sqrt((1.0 + omega) / (1.0 - omega)), a, omega, gamma)
+        return c
 
 
 class ScatteringAmplitudes(Record):

@@ -24,7 +24,6 @@ def _grid(lo: float, hi: float, count: int, log: bool = False) -> list[float]:
 
 def _sweep(
     cli: ModuleType, args: argparse.Namespace,
-    command: str,
     names: Sequence[str],
     header: Sequence[str],
     points: Iterable[tuple[CombCouplings, tuple]],
@@ -35,7 +34,7 @@ def _sweep(
     abs_tol, rel_tol = args.abs_tol, args.rel_tol
     comb_energy = cli._lib("comb_energy")
     rows = [(*lead, *row(lead, comb_energy(c, abs_tol, rel_tol))) for c, lead in points]
-    cli._emit(args, command, {name: getattr(args, name) for name in names}, header, rows)
+    cli._emit(args, {name: getattr(args, name) for name in names}, header, rows)
     return cli.EXIT_OK
 
 
@@ -47,7 +46,6 @@ def cmd_scan_a(cli: ModuleType, args: argparse.Namespace) -> int:
     grid = _grid(args.a_min, args.a_max, args.count)
     return _sweep(
         cli, args,
-        "scan-a",
         ("a_min", "a_max", "count", "w0", "w1", "omega", "gamma"),
         ("a", "energy", "abs_err", "tail_bound"),
         ((cli._resolve_couplings(args, a), (a,)) for a in grid),
@@ -75,7 +73,6 @@ def cmd_scan_couplings(cli: ModuleType, args: argparse.Namespace) -> int:
     omegas = _grid(o_lo, o_hi, args.omega_count)
     return _sweep(
         cli, args,
-        "scan-couplings",
         ("a", "gamma_min", "gamma_max", "gamma_count", "omega_min", "omega_max", "omega_count"),
         ("gamma", "omega", "energy", "abs_err", "sign"),
         (
@@ -103,7 +100,6 @@ def cmd_ratio_w0(cli: ModuleType, args: argparse.Namespace) -> int:
     grid = _grid(args.w0_min, args.w0_max, args.count, log=True)
     return _sweep(
         cli, args,
-        "ratio-w0",
         ("a", "w0_min", "w0_max", "count"),
         ("w0", "energy", "abs_err", "ratio"),
         ((cli.CombCouplings(w0=w0, w1=0.0, a=args.a), (w0,)) for w0 in grid),

@@ -91,8 +91,7 @@ def check_dirichlet_constant() -> CheckResult:
             for a in (0.5, 1.0, 2.0):
                 c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
                 res = comb_energy(c)
-                # the law at c's own couplings, after from_reduced's rounding
-                ga, om2 = c.gamma * a, c.omega**2
+                ga, om2 = c.gamma * a, omega**2
                 law = math.pi * (-1 / 24 + 1 / (12 * ga) - (1 + om2 / 2) / (6 * ga * ga)) / a
                 worst = max(worst, abs(res.value - law) / (res.abs_err + res.tail_bound))
     return CheckResult(

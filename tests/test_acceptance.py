@@ -8,7 +8,7 @@ visible both in the -v listing and in the captured detail.
 
 import pytest
 
-from deltacomb import EnergyResult, verification
+from deltacomb import EnergyResult, ValidityViolationError, verification
 from deltacomb.verification import run_all
 
 
@@ -98,3 +98,13 @@ def test_check_08_fails_on_comb_energies_shifted_by_1e_8(monkeypatch):
 
     monkeypatch.setattr(verification, "comb_energy", shifted)
     assert not verification.check_non_analyticity().passed
+
+
+def test_check_10_fails_when_the_positivity_sentinel_fires(monkeypatch):
+    def violating(c, x):
+        raise ValidityViolationError("positivity violated: test")
+
+    monkeypatch.setattr(verification, "spectral_integrand", violating)
+    r = verification.check_validity_guard()
+    assert not r.passed
+    assert r.detail == "after 0 evaluations: positivity violated: test", r.detail

@@ -154,6 +154,44 @@ def test_band_bottom_at_small_gamma_a_matches_mpmath():
         assert abs(got - expected) <= 1e-12 * expected, (g, omega, theta, a)
 
 
+def _bisected_root_oracle(c, n, theta):
+    """Band n's root of Omega cos(theta) + cos(ka) + (gamma/2k) sin(ka) on
+    [n pi/a, (n + 1) pi/a], bisected 200 times in 60-digit mpmath at c's and
+    theta's exact float values (Omega cos theta = 1 - 7.5e-33 at Omega = -1
+    and the double nearest pi)."""
+    with mpmath.workdps(60):
+        om, gamma, a = mpmath.mpf(c.omega), mpmath.mpf(c.gamma), mpmath.mpf(c.a)
+        oc = om * mpmath.cos(mpmath.mpf(theta))
+
+        def f(k):
+            return oc + mpmath.cos(k * a) + gamma / (2 * k) * mpmath.sin(k * a)
+
+        lo, hi = n * mpmath.pi / a, (n + 1) * mpmath.pi / a
+        lo_positive = (1 + oc + gamma * a / 2 if n == 0 else f(lo)) > 0
+        assert (f(hi) > 0) != lo_positive
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (f(mid) > 0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+def test_band_edges_where_omega_cos_theta_nears_1_match_mpmath():
+    # where Omega cos(theta) -> 1 the secular function's 1 + Omega cos theta
+    # and 1 - cos(ka) are both near 2 at an edge; their difference cancelled,
+    # which put band 1's edge at Omega = -1, theta = pi, gamma a = 1e-6 1.3e-10
+    # off, 132 times root_tol.  At Omega cos(theta) = -cos(1e-8), which rounds
+    # to -1, the end value 1 + Omega cos theta = 5e-17 is not a zero either
+    for omega, theta in ((-1.0, math.pi), (1.0 - 2.0**-40, 0.0), (-1.0, 1e-8)):
+        for g in (1e-4, 1e-5, 1e-6):
+            c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
+            for n, k in enumerate(dispersion(c, theta, 4)):
+                expected = _bisected_root_oracle(c, n, theta)
+                assert abs(k - expected) <= ROOT_TOL * expected, (omega, theta, g, n, k, expected)
+
+
 def test_general_secular_vanishes_at_closed_form_roots():
     # the two secular functions differ by a nonvanishing prefactor, so the
     # closed-form roots must annihilate the amplitude-based one
@@ -258,6 +296,22 @@ def test_band_edges_at_multiples_of_pi_are_exact(a):
     # Kronig-Penney: every band's upper edge is the bracket end (n + 1) pi/a
     for n, (_, hi) in enumerate(band_edges(CombCouplings(w0=10.0, w1=0.0, a=a), 4)):
         assert hi == (n + 1) * math.pi / a
+
+
+def test_free_comb_edges_are_bracket_ends_without_evaluation(monkeypatch):
+    # every edge of the free comb is an end of its bracket, taken as is; at
+    # theta = pi the end value 1 - |Omega cos theta| is 2 cos^2(pi/2) =
+    # 7.5e-33, not 0, as pi is not a double, and still counts as zero
+    calls = []
+    inner = deltacomb.bands.spectral_function
+    monkeypatch.setattr(
+        deltacomb.bands, "spectral_function", lambda *args: calls.append(args) or inner(*args)
+    )
+    for a in (1.0, 2.5):
+        free = CombCouplings(w0=0.0, w1=0.0, a=a)
+        assert dispersion(free, 0.0, 6) == [2 * ((n + 1) // 2) * math.pi / a for n in range(6)]
+        assert dispersion(free, math.pi, 6) == [(2 * (n // 2) + 1) * math.pi / a for n in range(6)]
+    assert calls == []
 
 
 def test_band_edges_where_gamma_a_overflows():

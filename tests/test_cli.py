@@ -197,7 +197,7 @@ def test_csv_text_matches_the_csv_module(capsys):
         if trial == 0:
             rows = fixed + rows
         args = argparse.Namespace(format="csv", output=None)
-        cli._emit(args, "test", {}, header, rows)
+        cli._emit(args, {}, header, rows)
         assert capsys.readouterr().out == csv_oracle(header, rows)
 
 
@@ -795,7 +795,6 @@ def test_huge_w0_a_with_gamma_a_in_range_meets_the_strong_law(capsys):
 
 @pytest.mark.parametrize("omega", ["-1", "-0.5", "0.3", "0.99"])
 def test_gamma_at_the_limit_gives_a_finite_energy(capsys, omega):
-    # from_reduced's round trip through w0 may land gamma a a few ulps above 1e150
     code, out, err = run_cli(capsys, "energy", "--omega", omega, "--gamma", "1e150", "--a", "1")
     assert (code, err) == (EXIT_OK, "")
     (row,) = parse_csv(out)

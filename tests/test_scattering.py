@@ -7,6 +7,7 @@ reduction over the ranges the module contracts for.
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -99,8 +100,26 @@ def test_from_reduced_endpoints():
 def test_from_reduced_roundtrip(omega, gamma, a):
     c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a)
     assert c.w1 >= 0.0
-    assert abs(c.omega - omega) <= 1e-12
-    assert abs(c.gamma - gamma) <= 1e-12 * max(1.0, abs(gamma))
+    assert (c.omega, c.gamma) == (omega, gamma)
+    # the derived (w0, w1) reduce back to the given pair up to rounding
+    back = CombCouplings(w0=c.w0, w1=c.w1, a=a)
+    assert abs(back.omega - omega) <= 1e-12
+    assert abs(back.gamma - gamma) <= 1e-12 * max(1.0, abs(gamma))
+
+
+def test_from_reduced_keeps_the_given_couplings_exactly():
+    # omega and gamma are stored as given, not re-derived from the rounded
+    # (w0, w1), which changed most of them in their last bits (energy
+    # --omega 0.3 --gamma 1 reported 0.3000000000000001 and 0.9999999999999999)
+    rng = random.Random(150)
+    cases = [(0.3, 1.0, 1.0), (-0.9999999925, 1e-7, 1.0), (0.3, 1e150, 1.0), (-1.0, 1e150, 1.0),
+             (0.99, 1e150, 1.0), (0.5, 1e148, 100.0)]
+    for _ in range(2000):
+        cases.append((rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-300.0, 150.0),
+                      10.0 ** rng.uniform(-3.0, 3.0)))
+    for omega, gamma, a in cases:
+        c = CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a)
+        assert (c.omega, c.gamma, c.a) == (omega, gamma, a), (omega, gamma, a, c)
 
 
 # --------------------------------------------------------------- amplitudes
