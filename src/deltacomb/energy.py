@@ -101,12 +101,15 @@ which carries the energy's -(s ln s)/8pi.  Where the layer is thin, s <
 0.16, the comb integrates f - phi/2pi below x0 (with the g/(g + 2x) term
 added back) and adds this integral/2pi exactly too.
 
-Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with a
-graded ladder of breakpoints below that layer (see _graded_breakpoints)
-and, above the ladder, with the dyadic points x0, 2 x0, ... below X.
-Bisection from [0, X] reaches those points anyway, so seeding them keeps
-the panels bisection would reach and only skips the parent panels it
-would compute and throw away.
+Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with
+breakpoints at that layer's own scale, w 10^j for a layer w wide (see
+_graded_breakpoints), and with the dyadic points x0, 2 x0, ... below X.
+A layer thinner than the bulk scale 0.4 gets a ladder from j = -1 up to
+0.4, a wider one the rung j = 0 alone, and either keeps a rung j <= 2 up to
+0.7 x0 = 1.75.  Without a rung at w, a layer 0.4 to x0 wide fails the first
+panel of [0, x0] and costs a bisection.  Bisection from [0, X] reaches the
+dyadic points anyway, so seeding them keeps the panels bisection would
+reach and only skips the parent panels it would compute and throw away.
 """
 
 from __future__ import annotations
@@ -281,6 +284,17 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     return ((x * r - g) * d - 2.0 * gge) / (r * v) / _TWO_PI
 
 
+# below x0 the energies add their subtracted term back (see the module
+# docstring); every cutoff lies above it, so it is the lowest dyadic seed
+_LAYER_BREAK = 2.5
+# the bulk scale, a hundredth of the longest cutoff, 40: the ladder's rungs
+# below it grade a thin layer, and only there may its floor drop them
+_BULK = 0.4
+# rungs stop below 0.7 x0: a layer wider than that mostly lets [0, x0]
+# pass in one panel, and a rung there would add one
+_RUNG_CAP = 0.7 * _LAYER_BREAK
+
+
 def _graded_breakpoints(width: float, budget: float, mass) -> tuple[list[float], float]:
     """Interior breakpoints for a layer of the given width at x = 0, and the
     layer mass that the first panel may miss.
@@ -288,32 +302,40 @@ def _graded_breakpoints(width: float, budget: float, mass) -> tuple[list[float],
     A layer far below the first quadrature nodes of [0, X] can be stepped
     over by the adaptive splitter, which then converges without ever
     sampling it (a w0 = 1e-6 comb once lost its entire -w0 ln w0 signal
-    that way).  A geometric ladder from two decades below the layer up to
-    the bulk scale, 0.4 (a hundredth of the longest cutoff, 40), forces
-    panels at every relevant magnitude; a layer 0.4 or wider gets none.
+    that way), and one that reaches them fails the first panel of [0, x0].
+    So the rungs sit at the layer's own scale, w 10^j: from j = -1 for a
+    layer thinner than _BULK, whose ladder forces panels at every relevant
+    magnitude, and from j = 0 for a wider one.  Every rung below _BULK is
+    kept, and so is one with j <= 2 below _RUNG_CAP = 0.7 x0; a layer
+    _RUNG_CAP or wider gets none.
 
     The ladder has a floor: its lowest rungs are dropped while mass(b), a
-    bound on what the first panel [0, b] may miss, stays under budget.  The
-    bound is returned with the breakpoints, 0.0 when no rung was dropped,
-    for the caller to add to the error it reports.
+    bound on what the first panel [0, b] may miss, stays under budget.  It
+    acts only below _BULK, and mass is called only there.  The bound is
+    returned with the breakpoints, 0.0 when no rung was dropped, for the
+    caller to add to the error it reports.
     """
     breaks, dropped = [], 0.0
-    if 0.0 < width < 0.4:
-        b = 0.01 * width
-        while b < 0.4:
-            m = mass(b)
-            if breaks and m < budget:
-                breaks, dropped = [b], m
-            else:
-                breaks.append(b)
-            b *= 10.0
+    if not 0.0 < width < _RUNG_CAP:
+        return breaks, dropped
+    b, j = (0.1 * width, -1) if width < _BULK else (width, 0)
+    while b < _BULK:
+        m = mass(b)
+        if breaks and m < budget:
+            breaks, dropped = [b], m
+        else:
+            breaks.append(b)
+        b, j = 10.0 * b, j + 1
+    if j <= 2 and b < _RUNG_CAP:
+        breaks.append(b)
     return breaks, dropped
 
 
 def _comb_layer_mass(s: float):
     """Bound on what one panel [0, b], b < 0.4, may miss of the comb's
     remainder f_s - phi/2pi at s = g + delta < 0.16 (see comb_energy), as a
-    function of b: s b^2/2pi.
+    function of b: s b^2/2pi.  It is derived only below 0.4, and the ladder
+    consults it only there (_BULK): a rung at or above 0.4 is always kept.
 
     With sigma = sinh(x)/x, eta = (sinh(x/2)/(x/2))^2, v = 1 - |Omega| (so
     delta = v (2 - v)) and r = sqrt(x^2 + s), the small-x form reads 2 pi f_s
@@ -334,9 +356,6 @@ def _comb_layer_mass(s: float):
     return lambda b: s * (b * b) / _TWO_PI
 
 
-# below x0 the energies add their subtracted term back (see the module
-# docstring); every cutoff lies above it, so it is the lowest dyadic seed
-_LAYER_BREAK = 2.5
 # the cutoffs in x = k a, tried in order against the tail bound
 _CUTOFFS = (20.0, 40.0)
 # covers the majorants' dropped 1 + O(e^{-x}) factors (under 1e-8 at x >= 20)
@@ -369,12 +388,13 @@ def _energy_integral(
     roundings of the logs, quotients and products), or 2 ulps of 0.0 where
     the products and their sum land among the subnormals.
 
-    What layer f has left below x0 is width wide (0 for none), and a ladder
-    below the dyadic seeds grades on it (see _graded_breakpoints), with
-    mass(b) bounding what a panel [0, b] may miss.  The floor drops only
-    rungs whose mass is under eps abs_tol a, or under 2^-1074 where that
-    underflows, the rounding that each panel of nonzero values carries
-    anyway (see quadrature._SUBNORMAL).  A layer that the tolerance alone
+    What layer f has left below x0 is width wide (0 for none), and rungs at
+    its own scale, up to 0.7 x0, grade on it below the dyadic seeds (see
+    _graded_breakpoints), with mass(b) bounding what a panel [0, b], b <
+    0.4, may miss.  The floor drops only rungs below 0.4 whose mass is under
+    eps abs_tol a, or under 2^-1074 where that underflows, the rounding
+    that each panel of nonzero values carries anyway (see
+    quadrature._SUBNORMAL).  A layer that the tolerance alone
     would let the floor drop can carry much of a small energy, and below eps
     abs_tol a its loss is rounding next to any energy of abs_tol or more.
     The dropped mass is added to abs_err, in the run's tolerance test, so

@@ -738,6 +738,55 @@ def test_near_free_comb_lands_on_its_pinned_oracle():
     assert abs(res.value + 5.853363758446837e-08) <= res.abs_err + res.tail_bound, res
 
 
+def _comb_of_width(rng, i, lo, hi):
+    """A seeded comb whose layer sqrt(g + 2 delta) is in [lo, hi) wide, with
+    g/w^2 in {0, 1/2} or uniform, Omega on either side and a in [0.1, 10]."""
+    while True:
+        w = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        g = (0.0, 0.5, rng.random())[i % 3] * w * w
+        delta = 0.5 * (w * w - g)
+        if delta <= 1.0:
+            omega = math.sqrt(1.0 - delta)
+            if i % 2 or omega == 1.0:
+                omega = -omega
+            a = 10.0 ** rng.uniform(-1.0, 1.0)
+            c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
+            if lo <= math.sqrt(c.gamma * a + 2.0 * (1.0 - c.omega) * (1.0 + c.omega)) < hi:
+                return c
+
+
+def test_combs_with_rungs_past_the_bulk_scale_against_the_log_form_oracle():
+    # a layer from 0.4 to 1.75 wide gets a rung at its width, and a thin one
+    # from 0.004 up a ladder that runs past 0.4; each energy lands within
+    # abs_err + tail_bound of the 30-digit oracle
+    rng = random.Random(40)
+    for lo, hi in ((0.004, 0.4), (0.4, 1.75)):
+        for i in range(6):
+            c = _comb_of_width(rng, i, lo, hi)
+            res = comb_energy(c)
+            oracle = _log_form_energy(c.gamma * c.a, c.omega, c.a)
+            assert abs(res.value - oracle) <= res.abs_err + res.tail_bound, (c, res, oracle)
+
+
+def test_plates_near_the_marginal_phase_against_a_tight_run():
+    # plates whose layer sqrt(g + 2 (1 + Omega cos theta)) is 1e-6 to 1.75
+    # wide, at Omega near -1 and theta near 0 or at Omega near 1 and theta
+    # near pi, land within abs_err + tail_bound of a run at abs_tol 1e-15
+    rng = random.Random(40)
+    for i in range(60):
+        w = 10.0 ** rng.uniform(-6.0, math.log10(1.75))
+        g = (0.0, rng.random())[i % 2] * w * w
+        q = 0.5 * (w * w - g)  # 1 + Omega cos theta, split between Omega and theta
+        r = rng.random()
+        omega, theta = -(1.0 - r * q), 2.0 * math.asin(math.sqrt(min(1.0, 0.5 * (1.0 - r) * q)))
+        if i % 3 == 1:
+            omega, theta = -omega, math.pi - theta
+        a = 10.0 ** rng.uniform(-1.0, 1.0)
+        c = CombCouplings.from_reduced(omega=max(-1.0, min(omega, 1.0 - 2.0**-53)), gamma=g / a, a=a)
+        res, tight = plate_energy(c, theta), plate_energy(c, theta, 1e-15, 1e-13)
+        assert abs(res.value - tight.value) <= res.abs_err + res.tail_bound, (c, theta, res, tight)
+
+
 def test_subnormal_layers_cost_few_evaluations(monkeypatch):
     # at abs_tol a below ~2e-308 the floor's budget eps abs_tol a underflows;
     # a budget of 2^-1074 lets it drop the ladder of a subnormal g, whose
@@ -915,6 +964,69 @@ def test_comb_layer_mass_bounds_what_a_first_panel_misses():
             breaks = [1e-4 * b * 3.0**k for k in range(9)]
             value, err = integrate_finite(rest, 0.0, b, 1e-3 * mass(b), 1e-300, breaks)
             assert abs(estimate - value) <= mass(b) - err, (c, b)
+
+
+def _no_mass(b):
+    raise AssertionError(f"mass asked for at b = {b!r}")
+
+
+def test_a_layer_of_mid_width_gets_one_rung_at_its_width():
+    for w in (0.4, 0.5, 1.0, 1.23, 1.7499):
+        assert deltacomb.energy._graded_breakpoints(w, 1.0, _no_mass) == ([w], 0.0)
+
+
+def test_a_thin_layer_gets_a_ladder_from_a_decade_below_it():
+    # w 10^j from j = -1: every rung below 0.4, and the next one too if it
+    # is within two decades of w and below 1.75
+    rng = random.Random(4)
+    widths = [0.004, 0.0175, 0.02, 0.039, 0.1, 0.17, 0.2, 0.399, 1e-161]
+    widths += [10.0 ** rng.uniform(-160.0, math.log10(0.4)) for _ in range(200)]
+    for w in widths:
+        breaks, dropped = deltacomb.energy._graded_breakpoints(w, 0.0, lambda b: 1.0)
+        assert breaks[0] == 0.1 * w and dropped == 0.0, w
+        assert all(hi == pytest.approx(10.0 * lo, rel=1e-15) for lo, hi in zip(breaks, breaks[1:]))
+        top = breaks[-1]
+        assert top < 0.4 or (top < 1.75 and top <= 100.0 * w * (1.0 + 1e-14)), (w, breaks)
+        nxt = 10.0 * top
+        assert nxt >= 0.4 and (nxt >= 1.75 or nxt > 100.0 * w * (1.0 + 1e-14) or top >= 0.4), (w, breaks)
+
+
+def test_a_layer_of_zero_or_of_1_75_or_wider_gets_no_rung():
+    for w in (0.0, 1.75, 2.0, 3.0, 100.0):
+        assert deltacomb.energy._graded_breakpoints(w, 1.0, _no_mass) == ([], 0.0)
+
+
+def test_the_floor_drops_only_rungs_below_the_bulk_scale():
+    # a mass that may not be asked for at b >= 0.4 never is; the floor still
+    # drops the low rungs, and the rung past 0.4 stays
+    def mass(b):
+        assert b < 0.4, b
+        return b * b
+
+    breaks, dropped = deltacomb.energy._graded_breakpoints(0.01, 2e-4, mass)
+    assert breaks == pytest.approx([0.01, 0.1, 1.0], rel=1e-15)
+    assert dropped == pytest.approx(1e-4, rel=1e-14)
+    breaks, dropped = deltacomb.energy._graded_breakpoints(0.1, 1.0, mass)
+    assert breaks == pytest.approx([0.1, 1.0], rel=1e-15) and dropped == pytest.approx(0.01)
+
+
+def test_a_mid_width_layer_costs_one_panel_fewer(monkeypatch):
+    # w = sqrt(g + 2 delta) = sqrt(2) at Omega = -0.5, gamma a = 0.5: with a
+    # rung at w the first panels of [0, x0] pass, where [0, x0] failed and
+    # was bisected (90 evaluations for the comb, 105 for its plate at
+    # theta = 1), counted through the module attributes
+    calls = []
+    spectral, theta = deltacomb.energy.spectral_integrand, deltacomb.energy.theta_integrand
+    monkeypatch.setattr(deltacomb.energy, "spectral_integrand",
+                        lambda c, k: calls.append(k) or spectral(c, k))
+    monkeypatch.setattr(deltacomb.energy, "theta_integrand",
+                        lambda c, k, th: calls.append(k) or theta(c, k, th))
+    c = CombCouplings.from_reduced(omega=-0.5, gamma=0.5, a=1.0)
+    comb_energy(c)
+    assert len(calls) == 75
+    calls.clear()
+    plate_energy(c, 1.0)
+    assert len(calls) == 90
 
 
 def test_energies_gate_the_gamma_a_their_integrands_see():
