@@ -87,19 +87,30 @@ the pure-delta comb's (g/8pi)(ln g - 1).  Its integral is elementary, so
 below the break x0 = 2.5 the quadrature integrates the integrand with that
 term added back, and the term's integral over [0, x0], -(g/4pi) ln(1 + 2
 x0/g), is added exactly.  What is left has one thin layer at most, sqrt(g
-+ 2 delta) wide for f and sqrt(g + 2 (1 + Omega cos theta)) wide for F,
-present only near the free corner or the marginal phase.
++ 2 delta) wide for f and w = sqrt(g + 2 (1 + Omega cos theta)) wide for
+F, present only near the free corner or the marginal phase.
 
-The comb's layer is the paper's non-analytic part, and it too has a closed
-form.  With s = g + delta and r = sqrt(x^2 + s), what is left of 2 pi f
-below x0 is phi(x; s) = x - x^2/r = x s/(r (r + x)) up to O(s x) (see
-_comb_layer_mass), and
+Both layers have a closed form, and one rule serves them (see
+_energy_integral, which builds the one integrand): where the layer is
+thinner than the bulk scale 0.4, the run integrates the integrand less the
+layer's shape below x0 and adds the shape's integral over [0, x0] exactly.
+The comb's layer is the paper's non-analytic part.  With s = g + delta and
+r = sqrt(x^2 + s), what is left of 2 pi f below x0 is phi(x; s) = x -
+x^2/r = x s/(r (r + x)) up to O(s x) (see _comb_layer_mass), and
 
     int_0^x0 phi dx = (s/2) [asinh(x0/sqrt s) - x0/(x0 + sqrt(x0^2 + s))],
 
-which carries the energy's -(s ln s)/8pi.  Where the layer is thin, s <
-0.16, the comb integrates f - phi/2pi below x0 (with the g/(g + 2x) term
-added back) and adds this integral/2pi exactly too.
+which carries the energy's -(s ln s)/8pi; the comb subtracts phi where
+sqrt s < 0.4.  A plate's layer is the step psi(x) = -2x^2/(x^2 + w^2) from
+0 to -2: what is left of F below x0 is x + psi up to O(x^2 + g) (see
+_plate_layer_mass), and
+
+    int_0^x0 psi dx = -2 (x0 - w atan(x0/w));
+
+the plate subtracts psi where w < 0.4.  The comb is the Bloch-phase
+average of its plates, the paper's continuous sum of fixed-phase zeta
+functions, and so are the layers: the theta-average of w/2, the only part
+of -2 (x0 - w atan(x0/w)) odd in w, carries the comb's -(s ln s)/8pi.
 
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with
 breakpoints at that layer's own scale, w 10^j for a layer w wide (see
@@ -110,6 +121,10 @@ A layer thinner than the bulk scale 0.4 gets a ladder from j = -1 up to
 panel of [0, x0] and costs a bisection.  Bisection from [0, X] reaches the
 dyadic points anyway, so seeding them keeps the panels bisection would
 reach and only skips the parent panels it would compute and throw away.
+The ladder's lowest rungs are dropped while the derived bound on what the
+first panel may miss stays under a tenth of the smaller of abs_tol a and
+rel_tol times the size of the closed forms' sum (never under eps abs_tol
+a, or 2^-1074), and that bound is added to abs_err.
 """
 
 from __future__ import annotations
@@ -333,9 +348,10 @@ def _graded_breakpoints(width: float, budget: float, mass) -> tuple[list[float],
 
 def _comb_layer_mass(s: float):
     """Bound on what one panel [0, b], b < 0.4, may miss of the comb's
-    remainder f_s - phi/2pi at s = g + delta < 0.16 (see comb_energy), as a
-    function of b: s b^2/2pi.  It is derived only below 0.4, and the ladder
-    consults it only there (_BULK): a rung at or above 0.4 is always kept.
+    remainder f_s - phi/2pi at s = g + delta, sqrt(s) < 0.4 (see
+    comb_energy), as a function of b: s b^2/2pi.  It is derived only below
+    0.4, and the ladder consults it only there (_BULK): a rung at or above
+    0.4 is always kept.
 
     With sigma = sinh(x)/x, eta = (sinh(x/2)/(x/2))^2, v = 1 - |Omega| (so
     delta = v (2 - v)) and r = sqrt(x^2 + s), the small-x form reads 2 pi f_s
@@ -356,6 +372,49 @@ def _comb_layer_mass(s: float):
     return lambda b: s * (b * b) / _TWO_PI
 
 
+def _plate_layer_mass(g: float, w: float):
+    """Bound on what one panel [0, b], b < 0.4, may miss of a plate's
+    remainder (F_s - psi)/2pi at w = sqrt(g + 2q), q = 1 + Omega cos theta
+    (see plate_energy), as a function of b: the smaller of 0.68 (b^2/3 + g)
+    b/2pi and 0.7 (w^2 + g + 1e-26 b^2) b/2pi.  Like _comb_layer_mass it is
+    derived only below 0.4, where the ladder consults it.
+
+    With sigma = sinh(x)/x and eta = (sinh(x/2)/(x/2))^2, the small-x form
+    reads F_s = x + N/D with N = -2 x^2 sigma - g (cosh x - sigma) and D =
+    x^2 eta + g sigma + 2q = (x^2 + w^2)(1 + e), where e = [x^2 (eta - 1) +
+    g (sigma - 1)]/(x^2 + w^2) >= 0.  The series of eta - 1, sigma - 1,
+    sigma - eta and cosh x - sigma have non-negative coefficients, so over
+    x^2 they grow with x: for x <= 0.4 they are at most 0.0838, 0.1681,
+    0.0843 and 0.3387 times x^2, and termwise sigma - 1 <= 2 (sigma - eta).
+    Let u = x^2/(x^2 + w^2), and note 2q <= w^2 and g <= w^2.
+
+    First, F_s - psi - x = T1 + T2 with T2 = -g (cosh x - sigma)/D, |T2| <=
+    0.339 g u, and T1 = -2u [x^2 (sigma - eta) + 2q (sigma - 1)]/((x^2 +
+    w^2)(1 + e)), |T1| <= 2u (sigma - eta)(u + 2 (1 - u)) <= 0.169 x^2.  So
+    |F_s - psi - x| <= 0.34 (x^2 + g) (the seeded supremum is (x^2 + g)/6).
+
+    Second, at w = g = 0 the remainder is e0 = 2 - x coth(x/2), and F_s -
+    psi - x - e0 = -g (cosh x - sigma)/D + 2 (sigma/eta) g (sigma - 1)/D +
+    2 (1 - u) [(sigma/eta)/(1 + e) - 1].  The first two terms have opposite
+    signs and are at most 0.339 g and 2 (1.0134)(0.1681) g = 0.341 g.  As
+    0 <= sigma/eta - 1 = (x/2) coth(x/2) - 1 <= x^2/12, e <= (0.0838 x^2 +
+    0.1681 g) u and (1 - u) x^2 = u w^2, the last is at most 0.168 w^2 +
+    0.085 g.  With g <= w^2, |F_s - psi - x - e0| <= 0.168 w^2 + 0.426 g <=
+    0.35 (w^2 + g) (the seeded supremum is (w^2 + g)/24).  The Taylor
+    series of e0 = 2 - 2y coth y, y = x/2, has coefficients 4 zeta(2n)/pi^2n
+    in magnitude, so past its degree-22 terms e0 is at most 4.02
+    (x/2pi)^24 off it.
+
+    A Kronrod panel has positive weights summing to b and integrates x, x^2
+    and any polynomial of degree 22 exactly.  So its estimate Q and the
+    integral I each have |.| <= 0.34 (b^3/3 + g b)/2pi by the first bound,
+    and by the second |Q - I| <= [0.7 (w^2 + g) b + 8.1 b (b/2pi)^24]/2pi,
+    under 0.7 (w^2 + g + 1e-26 b^2) b/2pi for b < 0.4.  The second bound
+    lets the floor drop the rungs of a step far thinner than the tolerance.
+    """
+    return lambda b: min(0.68 * (b * b / 3.0 + g), 0.7 * (w * w + g + 1e-26 * (b * b))) * b / _TWO_PI
+
+
 # the cutoffs in x = k a, tried in order against the tail bound
 _CUTOFFS = (20.0, 40.0)
 # covers the majorants' dropped 1 + O(e^{-x}) factors (under 1e-8 at x >= 20)
@@ -364,43 +423,46 @@ _TAIL_MARGIN = 1.01
 
 
 def _energy_integral(
-    f, g: float, a: float, abs_tol: float, rel_tol: float, tail, width: float = 0.0, mass=None,
-    layer: float = 0.0,
+    f, c: CombCouplings, abs_tol: float, rel_tol: float, tail, width: float = 0.0, thin=None,
 ) -> EnergyResult:
-    """(1/a) int_0^oo dx f(x) for an integrand in x = k a at g = gamma a.
+    """int_0^oo dk f(c, k) = (1/a) int_0^oo dx f(c, x/a) for an integrand f
+    at the couplings c (spectral_integrand, say), in x = k a and g = gamma a.
 
     Integrates over [0, X] in one adaptive run seeded with the dyadic points
     x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol * a (both
     tolerances must be positive, and abs_tol * a must not underflow to 0,
     else ValueError) so that abs_tol holds in energy units.  tail(X) is a
-    closed-form bound on int_X^oo |f| for X >= 20, up to a factor 1 +
-    O(e^{-X}); the bound reported is _TAIL_MARGIN tail(X).  X is the first of
-    _CUTOFFS whose bound is at most abs_tol a/100, else the last one; K =
-    X/a must be finite (else a domain error naming a).  No cutoff costs an
-    evaluation.
+    closed-form bound on int_X^oo dx |f(c, x/a)| for X >= 20, up to a factor
+    1 + O(e^{-X}); the bound reported is _TAIL_MARGIN tail(X).  X is the
+    first of _CUTOFFS whose bound is at most abs_tol a/100, else the last
+    one; K = X/a must be finite (else a domain error naming a).  No cutoff
+    costs an evaluation.
 
-    Above x0, f carries the subtracted term -(1/2pi) g/(g + 2x); below it,
-    for g > 0, f has that term added back, and the run adds the term's
-    integral there, -(g/4pi) ln(1 + 2 x0/g), exactly, as a constant inside
-    its tolerance test.  layer is the integral over [0, x0] of anything else
-    that f subtracts below x0 (the comb's phi/2pi), added the same way.
-    abs_err covers the rounding of both constants: 8 eps of each (a few
-    roundings of the logs, quotients and products), or 2 ulps of 0.0 where
-    the products and their sum land among the subnormals.
+    f carries the subtracted term -(1/2pi) g/(g + 2x).  Below x0 the run
+    integrates f with that term added back, less the shape of a thin layer
+    where there is one, and adds the integrals of both over [0, x0] exactly,
+    as constants inside its tolerance test: -(g/4pi) ln(1 + 2 x0/g) for the
+    term, and for the layer the second of thin = (shape, int_0^x0 shape dx,
+    mass), whose shape is a function of x.  abs_err covers the rounding of
+    both constants: 8 eps of each (a few roundings of the logs, quotients
+    and products), or 2 ulps of 0.0 where the products and their sum land
+    among the subnormals.
 
-    What layer f has left below x0 is width wide (0 for none), and rungs at
-    its own scale, up to 0.7 x0, grade on it below the dyadic seeds (see
+    What layer is left below x0 is width wide (0 for none), and rungs at its
+    own scale, up to 0.7 x0, grade on it below the dyadic seeds (see
     _graded_breakpoints), with mass(b) bounding what a panel [0, b], b <
-    0.4, may miss.  The floor drops only rungs below 0.4 whose mass is under
-    eps abs_tol a, or under 2^-1074 where that underflows, the rounding
+    0.4, may miss; a layer under 0.4 wide comes with its thin triple.  The
+    floor drops only rungs below 0.4 whose mass is under a tenth of the
+    smaller of abs_tol a and rel_tol times the constants' sum, which is set
+    before any evaluation and follows the size of the energy, and never
+    under eps abs_tol a, or 2^-1074 where that underflows: the rounding
     that each panel of nonzero values carries anyway (see
-    quadrature._SUBNORMAL).  A layer that the tolerance alone
-    would let the floor drop can carry much of a small energy, and below eps
-    abs_tol a its loss is rounding next to any energy of abs_tol or more.
-    The dropped mass is added to abs_err, in the run's tolerance test, so
-    abs_err <= max(abs_tol, rel_tol |E|) still holds.
+    quadrature._SUBNORMAL).  The dropped mass is added to abs_err, in the
+    run's tolerance test, so abs_err <= max(abs_tol, rel_tol |E|) still
+    holds.
     """
-    x0 = _LAYER_BREAK
+    x0, a = _LAYER_BREAK, c.a
+    g = c.gamma * a
     if not (abs_tol > 0 and rel_tol > 0):
         raise ValueError("tolerances must be strictly positive")
     tol = abs_tol * a
@@ -413,14 +475,6 @@ def _energy_integral(
         bound = _TAIL_MARGIN * tail(X)
         if bound <= 0.01 * tol:
             break
-    breaks, dropped = _graded_breakpoints(width, max(_EPS * tol, _SUBNORMAL), mass)
-    # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
-    # way down anyway, so seeding them skips only the parent panels it would
-    # compute and discard
-    seed = x0
-    while seed < X:
-        breaks.append(seed)
-        seed *= 2.0
     sub = 0.0
     if g > 0.0:
         # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
@@ -428,17 +482,31 @@ def _energy_integral(
         # quotient keeps the bits of a subnormal g
         L = math.log1p(2.0 * x0 / g) if g >= 1.0 else math.log(g + 2.0 * x0) - math.log(g)
         sub = -g * (L / (2.0 * _TWO_PI))
+    shape, layer, mass = thin or (None, 0.0, None)
+    budget = max(_EPS * tol, _SUBNORMAL, 0.1 * min(tol, rel_tol * abs(sub + layer)))
+    breaks, dropped = _graded_breakpoints(width, budget, mass)
+    # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
+    # way down anyway, so seeding them skips only the parent panels it would
+    # compute and discard
+    seed = x0
+    while seed < X:
+        breaks.append(seed)
+        seed *= 2.0
     rounding = 0.0
     if sub or layer:
         rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)), 2.0 * _SUBNORMAL)
+
+    def integrand(x: float) -> float:
+        if x < x0:
+            # g/((g + 2x) 2pi) with g alone over a normal denominator: where
+            # g is subnormal it rounds once (see quadrature._SUBNORMAL)
+            return f(c, x / a) + g / ((g + 2.0 * x) * _TWO_PI) - (shape(x) if shape else 0.0)
+        return f(c, x / a)
+
     value, err = integrate_finite(
-        f, 0.0, X, tol, rel_tol, breaks, shift=sub + layer, shift_err=dropped + rounding,
+        integrand, 0.0, X, tol, rel_tol, breaks, shift=sub + layer, shift_err=dropped + rounding,
     )
     return EnergyResult(value=value / a, abs_err=err / a, truncation_k=K, tail_bound=bound / a)
-
-
-# a comb layer sqrt(s) wide under the ladder's bulk scale, 0.4, is thin
-_THIN_LAYER = 0.16
 
 
 def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> EnergyResult:
@@ -457,40 +525,35 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     _energy_integral), f_s, has one layer, the paper's non-analytic part:
     with s = g + delta, delta = 1 - Omega^2 and r = sqrt(x^2 + s), 2 pi f_s
     ~ phi = x - x^2/r = x s/(r (r + x)) for small x, g and delta (D/x^2 ->
-    4s, root -> 2x r in the small-x form).  Where that layer is thin, 0 < s
-    < 0.16, the run integrates f_s - phi/2pi, whose layer holds O(s^2 ln s),
-    and adds int_0^x0 phi/2pi = (s/2)[asinh(x0/sqrt s) - x0/(x0 + sqrt(x0^2
-    + s))]/2pi, which carries the -(s ln s)/8pi of the energy.  A thicker
-    comb integrates f_s itself.  The ladder grades on sqrt(g + 2 delta).
+    4s, root -> 2x r in the small-x form).  Where that layer is thin, 0 <
+    sqrt s < 0.4, the run integrates f_s - phi/2pi, whose layer holds O(s^2
+    ln s), and adds int_0^x0 phi/2pi = (s/2)[asinh(x0/sqrt s) - x0/(x0 +
+    sqrt(x0^2 + s))]/2pi, which carries the -(s ln s)/8pi of the energy.  A
+    thicker comb integrates f_s itself.  The ladder grades on sqrt(g + 2
+    delta).
     """
-    a, g = c.a, _require_supported(c)
+    g = _require_supported(c)
     om = c.omega
     delta = (1.0 - om) * (1.0 + om)
     s = g + delta
-    x0 = _LAYER_BREAK  # a closure cell: f is evaluated per node
-    layer = 0.0
-    if 0.0 < s < _THIN_LAYER:
-        def f(x: float) -> float:
-            if x < x0:
-                # phi/2pi = x s/(r (r + x) 2pi) with s alone over a normal
-                # denominator: where g or s is subnormal, each term rounds
-                # once, by at most 2^-1075 (see quadrature._SUBNORMAL)
-                r = math.sqrt(x * x + s)
-                return (spectral_integrand(c, x / a) + g / ((g + 2.0 * x) * _TWO_PI)
-                        - s / (r * (r / x + 1.0) * _TWO_PI))
-            return spectral_integrand(c, x / a)
+    root = math.sqrt(s)
+    thin = None
+    if 0.0 < root < _BULK:
+        x0 = _LAYER_BREAK
+        bracket = math.asinh(x0 / root) - x0 / (x0 + math.sqrt(x0 * x0 + s))
 
-        bracket = math.asinh(x0 / math.sqrt(s)) - x0 / (x0 + math.sqrt(x0 * x0 + s))
-        layer = s * (bracket / (2.0 * _TWO_PI))  # (s/2) bracket/2pi
-    else:
-        def f(x: float) -> float:
-            return spectral_integrand(c, x / a) + (g / (g + 2.0 * x) / _TWO_PI if x < x0 else 0.0)
+        def phi(x: float) -> float:
+            # phi/2pi = x s/(r (r + x) 2pi) with s alone over a normal
+            # denominator: where s is subnormal it rounds once
+            r = math.sqrt(x * x + s)
+            return s / (r * (r / x + 1.0) * _TWO_PI)
 
+        thin = (phi, s * (bracket / (2.0 * _TWO_PI)), _comb_layer_mass(s))  # (s/2) bracket/2pi
     return _energy_integral(
-        f, g, a, abs_tol, rel_tol,
+        spectral_integrand, c, abs_tol, rel_tol,
         lambda X: (delta * (X + 0.5) + min(1.0, g / (2.0 * X)) ** 2 * (X + 1.5))
                   * math.exp(-2.0 * X) / _TWO_PI,
-        math.sqrt(g + 2.0 * delta), _comb_layer_mass(s), layer,
+        math.sqrt(g + 2.0 * delta), thin,
     )
 
 
@@ -503,27 +566,32 @@ def plate_energy(
     (1/2a)(|theta| - theta^2/(2 pi) - pi/3); averaging over theta with weight
     dtheta/(2 pi) recovers comb_energy.  Even in theta.
 
-    Beside its subtracted term, F has A / (B + C cos theta) ~ -2x^2/(x^2 +
-    w^2) for small x, w^2 = g + 2 (1 + Omega cos theta): a step from 0 to -2
-    that a panel [0, b] misses by at most (2w/pi) atan(b/w), twice the
-    step's own deficit.  In the rearranged form, |4x^2 - g^2 - 2g| <= R^2,
-    |P| <= x R and the denominator is at least R^2 (1 - 3 e^{-x}), so for x >= X,
-    |F| <= [2x eps + 4x^2 |Omega cos theta| e^{-x}/(2X + g)] (1 + O(e^{-x})):
-    over [X, oo) that is e^{-2X} (X + 1/2) + 4 |Omega cos theta| e^{-X} (X^2
-    + 2X + 2)/(2X + g), which falls like the comb's e^{-2X} at Omega cos
-    theta = 0.
+    Below x0 = 2.5 what remains of F after its subtracted term, F_s, is x
+    plus the step psi = -2x^2/(x^2 + w^2) from 0 to -2, w^2 = g + 2 (1 +
+    Omega cos theta), up to O(x^2 + g) (see _plate_layer_mass).  Where that
+    layer is thin, w < 0.4, the run integrates (F_s - psi)/2pi and adds
+    int_0^x0 psi/2pi = -2 (x0 - w atan(x0/w))/2pi.  In the rearranged form,
+    |4x^2 - g^2 - 2g| <= R^2, |P| <= x R and the denominator is at least R^2
+    (1 - 3 e^{-x}), so for x >= X, |F| <= [2x eps + 4x^2 |Omega cos theta|
+    e^{-x}/(2X + g)] (1 + O(e^{-x})): over [X, oo) that is e^{-2X} (X + 1/2)
+    + 4 |Omega cos theta| e^{-X} (X^2 + 2X + 2)/(2X + g), which falls like
+    the comb's e^{-2X} at Omega cos theta = 0.
     """
-    a, g = c.a, _require_supported(c)
+    g = _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    width = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
+    w = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
     phase = abs(c.omega * math.cos(theta))
-    x0 = _LAYER_BREAK
+    thin = None
+    if w < _BULK:
+        # psi/2pi = -2/((1 + (w/x)^2) 2pi), which stays finite where x^2 and
+        # w^2 underflow; atan2 gives w atan(x0/w) = 0 at w = 0
+        thin = (lambda x: -2.0 / ((1.0 + (w / x) * (w / x)) * _TWO_PI),
+                -2.0 * (_LAYER_BREAK - w * math.atan2(_LAYER_BREAK, w)) / _TWO_PI,
+                _plate_layer_mass(g, w))
     return _energy_integral(
-        lambda x: (theta_integrand(c, x / a, theta)
-                   + (g / (g + 2.0 * x) if x < x0 else 0.0)) / _TWO_PI,
-        g, a, abs_tol, rel_tol,
+        lambda c, k: theta_integrand(c, k, theta) / _TWO_PI, c, abs_tol, rel_tol,
         lambda X: ((X + 0.5) * math.exp(-2.0 * X) + 4.0 * phase * math.exp(-X)
                    * (X * X + 2.0 * X + 2.0) / (2.0 * X + g)) / _TWO_PI,
-        width, lambda b: (2.0 * width / math.pi) * math.atan2(b, width),
+        w, thin,
     )

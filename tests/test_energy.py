@@ -29,7 +29,8 @@ from deltacomb import (
 )
 import deltacomb.energy
 from deltacomb.quadrature import _panel, integrate_finite
-from deltacomb.verification import _plate_energy_closed
+from deltacomb.scattering import one_plus_omega_cos
+from deltacomb.verification import _dual_cell_misfit, _plate_energy_closed
 from deltacomb.verification import _theta_integral_numeric
 
 # the energies' default tolerances
@@ -768,21 +769,30 @@ def test_combs_with_rungs_past_the_bulk_scale_against_the_log_form_oracle():
             assert abs(res.value - oracle) <= res.abs_err + res.tail_bound, (c, res, oracle)
 
 
+def _marginal_plate(rng, i, lowest, top):
+    """A seeded plate whose layer w = sqrt(g + 2 (1 + Omega cos theta)) is
+    about 10^lowest to top wide, at Omega near -1 and theta near 0 or at
+    Omega near 1 and theta near pi, with g/w^2 0 or uniform and a in [0.1,
+    10]; returns it with its theta."""
+    w = 10.0 ** rng.uniform(lowest, math.log10(top))
+    g = (0.0, rng.random())[i % 2] * w * w
+    q = 0.5 * (w * w - g)  # 1 + Omega cos theta, split between Omega and theta
+    r = rng.random()
+    omega, theta = -(1.0 - r * q), 2.0 * math.asin(math.sqrt(min(1.0, 0.5 * (1.0 - r) * q)))
+    if i % 3 == 1:
+        omega, theta = -omega, math.pi - theta
+    a = 10.0 ** rng.uniform(-1.0, 1.0)
+    c = CombCouplings.from_reduced(omega=max(-1.0, min(omega, 1.0 - 2.0**-53)), gamma=g / a, a=a)
+    return c, theta
+
+
 def test_plates_near_the_marginal_phase_against_a_tight_run():
     # plates whose layer sqrt(g + 2 (1 + Omega cos theta)) is 1e-6 to 1.75
     # wide, at Omega near -1 and theta near 0 or at Omega near 1 and theta
     # near pi, land within abs_err + tail_bound of a run at abs_tol 1e-15
     rng = random.Random(40)
     for i in range(60):
-        w = 10.0 ** rng.uniform(-6.0, math.log10(1.75))
-        g = (0.0, rng.random())[i % 2] * w * w
-        q = 0.5 * (w * w - g)  # 1 + Omega cos theta, split between Omega and theta
-        r = rng.random()
-        omega, theta = -(1.0 - r * q), 2.0 * math.asin(math.sqrt(min(1.0, 0.5 * (1.0 - r) * q)))
-        if i % 3 == 1:
-            omega, theta = -omega, math.pi - theta
-        a = 10.0 ** rng.uniform(-1.0, 1.0)
-        c = CombCouplings.from_reduced(omega=max(-1.0, min(omega, 1.0 - 2.0**-53)), gamma=g / a, a=a)
+        c, theta = _marginal_plate(rng, i, -6.0, 1.75)
         res, tight = plate_energy(c, theta), plate_energy(c, theta, 1e-15, 1e-13)
         assert abs(res.value - tight.value) <= res.abs_err + res.tail_bound, (c, theta, res, tight)
 
@@ -966,6 +976,51 @@ def test_comb_layer_mass_bounds_what_a_first_panel_misses():
             assert abs(estimate - value) <= mass(b) - err, (c, b)
 
 
+def test_plate_layer_mass_bounds_what_a_first_panel_misses():
+    # the remainder F_s - psi - x, F_s = F + g/(g + 2x), is at most 0.34 (x^2
+    # + g) on [0, 0.4] for any w, and within 0.35 (w^2 + g) of its value at
+    # w = g = 0, 2 - x coth(x/2) (the bounds _plate_layer_mass derives),
+    # against a 100-digit A/(B + C cos theta); and one Kronrod panel [0, b] of
+    # the integrand the plate integrates misses at most mass(b) against a
+    # graded integral within a thousandth of it, where its rounding (~eps
+    # per value) is under the bound
+    rng = random.Random(41)
+    worst = worst_w = 0.0
+    for i in range(40):
+        c, theta = _marginal_plate(rng, i, -30.0, 0.4)
+        for x in (10.0 ** rng.uniform(-12.0, math.log10(0.4)), rng.uniform(0.0, 0.4)):
+            with mpmath.workdps(100):
+                g, om, xm = (mpmath.mpf(v) for v in (c.gamma * c.a, c.omega, x))
+                sh, ch = mpmath.sinh(xm), mpmath.cosh(xm)
+                q = 1 + om * mpmath.cos(mpmath.mpf(theta))
+                A = -xm * g * ch + (g - 2 * xm * xm) * sh
+                rest = A / (2 * xm * ch + g * sh + 2 * xm * (q - 1)) + 2 * xm * xm / (xm * xm + g + 2 * q)
+                worst = max(worst, float(abs(rest) / (xm * xm + g)))
+                at_zero = 2 - xm * mpmath.coth(xm / 2)
+                worst_w = max(worst_w, float(abs(rest - at_zero) / (g + 2 * q + g)))
+    assert 0.1 < worst <= 0.34, worst
+    assert 0.005 < worst_w <= 0.35, worst_w
+    for i in range(30):
+        c, theta = _marginal_plate(rng, i, -4.0, 0.4)
+        a, g = c.a, c.gamma * c.a
+        w = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
+        if not w < 0.4:
+            continue
+
+        def rest(x):
+            return (theta_integrand(c, x / a, theta) + g / (g + 2.0 * x)
+                    + 2.0 / (1.0 + (w / x) ** 2)) / TWO_PI
+
+        mass = deltacomb.energy._plate_layer_mass(g, w)
+        for b in (0.1 * w, w, 10.0 * w, 0.1, 0.399):
+            if b >= 0.4:
+                continue
+            estimate = _panel(rest, 0.0, b)[0]
+            breaks = [1e-4 * b * 3.0**k for k in range(9)]
+            value, err = integrate_finite(rest, 0.0, b, 1e-3 * mass(b), 1e-300, breaks)
+            assert abs(estimate - value) <= mass(b) - err, (c, theta, b)
+
+
 def _no_mass(b):
     raise AssertionError(f"mass asked for at b = {b!r}")
 
@@ -1084,23 +1139,34 @@ def test_tiny_gamma_matches_gamma_zero(monkeypatch):
             assert abs(res.value - free.value - law) <= res.abs_err + free.abs_err
 
 
-def test_plate_near_the_marginal_phase_keeps_its_step():
+def test_plate_near_the_marginal_phase_keeps_its_step(monkeypatch):
     # At fixed theta the integrand steps from 0 to -2 across
     # x ~ sqrt(g + 2(1 + Omega cos theta)), a layer of mass half that width
-    # that the ladder's floor must not drop (Omega = -1 here).  At theta = 0
-    # the default tolerance agrees with a tight one, which keeps low rungs
+    # (Omega = -1 here).  At theta = 0 the default tolerance agrees with a
+    # tight one
     for w0 in (1e-14, 1e-16):
         c = CombCouplings(w0=w0, w1=0.0, a=1.0)
         loose = plate_energy(c, 0.0)
         tight = plate_energy(c, 0.0, abs_tol=1e-14)
         assert abs(loose.value - tight.value) <= loose.abs_err + tight.abs_err
-    # gamma = 1e-30 moves the free plate by far less than abs_err; at
-    # gamma = 0 there is no gamma layer, and the ladder grades on the step
-    for w0, thetas in ((1e-30, (1e-8, 1e-7, 1e-6)), (0.0, (1e-9, 1.4e-6, 1e-5, 1e-3))):
-        c = CombCouplings(w0=w0, w1=0.0, a=1.0)
-        for theta in thetas:
-            res = plate_energy(c, theta)
-            assert abs(res.value - _plate_energy_closed(theta, 1.0)) <= res.abs_err, (w0, theta)
+    # gamma = 1e-30 moves the free plate by far less than abs_err
+    c = CombCouplings(w0=1e-30, w1=0.0, a=1.0)
+    for theta in (1e-8, 1e-7, 1e-6):
+        res = plate_energy(c, theta)
+        assert abs(res.value - _plate_energy_closed(theta, 1.0)) <= res.abs_err, theta
+    # at gamma = 0 the step is w = 2 sin(theta/2) wide, and its closed form
+    # carries the plate's non-analytic |theta|: each energy lands on (|theta|
+    # - theta^2/2pi - pi/3)/2a within abs_err, in at most 135 evaluations at
+    # the default tolerances and 240 at (1e-15, 1e-13) (the step integrated
+    # under the ladder took 180-285 and 330-555)
+    calls = _count_calls(monkeypatch, "theta_integrand")
+    c = CombCouplings(w0=0.0, w1=0.0, a=1.0)
+    for tols, cap in (((ABS_TOL, REL_TOL), 135), ((1e-15, 1e-13), 240)):
+        for theta in (1e-9, 1e-6, 1.4e-6, 1e-5, 1e-3, 0.1):
+            calls.clear()
+            res = plate_energy(c, theta, *tols)
+            assert abs(res.value - _plate_energy_closed(theta, 1.0)) <= res.abs_err, (tols, theta, res)
+            assert len(calls) <= cap, (tols, theta, len(calls))
 
 
 def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
@@ -1171,6 +1237,13 @@ def test_energy_equals_theta_average_of_plate_energy():
         lambda th: plate_energy(c, th, *relaxed).value, 0.0, math.pi, *relaxed
     )
     assert abs(avg / math.pi - comb) <= 1e-8
+    # near-free combs: the paper's Bloch-phase sum with both thin layers in
+    # closed form, the comb's sqrt(s) layer and each plate's step, whose
+    # theta-average carries the comb's -(s ln s)/8pi, agree within their
+    # summed errors
+    for omega, gamma, a in ((-0.999, 1e-4, 1.0), (0.9999, 1e-6, 2.0), (-1.0, 1e-8, 0.5)):
+        dev, bound = _dual_cell_misfit(CombCouplings.from_reduced(omega=omega, gamma=gamma, a=a))
+        assert dev <= bound, (omega, gamma, a, dev, bound)
 
 
 # ------------------------------------------------------------ plate energy

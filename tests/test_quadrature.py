@@ -195,11 +195,13 @@ def test_tolerance_not_met_raises(monkeypatch):
 
 
 def test_the_split_budget_bounds_a_whole_energy(capsys, monkeypatch):
-    # one integrate_finite call covers an energy, ladder and all; the
-    # pure-delta plate at g = 1e-6 and its marginal phase theta = 0 needs 5
-    # splits of it
+    # one integrate_finite call covers an energy, ladder and all; the comb
+    # at Omega = -0.99, gamma a = 1e-3 needs 7 splits of it at abs_tol 1e-15
+    # and rel_tol 1e-13
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
-    assert main(["plate", "--w0", "1e-6", "--a", "1", "--theta", "0"]) == EXIT_NUMERIC
+    argv = ["energy", "--omega", "-0.99", "--gamma", "1e-3", "--a", "1",
+            "--abs-tol", "1e-15", "--rel-tol", "1e-13"]
+    assert main(argv) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure: ")
     assert "above tolerance after 3 subdivisions" in err
@@ -257,11 +259,21 @@ def test_shift_enters_the_value_and_the_tolerance_test():
 
 
 # Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus a
-# closed-form tail bound, assembled once by the energy module.
+# closed-form tail bound, assembled once by the energy module.  Its integrand
+# is a function of the couplings and k, like spectral_integrand; at gamma = 0
+# it has no subtracted term to add back.
+
+
+def _decay(c, k):
+    return math.exp(-k * c.a)
+
+
+def _free(a):
+    return CombCouplings(w0=0.0, w1=0.0, a=a)
 
 
 def test_semi_infinite_exponential():
-    res = _energy_integral(lambda x: math.exp(-x), 0.0, 1.0, *TOLS, lambda X: math.exp(-X))
+    res = _energy_integral(_decay, _free(1.0), *TOLS, lambda X: math.exp(-X))
     # the tail at 20 is above abs_tol/100, so the target is 1 - e^{-40}
     assert res.truncation_k == 40.0
     assert abs(res.value - (1.0 - math.exp(-40.0))) <= max(10.0 * res.abs_err, 1e-13)
@@ -271,7 +283,7 @@ def test_semi_infinite_exponential():
 
 def test_semi_infinite_k_exp():
     res = _energy_integral(
-        lambda x: x * math.exp(-x), 0.0, 1.0, *TOLS, lambda X: (X + 1.0) * math.exp(-X)
+        lambda c, k: k * _decay(c, k), _free(1.0), *TOLS, lambda X: (X + 1.0) * math.exp(-X)
     )
     assert res.truncation_k == 40.0
     assert abs(res.value - 1.0) <= max(10.0 * res.abs_err, 1e-13)
@@ -284,7 +296,7 @@ def test_semi_infinite_truncation_override(monkeypatch):
     # the result is (1/a) times the x integral
     monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (10.0,))
     for a in (1.0, 2.0):
-        res = _energy_integral(lambda x: math.exp(-x), 0.0, a, *TOLS, lambda X: math.exp(-X))
+        res = _energy_integral(_decay, _free(a), *TOLS, lambda X: math.exp(-X))
         assert res.truncation_k == 10.0 / a
         assert abs(res.value - (1.0 - math.exp(-10.0)) / a) <= 1e-12
         assert res.tail_bound >= math.exp(-10.0) / a
