@@ -71,15 +71,17 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
   (x ~ 745, resp. 372) 0.0 is returned, the value to double precision;
   below that no product overflows up to g = 1e150.
 
-Every energy integral (comb and plate) is (1/a) int_0^X dx I(x/a) (resp.
-F(x/a, theta)/2pi) at the caller's couplings, truncated at K = X/a.  Its
-only controls are two floats, abs_tol and rel_tol: the reported abs_err
-is at most max(abs_tol, rel_tol |E|).  The cutoff is a numerical detail
-that this module picks from abs_tol alone, with no option to set it: X =
-20 unless abs_tol a/100 is under the tail bound there, else 40; a K that
-overflows is a domain error.  The tail bound is the integral over [X, oo)
-of a closed-form majorant of |f| (resp. |F|/2pi) read off the rearranged forms
-(see comb_energy and plate_energy), so it is set before any evaluation.
+Every energy integral (comb and plate) is (1/a) int_0^oo dx I(x/a) (resp.
+F(x/a, theta)/2pi) at the caller's couplings.  Its only controls are two
+floats, abs_tol and rel_tol: the reported abs_err is at most max(abs_tol,
+rel_tol |E|).  The adaptive run stops at X = 10 in x, K = X/a in k (a K
+that overflows is a domain error).  Past X the rearranged forms are series
+in e^{-2x} (in e^{-x} for F's T cos theta term), and their leading terms,
+e^{-2x} for f and e^{-x}, e^{-2x} and e^{-3x} for F, are integrated over
+[X, oo) by one fixed 8-point Gauss-Laguerre rule and added to the value.
+The tail bound is the integral over [X, oo) of a closed-form majorant of
+what those terms leave out, O(e^{-4X}) (see _comb_tail and _plate_tail),
+so it is set before any evaluation.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
@@ -188,7 +190,8 @@ def _require_supported(c: CombCouplings) -> float:
 class EnergyResult(Record):
     """Energy value with its quadrature error and truncation-tail bound.
 
-    value excludes the (bounded) tail beyond truncation_k.
+    value includes the leading terms of the tail beyond truncation_k, and
+    tail_bound bounds the rest.
     """
 
     __slots__ = ("value", "abs_err", "truncation_k", "tail_bound")
@@ -300,10 +303,10 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
 
 
 # below x0 the energies add their subtracted term back (see the module
-# docstring); every cutoff lies above it, so it is the lowest dyadic seed
+# docstring); the cutoff X lies above it, so it is the lowest dyadic seed
 _LAYER_BREAK = 2.5
-# the bulk scale, a hundredth of the longest cutoff, 40: the ladder's rungs
-# below it grade a thin layer, and only there may its floor drop them
+# the bulk scale: the ladder's rungs below it grade a thin layer, and only
+# there may its floor drop them (the layer masses are derived below it)
 _BULK = 0.4
 # rungs stop below 0.7 x0: a layer wider than that mostly lets [0, x0]
 # pass in one panel, and a rung there would add one
@@ -415,11 +418,120 @@ def _plate_layer_mass(g: float, w: float):
     return lambda b: min(0.68 * (b * b / 3.0 + g), 0.7 * (w * w + g + 1e-26 * (b * b))) * b / _TWO_PI
 
 
-# the cutoffs in x = k a, tried in order against the tail bound
-_CUTOFFS = (20.0, 40.0)
-# covers the majorants' dropped 1 + O(e^{-x}) factors (under 1e-8 at x >= 20)
-# and the rounding of the bound itself
-_TAIL_MARGIN = 1.01
+# the adaptive run stops at x = X = 10 (k = X/a); past it both integrands
+# are series in e^{-x}, whose leading terms are added in closed form
+_TAIL_FROM = 10.0
+# (node, weight) of the 8-point Gauss-Laguerre rule, int_0^oo e^{-t} q(t) dt
+# ~ sum w q(t) (Abramowitz & Stegun 25.4.45)
+_LAGUERRE = (
+    (0.170279632305101, 0.3691885893416375),
+    (0.9037017767993799, 0.41878678081434295),
+    (2.2510866298661307, 0.1757949866371718),
+    (4.266700170287659, 0.03334349226121565),
+    (7.0459054023934655, 0.0027945362352256725),
+    (10.758516010180996, 9.076508773358213e-05),
+    (15.740678641278004, 8.485746716272531e-07),
+    (22.863131736889265, 1.0480011748715104e-09),
+)
+# the rule's error and rounding on the leading terms, as a fraction of its
+# sum of |w q|, with a margin of 2: against 30-digit mpmath on 300 values of
+# g from 1e-3 to 1e4 (and 1e10, 1e50, 1e150), at most 2.01e-13 for the
+# plate's e^{-x} term, at g = 5.0 (its pole at x = -g/2 matters most there;
+# the term is c times a function of g alone), 2.6e-14 for the comb's (at
+# delta = 0, g = 4.5e-3) and 4.3e-15 for the plate's others
+_RULE_ERR = 4e-13
+
+
+def _laguerre(terms) -> tuple[float, float]:
+    """The tail's leading terms, (j, q) standing for e^{-jx} q(x), integrated
+    over [X, oo), X = _TAIL_FROM: the sum of (e^{-jX}/j) int_0^oo e^{-t}
+    q(X + t/j) dt by the 8-point rule, and the same sum of |w q|."""
+    X = _TAIL_FROM
+    lead = lead_abs = 0.0
+    for j, q in terms:
+        total = total_abs = 0.0
+        for t, w in _LAGUERRE:
+            term = w * q(X + t / j)
+            total += term
+            total_abs += abs(term)
+        scale = math.exp(-j * X) / j
+        lead += total * scale
+        lead_abs += total_abs * scale
+    return lead, lead_abs
+
+
+def _comb_tail(g: float, delta: float):
+    """The comb's tail past X = _TAIL_FROM as (terms, bound) for
+    _energy_integral: f's leading term h1, and a bound on int_X^oo |f - h1|.
+
+    With R = 2x + g, u = g/R, v = x/R and eps = e^{-2x}, the rearranged form
+    (module docstring) has D = eps (16 x^2 delta - 4 g^2)/(2R (1 + b)) and V
+    = R (1 + al), so
+
+        2 pi f = eps [(x - u)(8 delta v^2 - 2u^2)/((1 + al)(1 + b))
+                      - 2u^2/(1 + al)],
+
+    whose leading term is 2 pi h1 = eps [(x - u)(8 delta v^2 - 2u^2) -
+    2u^2]; in u and v nothing overflows up to g = 1e150.  For x >= X = 10,
+    (V/R)^2 - 1 = 2 s eps + s^2 eps^2 - 4 (1 - u)^2 Omega^2 eps with s = 1 -
+    2u lies in [-2 eps, 2 eps + eps^2], so |al| <= 1.000001 eps, and b = (al
+    - s eps)/2 has |b| <= 1.000001 eps.  As 0 < x - u <= x, v <= 1/2 and u
+    <= g/(2X + g) =: m, |2 pi (f - h1)| <= 1.00001 eps^2 [2x (2 delta + 2
+    m^2) + 2 m^2]: over [X, oo) that is e^{-4X} [(delta + m^2)(X + 1/4) +
+    m^2/2], returned with a margin of 1.01.  It carries delta or m^2 (m <=
+    min(1, g/2X)) in every term, so it vanishes at the free corner with f.
+    """
+    def h1(x: float) -> float:  # e^{2x} h1
+        r = 2.0 * x + g
+        u, v = g / r, x / r
+        uu = u * u
+        return ((x - u) * (8.0 * delta * (v * v) - 2.0 * uu) - 2.0 * uu) / _TWO_PI
+
+    X = _TAIL_FROM
+    m = g / (2.0 * X + g)
+    bound = 1.01 * ((delta + m * m) * (X + 0.25) + 0.5 * m * m) * math.exp(-4.0 * X) / _TWO_PI
+    return ((2, h1),), bound
+
+
+def _plate_tail(g: float, cc: float):
+    """A plate's tail past X = _TAIL_FROM at c = Omega cos theta = cc, as
+    (terms, bound) for _energy_integral: the e^{-x}, e^{-2x} and e^{-3x}
+    terms of F/2pi (the second alone where c = 0), and a bound on what they
+    leave out.
+
+    With y = e^{-x}, R = 2x + g, u = g/R, v = x/R and s = (2x - g)/R, the
+    rearranged form (module docstring) is F = (c1 y + b2 y^2)/(1 + z), z =
+    a1 y + s y^2, with c1 = 4cv (x - u), b2 = 2xs - 4uv and a1 = 4cv, so
+
+        F = c1 y + (b2 - a1 c1) y^2 + (c1 (a1^2 - s) - a1 b2) y^3 + O(y^4).
+
+    The rest is y^4 [2 c1 a1 s + b2 (a1^2 - s)] + y^5 [c1 s^2 + 2 b2 a1 s] +
+    y^6 b2 s^2 - (c1 y + b2 y^2) z^3/(1 + z).  With p = |c|, |c1| <= 2px,
+    |a1| <= 2p, |s| <= 1 and |b2| <= 2x + 1/2, its y^4 part is at most (2x +
+    1/2)(1 + 8p^2 + 8p^4), and the others add under 63 y (2x + 1/2), 0.3%
+    for x >= 10.  Over [X, oo) that is (1 + 8p^2 + 8p^4)(X/2 + 1/4)
+    e^{-4X}/2pi, returned with a margin of 1.01.
+    """
+    def term1(x: float) -> float:  # e^{x} times the e^{-x} term of F/2pi
+        r = 2.0 * x + g
+        return 4.0 * cc * (x / r) * (x - g / r) / _TWO_PI
+
+    def term2(x: float) -> float:
+        r = 2.0 * x + g
+        u, v = g / r, x / r
+        a1 = 4.0 * cc * v
+        return (2.0 * x * ((2.0 * x - g) / r) - 4.0 * u * v - a1 * a1 * (x - u)) / _TWO_PI
+
+    def term3(x: float) -> float:
+        r = 2.0 * x + g
+        u, v, s = g / r, x / r, (2.0 * x - g) / r
+        a1 = 4.0 * cc * v
+        return (a1 * (x - u) * (a1 * a1 - s) - a1 * (2.0 * x * s - 4.0 * u * v)) / _TWO_PI
+
+    p2 = cc * cc
+    X = _TAIL_FROM
+    bound = 1.01 * (1.0 + 8.0 * p2 * (1.0 + p2)) * (0.5 * X + 0.25) * math.exp(-4.0 * X) / _TWO_PI
+    return ((1, term1), (2, term2), (3, term3)) if cc else ((2, term2),), bound
 
 
 def _energy_integral(
@@ -428,25 +540,28 @@ def _energy_integral(
     """int_0^oo dk f(c, k) = (1/a) int_0^oo dx f(c, x/a) for an integrand f
     at the couplings c (spectral_integrand, say), in x = k a and g = gamma a.
 
-    Integrates over [0, X] in one adaptive run seeded with the dyadic points
-    x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol * a (both
-    tolerances must be positive, and abs_tol * a must not underflow to 0,
-    else ValueError) so that abs_tol holds in energy units.  tail(X) is a
-    closed-form bound on int_X^oo dx |f(c, x/a)| for X >= 20, up to a factor
-    1 + O(e^{-X}); the bound reported is _TAIL_MARGIN tail(X).  X is the
-    first of _CUTOFFS whose bound is at most abs_tol a/100, else the last
-    one; K = X/a must be finite (else a domain error naming a).  No cutoff
-    costs an evaluation.
+    Integrates over [0, X], X = _TAIL_FROM, in one adaptive run seeded with
+    the dyadic points x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol
+    * a (both tolerances must be positive, and abs_tol * a must not
+    underflow to 0, else ValueError) so that abs_tol holds in energy units;
+    K = X/a must be finite (else a domain error naming a).  The tail past X
+    is tail = (terms, bound) (see _comb_tail and _plate_tail): terms are the
+    leading terms of f past X, pairs (j, q) that stand for e^{-jx} q(x), and
+    bound is a closed-form bound on int_X^oo dx |f(c, x/a) - sum e^{-jx}
+    q(x)|, reported as tail_bound.  The terms' integral over [X, oo) (see
+    _laguerre) is added to the value, and the rule's error and rounding,
+    _RULE_ERR times its sum of |w q|, to abs_err.  The tail costs no
+    evaluation of f.
 
     f carries the subtracted term -(1/2pi) g/(g + 2x).  Below x0 the run
     integrates f with that term added back, less the shape of a thin layer
     where there is one, and adds the integrals of both over [0, x0] exactly,
-    as constants inside its tolerance test: -(g/4pi) ln(1 + 2 x0/g) for the
-    term, and for the layer the second of thin = (shape, int_0^x0 shape dx,
-    mass), whose shape is a function of x.  abs_err covers the rounding of
-    both constants: 8 eps of each (a few roundings of the logs, quotients
-    and products), or 2 ulps of 0.0 where the products and their sum land
-    among the subnormals.
+    as constants inside its tolerance test with the tail's leading terms:
+    -(g/4pi) ln(1 + 2 x0/g) for the term, and for the layer the second of
+    thin = (shape, int_0^x0 shape dx, mass), whose shape is a function of x.
+    abs_err covers the rounding of these constants: 8 eps of each (a few
+    roundings of the logs, quotients and products), or 2 ulps of 0.0 where
+    the products and their sum land among the subnormals.
 
     What layer is left below x0 is width wide (0 for none), and rungs at its
     own scale, up to 0.7 x0, grade on it below the dyadic seeds (see
@@ -461,20 +576,18 @@ def _energy_integral(
     run's tolerance test, so abs_err <= max(abs_tol, rel_tol |E|) still
     holds.
     """
-    x0, a = _LAYER_BREAK, c.a
+    x0, X, a = _LAYER_BREAK, _TAIL_FROM, c.a
     g = c.gamma * a
     if not (abs_tol > 0 and rel_tol > 0):
         raise ValueError("tolerances must be strictly positive")
     tol = abs_tol * a
     if not tol > 0.0:
         raise ValueError(f"abs_tol a = {tol!r} underflows at abs_tol = {abs_tol!r}, a = {a!r}")
-    for X in _CUTOFFS:
-        K = X / a
-        if K == math.inf:
-            raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
-        bound = _TAIL_MARGIN * tail(X)
-        if bound <= 0.01 * tol:
-            break
+    K = X / a
+    if K == math.inf:
+        raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
+    terms, bound = tail
+    lead, lead_abs = _laguerre(terms)
     sub = 0.0
     if g > 0.0:
         # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
@@ -483,7 +596,8 @@ def _energy_integral(
         L = math.log1p(2.0 * x0 / g) if g >= 1.0 else math.log(g + 2.0 * x0) - math.log(g)
         sub = -g * (L / (2.0 * _TWO_PI))
     shape, layer, mass = thin or (None, 0.0, None)
-    budget = max(_EPS * tol, _SUBNORMAL, 0.1 * min(tol, rel_tol * abs(sub + layer)))
+    shift = sub + layer + lead
+    budget = max(_EPS * tol, _SUBNORMAL, 0.1 * min(tol, rel_tol * abs(shift)))
     breaks, dropped = _graded_breakpoints(width, budget, mass)
     # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
     # way down anyway, so seeding them skips only the parent panels it would
@@ -493,8 +607,8 @@ def _energy_integral(
         breaks.append(seed)
         seed *= 2.0
     rounding = 0.0
-    if sub or layer:
-        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)), 2.0 * _SUBNORMAL)
+    if sub or layer or lead_abs:
+        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)) + _RULE_ERR * lead_abs, 2.0 * _SUBNORMAL)
 
     def integrand(x: float) -> float:
         if x < x0:
@@ -504,7 +618,7 @@ def _energy_integral(
         return f(c, x / a)
 
     value, err = integrate_finite(
-        integrand, 0.0, X, tol, rel_tol, breaks, shift=sub + layer, shift_err=dropped + rounding,
+        integrand, 0.0, X, tol, rel_tol, breaks, shift=shift, shift_err=dropped + rounding,
     )
     return EnergyResult(value=value / a, abs_err=err / a, truncation_k=K, tail_bound=bound / a)
 
@@ -514,12 +628,8 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     most max(abs_tol, rel_tol |E|).
 
     Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a
-    (X as in _energy_integral), and reports the neglected tail as a separate
-    bound.  In the rearranged form, V >= R (1 - 3 eps), R - S eps + V >= 2R
-    (1 - 2 eps), 0 < x R - g <= x R and R >= max(2x, g), so |2 pi f| <= eps
-    [2x delta + 2 (x + 1) m^2] (1 + O(eps)) with m = min(1, g/2x) falling in
-    x: over [X, oo) that is e^{-2X} [delta (X + 1/2) + m(X)^2 (X + 3/2)], 0
-    at the free corner.
+    (X as in _energy_integral), and adds the tail's leading term, with a
+    bound on the rest as tail_bound (see _comb_tail).
 
     Below x0 = 2.5 what remains of f after its subtracted term (see
     _energy_integral), f_s, has one layer, the paper's non-analytic part:
@@ -550,9 +660,7 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
 
         thin = (phi, s * (bracket / (2.0 * _TWO_PI)), _comb_layer_mass(s))  # (s/2) bracket/2pi
     return _energy_integral(
-        spectral_integrand, c, abs_tol, rel_tol,
-        lambda X: (delta * (X + 0.5) + min(1.0, g / (2.0 * X)) ** 2 * (X + 1.5))
-                  * math.exp(-2.0 * X) / _TWO_PI,
+        spectral_integrand, c, abs_tol, rel_tol, _comb_tail(g, delta),
         math.sqrt(g + 2.0 * delta), thin,
     )
 
@@ -570,18 +678,16 @@ def plate_energy(
     plus the step psi = -2x^2/(x^2 + w^2) from 0 to -2, w^2 = g + 2 (1 +
     Omega cos theta), up to O(x^2 + g) (see _plate_layer_mass).  Where that
     layer is thin, w < 0.4, the run integrates (F_s - psi)/2pi and adds
-    int_0^x0 psi/2pi = -2 (x0 - w atan(x0/w))/2pi.  In the rearranged form,
-    |4x^2 - g^2 - 2g| <= R^2, |P| <= x R and the denominator is at least R^2
-    (1 - 3 e^{-x}), so for x >= X, |F| <= [2x eps + 4x^2 |Omega cos theta|
-    e^{-x}/(2X + g)] (1 + O(e^{-x})): over [X, oo) that is e^{-2X} (X + 1/2)
-    + 4 |Omega cos theta| e^{-X} (X^2 + 2X + 2)/(2X + g), which falls like
-    the comb's e^{-2X} at Omega cos theta = 0.
+    int_0^x0 psi/2pi = -2 (x0 - w atan(x0/w))/2pi.
+
+    Past X = 10 (see _energy_integral) the run adds the tail's e^{-x},
+    e^{-2x} and e^{-3x} terms, with a bound on the rest as tail_bound (see
+    _plate_tail).
     """
     g = _require_supported(c)
     if not -math.pi <= theta <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
     w = math.sqrt(g + 2.0 * one_plus_omega_cos(c.omega, theta))
-    phase = abs(c.omega * math.cos(theta))
     thin = None
     if w < _BULK:
         # psi/2pi = -2/((1 + (w/x)^2) 2pi), which stays finite where x^2 and
@@ -591,7 +697,5 @@ def plate_energy(
                 _plate_layer_mass(g, w))
     return _energy_integral(
         lambda c, k: theta_integrand(c, k, theta) / _TWO_PI, c, abs_tol, rel_tol,
-        lambda X: ((X + 0.5) * math.exp(-2.0 * X) + 4.0 * phase * math.exp(-X)
-                   * (X * X + 2.0 * X + 2.0) / (2.0 * X + g)) / _TWO_PI,
-        w, thin,
+        _plate_tail(g, c.omega * math.cos(theta)), w, thin,
     )

@@ -125,8 +125,10 @@ def test_energy_csv(capsys):
     assert len(rows) == 1
     assert set(rows[0]) == {"value", "abs_err", "truncation_k", "tail_bound"}
     assert abs(float(rows[0]["value"]) - math.pi / 48.0) <= 1e-8
-    # the comb's tail past k a = 20 is far below abs_tol/100
-    assert float(rows[0]["truncation_k"]) == 20.0
+    # the run stops at k a = 10; past it the tail's leading term is in
+    # closed form, and the bound on the rest is far below abs_tol
+    assert float(rows[0]["truncation_k"]) == 10.0
+    assert 0.0 < float(rows[0]["tail_bound"]) < 1e-16
 
 
 def test_energy_json_matches_csv_bit_for_bit(capsys):
@@ -351,20 +353,23 @@ def test_plate_free_comb(capsys):
     assert set(row) == {"theta", "value", "abs_err", "truncation_k", "tail_bound"}
     assert abs(float(row["value"]) + math.pi / 6.0) <= 1e-8
     assert float(row["theta"]) == 0.0
-    assert float(row["truncation_k"]) == 40.0
-    assert 0.0 < float(row["tail_bound"]) < 1e-14
+    # the free plate at theta = 0 has F ~ x e^{-x}; its e^{-x}, e^{-2x} and
+    # e^{-3x} terms past k a = 10 are in closed form
+    assert float(row["truncation_k"]) == 10.0
+    assert 0.0 < float(row["tail_bound"]) < 1e-15
 
 
 @pytest.mark.parametrize("couplings", [("--gamma", "1"), ("--gamma", "0"), ("--gamma", "1e6")])
-def test_plate_cutoff_is_20_where_its_phase_term_vanishes(capsys, couplings):
-    # at Omega cos theta = 0, F decays like the comb's x e^{-2x}, so the plate
-    # stops at k a = 20 as the comb does; the free plate above keeps 40
+def test_plate_cutoff_is_10_where_its_phase_term_vanishes(capsys, couplings):
+    # at Omega cos theta = 0, F is a series in e^{-2x} like the comb's f: the
+    # plate stops at k a = 10 as every plate does, and its bound on what the
+    # e^{-2x} term leaves out is 1.01 (X/2 + 1/4) e^{-4X}/2pi, X = 10
     code, out, _ = run_cli(capsys, "plate", "--omega", "0", *couplings, "--a", "1", "--theta", "1",
                            "--format", "json")
     assert code == EXIT_OK
     (row,) = json.loads(out)["rows"]
-    assert row["truncation_k"] == 20.0
-    assert 0.0 < row["tail_bound"] <= 1e-10 / 100.0
+    assert row["truncation_k"] == 10.0
+    assert row["tail_bound"] == pytest.approx(1.01 * 5.25 * math.exp(-40.0) / (2.0 * math.pi), rel=1e-14)
 
 
 # ------------------------------------------------------------------ bands
@@ -905,19 +910,19 @@ def test_tiny_spacing_meets_the_pure_delta_law(capsys):
 @pytest.mark.parametrize("command", [("energy",), ("plate", "--theta", "1")])
 @pytest.mark.parametrize("a", ["1e-308", "1e-310"])
 def test_cutoff_overflow_at_tiny_spacing_exits_2(capsys, command, a):
-    # K = 40/a overflows: a domain error naming a, not an inf row (or an
+    # K = 10/a overflows: a domain error naming a, not an inf row (or an
     # integrand error naming k = inf)
     code, out, err = run_cli(capsys, command[0], "--w0", "1", "--w1", "0.3", "--a", a, *command[1:])
     assert (code, out) == (EXIT_DOMAIN, "")
     assert f"a = {float(a)!r}" in err and "inf" not in err
 
 
-def test_cutoff_fallback_that_overflows_exits_2(capsys):
-    # K = 20/a is finite, but abs_tol a/100 is below the comb's tail bound at
-    # 20, so the cutoff falls back to 40, and 40/a overflows: exit 2 naming a
-    code, out, err = run_cli(capsys, "energy", "--w0", "1", "--w1", "0.3", "--a", "1.5e-307")
+def test_cutoff_that_just_overflows_exits_2(capsys):
+    # K = 10/a overflows just below a = 10/DBL_MAX = 5.56e-308, where abs_tol a
+    # is still a positive subnormal: exit 2 naming a
+    code, out, err = run_cli(capsys, "energy", "--w0", "1", "--w1", "0.3", "--a", "5.5e-308")
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert "40/a overflows" in err and "a = 1.5e-307" in err and "inf" not in err
+    assert "10/a overflows" in err and "a = 5.5e-308" in err and "inf" not in err
 
 
 @pytest.mark.parametrize("root_tol", ["1", "inf"])

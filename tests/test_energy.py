@@ -397,8 +397,10 @@ def test_comb_energy_frozen_values():
     assert res2.value == pytest.approx(-0.052612302882812, abs=1e-12)
     # error bookkeeping
     assert res1.abs_err < 5e-9
-    assert 0.0 < res1.tail_bound <= ABS_TOL / 100.0
-    assert res1.truncation_k == 20.0
+    # the run stops at k a = 10 and adds the tail's leading term; what that
+    # leaves out is O(e^{-40})
+    assert 0.0 < res1.tail_bound <= 1e-17
+    assert res1.truncation_k == 10.0
 
 
 def test_comb_energy_strong_coupling_approaches_dirichlet():
@@ -410,18 +412,6 @@ def test_comb_energy_strong_coupling_approaches_dirichlet():
 def test_comb_energy_is_deterministic():
     c = CombCouplings(w0=3.0, w1=0.7, a=1.0)
     assert comb_energy(c) == comb_energy(c)
-
-
-def _tail_beyond(f, X, bound):
-    """int_X^oo f on the doubling panels [X, 2X], [2X, 4X], ... up to past
-    x = 745, where both integrands are exactly 0 (e^{-x} underflows), to
-    rel_tol 1e-10 or a millionth of bound."""
-    abs_tol = max(1e-6 * bound, 1e-300)
-    total, lo = 0.0, X
-    while lo <= 745.0:
-        total += integrate_finite(f, lo, 2.0 * lo, abs_tol, 1e-10)[0]
-        lo *= 2.0
-    return total
 
 
 def _tail_samples(seed, n):
@@ -449,54 +439,140 @@ def _comb_vanishing_at(x, omega):
     return CombCouplings.from_reduced(omega=omega, gamma=lo, a=1.0)
 
 
-def test_comb_tail_bound_covers_the_dropped_tail(monkeypatch):
-    # the reported tail_bound covers int_K^oo I(k) dk at both cutoffs the
-    # comb stops at.  It is a majorant of |f| integrated in closed form, so
-    # combs whose f changes sign at X cannot slip under it
-    for cutoff in (20.0, 40.0):
-        monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (cutoff,))
-        zeros = [_comb_vanishing_at(cutoff, omega) for omega in (-0.9, 0.0, 0.37, 0.9)]
-        for c in zeros + [c for c, _ in _tail_samples(int(cutoff), 150)]:
-            a = c.a
-            res = comb_energy(c)
-            assert res.truncation_k == cutoff / a
-            tail = _tail_beyond(lambda x: spectral_integrand(c, x / a), cutoff, res.tail_bound * a) / a
-            assert abs(tail) <= res.tail_bound, (c, tail, res)
+X_TAIL = deltacomb.energy._TAIL_FROM
 
 
-def test_plate_tail_bound_covers_the_dropped_tail(monkeypatch):
-    # as for the comb, at both cutoffs, with the comb's sign-changing combs
-    # at a Bloch phase of each kind among the samples
-    for cutoff, seed in ((20.0, 14), (40.0, 34)):
-        monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (cutoff,))
-        zeros = [(_comb_vanishing_at(cutoff, omega), theta)
-                 for omega in (-0.9, 0.0, 0.37, 0.9) for theta in (0.0, 2.0, math.pi)]
-        for c, theta in zeros + list(_tail_samples(seed, 150)):
-            a = c.a
-            res = plate_energy(c, theta)
-            assert res.truncation_k == cutoff / a
-            f = lambda x: theta_integrand(c, x / a, theta) / TWO_PI
-            tail = _tail_beyond(f, cutoff, res.tail_bound * a) / a
-            assert abs(tail) <= res.tail_bound, (c, theta, tail, res)
+def _comb_lead(g, omega, x):
+    """f and its leading term past x = 10, 2 pi h1 = e^{-2x} [(x - u)(8 delta
+    v^2 - 2u^2) - 2u^2] with R = 2x + g, u = g/R, v = x/R, in mpmath from
+    the rearranged form (an identity of the literal one, which the
+    integrand oracles hold the module to)."""
+    eps, R, S = mpmath.exp(-2 * x), 2 * x + g, 2 * x - g
+    delta = (1 - omega) * (1 + omega)
+    V = mpmath.sqrt((R + S * eps) ** 2 - 16 * x * x * omega * omega * eps)
+    D = eps * (16 * x * x * delta - 4 * g * g) / (R - S * eps + V)
+    f = ((x * R - g) * D - 2 * g * g * eps) / (R * V)
+    u, v = g / R, x / R
+    h1 = eps * ((x - u) * (8 * delta * v * v - 2 * u * u) - 2 * u * u)
+    return f / (2 * mpmath.pi), h1 / (2 * mpmath.pi)
 
 
-def test_tail_bounds_stay_within_a_small_factor_of_the_tail(monkeypatch):
-    # where the majorants are exact the bound exceeds the tail by its margin
-    # alone: the mixed comb, g = 0 and Omega = 0, has 2 pi f = 2x eps/(1 +
-    # eps), and each of its plates has F = 2 pi f.  At g = 1e8, Omega = -1,
-    # 2 pi f ~ -2x eps against a majorant 2 (x + 1) eps, a factor (X +
-    # 3/2)/(X + 1/2) on the integrals
+def _plate_lead(g, c, x):
+    """F/2pi at Omega cos theta = c and its e^{-x}, e^{-2x} and e^{-3x}
+    terms: with y = e^{-x}, s = (2x - g)/R, a1 = 4cv, c1 = a1 (x - u) and
+    b2 = 2xs - 4uv, F = (c1 y + b2 y^2)/(1 + a1 y + s y^2), expanded."""
+    y, R = mpmath.exp(-x), 2 * x + g
+    u, v, s = g / R, x / R, (2 * x - g) / R
+    a1 = 4 * c * v
+    c1, b2 = a1 * (x - u), 2 * x * s - 4 * u * v
+    F = (2 * x * (4 * x * x - g * g - 2 * g) * y * y - (g - x * R) * 4 * x * y * c) / (
+        R * (R + (2 * x - g) * y * y + 4 * x * y * c))
+    lead = c1 * y + (b2 - a1 * c1) * y**2 + (c1 * (a1 * a1 - s) - a1 * b2) * y**3
+    return F / (2 * mpmath.pi), lead / (2 * mpmath.pi)
+
+
+def _remainder_past_x(split):
+    """int_X^oo |f - lead| dx, X = 10, for split(x) = (f, lead) in 32-digit
+    mpmath (f - lead is 1e-9 of f), scaled by e^{4X} so that quad's error
+    test sees O(1) values."""
+    with mpmath.workdps(32):
+        scale = mpmath.exp(4 * X_TAIL)
+
+        def rest(t):
+            f, lead = split(X_TAIL + t)
+            return abs(f - lead) * scale
+
+        return float(mpmath.quad(rest, [0, 1, 4, 12, 40]) / scale)
+
+
+def _lead_past_x(lead, norm):
+    """int_X^oo lead(x) dx, X = 10, in 25-digit mpmath, with lead(x) divided
+    by norm so that quad's error test sees O(1) values."""
+    with mpmath.workdps(25):
+        return float(norm * mpmath.quad(lambda t: lead(X_TAIL + t) / norm, [0, 1, 4, 12, 40, mpmath.inf]))
+
+
+def test_comb_tail_lead_against_mpmath():
+    # the 8-point Gauss-Laguerre rule on h1 in its u, v form lands within
+    # 1e-13 relative of 25-digit mpmath (2.6e-14 at worst, at delta = 0 and
+    # small g), from g = 0 and subnormal g up to 1e150, at delta = 0, 1 and
+    # in between; its reported error allowance covers it
+    rng = random.Random(42)
+    gs = [0.0, 2.0**-1074, 1e-300, 1e150] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
+    for i, g in enumerate(gs):
+        delta = (0.0, 1.0, rng.random())[i % 3]
+        terms, _ = deltacomb.energy._comb_tail(g, delta)
+        lead, lead_abs = deltacomb.energy._laguerre(terms)
+        if lead_abs == 0.0:  # g^2 underflows at the free corner's delta = 0
+            assert delta == 0.0 and g < 1e-150, (g, delta)
+            continue
+        om = mpmath.sqrt(1 - mpmath.mpf(delta))
+        exact = _lead_past_x(lambda x: _comb_lead(mpmath.mpf(g), om, x)[1], lead_abs)
+        assert abs(lead - exact) <= 1e-13 * abs(exact), (g, delta, lead, exact)
+        assert abs(lead - exact) <= deltacomb.energy._RULE_ERR * lead_abs
+
+
+def test_plate_tail_lead_against_mpmath():
+    # as for the comb, for the plate's e^{-x}, e^{-2x} and e^{-3x} terms at
+    # Omega cos theta in [-1, 1]: within the rule's error allowance, and
+    # within 5e-13 relative (2e-13 at worst, for the e^{-x} term at g = 5)
+    rng = random.Random(43)
+    gs = [0.0, 2.0**-1074, 1e-300, 1e150, 5.0] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
+    for i, g in enumerate(gs):
+        cc = (0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0))[i % 4]
+        terms, _ = deltacomb.energy._plate_tail(g, cc)
+        lead, lead_abs = deltacomb.energy._laguerre(terms)
+        exact = _lead_past_x(lambda x: _plate_lead(mpmath.mpf(g), mpmath.mpf(cc), x)[1], lead_abs)
+        assert abs(lead - exact) <= deltacomb.energy._RULE_ERR * lead_abs, (g, cc, lead, exact)
+        assert abs(lead - exact) <= 5e-13 * abs(exact), (g, cc, lead, exact)
+
+
+def test_comb_tail_bound_covers_the_dropped_tail():
+    # the reported tail_bound covers int_K^oo |I - lead| dk, what the tail's
+    # leading term leaves out, against 32-digit mpmath; combs whose f changes
+    # sign at X are among the samples
+    zeros = [_comb_vanishing_at(X_TAIL, omega) for omega in (-0.9, 0.0, 0.37, 0.9)]
+    for c in zeros + [c for c, _ in _tail_samples(10, 20)]:
+        res = comb_energy(c)
+        assert res.truncation_k == X_TAIL / c.a
+        g, omega = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega)
+        rest = _remainder_past_x(lambda x: _comb_lead(g, omega, x)) / c.a
+        assert rest <= res.tail_bound, (c, rest, res)
+
+
+def test_plate_tail_bound_covers_the_dropped_tail():
+    # as for the comb, for the plate's three leading terms, with the comb's
+    # sign-changing combs at a Bloch phase of each kind among the samples
+    zeros = [(_comb_vanishing_at(X_TAIL, omega), theta)
+             for omega in (-0.9, 0.37) for theta in (0.0, 2.0, math.pi)]
+    for c, theta in zeros + list(_tail_samples(14, 20)):
+        res = plate_energy(c, theta)
+        assert res.truncation_k == X_TAIL / c.a
+        g, cc = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega * math.cos(theta))
+        rest = _remainder_past_x(lambda x: _plate_lead(g, cc, x)) / c.a
+        assert rest <= res.tail_bound, (c, theta, rest, res)
+
+
+def test_tail_bounds_stay_within_a_small_factor_of_the_tail():
+    # the comb's bound is attained up to its margin 1.01 at g = 0 as delta ->
+    # 0, where 2 pi (f - h1) ~ -4x delta e^{-4x}; the mixed comb (g = 0, Omega
+    # = 0), 2 pi f = 2x eps/(1 + eps), leaves -2x eps^2 out, half its bound,
+    # and g = 1e8, Omega = -1 leaves -2 (x - 1) eps^2 out, a little less.  A
+    # plate at Omega cos theta = 0 has F - lead = -2x y^4/(1 + y^2) at g = 0,
+    # 1.01 (X/2 + 1/4)/(X/2 + 1/8) = 1.035 times under its bound
+    near = CombCouplings.from_reduced(omega=1.0 - 1e-6, gamma=0.0, a=1.0)
     mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=1.0)
     strong = CombCouplings.from_reduced(omega=-1.0, gamma=1e8, a=1.0)
-    for cutoff in (20.0, 40.0):
-        monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (cutoff,))
-        cases = [(comb_energy(c), lambda x, c=c: spectral_integrand(c, x), factor)
-                 for c, factor in ((mixed, 1.02), (strong, 1.1))]
-        cases += [(plate_energy(mixed, theta), lambda x, t=theta: theta_integrand(mixed, x, t) / TWO_PI, 1.02)
-                  for theta in (0.0, 1.0, math.pi)]
-        for res, f, factor in cases:
-            tail = abs(_tail_beyond(f, cutoff, res.tail_bound))
-            assert tail <= res.tail_bound <= factor * tail, (cutoff, res, tail)
+    for c, lo, hi in ((near, 1.0, 1.011), (mixed, 2.0, 2.03), (strong, 2.0, 2.2)):
+        res = comb_energy(c)
+        g, omega = mpmath.mpf(c.gamma), mpmath.mpf(c.omega)
+        rest = _remainder_past_x(lambda x: _comb_lead(g, omega, x))
+        assert lo * rest <= res.tail_bound <= hi * rest, (c, res, rest)
+    for theta in (0.5 * math.pi, 1.0):
+        c = mixed if theta == 1.0 else CombCouplings.from_reduced(omega=0.5, gamma=0.0, a=1.0)
+        res = plate_energy(c, theta)
+        rest = _remainder_past_x(lambda x: _plate_lead(mpmath.mpf(0), mpmath.mpf(0), x))
+        assert rest <= res.tail_bound <= 1.04 * rest, (c, theta, res, rest)
 
 
 # comb_energy and plate_energy(theta = 1) of w0 = 2, w1 = 0.5, frozen from
@@ -515,11 +591,11 @@ def test_energies_match_frozen_values_across_spacings(a):
     c = CombCouplings(w0=2.0, w1=0.5, a=a)
     comb = comb_energy(c)
     plate = plate_energy(c, 1.0)
-    assert abs(comb.value - comb_value) <= comb.abs_err
-    assert abs(plate.value - plate_value) <= plate.abs_err
-    # the comb stops at k a = 20, the plate, whose F decays like x e^{-x} at this phase, at 40
-    for res, cutoff in ((comb, 20.0), (plate, 40.0)):
-        assert res.truncation_k == pytest.approx(cutoff / a, rel=1e-15)
+    # both stop at k a = 10 and add their tail's leading terms, which the
+    # frozen runs integrated to 40
+    for res, frozen in ((comb, comb_value), (plate, plate_value)):
+        assert abs(res.value - frozen) <= res.abs_err + res.tail_bound
+        assert res.truncation_k == pytest.approx(10.0 / a, rel=1e-15)
         assert 0.0 < res.tail_bound < 1e-14
 
 
@@ -537,12 +613,11 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
-    # f decays like x e^{-2x}: at the default tolerances the tail past x = 20
-    # is under abs_tol/100 over the seeded domain, its bound costs no
-    # evaluation, and stopping there moves the energy by less than the
-    # errors of the two runs.  The run is the one to 40 without its [20, 40]
-    # panel: the ladder grades on 40 wherever the run stops
+def test_comb_cutoff_is_10_one_panel_short_of_a_run_to_20(monkeypatch):
+    # past x = 10, f is its leading term up to O(e^{-4x}): every comb stops
+    # there, adds that term in closed form and reports a tail bound far below
+    # abs_tol, at no evaluation.  The run is the one to 20 without its [10,
+    # 20] panel, and the two energies agree within their errors
     calls = _count_calls(monkeypatch, "spectral_integrand")
     rng = random.Random(33)
     for i in range(200):
@@ -555,33 +630,36 @@ def test_comb_cutoff_is_20_wherever_its_tail_allows(monkeypatch):
         res = comb_energy(c)
         evaluations = len(calls)
         assert evaluations % 15 == 0, (c, evaluations)  # 15 a panel
-        assert res.truncation_k == 20.0 / a, (c, res)
-        assert res.tail_bound <= ABS_TOL / 100.0, (c, res)
+        assert res.truncation_k == 10.0 / a, (c, res)
+        assert res.tail_bound * a <= 1e-6 * ABS_TOL, (c, res)
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(deltacomb.energy, "_CUTOFFS", (40.0,))
+            patch.setattr(deltacomb.energy, "_TAIL_FROM", 20.0)
             full = comb_energy(c)
-        assert full.truncation_k == 40.0 / a
+        assert full.truncation_k == 20.0 / a
         assert evaluations == len(calls) - 15, (c, evaluations, len(calls))
-        assert abs(res.value - full.value) <= res.abs_err + res.tail_bound + full.abs_err, (c, res, full)
+        bound = res.abs_err + res.tail_bound + full.abs_err + full.tail_bound
+        assert abs(res.value - full.value) <= bound, (c, res, full)
 
 
-def test_comb_cutoff_falls_back_to_40_below_its_tail(monkeypatch):
-    # at abs_tol = 1e-16 the tail bound at x = 20 (a few 1e-18) is above
-    # abs_tol a/100, so the run stops at 40, still 15 evaluations a panel
+def test_comb_cutoff_stays_at_10_at_a_tight_tolerance(monkeypatch):
+    # at abs_tol = 1e-16 the run still stops at 10, 15 evaluations a panel:
+    # the tail's leading term is in closed form, and what it leaves out is
+    # bounded far below even this tolerance
     calls = _count_calls(monkeypatch, "spectral_integrand")
     for c in (CombCouplings(w0=1.0, w1=0.3, a=1.0), CombCouplings(w0=5.0, w1=0.5, a=2.0)):
         calls.clear()
         res = comb_energy(c, abs_tol=1e-16)
         assert len(calls) % 15 == 0, (c, len(calls))
-        assert res.truncation_k * c.a == 40.0
-        assert res.tail_bound <= 1e-16 / 100.0
+        assert res.truncation_k * c.a == 10.0
+        assert res.tail_bound <= 1e-16 / 10.0
 
 
-def test_plate_cutoff_falls_back_to_40_above_its_tail(monkeypatch):
-    # F decays like x e^{-x} where Omega cos theta != 0: the plate stops at
-    # 40, for 15 evaluations a panel, wherever its tail bound at 20 is above
-    # abs_tol/100
+def test_plate_cutoff_is_10_at_every_phase(monkeypatch):
+    # F decays like x e^{-x} where Omega cos theta != 0, and its e^{-x},
+    # e^{-2x} and e^{-3x} terms are in closed form: the plate stops at 10 as
+    # the comb does, 30 evaluations short of a run to 40 (the panels [10, 20]
+    # and [20, 40]), and the two energies agree within their errors
     calls = _count_calls(monkeypatch, "theta_integrand")
     rng = random.Random(34)
     for _ in range(6):
@@ -591,18 +669,24 @@ def test_plate_cutoff_falls_back_to_40_above_its_tail(monkeypatch):
         theta = rng.uniform(-math.pi, math.pi)
         calls.clear()
         res = plate_energy(c, theta)
-        assert res.truncation_k == 40.0 / a
-        assert len(calls) % 15 == 0, (c, theta)
+        evaluations = len(calls)
+        assert res.truncation_k == 10.0 / a
+        assert evaluations % 15 == 0, (c, theta)
+        assert res.tail_bound * a <= 1e-6 * ABS_TOL, (c, theta, res)
+        calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(deltacomb.energy, "_CUTOFFS", (20.0,))
-            assert plate_energy(c, theta).tail_bound > ABS_TOL / 100.0, (c, theta)
+            patch.setattr(deltacomb.energy, "_TAIL_FROM", 40.0)
+            full = plate_energy(c, theta)
+        assert evaluations == len(calls) - 30, (c, theta, evaluations, len(calls))
+        bound = res.abs_err + res.tail_bound + full.abs_err + full.tail_bound
+        assert abs(res.value - full.value) <= bound, (c, theta, res, full)
 
 
-def test_comb_cutoff_that_falls_back_past_the_double_range_is_a_domain_error():
-    # 20/a is finite, but the tail bound asks for 40, and 40/a overflows
-    a = 1.5e-307
-    assert 20.0 / a < math.inf == 40.0 / a
-    with pytest.raises(OutsideValidityDomainError, match=f"40/a overflows at a = {a!r}"):
+def test_comb_cutoff_past_the_double_range_is_a_domain_error():
+    # abs_tol a = 5.5e-318 is subnormal but positive, and 10/a overflows
+    a = 5.5e-308
+    assert 1e-10 * a > 0.0 and 10.0 / a == math.inf
+    with pytest.raises(OutsideValidityDomainError, match=f"10/a overflows at a = {a!r}"):
         comb_energy(CombCouplings(w0=1.0, w1=0.3, a=a))
 
 
@@ -1068,8 +1152,8 @@ def test_the_floor_drops_only_rungs_below_the_bulk_scale():
 def test_a_mid_width_layer_costs_one_panel_fewer(monkeypatch):
     # w = sqrt(g + 2 delta) = sqrt(2) at Omega = -0.5, gamma a = 0.5: with a
     # rung at w the first panels of [0, x0] pass, where [0, x0] failed and
-    # was bisected (90 evaluations for the comb, 105 for its plate at
-    # theta = 1), counted through the module attributes
+    # was bisected (75 evaluations for the comb and for its plate at theta
+    # = 1, on [0, 10]), counted through the module attributes
     calls = []
     spectral, theta = deltacomb.energy.spectral_integrand, deltacomb.energy.theta_integrand
     monkeypatch.setattr(deltacomb.energy, "spectral_integrand",
@@ -1078,10 +1162,18 @@ def test_a_mid_width_layer_costs_one_panel_fewer(monkeypatch):
                         lambda c, k, th: calls.append(k) or theta(c, k, th))
     c = CombCouplings.from_reduced(omega=-0.5, gamma=0.5, a=1.0)
     comb_energy(c)
-    assert len(calls) == 75
+    assert len(calls) == 60
     calls.clear()
     plate_energy(c, 1.0)
-    assert len(calls) == 90
+    assert len(calls) == 60
+
+
+def test_a_generic_comb_takes_four_panels(monkeypatch):
+    # the bench's generic probe: [0, 2.5], [2.5, 5] and [5, 10] with a rung
+    # at its width 1.23, 60 evaluations; the tail past 10 costs none
+    calls = _count_calls(monkeypatch, "spectral_integrand")
+    comb_energy(CombCouplings(w0=1.0, w1=0.3, a=1.0))
+    assert len(calls) == 60
 
 
 def test_energies_gate_the_gamma_a_their_integrands_see():
@@ -1170,9 +1262,9 @@ def test_plate_near_the_marginal_phase_keeps_its_step(monkeypatch):
 
 
 def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
-    # [0, 20] starts split at 2.5, 5 and 10, where bisection would go
-    # anyway; the unseeded run of the same integrand on [0, 40] agrees within
-    # the errors
+    # [0, 10] starts split at 2.5 and 5, where bisection would go anyway;
+    # the unseeded run of the same integrand on [0, 40] agrees within the
+    # errors
     calls = []
     counted = deltacomb.energy.spectral_integrand
 

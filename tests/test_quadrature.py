@@ -258,10 +258,11 @@ def test_shift_enters_the_value_and_the_tolerance_test():
         integrate_finite(spiky, 0.0, 1.0, *tols, shift=1e6, shift_err=2e-2)
 
 
-# Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus a
-# closed-form tail bound, assembled once by the energy module.  Its integrand
-# is a function of the couplings and k, like spectral_integrand; at gamma = 0
-# it has no subtracted term to add back.
+# Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus the
+# tail's leading terms past X in closed form and a bound on the rest,
+# assembled once by the energy module.  Its integrand is a function of the
+# couplings and k, like spectral_integrand; at gamma = 0 it has no subtracted
+# term to add back.
 
 
 def _decay(c, k):
@@ -273,33 +274,35 @@ def _free(a):
 
 
 def test_semi_infinite_exponential():
-    res = _energy_integral(_decay, _free(1.0), *TOLS, lambda X: math.exp(-X))
-    # the tail at 20 is above abs_tol/100, so the target is 1 - e^{-40}
-    assert res.truncation_k == 40.0
-    assert abs(res.value - (1.0 - math.exp(-40.0))) <= max(10.0 * res.abs_err, 1e-13)
-    assert res.tail_bound == deltacomb.energy._TAIL_MARGIN * math.exp(-40.0)
-    assert abs(res.value + res.tail_bound - 1.0) <= 1e-12
+    # e^{-x} is its own leading term past 10, so nothing is left for the
+    # bound, and the Laguerre rule integrates the constant 1 exactly
+    res = _energy_integral(_decay, _free(1.0), *TOLS, (((1, lambda x: 1.0),), 0.0))
+    assert res.truncation_k == 10.0
+    assert abs(res.value - 1.0) <= max(10.0 * res.abs_err, 1e-13)
+    assert res.tail_bound == 0.0
 
 
 def test_semi_infinite_k_exp():
+    # x e^{-2x}: the rule takes the tail's int_10^oo x e^{-2x} dx = (10/2 +
+    # 1/4) e^{-20} exactly, with the nodes at 10 + t/2
     res = _energy_integral(
-        lambda c, k: k * _decay(c, k), _free(1.0), *TOLS, lambda X: (X + 1.0) * math.exp(-X)
+        lambda c, k: k * math.exp(-2.0 * k), _free(1.0), *TOLS, (((2, lambda x: x),), 0.0)
     )
-    assert res.truncation_k == 40.0
-    assert abs(res.value - 1.0) <= max(10.0 * res.abs_err, 1e-13)
-    true_tail = 41.0 * math.exp(-40.0)
-    assert true_tail <= res.tail_bound <= 1.01 * true_tail
+    assert abs(res.value - 0.25) <= max(10.0 * res.abs_err, 1e-13)
+    lead, lead_abs = deltacomb.energy._laguerre(((2, lambda x: x),))
+    assert lead == pytest.approx(5.25 * math.exp(-20.0), rel=1e-15) and lead_abs == lead
 
 
 def test_semi_infinite_truncation_override(monkeypatch):
-    # the cutoffs are in x = k a: a cutoff X stops the run at K = X/a, and
-    # the result is (1/a) times the x integral
-    monkeypatch.setattr(deltacomb.energy, "_CUTOFFS", (10.0,))
+    # the cutoff is in x = k a: a cutoff X stops the run at K = X/a, and the
+    # result is (1/a) times the x integral; with no leading terms the whole
+    # tail is left to the bound
+    monkeypatch.setattr(deltacomb.energy, "_TAIL_FROM", 5.0)
     for a in (1.0, 2.0):
-        res = _energy_integral(_decay, _free(a), *TOLS, lambda X: math.exp(-X))
-        assert res.truncation_k == 10.0 / a
-        assert abs(res.value - (1.0 - math.exp(-10.0)) / a) <= 1e-12
-        assert res.tail_bound >= math.exp(-10.0) / a
+        res = _energy_integral(_decay, _free(a), *TOLS, ((), math.exp(-5.0)))
+        assert res.truncation_k == 5.0 / a
+        assert abs(res.value - (1.0 - math.exp(-5.0)) / a) <= 1e-12
+        assert res.tail_bound == math.exp(-5.0) / a
 
 
 def _brent(f, lo, hi, root_tol=1e-12):
