@@ -183,15 +183,27 @@ def cmd_bands(args: argparse.Namespace) -> int:
     bands = _lib("band_structure")(c, args.n_bands, args.n_theta, args.root_tol)
     header = ("band", "theta", "q", "k", "k_min", "k_max")
     if args.format == "csv":
-        # every band holds the same thetas, so each column's "theta,q," text,
-        # each band's index and edges and each distinct nonzero k (the -theta
-        # samples repeat theirs) are formatted once
-        cols = [f"{theta!r},{theta / c.a!r}," for theta in bands[0].thetas]
+        # every band holds the same mirror-symmetric thetas, whose -theta
+        # samples are copies of the theta >= 0 ones, so only that half is
+        # formatted: a -theta column is its mirror's "theta,q," with "-"
+        # before each cell (negation is exact, and repr(-x) == "-" + repr(x)
+        # for x >= 0), and a -theta k is its mirror's text.  A flat band's
+        # samples all equal its edges, which are formatted once where they
+        # are nonzero (only there does == fix the bits: 0.0 == -0.0).
+        thetas = bands[0].thetas
+        h = len(thetas) // 2
+        upper = [(repr(theta), repr(theta / c.a)) for theta in thetas[h:]]
+        cols = [f"-{t},-{q}," for t, q in upper[::-1][:h]] + [f"{t},{q}," for t, q in upper]
         lines = [",".join(header)]
         for band in bands:
-            head, tail = f"{band.index},", f",{band.k_min!r},{band.k_max!r}"
-            text = {k: repr(k) for k in set(band.ks) if k}
-            lines += [f"{head}{t}{text.get(k) or repr(k)}{tail}" for t, k in zip(cols, band.ks)]
+            head = f"{band.index},"
+            if band.k_min == band.k_max and band.k_min:
+                k = repr(band.k_min)
+                lines += [f"{head}{t}{k},{k},{k}" for t in cols]
+                continue
+            tail = f",{band.k_min!r},{band.k_max!r}"
+            ks = [*map(repr, band.ks[h:])]
+            lines += [f"{head}{t}{k}{tail}" for t, k in zip(cols, ks[::-1][:h] + ks)]
         _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
     rows = [

@@ -78,10 +78,11 @@ rel_tol |E|).  The adaptive run stops at X = 10 in x, K = X/a in k (a K
 that overflows is a domain error).  Past X the rearranged forms are series
 in e^{-2x} (in e^{-x} for F's T cos theta term), and their leading terms,
 e^{-2x} for f and e^{-x}, e^{-2x} and e^{-3x} for F, are integrated over
-[X, oo) by one fixed 8-point Gauss-Laguerre rule and added to the value.
-The tail bound is the integral over [X, oo) of a closed-form majorant of
-what those terms leave out, O(e^{-4X}) (see _comb_tail and _plate_tail),
-so it is set before any evaluation.
+[X, oo) by fixed Gauss-Laguerre rules (12 points for F's e^{-x} term, 8
+for the others) and added to the value.  The tail bound is the integral
+over [X, oo) of a closed-form majorant of what those terms leave out,
+O(e^{-4X}) (see _comb_tail and _plate_tail), so it is set before any
+evaluation.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
@@ -422,7 +423,8 @@ def _plate_layer_mass(g: float, w: float):
 # are series in e^{-x}, whose leading terms are added in closed form
 _TAIL_FROM = 10.0
 # (node, weight) of the 8-point Gauss-Laguerre rule, int_0^oo e^{-t} q(t) dt
-# ~ sum w q(t) (Abramowitz & Stegun 25.4.45)
+# ~ sum w q(t) (Abramowitz & Stegun 25.4.45, table 25.9), for the e^{-2x} and
+# e^{-3x} terms
 _LAGUERRE = (
     (0.170279632305101, 0.3691885893416375),
     (0.9037017767993799, 0.41878678081434295),
@@ -433,24 +435,43 @@ _LAGUERRE = (
     (15.740678641278004, 8.485746716272531e-07),
     (22.863131736889265, 1.0480011748715104e-09),
 )
-# the rule's error and rounding on the leading terms, as a fraction of its
-# sum of |w q|, with a margin of 2: against 30-digit mpmath on 300 values of
-# g from 1e-3 to 1e4 (and 1e10, 1e50, 1e150), at most 2.01e-13 for the
-# plate's e^{-x} term, at g = 5.0 (its pole at x = -g/2 matters most there;
-# the term is c times a function of g alone), 2.6e-14 for the comb's (at
-# delta = 0, g = 4.5e-3) and 4.3e-15 for the plate's others
-_RULE_ERR = 4e-13
+# the 12-point rule, for a plate's e^{-x} term: in t = x - X its u, v have
+# their pole at t = -X - g/2, half as far from the nodes as in an e^{-2x}
+# term's t = 2 (x - X); there the 8-point rule is off by up to 2.01e-13 of
+# its sum of |w q| (at g = 5.0), and this one by 6.4e-16
+_LAGUERRE_12 = (
+    (0.11572211735802068, 0.2647313710554432),
+    (0.6117574845151307, 0.37775927587313796),
+    (1.5126102697764188, 0.24408201131987756),
+    (2.8337513377435073, 0.09044922221168093),
+    (4.5992276394183484, 0.020102381154634096),
+    (6.844525453115177, 0.0026639735418653157),
+    (9.621316842456867, 0.00020323159266299939),
+    (13.006054993306348, 8.365055856819799e-06),
+    (17.116855187462257, 1.6684938765409103e-07),
+    (22.151090379397004, 1.342391030515004e-09),
+    (28.487967250984, 3.0616016350350207e-12),
+    (37.09912104446692, 8.148077467426241e-16),
+)
+# the rules' error and rounding on each leading term, as a fraction of its
+# sum of |w q|, with a margin over 2: against mpmath at 40 + log10 g digits
+# on 300 values of g from 1e-3 to 1e4 (and 1e10, 1e50, 1e150), at most
+# 2.6e-14 for the comb's term (at delta = 0, g = 5.7e-3), 9.2e-15 and
+# 3.0e-15 for the plate's e^{-3x} and e^{-2x} terms and 6.4e-16 for its
+# e^{-x} term
+_RULE_ERR = 6e-14
 
 
 def _laguerre(terms) -> tuple[float, float]:
     """The tail's leading terms, (j, q) standing for e^{-jx} q(x), integrated
     over [X, oo), X = _TAIL_FROM: the sum of (e^{-jX}/j) int_0^oo e^{-t}
-    q(X + t/j) dt by the 8-point rule, and the same sum of |w q|."""
+    q(X + t/j) dt by the 12-point rule for j = 1 and the 8-point rule
+    otherwise, and the same sum of |w q|."""
     X = _TAIL_FROM
     lead = lead_abs = 0.0
     for j, q in terms:
         total = total_abs = 0.0
-        for t, w in _LAGUERRE:
+        for t, w in _LAGUERRE_12 if j == 1 else _LAGUERRE:
             term = w * q(X + t / j)
             total += term
             total_abs += abs(term)

@@ -419,9 +419,35 @@ def test_band_structure_kronig_penney_shape():
 @pytest.mark.parametrize("c", [KP, FREE, MIXED, CombCouplings(w0=3.0, w1=-1.5, a=0.3)])
 @pytest.mark.parametrize("n_theta", [2, 3, 21])
 def test_band_structure_bands_share_one_thetas_tuple(c, n_theta):
-    # the CSV writer formats the theta columns once, from the first band
+    # the CSV writer formats the theta columns once for all bands, from the
+    # first band's theta >= 0 half
     bands = band_structure(c, n_bands=3, n_theta=n_theta)
     assert all(b.thetas is bands[0].thetas for b in bands)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        CombCouplings(w0=2.7, w1=0.4, a=1.3),
+        CombCouplings(w0=3.0, w1=-1.5, a=0.3),
+        CombCouplings.from_reduced(omega=0.0, gamma=2.0, a=1.3),
+        FREE,
+        CombCouplings.from_reduced(omega=0.3, gamma=-1.4, a=1.0),
+    ],
+    ids=["generic", "big-w1", "flat", "free", "attractive"],
+)
+@pytest.mark.parametrize("n_theta", [2, 3, 4, 100, 101])
+def test_band_structure_is_an_exact_mirror(c, n_theta):
+    # the CSV writer formats only the theta >= 0 half and reuses its text for
+    # -theta, and a flat band's one k once: the grid negates exactly, the
+    # -theta samples equal their mirrors, and a band with k_min == k_max
+    # holds no other k
+    for band in band_structure(c, n_bands=4, n_theta=n_theta):
+        th, ks = band.thetas, band.ks
+        assert all(th[i] == -th[-1 - i] for i in range(n_theta))
+        assert all(ks[i] == ks[-1 - i] for i in range(n_theta))
+        if band.k_min == band.k_max:
+            assert set(ks) == {band.k_min}
 
 
 def _assert_matches_dispersion(source, n_bands, n_theta):

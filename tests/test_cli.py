@@ -206,7 +206,8 @@ def test_csv_text_matches_the_csv_module(capsys):
 def _bands_cases():
     """Seeded bands argvs: generic couplings (some with |w1| > 1), flat
     (Omega = 0) and touching free combs (k = 0.0 at the zero mode), a in
-    [1e-2, 10], every listed n_theta and both n_bands."""
+    [1e-2, 10], every listed n_theta and both n_bands; then fixed edge
+    cases."""
     rng = random.Random(20261019)
     kinds = ("generic", "big-w1", "flat", "touching")
     for i, (kind, n_theta) in enumerate(
@@ -225,6 +226,16 @@ def _bands_cases():
         n_bands = "18"[i % 2]
         argv = ("bands", *couplings, "--a", repr(a), "--n-bands", n_bands, "--n-theta", str(n_theta))
         yield pytest.param(argv, id=f"{kind}-{n_bands}x{n_theta}")
+    # q = theta/a far out at both ends of the double range, an attractive
+    # comb with real bands, and an even grid (no theta = 0 column)
+    generic = ("--w0", "2.7", "--w1", "0.4")
+    for a in ("1e-300", "1e300", "1e308"):
+        argv = ("bands", *generic, "--a", a, "--n-bands", "3", "--n-theta", "21")
+        yield pytest.param(argv, id=f"a={a}-3x21")
+    argv = ("bands", "--omega", "0.3", "--gamma", "-1.4", "--a", "1", "--n-bands", "3", "--n-theta", "21")
+    yield pytest.param(argv, id="attractive-3x21")
+    argv = ("bands", *generic, "--a", "1.3", "--n-bands", "8", "--n-theta", "100")
+    yield pytest.param(argv, id="generic-8x100")
 
 
 @pytest.mark.parametrize("argv", list(_bands_cases()))

@@ -492,6 +492,21 @@ def _lead_past_x(lead, norm):
         return float(norm * mpmath.quad(lambda t: lead(X_TAIL + t) / norm, [0, 1, 4, 12, 40, mpmath.inf]))
 
 
+@pytest.mark.parametrize("rule, n", [("_LAGUERRE", 8), ("_LAGUERRE_12", 12)])
+def test_laguerre_rules_against_mpmath(rule, n):
+    # the n nodes are the zeros of the Laguerre polynomial L_n and the
+    # weights x/((n + 1)^2 L_{n+1}(x)^2) (A&S 25.4.45), each its 40-digit
+    # value rounded once; strictly increasing, so no zero is found twice
+    nodes = getattr(deltacomb.energy, rule)
+    assert len(nodes) == n
+    assert all(s < t for (s, _), (t, _) in zip(nodes, nodes[1:]))
+    with mpmath.workdps(40):
+        for t, w in nodes:
+            x = mpmath.findroot(lambda y: mpmath.laguerre(n, 0, y), mpmath.mpf(t))
+            assert float(x) == t
+            assert float(x / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, x) ** 2)) == w
+
+
 def test_comb_tail_lead_against_mpmath():
     # the 8-point Gauss-Laguerre rule on h1 in its u, v form lands within
     # 1e-13 relative of 25-digit mpmath (2.6e-14 at worst, at delta = 0 and
@@ -515,16 +530,17 @@ def test_comb_tail_lead_against_mpmath():
 def test_plate_tail_lead_against_mpmath():
     # as for the comb, for the plate's e^{-x}, e^{-2x} and e^{-3x} terms at
     # Omega cos theta in [-1, 1]: within the rule's error allowance, and
-    # within 5e-13 relative (2e-13 at worst, for the e^{-x} term at g = 5)
+    # within 1e-14 relative; the e^{-x} term, which the 12-point rule takes,
+    # is hardest near g = 5 (the 8-point rule was 2e-13 off there)
     rng = random.Random(43)
     gs = [0.0, 2.0**-1074, 1e-300, 1e150, 5.0] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
-    for i, g in enumerate(gs):
-        cc = (0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0))[i % 4]
+    samples = [(g, (0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0))[i % 4]) for i, g in enumerate(gs)]
+    for g, cc in samples + [(5.0, 1.0), (5.0, -1.0), (4.37, -1.0)]:
         terms, _ = deltacomb.energy._plate_tail(g, cc)
         lead, lead_abs = deltacomb.energy._laguerre(terms)
         exact = _lead_past_x(lambda x: _plate_lead(mpmath.mpf(g), mpmath.mpf(cc), x)[1], lead_abs)
         assert abs(lead - exact) <= deltacomb.energy._RULE_ERR * lead_abs, (g, cc, lead, exact)
-        assert abs(lead - exact) <= 5e-13 * abs(exact), (g, cc, lead, exact)
+        assert abs(lead - exact) <= 1e-14 * abs(exact), (g, cc, lead, exact)
 
 
 def test_comb_tail_bound_covers_the_dropped_tail():
