@@ -47,20 +47,16 @@ _LAZY = {
 
 def __getattr__(name: str) -> object:
     """Import a _LAZY name's module on first use and bind the name as a module
-    global (PEP 562), where a monkeypatch or a tracer may rebind it."""
+    global (PEP 562), where a monkeypatch or a tracer may rebind it.  Commands
+    read these names as attributes of sys.modules[__name__], the running
+    module (__main__ under `python -m`), since a bare global read skips this
+    hook."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
     value = globals()[name] = getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
     return value
-
-
-def _lib(name: str) -> Callable:
-    """The module global name as bound now, imported on first use: commands
-    call the library through it, since a bare global read skips __getattr__."""
-    names = globals()
-    return names[name] if name in names else __getattr__(name)
 
 
 def _add_coupling_args(p: argparse.ArgumentParser) -> None:
@@ -163,14 +159,14 @@ def _check_output(args: argparse.Namespace) -> None:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
-    res = _lib("comb_energy")(c, args.abs_tol, args.rel_tol)
+    res = sys.modules[__name__].comb_energy(c, args.abs_tol, args.rel_tol)
     _emit(args, _coupling_params(c), res._fields, [res._astuple()])
     return EXIT_OK
 
 
 def cmd_plate(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
-    res = _lib("plate_energy")(c, args.theta, args.abs_tol, args.rel_tol)
+    res = sys.modules[__name__].plate_energy(c, args.theta, args.abs_tol, args.rel_tol)
     params = _coupling_params(c)
     params["theta"] = args.theta
     row = (args.theta, *res._astuple())
@@ -180,7 +176,7 @@ def cmd_plate(args: argparse.Namespace) -> int:
 
 def cmd_bands(args: argparse.Namespace) -> int:
     c = _resolve_couplings(args, args.a)
-    bands = _lib("band_structure")(c, args.n_bands, args.n_theta, args.root_tol)
+    bands = sys.modules[__name__].band_structure(c, args.n_bands, args.n_theta, args.root_tol)
     header = ("band", "theta", "q", "k", "k_min", "k_max")
     if args.format == "csv":
         # every band holds the same mirror-symmetric thetas, whose -theta

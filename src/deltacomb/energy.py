@@ -25,11 +25,12 @@ Bloch-phase average of the subtracted integrand
     f(x) = (1/2 pi) [ A / sqrt(B^2 - C^2) + x - g/(g + 2x) ].
 
 Only gamma >= 0 is supported (attractive combs bind states below k = 0 and
-need a separate treatment), and B^2 > C^2 then holds for every x > 0.  So
-is only g <= 1e150, below which no term overflows at ordinary x; both
-integrands raise OutsideValidityDomainError outside these bounds.  A
-denominator that is negative or NaN raises ValidityViolationError as a bug
-sentinel; nothing is counted or stored between calls.
+need a separate treatment), and B^2 > C^2 then holds for every x > 0.
+Only g <= 1e150 is supported as well, since below it no term overflows at
+ordinary x.  Both integrands raise OutsideValidityDomainError outside these
+bounds.  A denominator that is negative or NaN raises
+ValidityViolationError as a bug sentinel; nothing is counted or stored
+between calls.
 
 Numerical strategy
 ------------------
@@ -75,14 +76,14 @@ Every energy integral (comb and plate) is (1/a) int_0^oo dx I(x/a) (resp.
 F(x/a, theta)/2pi) at the caller's couplings.  Its only controls are two
 floats, abs_tol and rel_tol: the reported abs_err is at most max(abs_tol,
 rel_tol |E|).  The adaptive run stops at X = 10 in x, K = X/a in k (a K
-that overflows is a domain error).  Past X the rearranged forms are series
-in e^{-2x} (in e^{-x} for F's T cos theta term), and their leading terms,
-e^{-2x} for f and e^{-x}, e^{-2x} and e^{-3x} for F, are integrated over
-[X, oo) by fixed Gauss-Laguerre rules (12 points for F's e^{-x} term, 8
-for the others) and added to the value.  The tail bound is the integral
-over [X, oo) of a closed-form majorant of what those terms leave out,
-O(e^{-4X}) (see _comb_tail and _plate_tail), so it is set before any
-evaluation.
+that overflows is a domain error).  Past X, F is a series in e^{-x}: its
+e^{-2x} term depends on the phase only through d2 = 1 - 2 Omega^2 cos^2
+theta, and its e^{-x} and e^{-3x} terms are odd in Omega cos theta.  So
+f, the phase average of F/2pi, leads with that e^{-2x} term at the
+average of d2, delta, and one series (_tail_lead) serves both energies.
+Gauss-Laguerre rules integrate its terms over [X, oo) for the value.  The
+tail bound, the integral over [X, oo) of a closed-form majorant of what
+they leave out, is O(e^{-4X}) and set before any evaluation.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
@@ -456,34 +457,61 @@ _LAGUERRE_12 = (
 # the rules' error and rounding on each leading term, as a fraction of its
 # sum of |w q|, with a margin over 2: against mpmath at 40 + log10 g digits
 # on 300 values of g from 1e-3 to 1e4 (and 1e10, 1e50, 1e150), at most
-# 2.6e-14 for the comb's term (at delta = 0, g = 5.7e-3), 9.2e-15 and
-# 3.0e-15 for the plate's e^{-3x} and e^{-2x} terms and 6.4e-16 for its
-# e^{-x} term
+# 2.6e-14 for the e^{-2x} term (the comb's, at delta = 0, g = 5.7e-3; 3.0e-15
+# at a plate's d2), 9.2e-15 for the e^{-3x} term and 6.4e-16 for the e^{-x}
+# term
 _RULE_ERR = 6e-14
 
 
-def _laguerre(terms) -> tuple[float, float]:
-    """The tail's leading terms, (j, q) standing for e^{-jx} q(x), integrated
-    over [X, oo), X = _TAIL_FROM: the sum of (e^{-jX}/j) int_0^oo e^{-t}
-    q(X + t/j) dt by the 12-point rule for j = 1 and the 8-point rule
-    otherwise, and the same sum of |w q|."""
+def _tail_lead(g: float, cc: float, d2: float) -> tuple[float, float]:
+    """(lead, _RULE_ERR sum |w q|): the leading terms of F/2pi at c = Omega
+    cos theta = cc integrated over [X, oo), X = _TAIL_FROM, and the rule's
+    error allowance.  A plate has d2 = 1 - 2 cc^2; the comb, their Bloch
+    average, has cc = 0 and d2 = delta.
+
+    With y = e^{-x}, R = 2x + g, u = g/R, v = x/R and s = (2x - g)/R, the
+    rearranged form (module docstring) is F = (c1 y + b2 y^2)/(1 + z), z =
+    a1 y + s y^2, with c1 = 4cv (x - u), b2 = 2xs - 4uv and a1 = 4cv, so
+
+        F = c1 y + (b2 - a1 c1) y^2 + (c1 (a1^2 - s) - a1 b2) y^3 + O(y^4).
+
+    As u + 2v = 1, b2 - a1 c1 = (x - u)(8 d2 v^2 - 2u^2) - 2u^2: the y^2 term
+    depends on the phase through d2 alone, and the y and y^3 terms are odd
+    in c, which averages to 0 over theta while d2 averages to delta.  In u
+    and v nothing overflows up to g = 1e150.  Each term e^{-jx} q(x) of
+    F/2pi is integrated as (e^{-jX}/j) int_0^oo e^{-t} q(X + t/j) dt, by the
+    12-point rule for j = 1 and the 8-point rule otherwise (at c = 0 only j
+    = 2).
+    """
     X = _TAIL_FROM
     lead = lead_abs = 0.0
-    for j, q in terms:
+    for j in (1, 2, 3) if cc else (2,):
         total = total_abs = 0.0
         for t, w in _LAGUERRE_12 if j == 1 else _LAGUERRE:
-            term = w * q(X + t / j)
+            x = X + t / j
+            r = 2.0 * x + g
+            u, v = g / r, x / r
+            if j == 2:
+                uu = u * u
+                q = (x - u) * (8.0 * d2 * (v * v) - 2.0 * uu) - 2.0 * uu
+            else:  # c1 = a1 (x - u), and for j = 3 the y^3 coefficient
+                a1 = 4.0 * cc * v
+                q = a1 * (x - u)
+                if j == 3:
+                    s = (2.0 * x - g) / r
+                    q = q * (a1 * a1 - s) - a1 * (2.0 * x * s - 4.0 * u * v)
+            term = w * (q / _TWO_PI)
             total += term
             total_abs += abs(term)
         scale = math.exp(-j * X) / j
         lead += total * scale
         lead_abs += total_abs * scale
-    return lead, lead_abs
+    return lead, _RULE_ERR * lead_abs
 
 
-def _comb_tail(g: float, delta: float):
-    """The comb's tail past X = _TAIL_FROM as (terms, bound) for
-    _energy_integral: f's leading term h1, and a bound on int_X^oo |f - h1|.
+def _comb_tail_bound(g: float, delta: float) -> float:
+    """A bound on int_X^oo |f - h| dx, X = _TAIL_FROM, for f's leading
+    term h, _tail_lead's e^{-2x} term at d2 = delta.
 
     With R = 2x + g, u = g/R, v = x/R and eps = e^{-2x}, the rearranged form
     (module docstring) has D = eps (16 x^2 delta - 4 g^2)/(2R (1 + b)) and V
@@ -492,67 +520,35 @@ def _comb_tail(g: float, delta: float):
         2 pi f = eps [(x - u)(8 delta v^2 - 2u^2)/((1 + al)(1 + b))
                       - 2u^2/(1 + al)],
 
-    whose leading term is 2 pi h1 = eps [(x - u)(8 delta v^2 - 2u^2) -
-    2u^2]; in u and v nothing overflows up to g = 1e150.  For x >= X = 10,
-    (V/R)^2 - 1 = 2 s eps + s^2 eps^2 - 4 (1 - u)^2 Omega^2 eps with s = 1 -
-    2u lies in [-2 eps, 2 eps + eps^2], so |al| <= 1.000001 eps, and b = (al
-    - s eps)/2 has |b| <= 1.000001 eps.  As 0 < x - u <= x, v <= 1/2 and u
-    <= g/(2X + g) =: m, |2 pi (f - h1)| <= 1.00001 eps^2 [2x (2 delta + 2
-    m^2) + 2 m^2]: over [X, oo) that is e^{-4X} [(delta + m^2)(X + 1/4) +
-    m^2/2], returned with a margin of 1.01.  It carries delta or m^2 (m <=
-    min(1, g/2X)) in every term, so it vanishes at the free corner with f.
+    and 2 pi h is this at al = b = 0.  For x >= X = 10, (V/R)^2 - 1 = 2 s
+    eps + s^2 eps^2 - 4 (1 - u)^2 Omega^2 eps with s = 1 - 2u lies in [-2
+    eps, 2 eps + eps^2], so |al| <= 1.000001 eps, and b = (al - s eps)/2 has
+    |b| <= 1.000001 eps.  As 0 < x - u <= x, v <= 1/2 and u <= g/(2X + g)
+    =: m, |2 pi (f - h)| <= 1.00001 eps^2 [2x (2 delta + 2 m^2) + 2 m^2]:
+    over [X, oo) that is e^{-4X} [(delta + m^2)(X + 1/4) + m^2/2], returned
+    with a margin of 1.01.  It carries delta or m^2 (m <= min(1, g/2X)) in
+    every term, so it vanishes at the free corner with f.
     """
-    def h1(x: float) -> float:  # e^{2x} h1
-        r = 2.0 * x + g
-        u, v = g / r, x / r
-        uu = u * u
-        return ((x - u) * (8.0 * delta * (v * v) - 2.0 * uu) - 2.0 * uu) / _TWO_PI
-
     X = _TAIL_FROM
     m = g / (2.0 * X + g)
-    bound = 1.01 * ((delta + m * m) * (X + 0.25) + 0.5 * m * m) * math.exp(-4.0 * X) / _TWO_PI
-    return ((2, h1),), bound
+    return 1.01 * ((delta + m * m) * (X + 0.25) + 0.5 * m * m) * math.exp(-4.0 * X) / _TWO_PI
 
 
-def _plate_tail(g: float, cc: float):
-    """A plate's tail past X = _TAIL_FROM at c = Omega cos theta = cc, as
-    (terms, bound) for _energy_integral: the e^{-x}, e^{-2x} and e^{-3x}
-    terms of F/2pi (the second alone where c = 0), and a bound on what they
-    leave out.
+def _plate_tail_bound(g: float, cc: float) -> float:
+    """A bound on int_X^oo |F/2pi - lead| dx, X = _TAIL_FROM, at c = Omega
+    cos theta = cc, for _tail_lead's terms.
 
-    With y = e^{-x}, R = 2x + g, u = g/R, v = x/R and s = (2x - g)/R, the
-    rearranged form (module docstring) is F = (c1 y + b2 y^2)/(1 + z), z =
-    a1 y + s y^2, with c1 = 4cv (x - u), b2 = 2xs - 4uv and a1 = 4cv, so
-
-        F = c1 y + (b2 - a1 c1) y^2 + (c1 (a1^2 - s) - a1 b2) y^3 + O(y^4).
-
-    The rest is y^4 [2 c1 a1 s + b2 (a1^2 - s)] + y^5 [c1 s^2 + 2 b2 a1 s] +
-    y^6 b2 s^2 - (c1 y + b2 y^2) z^3/(1 + z).  With p = |c|, |c1| <= 2px,
-    |a1| <= 2p, |s| <= 1 and |b2| <= 2x + 1/2, its y^4 part is at most (2x +
-    1/2)(1 + 8p^2 + 8p^4), and the others add under 63 y (2x + 1/2), 0.3%
-    for x >= 10.  Over [X, oo) that is (1 + 8p^2 + 8p^4)(X/2 + 1/4)
-    e^{-4X}/2pi, returned with a margin of 1.01.
+    In _tail_lead's notation, the rest of F is y^4 [2 c1 a1 s + b2 (a1^2 -
+    s)] + y^5 [c1 s^2 + 2 b2 a1 s] + y^6 b2 s^2 - (c1 y + b2 y^2) z^3/(1 +
+    z).  With p = |c|, |c1| <= 2px, |a1| <= 2p, |s| <= 1 and |b2| <= 2x +
+    1/2, its y^4 part is at most (2x + 1/2)(1 + 8p^2 + 8p^4), and the others
+    add under 63 y (2x + 1/2), 0.3% for x >= 10.  Over [X, oo) that is (1 +
+    8p^2 + 8p^4)(X/2 + 1/4) e^{-4X}/2pi, returned with a margin of 1.01.
+    Unlike the comb's, it does not vanish at the free corner.
     """
-    def term1(x: float) -> float:  # e^{x} times the e^{-x} term of F/2pi
-        r = 2.0 * x + g
-        return 4.0 * cc * (x / r) * (x - g / r) / _TWO_PI
-
-    def term2(x: float) -> float:
-        r = 2.0 * x + g
-        u, v = g / r, x / r
-        a1 = 4.0 * cc * v
-        return (2.0 * x * ((2.0 * x - g) / r) - 4.0 * u * v - a1 * a1 * (x - u)) / _TWO_PI
-
-    def term3(x: float) -> float:
-        r = 2.0 * x + g
-        u, v, s = g / r, x / r, (2.0 * x - g) / r
-        a1 = 4.0 * cc * v
-        return (a1 * (x - u) * (a1 * a1 - s) - a1 * (2.0 * x * s - 4.0 * u * v)) / _TWO_PI
-
     p2 = cc * cc
     X = _TAIL_FROM
-    bound = 1.01 * (1.0 + 8.0 * p2 * (1.0 + p2)) * (0.5 * X + 0.25) * math.exp(-4.0 * X) / _TWO_PI
-    return ((1, term1), (2, term2), (3, term3)) if cc else ((2, term2),), bound
+    return 1.01 * (1.0 + 8.0 * p2 * (1.0 + p2)) * (0.5 * X + 0.25) * math.exp(-4.0 * X) / _TWO_PI
 
 
 def _energy_integral(
@@ -566,13 +562,11 @@ def _energy_integral(
     * a (both tolerances must be positive, and abs_tol * a must not
     underflow to 0, else ValueError) so that abs_tol holds in energy units;
     K = X/a must be finite (else a domain error naming a).  The tail past X
-    is tail = (terms, bound) (see _comb_tail and _plate_tail): terms are the
-    leading terms of f past X, pairs (j, q) that stand for e^{-jx} q(x), and
-    bound is a closed-form bound on int_X^oo dx |f(c, x/a) - sum e^{-jx}
-    q(x)|, reported as tail_bound.  The terms' integral over [X, oo) (see
-    _laguerre) is added to the value, and the rule's error and rounding,
-    _RULE_ERR times its sum of |w q|, to abs_err.  The tail costs no
-    evaluation of f.
+    is tail = (lead, lead_err, bound) in x units (see _tail_lead): lead, the
+    integral over [X, oo) of f's leading terms, is added to the value and
+    lead_err, its error allowance, to abs_err; bound, a closed-form bound on
+    what those terms leave out, is reported as tail_bound.  The tail costs
+    no evaluation of f.
 
     f carries the subtracted term -(1/2pi) g/(g + 2x).  Below x0 the run
     integrates f with that term added back, less the shape of a thin layer
@@ -607,8 +601,7 @@ def _energy_integral(
     K = X / a
     if K == math.inf:
         raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
-    terms, bound = tail
-    lead, lead_abs = _laguerre(terms)
+    lead, lead_err, bound = tail
     sub = 0.0
     if g > 0.0:
         # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
@@ -628,8 +621,8 @@ def _energy_integral(
         breaks.append(seed)
         seed *= 2.0
     rounding = 0.0
-    if sub or layer or lead_abs:
-        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)) + _RULE_ERR * lead_abs, 2.0 * _SUBNORMAL)
+    if sub or layer or lead_err:
+        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)) + lead_err, 2.0 * _SUBNORMAL)
 
     def integrand(x: float) -> float:
         if x < x0:
@@ -649,8 +642,9 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     most max(abs_tol, rel_tol |E|).
 
     Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a
-    (X as in _energy_integral), and adds the tail's leading term, with a
-    bound on the rest as tail_bound (see _comb_tail).
+    (X as in _energy_integral), and adds the tail's leading term, the Bloch
+    average of its plates' (see _tail_lead), with a bound on the rest as
+    tail_bound (see _comb_tail_bound).
 
     Below x0 = 2.5 what remains of f after its subtracted term (see
     _energy_integral), f_s, has one layer, the paper's non-analytic part:
@@ -680,9 +674,9 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
             return s / (r * (r / x + 1.0) * _TWO_PI)
 
         thin = (phi, s * (bracket / (2.0 * _TWO_PI)), _comb_layer_mass(s))  # (s/2) bracket/2pi
+    tail = (*_tail_lead(g, 0.0, delta), _comb_tail_bound(g, delta))
     return _energy_integral(
-        spectral_integrand, c, abs_tol, rel_tol, _comb_tail(g, delta),
-        math.sqrt(g + 2.0 * delta), thin,
+        spectral_integrand, c, abs_tol, rel_tol, tail, math.sqrt(g + 2.0 * delta), thin,
     )
 
 
@@ -702,8 +696,8 @@ def plate_energy(
     int_0^x0 psi/2pi = -2 (x0 - w atan(x0/w))/2pi.
 
     Past X = 10 (see _energy_integral) the run adds the tail's e^{-x},
-    e^{-2x} and e^{-3x} terms, with a bound on the rest as tail_bound (see
-    _plate_tail).
+    e^{-2x} and e^{-3x} terms (see _tail_lead), with a bound on the rest as
+    tail_bound (see _plate_tail_bound).
     """
     g = _require_supported(c)
     if not -math.pi <= theta <= math.pi:
@@ -716,7 +710,8 @@ def plate_energy(
         thin = (lambda x: -2.0 / ((1.0 + (w / x) * (w / x)) * _TWO_PI),
                 -2.0 * (_LAYER_BREAK - w * math.atan2(_LAYER_BREAK, w)) / _TWO_PI,
                 _plate_layer_mass(g, w))
+    cc = c.omega * math.cos(theta)
+    tail = (*_tail_lead(g, cc, 1.0 - 2.0 * (cc * cc)), _plate_tail_bound(g, cc))
     return _energy_integral(
-        lambda c, k: theta_integrand(c, k, theta) / _TWO_PI, c, abs_tol, rel_tol,
-        _plate_tail(g, c.omega * math.cos(theta)), w, thin,
+        lambda c, k: theta_integrand(c, k, theta) / _TWO_PI, c, abs_tol, rel_tol, tail, w, thin,
     )

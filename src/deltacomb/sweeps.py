@@ -1,8 +1,9 @@
 """The CLI's parameter sweeps (scan-a, scan-couplings, ratio-w0), loaded only
 for them and for the full parser.  Each function takes the running cli module
-first and reaches the library and cli's helpers through it (cli._lib,
-cli.CombCouplings), so rebinding those names in cli still takes effect.  The
-annotations name the library's records, which this module never imports."""
+first and reaches the library and cli's helpers as its attributes
+(cli.comb_energy, which cli imports on first use, and cli.CombCouplings), so
+rebinding those names in cli still takes effect.  The annotations name the
+library's records, which this module never imports."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ def _sweep(
     """Emit one row per (couplings, lead) point, the lead values followed by
     row(lead, comb_energy(couplings)); the parameters are the args in names."""
     abs_tol, rel_tol = args.abs_tol, args.rel_tol
-    comb_energy = cli._lib("comb_energy")
+    comb_energy = cli.comb_energy
     rows = [(*lead, *row(lead, comb_energy(c, abs_tol, rel_tol))) for c, lead in points]
     cli._emit(args, {name: getattr(args, name) for name in names}, header, rows)
     return cli.EXIT_OK

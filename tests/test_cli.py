@@ -383,6 +383,18 @@ def test_plate_cutoff_is_10_where_its_phase_term_vanishes(capsys, couplings):
     assert row["tail_bound"] == pytest.approx(1.01 * 5.25 * math.exp(-40.0) / (2.0 * math.pi), rel=1e-14)
 
 
+def test_plate_near_its_rounding_floor_meets_a_tight_tolerance(capsys):
+    # at gamma a = 4.37, Omega = -1, theta = 2.23 and a = 0.526 the panels'
+    # rounding floor alone is about 0.987 of the tolerance at (1e-15, 1e-13),
+    # so the tail's error allowance must stay far below the rest of it
+    code, out, err = run_cli(capsys, "plate", "--omega", "-1", "--gamma", repr(4.37 / 0.526),
+                             "--a", "0.526", "--theta", "2.23", "--abs-tol", "1e-15", "--rel-tol", "1e-13")
+    assert code == EXIT_OK, err
+    (row,) = parse_csv(out)
+    value, abs_err = float(row["value"]), float(row["abs_err"])
+    assert abs_err <= max(1e-15, 1e-13 * abs(value)), row
+
+
 # ------------------------------------------------------------------ bands
 
 

@@ -443,7 +443,7 @@ X_TAIL = deltacomb.energy._TAIL_FROM
 
 
 def _comb_lead(g, omega, x):
-    """f and its leading term past x = 10, 2 pi h1 = e^{-2x} [(x - u)(8 delta
+    """f and its leading term past x = 10, 2 pi h = e^{-2x} [(x - u)(8 delta
     v^2 - 2u^2) - 2u^2] with R = 2x + g, u = g/R, v = x/R, in mpmath from
     the rearranged form (an identity of the literal one, which the
     integrand oracles hold the module to)."""
@@ -453,8 +453,8 @@ def _comb_lead(g, omega, x):
     D = eps * (16 * x * x * delta - 4 * g * g) / (R - S * eps + V)
     f = ((x * R - g) * D - 2 * g * g * eps) / (R * V)
     u, v = g / R, x / R
-    h1 = eps * ((x - u) * (8 * delta * v * v - 2 * u * u) - 2 * u * u)
-    return f / (2 * mpmath.pi), h1 / (2 * mpmath.pi)
+    h = eps * ((x - u) * (8 * delta * v * v - 2 * u * u) - 2 * u * u)
+    return f / (2 * mpmath.pi), h / (2 * mpmath.pi)
 
 
 def _plate_lead(g, c, x):
@@ -507,24 +507,43 @@ def test_laguerre_rules_against_mpmath(rule, n):
             assert float(x / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, x) ** 2)) == w
 
 
+def _tail_of(c, theta=None):
+    """The tail (lead, lead_err, bound) that comb_energy(c), or with theta
+    plate_energy(c, theta), hands to _energy_integral."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deltacomb.energy, "_energy_integral", lambda *args: seen.append(args[4]))
+        comb_energy(c) if theta is None else plate_energy(c, theta)
+    return seen[0]
+
+
+def _plate_tail_lead(g, cc):
+    """(lead, lead_err) of the plate at gamma a = g, Omega cos theta = cc,
+    exactly: Omega = cc at theta = 0, or Omega = -1 at theta = pi for cc =
+    1, which Omega < 1 leaves out."""
+    if cc == 1.0:
+        return _tail_of(CombCouplings.from_reduced(omega=-1.0, gamma=g, a=1.0), math.pi)[:2]
+    return _tail_of(CombCouplings.from_reduced(omega=cc, gamma=g, a=1.0), 0.0)[:2]
+
+
 def test_comb_tail_lead_against_mpmath():
-    # the 8-point Gauss-Laguerre rule on h1 in its u, v form lands within
-    # 1e-13 relative of 25-digit mpmath (2.6e-14 at worst, at delta = 0 and
-    # small g), from g = 0 and subnormal g up to 1e150, at delta = 0, 1 and
-    # in between; its reported error allowance covers it
+    # the 8-point Gauss-Laguerre rule on the e^{-2x} term at d2 = delta in
+    # its u, v form lands within 1e-13 relative of 25-digit mpmath (2.6e-14
+    # at worst, at delta = 0 and small g), from g = 0 and subnormal g up to
+    # 1e150, at delta = 0, 1 and in between; its error allowance covers it
     rng = random.Random(42)
     gs = [0.0, 2.0**-1074, 1e-300, 1e150] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
     for i, g in enumerate(gs):
         delta = (0.0, 1.0, rng.random())[i % 3]
-        terms, _ = deltacomb.energy._comb_tail(g, delta)
-        lead, lead_abs = deltacomb.energy._laguerre(terms)
-        if lead_abs == 0.0:  # g^2 underflows at the free corner's delta = 0
+        lead, lead_err = deltacomb.energy._tail_lead(g, 0.0, delta)
+        if lead_err == 0.0:  # g^2 underflows at the free corner's delta = 0
             assert delta == 0.0 and g < 1e-150, (g, delta)
             continue
         om = mpmath.sqrt(1 - mpmath.mpf(delta))
-        exact = _lead_past_x(lambda x: _comb_lead(mpmath.mpf(g), om, x)[1], lead_abs)
+        norm = lead_err / deltacomb.energy._RULE_ERR
+        exact = _lead_past_x(lambda x: _comb_lead(mpmath.mpf(g), om, x)[1], norm)
         assert abs(lead - exact) <= 1e-13 * abs(exact), (g, delta, lead, exact)
-        assert abs(lead - exact) <= deltacomb.energy._RULE_ERR * lead_abs
+        assert abs(lead - exact) <= lead_err
 
 
 def test_plate_tail_lead_against_mpmath():
@@ -536,11 +555,62 @@ def test_plate_tail_lead_against_mpmath():
     gs = [0.0, 2.0**-1074, 1e-300, 1e150, 5.0] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
     samples = [(g, (0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0))[i % 4]) for i, g in enumerate(gs)]
     for g, cc in samples + [(5.0, 1.0), (5.0, -1.0), (4.37, -1.0)]:
-        terms, _ = deltacomb.energy._plate_tail(g, cc)
-        lead, lead_abs = deltacomb.energy._laguerre(terms)
-        exact = _lead_past_x(lambda x: _plate_lead(mpmath.mpf(g), mpmath.mpf(cc), x)[1], lead_abs)
-        assert abs(lead - exact) <= deltacomb.energy._RULE_ERR * lead_abs, (g, cc, lead, exact)
+        lead, lead_err = _plate_tail_lead(g, cc)
+        norm = lead_err / deltacomb.energy._RULE_ERR
+        exact = _lead_past_x(lambda x: _plate_lead(mpmath.mpf(g), mpmath.mpf(cc), x)[1], norm)
+        assert abs(lead - exact) <= lead_err, (g, cc, lead, exact)
         assert abs(lead - exact) <= 1e-14 * abs(exact), (g, cc, lead, exact)
+
+
+def test_comb_tail_lead_is_the_bloch_average_of_the_plates():
+    # the comb is the Bloch average of its plates, and so is its lead: the
+    # plates' e^{-x} and e^{-3x} terms are odd in Omega cos theta, and their
+    # e^{-2x} term is the comb's at d2 = 1 - 2 (Omega cos theta)^2 in place
+    # of its average delta.  So (1/pi) int_0^pi of the plates' lead dtheta
+    # lands within 1e-14 relative plus both error allowances of the comb's
+    rng = random.Random(44)
+    near_one = math.nextafter(1.0, 0.0)
+    samples = [(g, om) for g in (0.0, 1.0, 5.0, 1e10, 1e150) for om in (-1.0, 0.0, near_one)]
+    samples += [(10.0 ** rng.uniform(-8.0, 4.0), rng.uniform(-1.0, 1.0)) for _ in range(15)]
+    for g, om in samples:
+        c = CombCouplings.from_reduced(omega=om, gamma=g, a=1.0)
+        lead, lead_err, _ = _tail_of(c)
+
+        def plate(theta, part):
+            return _tail_of(c, theta)[part] / math.pi
+
+        plates_err, _ = integrate_finite(lambda t: plate(t, 1), 0.0, math.pi, 1e-300, 1e-6)
+        # a tolerance at a quarter of the allowances, which stays above the
+        # rounding floor of the odd terms' cancelling e^{-x}-sized values
+        tol = 0.25 * (lead_err + plates_err)
+        plates, _ = integrate_finite(lambda t: plate(t, 0), 0.0, math.pi, tol, 1e-300)
+        assert abs(lead - plates) <= 1e-14 * abs(lead) + lead_err + plates_err, (g, om, lead, plates)
+
+
+def test_comb_tail_lead_is_its_own_series_bit_for_bit():
+    # the comb's lead is, operation for operation, the leading term of f's
+    # own expansion, 2 pi h = e^{-2x} [(x - u)(8 delta v^2 - 2u^2) - 2u^2],
+    # under the 8-point rule at x = X + t/2: taking it from the plates'
+    # series moves no bit of a comb result
+    rng = random.Random(45)
+    samples = [(0.0, 0.0), (0.0, 1.0), (2.0**-1074, 0.0), (1e150, 0.0), (5.7e-3, 0.0)]
+    samples += [(10.0 ** rng.uniform(-8.0, 150.0), rng.random()) for _ in range(20)]
+    for g, delta in samples:
+        def h(x):
+            r = 2.0 * x + g
+            u, v = g / r, x / r
+            uu = u * u
+            return ((x - u) * (8.0 * delta * (v * v) - 2.0 * uu) - 2.0 * uu) / TWO_PI
+
+        total = total_abs = 0.0
+        for t, w in deltacomb.energy._LAGUERRE:
+            term = w * h(X_TAIL + t / 2)
+            total += term
+            total_abs += abs(term)
+        scale = math.exp(-2 * X_TAIL) / 2
+        expected = (0.0 + total * scale, deltacomb.energy._RULE_ERR * (0.0 + total_abs * scale))
+        got = deltacomb.energy._tail_lead(g, 0.0, delta)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], (g, delta)
 
 
 def test_comb_tail_bound_covers_the_dropped_tail():
@@ -571,7 +641,7 @@ def test_plate_tail_bound_covers_the_dropped_tail():
 
 def test_tail_bounds_stay_within_a_small_factor_of_the_tail():
     # the comb's bound is attained up to its margin 1.01 at g = 0 as delta ->
-    # 0, where 2 pi (f - h1) ~ -4x delta e^{-4x}; the mixed comb (g = 0, Omega
+    # 0, where 2 pi (f - h) ~ -4x delta e^{-4x}; the mixed comb (g = 0, Omega
     # = 0), 2 pi f = 2x eps/(1 + eps), leaves -2x eps^2 out, half its bound,
     # and g = 1e8, Omega = -1 leaves -2 (x - 1) eps^2 out, a little less.  A
     # plate at Omega cos theta = 0 has F - lead = -2x y^4/(1 + y^2) at g = 0,

@@ -274,23 +274,24 @@ def _free(a):
 
 
 def test_semi_infinite_exponential():
-    # e^{-x} is its own leading term past 10, so nothing is left for the
-    # bound, and the Laguerre rule integrates the constant 1 exactly
-    res = _energy_integral(_decay, _free(1.0), *TOLS, (((1, lambda x: 1.0),), 0.0))
+    # e^{-x} is its own leading term past 10, whose integral e^{-10} is
+    # exact, so nothing is left for the bound
+    res = _energy_integral(_decay, _free(1.0), *TOLS, (math.exp(-10.0), 0.0, 0.0))
     assert res.truncation_k == 10.0
     assert abs(res.value - 1.0) <= max(10.0 * res.abs_err, 1e-13)
     assert res.tail_bound == 0.0
 
 
 def test_semi_infinite_k_exp():
-    # x e^{-2x}: the rule takes the tail's int_10^oo x e^{-2x} dx = (10/2 +
-    # 1/4) e^{-20} exactly, with the nodes at 10 + t/2
+    # x e^{-2x}: the 8-point rule takes the tail's int_10^oo x e^{-2x} dx =
+    # (10/2 + 1/4) e^{-20} exactly, with the nodes at 10 + t/2
+    lead = sum(w * (10.0 + t / 2) for t, w in deltacomb.energy._LAGUERRE) * math.exp(-20.0) / 2
+    assert lead == pytest.approx(5.25 * math.exp(-20.0), rel=1e-15)
     res = _energy_integral(
-        lambda c, k: k * math.exp(-2.0 * k), _free(1.0), *TOLS, (((2, lambda x: x),), 0.0)
+        lambda c, k: k * math.exp(-2.0 * k), _free(1.0), *TOLS,
+        (lead, deltacomb.energy._RULE_ERR * lead, 0.0),
     )
     assert abs(res.value - 0.25) <= max(10.0 * res.abs_err, 1e-13)
-    lead, lead_abs = deltacomb.energy._laguerre(((2, lambda x: x),))
-    assert lead == pytest.approx(5.25 * math.exp(-20.0), rel=1e-15) and lead_abs == lead
 
 
 def test_semi_infinite_truncation_override(monkeypatch):
@@ -299,7 +300,7 @@ def test_semi_infinite_truncation_override(monkeypatch):
     # tail is left to the bound
     monkeypatch.setattr(deltacomb.energy, "_TAIL_FROM", 5.0)
     for a in (1.0, 2.0):
-        res = _energy_integral(_decay, _free(a), *TOLS, ((), math.exp(-5.0)))
+        res = _energy_integral(_decay, _free(a), *TOLS, (0.0, 0.0, math.exp(-5.0)))
         assert res.truncation_k == 5.0 / a
         assert abs(res.value - (1.0 - math.exp(-5.0)) / a) <= 1e-12
         assert res.tail_bound == math.exp(-5.0) / a
