@@ -75,15 +75,21 @@ x >> 1, so a single formula cannot be evaluated accurately everywhere:
 Every energy integral (comb and plate) is (1/a) int_0^oo dx I(x/a) (resp.
 F(x/a, theta)/2pi) at the caller's couplings.  Its only controls are two
 floats, abs_tol and rel_tol: the reported abs_err is at most max(abs_tol,
-rel_tol |E|).  The adaptive run stops at X = 10 in x, K = X/a in k (a K
-that overflows is a domain error).  Past X, F is a series in e^{-x}: its
-e^{-2x} term depends on the phase only through d2 = 1 - 2 Omega^2 cos^2
-theta, and its e^{-x} and e^{-3x} terms are odd in Omega cos theta.  So
-f, the phase average of F/2pi, leads with that e^{-2x} term at the
-average of d2, delta, and one series (_tail_lead) serves both energies.
-Gauss-Laguerre rules integrate its terms over [X, oo) for the value.  The
-tail bound, the integral over [X, oo) of a closed-form majorant of what
-they leave out, is O(e^{-4X}) and set before any evaluation.
+rel_tol |E|).  The adaptive run stops at X = 5 = 2 x0 in x (x0 = 2.5, see
+below), K = X/a in k.  Past X, f decays like e^{-2x} and F like e^{-x}, and
+one Gauss-Laguerre rule on the integrand itself takes the tail: with t =
+j (x - X), j = 2 for f and 1 for F,
+
+    int_X^oo f dx = (1/j) int_0^oo e^{-t} [f(X + t/j) e^t] dt,
+
+where the bracket is a slowly varying function of x (its leading term
+rational in x, its corrections carrying e^{-t}).  The rule costs 12
+evaluations of f and 28 of F, through the same integrands as the run.  Its
+error is measured, not derived: against 40-digit mpmath on seeded points
+over the whole domain (tools/tail_rule_error.py), and tail_bound reports a
+fixed share of the rule's sum |w e^t f|, at least twice the worst error
+seen; it is exactly 0 at the free corner, where f is.  A momentum (X +
+t/j)/a of the rule that overflows is a domain error.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:
@@ -118,13 +124,13 @@ of -2 (x0 - w atan(x0/w)) odd in w, carries the comb's -(s ln s)/8pi.
 
 Each integral is one adaptive Gauss-Kronrod run over [0, X], seeded with
 breakpoints at that layer's own scale, w 10^j for a layer w wide (see
-_graded_breakpoints), and with the dyadic points x0, 2 x0, ... below X.
+_graded_breakpoints), and with the break x0 = X/2.
 A layer thinner than the bulk scale 0.4 gets a ladder from j = -1 up to
 0.4, a wider one the rung j = 0 alone, and either keeps a rung j <= 2 up to
 0.7 x0 = 1.75.  Without a rung at w, a layer 0.4 to x0 wide fails the first
-panel of [0, x0] and costs a bisection.  Bisection from [0, X] reaches the
-dyadic points anyway, so seeding them keeps the panels bisection would
-reach and only skips the parent panels it would compute and throw away.
+panel of [0, x0] and costs a bisection.  Bisection from [0, X] reaches x0
+anyway, so seeding it keeps the panels bisection would reach and only skips
+the parent panel it would compute and throw away.
 The ladder's lowest rungs are dropped while the derived bound on what the
 first panel may miss stays under a tenth of the smaller of abs_tol a and
 rel_tol times the size of the closed forms' sum (never under eps abs_tol
@@ -190,10 +196,11 @@ def _require_supported(c: CombCouplings) -> float:
 
 
 class EnergyResult(Record):
-    """Energy value with its quadrature error and truncation-tail bound.
+    """Energy value with its quadrature error and truncation-tail allowance.
 
-    value includes the leading terms of the tail beyond truncation_k, and
-    tail_bound bounds the rest.
+    value includes the tail beyond truncation_k, taken by a fixed
+    Gauss-Laguerre rule; abs_err is the adaptive run's own error, and
+    tail_bound the rule's error allowance, measured against mpmath.
     """
 
     __slots__ = ("value", "abs_err", "truncation_k", "tail_bound")
@@ -305,7 +312,7 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
 
 
 # below x0 the energies add their subtracted term back (see the module
-# docstring); the cutoff X lies above it, so it is the lowest dyadic seed
+# docstring); the cutoff X = 2 x0 lies above it, and it is the one seed
 _LAYER_BREAK = 2.5
 # the bulk scale: the ladder's rungs below it grade a thin layer, and only
 # there may its floor drop them (the layer masses are derived below it)
@@ -420,135 +427,82 @@ def _plate_layer_mass(g: float, w: float):
     return lambda b: min(0.68 * (b * b / 3.0 + g), 0.7 * (w * w + g + 1e-26 * (b * b))) * b / _TWO_PI
 
 
-# the adaptive run stops at x = X = 10 (k = X/a); past it both integrands
-# are series in e^{-x}, whose leading terms are added in closed form
-_TAIL_FROM = 10.0
-# (node, weight) of the 8-point Gauss-Laguerre rule, int_0^oo e^{-t} q(t) dt
-# ~ sum w q(t) (Abramowitz & Stegun 25.4.45, table 25.9), for the e^{-2x} and
-# e^{-3x} terms
-_LAGUERRE = (
-    (0.170279632305101, 0.3691885893416375),
-    (0.9037017767993799, 0.41878678081434295),
-    (2.2510866298661307, 0.1757949866371718),
-    (4.266700170287659, 0.03334349226121565),
-    (7.0459054023934655, 0.0027945362352256725),
-    (10.758516010180996, 9.076508773358213e-05),
-    (15.740678641278004, 8.485746716272531e-07),
-    (22.863131736889265, 1.0480011748715104e-09),
-)
-# the 12-point rule, for a plate's e^{-x} term: in t = x - X its u, v have
-# their pole at t = -X - g/2, half as far from the nodes as in an e^{-2x}
-# term's t = 2 (x - X); there the 8-point rule is off by up to 2.01e-13 of
-# its sum of |w q| (at g = 5.0), and this one by 6.4e-16
-_LAGUERRE_12 = (
-    (0.11572211735802068, 0.2647313710554432),
-    (0.6117574845151307, 0.37775927587313796),
-    (1.5126102697764188, 0.24408201131987756),
-    (2.8337513377435073, 0.09044922221168093),
-    (4.5992276394183484, 0.020102381154634096),
-    (6.844525453115177, 0.0026639735418653157),
-    (9.621316842456867, 0.00020323159266299939),
-    (13.006054993306348, 8.365055856819799e-06),
-    (17.116855187462257, 1.6684938765409103e-07),
-    (22.151090379397004, 1.342391030515004e-09),
-    (28.487967250984, 3.0616016350350207e-12),
-    (37.09912104446692, 8.148077467426241e-16),
-)
-# the rules' error and rounding on each leading term, as a fraction of its
-# sum of |w q|, with a margin over 2: against mpmath at 40 + log10 g digits
-# on 300 values of g from 1e-3 to 1e4 (and 1e10, 1e50, 1e150), at most
-# 2.6e-14 for the e^{-2x} term (the comb's, at delta = 0, g = 5.7e-3; 3.0e-15
-# at a plate's d2), 9.2e-15 for the e^{-3x} term and 6.4e-16 for the e^{-x}
-# term
-_RULE_ERR = 6e-14
+# the adaptive run stops at x = X = 5 = 2 x0 (k = X/a); past it one
+# Gauss-Laguerre rule on the integrand itself takes the tail (see _tail_integral)
+_TAIL_FROM = 5.0
+# each energy's tail as (j, rule, fraction): t = j (x - X), the rule's (node t,
+# weight w times e^t) pairs, int_0^oo q(t) dt ~ sum w e^t q(t) (Abramowitz &
+# Stegun 25.4.45-46), each the 60-digit mpmath value rounded once, and the
+# rule's error allowance as a share of sum |w e^t q|.  The comb's f decays
+# like e^{-2x} and takes 12 nodes; a plate's F like e^{-x}, whose t puts the
+# pole of its 1/(2x + g) terms nearer the nodes, and takes 28.  Against
+# mpmath on 1,000 seeded points each (tools/tail_rule_error.py) the worst
+# error was 5.9e-13 of that sum for the comb, where its leading term nearly
+# cancels, and 2.3e-15 for a plate; each fraction is over twice that
+_COMB_TAIL = (2, (
+    (0.11572211735802068, 0.2972096360444108),
+    (0.6117574845151307, 0.6964629804305972),
+    (1.5126102697764188, 1.1077813946157522),
+    (2.8337513377435073, 1.5384642390428291),
+    (4.5992276394183484, 1.9983276062742428),
+    (6.844525453115177, 2.5007457691008668),
+    (9.621316842456867, 3.0653215182823863),
+    (13.006054993306348, 3.7232891107827717),
+    (17.116855187462257, 4.529814029981735),
+    (22.151090379397004, 5.597258461835321),
+    (28.487967250984, 7.212995460925877),
+    (37.09912104446692, 10.543837461910082),
+), 1.5e-12)
+_PLATE_TAIL = (1, (
+    (0.050734624849873886, 0.13022074926060362),
+    (0.26748726864074107, 0.30351398729912993),
+    (0.6581366283547915, 0.4779926108992999),
+    (1.2239718083849078, 0.6539725970626479),
+    (1.9667676124737776, 0.8320114557082765),
+    (2.8888833260303217, 1.0127178127378054),
+    (3.9933116592501143, 1.1967515604810923),
+    (5.283736062843443, 1.3848368639207318),
+    (6.7646034042435055, 1.5777796557871289),
+    (8.441216328271324, 1.7764896694435897),
+    (10.31985046299326, 1.9820083925610064),
+    (12.407903414460671, 2.1955451299309883),
+    (14.71408516413575, 2.4185243902837925),
+    (17.248663415608057, 2.6526493611555093),
+    (20.023783329951712, 2.899988685994909),
+    (23.053890135030297, 3.163097755912598),
+    (26.35629737440132, 3.4451924655619814),
+    (29.95196683359618, 3.7504051524070983),
+    (33.86660551658446, 4.0841738743602125),
+    (38.13225441019465, 4.453857164330028),
+    (42.78967237077258, 4.869749397765457),
+    (47.89207163362274, 5.346852052184398),
+    (53.5112979596643, 5.908181954632223),
+    (59.74879608464124, 6.591519030727657),
+    (66.75697728390647, 7.464901246815901),
+    (74.78677815233917, 8.668786010105753),
+    (84.31783710722705, 10.56614753427921),
+    (96.58242062752731, 14.64469151725447),
+), 6e-15)
 
 
-def _tail_lead(g: float, cc: float, d2: float) -> tuple[float, float]:
-    """(lead, _RULE_ERR sum |w q|): the leading terms of F/2pi at c = Omega
-    cos theta = cc integrated over [X, oo), X = _TAIL_FROM, and the rule's
-    error allowance.  A plate has d2 = 1 - 2 cc^2; the comb, their Bloch
-    average, has cc = 0 and d2 = delta.
-
-    With y = e^{-x}, R = 2x + g, u = g/R, v = x/R and s = (2x - g)/R, the
-    rearranged form (module docstring) is F = (c1 y + b2 y^2)/(1 + z), z =
-    a1 y + s y^2, with c1 = 4cv (x - u), b2 = 2xs - 4uv and a1 = 4cv, so
-
-        F = c1 y + (b2 - a1 c1) y^2 + (c1 (a1^2 - s) - a1 b2) y^3 + O(y^4).
-
-    As u + 2v = 1, b2 - a1 c1 = (x - u)(8 d2 v^2 - 2u^2) - 2u^2: the y^2 term
-    depends on the phase through d2 alone, and the y and y^3 terms are odd
-    in c, which averages to 0 over theta while d2 averages to delta.  In u
-    and v nothing overflows up to g = 1e150.  Each term e^{-jx} q(x) of
-    F/2pi is integrated as (e^{-jX}/j) int_0^oo e^{-t} q(X + t/j) dt, by the
-    12-point rule for j = 1 and the 8-point rule otherwise (at c = 0 only j
-    = 2).
-    """
-    X = _TAIL_FROM
-    lead = lead_abs = 0.0
-    for j in (1, 2, 3) if cc else (2,):
-        total = total_abs = 0.0
-        for t, w in _LAGUERRE_12 if j == 1 else _LAGUERRE:
-            x = X + t / j
-            r = 2.0 * x + g
-            u, v = g / r, x / r
-            if j == 2:
-                uu = u * u
-                q = (x - u) * (8.0 * d2 * (v * v) - 2.0 * uu) - 2.0 * uu
-            else:  # c1 = a1 (x - u), and for j = 3 the y^3 coefficient
-                a1 = 4.0 * cc * v
-                q = a1 * (x - u)
-                if j == 3:
-                    s = (2.0 * x - g) / r
-                    q = q * (a1 * a1 - s) - a1 * (2.0 * x * s - 4.0 * u * v)
-            term = w * (q / _TWO_PI)
-            total += term
-            total_abs += abs(term)
-        scale = math.exp(-j * X) / j
-        lead += total * scale
-        lead_abs += total_abs * scale
-    return lead, _RULE_ERR * lead_abs
-
-
-def _comb_tail_bound(g: float, delta: float) -> float:
-    """A bound on int_X^oo |f - h| dx, X = _TAIL_FROM, for f's leading
-    term h, _tail_lead's e^{-2x} term at d2 = delta.
-
-    With R = 2x + g, u = g/R, v = x/R and eps = e^{-2x}, the rearranged form
-    (module docstring) has D = eps (16 x^2 delta - 4 g^2)/(2R (1 + b)) and V
-    = R (1 + al), so
-
-        2 pi f = eps [(x - u)(8 delta v^2 - 2u^2)/((1 + al)(1 + b))
-                      - 2u^2/(1 + al)],
-
-    and 2 pi h is this at al = b = 0.  For x >= X = 10, (V/R)^2 - 1 = 2 s
-    eps + s^2 eps^2 - 4 (1 - u)^2 Omega^2 eps with s = 1 - 2u lies in [-2
-    eps, 2 eps + eps^2], so |al| <= 1.000001 eps, and b = (al - s eps)/2 has
-    |b| <= 1.000001 eps.  As 0 < x - u <= x, v <= 1/2 and u <= g/(2X + g)
-    =: m, |2 pi (f - h)| <= 1.00001 eps^2 [2x (2 delta + 2 m^2) + 2 m^2]:
-    over [X, oo) that is e^{-4X} [(delta + m^2)(X + 1/4) + m^2/2], returned
-    with a margin of 1.01.  It carries delta or m^2 (m <= min(1, g/2X)) in
-    every term, so it vanishes at the free corner with f.
-    """
-    X = _TAIL_FROM
-    m = g / (2.0 * X + g)
-    return 1.01 * ((delta + m * m) * (X + 0.25) + 0.5 * m * m) * math.exp(-4.0 * X) / _TWO_PI
-
-
-def _plate_tail_bound(g: float, cc: float) -> float:
-    """A bound on int_X^oo |F/2pi - lead| dx, X = _TAIL_FROM, at c = Omega
-    cos theta = cc, for _tail_lead's terms.
-
-    In _tail_lead's notation, the rest of F is y^4 [2 c1 a1 s + b2 (a1^2 -
-    s)] + y^5 [c1 s^2 + 2 b2 a1 s] + y^6 b2 s^2 - (c1 y + b2 y^2) z^3/(1 +
-    z).  With p = |c|, |c1| <= 2px, |a1| <= 2p, |s| <= 1 and |b2| <= 2x +
-    1/2, its y^4 part is at most (2x + 1/2)(1 + 8p^2 + 8p^4), and the others
-    add under 63 y (2x + 1/2), 0.3% for x >= 10.  Over [X, oo) that is (1 +
-    8p^2 + 8p^4)(X/2 + 1/4) e^{-4X}/2pi, returned with a margin of 1.01.
-    Unlike the comb's, it does not vanish at the free corner.
-    """
-    p2 = cc * cc
-    X = _TAIL_FROM
-    return 1.01 * (1.0 + 8.0 * p2 * (1.0 + p2)) * (0.5 * X + 0.25) * math.exp(-4.0 * X) / _TWO_PI
+def _tail_integral(f, c: CombCouplings, tail) -> tuple[float, float]:
+    """(int_X^oo f(c, x/a) dx, its allowance) in x units, X = _TAIL_FROM, for
+    tail = (j, rule, fraction): with t = j (x - X), (1/j) sum w e^t f(c, (X +
+    t/j)/a) over the rule, and fraction times (1/j) sum |w e^t f|, which is
+    0.0 where f vanishes at every node.  The last node's momentum is the
+    largest an energy evaluates f at: where it overflows, a domain error
+    naming a is raised before any evaluation."""
+    j, rule, fraction = tail
+    X, a = _TAIL_FROM, c.a
+    x_last = X + rule[-1][0] / j
+    if x_last / a == math.inf:
+        raise OutsideValidityDomainError(f"the tail's last momentum {x_last:.4g}/a overflows at a = {a!r}")
+    total = total_abs = 0.0
+    for t, we in rule:
+        term = we * f(c, (X + t / j) / a)
+        total += term
+        total_abs += abs(term)
+    return total / j, fraction * (total_abs / j)
 
 
 def _energy_integral(
@@ -557,21 +511,21 @@ def _energy_integral(
     """int_0^oo dk f(c, k) = (1/a) int_0^oo dx f(c, x/a) for an integrand f
     at the couplings c (spectral_integrand, say), in x = k a and g = gamma a.
 
-    Integrates over [0, X], X = _TAIL_FROM, in one adaptive run seeded with
-    the dyadic points x0, 2 x0, ... below X, x0 = _LAYER_BREAK, at abs_tol
-    * a (both tolerances must be positive, and abs_tol * a must not
-    underflow to 0, else ValueError) so that abs_tol holds in energy units;
-    K = X/a must be finite (else a domain error naming a).  The tail past X
-    is tail = (lead, lead_err, bound) in x units (see _tail_lead): lead, the
-    integral over [X, oo) of f's leading terms, is added to the value and
-    lead_err, its error allowance, to abs_err; bound, a closed-form bound on
-    what those terms leave out, is reported as tail_bound.  The tail costs
-    no evaluation of f.
+    Integrates over [0, X], X = _TAIL_FROM = 2 x0, x0 = _LAYER_BREAK, in one
+    adaptive run seeded with the break x0, at abs_tol * a (both tolerances
+    must be positive, and abs_tol * a must not underflow to 0, else
+    ValueError) so that abs_tol holds in energy units.  The tail past X is
+    taken by the rule tail = (j, rule, fraction) on f itself (see
+    _tail_integral), before the run: its value is added to the value, and
+    its allowance, measured against mpmath, is reported as tail_bound, not
+    in abs_err.  Every momentum f is evaluated at must be finite, the tail's
+    last node (X + t/j)/a the largest, else a domain error naming a (raised
+    by _tail_integral before any evaluation).
 
     f carries the subtracted term -(1/2pi) g/(g + 2x).  Below x0 the run
     integrates f with that term added back, less the shape of a thin layer
     where there is one, and adds the integrals of both over [0, x0] exactly,
-    as constants inside its tolerance test with the tail's leading terms:
+    as constants inside its tolerance test with the tail's value:
     -(g/4pi) ln(1 + 2 x0/g) for the term, and for the layer the second of
     thin = (shape, int_0^x0 shape dx, mass), whose shape is a function of x.
     abs_err covers the rounding of these constants: 8 eps of each (a few
@@ -579,7 +533,7 @@ def _energy_integral(
     the products and their sum land among the subnormals.
 
     What layer is left below x0 is width wide (0 for none), and rungs at its
-    own scale, up to 0.7 x0, grade on it below the dyadic seeds (see
+    own scale, up to 0.7 x0, grade on it below the seed x0 (see
     _graded_breakpoints), with mass(b) bounding what a panel [0, b], b <
     0.4, may miss; a layer under 0.4 wide comes with its thin triple.  The
     floor drops only rungs below 0.4 whose mass is under a tenth of the
@@ -598,10 +552,7 @@ def _energy_integral(
     tol = abs_tol * a
     if not tol > 0.0:
         raise ValueError(f"abs_tol a = {tol!r} underflows at abs_tol = {abs_tol!r}, a = {a!r}")
-    K = X / a
-    if K == math.inf:
-        raise OutsideValidityDomainError(f"the momentum cutoff {X:g}/a overflows at a = {a!r}")
-    lead, lead_err, bound = tail
+    tail_value, bound = _tail_integral(f, c, tail)
     sub = 0.0
     if g > 0.0:
         # ln(1 + 2 x0/g): 2 x0/g overflows for g below ~1e-308, and the
@@ -610,19 +561,15 @@ def _energy_integral(
         L = math.log1p(2.0 * x0 / g) if g >= 1.0 else math.log(g + 2.0 * x0) - math.log(g)
         sub = -g * (L / (2.0 * _TWO_PI))
     shape, layer, mass = thin or (None, 0.0, None)
-    shift = sub + layer + lead
+    shift = sub + layer + tail_value
     budget = max(_EPS * tol, _SUBNORMAL, 0.1 * min(tol, rel_tol * abs(shift)))
     breaks, dropped = _graded_breakpoints(width, budget, mass)
-    # x0, 2 x0, ... below X: bisection of [0, X] reaches these points on its
-    # way down anyway, so seeding them skips only the parent panels it would
-    # compute and discard
-    seed = x0
-    while seed < X:
-        breaks.append(seed)
-        seed *= 2.0
+    # bisection of [0, X] reaches x0 on its way down anyway, so seeding it
+    # skips only the parent panel it would compute and discard
+    breaks.append(x0)
     rounding = 0.0
-    if sub or layer or lead_err:
-        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)) + lead_err, 2.0 * _SUBNORMAL)
+    if sub or layer:
+        rounding = max(8.0 * _EPS * (abs(sub) + abs(layer)), 2.0 * _SUBNORMAL)
 
     def integrand(x: float) -> float:
         if x < x0:
@@ -634,7 +581,7 @@ def _energy_integral(
     value, err = integrate_finite(
         integrand, 0.0, X, tol, rel_tol, breaks, shift=shift, shift_err=dropped + rounding,
     )
-    return EnergyResult(value=value / a, abs_err=err / a, truncation_k=K, tail_bound=bound / a)
+    return EnergyResult(value=value / a, abs_err=err / a, truncation_k=X / a, tail_bound=bound / a)
 
 
 def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> EnergyResult:
@@ -642,9 +589,8 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     most max(abs_tol, rel_tol |E|).
 
     Integrates f(x) = I(x/a) over [0, X] in x = k a, i.e. up to K = X/a
-    (X as in _energy_integral), and adds the tail's leading term, the Bloch
-    average of its plates' (see _tail_lead), with a bound on the rest as
-    tail_bound (see _comb_tail_bound).
+    (X as in _energy_integral), and takes the tail past X by the 12-point
+    rule of _COMB_TAIL, with its allowance as tail_bound.
 
     Below x0 = 2.5 what remains of f after its subtracted term (see
     _energy_integral), f_s, has one layer, the paper's non-analytic part:
@@ -674,9 +620,8 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
             return s / (r * (r / x + 1.0) * _TWO_PI)
 
         thin = (phi, s * (bracket / (2.0 * _TWO_PI)), _comb_layer_mass(s))  # (s/2) bracket/2pi
-    tail = (*_tail_lead(g, 0.0, delta), _comb_tail_bound(g, delta))
     return _energy_integral(
-        spectral_integrand, c, abs_tol, rel_tol, tail, math.sqrt(g + 2.0 * delta), thin,
+        spectral_integrand, c, abs_tol, rel_tol, _COMB_TAIL, math.sqrt(g + 2.0 * delta), thin,
     )
 
 
@@ -695,9 +640,8 @@ def plate_energy(
     layer is thin, w < 0.4, the run integrates (F_s - psi)/2pi and adds
     int_0^x0 psi/2pi = -2 (x0 - w atan(x0/w))/2pi.
 
-    Past X = 10 (see _energy_integral) the run adds the tail's e^{-x},
-    e^{-2x} and e^{-3x} terms (see _tail_lead), with a bound on the rest as
-    tail_bound (see _plate_tail_bound).
+    Past X = 5 (see _energy_integral) the 28-point rule of _PLATE_TAIL
+    takes the tail, with its allowance as tail_bound.
     """
     g = _require_supported(c)
     if not -math.pi <= theta <= math.pi:
@@ -710,8 +654,6 @@ def plate_energy(
         thin = (lambda x: -2.0 / ((1.0 + (w / x) * (w / x)) * _TWO_PI),
                 -2.0 * (_LAYER_BREAK - w * math.atan2(_LAYER_BREAK, w)) / _TWO_PI,
                 _plate_layer_mass(g, w))
-    cc = c.omega * math.cos(theta)
-    tail = (*_tail_lead(g, cc, 1.0 - 2.0 * (cc * cc)), _plate_tail_bound(g, cc))
     return _energy_integral(
-        lambda c, k: theta_integrand(c, k, theta) / _TWO_PI, c, abs_tol, rel_tol, tail, w, thin,
+        lambda c, k: theta_integrand(c, k, theta) / _TWO_PI, c, abs_tol, rel_tol, _PLATE_TAIL, w, thin,
     )

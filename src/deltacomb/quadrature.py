@@ -5,7 +5,7 @@ classic QUADPACK-style error estimate and worst-interval-first adaptive
 bisection on finite intervals.  Breakpoints seed one adaptive run with a
 panel per piece (QUADPACK's qagp), so one error budget covers them all.  The
 semi-infinite energy integrals (cutoff, graded breakpoints, the tail's
-leading terms and its bound) are assembled from one integrate_finite call
+rule and its allowance) are assembled from one integrate_finite call
 in the energy module.
 integrate_finite is a tool of the energy and verification modules, not
 public surface: __all__ is empty.  Root refinement (Brent) and its root_tol

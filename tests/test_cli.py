@@ -21,7 +21,8 @@ import random
 
 import pytest
 
-from deltacomb import __version__, band_structure, cli, comb_energy, errors, plate_energy
+from deltacomb import CombCouplings, __version__, band_structure, cli, comb_energy, errors, plate_energy
+from deltacomb import energy
 from deltacomb.bands import band_edges, dispersion
 from deltacomb.cli import (
     EXIT_DOMAIN,
@@ -125,10 +126,10 @@ def test_energy_csv(capsys):
     assert len(rows) == 1
     assert set(rows[0]) == {"value", "abs_err", "truncation_k", "tail_bound"}
     assert abs(float(rows[0]["value"]) - math.pi / 48.0) <= 1e-8
-    # the run stops at k a = 10; past it the tail's leading term is in
-    # closed form, and the bound on the rest is far below abs_tol
-    assert float(rows[0]["truncation_k"]) == 10.0
-    assert 0.0 < float(rows[0]["tail_bound"]) < 1e-16
+    # the run stops at k a = 5; past it a Gauss-Laguerre rule on f takes the
+    # tail, and its allowance is far below abs_tol
+    assert float(rows[0]["truncation_k"]) == 5.0
+    assert 0.0 < float(rows[0]["tail_bound"]) < 1e-15
 
 
 def test_energy_json_matches_csv_bit_for_bit(capsys):
@@ -364,23 +365,26 @@ def test_plate_free_comb(capsys):
     assert set(row) == {"theta", "value", "abs_err", "truncation_k", "tail_bound"}
     assert abs(float(row["value"]) + math.pi / 6.0) <= 1e-8
     assert float(row["theta"]) == 0.0
-    # the free plate at theta = 0 has F ~ x e^{-x}; its e^{-x}, e^{-2x} and
-    # e^{-3x} terms past k a = 10 are in closed form
-    assert float(row["truncation_k"]) == 10.0
+    # the free plate at theta = 0 has F ~ x e^{-x}; past k a = 5 a
+    # Gauss-Laguerre rule on F takes the tail
+    assert float(row["truncation_k"]) == 5.0
     assert 0.0 < float(row["tail_bound"]) < 1e-15
 
 
 @pytest.mark.parametrize("couplings", [("--gamma", "1"), ("--gamma", "0"), ("--gamma", "1e6")])
-def test_plate_cutoff_is_10_where_its_phase_term_vanishes(capsys, couplings):
-    # at Omega cos theta = 0, F is a series in e^{-2x} like the comb's f: the
-    # plate stops at k a = 10 as every plate does, and its bound on what the
-    # e^{-2x} term leaves out is 1.01 (X/2 + 1/4) e^{-4X}/2pi, X = 10
+def test_plate_cutoff_is_5_where_its_phase_term_vanishes(capsys, couplings):
+    # at Omega cos theta = 0, F decays like e^{-2x}, as the comb's f does:
+    # the plate stops at k a = 5 as every plate does and reports the
+    # allowance of its 28-point rule on F, fraction times sum |w e^t F/2pi|
     code, out, _ = run_cli(capsys, "plate", "--omega", "0", *couplings, "--a", "1", "--theta", "1",
                            "--format", "json")
     assert code == EXIT_OK
     (row,) = json.loads(out)["rows"]
-    assert row["truncation_k"] == 10.0
-    assert row["tail_bound"] == pytest.approx(1.01 * 5.25 * math.exp(-40.0) / (2.0 * math.pi), rel=1e-14)
+    assert row["truncation_k"] == 5.0
+    c = CombCouplings.from_reduced(omega=0.0, gamma=float(couplings[1]), a=1.0)
+    plate = lambda c, k: energy.theta_integrand(c, k, 1.0) / (2.0 * math.pi)  # noqa: E731
+    _, allowance = energy._tail_integral(plate, c, energy._PLATE_TAIL)
+    assert 0.0 < row["tail_bound"] == pytest.approx(allowance, rel=1e-15)
 
 
 def test_plate_near_its_rounding_floor_meets_a_tight_tolerance(capsys):
@@ -933,7 +937,7 @@ def test_tiny_spacing_meets_the_pure_delta_law(capsys):
 @pytest.mark.parametrize("command", [("energy",), ("plate", "--theta", "1")])
 @pytest.mark.parametrize("a", ["1e-308", "1e-310"])
 def test_cutoff_overflow_at_tiny_spacing_exits_2(capsys, command, a):
-    # K = 10/a overflows: a domain error naming a, not an inf row (or an
+    # K = 5/a overflows: a domain error naming a, not an inf row (or an
     # integrand error naming k = inf)
     code, out, err = run_cli(capsys, command[0], "--w0", "1", "--w1", "0.3", "--a", a, *command[1:])
     assert (code, out) == (EXIT_DOMAIN, "")
@@ -941,11 +945,12 @@ def test_cutoff_overflow_at_tiny_spacing_exits_2(capsys, command, a):
 
 
 def test_cutoff_that_just_overflows_exits_2(capsys):
-    # K = 10/a overflows just below a = 10/DBL_MAX = 5.56e-308, where abs_tol a
-    # is still a positive subnormal: exit 2 naming a
-    code, out, err = run_cli(capsys, "energy", "--w0", "1", "--w1", "0.3", "--a", "5.5e-308")
+    # the comb's tail reaches k = 23.55/a, which overflows just below a =
+    # 23.55/DBL_MAX = 1.31e-307, where abs_tol a is still a positive
+    # subnormal: exit 2 naming a
+    code, out, err = run_cli(capsys, "energy", "--w0", "1", "--w1", "0.3", "--a", "1.3e-307")
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert "10/a overflows" in err and "a = 5.5e-308" in err and "inf" not in err
+    assert "23.55/a overflows" in err and "a = 1.3e-307" in err and "inf" not in err
 
 
 @pytest.mark.parametrize("root_tol", ["1", "inf"])

@@ -397,10 +397,10 @@ def test_comb_energy_frozen_values():
     assert res2.value == pytest.approx(-0.052612302882812, abs=1e-12)
     # error bookkeeping
     assert res1.abs_err < 5e-9
-    # the run stops at k a = 10 and adds the tail's leading term; what that
-    # leaves out is O(e^{-40})
-    assert 0.0 < res1.tail_bound <= 1e-17
-    assert res1.truncation_k == 10.0
+    # the run stops at k a = 5 and takes the tail by its Gauss-Laguerre rule,
+    # whose allowance is far below abs_tol
+    assert 0.0 < res1.tail_bound <= 1e-16
+    assert res1.truncation_k == 5.0
 
 
 def test_comb_energy_strong_coupling_approaches_dirichlet():
@@ -415,13 +415,16 @@ def test_comb_energy_is_deterministic():
 
 
 def _tail_samples(seed, n):
-    """Seeded combs over the supported range, g = 0 or 10^U(-12, 150), with
-    Omega at -1, near 1 or uniform and a Bloch phase at 0, pi or uniform."""
+    """Seeded couplings over the supported range with a Bloch phase: g = 0,
+    10^U(-6, 4) or 10^U(-300, 150), Omega at -1, within 1e-14 of -1 or 1, at
+    0 or uniform, theta at 0, pi, 2.23, pi/2 (Omega cos theta = 0) or
+    uniform, and a = 2^U{-6..6}."""
     rng = random.Random(seed)
     for i in range(n):
-        g = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-12.0, 150.0)
-        omega = (-1.0, 1.0 - 10.0 ** rng.uniform(-12.0, -1.0), rng.uniform(-1.0, 1.0))[i % 3]
-        theta = (0.0, math.pi, rng.uniform(-math.pi, math.pi))[i // 3 % 3]
+        g = 0.0 if i % 7 == 0 else 10.0 ** (rng.uniform(-6.0, 4.0) if i % 2 else rng.uniform(-300.0, 150.0))
+        near = 10.0 ** rng.uniform(-16.0, -14.0)
+        omega = (-1.0, -1.0 + max(near, 2.3e-16), 1.0 - near, 0.0, rng.uniform(-1.0, 1.0))[i % 5]
+        theta = (0.0, math.pi, 2.23, 0.5 * math.pi, rng.uniform(-math.pi, math.pi))[i // 5 % 5]
         a = 2.0 ** rng.randint(-6, 6)
         yield CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a), theta
 
@@ -429,7 +432,7 @@ def _tail_samples(seed, n):
 def _comb_vanishing_at(x, omega):
     """The comb at a = 1 whose f changes sign at x, by bisection in g: f > 0
     for g below about 2 x sqrt(1 - Omega^2), and < 0 above."""
-    lo, hi = 0.0, 2.0 * x
+    lo, hi = 0.0, 4.0 * x + 10.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if spectral_integrand(CombCouplings.from_reduced(omega=omega, gamma=mid, a=1.0), x) > 0.0:
@@ -442,223 +445,148 @@ def _comb_vanishing_at(x, omega):
 X_TAIL = deltacomb.energy._TAIL_FROM
 
 
-def _comb_lead(g, omega, x):
-    """f and its leading term past x = 10, 2 pi h = e^{-2x} [(x - u)(8 delta
-    v^2 - 2u^2) - 2u^2] with R = 2x + g, u = g/R, v = x/R, in mpmath from
-    the rearranged form (an identity of the literal one, which the
-    integrand oracles hold the module to)."""
-    eps, R, S = mpmath.exp(-2 * x), 2 * x + g, 2 * x - g
+def _comb_f(g, omega):
+    """f in mpmath by the rearranged form (an identity of the literal one,
+    which the integrand oracles hold the module to)."""
     delta = (1 - omega) * (1 + omega)
-    V = mpmath.sqrt((R + S * eps) ** 2 - 16 * x * x * omega * omega * eps)
-    D = eps * (16 * x * x * delta - 4 * g * g) / (R - S * eps + V)
-    f = ((x * R - g) * D - 2 * g * g * eps) / (R * V)
-    u, v = g / R, x / R
-    h = eps * ((x - u) * (8 * delta * v * v - 2 * u * u) - 2 * u * u)
-    return f / (2 * mpmath.pi), h / (2 * mpmath.pi)
+
+    def f(x):
+        eps, R, S = mpmath.exp(-2 * x), 2 * x + g, 2 * x - g
+        V = mpmath.sqrt((R + S * eps) ** 2 - 16 * x * x * omega * omega * eps)
+        D = eps * (16 * x * x * delta - 4 * g * g) / (R - S * eps + V)
+        return ((x * R - g) * D - 2 * g * g * eps) / (R * V) / (2 * mpmath.pi)
+
+    return f
 
 
-def _plate_lead(g, c, x):
-    """F/2pi at Omega cos theta = c and its e^{-x}, e^{-2x} and e^{-3x}
-    terms: with y = e^{-x}, s = (2x - g)/R, a1 = 4cv, c1 = a1 (x - u) and
-    b2 = 2xs - 4uv, F = (c1 y + b2 y^2)/(1 + a1 y + s y^2), expanded."""
-    y, R = mpmath.exp(-x), 2 * x + g
-    u, v, s = g / R, x / R, (2 * x - g) / R
-    a1 = 4 * c * v
-    c1, b2 = a1 * (x - u), 2 * x * s - 4 * u * v
-    F = (2 * x * (4 * x * x - g * g - 2 * g) * y * y - (g - x * R) * 4 * x * y * c) / (
-        R * (R + (2 * x - g) * y * y + 4 * x * y * c))
-    lead = c1 * y + (b2 - a1 * c1) * y**2 + (c1 * (a1 * a1 - s) - a1 * b2) * y**3
-    return F / (2 * mpmath.pi), lead / (2 * mpmath.pi)
+def _plate_f(g, c):
+    """F/2pi at Omega cos theta = c in mpmath by the rearranged form."""
+    def f(x):
+        y, R = mpmath.exp(-x), 2 * x + g
+        num = 2 * x * (4 * x * x - g * g - 2 * g) * y * y - (g - x * R) * 4 * x * y * c
+        return num / (R * (R + (2 * x - g) * y * y + 4 * x * y * c)) / (2 * mpmath.pi)
+
+    return f
 
 
-def _remainder_past_x(split):
-    """int_X^oo |f - lead| dx, X = 10, for split(x) = (f, lead) in 32-digit
-    mpmath (f - lead is 1e-9 of f), scaled by e^{4X} so that quad's error
+def _exact_tail(f, j, norm):
+    """int_X^oo f dx in 25-digit mpmath (Gauss-Legendre on pieces j (x - X)
+    = 0, 2, 6, 15, 35, 80, oo), with f divided by norm so that quad's error
     test sees O(1) values."""
-    with mpmath.workdps(32):
-        scale = mpmath.exp(4 * X_TAIL)
-
-        def rest(t):
-            f, lead = split(X_TAIL + t)
-            return abs(f - lead) * scale
-
-        return float(mpmath.quad(rest, [0, 1, 4, 12, 40]) / scale)
-
-
-def _lead_past_x(lead, norm):
-    """int_X^oo lead(x) dx, X = 10, in 25-digit mpmath, with lead(x) divided
-    by norm so that quad's error test sees O(1) values."""
     with mpmath.workdps(25):
-        return float(norm * mpmath.quad(lambda t: lead(X_TAIL + t) / norm, [0, 1, 4, 12, 40, mpmath.inf]))
-
-
-@pytest.mark.parametrize("rule, n", [("_LAGUERRE", 8), ("_LAGUERRE_12", 12)])
-def test_laguerre_rules_against_mpmath(rule, n):
-    # the n nodes are the zeros of the Laguerre polynomial L_n and the
-    # weights x/((n + 1)^2 L_{n+1}(x)^2) (A&S 25.4.45), each its 40-digit
-    # value rounded once; strictly increasing, so no zero is found twice
-    nodes = getattr(deltacomb.energy, rule)
-    assert len(nodes) == n
-    assert all(s < t for (s, _), (t, _) in zip(nodes, nodes[1:]))
-    with mpmath.workdps(40):
-        for t, w in nodes:
-            x = mpmath.findroot(lambda y: mpmath.laguerre(n, 0, y), mpmath.mpf(t))
-            assert float(x) == t
-            assert float(x / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, x) ** 2)) == w
+        cuts = [X_TAIL + d / j for d in (0, 2, 6, 15, 35, 80)] + [mpmath.inf]
+        return float(norm * mpmath.quad(lambda x: f(x) / norm, cuts, method="gauss-legendre"))
 
 
 def _tail_of(c, theta=None):
-    """The tail (lead, lead_err, bound) that comb_energy(c), or with theta
-    plate_energy(c, theta), hands to _energy_integral."""
+    """(value, allowance) in x units of the tail past X that comb_energy(c),
+    or with theta plate_energy(c, theta), takes: _tail_integral on the
+    integrand and rule it hands to _energy_integral."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(deltacomb.energy, "_energy_integral", lambda *args: seen.append(args[4]))
+        mp.setattr(deltacomb.energy, "_energy_integral", lambda f, c, tol, rtol, tail, *_: seen.append((f, c, tail)))
         comb_energy(c) if theta is None else plate_energy(c, theta)
-    return seen[0]
+    return deltacomb.energy._tail_integral(*seen[0])
 
 
-def _plate_tail_lead(g, cc):
-    """(lead, lead_err) of the plate at gamma a = g, Omega cos theta = cc,
-    exactly: Omega = cc at theta = 0, or Omega = -1 at theta = pi for cc =
-    1, which Omega < 1 leaves out."""
-    if cc == 1.0:
-        return _tail_of(CombCouplings.from_reduced(omega=-1.0, gamma=g, a=1.0), math.pi)[:2]
-    return _tail_of(CombCouplings.from_reduced(omega=cc, gamma=g, a=1.0), 0.0)[:2]
+@pytest.mark.parametrize("name", ["_COMB_TAIL", "_PLATE_TAIL"])
+def test_tail_rules_against_mpmath(name):
+    # the n nodes t are the zeros of the Laguerre polynomial L_n and the
+    # weights w = t/((n + 1)^2 L_{n+1}(t)^2) (A&S 25.4.45), stored as w e^t;
+    # each literal is its 50-digit value to within 1 ulp.  Strictly
+    # increasing, so no zero is found twice
+    j, rule, _ = getattr(deltacomb.energy, name)
+    n = len(rule)
+    assert (j, n) == {"_COMB_TAIL": (2, 12), "_PLATE_TAIL": (1, 28)}[name]
+    assert all(s < t for (s, _), (t, _) in zip(rule, rule[1:]))
+    with mpmath.workdps(50):
+        for t, we in rule:
+            x = mpmath.findroot(lambda y: mpmath.laguerre(n, 0, y), mpmath.mpf(t))
+            w = x / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, x) ** 2)
+            assert abs(float(x) - t) <= math.ulp(t), (t, x)
+            assert abs(float(w * mpmath.exp(x)) - we) <= math.ulp(we), (t, we)
 
 
-def test_comb_tail_lead_against_mpmath():
-    # the 8-point Gauss-Laguerre rule on the e^{-2x} term at d2 = delta in
-    # its u, v form lands within 1e-13 relative of 25-digit mpmath (2.6e-14
-    # at worst, at delta = 0 and small g), from g = 0 and subnormal g up to
-    # 1e150, at delta = 0, 1 and in between; its error allowance covers it
-    rng = random.Random(42)
-    gs = [0.0, 2.0**-1074, 1e-300, 1e150] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
-    for i, g in enumerate(gs):
-        delta = (0.0, 1.0, rng.random())[i % 3]
-        lead, lead_err = deltacomb.energy._tail_lead(g, 0.0, delta)
-        if lead_err == 0.0:  # g^2 underflows at the free corner's delta = 0
-            assert delta == 0.0 and g < 1e-150, (g, delta)
-            continue
-        om = mpmath.sqrt(1 - mpmath.mpf(delta))
-        norm = lead_err / deltacomb.energy._RULE_ERR
-        exact = _lead_past_x(lambda x: _comb_lead(mpmath.mpf(g), om, x)[1], norm)
-        assert abs(lead - exact) <= 1e-13 * abs(exact), (g, delta, lead, exact)
-        assert abs(lead - exact) <= lead_err
-
-
-def test_plate_tail_lead_against_mpmath():
-    # as for the comb, for the plate's e^{-x}, e^{-2x} and e^{-3x} terms at
-    # Omega cos theta in [-1, 1]: within the rule's error allowance, and
-    # within 1e-14 relative; the e^{-x} term, which the 12-point rule takes,
-    # is hardest near g = 5 (the 8-point rule was 2e-13 off there)
-    rng = random.Random(43)
-    gs = [0.0, 2.0**-1074, 1e-300, 1e150, 5.0] + [10.0 ** rng.uniform(-8.0, 150.0) for _ in range(16)]
-    samples = [(g, (0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0))[i % 4]) for i, g in enumerate(gs)]
-    for g, cc in samples + [(5.0, 1.0), (5.0, -1.0), (4.37, -1.0)]:
-        lead, lead_err = _plate_tail_lead(g, cc)
-        norm = lead_err / deltacomb.energy._RULE_ERR
-        exact = _lead_past_x(lambda x: _plate_lead(mpmath.mpf(g), mpmath.mpf(cc), x)[1], norm)
-        assert abs(lead - exact) <= lead_err, (g, cc, lead, exact)
-        assert abs(lead - exact) <= 1e-14 * abs(exact), (g, cc, lead, exact)
-
-
-def test_comb_tail_lead_is_the_bloch_average_of_the_plates():
-    # the comb is the Bloch average of its plates, and so is its lead: the
-    # plates' e^{-x} and e^{-3x} terms are odd in Omega cos theta, and their
-    # e^{-2x} term is the comb's at d2 = 1 - 2 (Omega cos theta)^2 in place
-    # of its average delta.  So (1/pi) int_0^pi of the plates' lead dtheta
-    # lands within 1e-14 relative plus both error allowances of the comb's
-    rng = random.Random(44)
+def _hold_tails_to_their_bounds(plate):
+    """Each comb's (plate's) tail, one Gauss-Laguerre rule on its own
+    integrand, lands within its allowance, the tail_bound it reports, of
+    25-digit mpmath, on seeded couplings and at the corners: g = 0 and 1e150,
+    Omega at and within 1e-14 of -1 and 1, Omega cos theta = 0, theta at 0,
+    pi and 2.23, and combs whose f changes sign just past X, where the
+    comb's rule is least accurate (the allowances were set from 1,000
+    seeded points each, see tools/tail_rule_error.py)."""
+    rng = random.Random(46)
     near_one = math.nextafter(1.0, 0.0)
-    samples = [(g, om) for g in (0.0, 1.0, 5.0, 1e10, 1e150) for om in (-1.0, 0.0, near_one)]
-    samples += [(10.0 ** rng.uniform(-8.0, 4.0), rng.uniform(-1.0, 1.0)) for _ in range(15)]
+    corners = [(CombCouplings.from_reduced(omega=om, gamma=g, a=1.0), theta)
+               for g in (0.0, 1e150) for om in (-1.0, near_one, 0.0) for theta in (0.0, math.pi, 2.23)]
+    zeros = [(_comb_vanishing_at(rng.uniform(4.8, 8.0), omega), 0.5 * math.pi)
+             for omega in (-1.0 + 1e-12, -0.9999, 0.37, 0.9)]
+    j, _, fraction = deltacomb.energy._PLATE_TAIL if plate else deltacomb.energy._COMB_TAIL
+    for c, theta in corners + zeros + list(_tail_samples(47, 60)):
+        g, omega = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega)
+        value, allowance = _tail_of(c, theta) if plate else _tail_of(c)
+        res = plate_energy(c, theta) if plate else comb_energy(c)
+        assert res.tail_bound == allowance / c.a
+        with mpmath.workdps(25):
+            f = _plate_f(g, omega * mpmath.cos(theta)) if plate else _comb_f(g, omega)
+        if allowance == 0.0:
+            # f is 0.0 at every node only at the free corner or where the
+            # comb's O(g^2) f underflows at delta = 0; the tail rounds to 0
+            assert not plate and value == 0.0 and omega == -1, (c, theta)
+            assert abs(_exact_tail(f, j, 2.0**-1074)) < 2.0**-1074, (c, theta)
+            continue
+        exact = _exact_tail(f, j, allowance / fraction)
+        assert abs(value - exact) <= allowance, (c, theta, value, exact, allowance)
+
+
+def test_comb_tail_bound_covers_the_dropped_tail():
+    _hold_tails_to_their_bounds(plate=False)
+
+
+def test_plate_tail_bound_covers_the_dropped_tail():
+    _hold_tails_to_their_bounds(plate=True)
+
+
+def test_tail_bounds_stay_within_a_small_factor_of_the_tail():
+    # the allowance is a fixed share of sum |w e^t f|, not a majorant: where
+    # f keeps one sign past X it is that share of the tail itself, as for
+    # the mixed comb (g = 0, Omega = 0, 2 pi f = 2x eps/(1 + eps)), a
+    # near-free and a strong comb and plates at Omega cos theta = 0 and 1/2
+    near = CombCouplings.from_reduced(omega=1.0 - 1e-6, gamma=0.0, a=1.0)
+    mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=2.0)
+    strong = CombCouplings.from_reduced(omega=-1.0, gamma=1e8, a=0.5)
+    for c, theta in ((near, None), (mixed, None), (strong, None), (mixed, 1.0), (near, math.pi / 3)):
+        tail, _ = _tail_of(c, theta)
+        res = comb_energy(c) if theta is None else plate_energy(c, theta)
+        fraction = (deltacomb.energy._COMB_TAIL if theta is None else deltacomb.energy._PLATE_TAIL)[2]
+        share = res.tail_bound * c.a / (fraction * abs(tail))
+        assert 1.0 - 1e-15 <= share <= 1.0 + 1e-15, (c, theta, res, tail)
+
+
+def test_comb_tail_is_the_bloch_average_of_the_plates():
+    # the comb is the Bloch average of its plates, f = (1/pi) int_0^pi F/2pi
+    # dtheta, and so is its tail: the comb's 12-point rule lands within both
+    # sides' allowances of (1/pi) int_0^pi of the plates' 28-point tails, by
+    # integrate_finite in theta, whose own error is allowed too
+    rng = random.Random(44)
+    samples = [(g, om) for g in (0.0, 1.0, 1e10, 1e150) for om in (-1.0, 0.0, 0.99)]
+    samples += [(10.0 ** rng.uniform(-8.0, 4.0), rng.uniform(-1.0, 1.0)) for _ in range(12)]
     for g, om in samples:
         c = CombCouplings.from_reduced(omega=om, gamma=g, a=1.0)
-        lead, lead_err, _ = _tail_of(c)
+        tail, allowance = _tail_of(c)
 
         def plate(theta, part):
             return _tail_of(c, theta)[part] / math.pi
 
-        plates_err, _ = integrate_finite(lambda t: plate(t, 1), 0.0, math.pi, 1e-300, 1e-6)
-        # a tolerance at a quarter of the allowances, which stays above the
-        # rounding floor of the odd terms' cancelling e^{-x}-sized values
-        tol = 0.25 * (lead_err + plates_err)
-        plates, _ = integrate_finite(lambda t: plate(t, 0), 0.0, math.pi, tol, 1e-300)
-        assert abs(lead - plates) <= 1e-14 * abs(lead) + lead_err + plates_err, (g, om, lead, plates)
-
-
-def test_comb_tail_lead_is_its_own_series_bit_for_bit():
-    # the comb's lead is, operation for operation, the leading term of f's
-    # own expansion, 2 pi h = e^{-2x} [(x - u)(8 delta v^2 - 2u^2) - 2u^2],
-    # under the 8-point rule at x = X + t/2: taking it from the plates'
-    # series moves no bit of a comb result
-    rng = random.Random(45)
-    samples = [(0.0, 0.0), (0.0, 1.0), (2.0**-1074, 0.0), (1e150, 0.0), (5.7e-3, 0.0)]
-    samples += [(10.0 ** rng.uniform(-8.0, 150.0), rng.random()) for _ in range(20)]
-    for g, delta in samples:
-        def h(x):
-            r = 2.0 * x + g
-            u, v = g / r, x / r
-            uu = u * u
-            return ((x - u) * (8.0 * delta * (v * v) - 2.0 * uu) - 2.0 * uu) / TWO_PI
-
-        total = total_abs = 0.0
-        for t, w in deltacomb.energy._LAGUERRE:
-            term = w * h(X_TAIL + t / 2)
-            total += term
-            total_abs += abs(term)
-        scale = math.exp(-2 * X_TAIL) / 2
-        expected = (0.0 + total * scale, deltacomb.energy._RULE_ERR * (0.0 + total_abs * scale))
-        got = deltacomb.energy._tail_lead(g, 0.0, delta)
-        assert [x.hex() for x in got] == [x.hex() for x in expected], (g, delta)
-
-
-def test_comb_tail_bound_covers_the_dropped_tail():
-    # the reported tail_bound covers int_K^oo |I - lead| dk, what the tail's
-    # leading term leaves out, against 32-digit mpmath; combs whose f changes
-    # sign at X are among the samples
-    zeros = [_comb_vanishing_at(X_TAIL, omega) for omega in (-0.9, 0.0, 0.37, 0.9)]
-    for c in zeros + [c for c, _ in _tail_samples(10, 20)]:
-        res = comb_energy(c)
-        assert res.truncation_k == X_TAIL / c.a
-        g, omega = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega)
-        rest = _remainder_past_x(lambda x: _comb_lead(g, omega, x)) / c.a
-        assert rest <= res.tail_bound, (c, rest, res)
-
-
-def test_plate_tail_bound_covers_the_dropped_tail():
-    # as for the comb, for the plate's three leading terms, with the comb's
-    # sign-changing combs at a Bloch phase of each kind among the samples
-    zeros = [(_comb_vanishing_at(X_TAIL, omega), theta)
-             for omega in (-0.9, 0.37) for theta in (0.0, 2.0, math.pi)]
-    for c, theta in zeros + list(_tail_samples(14, 20)):
-        res = plate_energy(c, theta)
-        assert res.truncation_k == X_TAIL / c.a
-        g, cc = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega * math.cos(theta))
-        rest = _remainder_past_x(lambda x: _plate_lead(g, cc, x)) / c.a
-        assert rest <= res.tail_bound, (c, theta, rest, res)
-
-
-def test_tail_bounds_stay_within_a_small_factor_of_the_tail():
-    # the comb's bound is attained up to its margin 1.01 at g = 0 as delta ->
-    # 0, where 2 pi (f - h) ~ -4x delta e^{-4x}; the mixed comb (g = 0, Omega
-    # = 0), 2 pi f = 2x eps/(1 + eps), leaves -2x eps^2 out, half its bound,
-    # and g = 1e8, Omega = -1 leaves -2 (x - 1) eps^2 out, a little less.  A
-    # plate at Omega cos theta = 0 has F - lead = -2x y^4/(1 + y^2) at g = 0,
-    # 1.01 (X/2 + 1/4)/(X/2 + 1/8) = 1.035 times under its bound
-    near = CombCouplings.from_reduced(omega=1.0 - 1e-6, gamma=0.0, a=1.0)
-    mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=1.0)
-    strong = CombCouplings.from_reduced(omega=-1.0, gamma=1e8, a=1.0)
-    for c, lo, hi in ((near, 1.0, 1.011), (mixed, 2.0, 2.03), (strong, 2.0, 2.2)):
-        res = comb_energy(c)
-        g, omega = mpmath.mpf(c.gamma), mpmath.mpf(c.omega)
-        rest = _remainder_past_x(lambda x: _comb_lead(g, omega, x))
-        assert lo * rest <= res.tail_bound <= hi * rest, (c, res, rest)
-    for theta in (0.5 * math.pi, 1.0):
-        c = mixed if theta == 1.0 else CombCouplings.from_reduced(omega=0.5, gamma=0.0, a=1.0)
-        res = plate_energy(c, theta)
-        rest = _remainder_past_x(lambda x: _plate_lead(mpmath.mpf(0), mpmath.mpf(0), x))
-        assert rest <= res.tail_bound <= 1.04 * rest, (c, theta, res, rest)
+        plates_allowance, _ = integrate_finite(lambda t: plate(t, 1), 0.0, math.pi, 1e-300, 1e-6)
+        # the plates' e^{-x}-sized odd terms cancel in the average, so the
+        # theta run's rounding floor, 50 eps int |plate tail| <= 50 eps
+        # plates_allowance/fraction, can exceed both allowances: the
+        # tolerance takes twice that floor
+        fraction = deltacomb.energy._PLATE_TAIL[2]
+        tol = 0.25 * allowance + 100.0 * sys.float_info.epsilon * plates_allowance / fraction
+        plates, err = integrate_finite(lambda t: plate(t, 0), 0.0, math.pi, tol, 1e-300)
+        assert abs(tail - plates) <= allowance + 1.000001 * plates_allowance + err, (g, om, tail, plates)
 
 
 # comb_energy and plate_energy(theta = 1) of w0 = 2, w1 = 0.5, frozen from
@@ -677,11 +605,11 @@ def test_energies_match_frozen_values_across_spacings(a):
     c = CombCouplings(w0=2.0, w1=0.5, a=a)
     comb = comb_energy(c)
     plate = plate_energy(c, 1.0)
-    # both stop at k a = 10 and add their tail's leading terms, which the
-    # frozen runs integrated to 40
+    # both stop at k a = 5 and take their tail by a Gauss-Laguerre rule,
+    # which the frozen runs integrated to 40
     for res, frozen in ((comb, comb_value), (plate, plate_value)):
         assert abs(res.value - frozen) <= res.abs_err + res.tail_bound
-        assert res.truncation_k == pytest.approx(10.0 / a, rel=1e-15)
+        assert res.truncation_k == pytest.approx(5.0 / a, rel=1e-15)
         assert 0.0 < res.tail_bound < 1e-14
 
 
@@ -699,11 +627,11 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_comb_cutoff_is_10_one_panel_short_of_a_run_to_20(monkeypatch):
-    # past x = 10, f is its leading term up to O(e^{-4x}): every comb stops
-    # there, adds that term in closed form and reports a tail bound far below
-    # abs_tol, at no evaluation.  The run is the one to 20 without its [10,
-    # 20] panel, and the two energies agree within their errors
+def test_comb_cutoff_is_5_and_agrees_with_a_run_to_20(monkeypatch):
+    # every comb stops at x = 5 and takes the tail by the 12-point rule on f
+    # itself, 12 evaluations besides the run's 15 a panel, with an allowance
+    # far below abs_tol; the energy agrees with a run to 20 within both
+    # energies' errors
     calls = _count_calls(monkeypatch, "spectral_integrand")
     rng = random.Random(33)
     for i in range(200):
@@ -714,38 +642,34 @@ def test_comb_cutoff_is_10_one_panel_short_of_a_run_to_20(monkeypatch):
         c = CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a)
         calls.clear()
         res = comb_energy(c)
-        evaluations = len(calls)
-        assert evaluations % 15 == 0, (c, evaluations)  # 15 a panel
-        assert res.truncation_k == 10.0 / a, (c, res)
+        assert len(calls) % 15 == 12, (c, len(calls))
+        assert res.truncation_k == 5.0 / a, (c, res)
         assert res.tail_bound * a <= 1e-6 * ABS_TOL, (c, res)
-        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(deltacomb.energy, "_TAIL_FROM", 20.0)
             full = comb_energy(c)
         assert full.truncation_k == 20.0 / a
-        assert evaluations == len(calls) - 15, (c, evaluations, len(calls))
         bound = res.abs_err + res.tail_bound + full.abs_err + full.tail_bound
         assert abs(res.value - full.value) <= bound, (c, res, full)
 
 
-def test_comb_cutoff_stays_at_10_at_a_tight_tolerance(monkeypatch):
-    # at abs_tol = 1e-16 the run still stops at 10, 15 evaluations a panel:
-    # the tail's leading term is in closed form, and what it leaves out is
-    # bounded far below even this tolerance
+def test_comb_cutoff_stays_at_5_at_a_tight_tolerance(monkeypatch):
+    # at abs_tol = 1e-16 the run still stops at 5, 15 evaluations a panel
+    # and 12 for the tail, whose allowance stays under a fifth of even this
+    # tolerance
     calls = _count_calls(monkeypatch, "spectral_integrand")
     for c in (CombCouplings(w0=1.0, w1=0.3, a=1.0), CombCouplings(w0=5.0, w1=0.5, a=2.0)):
         calls.clear()
         res = comb_energy(c, abs_tol=1e-16)
-        assert len(calls) % 15 == 0, (c, len(calls))
-        assert res.truncation_k * c.a == 10.0
-        assert res.tail_bound <= 1e-16 / 10.0
+        assert len(calls) % 15 == 12, (c, len(calls))
+        assert res.truncation_k * c.a == 5.0
+        assert res.tail_bound <= 1e-16 / 5.0
 
 
-def test_plate_cutoff_is_10_at_every_phase(monkeypatch):
-    # F decays like x e^{-x} where Omega cos theta != 0, and its e^{-x},
-    # e^{-2x} and e^{-3x} terms are in closed form: the plate stops at 10 as
-    # the comb does, 30 evaluations short of a run to 40 (the panels [10, 20]
-    # and [20, 40]), and the two energies agree within their errors
+def test_plate_cutoff_is_5_at_every_phase(monkeypatch):
+    # F decays like x e^{-x} where Omega cos theta != 0: the plate stops at 5
+    # as the comb does and takes the tail by the 28-point rule on F itself,
+    # and agrees with a run to 40 within both energies' errors
     calls = _count_calls(monkeypatch, "theta_integrand")
     rng = random.Random(34)
     for _ in range(6):
@@ -755,25 +679,27 @@ def test_plate_cutoff_is_10_at_every_phase(monkeypatch):
         theta = rng.uniform(-math.pi, math.pi)
         calls.clear()
         res = plate_energy(c, theta)
-        evaluations = len(calls)
-        assert res.truncation_k == 10.0 / a
-        assert evaluations % 15 == 0, (c, theta)
+        assert res.truncation_k == 5.0 / a
+        assert len(calls) % 15 == 28 % 15, (c, theta, len(calls))
         assert res.tail_bound * a <= 1e-6 * ABS_TOL, (c, theta, res)
-        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(deltacomb.energy, "_TAIL_FROM", 40.0)
             full = plate_energy(c, theta)
-        assert evaluations == len(calls) - 30, (c, theta, evaluations, len(calls))
         bound = res.abs_err + res.tail_bound + full.abs_err + full.tail_bound
         assert abs(res.value - full.value) <= bound, (c, theta, res, full)
 
 
 def test_comb_cutoff_past_the_double_range_is_a_domain_error():
-    # abs_tol a = 5.5e-318 is subnormal but positive, and 10/a overflows
-    a = 5.5e-308
-    assert 1e-10 * a > 0.0 and 10.0 / a == math.inf
-    with pytest.raises(OutsideValidityDomainError, match=f"10/a overflows at a = {a!r}"):
-        comb_energy(CombCouplings(w0=1.0, w1=0.3, a=a))
+    # abs_tol a is subnormal but positive, and the tail's last momentum, at
+    # x = 5 + t_12/2 = 23.55 for the comb and 5 + t_28 = 101.6 for a plate,
+    # overflows: a domain error naming a, not an integrand error at k = inf
+    c = CombCouplings(w0=1.0, w1=0.3, a=1.3e-307)
+    assert 1e-10 * c.a > 0.0 and 5.0 / c.a < math.inf
+    with pytest.raises(OutsideValidityDomainError, match=f"23.55/a overflows at a = {c.a!r}"):
+        comb_energy(c)
+    c = CombCouplings(w0=1.0, w1=0.3, a=5e-307)
+    with pytest.raises(OutsideValidityDomainError, match=f"101.6/a overflows at a = {c.a!r}"):
+        plate_energy(c, 1.0)
 
 
 def test_subnormal_energies_report_their_rounding():
@@ -1239,7 +1165,8 @@ def test_a_mid_width_layer_costs_one_panel_fewer(monkeypatch):
     # w = sqrt(g + 2 delta) = sqrt(2) at Omega = -0.5, gamma a = 0.5: with a
     # rung at w the first panels of [0, x0] pass, where [0, x0] failed and
     # was bisected (75 evaluations for the comb and for its plate at theta
-    # = 1, on [0, 10]), counted through the module attributes
+    # = 1, on [0, 10]), counted through the module attributes: 45 for the
+    # comb's run on [0, 5] and 12 for its tail, 45 and 28 for the plate's
     calls = []
     spectral, theta = deltacomb.energy.spectral_integrand, deltacomb.energy.theta_integrand
     monkeypatch.setattr(deltacomb.energy, "spectral_integrand",
@@ -1248,18 +1175,18 @@ def test_a_mid_width_layer_costs_one_panel_fewer(monkeypatch):
                         lambda c, k, th: calls.append(k) or theta(c, k, th))
     c = CombCouplings.from_reduced(omega=-0.5, gamma=0.5, a=1.0)
     comb_energy(c)
-    assert len(calls) == 60
+    assert len(calls) == 57
     calls.clear()
     plate_energy(c, 1.0)
-    assert len(calls) == 60
+    assert len(calls) == 73
 
 
 def test_a_generic_comb_takes_four_panels(monkeypatch):
-    # the bench's generic probe: [0, 2.5], [2.5, 5] and [5, 10] with a rung
-    # at its width 1.23, 60 evaluations; the tail past 10 costs none
+    # the bench's generic probe: [0, 1.23], [1.23, 2.5] and [2.5, 5] with a
+    # rung at its width 1.23, 45 evaluations, and 12 for the tail past 5
     calls = _count_calls(monkeypatch, "spectral_integrand")
     comb_energy(CombCouplings(w0=1.0, w1=0.3, a=1.0))
-    assert len(calls) == 60
+    assert len(calls) == 57
 
 
 def test_energies_gate_the_gamma_a_their_integrands_see():

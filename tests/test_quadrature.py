@@ -259,7 +259,7 @@ def test_shift_enters_the_value_and_the_tolerance_test():
 
 
 # Semi-infinite integrals are integrate_finite on [0, X] in x = k a plus the
-# tail's leading terms past X in closed form and a bound on the rest,
+# tail past X by a Gauss-Laguerre rule on the integrand, (j, rule, fraction),
 # assembled once by the energy module.  Its integrand is a function of the
 # couplings and k, like spectral_integrand; at gamma = 0 it has no subtracted
 # term to add back.
@@ -274,36 +274,38 @@ def _free(a):
 
 
 def test_semi_infinite_exponential():
-    # e^{-x} is its own leading term past 10, whose integral e^{-10} is
-    # exact, so nothing is left for the bound
-    res = _energy_integral(_decay, _free(1.0), *TOLS, (math.exp(-10.0), 0.0, 0.0))
-    assert res.truncation_k == 10.0
+    # e^{-x} e^t = e^{-X} at j = 1 is a constant, which the plate's rule
+    # integrates exactly: the tail is e^{-5} up to rounding, and its
+    # allowance the rule's fraction of it
+    j, rule, fraction = deltacomb.energy._PLATE_TAIL
+    res = _energy_integral(_decay, _free(1.0), *TOLS, (j, rule, fraction))
+    assert res.truncation_k == 5.0
     assert abs(res.value - 1.0) <= max(10.0 * res.abs_err, 1e-13)
-    assert res.tail_bound == 0.0
+    assert res.tail_bound == pytest.approx(fraction * math.exp(-5.0), rel=1e-14)
 
 
 def test_semi_infinite_k_exp():
-    # x e^{-2x}: the 8-point rule takes the tail's int_10^oo x e^{-2x} dx =
-    # (10/2 + 1/4) e^{-20} exactly, with the nodes at 10 + t/2
-    lead = sum(w * (10.0 + t / 2) for t, w in deltacomb.energy._LAGUERRE) * math.exp(-20.0) / 2
-    assert lead == pytest.approx(5.25 * math.exp(-20.0), rel=1e-15)
-    res = _energy_integral(
-        lambda c, k: k * math.exp(-2.0 * k), _free(1.0), *TOLS,
-        (lead, deltacomb.energy._RULE_ERR * lead, 0.0),
-    )
+    # x e^{-2x}: at j = 2, x e^{-2x} e^t = (5 + t/2) e^{-10} is linear in t,
+    # which the comb's 12-point rule takes exactly: int_5^oo x e^{-2x} dx =
+    # (5/2 + 1/4) e^{-10}, with the nodes at 5 + t/2
+    f = lambda c, k: k * math.exp(-2.0 * k)  # noqa: E731
+    tail, _ = deltacomb.energy._tail_integral(f, _free(1.0), deltacomb.energy._COMB_TAIL)
+    assert tail == pytest.approx(2.75 * math.exp(-10.0), rel=1e-15)
+    res = _energy_integral(f, _free(1.0), *TOLS, deltacomb.energy._COMB_TAIL)
     assert abs(res.value - 0.25) <= max(10.0 * res.abs_err, 1e-13)
 
 
 def test_semi_infinite_truncation_override(monkeypatch):
-    # the cutoff is in x = k a: a cutoff X stops the run at K = X/a, and the
-    # result is (1/a) times the x integral; with no leading terms the whole
-    # tail is left to the bound
-    monkeypatch.setattr(deltacomb.energy, "_TAIL_FROM", 5.0)
+    # the cutoff is in x = k a: a cutoff X stops the run at K = X/a, puts the
+    # tail's nodes at k = (X + t/j)/a, and the result is (1/a) times the x
+    # integral
+    monkeypatch.setattr(deltacomb.energy, "_TAIL_FROM", 10.0)
+    j, rule, fraction = deltacomb.energy._PLATE_TAIL
     for a in (1.0, 2.0):
-        res = _energy_integral(_decay, _free(a), *TOLS, (0.0, 0.0, math.exp(-5.0)))
-        assert res.truncation_k == 5.0 / a
-        assert abs(res.value - (1.0 - math.exp(-5.0)) / a) <= 1e-12
-        assert res.tail_bound == math.exp(-5.0) / a
+        res = _energy_integral(_decay, _free(a), *TOLS, (j, rule, fraction))
+        assert res.truncation_k == 10.0 / a
+        assert abs(res.value - 1.0 / a) <= 1e-12
+        assert res.tail_bound == pytest.approx(fraction * math.exp(-10.0) / a, rel=1e-14)
 
 
 def _brent(f, lo, hi, root_tol=1e-12):
