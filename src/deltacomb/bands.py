@@ -265,9 +265,10 @@ def dispersion(
         raise ValueError(f"root_tol must lie in (0, 1), got {root_tol!r}")
     if n_bands < 1:
         raise ValueError(f"n_bands must be >= 1, got {n_bands}")
-    theta = abs(float(theta))
-    if not theta <= math.pi:
+    theta = float(theta)
+    if not abs(theta) <= math.pi:
         raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
+    theta = abs(theta)
     if 1.0 + 0.5 * c.gamma * c.a < abs(c.omega) - _ZERO_TOL:
         raise OutsideValidityDomainError(
             f"1 + gamma a/2 < |Omega| at (w0, w1, a) = ({c.w0!r}, {c.w1!r}, "

@@ -85,11 +85,11 @@ j (x - X), j = 2 for f and 1 for F,
 where the bracket is a slowly varying function of x (its leading term
 rational in x, its corrections carrying e^{-t}).  The rule costs 12
 evaluations of f and 28 of F, through the same integrands as the run.  Its
-error is measured, not derived: against 40-digit mpmath on seeded points
-over the whole domain (tools/tail_rule_error.py), and tail_bound reports a
-fixed share of the rule's sum |w e^t f|, at least twice the worst error
-seen; it is exactly 0 at the free corner, where f is.  A momentum (X +
-t/j)/a of the rule that overflows is a domain error.
+error is measured, not derived: against 25-digit Gauss-Legendre mpmath on
+seeded points over the whole domain (tools/tail_rule_error.py), and
+tail_bound reports a fixed share of the rule's sum |w e^t f|, at least
+twice the worst error seen; it is exactly 0 at the free corner, where f
+is.  A momentum (X + t/j)/a of the rule that overflows is a domain error.
 
 Both integrands end in the subtracted term -g/(g + 2x) (over 2pi for f),
 which holds almost all of a small-g energy in a layer g/2 wide at x = 0:

@@ -263,6 +263,8 @@ def test_dispersion_validation():
         dispersion(FREE, 0.0, 0)
     with pytest.raises(ValueError):
         dispersion(FREE, 4.0, 1)  # |theta| > pi
+    with pytest.raises(ValueError, match="got -4.0"):
+        dispersion(FREE, -4.0, 1)  # the theta given, not its |theta|
     with pytest.raises(ValueError):
         dispersion(FREE, math.nan, 1)
 

@@ -5,11 +5,13 @@ Bloch-phase quadrature oracle and the closed-form limits; the quadrature
 is deterministic, so agreement is to near machine precision.
 """
 
+import importlib.util
 import inspect
 import math
 import random
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -429,85 +431,31 @@ def _tail_samples(seed, n):
         yield CombCouplings.from_reduced(omega=omega, gamma=g / a, a=a), theta
 
 
-def _comb_vanishing_at(x, omega):
-    """The comb at a = 1 whose f changes sign at x, by bisection in g: f > 0
-    for g below about 2 x sqrt(1 - Omega^2), and < 0 above."""
-    lo, hi = 0.0, 4.0 * x + 10.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if spectral_integrand(CombCouplings.from_reduced(omega=omega, gamma=mid, a=1.0), x) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return CombCouplings.from_reduced(omega=omega, gamma=lo, a=1.0)
-
-
-X_TAIL = deltacomb.energy._TAIL_FROM
-
-
-def _comb_f(g, omega):
-    """f in mpmath by the rearranged form (an identity of the literal one,
-    which the integrand oracles hold the module to)."""
-    delta = (1 - omega) * (1 + omega)
-
-    def f(x):
-        eps, R, S = mpmath.exp(-2 * x), 2 * x + g, 2 * x - g
-        V = mpmath.sqrt((R + S * eps) ** 2 - 16 * x * x * omega * omega * eps)
-        D = eps * (16 * x * x * delta - 4 * g * g) / (R - S * eps + V)
-        return ((x * R - g) * D - 2 * g * g * eps) / (R * V) / (2 * mpmath.pi)
-
-    return f
-
-
-def _plate_f(g, c):
-    """F/2pi at Omega cos theta = c in mpmath by the rearranged form."""
-    def f(x):
-        y, R = mpmath.exp(-x), 2 * x + g
-        num = 2 * x * (4 * x * x - g * g - 2 * g) * y * y - (g - x * R) * 4 * x * y * c
-        return num / (R * (R + (2 * x - g) * y * y + 4 * x * y * c)) / (2 * mpmath.pi)
-
-    return f
-
-
-def _exact_tail(f, j, norm):
-    """int_X^oo f dx in 25-digit mpmath (Gauss-Legendre on pieces j (x - X)
-    = 0, 2, 6, 15, 35, 80, oo), with f divided by norm so that quad's error
-    test sees O(1) values."""
-    with mpmath.workdps(25):
-        cuts = [X_TAIL + d / j for d in (0, 2, 6, 15, 35, 80)] + [mpmath.inf]
-        return float(norm * mpmath.quad(lambda x: f(x) / norm, cuts, method="gauss-legendre"))
-
-
-def _tail_of(c, theta=None):
-    """(value, allowance) in x units of the tail past X that comb_energy(c),
-    or with theta plate_energy(c, theta), takes: _tail_integral on the
-    integrand and rule it hands to _energy_integral."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(deltacomb.energy, "_energy_integral", lambda f, c, tol, rtol, tail, *_: seen.append((f, c, tail)))
-        comb_energy(c) if theta is None else plate_energy(c, theta)
-    return deltacomb.energy._tail_integral(*seen[0])
+@pytest.fixture(scope="module")
+def tails():
+    """tools/tail_rule_error.py, which rebuilds the tail rules and holds the
+    mpmath oracle of each tail that set the allowance fractions."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "tail_rule_error.py"
+    spec = importlib.util.spec_from_file_location("tail_rule_error", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name", ["_COMB_TAIL", "_PLATE_TAIL"])
-def test_tail_rules_against_mpmath(name):
+def test_tail_rules_against_mpmath(tails, name):
     # the n nodes t are the zeros of the Laguerre polynomial L_n and the
     # weights w = t/((n + 1)^2 L_{n+1}(t)^2) (A&S 25.4.45), stored as w e^t;
-    # each literal is its 50-digit value to within 1 ulp.  Strictly
-    # increasing, so no zero is found twice
+    # each literal is its 60-digit value rounded once.  Strictly increasing,
+    # so no zero is found twice
     j, rule, _ = getattr(deltacomb.energy, name)
     n = len(rule)
     assert (j, n) == {"_COMB_TAIL": (2, 12), "_PLATE_TAIL": (1, 28)}[name]
     assert all(s < t for (s, _), (t, _) in zip(rule, rule[1:]))
-    with mpmath.workdps(50):
-        for t, we in rule:
-            x = mpmath.findroot(lambda y: mpmath.laguerre(n, 0, y), mpmath.mpf(t))
-            w = x / ((n + 1) ** 2 * mpmath.laguerre(n + 1, 0, x) ** 2)
-            assert abs(float(x) - t) <= math.ulp(t), (t, x)
-            assert abs(float(w * mpmath.exp(x)) - we) <= math.ulp(we), (t, we)
+    assert list(rule) == tails.laguerre_rule(n)
 
 
-def _hold_tails_to_their_bounds(plate):
+def _hold_tails_to_their_bounds(tails, plate):
     """Each comb's (plate's) tail, one Gauss-Laguerre rule on its own
     integrand, lands within its allowance, the tail_bound it reports, of
     25-digit mpmath, on seeded couplings and at the corners: g = 0 and 1e150,
@@ -519,35 +467,35 @@ def _hold_tails_to_their_bounds(plate):
     near_one = math.nextafter(1.0, 0.0)
     corners = [(CombCouplings.from_reduced(omega=om, gamma=g, a=1.0), theta)
                for g in (0.0, 1e150) for om in (-1.0, near_one, 0.0) for theta in (0.0, math.pi, 2.23)]
-    zeros = [(_comb_vanishing_at(rng.uniform(4.8, 8.0), omega), 0.5 * math.pi)
-             for omega in (-1.0 + 1e-12, -0.9999, 0.37, 0.9)]
+    zeros = [(CombCouplings.from_reduced(omega=om, gamma=tails.vanishing_g(rng.uniform(4.8, 8.0), om), a=1.0),
+              0.5 * math.pi) for om in (-1.0 + 1e-12, -0.9999, 0.37, 0.9)]
     j, _, fraction = deltacomb.energy._PLATE_TAIL if plate else deltacomb.energy._COMB_TAIL
     for c, theta in corners + zeros + list(_tail_samples(47, 60)):
         g, omega = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega)
-        value, allowance = _tail_of(c, theta) if plate else _tail_of(c)
+        value, allowance = tails.tail_of(c, theta) if plate else tails.tail_of(c)
         res = plate_energy(c, theta) if plate else comb_energy(c)
         assert res.tail_bound == allowance / c.a
         with mpmath.workdps(25):
-            f = _plate_f(g, omega * mpmath.cos(theta)) if plate else _comb_f(g, omega)
+            f = tails.plate_f(g, omega * mpmath.cos(theta)) if plate else tails.comb_f(g, omega)
         if allowance == 0.0:
             # f is 0.0 at every node only at the free corner or where the
             # comb's O(g^2) f underflows at delta = 0; the tail rounds to 0
             assert not plate and value == 0.0 and omega == -1, (c, theta)
-            assert abs(_exact_tail(f, j, 2.0**-1074)) < 2.0**-1074, (c, theta)
+            assert abs(tails.exact_tail(f, j, 2.0**-1074)) < 2.0**-1074, (c, theta)
             continue
-        exact = _exact_tail(f, j, allowance / fraction)
+        exact = tails.exact_tail(f, j, allowance / fraction)
         assert abs(value - exact) <= allowance, (c, theta, value, exact, allowance)
 
 
-def test_comb_tail_bound_covers_the_dropped_tail():
-    _hold_tails_to_their_bounds(plate=False)
+def test_comb_tail_bound_covers_the_dropped_tail(tails):
+    _hold_tails_to_their_bounds(tails, plate=False)
 
 
-def test_plate_tail_bound_covers_the_dropped_tail():
-    _hold_tails_to_their_bounds(plate=True)
+def test_plate_tail_bound_covers_the_dropped_tail(tails):
+    _hold_tails_to_their_bounds(tails, plate=True)
 
 
-def test_tail_bounds_stay_within_a_small_factor_of_the_tail():
+def test_tail_bounds_stay_within_a_small_factor_of_the_tail(tails):
     # the allowance is a fixed share of sum |w e^t f|, not a majorant: where
     # f keeps one sign past X it is that share of the tail itself, as for
     # the mixed comb (g = 0, Omega = 0, 2 pi f = 2x eps/(1 + eps)), a
@@ -556,14 +504,14 @@ def test_tail_bounds_stay_within_a_small_factor_of_the_tail():
     mixed = CombCouplings.from_reduced(omega=0.0, gamma=0.0, a=2.0)
     strong = CombCouplings.from_reduced(omega=-1.0, gamma=1e8, a=0.5)
     for c, theta in ((near, None), (mixed, None), (strong, None), (mixed, 1.0), (near, math.pi / 3)):
-        tail, _ = _tail_of(c, theta)
+        tail, _ = tails.tail_of(c, theta)
         res = comb_energy(c) if theta is None else plate_energy(c, theta)
         fraction = (deltacomb.energy._COMB_TAIL if theta is None else deltacomb.energy._PLATE_TAIL)[2]
         share = res.tail_bound * c.a / (fraction * abs(tail))
         assert 1.0 - 1e-15 <= share <= 1.0 + 1e-15, (c, theta, res, tail)
 
 
-def test_comb_tail_is_the_bloch_average_of_the_plates():
+def test_comb_tail_is_the_bloch_average_of_the_plates(tails):
     # the comb is the Bloch average of its plates, f = (1/pi) int_0^pi F/2pi
     # dtheta, and so is its tail: the comb's 12-point rule lands within both
     # sides' allowances of (1/pi) int_0^pi of the plates' 28-point tails, by
@@ -573,10 +521,10 @@ def test_comb_tail_is_the_bloch_average_of_the_plates():
     samples += [(10.0 ** rng.uniform(-8.0, 4.0), rng.uniform(-1.0, 1.0)) for _ in range(12)]
     for g, om in samples:
         c = CombCouplings.from_reduced(omega=om, gamma=g, a=1.0)
-        tail, allowance = _tail_of(c)
+        tail, allowance = tails.tail_of(c)
 
         def plate(theta, part):
-            return _tail_of(c, theta)[part] / math.pi
+            return tails.tail_of(c, theta)[part] / math.pi
 
         plates_allowance, _ = integrate_finite(lambda t: plate(t, 1), 0.0, math.pi, 1e-300, 1e-6)
         # the plates' e^{-x}-sized odd terms cancel in the average, so the
@@ -899,14 +847,7 @@ def test_subnormal_layers_cost_few_evaluations(monkeypatch):
     # layer mass s b^2/2pi is under that, where it once walked ~163 rungs
     # (2,505 evaluations) before it exited 3.  Each energy either exits 3
     # or meets the law within its bounds, in under 200 evaluations
-    calls = []
-    counted = deltacomb.energy.spectral_integrand
-
-    def counting(c, k):
-        calls.append(k)
-        return counted(c, k)
-
-    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    calls = _count_calls(monkeypatch, "spectral_integrand")
     U = math.ulp(0.0)
     rng = random.Random(36)
     points = [(7.4e-323, 4.7e-194, 3.2e-322)]
@@ -1163,22 +1104,23 @@ def test_the_floor_drops_only_rungs_below_the_bulk_scale():
 
 def test_a_mid_width_layer_costs_one_panel_fewer(monkeypatch):
     # w = sqrt(g + 2 delta) = sqrt(2) at Omega = -0.5, gamma a = 0.5: with a
-    # rung at w the first panels of [0, x0] pass, where [0, x0] failed and
-    # was bisected (75 evaluations for the comb and for its plate at theta
-    # = 1, on [0, 10]), counted through the module attributes: 45 for the
-    # comb's run on [0, 5] and 12 for its tail, 45 and 28 for the plate's
-    calls = []
-    spectral, theta = deltacomb.energy.spectral_integrand, deltacomb.energy.theta_integrand
-    monkeypatch.setattr(deltacomb.energy, "spectral_integrand",
-                        lambda c, k: calls.append(k) or spectral(c, k))
-    monkeypatch.setattr(deltacomb.energy, "theta_integrand",
-                        lambda c, k, th: calls.append(k) or theta(c, k, th))
+    # rung at w the first panels of [0, x0] pass, 45 evaluations for the
+    # comb's run on [0, 5] and 12 for its tail, 45 and 28 for its plate at
+    # theta = 1.  Without the rung [0, x0] fails and is bisected, one panel
+    # (15 evaluations) more for each, and the values agree within both
+    # runs' errors
+    comb_calls = _count_calls(monkeypatch, "spectral_integrand")
+    plate_calls = _count_calls(monkeypatch, "theta_integrand")
     c = CombCouplings.from_reduced(omega=-0.5, gamma=0.5, a=1.0)
-    comb_energy(c)
-    assert len(calls) == 57
-    calls.clear()
-    plate_energy(c, 1.0)
-    assert len(calls) == 73
+    comb, plate = comb_energy(c), plate_energy(c, 1.0)
+    assert (len(comb_calls), len(plate_calls)) == (57, 73)
+    comb_calls.clear()
+    plate_calls.clear()
+    monkeypatch.setattr(deltacomb.energy, "_graded_breakpoints", lambda width, budget, mass: ([], 0.0))
+    bare_comb, bare_plate = comb_energy(c), plate_energy(c, 1.0)
+    assert (len(comb_calls), len(plate_calls)) == (72, 88)
+    for res, bare in ((comb, bare_comb), (plate, bare_plate)):
+        assert abs(res.value - bare.value) <= res.abs_err + bare.abs_err, (res, bare)
 
 
 def test_a_generic_comb_takes_four_panels(monkeypatch):
@@ -1224,14 +1166,7 @@ def test_tiny_gamma_matches_gamma_zero(monkeypatch):
     # 1/gamma, and no x small enough for B - |C| to underflow at |Omega| = 1),
     # and at Omega = -1 the energy moves off the free one by the law (g/8pi)
     # (ln g - 1), up to O(g^2 ln g)
-    calls = []
-    counted = deltacomb.energy.spectral_integrand
-
-    def counting(c, k):
-        calls.append(k)
-        return counted(c, k)
-
-    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    calls = _count_calls(monkeypatch, "spectral_integrand")
     for omega in (0.5, -1.0):
         calls.clear()
         free = comb_energy(CombCouplings.from_reduced(omega=omega, gamma=0.0, a=1.0))
@@ -1274,22 +1209,15 @@ def test_plate_near_the_marginal_phase_keeps_its_step(monkeypatch):
             assert len(calls) <= cap, (tols, theta, len(calls))
 
 
-def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
-    # [0, 10] starts split at 2.5 and 5, where bisection would go anyway;
-    # the unseeded run of the same integrand on [0, 40] agrees within the
-    # errors
-    calls = []
-    counted = deltacomb.energy.spectral_integrand
-
-    def counting(c, k):
-        calls.append(k)
-        return counted(c, k)
-
-    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+def test_comb_energy_agrees_with_an_unseeded_run_to_40(monkeypatch):
+    # the run on [0, 5] starts split at the rung 1.23 and at x0 = 2.5, and
+    # adds the tail past 5 by its rule; an unseeded run of f on [0, 40]
+    # agrees within both errors
+    calls = _count_calls(monkeypatch, "spectral_integrand")
     c = CombCouplings(w0=1.0, w1=0.3, a=1.0)
     res = comb_energy(c)
     assert 0 < len(calls) <= 140
-    value, err = integrate_finite(lambda x: counted(c, x), 0.0, 40.0, ABS_TOL, REL_TOL)
+    value, err = integrate_finite(lambda x: spectral_integrand(c, x), 0.0, 40.0, ABS_TOL, REL_TOL)
     assert abs(res.value - value) <= res.abs_err + err
 
 
@@ -1299,27 +1227,13 @@ def test_dyadic_seeds_save_evaluations_and_keep_the_value(monkeypatch):
 def test_comb_energy_evaluates_through_the_module_integrand(monkeypatch, w0, w1, a):
     # bench/tracing.count_probes counts energy.evals.* at these four combs as
     # calls through the module attribute, and leaves out a counter at zero
-    calls = []
-    counted = deltacomb.energy.spectral_integrand
-
-    def counting(c, k):
-        calls.append(k)
-        return counted(c, k)
-
-    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    calls = _count_calls(monkeypatch, "spectral_integrand")
     comb_energy(CombCouplings(w0=w0, w1=w1, a=a))
     assert len(calls) > 0
 
 
 def test_comb_energy_evaluations_do_not_grow_with_spacing(monkeypatch):
-    calls = []
-    counted = deltacomb.energy.spectral_integrand
-
-    def counting(c, k):
-        calls.append(k)
-        return counted(c, k)
-
-    monkeypatch.setattr(deltacomb.energy, "spectral_integrand", counting)
+    calls = _count_calls(monkeypatch, "spectral_integrand")
     comb_energy(CombCouplings(w0=2.0, w1=0.5, a=1.0))
     at_unit = len(calls)
     calls.clear()

@@ -8,16 +8,20 @@ the Laguerre polynomial L_n and w = t/((n + 1)^2 L_{n+1}(t)^2) (Abramowitz &
 Stegun 25.4.45), in 60-digit mpmath, rounded once.
 
 measure takes N seeded combs and N seeded plates (default 1000 each, seed
-2026) and compares each tail, as energy._tail_integral takes it, with the
-40-digit mpmath integral of the same integrand over [X, oo).  It prints the
-worst error as a share of the rule's sum |w e^t f|, the figure each
-allowance fraction in energy.py must stay at least twice above.  The points
-cover g = gamma a = 0, subnormal, 10^U(-300, 150) and 1e150; Omega at -1, at
-1 - 2^-53, within 1e-14 of -1 and 1, at 0 and uniform; theta at 0, pi, 2.23,
-pi/2 (Omega cos theta = 0) and uniform; spacings a from 1e-3 to 1e3; and
-points where the leading term changes sign just past X (the comb's f, or a
-plate's 4x^2 - g^2 - 2g at Omega cos theta = 0), the hardest case for the
-rule, where that term is small against its parts.
+2026) and compares each tail, as comb_energy and plate_energy take it (see
+tail_of), with the 25-digit Gauss-Legendre mpmath integral of the same
+integrand over [X, oo) (see exact_tail).  It prints the worst error as a
+share of the rule's sum |w e^t f|, the figure each allowance fraction in
+energy.py must stay at least twice above.  The points cover g = gamma a =
+0, subnormal, 10^U(-300, 150) and 1e150; Omega at -1, at 1 - 2^-53, within
+1e-14 of -1 and 1, at 0 and uniform; theta at 0, pi, 2.23, pi/2 (Omega cos
+theta = 0) and uniform; spacings a from 1e-3 to 1e3; and points where the
+leading term changes sign just past X (the comb's f, or a plate's 4x^2 -
+g^2 - 2g at Omega cos theta = 0), the hardest case for the rule, where that
+term is small against its parts.
+
+tests/test_energy.py loads this file and holds the tables, and a seeded
+subset of such points, to the same functions.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 
 import mpmath
 
-from deltacomb import CombCouplings, spectral_integrand, theta_integrand
+from deltacomb import CombCouplings, spectral_integrand
 from deltacomb import energy
 
 
@@ -68,12 +72,27 @@ def plate_f(g, c):
 
 
 def exact_tail(f, j, norm):
-    """int_X^oo f dx in 40-digit mpmath, f divided by norm so that quad's
-    error test sees O(1) values."""
+    """int_X^oo f dx in 25-digit mpmath (Gauss-Legendre on pieces j (x - X)
+    = 0, 2, 6, 15, 35, 80, oo), with f divided by norm so that quad's error
+    test sees O(1) values."""
     X = energy._TAIL_FROM
-    with mpmath.workdps(40):
-        cuts = [X + d / j for d in (0, 1, 3, 7, 15, 30, 60, 120)] + [mpmath.inf]
-        return float(norm * mpmath.quad(lambda x: f(x) / norm, cuts))
+    with mpmath.workdps(25):
+        cuts = [X + d / j for d in (0, 2, 6, 15, 35, 80)] + [mpmath.inf]
+        return float(norm * mpmath.quad(lambda x: f(x) / norm, cuts, method="gauss-legendre"))
+
+
+def tail_of(c: CombCouplings, theta: float | None = None) -> tuple[float, float]:
+    """(value, allowance) in x units of the tail past X that comb_energy(c),
+    or with theta plate_energy(c, theta), takes: _tail_integral on the
+    integrand and rule it hands to _energy_integral."""
+    seen = []
+    run = energy._energy_integral
+    energy._energy_integral = lambda f, c, tol, rtol, tail, *_: seen.append((f, c, tail))
+    try:
+        energy.comb_energy(c) if theta is None else energy.plate_energy(c, theta)
+    finally:
+        energy._energy_integral = run
+    return energy._tail_integral(*seen[0])
 
 
 def vanishing_g(x: float, omega: float) -> float:
@@ -124,17 +143,14 @@ def measure(n: int, seed: int) -> None:
         worst, where = 0.0, None
         for g, om, theta, a in samples(n, seed if kind == "comb" else seed + 1, kind == "plate"):
             c = CombCouplings.from_reduced(omega=om, gamma=g / a, a=a)
-            if kind == "comb":
-                f, tail = spectral_integrand, energy._COMB_TAIL
-            else:
-                f, tail = (lambda c, k: theta_integrand(c, k, theta) / energy._TWO_PI), energy._PLATE_TAIL
-            value, allowance = energy._tail_integral(f, c, tail)
+            tail = energy._COMB_TAIL if kind == "comb" else energy._PLATE_TAIL
+            value, allowance = tail_of(c) if kind == "comb" else tail_of(c, theta)
             norm = allowance / tail[2]
             gm, omm = mpmath.mpf(c.gamma * c.a), mpmath.mpf(c.omega)
             if norm == 0.0:
                 assert value == 0.0
                 continue
-            with mpmath.workdps(40):
+            with mpmath.workdps(25):
                 exact_f = comb_f(gm, omm) if kind == "comb" else plate_f(gm, omm * mpmath.cos(theta))
             exact = exact_tail(exact_f, tail[0], norm)
             err = abs(value - exact) / norm
