@@ -9,8 +9,8 @@ run metadata and those tolerances); floats are serialized with full
 round-trip precision.  Exit codes: 0 success, 1 when `verify` finds a
 failing check, 2 for a usage error (an option the command does not take
 among them), a ValueError (an --output path that cannot be written among
-them, caught before the command runs when it names a directory or its parent
-is not one) or an OutsideValidityDomainError, and 3 for any other
+them, caught before the command runs when it is empty, names a directory or
+its parent is not one) or an OutsideValidityDomainError, and 3 for any other
 DeltaCombError (a numerical failure).
 
 A run imports only what its command uses: the energy module (and the
@@ -136,7 +136,7 @@ def _emit(
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(text)
         return
     try:
@@ -147,13 +147,13 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def _check_output(args: argparse.Namespace) -> None:
-    """Raise _write's error before any work where --output is a directory or
-    its parent is not one: there open fails as it would after the work, and
-    creates or truncates nothing."""
+    """Raise _write's error before any work where --output is empty, a
+    directory, or its parent is not one: there open fails as it would after
+    the work, and creates or truncates nothing."""
     import os
 
     path = args.output
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
         _write(args, "")
 
 
@@ -301,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "output", None):
+        if getattr(args, "output", None) is not None:
             _check_output(args)
         return args.func(args)
     except (OutsideValidityDomainError, ValueError) as exc:

@@ -34,43 +34,43 @@ between calls.
 
 Numerical strategy
 ------------------
-F and f are exponentially small differences of O(x) quantities once
-x >> 1, so a single formula cannot be evaluated accurately everywhere:
+F and f are exponentially small differences of O(x) quantities once x >> 1,
+so both are evaluated from forms in which the subtraction of the large terms
+has been performed analytically.  With R = 2x + g, S = 2x - g, delta = (1 -
+Omega)(1 + Omega), eps = e^{-2x}, y = e^{-x}, U = R + S eps = 2y B, V =
+sqrt(U^2 - 16 x^2 Omega^2 eps) = 2y sqrt(B^2 - C^2), W = R - S eps + V, D =
+U + V - 2R = eps (16 x^2 delta - 4 g^2)/W, P = g - x R and T = 4 x Omega y,
 
-* x <= 1/2: the written formulas divided through by x (by x^2 for F), with
-  the denominators regrouped into sums of non-negative terms, e.g.
-  (B + C cos theta)/x = 4 sinh^2(x/2) + g sinh(x)/x + 2 (1 + Omega cos
-  theta), and 1 + Omega cos theta itself expanded about the nearer of
-  theta = 0, pi so nothing cancels.  A scaled denominator underflows to 0
-  only at the free corner g = 0, |Omega| = 1 (resp. 1 + Omega cos theta
-  = 0), whose exact values f = 0 and F = x - 2 are returned there.
-  The numerator of f still cancels at Omega = -1 for small g, the more
-  so the larger x is (f comes out 2e-3 relative off at g = 3e-14, x =
-  0.28, and with the wrong sign at g = 5.2e-12, x = 4.75), so this form
-  stops at x = 1/2.
+    2 pi f = [(x R - g) D - 2 g^2 eps] / (R V),
+    F = [2x (4x^2 - g^2 - 2g) eps - P T cos theta] / [R (R + S eps + T cos theta)].
 
-* x > 1/2: rearranged forms in which the subtraction of the large terms
-  has been performed analytically.  With R = 2x + g, S = 2x - g,
-  delta = (1 - Omega)(1 + Omega) and eps = e^{-2x}, U = R + S eps is
-  2 e^{-x} B and V = sqrt(U^2 - 16 x^2 Omega^2 eps) is 2 e^{-x} sqrt(B^2 - C^2),
-  so with D = U + V - 2R
+Above x = 1/2 these are evaluated as written.  At and below it the x-sized
+factors are divided out, with u = 1 - eps and v = 1 - y from expm1 and q =
+1 + Omega cos theta from one_plus_omega_cos:
 
-      D    = eps (16 x^2 delta - 4 g^2) / (R - S eps + V),
-      2 pi f = [(x R - g) D - 2 g^2 eps] / (R V),
+    2 pi f = eps [16 delta (x - g/R)(x/W) - 2 (g/R)(g/W) Q] / (V/x),
+    (V/x)^2 = 4u^2 + 16 delta eps + g (u/x) [4 (1 + eps) + g u/x],
+    Q = 4x + 2u + g (2 - u/x) + V/x,
+    F = 2y [2q (x - g/R)/v - 4x (x/R) - (g/R)(g y + 2 (x - v))/v]
+        / [2v + 4qy/v + g (1 + y)/x],
 
-  and analogously for F with P = g - x R and T = 4 x Omega e^{-x}:
+whose (V/x)^2, Q, W and F's denominator are sums of non-negative terms; x/W
+and g/W are formed from the larger of x and g, and F's numerator and
+denominator are multiplied by v/s, s = max(v, 4qy + g (1 + y) v/x), so that
+no quotient under- or overflows.  The crossover stays at 1/2: below it R -
+S eps = 2x (1 - eps) + g (1 + eps) cancels; above it eps = 1 - u loses bits,
+f's order costs more per call, and F's cancels, its q terms and 4x (x/R)
+being O(x^2) apart where F is O(e^{-x}).
 
-      F = [2x (4x^2 - g^2 - 2g) eps - P T cos theta]
-          / [R (R + S eps + T cos theta)].
-
-  No positive exponential appears, so the forms stay machine-accurate (by
-  comparison with high-precision evaluation) from x = 1/2 up; below it the
-  1 - eps in R - S eps = 2x (1 - eps) + g (1 + eps) cancels.  Every term
-  of f carries g^2, delta or D, so f keeps its relative accuracy near the free
-  corner, where it is O(g^2) or O(delta), and is exactly 0 there.  Every
-  term carries e^{-x} (e^{-2x} for f), so once that factor underflows
-  (x ~ 745, resp. 372) 0.0 is returned, the value to double precision;
-  below that no product overflows up to g = 1e150.
+Every term of f carries g^2 or delta, so f keeps its relative accuracy near
+the free corner g = 0, |Omega| = 1, where it is O(g^2) or O(delta), and is
+exactly 0 there (returned as such where (V/x)^2 underflows, x < 4e-163); at
+g = q = 0, F = -2x y/v, -2 below x ~ 1e-16.  Against high-precision
+evaluation f holds about 1e-15 of |f| and F of |F| + x y from x = 1e-300
+up, but for a subnormal g at |Omega| = 1 and x near 1e-161 (f 3e-4 off).
+Past 1/2 every term carries y (eps for f), so once that factor underflows
+(x ~ 745, resp. 372) 0.0 is returned, the value to double precision; below
+that no product overflows up to g = 1e150.
 
 Every energy integral (comb and plate) is (1/a) int_0^oo dx I(x/a) (resp.
 F(x/a, theta)/2pi) at the caller's couplings.  Its only controls are two
@@ -156,8 +156,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# crossover between the literal and the exponentially-rearranged forms; the
-# module docstring says why it sits at 1/2
+# the integrands' crossover between their two orders (see the module docstring)
 _REARRANGED_ABOVE = 0.5
 
 
@@ -212,12 +211,13 @@ class EnergyResult(Record):
 def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     """Subtracted vacuum-energy integrand F(k, theta) at fixed Bloch phase.
 
-    Evaluated in x = k a and g = gamma a, in which it does not depend on a.
-    k = 0 returns the series limit: -1 for gamma > 0, else 0 (in the
-    marginal free-type case Omega cos theta = -1 with gamma = 0 the true
-    k -> 0 limit is -2 on that measure-zero phase; the generic limit is
-    kept, and no quadrature ever samples the endpoint).  k must be finite
-    and >= 0, and theta finite; anything else raises ValueError.
+    Evaluated in x = k a and g = gamma a, in which it does not depend on a,
+    from the rearranged form, in its x <= 1/2 order up to x = 1/2 (see the
+    module docstring).  k = 0 returns the series limit: -1 for gamma > 0,
+    else 0 (in the marginal free-type case Omega cos theta = -1 with gamma =
+    0 the true k -> 0 limit is -2 on that measure-zero phase; the generic
+    limit is kept, and no quadrature ever samples the endpoint).  k must be
+    finite and >= 0, and theta finite; anything else raises ValueError.
     """
     a = c.a
     g = c.gamma * a
@@ -232,17 +232,19 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
     x, om = k * a, c.omega
     x2 = 2.0 * x
     if x <= _REARRANGED_ABOVE:
-        # A/x^2 over (B + C cos theta)/x^2, in which no term underflows
-        sh = math.sinh(x)
-        sh2 = math.sinh(0.5 * x)
-        shx = sh / x
-        num = g * (shx - math.cosh(x)) / x - 2.0 * sh
-        den = 4.0 * sh2 * (sh2 / x) + (g * shx + 2.0 * one_plus_omega_cos(om, theta)) / x
+        # the module docstring's x <= 1/2 order, both parts of F times v/s
+        v = -math.expm1(-x)
+        y, q = 1.0 - v, one_plus_omega_cos(om, theta)
+        r = x2 + g
+        gr = g / r
+        d = 4.0 * q * y + g * (1.0 + y) * (v / x)
+        s = d if d > v else v
+        vs = v / s
+        den = 2.0 * v * vs + d / s
         if not den > 0.0:
-            if den == 0.0:  # sinh(x/2) underflows, g = 0, 1 + Omega cos theta = 0
-                return x - 2.0
-            _violation(den, "(B + C cos(theta))/x^2")
-        return num / den + x - g / (g + x2)
+            _violation(den, "(B + C cos(theta)) e^{-x}/(x s)")
+        ns = 2.0 * (q / s) * (x - gr) - gr * ((g * y + 2.0 * (x - v)) / s)
+        return 2.0 * y * (ns - 4.0 * x * (x / r) * vs) / den
     ex = math.exp(-x)
     if ex == 0.0:  # every term carries e^{-x}
         return 0.0
@@ -260,9 +262,10 @@ def theta_integrand(c: CombCouplings, k: float, theta: float) -> float:
 
 def spectral_integrand(c: CombCouplings, k: float) -> float:
     """Bloch-phase-averaged integrand I(k) = (1/2pi)[A/sqrt(B^2-C^2) + ak
-    - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a by the
-    literal form up to x = 1/2 and the rearranged one above, for finite k >= 0
-    (else ValueError; k = 0 gives the limit, -1/2pi for gamma > 0, else 0)."""
+    - gamma/(gamma+2k)], evaluated in x = k a and g = gamma a from the
+    rearranged form, in its x <= 1/2 order up to x = 1/2 (see the module
+    docstring), for finite k >= 0 (else ValueError; k = 0 gives the limit,
+    -1/2pi for gamma > 0, else 0)."""
     a = c.a
     g = c.gamma * a
     if not 0.0 <= g <= _MAX_GAMMA_A:
@@ -274,26 +277,22 @@ def spectral_integrand(c: CombCouplings, k: float) -> float:
     x, om = k * a, c.omega
     x2 = 2.0 * x
     if x <= _REARRANGED_ABOVE:
-        # (B -+ |C|)/x; b_minus = 0 only where its x^2-sized term
-        # underflows at g = 0, |Omega| = 1, where I = 0 for every x
-        sh = math.sinh(x)
-        ch = math.cosh(x)
-        gs = g * (sh / x)
-        sh2 = math.sinh(0.5 * x)
-        abs_om = abs(om)
-        b_minus = 4.0 * sh2 * sh2 + gs + 2.0 * (1.0 - abs_om)
-        if not b_minus > 0.0:
-            if b_minus == 0.0:
+        # the x <= 1/2 order of the module docstring; W/m for m the larger of
+        # x and g, so that neither g/x overflows nor x (2u + V/x) underflows
+        u = -math.expm1(-x2)
+        eps, ux = 1.0 - u, u / x
+        gu, delta = g * ux, (1.0 - om) * (1.0 + om)
+        v2 = 4.0 * u * u + 16.0 * delta * eps + gu * (4.0 * (1.0 + eps) + gu)
+        if not v2 > 0.0:
+            if v2 == 0.0:  # u^2 underflows at g = delta = 0, where I = 0
                 return 0.0
-            _violation(b_minus, "(B - |C|)/x")
-        rho = math.sqrt(b_minus) * math.sqrt(2.0 * ch + gs + 2.0 * abs_om)
-        # A/root + x = head/root for head = A + x root = x D/(root + 2x sinh x)
-        # + g (sinh x - x cosh x), where D = root^2 - 4x^2 sinh^2 x is a sum of
-        # non-negative terms, so nothing cancels as g -> 0 at |Omega| = 1;
-        # rho = root/x and D/x^2 keep every term clear of underflow
-        d = 4.0 * ((1.0 - om) * (1.0 + om)) + gs * (4.0 * ch + gs)  # D/x^2
-        head = d / rho * x / (rho + 2.0 * sh) + (gs - g * ch) / rho  # head/root
-        return (head - g / (g + x2)) / _TWO_PI
+            _violation(v2, "(B^2 - C^2) e^{-2x}/x^2")
+        v = math.sqrt(v2)
+        xm, gm = (1.0, g / x) if x >= g else (x / g, 1.0)
+        wm = (2.0 * u + v) * xm + (1.0 + eps) * gm
+        gr = g / (x2 + g)
+        q = 2.0 * (x2 + u) + g * (2.0 - ux) + v
+        return eps * (16.0 * delta * (xm / wm) / v * (x - gr) - 2.0 * gr * (gm / wm) * (q / v)) / _TWO_PI
     eps = math.exp(-x2)
     if eps == 0.0:  # every term carries e^{-2x}
         return 0.0
@@ -366,7 +365,7 @@ def _comb_layer_mass(s: float):
     0.4 is always kept.
 
     With sigma = sinh(x)/x, eta = (sinh(x/2)/(x/2))^2, v = 1 - |Omega| (so
-    delta = v (2 - v)) and r = sqrt(x^2 + s), the small-x form reads 2 pi f_s
+    delta = v (2 - v)) and r = sqrt(x^2 + s), the hyperbolic form is 2 pi f_s
     = x d/(rho (rho + 2 sinh x)) - g (cosh x - sigma)/rho, where d = D/x^2 =
     4s + 4g (sigma cosh x - 1) + g^2 sigma^2 and rho^2 = b_- b_+ with b_- =
     (B - |C|)/x = r^2 + x^2 (eta - 1) + g (sigma - 1) + v^2 and b_+ = (B +
@@ -391,8 +390,8 @@ def _plate_layer_mass(g: float, w: float):
     b/2pi and 0.7 (w^2 + g + 1e-26 b^2) b/2pi.  Like _comb_layer_mass it is
     derived only below 0.4, where the ladder consults it.
 
-    With sigma = sinh(x)/x and eta = (sinh(x/2)/(x/2))^2, the small-x form
-    reads F_s = x + N/D with N = -2 x^2 sigma - g (cosh x - sigma) and D =
+    With sigma = sinh(x)/x and eta = (sinh(x/2)/(x/2))^2, the hyperbolic form
+    is F_s = x + N/D with N = -2 x^2 sigma - g (cosh x - sigma) and D =
     x^2 eta + g sigma + 2q = (x^2 + w^2)(1 + e), where e = [x^2 (eta - 1) +
     g (sigma - 1)]/(x^2 + w^2) >= 0.  The series of eta - 1, sigma - 1,
     sigma - eta and cosh x - sigma have non-negative coefficients, so over
@@ -596,7 +595,7 @@ def comb_energy(c: CombCouplings, abs_tol: float = 1e-10, rel_tol: float = 1e-8)
     _energy_integral), f_s, has one layer, the paper's non-analytic part:
     with s = g + delta, delta = 1 - Omega^2 and r = sqrt(x^2 + s), 2 pi f_s
     ~ phi = x - x^2/r = x s/(r (r + x)) for small x, g and delta (D/x^2 ->
-    4s, root -> 2x r in the small-x form).  Where that layer is thin, 0 <
+    4s, root -> 2x r in the hyperbolic form).  Where that layer is thin, 0 <
     sqrt s < 0.4, the run integrates f_s - phi/2pi, whose layer holds O(s^2
     ln s), and adds int_0^x0 phi/2pi = (s/2)[asinh(x0/sqrt s) - x0/(x0 +
     sqrt(x0^2 + s))]/2pi, which carries the -(s ln s)/8pi of the energy.  A

@@ -68,9 +68,9 @@ _RESABS_FLOOR = _UFLOW / (50.0 * _EPS)  # 50 eps resabs underflows below it
 # absolute in u = 2^-1074: a sum or difference there is exact, and a product
 # or quotient that lands there is off by at most u/2.  The energies' f_s
 # (less the comb's phi/2pi) takes at most 4 such roundings that reach its
-# value unscaled (2u), and 3 that it divides by about x: u/2 over 2 pi x for
-# the comb's g sinh(x)/x, about 0.14 u/x in all (0.12 u/x measured), under
-# u/2 over a ladder decade.
+# value unscaled (2u), and 3 that it divides by about x, u/2 over 2 pi x
+# each, about 0.14 u/x in all (0.17 u/x measured with the unscaled ones, on
+# the comb at Omega = -1 and subnormal g), under u/2 over a ladder decade.
 # The 8 weighted products of resk add at most 4u, 2u per unit width once
 # scaled by half, and value = resk half rounds once more, u/2 at any width.
 # So a panel of nonzero values on [lo, hi] carries at most u (4 (hi - lo) + 1).

@@ -259,7 +259,13 @@ def test_bands_csv_matches_the_csv_module(capsys, tmp_path, argv):
     assert path.read_bytes() == out.encode()
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def _unwritable(tmp_path, where):
+    """An --output path that cannot be written: under a missing directory, a
+    directory, or empty."""
+    return {"missing-dir": str(tmp_path / "missing" / "x.csv"), "a-dir": str(tmp_path), "empty": ""}[where]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "empty"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -269,14 +275,14 @@ def test_bands_csv_matches_the_csv_module(capsys, tmp_path, argv):
     ids=lambda v: v[0],
 )
 def test_unwritable_output_exits_2(tmp_path, argv, where):
-    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
-    code, out, err = run_fresh("open", *argv, "--output", str(path))
+    path = _unwritable(tmp_path, where)
+    code, out, err = run_fresh("open", *argv, "--output", path)
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and str(path) in err
+    assert err.startswith("error:") and repr(path) in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "empty"])
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -292,11 +298,11 @@ def test_unwritable_output_is_rejected_before_the_work(monkeypatch, capsys, tmp_
         raise AssertionError(f"{name} ran although --output cannot be written")
 
     monkeypatch.setattr(cli, name, unreachable, raising=False)
-    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
-    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    path = _unwritable(tmp_path, where)
+    code, out, err = run_cli(capsys, *argv, "--output", path)
     assert (code, out) == (EXIT_DOMAIN, "")
-    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
-    assert err == f"error: cannot write --output {str(path)!r}: {reason}\n"
+    reason = "Is a directory" if where == "a-dir" else "No such file or directory"
+    assert err == f"error: cannot write --output {path!r}: {reason}\n"
 
 
 def test_a_failed_run_leaves_an_existing_output_file_alone(capsys, tmp_path):

@@ -91,8 +91,8 @@ def test_abc_positivity_in_band_regime():
 
 
 def test_positivity_sentinel_fires_beyond_the_supported_domain():
-    # |Omega| >> 1 makes B - |C| and B + C cos(theta) negative: the sentinel
-    # raises in the small-x forms (down to tiny x) and the rearranged ones
+    # |Omega| >> 1 makes B^2 - C^2 and B + C cos(theta) negative: the sentinel
+    # raises on both sides of x = 1/2, down to tiny x
     beyond = SimpleNamespace(gamma=0.5, a=1.0, omega=1e6)
     for x in (1e-120, 1.0, 6.0):
         with pytest.raises(ValidityViolationError, match="positivity violated"):
@@ -103,16 +103,16 @@ def test_positivity_sentinel_fires_beyond_the_supported_domain():
 
 def test_free_corner_returns_exact_values_below_underflow():
     # g = 0, |Omega| = 1: I = 0 for every x, and F = x - 2 where also
-    # 1 + Omega cos(theta) = 0, down to x whose square underflows
+    # 1 + Omega cos(theta) = 0, down to x whose square underflows: there F =
+    # -2x e^{-x}/(1 - e^{-x}) rounds to -2, also at x = 2^-1074
     free = CombCouplings(w0=0.0, w1=0.0, a=1.0)  # Omega = -1
-    # at x = 2^-1074 sinh(x/2) rounds to 0 and F's scaled denominator is 0
-    for x in (1e-160, 1e-170, 1e-300, math.ulp(0.0)):
+    for x in (1e-160, 5e-163, 1e-170, 1e-300, math.ulp(0.0)):
         assert spectral_integrand(free, x) == 0.0
         assert theta_integrand(free, x, 0.0) == -2.0
     stiff = CombCouplings(w0=1.0, w1=1e200, a=1.0)  # Omega = 1, gamma = 0
     assert spectral_integrand(stiff, 1e-170) == 0.0
-    # I = 0 also on both sides of the seam: every term of the rearranged form
-    # carries g^2, delta or D, and all three vanish here
+    # I = 0 also on both sides of the seam: every term of either form carries
+    # g^2 or delta, and both vanish here
     for x in [0.1 * i for i in range(1, 400)]:
         assert spectral_integrand(free, x) == spectral_integrand(stiff, x) == 0.0, x
 
@@ -137,9 +137,10 @@ def test_integrands_are_zero_where_exp_minus_x_underflows():
 def _oracle(g, omega, x, thetas, dps=80):
     """I and F at each theta in dps-digit mpmath, from B -+ |C| and
     B + C cos(theta) as sums of non-negative terms and with A/root + x
-    written as head/root (the identities the module documents); sinh x
-    - x cosh x is the series -(x^3/3) 0F1(; 5/2; x^2/4), so nothing cancels
-    at tiny x.  Returns I and the list of F."""
+    written as head/root, identities of the hyperbolic A, B, C that the
+    module's e^{-x} forms do not use; sinh x - x cosh x is the series
+    -(x^3/3) 0F1(; 5/2; x^2/4), so nothing cancels at tiny x.  Returns I and
+    the list of F."""
     with mpmath.workdps(dps):
         g, om, x = mpmath.mpf(g), mpmath.mpf(omega), mpmath.mpf(x)
         sh, ch, sh2 = mpmath.sinh(x), mpmath.cosh(x), mpmath.sinh(x / 2)
@@ -182,39 +183,49 @@ def test_integrands_against_mpmath_oracle():
             c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
         thetas = (0.0, math.pi, rng.uniform(-math.pi, math.pi))
         I, Fs = _oracle(c.gamma, c.omega, x, thetas)
-        side = "literal" if x <= deltacomb.energy._REARRANGED_ABOVE else "rearranged"
+        side = "x <= 1/2" if x <= deltacomb.energy._REARRANGED_ABOVE else "x > 1/2"
         errors = [abs(spectral_integrand(c, x) - I) / (abs(I) + x * math.exp(-2.0 * x))]
         errors += [
             abs(theta_integrand(c, x, theta) - F) / (abs(F) + x * math.exp(-x))
             for theta, F in zip(thetas, Fs)
         ]
         worst[side] = max(worst.get(side, 0.0), *errors)
-    assert set(worst) == {"literal", "rearranged"}
+    assert set(worst) == {"x <= 1/2", "x > 1/2"}
     assert max(worst.values()) <= 1e-13, worst
 
 
 def test_far_form_against_mpmath_oracle_near_the_free_corner():
-    # in the rearranged form, I is O(g^2) or O(delta), delta = 1 - Omega^2, far
-    # below the 2 x^2 e^{-2x}-sized terms of A and B: every term of the form
-    # carries g^2, delta or D, so it is judged relative to |I| alone (down to
-    # the smallest normal float, where I underflows), against the oracle at
-    # 40 + 2x/ln 10 + 2 log10(1/g) + log10(1/delta) digits, and is exactly 0 at
-    # g = delta = 0.  Omega = -1, Omega within 1e-15..1e-2 of -1, and Omega -> 1
-    # through a large w1
+    # I is O(g^2) or O(delta), delta = 1 - Omega^2, far below the 2 x^2
+    # e^{-2x}-sized terms of A and B at x > 1/2 and the x-sized ones at x <= 1/2:
+    # every term of either form carries g^2 or delta (D carries both), so it is
+    # judged relative to |I| alone (down to the smallest normal float, where I
+    # underflows), against the oracle at 40 + 2x/ln 10 + 2 log10(1/g) +
+    # log10(1/delta) digits, and is exactly 0 at g = delta = 0.  On x in (0,
+    # 1/2] (log-uniform from 2^-1074 and uniform) and in [5, 40]: Omega = -1,
+    # Omega within 1e-15..1e-2 of -1, Omega -> 1 through a large w1 (within
+    # 2e-16..2e-2 of 1), and Omega = 1 with g > 0 through w1 = 1e100
     rng = random.Random(23)
-    worst, exact = 0.0, 0
-    for i in range(48):
-        g = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-300.0, -2.0)
-        kind = i % 3
+    worst, exact = {}, 0
+    for i in range(160):
+        g = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-300.0, -2.0)
+        kind = i % 4
         if kind == 0:
             c = CombCouplings.from_reduced(omega=-1.0, gamma=g, a=1.0)
         elif kind == 1:
             omega = -1.0 + 10.0 ** rng.uniform(-15.0, -2.0)
             c = CombCouplings.from_reduced(omega=omega, gamma=g, a=1.0)
-        else:
-            w1 = 10.0 ** rng.uniform(1.0, 7.0)
+        elif kind == 2:
+            w1 = 10.0 ** rng.uniform(1.0, 8.0)
             c = CombCouplings(w0=g * (1.0 + w1 * w1), w1=w1, a=1.0)
-        x = 40.0 - rng.uniform(0.0, 35.0)
+        else:
+            c = CombCouplings(w0=g * 1e200, w1=1e100, a=1.0)
+        side = ("far", "near-log", "near-uniform", "far")[i // 40]
+        if side == "far":
+            x = 40.0 - rng.uniform(0.0, 35.0)
+        elif side == "near-log":
+            x = 0.5 * 10.0 ** -rng.uniform(0.0, 323.0)
+        else:
+            x = 0.5 - rng.uniform(0.0, 0.5)
         g, omega = c.gamma, c.omega
         delta = (1.0 - omega) * (1.0 + omega)
         value = spectral_integrand(c, x)
@@ -226,16 +237,18 @@ def test_far_form_against_mpmath_oracle_near_the_free_corner():
         digits += (2.0 * math.log10(1.0 / g) if g > 0.0 else 0.0)
         digits += (math.log10(1.0 / delta) if delta > 0.0 else 0.0)
         I, _ = _oracle(g, omega, x, (), dps=int(digits))
-        worst = max(worst, abs(value - I) / max(abs(I), sys.float_info.min))
-    assert exact == 4
-    assert worst <= 1e-13, worst
+        error = abs(value - I) / max(abs(I), sys.float_info.min)
+        worst[side] = max(worst.get(side, 0.0), error)
+    assert set(worst) == {"far", "near-log", "near-uniform"}
+    assert exact == 16
+    assert max(worst.values()) <= 1e-13, worst
 
 
 def test_near_form_against_mpmath_oracle_close_to_omega_minus_1():
-    # at 1 + Omega ~ 1e-8 the literal form's D/x^2 takes its 4 delta from
-    # (1 - Omega)(1 + Omega): 1 - Omega^2 cancelled there, 3.7e-9 relative
-    # off on [1e-3, 4.9], which put a tight comb energy 1e4 times its
-    # abs_err off the log-form oracle
+    # at 1 + Omega ~ 1e-8 both forms take delta from (1 - Omega)(1 + Omega):
+    # 1 - Omega^2 cancels there, and a form that used it was 3.7e-9 relative
+    # off on [1e-3, 4.9], which put a tight comb energy 1e4 times its abs_err
+    # off the log-form oracle
     rng = random.Random(8)
     worst = 0.0
     for i in range(40):
@@ -248,11 +261,12 @@ def test_near_form_against_mpmath_oracle_close_to_omega_minus_1():
 
 
 def test_rearranged_forms_against_mpmath_oracle_near_omega_minus_1():
-    # at Omega = -1 and small g the literal f cancels between its two terms
-    # for x of order 1: it had the wrong sign at the first pinned point (the
-    # oracle is the same at 200 digits) and was 2.4e-5 and 8.2e-5 relative off
-    # at the other two.  On [1/2, 5], Omega at and near -1 and theta near 0,
-    # both integrands hold 1e-13 of |value| (I is exactly 0 at the free corner)
+    # at Omega = -1 and small g, f written as A/root + x - g/(g + 2x) cancels
+    # between its terms for x of order 1: that form had the wrong sign at the
+    # first pinned point (the oracle is the same at 200 digits) and was 2.4e-5
+    # and 8.2e-5 relative off at the other two.  On [1/2, 5], Omega at and
+    # near -1 and theta near 0, both integrands hold 1e-13 of |value| (I is
+    # exactly 0 at the free corner)
     rng = random.Random(38)
     combs = [
         (CombCouplings(w0=5.243050564839845e-12, w1=0.0, a=1.0), 4.746609935979363),
